@@ -4,7 +4,7 @@ Runs the columnar phase-breakdown benchmark (scalar PR-1 replica vs
 columnar pipeline, per-phase timings) and the batch-throughput
 benchmarks (sequential ``execute`` loop vs ``execute_batch`` for
 C-PNN specs, plus the routed k-NN and range batch paths against their
-pre-façade scalar loops), then writes one JSON document with the raw
+scalar reference loops), then writes one JSON document with the raw
 seconds, the relative speedups, and the workload shape.  Future PRs re-run this script and diff the
 committed snapshot to catch performance regressions without relying on
 absolute wall-clock numbers from someone else's machine.
@@ -86,7 +86,7 @@ def measure_batch_throughput(repeats: int) -> dict:
 
 
 def measure_knn_throughput(repeats: int) -> dict:
-    """k-NN execute_batch vs the pre-façade CKNNEngine scalar loop.
+    """k-NN execute_batch vs the ``scalar_knn_query`` reference loop.
 
     The scalar baseline is orders of magnitude slower (it skips MBR
     filtering and integrates against all objects), so it is timed once
@@ -115,7 +115,7 @@ def measure_knn_throughput(repeats: int) -> dict:
 
 
 def measure_range_throughput(repeats: int) -> dict:
-    """Range execute_batch vs the pre-façade scalar loop."""
+    """Range execute_batch vs the ``scalar_range_query`` reference loop."""
     engine, points = throughput_bench.engine_and_points()
     specs = throughput_bench.range_specs(points)
     legacy = _best_of(

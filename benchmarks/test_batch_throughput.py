@@ -1,4 +1,4 @@
-"""Bench: batch façade throughput vs sequential / pre-façade loops.
+"""Bench: batch façade throughput vs sequential / scalar-reference loops.
 
 The workload the batch subsystem targets: many query points (moving
 clients, repeated probes) against one object set, now issued through
@@ -6,34 +6,28 @@ clients, repeated probes) against one object set, now issued through
 
 * **C-PNN** — ``execute_batch`` vs a sequential ``execute`` loop
   (≥ 2× acceptance bar, answer sets asserted identical);
-* **k-NN** — ``execute_batch`` vs the pre-façade scalar path (a
-  ``CKNNEngine.query`` loop, which builds every object's distance
+* **k-NN** — ``execute_batch`` vs the scalar reference (a
+  ``scalar_knn_query`` loop, which builds every object's distance
   distribution and integrates against all objects).  The routed path's
   MBR ``f_min^k`` filtering + columnar kernels must win by ≥ 2×
   (``KNN_BATCH_SPEEDUP_FLOOR`` overrides the floor; answers and
   records are asserted bit-identical first);
-* **range** — ``execute_batch`` vs the pre-façade
-  ``constrained_range_query`` loop (identity asserted; speedup
+* **range** — ``execute_batch`` vs the scalar reference
+  ``scalar_range_query`` loop (identity asserted; speedup
   reported by ``record_bench.py``, no gate — both paths are dominated
   by per-object record construction).
 """
 
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
 
+from repro.baselines import scalar_knn_query, scalar_range_query
 from repro.core.engine import UncertainEngine
-from repro.core.knn import CKNNEngine
-from repro.core.range_query import constrained_range_query
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.datasets.longbeach import long_beach_surrogate
-
-# The pre-façade baselines below are exercised on purpose: they are the
-# reference scalar paths the routed engine must match bit for bit.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 #: Objects in the benchmark engine (acceptance floor: ≥ 500).
 BATCH_OBJECTS = 2_000
@@ -94,22 +88,17 @@ def run_sequential(engine: UncertainEngine, points: list[float]):
 
 
 def run_knn_legacy(engine: UncertainEngine, points: list[float]):
-    """The pre-façade scalar k-NN path (no filtering, no cache)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = CKNNEngine(engine.objects, k=KNN_K)
+    """The scalar reference k-NN path (no filtering, no cache)."""
     return [
-        legacy.query(q, threshold=KNN_THRESHOLD)
+        scalar_knn_query(engine.objects, q, KNN_K, KNN_THRESHOLD)
         for q in points[:KNN_LEGACY_POINTS]
     ]
 
 
 def run_range_legacy(engine: UncertainEngine, points: list[float]):
-    """The pre-façade scalar range path."""
+    """The scalar reference range path."""
     return [
-        constrained_range_query(
-            engine.objects, q, RANGE_RADIUS, RANGE_THRESHOLD
-        )
+        scalar_range_query(engine.objects, q, RANGE_RADIUS, RANGE_THRESHOLD)
         for q in points[:RANGE_POINTS]
     ]
 
@@ -202,9 +191,9 @@ def test_batch_speedup_and_equivalence():
 
 
 def test_knn_batch_speedup_and_equivalence():
-    """Acceptance: k-NN ``execute_batch`` ≥ 2× the pre-façade scalar loop.
+    """Acceptance: k-NN ``execute_batch`` ≥ 2× the scalar reference loop.
 
-    The scalar :class:`CKNNEngine` path builds every object's distance
+    The scalar :func:`scalar_knn_query` path builds every object's distance
     distribution per query and integrates undecided candidates against
     all objects; the routed path prunes with the MBR ``f_min^k`` rule
     first and serves bounds from columnar kernels, so the real margin

@@ -21,18 +21,15 @@ Quickstart::
     engine.execute(CRangeQuery(q=2.0, threshold=0.5, radius=1.5)).answers
     engine.execute_batch([CPNNQuery(1.0), CKNNQuery(2.0, k=2)]).answers
 
-See DESIGN.md for the system inventory (spec hierarchy, result shape,
-deprecation table) and README.md for the performance architecture and
+See DESIGN.md for the system inventory (spec hierarchy, result shape)
+and README.md for the performance architecture and
 the reproduction of the paper's evaluation.
 """
 
 from repro.core import (
     BatchResult,
-    CKNNEngine,
     CKNNQuery,
-    CPNNEngine,
     CPNNQuery,
-    CPNNResult,
     CRangeQuery,
     EngineConfig,
     Label,
@@ -54,15 +51,12 @@ from repro.uncertainty import (
     UncertainSegment,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BatchResult",
-    "CKNNEngine",
     "CKNNQuery",
-    "CPNNEngine",
     "CPNNQuery",
-    "CPNNResult",
     "CRangeQuery",
     "DistanceDistribution",
     "EngineConfig",

@@ -4,8 +4,7 @@ Public entry points:
 
 * :class:`~repro.core.engine.UncertainEngine` — the unified engine:
   ``execute``/``execute_batch`` over typed query specs, plus
-  ``explain`` (:class:`~repro.core.engine.CPNNEngine` remains as the
-  legacy alias);
+  ``explain``;
 * :class:`~repro.core.types.QuerySpec` and its concrete specs
   :class:`~repro.core.types.CPNNQuery` (Definition 1),
   :class:`~repro.core.types.CKNNQuery`,
@@ -14,27 +13,26 @@ Public entry points:
   :class:`~repro.core.batch.BatchResult` — the uniform result shapes;
 * :class:`~repro.core.subregions.SubregionTable` and the verifiers in
   :mod:`repro.core.verifiers` for direct use;
-* :mod:`repro.core.knn` / :mod:`repro.core.range_query` — the scalar
-  reference implementations of the k-NN and range extensions (their
-  engine-routed equivalents are bit-identical).
+* :mod:`repro.core.knn` / :mod:`repro.core.range_query` — the numeric
+  kernels of the k-NN and range extensions (exact probabilities,
+  algebraic bounds, the routed evaluators); the scalar reference
+  loops they are bit-identical to live in :mod:`repro.baselines`.
 """
 
 from repro.core.batch import BatchResult, DistributionCache
 from repro.core.bounds import ProbabilityBound
 from repro.core.classifier import classify
 from repro.core.engine import (
-    CPNNEngine,
     EngineConfig,
     ShardedEngine,
     Strategy,
     UncertainEngine,
 )
 from repro.core.knn import (
-    CKNNEngine,
     knn_probability_bounds,
     knn_qualification_probabilities,
 )
-from repro.core.range_query import constrained_range_query, range_probabilities
+from repro.core.range_query import range_probabilities
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.storage import SubregionStore, subregion_bounds_from_store
@@ -43,7 +41,6 @@ from repro.core.types import (
     AnswerRecord,
     CKNNQuery,
     CPNNQuery,
-    CPNNResult,
     CRangeQuery,
     Label,
     PhaseTimings,
@@ -62,11 +59,8 @@ from repro.core.verifiers import (
 __all__ = [
     "AnswerRecord",
     "BatchResult",
-    "CKNNEngine",
     "CKNNQuery",
-    "CPNNEngine",
     "CPNNQuery",
-    "CPNNResult",
     "CRangeQuery",
     "CandidateStates",
     "DistributionCache",
@@ -88,7 +82,6 @@ __all__ = [
     "UpperSubregionVerifier",
     "VerifierChain",
     "classify",
-    "constrained_range_query",
     "default_chain",
     "knn_probability_bounds",
     "knn_qualification_probabilities",

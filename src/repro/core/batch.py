@@ -352,8 +352,7 @@ class TableCache:
 
 @dataclass
 class BatchResult:
-    """Outcome of one :meth:`UncertainEngine.execute_batch` (or legacy
-    ``query_batch``) call.
+    """Outcome of one :meth:`UncertainEngine.execute_batch` call.
 
     Attributes
     ----------

@@ -21,8 +21,7 @@ module              owns
 :mod:`.knn`         the routed constrained k-NN executor
 :mod:`.ranges`      the routed constrained range executor
 :mod:`.facade`      :class:`UncertainEngine` — the thin coordinator that
-                    routes specs and owns config/caches — plus the
-                    legacy :class:`CPNNEngine` shim
+                    routes specs and owns config/caches
 :mod:`.sharded`     :class:`ShardedEngine` — spatial shards planning
                     batches as serialized work items (DESIGN.md §12)
 :mod:`.executors`   the pluggable execution backends the sharded engine
@@ -38,11 +37,10 @@ families.
 """
 
 from repro.core.engine.config import EngineConfig, Strategy
-from repro.core.engine.facade import CPNNEngine, UncertainEngine
+from repro.core.engine.facade import UncertainEngine
 from repro.core.engine.sharded import ShardedEngine
 
 __all__ = [
-    "CPNNEngine",
     "EngineConfig",
     "ShardedEngine",
     "Strategy",

@@ -3,11 +3,10 @@
 Every object that *executes* specs — the single
 :class:`~repro.core.engine.UncertainEngine`, a
 :class:`~repro.core.engine.sharded.ShardedEngine`, and the sharded
-engine's internal execution lanes — needs the same four small
-behaviours: normalise a bare point into a default spec, normalise the
-legacy ``query()`` argument shape, validate a strategy name, and
-resolve the verifier chain serving a spec type through the
-``EngineConfig.pipeline`` hook.  :class:`SpecDispatchMixin` provides
+engine's internal execution lanes — needs the same three small
+behaviours: normalise a bare point into a default spec, validate a
+strategy name, and resolve the verifier chain serving a spec type
+through the ``EngineConfig.pipeline`` hook.  :class:`SpecDispatchMixin` provides
 them against two host attributes: ``_config`` (an
 :class:`~repro.core.engine.config.EngineConfig`) and the chain slots
 ``_chain`` / ``_chains`` the host initialises via
@@ -53,29 +52,6 @@ class SpecDispatchMixin:
         if isinstance(spec, QuerySpec):
             return spec
         return CPNNQuery(spec)
-
-    @staticmethod
-    def _as_query(
-        q, threshold: float | None, tolerance: float | None
-    ) -> CPNNQuery:
-        """Normalise a bare point or prepared query plus overrides."""
-        if isinstance(q, QuerySpec) and not isinstance(q, CPNNQuery):
-            raise TypeError(
-                f"{type(q).__name__} specs go through execute(), not query()"
-            )
-        if isinstance(q, CPNNQuery):
-            if threshold is None and tolerance is None:
-                return q
-            return CPNNQuery(
-                q.q,
-                threshold if threshold is not None else q.threshold,
-                tolerance if tolerance is not None else q.tolerance,
-            )
-        return CPNNQuery(
-            q,
-            threshold if threshold is not None else 0.3,
-            tolerance if tolerance is not None else 0.01,
-        )
 
     def _as_strategy(self, strategy: str | None) -> str:
         strategy = strategy or self._config.strategy

@@ -67,7 +67,7 @@ import numpy as np
 from repro import hooks
 from repro.core.batch import point_key
 from repro.core.engine.executors.base import ExecutionTimeout, ExecutorBase
-from repro.shm import attach_arrays, export_arrays, release_segment
+from repro.storage import ShmStore, StorageError, open_store
 
 __all__ = ["ProcessExecutor"]
 
@@ -118,7 +118,6 @@ class _WorkerState:
 def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
     from repro.core.engine.lanes import Lane
     from repro.index.filtering import BatchMbrFilter
-    from repro.storage import StorageError, open_store
 
     state = _WorkerState()
     state.lane = Lane(config, n_lanes)
@@ -133,7 +132,7 @@ def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
                     store, state.objects
                 )
                 state.shm = store
-            except (StorageError, FileNotFoundError, OSError, ValueError):
+            except StorageError:
                 # The backing store vanished (or could not be mapped)
                 # between export and attach.  The objects travelled in
                 # the same message, so rebuild the filter locally: a
@@ -245,13 +244,9 @@ def _worker_main(conn, lane_id: int) -> None:
                 if ops:
                     _worker_apply_ops(state, ops)
                 shard_min, shard_max = state.filter.matrices_rows(queries, cols)
-                out_shm, views = attach_arrays(out_desc, writable=True)
-                try:
-                    views["mindist"][:, cols] = shard_min
-                    views["maxdist"][:, cols] = shard_max
-                finally:
-                    del views  # drop buffer refs before unmapping
-                    out_shm.close()
+                with ShmStore.attach(out_desc, writable=True) as out:
+                    out.get("mindist")[:, cols] = shard_min
+                    out.get("maxdist")[:, cols] = shard_max
                 conn.send(("ok", None))
             elif kind == "exit":
                 conn.send(("ok", None))
@@ -685,12 +680,13 @@ class ProcessExecutor(ExecutorBase):
         self.ensure_started()
         self._dispatches += 1
         top = self._ops_base + len(self._ops)
-        out_shm, out_desc = export_arrays(
+        out_store = ShmStore.create(
             {
                 "mindist": np.zeros(mindist.shape),
                 "maxdist": np.zeros(maxdist.shape),
             }
         )
+        out_desc = out_store.descriptor()
         try:
             fallback: list = []
             inflight = []
@@ -745,7 +741,7 @@ class ProcessExecutor(ExecutorBase):
                 )
             if done:
                 try:
-                    out_attach, views = attach_arrays(out_desc)
+                    readback = ShmStore.attach(out_desc)
                 except Exception:
                     # Readback attach failed (injected or real): the
                     # workers' columns are unreachable — recompute them
@@ -753,20 +749,18 @@ class ProcessExecutor(ExecutorBase):
                     self._shm_fallbacks += 1
                     fallback.extend(done)
                 else:
-                    try:
+                    with readback:
                         for item in done:
-                            mindist[:, item.cols] = views["mindist"][:, item.cols]
-                            maxdist[:, item.cols] = views["maxdist"][:, item.cols]
-                    finally:
-                        del views
-                        out_attach.close()
+                            cols = item.cols
+                            mindist[:, cols] = readback.get("mindist")[:, cols]
+                            maxdist[:, cols] = readback.get("maxdist")[:, cols]
             for item in fallback:
                 self._retries += 1
                 shard_min, shard_max = self._host._run_sweep_item(item, queries)
                 mindist[:, item.cols] = shard_min
                 maxdist[:, item.cols] = shard_max
         finally:
-            release_segment(out_shm)
+            out_store.close()
         self._compact_ops()
 
     # -- test hooks & observability ------------------------------------

@@ -1,4 +1,4 @@
-"""The engine coordinator: spec routing, caches, and legacy shims.
+"""The engine coordinator: spec routing and caches.
 
 :class:`UncertainEngine` is deliberately thin — it assembles the
 focused stage modules (object registry, filter stage, one executor per
@@ -10,15 +10,10 @@ the spec type and merge the executors' outputs; all evaluation lives in
 :mod:`~repro.core.engine.ranges`, all storage and mutation semantics in
 :mod:`~repro.core.engine.registry`, and all index upkeep in
 :mod:`~repro.core.engine.filtering`.
-
-The pre-façade entry points — :meth:`UncertainEngine.query`,
-:meth:`UncertainEngine.query_batch`, and the :class:`CPNNEngine` name —
-remain as thin deprecation shims (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -41,7 +36,7 @@ from repro.core.types import (
 )
 from repro.index.filtering import PnnFilter
 
-__all__ = ["CPNNEngine", "QueryFacadeMixin", "UncertainEngine"]
+__all__ = ["QueryFacadeMixin", "UncertainEngine"]
 
 
 class QueryFacadeMixin(SpecDispatchMixin):
@@ -530,81 +525,3 @@ class UncertainEngine(
                 "max_grid": self._config.analytic_max_grid,
             },
         }
-
-    # ------------------------------------------------------------------
-    # Legacy entry points (deprecation shims; see DESIGN.md §7)
-    # ------------------------------------------------------------------
-
-    def query(
-        self,
-        q,
-        threshold: float | None = None,
-        tolerance: float | None = None,
-        strategy: str | None = None,
-    ) -> QueryResult:
-        """Answer a C-PNN query (deprecated; use :meth:`execute`).
-
-        ``q`` may be a bare query point or a prepared
-        :class:`~repro.core.types.CPNNQuery`; ``threshold``/
-        ``tolerance`` override the query's values when given.  Unlike
-        :meth:`execute`, raises :class:`ValueError` on an empty engine
-        (the pre-façade behaviour).
-        """
-        warnings.warn(
-            "query() is deprecated; use execute(CPNNQuery(q, threshold, "
-            "tolerance)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not self._objects:
-            raise ValueError("cannot query an empty engine (insert objects first)")
-        query = self._as_query(q, threshold, tolerance)
-        result = self._execute_pnn(query, self._as_strategy(strategy))
-        result.spec = query
-        return result
-
-    def query_batch(
-        self,
-        points: Sequence,
-        threshold: float | None = None,
-        tolerance: float | None = None,
-        strategy: str | None = None,
-    ) -> BatchResult:
-        """Batch C-PNN evaluation (deprecated; use :meth:`execute_batch`).
-
-        Semantically equivalent to calling :meth:`query` once per point
-        with the same ``threshold``/``tolerance``/``strategy``; see
-        :meth:`execute_batch` for the amortisation details.  Raises
-        :class:`ValueError` on an empty engine when ``points`` is
-        non-empty (the pre-façade behaviour).
-        """
-        warnings.warn(
-            "query_batch() is deprecated; use execute_batch([CPNNQuery(...)"
-            ", ...]) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._as_strategy(strategy)  # validate even for an empty batch
-        points = list(points)
-        if not points:
-            return BatchResult()
-        if not self._objects:
-            raise ValueError("cannot query an empty engine (insert objects first)")
-        queries = [self._as_query(p, threshold, tolerance) for p in points]
-        return self._pnn_batch(queries, strategy)
-
-
-class CPNNEngine(UncertainEngine):
-    """Legacy name of :class:`UncertainEngine`, kept as a thin shim.
-
-    Identical in every respect except that construction requires a
-    non-empty object sequence (the pre-façade contract; an
-    :class:`UncertainEngine` may start empty and answers ``execute``
-    specs with empty results).  New code should construct
-    :class:`UncertainEngine` directly.
-    """
-
-    def __init__(self, objects: Sequence, config: EngineConfig | None = None):
-        if not objects:
-            raise ValueError("engine requires at least one object")
-        super().__init__(objects, config)

@@ -44,7 +44,7 @@ class FilterStageMixin:
         self._pending_tree_ops: list[tuple[str, object]] = []
         self._filter_stale = False
         self._build_filter()
-        #: Vectorised whole-batch filter shared by query_batch and the
+        #: Vectorised whole-batch filter shared by execute_batch and the
         #: routed k-NN/range paths.  Built with the rest of the index
         #: substrate for R-tree engines (it filters over the same MBRs
         #: the tree holds) and maintained *incrementally* across

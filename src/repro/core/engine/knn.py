@@ -8,7 +8,7 @@ its LRU distribution cache, and the columnar bound/integration kernels
 ``_ensure_batch_filter`` — anything that serves those (a single
 engine, or a sharded engine whose filter fans out across shards)
 gets answers bit-identical to the scalar
-:meth:`repro.core.knn.CKNNEngine.query` reference path.
+:func:`repro.baselines.scalar.scalar_knn_query` reference.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class KnnExecutorMixin:
         cache and the columnar bound/integration kernels
         (:func:`~repro.core.knn.knn_routed_eval`).  Returns the results
         (answers bit-identical to the scalar
-        :meth:`~repro.core.knn.CKNNEngine.query` path) and the shared
+        :func:`~repro.baselines.scalar.scalar_knn_query`) and the shared
         filtering seconds.
         """
         n = len(self._objects)

@@ -4,7 +4,7 @@ Evaluates :class:`~repro.core.types.CRangeQuery` specs through the
 shared substrate against the same host protocol as the k-NN executor
 (``_objects``, ``_distribution_cache``, ``_ensure_batch_filter``);
 answers are bit-identical to the scalar
-:func:`repro.core.range_query.constrained_range_query` reference.
+:func:`repro.baselines.scalar.scalar_range_query` reference.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class RangeExecutorMixin:
         cache) and evaluate ``cdf(radius)`` through the columnar kernel
         (:func:`~repro.core.range_query.range_routed_eval`).  Answers
         are bit-identical to the scalar
-        :func:`~repro.core.range_query.constrained_range_query`.
+        :func:`~repro.baselines.scalar.scalar_range_query`.
         """
         cache = self._distribution_cache
         tick = time.perf_counter()

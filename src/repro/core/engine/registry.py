@@ -198,9 +198,8 @@ class ObjectRegistryMixin(InvalidationQueueMixin):
 
         Returns ``False`` — never raises — when the key is absent (see
         the :ref:`mutation contract <mutation-contract>`).  The engine
-        may become empty, in which case the legacy ``query`` entry
-        points raise until an object is inserted again (the ``execute``
-        façade returns empty results instead, DESIGN.md §8).
+        may become empty, in which case ``execute`` returns empty
+        results until an object is inserted again (DESIGN.md §8).
         """
         if self._key_index is not None:
             position = self._key_index.get(key)

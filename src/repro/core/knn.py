@@ -15,25 +15,27 @@ module provides that extension on top of the same substrate:
   global breakpoint grid the integrand is again a polynomial, so
   Gauss–Legendre evaluates it exactly.
 
-* :class:`CKNNEngine` — a constrained (threshold/tolerance) k-NN query
-  answered with an RS-style verifier generalisation: with ``f_min^k``
-  the k-th smallest far point, any object farther than ``f_min^k`` has
-  at least ``k`` objects certainly closer, hence
+* :func:`knn_probability_bounds` / :func:`knn_routed_eval` — the
+  RS-style verifier generalisation behind constrained
+  (threshold/tolerance) k-NN queries: with ``f_min^k`` the k-th
+  smallest far point, any object farther than ``f_min^k`` has at least
+  ``k`` objects certainly closer, hence
 
       p_i(k).u ≤ D_i(f_min^k)
 
-  which filters and fails most objects before any integration.
+  which filters and fails most objects before any integration.  The
+  unfiltered scalar loop the routed path is bit-identical to lives in
+  :func:`repro.baselines.scalar.scalar_knn_query`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.types import AnswerRecord, CPNNQuery, Label
+from repro.core.types import AnswerRecord, Label
 from repro.numerics.poisson_binomial import prob_at_most_vectorized
 from repro.numerics.quadrature import gauss_legendre_nodes, nodes_for_degree
 from repro.uncertainty.columnar import DistributionPack
@@ -41,7 +43,6 @@ from repro.uncertainty.distance import DistanceDistribution
 from repro.uncertainty.parametric.pack import MixedDistributionPack
 
 __all__ = [
-    "CKNNEngine",
     "knn_analytic_eval",
     "knn_probability_bounds",
     "knn_qualification_probabilities",
@@ -324,7 +325,8 @@ def knn_routed_eval(
     in the full, ``total``-object collection whose keys are ``keys``),
     in insertion order.  Returns ``(answers, records, n_exact,
     exact_seconds)`` with one record per object — **bit-identical** to
-    the unfiltered scalar path (:meth:`CKNNEngine.query`):
+    the unfiltered scalar path
+    (:func:`repro.baselines.scalar.scalar_knn_query`):
 
     * pruned objects get the bounds the scalar path would compute for
       them, ``(0, 0)``, without touching their pdfs (their supports lie
@@ -419,103 +421,3 @@ def knn_routed_eval(
             answers.append(keys[j])
     return tuple(answers), records, len(needed), exact_seconds
 
-
-class CKNNEngine:
-    """Constrained probabilistic k-NN: threshold/tolerance semantics of
-    Definition 1 applied to k-NN qualification probabilities.
-
-    .. deprecated::
-        Superseded by ``UncertainEngine.execute(CKNNQuery(...))``, which
-        adds MBR filtering, distribution caching, columnar bound
-        kernels, and the batch path while returning bit-identical
-        answers.  Kept as the reference scalar implementation.
-
-    The verification stage uses the RS-style bound
-    ``p_i(k).u ≤ D_i(f_min^k)``; objects that survive it are resolved
-    with the exact integral.  (Tolerance only matters in the verifier
-    stage: exact values have zero bound width.)
-    """
-
-    def __init__(self, objects: Sequence, k: int) -> None:
-        warnings.warn(
-            "CKNNEngine is deprecated; use "
-            "UncertainEngine.execute(CKNNQuery(q, k=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not objects:
-            raise ValueError("CKNNEngine requires at least one object")
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self._objects = tuple(objects)
-        self._k = int(k)
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    def query(
-        self, q, threshold: float = 0.3, tolerance: float = 0.0
-    ) -> tuple[tuple, list[AnswerRecord]]:
-        """Returns (answer keys, per-object records)."""
-        query = CPNNQuery(q, threshold, tolerance)
-        distributions = [obj.distance_distribution(q) for obj in self._objects]
-        k = min(self._k, len(distributions))
-        records: list[AnswerRecord] = []
-        if k >= len(distributions):
-            answers = tuple(d.key for d in distributions)
-            records = [
-                AnswerRecord(key=d.key, label=Label.SATISFY, lower=1.0, upper=1.0, exact=1.0)
-                for d in distributions
-            ]
-            return answers, records
-        # RS-style verification on both sides (no integration):
-        # fail when the upper bound misses P, satisfy when the lower
-        # bound clears it, integrate exactly only for the rest.
-        bounds = knn_probability_bounds(distributions, k)
-        needs_exact = [
-            i
-            for i, (lower, upper) in enumerate(bounds)
-            if lower < query.threshold <= upper
-        ]
-        exact_probs: dict[Hashable, float] = {}
-        if needs_exact:
-            exact_probs = knn_qualification_probabilities(
-                distributions, q, k
-            )
-        answers = []
-        for i, dist in enumerate(distributions):
-            lower, upper = bounds[i]
-            if upper < query.threshold:
-                records.append(
-                    AnswerRecord(
-                        key=dist.key,
-                        label=Label.FAIL,
-                        lower=lower,
-                        upper=upper,
-                        exact=None,
-                    )
-                )
-                continue
-            if lower >= query.threshold:
-                records.append(
-                    AnswerRecord(
-                        key=dist.key,
-                        label=Label.SATISFY,
-                        lower=lower,
-                        upper=upper,
-                        exact=None,
-                    )
-                )
-                answers.append(dist.key)
-                continue
-            p = exact_probs[dist.key]
-            label = Label.SATISFY if p >= query.threshold else Label.FAIL
-            records.append(
-                AnswerRecord(
-                    key=dist.key, label=label, lower=p, upper=p, exact=p
-                )
-            )
-            if label is Label.SATISFY:
-                answers.append(dist.key)
-        return tuple(answers), records

@@ -24,7 +24,6 @@ objects, whose bounds are 0/1 — so the answer is in fact exact).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.parametric.base import ParametricDistance
 from repro.uncertainty.parametric.pack import MixedDistributionPack
 
-__all__ = ["constrained_range_query", "range_probabilities", "range_routed_eval"]
+__all__ = ["range_probabilities", "range_routed_eval"]
 
 
 def range_probabilities(
@@ -52,52 +51,6 @@ def range_probabilities(
         else:
             results[obj.key] = float(obj.distance_distribution(q).cdf(radius))
     return results
-
-
-def constrained_range_query(
-    objects: Sequence,
-    q,
-    radius: float,
-    threshold: float,
-    tolerance: float = 0.0,
-) -> tuple[tuple, list[AnswerRecord]]:
-    """Objects within ``radius`` of ``q`` with probability ≥ ``threshold``.
-
-    Returns ``(answer keys, per-object records)``.  Objects decided by
-    their bounding boxes never touch their pdfs; the records show
-    which path decided each object (bound width 0 for MBR decisions
-    and exact evaluations alike — range probabilities are cheap enough
-    that no partial bounds are ever needed).
-    """
-    warnings.warn(
-        "constrained_range_query is deprecated; use "
-        "UncertainEngine.execute(CRangeQuery(q, radius=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not objects:
-        raise ValueError("need at least one object")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
-    if not 0.0 <= tolerance <= 1.0:
-        raise ValueError("tolerance must lie in [0, 1]")
-    answers = []
-    records: list[AnswerRecord] = []
-    for obj in objects:
-        if obj.maxdist(q) <= radius:
-            p, exact = 1.0, None
-        elif obj.mindist(q) > radius:
-            p, exact = 0.0, None
-        else:
-            p = float(obj.distance_distribution(q).cdf(radius))
-            exact = p
-        label = Label.SATISFY if p >= threshold else Label.FAIL
-        records.append(
-            AnswerRecord(key=obj.key, label=label, lower=p, upper=p, exact=exact)
-        )
-        if label is Label.SATISFY:
-            answers.append(obj.key)
-    return tuple(answers), records
 
 
 def range_routed_eval(
@@ -123,9 +76,10 @@ def range_routed_eval(
     :class:`~repro.uncertainty.columnar.DistributionPack` kernel call.
 
     Returns ``(answers, records, n_evaluated)`` — bit-identical to
-    :func:`constrained_range_query` over the full object sequence: the
-    per-object branch structure is the scalar path's, and the pack cdf
-    kernel reproduces per-object ``cdf(radius)`` bit for bit.
+    :func:`repro.baselines.scalar.scalar_range_query` over the full
+    object sequence: the per-object branch structure is the scalar
+    path's, and the pack cdf kernel reproduces per-object
+    ``cdf(radius)`` bit for bit.
     """
     sure_in = mbr_maxdist <= radius
     probability = np.where(sure_in, 1.0, 0.0)

@@ -38,7 +38,6 @@ __all__ = [
     "AnswerRecord",
     "CKNNQuery",
     "CPNNQuery",
-    "CPNNResult",
     "CRangeQuery",
     "Label",
     "PhaseTimings",
@@ -255,11 +254,6 @@ class QueryResult:
         if self.diagnostics:
             summary += f", diagnostics={sorted(self.diagnostics)}"
         return summary + ")"
-
-
-#: Legacy name of :class:`QueryResult` (pre-façade API), kept as an
-#: alias so existing imports and isinstance checks continue to work.
-CPNNResult = QueryResult
 
 
 @dataclass

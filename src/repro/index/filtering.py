@@ -16,7 +16,6 @@ Two implementations are provided with identical semantics:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -273,34 +272,6 @@ class BatchMbrFilter:
         flt._n_dead = 0
         flt._pending = []
         flt._store = store  # pins the backing for the filter's lifetime
-        return flt
-
-    # -- legacy shared-memory surface (deprecated, one release) ---------
-
-    def to_shared(self):
-        """Deprecated: use ``to_store('shm')``."""
-        warnings.warn(
-            "BatchMbrFilter.to_shared is deprecated; use to_store('shm') "
-            "(repro.storage)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        store = self.to_store("shm")
-        return store.segment, store.shm_descriptor
-
-    @classmethod
-    def from_shared(cls, descriptor, objects: Sequence) -> "BatchMbrFilter":
-        """Deprecated: use ``from_store(open_store(descriptor), objects)``."""
-        warnings.warn(
-            "BatchMbrFilter.from_shared is deprecated; use "
-            "from_store(open_store(descriptor), objects) (repro.storage)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.storage import ShmStore
-
-        flt = cls.from_store(ShmStore.attach(descriptor), objects)
-        flt._shm = flt._store.segment
         return flt
 
     # ------------------------------------------------------------------

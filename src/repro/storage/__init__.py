@@ -13,6 +13,7 @@ instead of materialising columns.
 
 from repro.storage.base import (
     BACKENDS,
+    ColumnField,
     ColumnStore,
     StoreDescriptor,
     create_store,
@@ -31,6 +32,7 @@ from repro.storage.shmstore import ShmStore
 __all__ = [
     "BACKENDS",
     "BufferPool",
+    "ColumnField",
     "ColumnStore",
     "DEFAULT_PAGE_BYTES",
     "DEFAULT_POOL_PAGES",

@@ -7,8 +7,8 @@ and ``close`` — plus uniform I/O ``stats``.  Three backends implement
 it:
 
 * ``ram`` — plain ndarrays, the zero-overhead default;
-* ``shm`` — one ``multiprocessing.shared_memory`` segment
-  (:mod:`repro.shm` underneath), zero-copy across process workers;
+* ``shm`` — one ``multiprocessing.shared_memory`` segment, zero-copy
+  across process workers;
 * ``mmap`` — a 64-byte-aligned on-disk file served through a
   page-granular :class:`~repro.storage.pool.BufferPool` of real mmap
   windows, so column sets larger than RAM stay queryable.
@@ -19,9 +19,9 @@ stores hand out zero-copy views (``ram``/``shm``), chunked stores
 that can stream should prefer ``read`` over ``get`` on them.
 
 One descriptor type (:class:`StoreDescriptor`) covers every backend:
-a backend tag, a location (segment name or file path), and the same
-per-field ``(name, dtype, shape, offset)`` table
-:mod:`repro.shm` uses.  ``open_store`` rehydrates it in any process.
+a backend tag, a location (segment name or file path), and a per-field
+``(name, dtype, shape, offset)`` table of :class:`ColumnField` records.
+``open_store`` rehydrates it in any process.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.shm import ShmField
 from repro.storage.errors import StorageError
 
 __all__ = [
     "BACKENDS",
+    "ColumnField",
     "ColumnStore",
     "StoreDescriptor",
     "create_store",
@@ -44,6 +44,20 @@ __all__ = [
 
 #: The recognised backend tags, in documentation order.
 BACKENDS = ("ram", "shm", "mmap")
+
+#: Column offsets are rounded up to this many bytes so every view is
+#: aligned for any dtype the columns use.
+_ALIGN = 64
+
+
+@dataclass(frozen=True)
+class ColumnField:
+    """One column's rehydration recipe: dtype/shape/offset inside the backing."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,7 @@ class StoreDescriptor:
     nbytes:
         Total backing size in bytes.
     fields:
-        Per-column layout, the same ``(name, dtype, shape, offset)``
-        records shared-memory descriptors use.
+        Per-column layout, one :class:`ColumnField` per column.
     arrays:
         Ram only: the columns themselves.  A ram descriptor pickles
         O(data) — it exists so the API is total, not as a transport;
@@ -70,14 +83,31 @@ class StoreDescriptor:
     backend: str
     location: str | None
     nbytes: int
-    fields: tuple[ShmField, ...] = ()
+    fields: tuple[ColumnField, ...] = ()
     arrays: dict | None = field(default=None, compare=False)
 
-    def field(self, name: str) -> ShmField:
+    def field(self, name: str) -> ColumnField:
         for f in self.fields:
             if f.name == name:
                 return f
         raise KeyError(name)
+
+
+def layout_columns(
+    specs: Mapping[str, tuple[np.dtype, tuple[int, ...]]],
+) -> tuple[tuple[ColumnField, ...], int]:
+    """The aligned ``(fields, nbytes)`` layout of ``name -> (dtype,
+    shape)`` columns packed into one backing (segment or file)."""
+    fields = []
+    offset = 0
+    for name, (dtype, shape) in specs.items():
+        dtype = np.dtype(dtype)
+        if not shape:
+            raise ValueError(f"column {name!r} must have at least one axis")
+        fields.append(ColumnField(str(name), dtype.str, tuple(shape), offset))
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        offset = (offset + nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
+    return tuple(fields), max(1, offset)
 
 
 class ColumnStore:

@@ -1,7 +1,8 @@
 """The mmap backend: pack columns on disk, served through pooled windows.
 
 ``MmapStore`` lays a column set out in one file — each column
-64-byte-aligned and C-contiguous, the same field table shared-memory
+64-byte-aligned and C-contiguous, the same
+:func:`~repro.storage.base.layout_columns` table shared-memory
 segments use — and serves reads through a page-granular
 :class:`~repro.storage.pool.BufferPool` whose frames are real
 ``mmap.mmap`` windows.  The pool's LRU closes evicted windows, so the
@@ -36,15 +37,16 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.shm import ShmField
-from repro.storage.base import ColumnStore, StoreDescriptor
+from repro.storage.base import (
+    ColumnField,
+    ColumnStore,
+    StoreDescriptor,
+    layout_columns,
+)
 from repro.storage.errors import MissingPageError, StorageError
 from repro.storage.pool import BufferPool
 
 __all__ = ["DEFAULT_PAGE_BYTES", "DEFAULT_POOL_PAGES", "MmapStore"]
-
-#: Column offsets are rounded up to this many bytes (any-dtype alignment).
-_ALIGN = 64
 
 #: Default window size.  Rounded up to ``mmap.ALLOCATIONGRANULARITY``
 #: at construction — window offsets must be granularity-aligned.
@@ -63,31 +65,12 @@ FILE_PREFIX = "repro_mmap_"
 _owned_files: set[str] = set()
 
 
-def _aligned(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
 def _page_bytes(page_bytes: int | None) -> int:
     pb = DEFAULT_PAGE_BYTES if page_bytes is None else int(page_bytes)
     if pb < 1:
         raise ValueError("page_bytes must be positive")
     gran = mmap.ALLOCATIONGRANULARITY
     return (pb + gran - 1) // gran * gran
-
-
-def _layout(
-    specs: Mapping[str, tuple[np.dtype, tuple[int, ...]]],
-) -> tuple[tuple[ShmField, ...], int]:
-    fields = []
-    offset = 0
-    for name, (dtype, shape) in specs.items():
-        dtype = np.dtype(dtype)
-        if not shape:
-            raise ValueError(f"column {name!r} must have at least one axis")
-        fields.append(ShmField(str(name), dtype.str, tuple(shape), offset))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        offset = _aligned(offset + nbytes)
-    return tuple(fields), max(1, offset)
 
 
 class MmapStoreWriter:
@@ -107,7 +90,7 @@ class MmapStoreWriter:
         page_bytes: int | None = None,
         pool_pages: int | None = None,
     ) -> None:
-        self._fields, self._nbytes = _layout(specs)
+        self._fields, self._nbytes = layout_columns(specs)
         self._by_name = {f.name: f for f in self._fields}
         self._filled = {f.name: 0 for f in self._fields}
         self._page_bytes = _page_bytes(page_bytes)
@@ -193,7 +176,7 @@ class MmapStore(ColumnStore):
     def __init__(
         self,
         path: str,
-        fields: tuple[ShmField, ...],
+        fields: tuple[ColumnField, ...],
         nbytes: int,
         *,
         owner: bool,
@@ -275,15 +258,23 @@ class MmapStore(ColumnStore):
         page_bytes: int | None = None,
         pool_pages: int | None = None,
     ) -> "MmapStore":
-        """Open the file read-only (worker side, never unlinks)."""
-        return cls(
-            descriptor.location,
-            descriptor.fields,
-            descriptor.nbytes,
-            owner=False,
-            page_bytes=page_bytes,
-            pool_pages=pool_pages,
-        )
+        """Open the file read-only (worker side, never unlinks).
+
+        Raises :class:`~repro.storage.errors.StorageError` when the
+        file no longer exists (or cannot be opened)."""
+        try:
+            return cls(
+                descriptor.location,
+                descriptor.fields,
+                descriptor.nbytes,
+                owner=False,
+                page_bytes=page_bytes,
+                pool_pages=pool_pages,
+            )
+        except OSError as exc:
+            raise StorageError(
+                f"cannot attach mmap column file {descriptor.location!r}: {exc}"
+            ) from exc
 
     # -- window pool -----------------------------------------------------
 

@@ -16,8 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.shm import ShmField
-from repro.storage.base import ColumnStore, StoreDescriptor
+from repro.storage.base import ColumnField, ColumnStore, StoreDescriptor
 
 __all__ = ["RamStore"]
 
@@ -53,7 +52,7 @@ class RamStore(ColumnStore):
 
     def descriptor(self) -> StoreDescriptor:
         fields = tuple(
-            ShmField(name, arr.dtype.str, tuple(arr.shape), 0)
+            ColumnField(name, arr.dtype.str, tuple(arr.shape), 0)
             for name, arr in self._arrays.items()
         )
         return StoreDescriptor(

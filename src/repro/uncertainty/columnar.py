@@ -40,7 +40,6 @@ unchanged by the columnar rewrite:
 
 from __future__ import annotations
 
-import warnings
 from operator import attrgetter
 from typing import Sequence
 
@@ -89,7 +88,6 @@ class DistributionPack:
     """
 
     __slots__ = (
-        "_shm",
         "_store",
         "_edges",
         "_knots",
@@ -150,11 +148,7 @@ class DistributionPack:
         sizes: np.ndarray,
     ) -> None:
         """Derive offsets/row maps from flat columns (shared with take
-        and from_shared)."""
-        try:
-            self._shm
-        except AttributeError:
-            self._shm = None  # only from_shared packs hold an attachment
+        and from_store)."""
         try:
             self._store
         except AttributeError:
@@ -305,47 +299,6 @@ class DistributionPack:
             return PagedDistributionPack(store)
         pack = object.__new__(cls)
         pack._store = store
-        pack._finish(
-            store.get("edges"),
-            store.get("knots"),
-            store.get("densities"),
-            np.asarray(store.get("sizes"), dtype=np.intp),
-        )
-        return pack
-
-    # -- legacy shared-memory surface (deprecated, one release) ---------
-
-    def to_shared(self):
-        """Deprecated: use ``to_store('shm')``.
-
-        Returns the legacy ``(segment, descriptor)`` pair; the segment
-        is the store's and :func:`repro.shm.release_segment` still
-        releases it.
-        """
-        warnings.warn(
-            "DistributionPack.to_shared is deprecated; use "
-            "to_store('shm') (repro.storage)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        store = self.to_store("shm")
-        return store.segment, store.shm_descriptor
-
-    @classmethod
-    def from_shared(cls, descriptor) -> "DistributionPack":
-        """Deprecated: use ``from_store(open_store(descriptor))``."""
-        warnings.warn(
-            "DistributionPack.from_shared is deprecated; use "
-            "from_store(open_store(descriptor)) (repro.storage)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.storage import ShmStore
-
-        store = ShmStore.attach(descriptor)
-        pack = object.__new__(cls)
-        pack._store = store
-        pack._shm = store.segment
         pack._finish(
             store.get("edges"),
             store.get("knots"),
@@ -598,7 +551,6 @@ class PagedDistributionPack(DistributionPack):
                 "with DistributionPack.to_store (or write the derived "
                 "metadata columns alongside the flats)"
             )
-        self._shm = None
         self._store = store
         sizes = np.asarray(store.get("sizes"), dtype=np.intp)
         self._size = sizes.size

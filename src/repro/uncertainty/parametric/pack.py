@@ -25,13 +25,10 @@ rows are reconstructed from their parameter rows, O(rows) scalars
 and no bulk copies); the chunked ``mmap`` backend *materialises* the
 histogram flats on attach (mixed packs exist for candidate sets,
 which fit in RAM — only the all-histogram corpus tier streams).
-The legacy ``to_shared``/``from_shared`` pair is a deprecation shim
-over the store API, kept one release.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -72,11 +69,10 @@ class MixedDistributionPack:
             else None
         )
         self._index(parametric_rows, histogram_rows)
-        self._shm = None
         self._store = None
 
     def _index(self, parametric_rows, histogram_rows) -> None:
-        """Derive row maps and support columns (shared with from_shared)."""
+        """Derive row maps and support columns (shared with from_store)."""
         self._parametric_rows = np.asarray(parametric_rows, dtype=np.int64)
         self._histogram_rows = np.asarray(histogram_rows, dtype=np.int64)
         # Family-batch the dominant workload: plain truncated Gaussians
@@ -264,34 +260,5 @@ class MixedDistributionPack:
         pack._distributions = tuple(slots)
         pack._histogram_pack = hist_pack
         pack._index(sorted(parametric_rows), histogram_rows)
-        pack._shm = None
         pack._store = store
-        return pack
-
-    # -- legacy shared-memory surface (deprecated, one release) ---------
-
-    def to_shared(self):
-        """Deprecated: use ``to_store('shm')``."""
-        warnings.warn(
-            "MixedDistributionPack.to_shared is deprecated; use "
-            "to_store('shm') (repro.storage)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        store = self.to_store("shm")
-        return store.segment, store.shm_descriptor
-
-    @classmethod
-    def from_shared(cls, descriptor) -> "MixedDistributionPack":
-        """Deprecated: use ``from_store(open_store(descriptor))``."""
-        warnings.warn(
-            "MixedDistributionPack.from_shared is deprecated; use "
-            "from_store(open_store(descriptor)) (repro.storage)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.storage import ShmStore
-
-        pack = cls.from_store(ShmStore.attach(descriptor))
-        pack._shm = pack._store.segment
         return pack

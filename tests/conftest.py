@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.types import CPNNQuery
 from repro.uncertainty.histogram import Histogram
 from repro.uncertainty.objects import UncertainObject
 
@@ -19,6 +20,13 @@ settings.load_profile("default")
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20080407)
+
+
+def cpnn_specs(
+    points, threshold: float = 0.3, tolerance: float = 0.01
+) -> list[CPNNQuery]:
+    """One C-PNN spec per query point, all under the same constraints."""
+    return [CPNNQuery(q, threshold, tolerance) for q in points]
 
 
 def make_random_objects(

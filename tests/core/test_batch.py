@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchResult, DistributionCache, point_key
-from repro.core.engine import CPNNEngine, EngineConfig, Strategy
+from repro.core.engine import EngineConfig, Strategy, UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.index.filtering import BatchMbrFilter, PnnFilter
 from repro.index.str_pack import str_bulk_load
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.twod import UncertainDisk, UncertainRectangle, UncertainSegment
-from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from tests.conftest import cpnn_specs, make_random_objects
 
 
 def query_points(rng, n=12, domain=(-5.0, 65.0)):
@@ -122,19 +118,19 @@ class TestBatchMbrFilter:
 
 class TestQueryBatch:
     def test_empty_points(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 6))
-        batch = engine.query_batch([])
+        engine = UncertainEngine(make_random_objects(rng, 6))
+        batch = engine.execute_batch([])
         assert isinstance(batch, BatchResult)
         assert len(batch) == 0
         assert batch.answers == []
 
     def test_matches_sequential_exactly(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 30))
+        engine = UncertainEngine(make_random_objects(rng, 30))
         points = query_points(rng, n=15)
-        batch = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+        batch = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert len(batch) == len(points)
         for q, result in zip(points, batch):
-            reference = engine.query(q, threshold=0.3, tolerance=0.0)
+            reference = engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0))
             assert set(result.answers) == set(reference.answers)
             assert result.fmin == reference.fmin
             assert result.refined_objects == reference.refined_objects
@@ -144,78 +140,84 @@ class TestQueryBatch:
             assert got == want
 
     def test_matches_sequential_with_tolerance(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 20))
+        engine = UncertainEngine(make_random_objects(rng, 20))
         points = query_points(rng, n=8)
-        batch = engine.query_batch(points, threshold=0.4, tolerance=0.05)
+        batch = engine.execute_batch(cpnn_specs(points, threshold=0.4, tolerance=0.05))
         for q, result in zip(points, batch):
-            reference = engine.query(q, threshold=0.4, tolerance=0.05)
+            reference = engine.execute(CPNNQuery(q, threshold=0.4, tolerance=0.05))
             assert set(result.answers) == set(reference.answers)
 
     @pytest.mark.parametrize("strategy", Strategy.ALL)
     def test_strategies_match_sequential(self, rng, strategy):
-        engine = CPNNEngine(make_random_objects(rng, 15))
+        engine = UncertainEngine(make_random_objects(rng, 15))
         points = query_points(rng, n=6)
-        batch = engine.query_batch(
-            points, threshold=0.3, tolerance=0.0, strategy=strategy
+        batch = engine.execute_batch(
+            cpnn_specs(points, threshold=0.3, tolerance=0.0), strategy=strategy
         )
         for q, result in zip(points, batch):
-            reference = engine.query(
-                q, threshold=0.3, tolerance=0.0, strategy=strategy
+            reference = engine.execute(
+                CPNNQuery(q, threshold=0.3, tolerance=0.0), strategy=strategy
             )
             assert set(result.answers) == set(reference.answers)
 
     def test_unknown_strategy_rejected(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 4))
+        engine = UncertainEngine(make_random_objects(rng, 4))
         with pytest.raises(ValueError):
-            engine.query_batch([1.0], strategy="nope")
+            engine.execute_batch([1.0], strategy="nope")
 
     def test_repeated_probes_hit_caches(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 15))
+        engine = UncertainEngine(make_random_objects(rng, 15))
         points = query_points(rng, n=6)
-        first = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+        first = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert first.table_hits == 0
         assert first.cache_hits == 0
-        second = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+        second = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert second.table_hits == len(points)
         assert second.table_misses == 0
         for a, b in zip(first, second):
             assert a.answers == b.answers
 
     def test_duplicate_points_within_batch_share_tables(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 15))
+        engine = UncertainEngine(make_random_objects(rng, 15))
         point = 30.0
-        batch = engine.query_batch([point] * 5, threshold=0.3, tolerance=0.0)
+        batch = engine.execute_batch(
+            cpnn_specs([point] * 5, threshold=0.3, tolerance=0.0)
+        )
         assert batch.table_hits == 4
         assert batch.table_misses == 1
         assert len({tuple(r.answers) for r in batch}) == 1
 
     def test_caches_can_be_disabled(self, rng):
         config = EngineConfig(distribution_cache_size=0, table_cache_size=0)
-        engine = CPNNEngine(make_random_objects(rng, 10), config)
+        engine = UncertainEngine(make_random_objects(rng, 10), config)
         points = query_points(rng, n=4)
         for _ in range(2):
-            batch = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+            batch = engine.execute_batch(
+                cpnn_specs(points, threshold=0.3, tolerance=0.0)
+            )
             assert batch.table_hits == 0
             assert batch.cache_hits == 0
         for q, result in zip(points, batch):
-            reference = engine.query(q, threshold=0.3, tolerance=0.0)
+            reference = engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0))
             assert set(result.answers) == set(reference.answers)
 
     def test_table_hits_report_no_distribution_misses(self, rng):
         """A table-cache hit builds no distributions, and says so."""
         config = EngineConfig(distribution_cache_size=0)
-        engine = CPNNEngine(make_random_objects(rng, 10), config)
+        engine = UncertainEngine(make_random_objects(rng, 10), config)
         points = query_points(rng, n=4)
-        cold = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+        cold = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert cold.cache_misses == sum(len(r.records) for r in cold)
-        warm = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+        warm = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert warm.table_hits == len(points)
         assert warm.cache_misses == 0
 
     def test_remove_evicts_distribution_cache_entries(self, rng):
         objects = make_random_objects(rng, 10)
-        engine = CPNNEngine(objects)
-        engine.query_batch(query_points(rng, n=4), threshold=0.3, tolerance=0.0)
+        engine = UncertainEngine(objects)
+        engine.execute_batch(
+            cpnn_specs(query_points(rng, n=4), threshold=0.3, tolerance=0.0)
+        )
         cached = len(engine._distribution_cache)
         assert cached > 0
         victim = objects[0]
@@ -226,60 +228,60 @@ class TestQueryBatch:
         )
 
     def test_insert_invalidates_batch_state(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 10))
-        engine.query_batch([30.0], threshold=0.3, tolerance=0.0)
+        engine = UncertainEngine(make_random_objects(rng, 10))
+        engine.execute_batch(cpnn_specs([30.0], threshold=0.3, tolerance=0.0))
         engine.insert(UncertainObject.uniform("new", 29.9, 30.1))
-        batch = engine.query_batch([30.0], threshold=0.3, tolerance=0.0)
+        batch = engine.execute_batch(cpnn_specs([30.0], threshold=0.3, tolerance=0.0))
         assert "new" in batch[0].answers
         assert batch.table_misses == 1
 
     def test_remove_invalidates_batch_state(self, rng):
         objects = make_random_objects(rng, 10)
-        engine = CPNNEngine(objects)
-        before = engine.query_batch([30.0], threshold=0.05, tolerance=0.0)
+        engine = UncertainEngine(objects)
+        before = engine.execute_batch(cpnn_specs([30.0], threshold=0.05, tolerance=0.0))
         target = before[0].answers[0]
         assert engine.remove(target)
-        after = engine.query_batch([30.0], threshold=0.05, tolerance=0.0)
+        after = engine.execute_batch(cpnn_specs([30.0], threshold=0.05, tolerance=0.0))
         assert target not in after[0].answers
-        reference = engine.query(30.0, threshold=0.05, tolerance=0.0)
+        reference = engine.execute(CPNNQuery(30.0, threshold=0.05, tolerance=0.0))
         assert set(after[0].answers) == set(reference.answers)
 
-    def test_emptied_engine_raises(self):
-        engine = CPNNEngine([UncertainObject.uniform("solo", 0, 1)])
+    def test_emptied_engine_returns_empty_results(self):
+        engine = UncertainEngine([UncertainObject.uniform("solo", 0, 1)])
         assert engine.remove("solo")
-        with pytest.raises(ValueError):
-            engine.query_batch([0.5])
+        batch = engine.execute_batch([0.5])
+        assert [result.answers for result in batch] == [()]
 
     def test_linear_scan_engine_matches_sequential(self, rng):
-        engine = CPNNEngine(
+        engine = UncertainEngine(
             make_random_objects(rng, 12), EngineConfig(use_rtree=False)
         )
         points = query_points(rng, n=5)
-        batch = engine.query_batch(points, threshold=0.3, tolerance=0.0)
+        batch = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         for q, result in zip(points, batch):
-            reference = engine.query(q, threshold=0.3, tolerance=0.0)
+            reference = engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0))
             assert set(result.answers) == set(reference.answers)
             assert result.fmin == reference.fmin
 
     def test_prepared_queries_with_uniform_constraints(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 12))
+        engine = UncertainEngine(make_random_objects(rng, 12))
         points = query_points(rng, n=4)
         prepared = [CPNNQuery(q, 0.25, 0.0) for q in points]
-        batch = engine.query_batch(prepared)
+        batch = engine.execute_batch(prepared)
         for q, result in zip(points, batch):
-            reference = engine.query(q, threshold=0.25, tolerance=0.0)
+            reference = engine.execute(CPNNQuery(q, threshold=0.25, tolerance=0.0))
             assert set(result.answers) == set(reference.answers)
 
     def test_prepared_queries_with_mixed_constraints(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 12))
+        engine = UncertainEngine(make_random_objects(rng, 12))
         points = query_points(rng, n=4)
         thresholds = [0.1, 0.3, 0.5, 0.7]
         prepared = [
             CPNNQuery(q, threshold, 0.0) for q, threshold in zip(points, thresholds)
         ]
-        batch = engine.query_batch(prepared)
+        batch = engine.execute_batch(prepared)
         for query, result in zip(prepared, batch):
-            reference = engine.query(query)
+            reference = engine.execute(query)
             assert set(result.answers) == set(reference.answers)
 
     def test_2d_mixture_matches_sequential(self, rng):
@@ -289,23 +291,25 @@ class TestQueryBatch:
             UncertainRectangle.from_bounds("rect", -3.0, -1.0, -1.0, 2.0),
             UncertainDisk("far", (9.0, 9.0), 1.0),
         ]
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         points = [tuple(p) for p in rng.uniform(-4, 10, size=(8, 2))]
-        batch = engine.query_batch(points, threshold=0.2, tolerance=0.0)
+        batch = engine.execute_batch(cpnn_specs(points, threshold=0.2, tolerance=0.0))
         for q, result in zip(points, batch):
-            reference = engine.query(q, threshold=0.2, tolerance=0.0)
+            reference = engine.execute(CPNNQuery(q, threshold=0.2, tolerance=0.0))
             assert set(result.answers) == set(reference.answers)
 
     def test_batch_timings_populated(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 20))
-        batch = engine.query_batch(query_points(rng, n=6), 0.3, 0.0)
+        engine = UncertainEngine(make_random_objects(rng, 20))
+        batch = engine.execute_batch(
+            cpnn_specs(query_points(rng, n=6), threshold=0.3, tolerance=0.0)
+        )
         assert batch.timings.total > 0
         assert batch.timings.initialization > 0
 
     def test_answer_sets_property(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 10))
+        engine = UncertainEngine(make_random_objects(rng, 10))
         points = query_points(rng, n=3)
-        batch = engine.query_batch(points, 0.3, 0.0)
+        batch = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert batch.answer_sets == [frozenset(r.answers) for r in batch.results]
 
 

@@ -7,7 +7,8 @@ verification leaves unknown)."""
 
 import pytest
 
-from repro.core.engine import CPNNEngine, EngineConfig
+from repro.core.engine import EngineConfig, UncertainEngine
+from repro.core.types import CPNNQuery
 from repro.core.verifiers import (
     LowerSubregionVerifier,
     RightmostSubregionVerifier,
@@ -15,10 +16,6 @@ from repro.core.verifiers import (
     VerifierChain,
 )
 from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def chain_of(*verifiers):
@@ -44,21 +41,27 @@ class TestCustomChains:
         objects = make_random_objects(rng, 15)
         q = 30.0
         reference = set(
-            CPNNEngine(objects).query(q, threshold=0.3, tolerance=0.0).answers
+            UncertainEngine(
+                objects
+            ).execute(CPNNQuery(q, threshold=0.3, tolerance=0.0)).answers
         )
-        engine = CPNNEngine(objects, EngineConfig(chain_factory=CHAINS[name]))
-        answers = set(engine.query(q, threshold=0.3, tolerance=0.0).answers)
+        engine = UncertainEngine(objects, EngineConfig(chain_factory=CHAINS[name]))
+        answers = set(
+            engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0)).answers
+        )
         assert answers == reference
 
     @pytest.mark.parametrize("name", sorted(CHAINS))
     def test_contract_holds_for_every_chain(self, rng, name):
         objects = make_random_objects(rng, 12)
-        engine = CPNNEngine(objects, EngineConfig(chain_factory=CHAINS[name]))
+        engine = UncertainEngine(objects, EngineConfig(chain_factory=CHAINS[name]))
         q = 30.0
         exact = engine.pnn(q)
         for threshold, tolerance in ((0.2, 0.0), (0.3, 0.1)):
             answers = set(
-                engine.query(q, threshold=threshold, tolerance=tolerance).answers
+                engine.execute(
+                    CPNNQuery(q, threshold=threshold, tolerance=tolerance)
+                ).answers
             )
             must = {k for k, p in exact.items() if p >= threshold + 1e-9}
             may = {k for k, p in exact.items() if p >= threshold - tolerance - 1e-9}
@@ -67,16 +70,18 @@ class TestCustomChains:
     def test_weaker_chains_refine_more(self, rng):
         objects = make_random_objects(rng, 20)
         q = 30.0
-        full = CPNNEngine(objects)
-        rs_only = CPNNEngine(objects, EngineConfig(chain_factory=CHAINS["rs-only"]))
-        refined_full = full.query(q, threshold=0.3).refined_objects
-        refined_rs = rs_only.query(q, threshold=0.3).refined_objects
+        full = UncertainEngine(objects)
+        rs_only = UncertainEngine(
+            objects, EngineConfig(chain_factory=CHAINS["rs-only"])
+        )
+        refined_full = full.execute(CPNNQuery(q, threshold=0.3)).refined_objects
+        refined_rs = rs_only.execute(CPNNQuery(q, threshold=0.3)).refined_objects
         assert refined_full <= refined_rs
 
     def test_unknown_series_matches_executed_chain(self, rng):
         objects = make_random_objects(rng, 15)
-        engine = CPNNEngine(
+        engine = UncertainEngine(
             objects, EngineConfig(chain_factory=CHAINS["upper-pair"])
         )
-        result = engine.query(30.0, threshold=0.3, tolerance=0.01)
+        result = engine.execute(CPNNQuery(30.0, threshold=0.3, tolerance=0.01))
         assert set(result.unknown_after_verifier) <= {"RS", "U-SR"}

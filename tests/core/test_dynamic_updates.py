@@ -8,20 +8,16 @@ invalidation, and the in-place ``replace`` primitive.
 import numpy as np
 import pytest
 
-from repro.core.engine import CPNNEngine, EngineConfig, UncertainEngine
+from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestInsert:
     def test_inserted_object_visible(self, rng):
         objects = make_random_objects(rng, 10)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         newcomer = UncertainObject.uniform("new", 29.9, 30.1)
         engine.insert(newcomer)
         pnn = engine.pnn(30.0)
@@ -30,26 +26,26 @@ class TestInsert:
 
     def test_matches_fresh_engine(self, rng):
         objects = make_random_objects(rng, 12)
-        engine = CPNNEngine(objects[:8])
+        engine = UncertainEngine(objects[:8])
         for obj in objects[8:]:
             engine.insert(obj)
-        fresh = CPNNEngine(objects)
+        fresh = UncertainEngine(objects)
         for q in (5.0, 30.0, 55.0):
             assert engine.pnn(q) == pytest.approx(fresh.pnn(q))
-            assert set(engine.query(q, tolerance=0.0).answers) == set(
-                fresh.query(q, tolerance=0.0).answers
+            assert set(engine.execute(CPNNQuery(q, tolerance=0.0)).answers) == set(
+                fresh.execute(CPNNQuery(q, tolerance=0.0)).answers
             )
 
     def test_dimension_mismatch_rejected(self, rng):
         from repro.uncertainty.twod import UncertainDisk
 
-        engine = CPNNEngine(make_random_objects(rng, 3))
+        engine = UncertainEngine(make_random_objects(rng, 3))
         with pytest.raises(ValueError):
             engine.insert(UncertainDisk("2d", (0, 0), 1.0))
 
     def test_linear_scan_engine_updates_too(self, rng):
         objects = make_random_objects(rng, 6)
-        engine = CPNNEngine(objects, EngineConfig(use_rtree=False))
+        engine = UncertainEngine(objects, EngineConfig(use_rtree=False))
         engine.insert(UncertainObject.uniform("new", 29.9, 30.1))
         assert "new" in engine.pnn(30.0)
 
@@ -57,39 +53,40 @@ class TestInsert:
 class TestRemove:
     def test_removed_object_gone(self, rng):
         objects = make_random_objects(rng, 10)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         target = max(engine.pnn(30.0), key=engine.pnn(30.0).get)
         assert engine.remove(target)
         assert target not in engine.pnn(30.0)
         assert len(engine) == 9
 
     def test_remove_missing_returns_false(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 3))
+        engine = UncertainEngine(make_random_objects(rng, 3))
         assert not engine.remove("no-such-key")
         assert len(engine) == 3
 
     def test_matches_fresh_engine_after_churn(self, rng):
         objects = make_random_objects(rng, 15)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         removed = {2, 7, 11}
         for key in removed:
             assert engine.remove(key)
         survivors = [o for o in objects if o.key not in removed]
-        fresh = CPNNEngine(survivors)
+        fresh = UncertainEngine(survivors)
         for q in (10.0, 30.0, 50.0):
             assert engine.pnn(q) == pytest.approx(fresh.pnn(q))
 
     def test_probabilities_renormalise(self, rng):
         objects = make_random_objects(rng, 8)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         engine.remove(objects[0].key)
         assert sum(engine.pnn(30.0).values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_remove_to_empty_then_query_raises(self):
-        engine = CPNNEngine([UncertainObject.uniform("solo", 0, 1)])
+    def test_remove_to_empty_then_query_is_empty(self):
+        engine = UncertainEngine([UncertainObject.uniform("solo", 0, 1)])
         assert engine.remove("solo")
+        assert engine.execute(CPNNQuery(0.5)).answers == ()
         with pytest.raises(ValueError):
-            engine.query(0.5)
+            engine.pnn(0.5)
 
     def test_out_of_sync_index_raises_runtime_error(self, rng):
         """A tracked-but-unindexed object must raise, even under -O.
@@ -101,7 +98,7 @@ class TestRemove:
         single-query path folds the pending removal into the tree.
         """
         objects = make_random_objects(rng, 5)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         victim = objects[2]
         # Sabotage: remove the object from the index behind the
         # engine's back, leaving the object list out of sync.
@@ -111,14 +108,14 @@ class TestRemove:
             engine.pnn(30.0)
 
     def test_empty_engine_reports_clear_error(self):
-        engine = CPNNEngine([UncertainObject.uniform("solo", 0, 1)])
+        engine = UncertainEngine([UncertainObject.uniform("solo", 0, 1)])
         assert engine.remove("solo")
         assert len(engine) == 0
         with pytest.raises(ValueError):
             engine.pnn(0.5)
 
     def test_insert_after_empty_recovers(self):
-        engine = CPNNEngine([UncertainObject.uniform("a", 0, 1)])
+        engine = UncertainEngine([UncertainObject.uniform("a", 0, 1)])
         engine.remove("a")
         engine.insert(UncertainObject.uniform("b", 2, 3))
         assert engine.pnn(2.5)["b"] == pytest.approx(1.0)
@@ -130,7 +127,7 @@ class TestDuplicateKeys:
         silently accepted; ``remove`` then deleted only the first
         match, leaving a shadowed duplicate in the index."""
         objects = make_random_objects(rng, 6)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         with pytest.raises(ValueError, match="duplicate object key"):
             engine.insert(UncertainObject.uniform(objects[2].key, 10.0, 11.0))
         # The failed insert must not corrupt the engine: the original
@@ -152,7 +149,7 @@ class TestDuplicateKeys:
             )
 
     def test_reinsert_after_remove_is_fine(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 4))
+        engine = UncertainEngine(make_random_objects(rng, 4))
         assert engine.remove(2)
         engine.insert(UncertainObject.uniform(2, 29.9, 30.1))
         assert engine.pnn(30.0)[2] > 0.5
@@ -161,7 +158,7 @@ class TestDuplicateKeys:
 class TestReplace:
     def test_replace_matches_fresh_engine(self, rng):
         objects = make_random_objects(rng, 12)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         replaced = list(objects)
         for i in (1, 5, 9):
             newcomer = UncertainObject.uniform(
@@ -169,26 +166,26 @@ class TestReplace:
             )
             engine.replace(objects[i].key, newcomer)
             replaced[i] = newcomer
-        fresh = CPNNEngine(replaced)
+        fresh = UncertainEngine(replaced)
         for q in (5.0, 12.0, 30.0):
             assert engine.pnn(q) == pytest.approx(fresh.pnn(q))
 
     def test_replace_is_in_place(self, rng):
         objects = make_random_objects(rng, 5)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         newcomer = UncertainObject.uniform(objects[2].key, 1.0, 2.0)
         engine.replace(objects[2].key, newcomer)
         assert engine.objects[2] is newcomer
         assert len(engine) == 5
 
     def test_replace_missing_key_raises(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 3))
+        engine = UncertainEngine(make_random_objects(rng, 3))
         with pytest.raises(KeyError):
             engine.replace("no-such-key", UncertainObject.uniform("n", 0, 1))
 
     def test_replace_with_new_key(self, rng):
         objects = make_random_objects(rng, 4)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         engine.replace(objects[0].key, UncertainObject.uniform("fresh", 29.9, 30.1))
         assert "fresh" in engine.pnn(30.0)
         assert not engine.remove(objects[0].key)
@@ -196,7 +193,7 @@ class TestReplace:
 
     def test_replace_duplicate_new_key_rejected(self, rng):
         objects = make_random_objects(rng, 4)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         clash = UncertainObject.uniform(objects[1].key, 0.0, 1.0)
         with pytest.raises(ValueError, match="duplicate object key"):
             engine.replace(objects[0].key, clash)
@@ -205,14 +202,14 @@ class TestReplace:
         from repro.uncertainty.twod import UncertainDisk
 
         objects = make_random_objects(rng, 3)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         with pytest.raises(ValueError, match="dimensionality"):
             engine.replace(objects[0].key, UncertainDisk(objects[0].key, (0, 0), 1.0))
 
     def test_interleaved_replace_and_batch_identical_to_fresh(self, rng):
         """Dead-reckoning stream: warm caches must stay exact."""
         objects = make_random_objects(rng, 20)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         points = [5.0, 18.0, 30.0, 44.0, 57.0]
         specs = [CPNNQuery(p, threshold=0.3, tolerance=0.0) for p in points]
         current = list(objects)
@@ -224,7 +221,7 @@ class TestReplace:
                 engine.replace(current[i].key, newcomer)
                 current[i] = newcomer
             warm = engine.execute_batch(specs)
-            fresh = CPNNEngine(current).execute_batch(specs)
+            fresh = UncertainEngine(current).execute_batch(specs)
             for a, b in zip(warm.results, fresh.results):
                 assert a.answers == b.answers
                 assert a.fmin == b.fmin
@@ -335,7 +332,7 @@ class TestDeferredIndexMaintenance:
 
     def test_single_query_sees_pending_updates(self, rng):
         objects = make_random_objects(rng, 8)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         engine.insert(UncertainObject.uniform("new", 29.9, 30.1))
         assert engine.remove(0)
         # Single-query paths flush the deferred tree maintenance.
@@ -402,7 +399,7 @@ class TestDeferredIndexMaintenance:
 
     def test_large_pending_queue_rebuilds(self, rng):
         objects = make_random_objects(rng, 10)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         for i in range(30):  # far beyond the incremental threshold
             engine.insert(UncertainObject.uniform(("bulk", i), 30.0 + i, 31.0 + i))
         pnn = engine.pnn(35.0)

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import CPNNEngine, EngineConfig, Strategy
+from repro.core.engine import EngineConfig, Strategy, UncertainEngine
 from repro.core.types import CPNNQuery, Label
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects, two_object_textbook_case
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestConfiguration:
@@ -20,57 +16,53 @@ class TestConfiguration:
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(strategy="magic")
-        engine = CPNNEngine([UncertainObject.uniform(0, 0, 1)])
+        engine = UncertainEngine([UncertainObject.uniform(0, 0, 1)])
         with pytest.raises(ValueError):
-            engine.query(0.5, strategy="magic")
+            engine.execute(CPNNQuery(0.5), strategy="magic")
 
     def test_invalid_refinement_order_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(refinement_order="bogus")
 
-    def test_empty_objects_rejected(self):
-        with pytest.raises(ValueError):
-            CPNNEngine([])
-
 
 class TestQueryApi:
     def test_accepts_prepared_query(self):
         objects, q = two_object_textbook_case()
-        engine = CPNNEngine(objects)
-        result = engine.query(CPNNQuery(q, threshold=0.5, tolerance=0.0))
+        engine = UncertainEngine(objects)
+        result = engine.execute(CPNNQuery(q, threshold=0.5, tolerance=0.0))
         assert result.answers == ("A",)
-
-    def test_overrides_on_prepared_query(self):
-        objects, q = two_object_textbook_case()
-        engine = CPNNEngine(objects)
-        result = engine.query(CPNNQuery(q, threshold=0.99), threshold=0.1)
-        assert "A" in result.answers
 
     def test_bare_point_uses_paper_defaults(self):
         objects, q = two_object_textbook_case()
-        result = CPNNEngine(objects).query(q)
+        result = UncertainEngine(objects).execute(q)
         assert "A" in result.answers
 
 
 class TestTextbookAnswers:
     def test_exact_probabilities(self):
         objects, q = two_object_textbook_case()
-        pnn = CPNNEngine(objects).pnn(q)
+        pnn = UncertainEngine(objects).pnn(q)
         assert pnn["A"] == pytest.approx(0.875)
         assert pnn["B"] == pytest.approx(0.125)
 
     @pytest.mark.parametrize("strategy", Strategy.ALL)
     def test_threshold_partitions(self, strategy):
         objects, q = two_object_textbook_case()
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         assert set(
-            engine.query(q, threshold=0.1, tolerance=0.0, strategy=strategy).answers
+            engine.execute(
+                CPNNQuery(q, threshold=0.1, tolerance=0.0), strategy=strategy
+            ).answers
         ) == {"A", "B"}
         assert set(
-            engine.query(q, threshold=0.5, tolerance=0.0, strategy=strategy).answers
+            engine.execute(
+                CPNNQuery(q, threshold=0.5, tolerance=0.0), strategy=strategy
+            ).answers
         ) == {"A"}
         assert set(
-            engine.query(q, threshold=0.9, tolerance=0.0, strategy=strategy).answers
+            engine.execute(
+                CPNNQuery(q, threshold=0.9, tolerance=0.0), strategy=strategy
+            ).answers
         ) == set()
 
 
@@ -78,13 +70,14 @@ class TestStrategyAgreement:
     def test_all_strategies_agree_at_zero_tolerance(self, rng):
         for _ in range(6):
             objects = make_random_objects(rng, int(rng.integers(3, 20)))
-            engine = CPNNEngine(objects)
+            engine = UncertainEngine(objects)
             q = float(rng.uniform(-5, 65))
             threshold = float(rng.uniform(0.05, 0.9))
             answers = {
                 strategy: set(
-                    engine.query(
-                        q, threshold=threshold, tolerance=0.0, strategy=strategy
+                    engine.execute(
+                        CPNNQuery(q, threshold=threshold, tolerance=0.0),
+                        strategy=strategy,
                     ).answers
                 )
                 for strategy in Strategy.ALL
@@ -93,23 +86,23 @@ class TestStrategyAgreement:
 
     def test_rtree_and_linear_filters_agree(self, rng):
         objects = make_random_objects(rng, 25)
-        with_tree = CPNNEngine(objects, EngineConfig(use_rtree=True))
-        without = CPNNEngine(objects, EngineConfig(use_rtree=False))
+        with_tree = UncertainEngine(objects, EngineConfig(use_rtree=True))
+        without = UncertainEngine(objects, EngineConfig(use_rtree=False))
         q = 30.0
-        assert set(with_tree.query(q, tolerance=0.0).answers) == set(
-            without.query(q, tolerance=0.0).answers
+        assert set(with_tree.execute(CPNNQuery(q, tolerance=0.0)).answers) == set(
+            without.execute(CPNNQuery(q, tolerance=0.0)).answers
         )
 
 
 class TestResultContents:
     def test_pnn_sums_to_one(self, rng):
         objects = make_random_objects(rng, 15)
-        pnn = CPNNEngine(objects).pnn(30.0)
+        pnn = UncertainEngine(objects).pnn(30.0)
         assert sum(pnn.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_records_cover_candidates(self, rng):
         objects = make_random_objects(rng, 15)
-        result = CPNNEngine(objects).query(30.0, strategy="vr")
+        result = UncertainEngine(objects).execute(CPNNQuery(30.0), strategy="vr")
         assert len(result.records) >= 1
         for record in result.records:
             assert 0.0 <= record.lower <= record.upper <= 1.0
@@ -117,26 +110,28 @@ class TestResultContents:
 
     def test_basic_records_have_exact_probabilities(self, rng):
         objects = make_random_objects(rng, 10)
-        result = CPNNEngine(objects).query(30.0, strategy="basic")
+        result = UncertainEngine(objects).execute(CPNNQuery(30.0), strategy="basic")
         total = sum(r.exact for r in result.records)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_timings_populated(self, rng):
         objects = make_random_objects(rng, 10)
-        result = CPNNEngine(objects).query(30.0, strategy="vr")
+        result = UncertainEngine(objects).execute(CPNNQuery(30.0), strategy="vr")
         assert result.timings.filtering >= 0.0
         assert result.timings.total > 0.0
 
     def test_unknown_after_verifier_only_for_vr(self, rng):
         objects = make_random_objects(rng, 10)
-        engine = CPNNEngine(objects)
-        assert engine.query(30.0, strategy="basic").unknown_after_verifier == {}
-        vr = engine.query(30.0, strategy="vr")
+        engine = UncertainEngine(objects)
+        assert engine.execute(
+            CPNNQuery(30.0), strategy="basic"
+        ).unknown_after_verifier == {}
+        vr = engine.execute(CPNNQuery(30.0), strategy="vr")
         assert "RS" in vr.unknown_after_verifier
 
     def test_fmin_recorded(self, rng):
         objects = make_random_objects(rng, 10)
-        result = CPNNEngine(objects).query(30.0)
+        result = UncertainEngine(objects).execute(CPNNQuery(30.0))
         assert result.fmin == pytest.approx(
             min(o.maxdist(30.0) for o in objects)
         )
@@ -144,22 +139,24 @@ class TestResultContents:
 
 class TestSpecialCases:
     def test_single_object_probability_one(self):
-        engine = CPNNEngine([UncertainObject.uniform("solo", 0, 1)])
-        result = engine.query(5.0, threshold=1.0, tolerance=0.0)
+        engine = UncertainEngine([UncertainObject.uniform("solo", 0, 1)])
+        result = engine.execute(CPNNQuery(5.0, threshold=1.0, tolerance=0.0))
         assert result.answers == ("solo",)
         assert engine.pnn(5.0)["solo"] == pytest.approx(1.0)
 
     def test_threshold_one_returns_at_most_one(self, rng):
         objects = make_random_objects(rng, 12)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         for strategy in Strategy.ALL:
-            result = engine.query(30.0, threshold=1.0, tolerance=0.0, strategy=strategy)
+            result = engine.execute(
+                CPNNQuery(30.0, threshold=1.0, tolerance=0.0), strategy=strategy
+            )
             assert len(result.answers) <= 1
 
     def test_min_query_is_pnn_at_left_infinity(self, rng):
         # The paper: a minimum query is a PNN with q left of everything.
         objects = make_random_objects(rng, 8, families=("uniform",))
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         q = min(o.lo for o in objects) - 1e5
         pnn = engine.pnn(q)
         # The object with the smallest left endpoint must have the
@@ -170,16 +167,16 @@ class TestSpecialCases:
 
     def test_identical_objects_share_probability(self):
         objects = [UncertainObject.uniform(i, 0.0, 2.0) for i in range(4)]
-        pnn = CPNNEngine(objects).pnn(1.0)
+        pnn = UncertainEngine(objects).pnn(1.0)
         for p in pnn.values():
             assert p == pytest.approx(0.25, abs=1e-9)
 
     def test_tolerance_widens_answers_only_near_threshold(self, rng):
         objects = make_random_objects(rng, 15)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         q = 30.0
-        strict = set(engine.query(q, threshold=0.3, tolerance=0.0).answers)
-        lax = set(engine.query(q, threshold=0.3, tolerance=0.2).answers)
+        strict = set(engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0)).answers)
+        lax = set(engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.2)).answers)
         assert strict <= lax
         exact = engine.pnn(q)
         for key in lax - strict:
@@ -191,7 +188,7 @@ class TestDimensionGuard:
         from repro.uncertainty.twod import UncertainDisk
 
         with pytest.raises(ValueError):
-            CPNNEngine(
+            UncertainEngine(
                 [
                     UncertainObject.uniform("1d", 0.0, 1.0),
                     UncertainDisk("2d", (0.0, 0.0), 1.0),

@@ -19,7 +19,7 @@ import time
 
 from repro.core.engine import UncertainEngine
 from repro.core.types import CPNNQuery
-from repro.shm import SEGMENT_PREFIX
+from repro.storage.shmstore import SEGMENT_PREFIX
 from tests.conftest import make_random_objects
 
 _SCRIPT_PRELUDE = textwrap.dedent(

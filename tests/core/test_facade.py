@@ -1,16 +1,15 @@
 """Unit tests for the unified query façade.
 
 ``UncertainEngine.execute`` / ``execute_batch`` / ``explain`` over the
-typed spec hierarchy, the ``pipeline`` verifier-chain hook, the
-uniform empty-input semantics, and the deprecation shims.
+typed spec hierarchy, the ``pipeline`` verifier-chain hook, and the
+uniform empty-input semantics.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.engine import CPNNEngine, EngineConfig, Strategy, UncertainEngine
-from repro.core.knn import CKNNEngine
-from repro.core.range_query import constrained_range_query
+from repro.baselines import scalar_knn_query, scalar_range_query
+from repro.core.engine import EngineConfig, Strategy, UncertainEngine
 from repro.core.types import (
     CKNNQuery,
     CPNNQuery,
@@ -94,12 +93,6 @@ class TestExecuteDispatch:
             engine.execute(CKNNQuery(30.0, k=2), strategy="nope")
         with pytest.raises(ValueError):
             engine.execute_batch([CKNNQuery(30.0, k=2)], strategy="nope")
-
-    def test_legacy_query_rejects_other_spec_types(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 4))
-        with pytest.raises(TypeError):
-            with pytest.warns(DeprecationWarning):
-                engine.query(CKNNQuery(1.0, k=2))
 
     def test_knn_covers_everything(self, rng):
         objects = make_random_objects(rng, 4)
@@ -192,7 +185,6 @@ class TestKnnOutOfRange:
 class TestKnnRoutedEdgeCases:
     """Deterministic shapes the random property tests rarely hit."""
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_exactly_k_survivors_matches_scalar(self):
         # Three tight objects near q, five far away: the f_min^k filter
         # keeps exactly k = 3 survivors, exercising the lower-bound
@@ -209,15 +201,12 @@ class TestKnnRoutedEdgeCases:
         for threshold in (0.1, 0.5, 0.9, 1.0):
             for k in (1, 2, 3, 4):
                 result = engine.execute(CKNNQuery(0.5, threshold=threshold, k=k))
-                answers, records = CKNNEngine(objects, k=k).query(
-                    0.5, threshold=threshold
-                )
+                answers, records = scalar_knn_query(objects, 0.5, k, threshold)
                 assert result.answers == answers, (threshold, k)
                 assert records_tuple(result) == [
                     (r.key, r.label, r.lower, r.upper, r.exact) for r in records
                 ], (threshold, k)
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_duplicate_near_points_match_scalar(self):
         # Ties in the sorted near-point list exercise the
         # first-occurrence (list.index) replay in the routed bounds.
@@ -231,9 +220,7 @@ class TestKnnRoutedEdgeCases:
         for threshold in (0.2, 0.6):
             for k in (1, 2, 3):
                 result = engine.execute(CKNNQuery(0.0, threshold=threshold, k=k))
-                answers, records = CKNNEngine(objects, k=k).query(
-                    0.0, threshold=threshold
-                )
+                answers, records = scalar_knn_query(objects, 0.0, k, threshold)
                 assert result.answers == answers, (threshold, k)
                 assert records_tuple(result) == [
                     (r.key, r.label, r.lower, r.upper, r.exact) for r in records
@@ -242,8 +229,8 @@ class TestKnnRoutedEdgeCases:
 
 class TestEmptyInputs:
     """Satellite regression: empty datasets/batches return empty results
-    uniformly across the façade, while the legacy entry points keep
-    their raising behaviour."""
+    uniformly across the façade, while the scalar references and the
+    exact ``pnn`` probabilities keep their raising behaviour."""
 
     def test_empty_engine_executes_all_families(self):
         engine = UncertainEngine([])
@@ -270,24 +257,18 @@ class TestEmptyInputs:
         batch = engine.execute_batch([])
         assert len(batch) == 0
 
-    def test_legacy_entry_points_still_raise_on_empty(self):
+    def test_empty_batch_still_validates_strategy(self, rng):
+        engine = UncertainEngine(make_random_objects(rng, 3))
         with pytest.raises(ValueError):
-            CPNNEngine([])
+            engine.execute_batch([], strategy="bogus")
+
+    def test_reference_paths_still_raise_on_empty(self):
         with pytest.raises(ValueError):
-            with pytest.warns(DeprecationWarning):
-                CKNNEngine([], k=1)
+            scalar_knn_query([], 0.0, 1, 0.5)
         with pytest.raises(ValueError):
-            with pytest.warns(DeprecationWarning):
-                constrained_range_query([], 0.0, 1.0, 0.5)
-        engine = UncertainEngine([])
+            scalar_range_query([], 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            with pytest.warns(DeprecationWarning):
-                engine.query(1.0)
-        with pytest.raises(ValueError):
-            with pytest.warns(DeprecationWarning):
-                engine.query_batch([1.0])
-        with pytest.raises(ValueError):
-            engine.pnn(1.0)
+            UncertainEngine([]).pnn(1.0)
 
     def test_facade_works_after_remove_to_empty_and_insert(self):
         engine = UncertainEngine([UncertainObject.uniform("solo", 0.0, 1.0)])
@@ -297,42 +278,6 @@ class TestEmptyInputs:
         assert engine.execute(CRangeQuery(2.5, threshold=0.9, radius=1.0)).answers == (
             "b",
         )
-
-
-class TestDeprecationShims:
-    def test_query_warns_and_matches_execute(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 8))
-        with pytest.warns(DeprecationWarning, match="execute"):
-            legacy = engine.query(30.0, threshold=0.3, tolerance=0.0)
-        fresh = engine.execute(CPNNQuery(30.0, threshold=0.3, tolerance=0.0))
-        assert legacy.answers == fresh.answers
-        assert records_tuple(legacy) == records_tuple(fresh)
-
-    def test_query_batch_warns_and_matches_execute_batch(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 8))
-        points = [10.0, 30.0, 50.0]
-        with pytest.warns(DeprecationWarning, match="execute_batch"):
-            legacy = engine.query_batch(points, threshold=0.3, tolerance=0.0)
-        fresh = engine.execute_batch(
-            [CPNNQuery(p, threshold=0.3, tolerance=0.0) for p in points]
-        )
-        assert legacy.answers == fresh.answers
-
-    def test_query_batch_validates_strategy_even_when_empty(self, rng):
-        # The pre-façade code validated strategy before the empty-points
-        # early return; the shim must too.
-        engine = UncertainEngine(make_random_objects(rng, 3))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                engine.query_batch([], strategy="bogus")
-
-    def test_cknn_engine_warns(self, rng):
-        with pytest.warns(DeprecationWarning, match="CKNNQuery"):
-            CKNNEngine(make_random_objects(rng, 3), k=1)
-
-    def test_constrained_range_query_warns(self, rng):
-        with pytest.warns(DeprecationWarning, match="CRangeQuery"):
-            constrained_range_query(make_random_objects(rng, 3), 0.0, 1.0, 0.5)
 
 
 class TestPipelineHook:
@@ -443,18 +388,7 @@ class TestExplain:
         assert before == after
 
 
-class TestLegacyAlias:
-    def test_cpnn_engine_is_uncertain_engine(self, rng):
-        engine = CPNNEngine(make_random_objects(rng, 4))
-        assert isinstance(engine, UncertainEngine)
-        # The alias serves the new façade too.
-        result = engine.execute(CKNNQuery(30.0, threshold=0.3, k=1))
-        assert isinstance(result, QueryResult)
-
-    def test_pnn_unchanged(self, rng):
-        objects = make_random_objects(rng, 8)
-        assert CPNNEngine(objects).pnn(30.0) == UncertainEngine(objects).pnn(30.0)
-
+class TestRangeRecords:
     def test_range_labels(self, rng):
         engine = UncertainEngine(
             [

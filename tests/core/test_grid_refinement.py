@@ -3,19 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import CPNNEngine, EngineConfig
+from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.refinement import Refiner
 from repro.core.subregions import SubregionTable
+from repro.core.types import CPNNQuery
 from repro.core.verifiers import (
     LowerSubregionVerifier,
     RightmostSubregionVerifier,
     UpperSubregionVerifier,
 )
 from tests.conftest import make_random_objects, two_object_textbook_case
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def tables(objects, q, grids=(1, 2, 4)):
@@ -98,8 +95,8 @@ class TestEngineIntegration:
         q = 30.0
         baseline = None
         for g in (1, 2, 4):
-            engine = CPNNEngine(objects, EngineConfig(grid_refinement=g))
-            answers = set(engine.query(q, tolerance=0.0).answers)
+            engine = UncertainEngine(objects, EngineConfig(grid_refinement=g))
+            answers = set(engine.execute(CPNNQuery(q, tolerance=0.0)).answers)
             if baseline is None:
                 baseline = answers
             assert answers == baseline

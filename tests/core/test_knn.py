@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines import scalar_knn_query
 from repro.baselines.montecarlo import monte_carlo_knn_probabilities
-from repro.core.knn import (
-    CKNNEngine,
-    knn_qualification_probabilities,
-    kth_smallest_far,
-)
+from repro.core.knn import knn_qualification_probabilities, kth_smallest_far
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestKthSmallestFar:
@@ -36,12 +29,12 @@ class TestKthSmallestFar:
 
 class TestExactKnnProbabilities:
     def test_k_one_equals_pnn(self, rng):
-        from repro.core.engine import CPNNEngine
+        from repro.core.engine import UncertainEngine
 
         objects = make_random_objects(rng, 8)
         q = 30.0
         knn = knn_qualification_probabilities(objects, q, k=1)
-        pnn = CPNNEngine(objects).pnn(q)
+        pnn = UncertainEngine(objects).pnn(q)
         for key, p in pnn.items():
             assert knn[key] == pytest.approx(p, abs=1e-9)
         # Objects pruned by the PNN engine have probability 0.
@@ -94,13 +87,12 @@ class TestExactKnnProbabilities:
             knn_qualification_probabilities(objects, 0.0, k=0)
 
 
-class TestCKNNEngine:
+class TestScalarKnnQuery:
     def test_answers_match_exact_thresholding(self, rng):
         objects = make_random_objects(rng, 9)
         q = 30.0
         k = 2
-        engine = CKNNEngine(objects, k=k)
-        answers, records = engine.query(q, threshold=0.4)
+        answers, records = scalar_knn_query(objects, q, k, 0.4)
         exact = knn_qualification_probabilities(objects, q, k=k)
         expected = {key for key, p in exact.items() if p >= 0.4}
         assert set(answers) == expected
@@ -110,23 +102,21 @@ class TestCKNNEngine:
         objects = make_random_objects(rng, 9)
         q = 30.0
         k = 2
-        engine = CKNNEngine(objects, k=k)
-        _, records = engine.query(q, threshold=0.3)
+        _, records = scalar_knn_query(objects, q, k, 0.3)
         exact = knn_qualification_probabilities(objects, q, k=k)
         for record in records:
             assert exact[record.key] <= record.upper + 1e-9
 
     def test_k_covers_everything(self, rng):
         objects = make_random_objects(rng, 4)
-        engine = CKNNEngine(objects, k=10)
-        answers, records = engine.query(0.0, threshold=0.5)
+        answers, records = scalar_knn_query(objects, 0.0, 10, 0.5)
         assert set(answers) == {o.key for o in objects}
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            CKNNEngine([], k=1)
+            scalar_knn_query([], 0.0, 1, 0.5)
         with pytest.raises(ValueError):
-            CKNNEngine(make_random_objects(rng, 3), k=0)
+            scalar_knn_query(make_random_objects(rng, 3), 0.0, 0, 0.5)
 
 
 class TestKnnProbabilityBounds:
@@ -172,13 +162,13 @@ class TestKnnProbabilityBounds:
         with pytest.raises(ValueError):
             knn_probability_bounds(dists, 0)
 
-    def test_cknn_skips_integration_when_bounds_decide(self):
+    def test_scalar_query_skips_integration_when_bounds_decide(self):
         objects = [
             UncertainObject.uniform("close", 0.0, 1.0),
             UncertainObject.uniform("far1", 10.0, 11.0),
             UncertainObject.uniform("far2", 12.0, 13.0),
         ]
-        answers, records = CKNNEngine(objects, k=1).query(0.0, threshold=0.5)
+        answers, records = scalar_knn_query(objects, 0.0, 1, 0.5)
         assert answers == ("close",)
         # Every object was decided by the verifier bounds alone.
         assert all(r.exact is None for r in records)

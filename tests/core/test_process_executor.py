@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
-from repro.shm import SEGMENT_PREFIX
+from repro.storage.shmstore import SEGMENT_PREFIX
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
 from tests.core.test_sharded import assert_batches_identical

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.range_query import constrained_range_query, range_probabilities
+from repro.baselines import scalar_range_query
+from repro.core.range_query import range_probabilities
 from repro.core.types import Label
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestRangeProbabilities:
@@ -58,11 +55,11 @@ class TestRangeProbabilities:
         assert probs["d"] == pytest.approx(0.25, abs=1e-6)
 
 
-class TestConstrainedRangeQuery:
+class TestScalarRangeQuery:
     def test_answers_match_exact_thresholding(self, rng):
         objects = make_random_objects(rng, 12)
         q, radius, threshold = 30.0, 5.0, 0.4
-        answers, records = constrained_range_query(objects, q, radius, threshold)
+        answers, records = scalar_range_query(objects, q, radius, threshold)
         exact = range_probabilities(objects, q, radius)
         assert set(answers) == {k for k, p in exact.items() if p >= threshold}
         assert len(records) == len(objects)
@@ -70,7 +67,7 @@ class TestConstrainedRangeQuery:
     def test_mbr_decided_records_have_no_exact(self):
         inside = UncertainObject.uniform("inside", 1.0, 2.0)
         straddle = UncertainObject.uniform("straddle", 4.0, 6.0)
-        answers, records = constrained_range_query(
+        answers, records = scalar_range_query(
             [inside, straddle], 0.0, 5.0, threshold=0.5
         )
         by_key = {r.key: r for r in records}
@@ -82,8 +79,8 @@ class TestConstrainedRangeQuery:
     def test_validation(self, rng):
         objects = make_random_objects(rng, 2)
         with pytest.raises(ValueError):
-            constrained_range_query([], 0.0, 1.0, 0.5)
+            scalar_range_query([], 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            constrained_range_query(objects, 0.0, 1.0, 0.0)
+            scalar_range_query(objects, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            constrained_range_query(objects, 0.0, 1.0, 0.5, tolerance=2.0)
+            scalar_range_query(objects, 0.0, 1.0, 0.5, tolerance=2.0)

@@ -22,7 +22,7 @@ from repro.core.types import (
     CRangeQuery,
     QueryResult,
 )
-from repro.shm import ShmDescriptor, ShmField
+from repro.storage import ColumnField, StoreDescriptor, open_store
 from repro.uncertainty.parametric import (
     GaussianMixtureDistance,
     GpsEllipseDistance,
@@ -77,12 +77,13 @@ class TestWorkItemPickling:
 
 class TestDescriptorPickling:
     def test_descriptor_round_trips(self):
-        desc = ShmDescriptor(
-            segment="repro_shm_test",
+        desc = StoreDescriptor(
+            backend="shm",
+            location="repro_shm_test",
             nbytes=256,
             fields=(
-                ShmField(name="lows", dtype="<f8", shape=(4, 2), offset=0),
-                ShmField(name="highs", dtype="<f8", shape=(4, 2), offset=64),
+                ColumnField(name="lows", dtype="<f8", shape=(4, 2), offset=0),
+                ColumnField(name="highs", dtype="<f8", shape=(4, 2), offset=64),
             ),
         )
         twin = round_trip(desc)
@@ -117,22 +118,19 @@ class TestParametricPickling:
         xs = np.linspace(dist.near, dist.far, 25)
         np.testing.assert_array_equal(twin.cdf(xs), dist.cdf(xs))
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_mixed_pack_shm_descriptor_round_trips(self):
+    def test_mixed_pack_store_descriptor_round_trips(self):
         rows = [
             TruncatedGaussianDistance(5.0, 2.0, 8.0, bars=24, key=0),
             UniformDiskDistance((0.0, 0.0), (3.0, 4.0), 2.0, key=1),
         ]
         pack = MixedDistributionPack(rows)
-        shm, descriptor = pack.to_shared()
-        try:
-            twin = MixedDistributionPack.from_shared(round_trip(descriptor))
+        with pack.to_store("shm") as store:
+            twin = MixedDistributionPack.from_store(
+                open_store(round_trip(store.descriptor()))
+            )
             xs = np.linspace(0.0, 10.0, 33)
             np.testing.assert_array_equal(twin.cdf_many(xs), pack.cdf_many(xs))
             del twin
-        finally:
-            shm.close()
-            shm.unlink()
 
 
 class TestResultPickling:

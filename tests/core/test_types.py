@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.types import AnswerRecord, CPNNQuery, CPNNResult, Label, PhaseTimings
+from repro.core.types import (
+    AnswerRecord,
+    CPNNQuery,
+    Label,
+    PhaseTimings,
+    QueryResult,
+)
 
 
 class TestCPNNQuery:
@@ -40,7 +46,7 @@ class TestPhaseTimings:
 class TestResultTypes:
     def test_record_for(self):
         record = AnswerRecord(key="a", label=Label.SATISFY, lower=0.4, upper=0.6)
-        result = CPNNResult(answers=("a",), records=[record])
+        result = QueryResult(answers=("a",), records=[record])
         assert result.record_for("a") is record
         with pytest.raises(KeyError):
             result.record_for("missing")

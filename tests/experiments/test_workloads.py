@@ -1,5 +1,7 @@
 """Tests for the shared experiment workloads and public API surface."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -101,4 +103,31 @@ class TestPublicApi:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
+
+    def test_legacy_surface_is_gone(self):
+        import repro
+        import repro.baselines
+        import repro.core
+        import repro.core.engine
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.shm")
+        removed = {
+            "CKNNEngine",
+            "CPNNEngine",
+            "CPNNResult",
+            "constrained_range_query",
+        }
+        for module in (repro, repro.core, repro.core.engine):
+            assert not removed & set(module.__all__), module.__name__
+            assert not any(hasattr(module, name) for name in removed)
+        for method in ("query", "query_batch"):
+            assert not hasattr(repro.UncertainEngine, method)
+        assert set(repro.baselines.__all__) == {
+            "basic_pnn_probabilities",
+            "monte_carlo_knn_probabilities",
+            "monte_carlo_pnn_probabilities",
+            "scalar_knn_query",
+            "scalar_range_query",
+        }

@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.montecarlo import monte_carlo_pnn_probabilities
-from repro.core.engine import CPNNEngine, Strategy
+from repro.core.engine import Strategy, UncertainEngine
+from repro.core.types import CPNNQuery
 from repro.uncertainty.twod import (
     UncertainDisk,
     UncertainRectangle,
     UncertainSegment,
 )
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def mixed_2d_objects(rng, n=8):
@@ -48,16 +45,20 @@ def mixed_2d_objects(rng, n=8):
 
 class Test2DPipeline:
     def test_pnn_sums_to_one(self, rng):
-        engine = CPNNEngine(mixed_2d_objects(rng))
+        engine = UncertainEngine(mixed_2d_objects(rng))
         pnn = engine.pnn((10.0, 10.0))
         assert sum(pnn.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_strategies_agree(self, rng):
         objects = mixed_2d_objects(rng)
-        engine = CPNNEngine(objects)
+        engine = UncertainEngine(objects)
         q = (10.0, 10.0)
         answers = {
-            s: set(engine.query(q, threshold=0.25, tolerance=0.0, strategy=s).answers)
+            s: set(
+                engine.execute(
+                    CPNNQuery(q, threshold=0.25, tolerance=0.0), strategy=s
+                ).answers
+            )
             for s in Strategy.ALL
         }
         assert answers["basic"] == answers["refine"] == answers["vr"]
@@ -65,7 +66,7 @@ class Test2DPipeline:
     def test_agrees_with_monte_carlo(self, rng):
         objects = mixed_2d_objects(rng, n=6)
         q = (10.0, 10.0)
-        exact = CPNNEngine(objects).pnn(q)
+        exact = UncertainEngine(objects).pnn(q)
         mc = monte_carlo_pnn_probabilities(objects, q, trials=150_000, rng=rng)
         for key, p in exact.items():
             # 2-D distance cdfs are histogram-discretised (96 bins), so
@@ -75,8 +76,8 @@ class Test2DPipeline:
     def test_filtering_prunes_far_objects(self, rng):
         near = UncertainDisk("near", (0.0, 0.0), 1.0)
         far = UncertainDisk("far", (100.0, 0.0), 1.0)
-        engine = CPNNEngine([near, far])
-        result = engine.query((0.0, 0.0), threshold=0.5, tolerance=0.0)
+        engine = UncertainEngine([near, far])
+        result = engine.execute(CPNNQuery((0.0, 0.0), threshold=0.5, tolerance=0.0))
         assert result.answers == ("near",)
         keys = {record.key for record in result.records}
         assert "far" not in keys  # pruned before verification

@@ -9,12 +9,9 @@ false positives only within the tolerance band below the threshold.
 
 import pytest
 
-from repro.core.engine import CPNNEngine, Strategy
+from repro.core.engine import Strategy, UncertainEngine
+from repro.core.types import CPNNQuery
 from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 _SLACK = 1e-7  # numerical slack on the probability comparisons
 
@@ -24,14 +21,15 @@ class TestContract:
     def test_contract_over_random_instances(self, rng, strategy):
         for _ in range(8):
             objects = make_random_objects(rng, int(rng.integers(3, 18)))
-            engine = CPNNEngine(objects)
+            engine = UncertainEngine(objects)
             q = float(rng.uniform(-5, 65))
             threshold = float(rng.uniform(0.05, 0.95))
             tolerance = float(rng.uniform(0.0, 0.3))
             exact = engine.pnn(q)
             answers = set(
-                engine.query(
-                    q, threshold=threshold, tolerance=tolerance, strategy=strategy
+                engine.execute(
+                    CPNNQuery(q, threshold=threshold, tolerance=tolerance),
+                    strategy=strategy,
                 ).answers
             )
             must_return = {
@@ -50,12 +48,14 @@ class TestContract:
     def test_zero_tolerance_gives_exact_thresholding(self, rng):
         for _ in range(5):
             objects = make_random_objects(rng, 12)
-            engine = CPNNEngine(objects)
+            engine = UncertainEngine(objects)
             q = float(rng.uniform(0, 60))
             exact = engine.pnn(q)
             for threshold in (0.1, 0.3, 0.6):
                 answers = set(
-                    engine.query(q, threshold=threshold, tolerance=0.0).answers
+                    engine.execute(
+                        CPNNQuery(q, threshold=threshold, tolerance=0.0)
+                    ).answers
                 )
                 expected = {k for k, p in exact.items() if p >= threshold}
                 borderline = {

@@ -8,18 +8,15 @@ small enough for the unit-test suite.
 import numpy as np
 import pytest
 
-from repro.core.engine import CPNNEngine
+from repro.core.engine import UncertainEngine
+from repro.core.types import CPNNQuery
 from repro.datasets.longbeach import long_beach_surrogate
 from repro.datasets.queries import random_query_points
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return CPNNEngine(long_beach_surrogate(n=6_000))
+    return UncertainEngine(long_beach_surrogate(n=6_000))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +29,11 @@ class TestPaperShapeClaims:
     def test_strategies_agree_on_answers(self, engine, points):
         for q in points:
             answers = [
-                set(engine.query(q, threshold=0.3, tolerance=0.0, strategy=s).answers)
+                set(
+                    engine.execute(
+                        CPNNQuery(q, threshold=0.3, tolerance=0.0), strategy=s
+                    ).answers
+                )
                 for s in ("basic", "refine", "vr")
             ]
             assert answers[0] == answers[1] == answers[2]
@@ -40,11 +41,11 @@ class TestPaperShapeClaims:
     def test_vr_refines_fewer_objects_than_refine(self, engine, points):
         vr_refined = refine_refined = 0
         for q in points:
-            vr_refined += engine.query(
-                q, threshold=0.3, tolerance=0.01, strategy="vr"
+            vr_refined += engine.execute(
+                CPNNQuery(q, threshold=0.3, tolerance=0.01), strategy="vr"
             ).refined_objects
-            refine_refined += engine.query(
-                q, threshold=0.3, tolerance=0.01, strategy="refine"
+            refine_refined += engine.execute(
+                CPNNQuery(q, threshold=0.3, tolerance=0.01), strategy="refine"
             ).refined_objects
         assert vr_refined < refine_refined
 
@@ -52,13 +53,17 @@ class TestPaperShapeClaims:
         # Figure 11: "when P >= 0.3, no more qualification probabilities
         # need to be computed" — verifiers settle everything.
         for q in points:
-            result = engine.query(q, threshold=0.5, tolerance=0.01, strategy="vr")
+            result = engine.execute(
+                CPNNQuery(q, threshold=0.5, tolerance=0.01), strategy="vr"
+            )
             assert result.refined_objects == 0
             assert result.finished_after_verification
 
     def test_unknown_fraction_falls_along_chain(self, engine, points):
         for q in points:
-            result = engine.query(q, threshold=0.2, tolerance=0.01, strategy="vr")
+            result = engine.execute(
+                CPNNQuery(q, threshold=0.2, tolerance=0.01), strategy="vr"
+            )
             series = [
                 result.unknown_after_verifier[name]
                 for name in ("RS", "L-SR", "U-SR")
@@ -69,15 +74,15 @@ class TestPaperShapeClaims:
     def test_tolerance_reduces_refinement(self, engine, points):
         tight = lax = 0
         for q in points:
-            tight += engine.query(
-                q, threshold=0.1, tolerance=0.0, strategy="vr"
+            tight += engine.execute(
+                CPNNQuery(q, threshold=0.1, tolerance=0.0), strategy="vr"
             ).refined_objects
-            lax += engine.query(
-                q, threshold=0.1, tolerance=0.2, strategy="vr"
+            lax += engine.execute(
+                CPNNQuery(q, threshold=0.1, tolerance=0.2), strategy="vr"
             ).refined_objects
         assert lax <= tight
 
     def test_answers_nonempty_at_low_threshold(self, engine, points):
         for q in points:
-            result = engine.query(q, threshold=0.05, tolerance=0.0)
+            result = engine.execute(CPNNQuery(q, threshold=0.05, tolerance=0.0))
             assert len(result.answers) >= 1

@@ -7,17 +7,13 @@ import pytest
 
 from repro.baselines.basic import basic_pnn_probabilities
 from repro.baselines.montecarlo import monte_carlo_pnn_probabilities
-from repro.core.engine import CPNNEngine, EngineConfig
+from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery
 from repro.datasets.synthetic import mixed_pdf_objects
 from tests.conftest import make_random_objects
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestFourWayAgreement:
@@ -35,7 +31,7 @@ class TestFourWayAgreement:
 
     @staticmethod
     def _check(objects, q, rng):
-        engine_exact = CPNNEngine(objects).pnn(q)
+        engine_exact = UncertainEngine(objects).pnn(q)
         simpson = basic_pnn_probabilities(objects, q, subdivisions=12)
         mc = monte_carlo_pnn_probabilities(objects, q, trials=120_000, rng=rng)
         assert sum(engine_exact.values()) == pytest.approx(1.0, abs=1e-9)
@@ -70,8 +66,8 @@ class TestConsistencyAcrossConfigurations:
         q = 30.0
         answers = {}
         for order in ("widest", "left"):
-            engine = CPNNEngine(objects, EngineConfig(refinement_order=order))
-            answers[order] = set(engine.query(q, tolerance=0.0).answers)
+            engine = UncertainEngine(objects, EngineConfig(refinement_order=order))
+            answers[order] = set(engine.execute(CPNNQuery(q, tolerance=0.0)).answers)
         assert answers["widest"] == answers["left"]
 
     def test_rtree_fanouts_give_same_answers(self, rng):
@@ -79,17 +75,17 @@ class TestConsistencyAcrossConfigurations:
         q = 30.0
         baseline = None
         for fanout in (4, 8, 32):
-            engine = CPNNEngine(objects, EngineConfig(rtree_max_entries=fanout))
-            answers = set(engine.query(q, tolerance=0.0).answers)
+            engine = UncertainEngine(objects, EngineConfig(rtree_max_entries=fanout))
+            answers = set(engine.execute(CPNNQuery(q, tolerance=0.0)).answers)
             if baseline is None:
                 baseline = answers
             assert answers == baseline
 
     def test_repeated_queries_are_deterministic(self, rng):
         objects = make_random_objects(rng, 20)
-        engine = CPNNEngine(objects)
-        a = engine.query(30.0, tolerance=0.0)
-        b = engine.query(30.0, tolerance=0.0)
+        engine = UncertainEngine(objects)
+        a = engine.execute(CPNNQuery(30.0, tolerance=0.0))
+        b = engine.execute(CPNNQuery(30.0, tolerance=0.0))
         assert a.answers == b.answers
         for ra, rb in zip(a.records, b.records):
             assert ra.lower == rb.lower and ra.upper == rb.upper

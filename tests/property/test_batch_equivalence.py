@@ -1,4 +1,4 @@
-"""Property tests: query_batch ≡ a sequential query() loop.
+"""Property tests: execute_batch ≡ a sequential execute() loop.
 
 The batch path restructures orchestration (one filtering sweep, shared
 distributions, flat verifier sweeps) but shares every per-candidate
@@ -8,17 +8,14 @@ with the exact ``{i : p_i ≥ P}`` semantics.  Exercised across all
 three strategies and across 1-D and 2-D object mixes.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import CPNNEngine, EngineConfig, Strategy
+from repro.core.engine import EngineConfig, Strategy, UncertainEngine
+from repro.core.types import CPNNQuery
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.twod import UncertainDisk, UncertainRectangle, UncertainSegment
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from tests.conftest import cpnn_specs
 
 
 @st.composite
@@ -76,13 +73,13 @@ def batch_cases_2d(draw):
 @given(batch_cases_1d(), st.sampled_from(Strategy.ALL))
 def test_batch_equals_sequential_1d(case, strategy):
     objects, points, threshold = case
-    engine = CPNNEngine(objects)
-    batch = engine.query_batch(
-        points, threshold=threshold, tolerance=0.0, strategy=strategy
+    engine = UncertainEngine(objects)
+    batch = engine.execute_batch(
+        cpnn_specs(points, threshold=threshold, tolerance=0.0), strategy=strategy
     )
     for q, result in zip(points, batch):
-        reference = engine.query(
-            q, threshold=threshold, tolerance=0.0, strategy=strategy
+        reference = engine.execute(
+            CPNNQuery(q, threshold=threshold, tolerance=0.0), strategy=strategy
         )
         assert set(result.answers) == set(reference.answers)
 
@@ -91,13 +88,13 @@ def test_batch_equals_sequential_1d(case, strategy):
 @given(batch_cases_2d(), st.sampled_from(Strategy.ALL))
 def test_batch_equals_sequential_2d(case, strategy):
     objects, points, threshold = case
-    engine = CPNNEngine(objects)
-    batch = engine.query_batch(
-        points, threshold=threshold, tolerance=0.0, strategy=strategy
+    engine = UncertainEngine(objects)
+    batch = engine.execute_batch(
+        cpnn_specs(points, threshold=threshold, tolerance=0.0), strategy=strategy
     )
     for q, result in zip(points, batch):
-        reference = engine.query(
-            q, threshold=threshold, tolerance=0.0, strategy=strategy
+        reference = engine.execute(
+            CPNNQuery(q, threshold=threshold, tolerance=0.0), strategy=strategy
         )
         assert set(result.answers) == set(reference.answers)
 
@@ -107,8 +104,10 @@ def test_batch_equals_sequential_2d(case, strategy):
 def test_batch_answers_satisfy_cpnn_contract(case, tolerance):
     """Batch answers obey Definition 1 against exact probabilities."""
     objects, points, threshold = case
-    engine = CPNNEngine(objects)
-    batch = engine.query_batch(points, threshold=threshold, tolerance=tolerance)
+    engine = UncertainEngine(objects)
+    batch = engine.execute_batch(
+        cpnn_specs(points, threshold=threshold, tolerance=tolerance)
+    )
     slack = 1e-7
     for q, result in zip(points, batch):
         exact = engine.pnn(q)
@@ -123,9 +122,11 @@ def test_batch_answers_satisfy_cpnn_contract(case, tolerance):
 def test_batch_repeat_is_deterministic(case):
     """Cache warm-up must not change any answer."""
     objects, points, threshold = case
-    engine = CPNNEngine(objects)
-    first = engine.query_batch(points, threshold=threshold, tolerance=0.0)
-    second = engine.query_batch(points, threshold=threshold, tolerance=0.0)
+    engine = UncertainEngine(objects)
+    first = engine.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
+    second = engine.execute_batch(
+        cpnn_specs(points, threshold=threshold, tolerance=0.0)
+    )
     assert first.answers == second.answers
 
 
@@ -133,8 +134,8 @@ def test_batch_repeat_is_deterministic(case):
 @given(batch_cases_1d())
 def test_batch_linear_and_rtree_engines_agree(case):
     objects, points, threshold = case
-    rtree = CPNNEngine(objects)
-    linear = CPNNEngine(objects, EngineConfig(use_rtree=False))
-    a = rtree.query_batch(points, threshold=threshold, tolerance=0.0)
-    b = linear.query_batch(points, threshold=threshold, tolerance=0.0)
+    rtree = UncertainEngine(objects)
+    linear = UncertainEngine(objects, EngineConfig(use_rtree=False))
+    a = rtree.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
+    b = linear.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
     assert [set(x.answers) for x in a] == [set(x.answers) for x in b]

@@ -1,16 +1,12 @@
 """Property-based engine contract tests over random workloads."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import CPNNEngine, Strategy
+from repro.core.engine import Strategy, UncertainEngine
+from repro.core.types import CPNNQuery
 from repro.uncertainty.objects import UncertainObject
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 SLACK = 1e-7
 
@@ -33,10 +29,12 @@ def engine_cases(draw):
 @given(engine_cases(), st.sampled_from(Strategy.ALL))
 def test_answer_set_contract(case, strategy):
     objects, q, threshold, tolerance = case
-    engine = CPNNEngine(objects)
+    engine = UncertainEngine(objects)
     exact = engine.pnn(q)
     answers = set(
-        engine.query(q, threshold=threshold, tolerance=tolerance, strategy=strategy).answers
+        engine.execute(
+            CPNNQuery(q, threshold=threshold, tolerance=tolerance), strategy=strategy
+        ).answers
     )
     must = {k for k, p in exact.items() if p >= threshold + SLACK}
     may = {k for k, p in exact.items() if p >= threshold - tolerance - SLACK}
@@ -47,9 +45,13 @@ def test_answer_set_contract(case, strategy):
 @given(engine_cases())
 def test_strategies_agree_at_zero_tolerance(case):
     objects, q, threshold, _ = case
-    engine = CPNNEngine(objects)
+    engine = UncertainEngine(objects)
     results = [
-        set(engine.query(q, threshold=threshold, tolerance=0.0, strategy=s).answers)
+        set(
+            engine.execute(
+                CPNNQuery(q, threshold=threshold, tolerance=0.0), strategy=s
+            ).answers
+        )
         for s in Strategy.ALL
     ]
     assert results[0] == results[1] == results[2]
@@ -59,7 +61,7 @@ def test_strategies_agree_at_zero_tolerance(case):
 @given(engine_cases())
 def test_exact_probabilities_sum_to_one(case):
     objects, q, _, _ = case
-    pnn = CPNNEngine(objects).pnn(q)
+    pnn = UncertainEngine(objects).pnn(q)
     assert abs(sum(pnn.values()) - 1.0) < 1e-8
     assert all(-1e-12 <= p <= 1 + 1e-12 for p in pnn.values())
 
@@ -68,10 +70,12 @@ def test_exact_probabilities_sum_to_one(case):
 @given(engine_cases())
 def test_answers_monotone_in_threshold(case):
     objects, q, _, _ = case
-    engine = CPNNEngine(objects)
+    engine = UncertainEngine(objects)
     previous = None
     for threshold in (0.1, 0.3, 0.5, 0.8):
-        answers = set(engine.query(q, threshold=threshold, tolerance=0.0).answers)
+        answers = set(
+            engine.execute(CPNNQuery(q, threshold=threshold, tolerance=0.0)).answers
+        )
         if previous is not None:
             assert answers <= previous
         previous = answers
@@ -82,8 +86,10 @@ def test_answers_monotone_in_threshold(case):
 def test_vr_bounds_contain_monte_carlo_estimate(case, seed):
     """VR's reported bounds must be consistent with sampled reality."""
     objects, q, threshold, tolerance = case
-    engine = CPNNEngine(objects)
-    result = engine.query(q, threshold=threshold, tolerance=tolerance, strategy="vr")
+    engine = UncertainEngine(objects)
+    result = engine.execute(
+        CPNNQuery(q, threshold=threshold, tolerance=tolerance), strategy="vr"
+    )
     exact = engine.pnn(q)
     for record in result.records:
         assert record.lower - SLACK <= exact[record.key] <= record.upper + SLACK

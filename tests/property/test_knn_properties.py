@@ -1,16 +1,12 @@
 """Property-based tests for the k-NN extension."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.knn import CKNNEngine, knn_qualification_probabilities
+from repro.baselines import scalar_knn_query
+from repro.core.knn import knn_qualification_probabilities
 from repro.uncertainty.objects import UncertainObject
-
-# This module exercises the pre-facade entry points on purpose: it is
-# the regression suite for the deprecation shims (DESIGN.md §7).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @st.composite
@@ -49,9 +45,9 @@ def test_knn_monotone_in_k(case):
 
 @settings(max_examples=25, deadline=None)
 @given(knn_cases(), st.floats(0.05, 0.95))
-def test_cknn_answers_match_exact_thresholding(case, threshold):
+def test_scalar_knn_answers_match_exact_thresholding(case, threshold):
     objects, q, k = case
-    answers, records = CKNNEngine(objects, k=k).query(q, threshold=threshold)
+    answers, records = scalar_knn_query(objects, q, k, threshold)
     exact = knn_qualification_probabilities(objects, q, k=k)
     for key, p in exact.items():
         if p >= threshold + 1e-7:

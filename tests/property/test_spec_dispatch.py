@@ -1,8 +1,8 @@
-"""Property tests: the routed façade ≡ the pre-façade scalar paths.
+"""Property tests: the routed façade ≡ the scalar reference paths.
 
 The acceptance bar of the API redesign: ``execute(CKNNQuery)`` must
-match :class:`CKNNEngine`/:func:`knn_qualification_probabilities` and
-``execute(CRangeQuery)`` must match :func:`constrained_range_query`
+match :func:`scalar_knn_query`/:func:`knn_qualification_probabilities`
+and ``execute(CRangeQuery)`` must match :func:`scalar_range_query`
 **exactly** — same keys, same labels, bit-identical bounds — across
 1-D and 2-D object mixes, and ``execute_batch`` must equal a
 sequential ``execute`` loop for all three spec types (including mixed
@@ -11,13 +11,12 @@ replay the scalar float operations.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import scalar_knn_query, scalar_range_query
 from repro.core.engine import EngineConfig, UncertainEngine
-from repro.core.knn import CKNNEngine, knn_qualification_probabilities
-from repro.core.range_query import constrained_range_query
+from repro.core.knn import knn_qualification_probabilities
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.uncertainty.twod import (
     UncertainDisk,
@@ -25,10 +24,6 @@ from repro.uncertainty.twod import (
     UncertainSegment,
 )
 from tests.conftest import make_random_objects
-
-# The reference paths below are the deprecated scalar entry points —
-# calling them is the whole point of these equivalence properties.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def objects_1d(seed: int, n: int) -> list:
@@ -88,7 +83,7 @@ def test_execute_cknn_matches_scalar_path(seed, n, k, threshold, dim):
     objects, q = build(dim, seed, n)
     engine = UncertainEngine(objects)
     result = engine.execute(CKNNQuery(q, threshold=threshold, k=k))
-    answers, records = CKNNEngine(objects, k=k).query(q, threshold=threshold)
+    answers, records = scalar_knn_query(objects, q, k, threshold)
     assert result.answers == answers
     assert records_tuple(result.records) == records_tuple(records)
     # And against the exact probabilities' thresholding (when k < n the
@@ -110,7 +105,7 @@ def test_execute_crange_matches_scalar_path(seed, n, radius, threshold, dim):
     objects, q = build(dim, seed, n)
     engine = UncertainEngine(objects)
     result = engine.execute(CRangeQuery(q, threshold=threshold, radius=radius))
-    answers, records = constrained_range_query(objects, q, radius, threshold)
+    answers, records = scalar_range_query(objects, q, radius, threshold)
     assert result.answers == answers
     assert records_tuple(result.records) == records_tuple(records)
 
@@ -146,14 +141,3 @@ def test_execute_batch_equals_sequential_loop(seed, n, dim, use_rtree):
         assert batched.answers == single.answers, spec
         assert records_tuple(batched.records) == records_tuple(single.records), spec
 
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
-def test_execute_cpnn_matches_legacy_query(seed, n):
-    objects = objects_1d(seed, n)
-    q = float(np.random.default_rng(seed + 1).uniform(0.0, 60.0))
-    engine = UncertainEngine(objects)
-    fresh = engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0))
-    legacy = engine.query(q, threshold=0.3, tolerance=0.0)
-    assert fresh.answers == legacy.answers
-    assert records_tuple(fresh.records) == records_tuple(legacy.records)

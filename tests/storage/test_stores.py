@@ -6,6 +6,12 @@ slices, picklable descriptors that rehydrate in-place, read-only
 views, and owner-unlinks-attacher-unmaps lifetime semantics.  The
 backends differ only in *where* the bytes live — the suite is the
 executable statement of that.
+
+The shm backend is also the process executor's transport (DESIGN.md
+§13), so its own properties are pinned below too: 64-byte-aligned
+zero-copy views, read-only until a mutation forces a private copy,
+writable attach for shared output buffers, and segments that never
+outlive their owner (no ``/dev/shm`` leaks).
 """
 
 import glob
@@ -16,15 +22,20 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.shm import SEGMENT_PREFIX
+from repro.index.filtering import BatchMbrFilter
 from repro.storage import (
     BACKENDS,
     MmapStore,
+    ShmStore,
     StorageError,
+    StoreDescriptor,
     create_store,
     open_store,
 )
 from repro.storage.mmapstore import FILE_PREFIX
+from repro.storage.shmstore import SEGMENT_PREFIX
+from repro.uncertainty.columnar import DistributionPack
+from tests.conftest import make_random_objects
 
 
 def sample_arrays() -> dict:
@@ -163,6 +174,159 @@ class TestOwnerSemantics:
             assert os.path.exists(store.path)
         finally:
             store.close()
+
+    @pytest.mark.parametrize("backend", ["shm", "mmap"])
+    def test_vanished_backing_raises_storage_error(self, backend):
+        store = create_store(backend, sample_arrays())
+        descriptor = store.descriptor()
+        store.close()
+        with pytest.raises(StorageError) as info:
+            open_store(descriptor)
+        assert isinstance(info.value.__cause__, OSError)
+
+
+class TestShmStore:
+    def test_round_trip_bit_identical(self, rng):
+        arrays = {
+            "a": rng.normal(size=37),
+            "b": rng.normal(size=(5, 11)),
+            "c": np.arange(9, dtype=np.intp),
+        }
+        with ShmStore.create(arrays) as store:
+            with ShmStore.attach(store.descriptor()) as twin:
+                assert set(twin.columns()) == set(arrays)
+                for name, src in arrays.items():
+                    np.testing.assert_array_equal(twin.get(name), src)
+                    assert twin.get(name).dtype == src.dtype
+
+    def test_descriptor_is_plain_data(self, rng):
+        with ShmStore.create({"x": rng.normal(size=8)}) as store:
+            desc = store.descriptor()
+            assert isinstance(desc, StoreDescriptor)
+            assert desc.location.startswith(SEGMENT_PREFIX)
+            field = desc.field("x")
+            assert field.shape == (8,)
+            assert np.dtype(field.dtype) == np.float64
+            assert desc.nbytes >= 8 * 8
+            with pytest.raises(KeyError):
+                desc.field("missing")
+
+    def test_columns_are_64_byte_aligned(self):
+        with ShmStore.create(sample_arrays()) as store:
+            desc = store.descriptor()
+            assert [f.offset % 64 for f in desc.fields] == [0] * len(desc.fields)
+            assert desc.nbytes % 64 == 0
+            for name in store.columns():
+                assert store.get(name).ctypes.data % 64 == 0
+
+    def test_attached_views_are_zero_copy_and_read_only(self, rng):
+        with ShmStore.create({"x": rng.normal(size=64)}) as store:
+            with ShmStore.attach(store.descriptor()) as twin:
+                view = twin.get("x")
+                assert not view.flags.writeable
+                with pytest.raises((ValueError, RuntimeError)):
+                    view[0] = 1.0
+                # Zero-copy: the view's buffer is the mapped segment.
+                assert view.base is not None
+                del view
+
+    def test_writable_attach_visible_to_other_views(self):
+        with ShmStore.create({"x": np.zeros(16)}) as store:
+            with ShmStore.attach(store.descriptor(), writable=True) as writer:
+                writer.get("x")[:] = np.arange(16.0)
+            with ShmStore.attach(store.descriptor()) as reader:
+                np.testing.assert_array_equal(reader.get("x"), np.arange(16.0))
+            # The owner's own views map the same segment.
+            np.testing.assert_array_equal(store.get("x"), np.arange(16.0))
+            assert not store.get("x").flags.writeable
+
+    def test_untracked_attach_never_unlinks_owner_segment(self):
+        with ShmStore.create({"x": np.arange(4.0)}) as store:
+            desc = store.descriptor()
+            ShmStore.attach(desc).close()
+            assert os.path.exists(f"/dev/shm/{desc.location}")
+            with ShmStore.attach(desc) as again:
+                np.testing.assert_array_equal(again.get("x"), np.arange(4.0))
+        assert not os.path.exists(f"/dev/shm/{desc.location}")
+
+
+class TestDistributionPackStore:
+    def test_round_trip_matches_all_kernels(self, rng):
+        objects = make_random_objects(rng, 24)
+        distributions = [obj.distance_distribution(13.0) for obj in objects]
+        pack = DistributionPack(distributions)
+        with pack.to_store("shm") as store:
+            twin = DistributionPack.from_store(open_store(store.descriptor()))
+            xs = rng.uniform(0.0, 80.0, size=7)
+            for x in xs:
+                np.testing.assert_array_equal(
+                    pack.cdf_many(float(x)), twin.cdf_many(float(x))
+                )
+
+    def test_rehydrated_pack_owns_its_attachment(self, rng):
+        objects = make_random_objects(rng, 6)
+        distributions = [obj.distance_distribution(5.0) for obj in objects]
+        pack = DistributionPack(distributions)
+        store = pack.to_store("shm")
+        try:
+            twin = DistributionPack.from_store(open_store(store.descriptor()))
+        finally:
+            # The exporter unlinking must not invalidate the twin's
+            # mapping (POSIX keeps mappings alive past the name).
+            store.close()
+        np.testing.assert_array_equal(pack.cdf_many(3.0), twin.cdf_many(3.0))
+
+
+class TestBatchMbrFilterStore:
+    def test_round_trip_matrices_identical(self, rng):
+        objects = make_random_objects(rng, 40)
+        filt = BatchMbrFilter(objects)
+        queries = rng.uniform(0.0, 60.0, size=9)
+        with filt.to_store("shm") as store:
+            twin = BatchMbrFilter.from_store(
+                open_store(store.descriptor()), objects
+            )
+            want_min, want_max = filt.matrices(queries)
+            got_min, got_max = twin.matrices(queries)
+            np.testing.assert_array_equal(got_min, want_min)
+            np.testing.assert_array_equal(got_max, want_max)
+
+    def test_from_store_validates_object_count(self, rng):
+        objects = make_random_objects(rng, 10)
+        with BatchMbrFilter(objects).to_store("shm") as store:
+            with pytest.raises(ValueError):
+                BatchMbrFilter.from_store(store, objects[:-1])
+
+    def test_matrices_rows_matches_column_slice(self, rng):
+        objects = make_random_objects(rng, 30)
+        filt = BatchMbrFilter(objects)
+        queries = rng.uniform(0.0, 60.0, size=6)
+        rows = np.array([2, 3, 11, 29], dtype=np.intp)
+        full_min, full_max = filt.matrices(queries)
+        part_min, part_max = filt.matrices_rows(queries, rows)
+        np.testing.assert_array_equal(part_min, full_min[:, rows])
+        np.testing.assert_array_equal(part_max, full_max[:, rows])
+
+    def test_replace_at_on_shared_columns_copies_first(self, rng):
+        objects = make_random_objects(rng, 12)
+        with BatchMbrFilter(objects).to_store("shm") as store:
+            twin = BatchMbrFilter.from_store(
+                open_store(store.descriptor()), objects
+            )
+            replacement = make_random_objects(rng, 1)[0]
+            # Shared views are read-only; the in-place row write must
+            # transparently promote to a private copy, leaving the
+            # exporter's columns untouched.
+            twin.replace_at(3, replacement)
+            objects2 = list(objects)
+            objects2[3] = replacement
+            want_min, want_max = BatchMbrFilter(objects2).matrices([7.0, 31.0])
+            got_min, got_max = twin.matrices([7.0, 31.0])
+            np.testing.assert_array_equal(got_min, want_min)
+            np.testing.assert_array_equal(got_max, want_max)
+            original = BatchMbrFilter(objects)
+            original._flush()
+            np.testing.assert_array_equal(store.get("lows"), original._lows)
 
 
 class TestMmapDetails:

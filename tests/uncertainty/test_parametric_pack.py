@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.storage import open_store
 from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import (
@@ -89,16 +90,13 @@ class TestMixedPackKernels:
 
 
 class TestSharedMemoryTransport:
-    # to_shared/from_shared are deprecated shims over the column-store
-    # API (one release; DESIGN.md §16) — regression coverage only.
-    pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
     def test_round_trip_exact(self):
         rows = mixed_rows()
         pack = MixedDistributionPack(rows)
-        shm, descriptor = pack.to_shared()
-        try:
-            twin = MixedDistributionPack.from_shared(descriptor)
+        with pack.to_store("shm") as store:
+            twin = MixedDistributionPack.from_store(
+                open_store(store.descriptor())
+            )
             assert twin.size == pack.size
             assert twin.n_parametric == pack.n_parametric
             xs = np.linspace(0.0, 12.0, 101)
@@ -108,25 +106,19 @@ class TestSharedMemoryTransport:
             np.testing.assert_array_equal(twin.near, pack.near)
             np.testing.assert_array_equal(twin.far, pack.far)
             del twin
-        finally:
-            shm.close()
-            shm.unlink()
 
     def test_descriptor_pickles(self):
         pack = MixedDistributionPack(mixed_rows())
-        shm, descriptor = pack.to_shared()
-        try:
+        with pack.to_store("shm") as store:
+            descriptor = store.descriptor()
             twin_desc = pickle.loads(pickle.dumps(descriptor))
             assert twin_desc == descriptor
-            rehydrated = MixedDistributionPack.from_shared(twin_desc)
+            rehydrated = MixedDistributionPack.from_store(open_store(twin_desc))
             xs = np.linspace(0.0, 12.0, 11)
             np.testing.assert_array_equal(
                 rehydrated.cdf_many(xs), pack.cdf_many(xs)
             )
             del rehydrated
-        finally:
-            shm.close()
-            shm.unlink()
 
     def test_all_parametric_round_trip(self):
         rows = [
@@ -134,15 +126,13 @@ class TestSharedMemoryTransport:
             for i in range(4)
         ]
         pack = MixedDistributionPack(rows)
-        shm, descriptor = pack.to_shared()
-        try:
-            twin = MixedDistributionPack.from_shared(descriptor)
+        with pack.to_store("shm") as store:
+            twin = MixedDistributionPack.from_store(
+                open_store(store.descriptor())
+            )
             assert twin.n_histogram == 0
             xs = np.linspace(0.0, 8.0, 33)
             np.testing.assert_array_equal(
                 twin.cdf_many(xs), pack.cdf_many(xs)
             )
             del twin
-        finally:
-            shm.close()
-            shm.unlink()
