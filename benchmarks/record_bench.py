@@ -257,7 +257,7 @@ def measure_process_executor(repeats: int) -> dict:
     (DESIGN.md §13): same workload and protocol as
     :func:`measure_sharded_parallel`, but the C-PNN fan-out ships to a
     pre-warmed spawn-based worker pool.  On a 1-core container the
-    speedup records the pipe/pickle overhead; with ≥ 2 cores the
+    speedup records the pipe/pickle overhead; with ≥ 4 cores the
     ``test_sharded_parallel.py`` gate demands ≥ 1.6×.
     """
     objects, specs = sharded_bench.objects_and_specs()

