@@ -115,9 +115,15 @@ def measure_knn_throughput(repeats: int) -> dict:
 
 
 def measure_range_throughput(repeats: int) -> dict:
-    """Range execute_batch vs the ``scalar_range_query`` reference loop."""
+    """Range execute_batch vs the ``scalar_range_query`` reference loop.
+
+    ``records_per_query`` sits beside the timing so that a regression to
+    N-shaped output (one record per object, not per candidate) shows as
+    a count against ``objects``, not only as a ratio.
+    """
     engine, points = throughput_bench.engine_and_points()
     specs = throughput_bench.range_specs(points)
+    results = engine.execute_batch(specs).results
     legacy = _best_of(
         repeats, lambda: throughput_bench.run_range_legacy(engine, points)
     )
@@ -130,6 +136,7 @@ def measure_range_throughput(repeats: int) -> dict:
         "scalar_loop_s": legacy,
         "execute_batch_s": batch,
         "speedup": legacy / batch,
+        "records_per_query": sum(len(r.records) for r in results) / len(specs),
         **_environment("serial"),
     }
 

@@ -6,7 +6,8 @@
 * :mod:`repro.baselines.montecarlo` — the sampling method of [9]
   (Kriegel, Kunath, Renz, DASFAA 2007);
 * :mod:`repro.baselines.scalar` — the unfiltered per-object k-NN and
-  range loops the engine's routed paths are bit-identical to.
+  range loops the engine's routed paths are checked against, and
+  ``scalar.assert_covers``, the contract of that check.
 """
 
 from repro.baselines.basic import basic_pnn_probabilities

@@ -3,8 +3,11 @@
 The engine answers :class:`~repro.core.types.CKNNQuery` and
 :class:`~repro.core.types.CRangeQuery` specs through MBR filtering,
 cached distributions and columnar kernels; these two functions are the
-unfiltered per-object loops those routed paths are **bit-identical**
-to.  They are the yardstick the property suites and
+unfiltered per-object loops those routed paths are checked against.
+They stay N-shaped — one record per object — because they are the
+oracle: the routed results list only the filtered candidates, and
+:func:`assert_covers` states what "the same result" then means.  They
+are the yardstick the property suites and
 ``benchmarks/test_batch_throughput.py`` compare against, not an entry
 point: every object's distance distribution is rebuilt on every call.
 """
@@ -16,7 +19,45 @@ from typing import Hashable, Sequence
 from repro.core.knn import knn_probability_bounds, knn_qualification_probabilities
 from repro.core.types import AnswerRecord, CPNNQuery, Label
 
-__all__ = ["scalar_knn_query", "scalar_range_query"]
+__all__ = ["assert_covers", "scalar_knn_query", "scalar_range_query"]
+
+
+def _fields(record: AnswerRecord) -> tuple:
+    return (record.key, record.label, record.lower, record.upper, record.exact)
+
+
+def assert_covers(result, oracle_answers: tuple, oracle_records: Sequence) -> None:
+    """The strict two-tier contract between a candidate-shaped result
+    (the cheap tier) and an oracle that lists every object.
+
+    * the answers are equal, in order;
+    * every record the result emits equals the oracle's record for that
+      key bit for bit (``key, label, lower, upper, exact``), in the
+      oracle's order — so the result names no key the oracle lacks;
+    * every oracle record the result omits is the implied one: ``FAIL``
+      with ``lower == upper == 0.0`` and no exact value — nothing the
+      filter dropped would have been kept, or even scored, by the oracle.
+
+    Raises :class:`AssertionError` naming the first breach.
+    """
+    if tuple(result.answers) != tuple(oracle_answers):
+        raise AssertionError(
+            f"answers differ: {result.answers!r} != {tuple(oracle_answers)!r}"
+        )
+    emitted = {record.key for record in result.records}
+    got = [_fields(record) for record in result.records]
+    want = [_fields(record) for record in oracle_records if record.key in emitted]
+    if got != want:
+        breach = next((pair for pair in zip(got, want) if pair[0] != pair[1]), None)
+        raise AssertionError(
+            f"emitted records differ from the oracle's ({len(got)} emitted, "
+            f"{len(want)} matched by key): first mismatch {breach!r}"
+        )
+    for record in oracle_records:
+        if record.key not in emitted and _fields(record)[1:] != (
+            Label.FAIL, 0.0, 0.0, None,
+        ):
+            raise AssertionError(f"omitted record is not an implied FAIL 0/0: {record}")
 
 
 def scalar_knn_query(

@@ -55,9 +55,9 @@ class ContinuousHandle:
     spec: QuerySpec
     result: QueryResult | None = None
     region: SafeRegion | None = None
-    #: C-PNN only: the candidate keys of the memoised result, serving
-    #: the out-of-band ``moved_keys`` membership test.  ``None`` for
-    #: structural families (k-NN / range).
+    #: C-PNN and range: the candidate keys of the memoised result,
+    #: serving the out-of-band ``moved_keys`` membership test.  ``None``
+    #: for the structural family (k-NN).
     candidate_keys: frozenset | None = None
     reexecutions: int = 0
     registered_at: int = 0
@@ -135,7 +135,7 @@ class ContinuousMonitor:
         self._pending_boxes: list[tuple[np.ndarray, np.ndarray]] = []
         #: Whether a census change (insert/remove/key-changing replace)
         #: happened since the last tick — invalidates every structural
-        #: (k-NN / range) handle.
+        #: (k-NN) handle.
         self._pending_structural = False
         self._ticks = 0
         self._reexecuted_total = 0
@@ -248,9 +248,11 @@ class ContinuousMonitor:
         """Replace through the engine and certify both MBRs.
 
         In-place replacement is non-structural (the census is
-        unchanged) unless the object's key changes — k-NN and range
-        records enumerate keys, so a key swap invalidates them like a
-        census change.
+        unchanged) unless the object's key changes: a key swap is
+        what ``remove`` + ``insert`` would be, so structural (k-NN)
+        handles treat it as a census change.  C-PNN and range records
+        list only candidates, so for them a key swap outside the ball
+        cannot show and the distance test decides as usual.
         """
         victim = self._engine.object_for(key)
         self._engine.replace(key, obj)
@@ -275,10 +277,11 @@ class ContinuousMonitor:
         moved_keys:
             Keys of objects replaced in place *directly on the engine*
             (out-of-band) since the last tick.  Their old MBR is
-            unknown, so certification degrades: structural handles all
-            re-execute, C-PNN handles re-execute when the key was in
-            their candidate set or the object's current MBR touches
-            their ball.  Prefer routing mutations through the monitor.
+            unknown, so certification degrades: structural (k-NN)
+            handles all re-execute, C-PNN and range handles re-execute
+            when the key was in their candidate set or the object's
+            current MBR touches their ball.  Prefer routing mutations
+            through the monitor.
         query_moves:
             ``{handle_or_id: new_query_point}`` — dead-reckoning for
             the queries themselves.  A genuinely moved point always
@@ -306,7 +309,7 @@ class ContinuousMonitor:
                 escaped.append(handle.id)
         if moved_keys:
             for key in moved_keys:
-                structural = True  # old MBR unknown: degrade k-NN/range
+                structural = True  # old MBR unknown: degrade k-NN
                 obj = self._engine.object_for(key)
                 if obj is not None:
                     self._note_box(obj.mbr)
@@ -329,6 +332,10 @@ class ContinuousMonitor:
                 )
         if structural:
             invalidated |= self._index.structural_ids()
+        if boxes and not len(self._engine):
+            # Drained: an empty engine answers every spec with the empty
+            # result shape (NaN ``fmin``), which no ball can certify.
+            invalidated |= self._handles.keys()
         invalidated &= self._handles.keys()
 
         to_run = sorted(invalidated | moves.keys())

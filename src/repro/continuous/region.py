@@ -19,18 +19,21 @@ Soundness per family (the full argument is DESIGN.md §17):
   bounds, and answers are untouched.  These mutations are
   *non-structural* for C-PNN: distance tests alone decide.
 * **k-NN** — the ball radius is ``f_min^k`` (the k-th smallest
-  ``maxdist``), which bounds which objects can affect the k-NN
-  probability bounds.  But the *result shape* also depends on the
-  object census: records list every object (pruned ones carry 0/0
-  bounds) and the Poisson-binomial arithmetic depends on ``n`` and on
-  the trivial ``k >= n`` switch.  Inserts and removes therefore always
-  invalidate (``structural=True``); only in-place replacements get the
+  ``maxdist``).  Records list the ``f_min^k`` survivors only, and an
+  object whose MBR stays outside the ball is neither a survivor nor a
+  factor of anyone's Poisson-binomial integrand, before or after.  The
+  one thing the ball does not see is the census-dependent ``k >= n``
+  switch (and the ``min(k, n)`` clamp behind it), which an insert or
+  remove anywhere can flip.  Inserts and removes therefore always
+  invalidate (``structural=True``); in-place replacements get the
   distance test.
-* **Range** — the ball radius is the query radius itself: an object
-  whose MBR stays outside the ball has ``mindist > radius`` before and
-  after, remains certainly-outside, and its record is the
-  position-independent ``FAIL 0/0``.  Like k-NN, records list every
-  object, so census changes always invalidate (``structural=True``).
+* **Range** — the ball radius is the query radius itself.  Records
+  list only the candidates (region ``mindist <= radius``), in object
+  order; an object whose MBR stays outside the ball has
+  ``mindist > radius`` before and after, so it never had a record and
+  does not gain one, and inserting, removing or re-keying it leaves
+  the relative order of the candidates alone.  Range is therefore
+  *non-structural*, exactly like C-PNN: distance tests alone decide.
 
 A non-finite radius (empty engine at registration time, or the trivial
 ``k >= n`` k-NN case with ``f_min^k = inf``) normalises to ``inf``:
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.types import CKNNQuery, CRangeQuery, QueryResult, QuerySpec
+from repro.core.types import CKNNQuery, QueryResult, QuerySpec
 
 __all__ = ["SafeRegion"]
 
@@ -75,8 +78,8 @@ class SafeRegion:
         mutation invalidates).
     structural:
         Whether census changes (insert/remove, or a key-changing
-        replace) invalidate regardless of distance — true for k-NN and
-        range, whose records enumerate every object.
+        replace) invalidate regardless of distance — true only for
+        k-NN, whose trivial ``k >= n`` switch reads the census.
     """
 
     center: np.ndarray
@@ -94,8 +97,11 @@ class SafeRegion:
         radius = float(result.fmin)
         if not np.isfinite(radius):
             radius = float("inf")
-        structural = isinstance(spec, (CKNNQuery, CRangeQuery))
-        return cls(center=_center_of(spec.q), radius=radius, structural=structural)
+        return cls(
+            center=_center_of(spec.q),
+            radius=radius,
+            structural=isinstance(spec, CKNNQuery),
+        )
 
     def hit_by(self, lows, highs) -> bool:
         """Does the box ``[lows, highs]`` touch the certificate ball?

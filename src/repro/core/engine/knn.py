@@ -7,8 +7,10 @@ its LRU distribution cache, and the columnar bound/integration kernels
 ``_objects``, ``_config``, ``_distribution_cache`` and
 ``_ensure_batch_filter`` — anything that serves those (a single
 engine, or a sharded engine whose filter fans out across shards)
-gets answers bit-identical to the scalar
-:func:`repro.baselines.scalar.scalar_knn_query` reference.
+gets candidate-shaped results — one record per ``f_min^k`` survivor —
+with the answers of the scalar
+:func:`repro.baselines.scalar.scalar_knn_query` reference and its
+records, bit for bit, for the survivors.
 """
 
 from __future__ import annotations
@@ -42,12 +44,9 @@ class KnnExecutorMixin:
         point; survivors' distance distributions go through the LRU
         cache and the columnar bound/integration kernels
         (:func:`~repro.core.knn.knn_routed_eval`).  Returns the results
-        (answers bit-identical to the scalar
-        :func:`~repro.baselines.scalar.scalar_knn_query`) and the shared
-        filtering seconds.
+        and the shared filtering seconds.
         """
         n = len(self._objects)
-        keys = [obj.key for obj in self._objects]
         cache = self._distribution_cache
         ks = [min(spec.k, n) for spec in specs]
         nontrivial = [i for i, spec in enumerate(specs) if spec.k < n]
@@ -66,7 +65,9 @@ class KnnExecutorMixin:
             if spec.k >= n:
                 # Every object is trivially among the k nearest — the
                 # scalar path's early return, replicated before any
-                # distribution is built.
+                # distribution is built.  All of them are candidates,
+                # so this is the one result that lists the census.
+                keys = [obj.key for obj in self._objects]
                 records = [
                     AnswerRecord(
                         key=key, label=Label.SATISFY, lower=1.0, upper=1.0, exact=1.0
@@ -86,6 +87,7 @@ class KnnExecutorMixin:
                 continue
             survivors, fmin_k = filtered[b]
             candidates = [self._objects[i] for i in survivors]
+            keys = [obj.key for obj in candidates]
             if (
                 self._config.parametric_fast_path
                 and candidates
@@ -98,9 +100,7 @@ class KnnExecutorMixin:
                 # to the standard (histogram-certified) pipeline below.
                 tick = time.perf_counter()
                 distances = [obj.parametric_distance(spec.q) for obj in candidates]
-                settled = knn_analytic_eval(
-                    distances, survivors, keys, k, spec.threshold, n
-                )
+                settled = knn_analytic_eval(distances, keys, k, spec.threshold)
                 if settled is not None:
                     answers, records = settled
                     timings.verification = time.perf_counter() - tick
@@ -124,11 +124,9 @@ class KnnExecutorMixin:
             tick = time.perf_counter()
             answers, records, n_exact, exact_seconds = knn_routed_eval(
                 distributions,
-                survivors,
                 keys,
                 k,
                 spec.threshold,
-                n,
                 quadrature_margin=self._config.quadrature_margin,
             )
             timings.verification = time.perf_counter() - tick - exact_seconds

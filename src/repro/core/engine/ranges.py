@@ -2,9 +2,11 @@
 
 Evaluates :class:`~repro.core.types.CRangeQuery` specs through the
 shared substrate against the same host protocol as the k-NN executor
-(``_objects``, ``_distribution_cache``, ``_ensure_batch_filter``);
-answers are bit-identical to the scalar
-:func:`repro.baselines.scalar.scalar_range_query` reference.
+(``_objects``, ``_distribution_cache``, ``_ensure_batch_filter``).
+Results are candidate-shaped — one record per object whose region
+reaches the ball — with the answers of the scalar
+:func:`repro.baselines.scalar.scalar_range_query` reference and its
+records, bit for bit, for the candidates.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ class RangeExecutorMixin:
         """Evaluate range specs through the shared substrate.
 
         One vectorised MBR distance sweep classifies every (spec,
-        object) pair; only straddling objects re-check exact region
-        distances, and only true straddlers build distributions (LRU
-        cache) and evaluate ``cdf(radius)`` through the columnar kernel
-        (:func:`~repro.core.range_query.range_routed_eval`).  Answers
-        are bit-identical to the scalar
-        :func:`~repro.baselines.scalar.scalar_range_query`.
+        object) pair — the last step that sees the whole dataset; only
+        straddling objects re-check exact region distances, and only
+        true straddlers build distributions (LRU cache) and evaluate
+        ``cdf(radius)`` through the columnar kernel
+        (:func:`~repro.core.range_query.range_routed_eval`).
         """
         cache = self._distribution_cache
         tick = time.perf_counter()

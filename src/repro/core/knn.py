@@ -12,8 +12,10 @@ module provides that extension on top of the same substrate:
   Bernoullis with success probabilities ``D_j(r)``, so the inner
   probability is a Poisson-binomial cdf
   (:mod:`repro.numerics.poisson_binomial`).  On each piece of the
-  global breakpoint grid the integrand is again a polynomial, so
-  Gauss–Legendre evaluates it exactly.
+  global breakpoint grid the integrand is again a polynomial — of a
+  degree bounded by the objects that can be closer than ``f_min^k``,
+  not by the census (:func:`_segment_rule`) — so Gauss–Legendre
+  evaluates it exactly.
 
 * :func:`knn_probability_bounds` / :func:`knn_routed_eval` — the
   RS-style verifier generalisation behind constrained
@@ -23,9 +25,11 @@ module provides that extension on top of the same substrate:
 
       p_i(k).u ≤ D_i(f_min^k)
 
-  which filters and fails most objects before any integration.  The
-  unfiltered scalar loop the routed path is bit-identical to lives in
-  :func:`repro.baselines.scalar.scalar_knn_query`.
+  which filters and fails most objects before any integration.
+  Results are candidate-shaped: one record per ``f_min^k`` survivor,
+  each bit-identical to the record the unfiltered scalar loop
+  (:func:`repro.baselines.scalar.scalar_knn_query`) computes for that
+  key; pruned objects are implied ``FAIL 0/0``.
 """
 
 from __future__ import annotations
@@ -113,6 +117,24 @@ def _breakpoint_grid(
     return grid[(grid >= lo) & (grid <= hi)]
 
 
+def _segment_rule(nears, fmin_k: float, quadrature_margin: int):
+    """Gauss–Legendre nodes/weights on [-1, 1], exact on every segment.
+
+    Between consecutive breakpoints the k-NN integrand is ``pdf_i``
+    (constant) times Pr[at most k−1 others closer], a polynomial in
+    ``x`` of degree ≤ ``active − 1``, where ``active`` counts the
+    objects whose near point lies below ``f_min^k``: each of their cdfs
+    is linear on the segment and every other cdf is exactly 0 there.
+    The order therefore follows the survivors, never the census.  The
+    oracle and the routed path both come here, and the filter only
+    prunes objects with ``near > f_min^k``, so both count the same
+    ``active`` and use the same nodes.
+    """
+    active = int(np.count_nonzero(np.asarray(nears) < fmin_k))
+    n_nodes = nodes_for_degree(max(active - 1, 0)) + int(quadrature_margin)
+    return gauss_legendre_nodes(n_nodes)
+
+
 def knn_qualification_probabilities(
     objects: Sequence,
     q,
@@ -123,7 +145,8 @@ def knn_qualification_probabilities(
 
     ``objects`` may be ``SpatialUncertain`` objects or ready-made
     distance distributions.  Objects with zero probability (entirely
-    beyond ``f_min^k``) are reported as 0.0.
+    beyond ``f_min^k``) are reported as 0.0.  ``quadrature_margin``
+    adds nodes beyond the exact rule of :func:`_segment_rule`.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -135,10 +158,9 @@ def knn_qualification_probabilities(
         # Every object is trivially among the k nearest.
         return {d.key: 1.0 for d in distributions}
     fmin_k = kth_smallest_far(distributions, k)
-    n = len(distributions)
-    degree = n - 1
-    n_nodes = nodes_for_degree(degree) + int(quadrature_margin)
-    xs_unit, ws = gauss_legendre_nodes(n_nodes)
+    xs_unit, ws = _segment_rule(
+        [d.near for d in distributions], fmin_k, quadrature_margin
+    )
 
     results: dict[Hashable, float] = {}
     for i, dist in enumerate(distributions):
@@ -156,7 +178,7 @@ def knn_qualification_probabilities(
             half = 0.5 * (b - a)
             xs = 0.5 * (a + b) + half * xs_unit
             closer = np.vstack([np.asarray(d.cdf(xs)) for d in others])
-            at_most = prob_at_most_vectorized(closer, k - 1)
+            at_most = prob_at_most_vectorized(closer, k - 1, overwrite_input=True)
             density = np.asarray(dist.pdf(xs))
             total += half * float(ws @ (density * at_most))
         results[dist.key] = min(max(total, 0.0), 1.0)
@@ -169,26 +191,25 @@ def _routed_exact(
     needed: np.ndarray,
     k: int,
     fmin_k: float,
-    total: int,
     quadrature_margin: int,
 ) -> dict[int, float]:
     """Exact ``p_i(k)`` for the survivor positions in ``needed``.
 
     Bit-identical replay of :func:`knn_qualification_probabilities`
-    restricted to the filtered candidate set: the quadrature degree
-    still comes from the *total* object count (so the node set is
-    unchanged), pruned objects contribute neither breakpoints (their
-    supports lie beyond ``f_min^k``, outside every integration range)
-    nor Poisson-binomial factors (their "closer" probability is exactly
-    0 at every node, an exact no-op of the row-sequential DP), and the
-    per-segment accumulation replays the scalar loop's float operations
-    in order.  The survivor cdf matrix is evaluated through the
+    restricted to the filtered candidate set: the node set is the same
+    (:func:`_segment_rule`), pruned objects contribute neither
+    breakpoints (their supports lie beyond ``f_min^k``, outside every
+    integration range) nor Poisson-binomial factors (their "closer"
+    probability is exactly 0 at every node, an exact no-op of the
+    row-sequential DP — which is also how object ``i``'s own row is
+    dropped: zeroed in place, not copied out), and the per-segment
+    accumulation replays the scalar loop's float operations in order.
+    The survivor cdf matrix is evaluated through the
     :class:`~repro.uncertainty.columnar.DistributionPack` kernels
     instead of one ``cdf`` call per other object per segment.
     """
-    degree = total - 1
-    n_nodes = nodes_for_degree(degree) + int(quadrature_margin)
-    xs_unit, ws = gauss_legendre_nodes(n_nodes)
+    xs_unit, ws = _segment_rule(pack.near, fmin_k, quadrature_margin)
+    n_nodes = len(ws)
     out: dict[int, float] = {}
     per_chunk = max(1, _EXACT_MAX_CELLS // max(pack.size * n_nodes, 1))
     for i in needed:
@@ -211,8 +232,9 @@ def _routed_exact(
                 halves.append(half)
                 xs_parts.append(0.5 * (a + b) + half * xs_unit)
             xs_all = np.concatenate(xs_parts)
-            closer = np.delete(pack.cdf_many(xs_all), i, axis=0)
-            at_most = prob_at_most_vectorized(closer, k - 1)
+            closer = pack.cdf_many(xs_all)
+            closer[i] = 0.0
+            at_most = prob_at_most_vectorized(closer, k - 1, overwrite_input=True)
             density = np.asarray(dist.pdf(xs_all))
             for s, half in enumerate(halves):
                 sl = slice(s * n_nodes, (s + 1) * n_nodes)
@@ -221,13 +243,58 @@ def _routed_exact(
     return out
 
 
+def _rs_bounds(pack, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(f_min^k, lower, upper)`` — the RS-style bound pair of
+    :func:`knn_probability_bounds` over a filtered candidate pack.
+
+    ``f_min^k`` over survivors equals the all-object value (the k
+    smallest far points always survive MBR filtering).  The lower cut is
+    the k-th smallest *other* near point among survivors: an object
+    whose own near point is among the k smallest drops it, shifting its
+    cut one slot up.  When that differs from the all-object cut both
+    exceed ``f_min^k``, where ``min(lower, upper)`` collapses to
+    ``upper`` either way — as it does with exactly ``k`` survivors.
+    """
+    fmin_k = float(np.sort(pack.far)[k - 1])
+    upper = np.asarray(pack.cdf_many(fmin_k), dtype=float)
+    nears = pack.near
+    if len(nears) < k + 1:
+        return fmin_k, upper, upper
+    sorted_nears = np.sort(nears)
+    at_low = np.asarray(pack.cdf_many(float(sorted_nears[k - 1])), dtype=float)
+    at_high = np.asarray(pack.cdf_many(float(sorted_nears[k])), dtype=float)
+    first_idx = np.searchsorted(sorted_nears, nears, side="left")
+    lower = np.minimum(np.where(first_idx <= k - 1, at_high, at_low), upper)
+    return fmin_k, lower, upper
+
+
+def _candidate_records(
+    keys: Sequence[Hashable],
+    lower: np.ndarray,
+    upper: np.ndarray,
+    threshold: float,
+    exact: dict[int, float],
+) -> tuple[tuple, list[AnswerRecord]]:
+    """One record per candidate: the exact value where one was
+    integrated, else the bound pair that decided the label."""
+    answers: list[Hashable] = []
+    records: list[AnswerRecord] = []
+    for i, (key, lo, hi) in enumerate(zip(keys, lower.tolist(), upper.tolist())):
+        p = exact.get(i)
+        if p is not None:
+            lo = hi = p
+        label = Label.SATISFY if lo >= threshold else Label.FAIL
+        records.append(AnswerRecord(key=key, label=label, lower=lo, upper=hi, exact=p))
+        if label is Label.SATISFY:
+            answers.append(key)
+    return tuple(answers), records
+
+
 def knn_analytic_eval(
     distances: Sequence,
-    survivor_indices: np.ndarray,
     keys: Sequence[Hashable],
     k: int,
     threshold: float,
-    total: int,
 ) -> tuple[tuple, list[AnswerRecord]] | None:
     """Histogram-free constrained k-NN over closed-form distance laws.
 
@@ -235,189 +302,62 @@ def knn_analytic_eval(
     whose every member carries a
     :class:`~repro.uncertainty.parametric.base.ParametricDistance`
     (the k-NN leg of the parametric fast path, DESIGN.md §15/§17):
-    the RS-style bound pair —
-
-    * upper: ``p_i(k) ≤ D_i(f_min^k)`` (beyond the k-th smallest far
-      point, at least ``k`` objects are certainly closer), and
-    * lower: ``p_i(k) ≥ D_i(n^k_{-i})`` (below the k-th smallest
-      *other* near point, at most ``k−1`` others can be closer)
-
-    — holds for the **exact** distance cdfs just as it does for their
-    histogram approximations, so one
+    the RS-style bound pair (:func:`_rs_bounds`) holds for the
+    **exact** distance cdfs just as it does for their histogram
+    approximations, so one
     :class:`~repro.uncertainty.parametric.pack.MixedDistributionPack`
     cdf sweep settles objects without materialising a single histogram.
     Bounds (and hence classifications) are with respect to the true
     model, like every analytic-tier answer.
 
-    Returns ``(answers, records)`` when the bounds decide **every**
-    survivor, else ``None``: the exact-integration tier
-    (:func:`_routed_exact`) is certified only for piecewise-polynomial
-    histogram pdfs, so undecided survivors fall back to the standard
-    histogram pipeline — same records, histogram-certified exact
-    values.  Deterministic either way, which is what the continuous
-    tier's replay contract needs.
+    Returns ``(answers, records)`` — one record per candidate — when
+    the bounds decide **every** survivor, else ``None``: the
+    exact-integration tier (:func:`_routed_exact`) is certified only
+    for piecewise-polynomial histogram pdfs, so undecided survivors
+    fall back to the standard histogram pipeline — same records,
+    histogram-certified exact values.  Deterministic either way, which
+    is what the continuous tier's replay contract needs.
     """
-    m = len(distances)
-    pack = MixedDistributionPack(distances)
-    fmin_k = float(np.sort(pack.far)[k - 1])
-    upper = np.asarray(pack.cdf_many(fmin_k), dtype=float)
-    nears = pack.near
-    if m >= k + 1:
-        # The same cut selection as knn_routed_eval: an object whose own
-        # near point is among the k smallest drops it, shifting its
-        # "k-th smallest other" one slot up.
-        sorted_nears = np.sort(nears)
-        cut_low = float(sorted_nears[k - 1])
-        cut_high = float(sorted_nears[k])
-        at_low = np.asarray(pack.cdf_many(cut_low), dtype=float)
-        at_high = np.asarray(pack.cdf_many(cut_high), dtype=float)
-        first_idx = np.searchsorted(sorted_nears, nears, side="left")
-        lower = np.where(first_idx <= k - 1, at_high, at_low)
-        lower = np.minimum(lower, upper)
-    else:
-        lower = upper.copy()
-
-    fail = upper < threshold
-    satisfy = ~fail & (lower >= threshold)
-    if not bool(np.all(fail | satisfy)):
+    _, lower, upper = _rs_bounds(MixedDistributionPack(distances), k)
+    if bool(np.any((upper >= threshold) & (lower < threshold))):
         return None
-
-    position = {int(g): i for i, g in enumerate(survivor_indices)}
-    answers: list[Hashable] = []
-    records: list[AnswerRecord] = []
-    for j in range(total):
-        i = position.get(j)
-        if i is None:
-            records.append(
-                AnswerRecord(
-                    key=keys[j], label=Label.FAIL, lower=0.0, upper=0.0, exact=None
-                )
-            )
-            continue
-        label = Label.SATISFY if satisfy[i] else Label.FAIL
-        records.append(
-            AnswerRecord(
-                key=keys[j],
-                label=label,
-                lower=float(lower[i]),
-                upper=float(upper[i]),
-                exact=None,
-            )
-        )
-        if label is Label.SATISFY:
-            answers.append(keys[j])
-    return tuple(answers), records
+    return _candidate_records(keys, lower, upper, threshold, {})
 
 
 def knn_routed_eval(
     distributions: Sequence[DistanceDistribution],
-    survivor_indices: np.ndarray,
     keys: Sequence[Hashable],
     k: int,
     threshold: float,
-    total: int,
     quadrature_margin: int = 1,
 ) -> tuple[tuple, list[AnswerRecord], int, float]:
     """Constrained k-NN over a *filtered* candidate set.
 
     ``distributions`` are the distance distributions of the objects
-    surviving ``f_min^k`` MBR filtering (positions ``survivor_indices``
-    in the full, ``total``-object collection whose keys are ``keys``),
-    in insertion order.  Returns ``(answers, records, n_exact,
-    exact_seconds)`` with one record per object — **bit-identical** to
-    the unfiltered scalar path
-    (:func:`repro.baselines.scalar.scalar_knn_query`):
+    surviving ``f_min^k`` MBR filtering, in insertion order, and
+    ``keys`` their keys.  Returns ``(answers, records, n_exact,
+    exact_seconds)`` with one record per survivor, each **bit-identical**
+    to the record the unfiltered scalar path
+    (:func:`repro.baselines.scalar.scalar_knn_query`) computes for that
+    key; the objects the filter pruned are implied ``FAIL 0/0`` — the
+    bounds the scalar path computes for them, their supports lying
+    strictly beyond ``f_min^k``.  The bounds are :func:`_rs_bounds`;
+    exact integrals replay :func:`knn_qualification_probabilities`'s
+    float operations (see :func:`_routed_exact`).
 
-    * pruned objects get the bounds the scalar path would compute for
-      them, ``(0, 0)``, without touching their pdfs (their supports lie
-      strictly beyond ``f_min^k``);
-    * ``f_min^k`` over survivors equals the all-object value (the k
-      smallest far points always survive MBR filtering);
-    * the RS-style lower cut is taken among survivor near points; when
-      that differs from the all-object cut, both cuts exceed
-      ``f_min^k``, where ``min(lower, upper)`` collapses to ``upper``
-      either way;
-    * exact integrals replay :func:`knn_qualification_probabilities`'s
-      float operations with the all-object quadrature degree
-      (see :func:`_routed_exact`).
-
-    Requires ``1 <= k < total`` (the ``k >= total`` trivial case is the
-    caller's) and ``len(distributions) >= k`` (guaranteed by the
-    filter).
+    Requires ``len(distributions) >= k`` (guaranteed by the filter); the
+    ``k >= n`` trivial case is the caller's.
     """
-    m = len(distributions)
     pack = DistributionPack(distributions)
-    fmin_k = float(np.sort(pack.far)[k - 1])
-    upper = np.asarray(pack.cdf_many(fmin_k), dtype=float)
-    nears = pack.near
-    if m >= k + 1:
-        sorted_nears = np.sort(nears)
-        cut_low = float(sorted_nears[k - 1])
-        cut_high = float(sorted_nears[k])
-        at_low = np.asarray(pack.cdf_many(cut_low), dtype=float)
-        at_high = np.asarray(pack.cdf_many(cut_high), dtype=float)
-        first_idx = np.searchsorted(sorted_nears, nears, side="left")
-        lower = np.where(first_idx <= k - 1, at_high, at_low)
-        lower = np.minimum(lower, upper)
-    else:
-        # Exactly k survivors: the scalar path's k-th smallest "other"
-        # near point is beyond the pruning radius, where the clamped
-        # lower bound collapses to the upper bound.
-        lower = upper.copy()
-
-    fail = upper < threshold
-    satisfy = ~fail & (lower >= threshold)
-    needed = np.flatnonzero(~fail & ~satisfy)
+    fmin_k, lower, upper = _rs_bounds(pack, k)
+    needed = np.flatnonzero((upper >= threshold) & (lower < threshold))
     exact: dict[int, float] = {}
     exact_seconds = 0.0
     if needed.size:
         tick = time.perf_counter()
         exact = _routed_exact(
-            pack, distributions, needed, k, fmin_k, total, quadrature_margin
+            pack, distributions, needed, k, fmin_k, quadrature_margin
         )
         exact_seconds = time.perf_counter() - tick
-
-    position = {int(g): i for i, g in enumerate(survivor_indices)}
-    answers: list[Hashable] = []
-    records: list[AnswerRecord] = []
-    for j in range(total):
-        i = position.get(j)
-        if i is None:
-            records.append(
-                AnswerRecord(
-                    key=keys[j], label=Label.FAIL, lower=0.0, upper=0.0, exact=None
-                )
-            )
-            continue
-        if fail[i]:
-            records.append(
-                AnswerRecord(
-                    key=keys[j],
-                    label=Label.FAIL,
-                    lower=float(lower[i]),
-                    upper=float(upper[i]),
-                    exact=None,
-                )
-            )
-            continue
-        if satisfy[i]:
-            records.append(
-                AnswerRecord(
-                    key=keys[j],
-                    label=Label.SATISFY,
-                    lower=float(lower[i]),
-                    upper=float(upper[i]),
-                    exact=None,
-                )
-            )
-            answers.append(keys[j])
-            continue
-        p = exact[i]
-        label = Label.SATISFY if p >= threshold else Label.FAIL
-        records.append(
-            AnswerRecord(key=keys[j], label=label, lower=p, upper=p, exact=p)
-        )
-        if label is Label.SATISFY:
-            answers.append(keys[j])
-    return tuple(answers), records, len(needed), exact_seconds
-
+    answers, records = _candidate_records(keys, lower, upper, threshold, exact)
+    return answers, records, len(needed), exact_seconds

@@ -16,6 +16,13 @@ filter-then-verify philosophy as the C-PNN engine:
 2. **exact evaluation** of ``D_i(r)`` only for objects whose bounding
    box straddles the range.
 
+The paper's economy (Section III) is that after filtering every cost
+follows the candidate set, never the dataset, and
+:func:`range_routed_eval` keeps to it: past the one vectorised MBR
+sweep its loops, its kernel call and its records run over the objects
+whose region reaches the ball.  Objects proved outside get no record —
+they are implied ``FAIL 0/0``, as they are for C-PNN.
+
 With a threshold ``P`` and tolerance ``Δ`` the answer obeys the same
 contract as the C-PNN: ``{i : D_i(r) ≥ P} ⊆ answer ⊆
 {i : D_i(r) ≥ P − Δ}`` (with Δ only mattering for the MBR-decided
@@ -66,37 +73,43 @@ def range_routed_eval(
 
     ``mbr_mindist`` / ``mbr_maxdist`` are one row of
     :meth:`repro.index.filtering.BatchMbrFilter.matrices` for ``q``.
-    Objects certainly inside (MBR ``maxdist <= radius``) or certainly
-    outside (MBR ``mindist > radius``) are decided without touching
-    their pdfs; only MBR-straddling objects re-check their exact region
-    distances (which 2-D regions may bound tighter than the MBR), and
-    only true straddlers have their distance distributions built — via
+    Everything after that sweep is proportional to the *candidates* —
+    the objects whose region ``mindist(q) <= radius`` — never to
+    ``len(objects)``.  Candidates certainly inside (MBR or region
+    ``maxdist <= radius``) are decided without touching their pdfs;
+    MBR-straddlers re-check their exact region distances (which 2-D
+    regions may bound tighter than the MBR), and only true straddlers
+    have their distance distributions built — via
     ``distribution_provider`` so the engine can route them through its
     LRU cache — and their cdfs evaluated in one
     :class:`~repro.uncertainty.columnar.DistributionPack` kernel call.
 
-    Returns ``(answers, records, n_evaluated)`` — bit-identical to
-    :func:`repro.baselines.scalar.scalar_range_query` over the full
-    object sequence: the per-object branch structure is the scalar
-    path's, and the pack cdf kernel reproduces per-object
-    ``cdf(radius)`` bit for bit.
+    Returns ``(answers, records, n_evaluated)`` with one record per
+    candidate, in object order.  Each is bit-identical to the record
+    :func:`repro.baselines.scalar.scalar_range_query` computes for that
+    key (the per-object branch structure is the scalar path's, and the
+    pack cdf kernel reproduces per-object ``cdf(radius)`` bit for bit);
+    the objects it omits are the ones the scalar path labels
+    ``FAIL 0/0`` — implied, as for C-PNN.
     """
-    sure_in = mbr_maxdist <= radius
-    probability = np.where(sure_in, 1.0, 0.0)
-    straddle = ~sure_in & (mbr_mindist <= radius)
-    exact: dict[int, float] = {}
-    pending: list[tuple[int, object]] = []
-    for j in np.flatnonzero(straddle):
-        j = int(j)
+    inside = np.flatnonzero(mbr_mindist <= radius)
+    sure_in = (mbr_maxdist[inside] <= radius).tolist()
+    candidates: list = []
+    probability: list[float] = []
+    pending: list[int] = []  # candidate positions awaiting cdf(radius)
+    for j, sure in zip(inside.tolist(), sure_in):
         obj = objects[j]
-        if obj.maxdist(q) <= radius:
-            probability[j] = 1.0
+        if sure or obj.maxdist(q) <= radius:
+            p = 1.0
         elif obj.mindist(q) > radius:
-            probability[j] = 0.0
+            continue  # the region is tighter than its MBR: not a candidate
         else:
-            pending.append((j, obj))
+            p = 0.0
+            pending.append(len(candidates))
+        candidates.append(obj)
+        probability.append(p)
     if pending:
-        distributions = distribution_provider([obj for _, obj in pending])
+        distributions = distribution_provider([candidates[i] for i in pending])
         # The provider may hand back closed-form distance laws (the
         # range leg of the parametric fast path): the mixed pack
         # evaluates those rows analytically — the probability is the
@@ -107,18 +120,20 @@ def range_routed_eval(
         else:
             pack = DistributionPack(distributions)
         evaluated = np.asarray(pack.cdf_many(float(radius)), dtype=float)
-        for (j, _), p in zip(pending, evaluated):
-            probability[j] = p
-            exact[j] = float(p)
-    satisfies = probability >= threshold
+        for i, p in zip(pending, evaluated.tolist()):
+            probability[i] = p
+    exact_at = set(pending)
     answers: list[Hashable] = []
     records: list[AnswerRecord] = []
-    for j, obj in enumerate(objects):
-        p = float(probability[j])
-        label = Label.SATISFY if satisfies[j] else Label.FAIL
+    for i, (obj, p) in enumerate(zip(candidates, probability)):
+        label = Label.SATISFY if p >= threshold else Label.FAIL
         records.append(
             AnswerRecord(
-                key=obj.key, label=label, lower=p, upper=p, exact=exact.get(j)
+                key=obj.key,
+                label=label,
+                lower=p,
+                upper=p,
+                exact=p if i in exact_at else None,
             )
         )
         if label is Label.SATISFY:

@@ -189,10 +189,12 @@ class QueryResult:
         Keys of the objects labelled *satisfy*, i.e. the query answer.
     records:
         Per-candidate diagnostics (final bound, label, exact
-        probability when it was computed).  C-PNN results carry one
-        record per *filtered candidate*; k-NN and range results carry
-        one record per object (pruned objects have 0/0 bounds),
-        matching their pre-façade scalar paths.
+        probability when it was computed): one record per *filtered
+        candidate*, in object order, for every family — the ``f_min``
+        survivors (C-PNN), the ``f_min^k`` survivors (k-NN; all objects
+        when ``k >= n``), the objects whose region reaches the ball
+        (range).  Objects the filter proved outside have no record:
+        they are implied ``FAIL`` with bounds 0/0.
     fmin:
         The filtering radius used to prune (``f_min`` for PNN,
         ``f_min^k`` for k-NN, the query radius for range queries).

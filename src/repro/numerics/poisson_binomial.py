@@ -67,12 +67,16 @@ def prob_at_most(
 
 
 def prob_at_most_vectorized(
-    prob_matrix: np.ndarray, threshold: int
+    prob_matrix: np.ndarray, threshold: int, *, overwrite_input: bool = False
 ) -> np.ndarray:
     """Column-wise :func:`prob_at_most` for a (n_objects, n_points) matrix.
 
     Used by the k-NN integrator to evaluate the Poisson-binomial cdf at
-    every quadrature node in one pass.
+    every quadrature node in one pass.  All-zero rows are exact no-ops
+    of the row-sequential DP, so callers may zero a row instead of
+    deleting it.  ``overwrite_input=True`` clips into ``prob_matrix``
+    itself (a float array the caller owns and no longer needs) instead
+    of a copy.
     """
     if prob_matrix.ndim != 2:
         raise ValueError("prob_matrix must be 2-D")
@@ -81,7 +85,7 @@ def prob_at_most_vectorized(
         return np.zeros(m)
     if threshold >= n:
         return np.ones(m)
-    probs = np.clip(prob_matrix, 0.0, 1.0)
+    probs = np.clip(prob_matrix, 0.0, 1.0, out=prob_matrix if overwrite_input else None)
     window = np.zeros((threshold + 1, m))
     window[0] = 1.0
     for row in probs:

@@ -9,6 +9,8 @@ family, query motion, out-of-band ``moved_keys``, and the stats /
 explain wiring on both engines.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.continuous import ContinuousMonitor
@@ -144,17 +146,55 @@ class TestTicks:
         monitor.insert(uniform("new", 200.0, 202.0))
         report = monitor.tick()
         rerun = set(report.reexecuted)
-        # Census change: both structural handles re-run no matter how
-        # far the insert landed; the C-PNN certificates are distance
-        # tested and survive.
-        assert handles[2].id in rerun and handles[3].id in rerun
-        assert handles[0].id not in rerun and handles[1].id not in rerun
+        # Census change: the structural (k-NN) handle re-runs no matter
+        # how far the insert landed; the C-PNN and range certificates
+        # are distance tested and survive.
+        assert rerun == {handles[2].id}
         monitor.remove("new")
         report = monitor.tick()
-        rerun = set(report.reexecuted)
-        assert handles[2].id in rerun and handles[3].id in rerun
+        assert set(report.reexecuted) == {handles[2].id}
         for handle in handles:
             assert_snapshot_fresh(handle, engine.objects)
+
+    def test_range_handle_follows_its_ball_not_the_census(self):
+        """Range records are candidate-shaped: census changes and key
+        swaps outside the ball replay, inside it re-execute, and the
+        snapshot equals a fresh execution bit for bit either way."""
+        engine = UncertainEngine(make_objects())
+        monitor = ContinuousMonitor(engine)
+        spec = CRangeQuery(43.0, radius=4.0, threshold=0.4)
+        handle = monitor.register(spec)
+        assert handle.candidate_keys == {3, 4}
+        steps = [
+            # (mutation, lands inside the ball [39, 47]?)
+            (lambda: monitor.insert(uniform("far", 200.0, 202.0)), False),
+            (lambda: monitor.remove("far"), False),
+            (lambda: monitor.remove(0), False),  # shifts object positions
+            (lambda: monitor.replace(5, uniform("five", 90.0, 92.0)), False),
+            (lambda: monitor.insert(uniform("near", 46.0, 48.0)), True),
+            (lambda: monitor.remove("near"), True),
+            (lambda: monitor.replace(4, uniform("four", 44.0, 46.0)), True),
+            (lambda: monitor.replace("five", uniform(5, 45.0, 49.0)), True),
+        ]
+        for mutate, inside in steps:
+            mutate()
+            report = monitor.tick()
+            assert report.reexecuted == ((handle.id,) if inside else ())
+            assert report.replayed == (0 if inside else 1)
+            fresh = engine.execute(spec)
+            got = handle.snapshot()
+            assert got.answers == fresh.answers
+            assert [dataclasses.astuple(r) for r in got.records] == [
+                dataclasses.astuple(r) for r in fresh.records
+            ]
+        assert handle.candidate_keys == {3, "four", 5}
+        # out of band: a key the handle lists invalidates it, one it
+        # does not list (and whose MBR is far) replays
+        engine.replace(1, uniform(1, 20.0, 22.0))
+        assert monitor.tick(moved_keys=[1]).reexecuted == ()
+        engine.replace(3, uniform(3, 40.5, 42.5))
+        assert monitor.tick(moved_keys=[3]).reexecuted == (handle.id,)
+        assert handle.snapshot().answers == engine.execute(spec).answers
 
     def test_remove_missing_key_is_not_a_mutation(self):
         engine = UncertainEngine(make_objects())
@@ -214,10 +254,12 @@ class TestTicks:
         engine.replace(1, uniform(1, 4.0, 7.0))
         report = monitor.tick(moved_keys=[1])
         rerun = set(report.reexecuted)
-        # Key 1 was a candidate of the q=5 C-PNN; structural handles
-        # degrade to full invalidation (old MBR unknown).
+        # Key 1 was a candidate of the q=5 C-PNN; the structural (k-NN)
+        # handle degrades to full invalidation (old MBR unknown); the
+        # q=43 range handle never listed key 1 and its new MBR is far.
         assert handles[0].id in rerun
-        assert handles[2].id in rerun and handles[3].id in rerun
+        assert handles[2].id in rerun
+        assert handles[3].id not in rerun
         for handle in handles:
             assert_snapshot_fresh(handle, engine.objects)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import scalar_knn_query, scalar_range_query
+from repro.baselines.scalar import assert_covers
 from repro.core.engine import EngineConfig, Strategy, UncertainEngine
 from repro.core.types import (
     CKNNQuery,
@@ -201,11 +202,10 @@ class TestKnnRoutedEdgeCases:
         for threshold in (0.1, 0.5, 0.9, 1.0):
             for k in (1, 2, 3, 4):
                 result = engine.execute(CKNNQuery(0.5, threshold=threshold, k=k))
-                answers, records = scalar_knn_query(objects, 0.5, k, threshold)
-                assert result.answers == answers, (threshold, k)
-                assert records_tuple(result) == [
-                    (r.key, r.label, r.lower, r.upper, r.exact) for r in records
-                ], (threshold, k)
+                assert_covers(result, *scalar_knn_query(objects, 0.5, k, threshold))
+                # candidate-shaped: the far objects are implied FAIL 0/0
+                # unless k reaches past the three near ones
+                assert len(result.records) == (3 if k <= 3 else 4), (threshold, k)
 
     def test_duplicate_near_points_match_scalar(self):
         # Ties in the sorted near-point list exercise the
@@ -220,11 +220,7 @@ class TestKnnRoutedEdgeCases:
         for threshold in (0.2, 0.6):
             for k in (1, 2, 3):
                 result = engine.execute(CKNNQuery(0.0, threshold=threshold, k=k))
-                answers, records = scalar_knn_query(objects, 0.0, k, threshold)
-                assert result.answers == answers, (threshold, k)
-                assert records_tuple(result) == [
-                    (r.key, r.label, r.lower, r.upper, r.exact) for r in records
-                ], (threshold, k)
+                assert_covers(result, *scalar_knn_query(objects, 0.0, k, threshold))
 
 
 class TestEmptyInputs:
@@ -402,5 +398,9 @@ class TestRangeRecords:
         assert by_key["inside"].label is Label.SATISFY
         assert by_key["inside"].exact is None  # decided by MBR alone
         assert by_key["straddle"].exact == pytest.approx(0.5)
-        assert by_key["outside"].label is Label.FAIL
+        # candidate-shaped: the filter proved "outside" outside, so it has
+        # no record — an implied FAIL 0/0, as the oracle confirms
+        assert "outside" not in by_key
+        assert [r.key for r in result.records] == ["inside", "straddle"]
+        assert_covers(result, *scalar_range_query(engine.objects, 0.0, 5.0, 0.5))
         assert result.refined_objects == 1

@@ -3,7 +3,9 @@
 The acceptance bar of the API redesign: ``execute(CKNNQuery)`` must
 match :func:`scalar_knn_query`/:func:`knn_qualification_probabilities`
 and ``execute(CRangeQuery)`` must match :func:`scalar_range_query`
-**exactly** — same keys, same labels, bit-identical bounds — across
+**exactly** under :func:`repro.baselines.scalar.assert_covers` — same
+answers, bit-identical records for every candidate, and only implied
+``FAIL 0/0`` objects omitted — across
 1-D and 2-D object mixes, and ``execute_batch`` must equal a
 sequential ``execute`` loop for all three spec types (including mixed
 batches).  No tolerances anywhere: the routed paths are engineered to
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import scalar_knn_query, scalar_range_query
+from repro.baselines.scalar import assert_covers
 from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.knn import knn_qualification_probabilities
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
@@ -83,9 +86,7 @@ def test_execute_cknn_matches_scalar_path(seed, n, k, threshold, dim):
     objects, q = build(dim, seed, n)
     engine = UncertainEngine(objects)
     result = engine.execute(CKNNQuery(q, threshold=threshold, k=k))
-    answers, records = scalar_knn_query(objects, q, k, threshold)
-    assert result.answers == answers
-    assert records_tuple(result.records) == records_tuple(records)
+    assert_covers(result, *scalar_knn_query(objects, q, k, threshold))
     # And against the exact probabilities' thresholding (when k < n the
     # scalar engine computes them on demand; k >= n is the trivial 1.0).
     exact = knn_qualification_probabilities(objects, q, k=min(k, n))
@@ -105,9 +106,7 @@ def test_execute_crange_matches_scalar_path(seed, n, radius, threshold, dim):
     objects, q = build(dim, seed, n)
     engine = UncertainEngine(objects)
     result = engine.execute(CRangeQuery(q, threshold=threshold, radius=radius))
-    answers, records = scalar_range_query(objects, q, radius, threshold)
-    assert result.answers == answers
-    assert records_tuple(result.records) == records_tuple(records)
+    assert_covers(result, *scalar_range_query(objects, q, radius, threshold))
 
 
 @settings(max_examples=15, deadline=None)
