@@ -301,11 +301,11 @@ def measure_parametric_init(repeats: int) -> dict:
 
 
 def measure_service_latency(repeats: int) -> dict:
-    """Coalescing service vs a one-query-per-dispatch service under the
-    same burst (DESIGN.md §14): client-observed p50/p99 and served QPS
-    for both configurations, answers identity-checked first.  The p50
-    speedup is the comparable quantity — both runs pay the same asyncio
-    plumbing, so the ratio isolates the micro-batch amortisation.
+    """``max_batch=32`` vs ``max_batch=1`` (one query per dispatch)
+    under the same burst (DESIGN.md §14): client-observed p50/p99 and
+    served QPS for both configurations, answers identity-checked
+    first.  Neither side waits on a timer, so the p50 speedup isolates
+    the micro-batch amortisation from the shared asyncio plumbing.
     The ``mixed_traffic`` sub-entry replays query waves separated by
     awaited inserts — correctness-gated in the bench suite, timing
     recorded here."""

@@ -5,11 +5,11 @@ batch amortisation (shared endpoint sweeps, shared subregion tables).
 This bench offers the same burst of single-query submissions to two
 service configurations:
 
-* **naive** — ``coalesce_window_s=0``, ``max_batch=1``: every request
-  is its own engine dispatch, exactly a sequential ``execute`` loop
-  with asyncio plumbing on top;
-* **coalesced** — a ~2 ms window and ``max_batch=32``: requests gather
-  into micro-batches.
+* **naive** — ``max_batch=1``: every request is its own engine
+  dispatch, exactly a sequential ``execute`` loop with asyncio
+  plumbing on top;
+* **coalesced** — ``max_batch=32``: whatever queued behind the engine
+  call in flight rides the next one as a micro-batch.
 
 Both runs serve the identical burst on a cold engine, both report
 client-observed p50/p99 latency (submit → reply, queueing included)
@@ -51,7 +51,6 @@ SERVICE_POINTS = 96
 THRESHOLD = 0.3
 TOLERANCE = 0.0
 
-COALESCE_WINDOW_S = 0.002
 COALESCE_MAX_BATCH = 32
 
 #: Mixed-traffic shape: ``MIXED_WAVES`` bursts of ``MIXED_POINTS``
@@ -89,13 +88,12 @@ def objects_and_specs():
     return _STATE["objects"], _STATE["specs"]
 
 
-def serve_burst(window_s: float, max_batch: int) -> dict:
+def serve_burst(max_batch: int) -> dict:
     """Offer the whole burst at once to a fresh cold engine behind a
     service; return client-observed latencies and answers."""
     objects, specs = objects_and_specs()
     engine = UncertainEngine(list(objects))
     config = ServiceConfig(
-        coalesce_window_s=window_s,
         max_batch=max_batch,
         max_queue=max(len(specs) * 2, 256),
     )
@@ -139,7 +137,7 @@ def mixed_specs():
     ]
 
 
-def serve_mixed_burst(window_s: float, max_batch: int) -> dict:
+def serve_mixed_burst(max_batch: int) -> dict:
     """Waves of concurrent queries separated by awaited inserts.
 
     Each wave's insert is a barrier: it is awaited before the wave's
@@ -152,7 +150,6 @@ def serve_mixed_burst(window_s: float, max_batch: int) -> dict:
     waves = mixed_specs()
     engine = UncertainEngine(list(objects))
     config = ServiceConfig(
-        coalesce_window_s=window_s,
         max_batch=max_batch,
         max_queue=max(MIXED_WAVES * MIXED_POINTS * 2, 256),
     )
@@ -210,15 +207,15 @@ def _best_of(repeats: int, runner, reference: list) -> dict:
 
 def measure(repeats: int = BEST_OF) -> dict:
     """Best-of-``repeats`` for both configurations, identity-checked."""
-    reference = serve_burst(0.0, 1)
+    reference = serve_burst(1)
     naive = _best_of(
-        repeats - 1, lambda: serve_burst(0.0, 1), reference["answers"]
+        repeats - 1, lambda: serve_burst(1), reference["answers"]
     ) if repeats > 1 else reference
     if reference["p50_ms"] < naive["p50_ms"]:
         naive = reference
     coalesced = _best_of(
         repeats,
-        lambda: serve_burst(COALESCE_WINDOW_S, COALESCE_MAX_BATCH),
+        lambda: serve_burst(COALESCE_MAX_BATCH),
         reference["answers"],
     )
     return {
@@ -226,7 +223,6 @@ def measure(repeats: int = BEST_OF) -> dict:
         "points": SERVICE_POINTS,
         "threshold": THRESHOLD,
         "tolerance": TOLERANCE,
-        "coalesce_window_ms": COALESCE_WINDOW_S * 1e3,
         "max_batch": COALESCE_MAX_BATCH,
         "naive_p50_ms": naive["p50_ms"],
         "naive_p99_ms": naive["p99_ms"],
@@ -243,15 +239,15 @@ def measure(repeats: int = BEST_OF) -> dict:
 def measure_mixed(repeats: int = BEST_OF) -> dict:
     """Best-of-``repeats`` mixed query/update traffic, identity-checked
     per wave between the two configurations."""
-    reference = serve_mixed_burst(0.0, 1)
+    reference = serve_mixed_burst(1)
     naive = _best_of(
-        repeats - 1, lambda: serve_mixed_burst(0.0, 1), reference["answers"]
+        repeats - 1, lambda: serve_mixed_burst(1), reference["answers"]
     ) if repeats > 1 else reference
     if reference["p50_ms"] < naive["p50_ms"]:
         naive = reference
     coalesced = _best_of(
         repeats,
-        lambda: serve_mixed_burst(COALESCE_WINDOW_S, COALESCE_MAX_BATCH),
+        lambda: serve_mixed_burst(COALESCE_MAX_BATCH),
         reference["answers"],
     )
     # The per-wave inserts must be visible: at least one adjacent pair

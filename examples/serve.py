@@ -3,10 +3,11 @@
 
 A fleet of clients fires ad-hoc single-point probes at one uncertain
 dataset.  Instead of handing each probe its own ``execute`` call, a
-``QueryService`` (DESIGN.md §14) coalesces concurrent submissions into
-micro-batches — so the engine's batch amortisation serves traffic that
-never held a batch — and wraps every request in the failure machinery
-a real service needs:
+``QueryService`` (DESIGN.md §14) dispatches a probe at once when the
+engine is idle and coalesces whatever arrives behind a call in flight
+into one micro-batch — so the engine's batch amortisation serves
+traffic that never held a batch, with no hold-open timer — and wraps
+every request in the failure machinery a real service needs:
 
 * deadlines that propagate into the executor substrate as cancellation,
 * ε-early answers: a request that opts in gets a *bound-certified*
@@ -65,7 +66,7 @@ async def main() -> None:
     probes = rng.uniform(0.0, DOMAIN, size=N_PROBES)
 
     with UncertainEngine(sensors) as engine:
-        config = ServiceConfig(coalesce_window_s=0.002, max_batch=32)
+        config = ServiceConfig(max_batch=32)
         async with QueryService(engine, config) as service:
             # -- coalescing: a burst rides micro-batches ---------------
             tick = time.perf_counter()
@@ -117,9 +118,7 @@ async def main() -> None:
             )
 
             # -- admission control: overload sheds typed ---------------
-            tiny = ServiceConfig(
-                coalesce_window_s=0.005, max_batch=4, max_queue=8
-            )
+            tiny = ServiceConfig(max_batch=4, max_queue=8)
             async with QueryService(engine, tiny) as throttled:
                 outcomes = await asyncio.gather(
                     *[

@@ -2,10 +2,10 @@
 
 The coalescer is the service's only queue: one deque in arrival order,
 bounded by the admission limit.  ``take()`` draws the next unit of
-work — either one mutation (mutations are barriers: they never share a
-batch and never reorder around queries) or up to ``max_batch``
-consecutive queries, holding the first one open for
-``coalesce_window_s`` so followers can ride along.
+work the moment there is one — one mutation (a barrier: never shares a
+batch, never reorders around queries) or the head run of up to
+``max_batch`` queries.  It never holds a query back for company: the
+dispatcher draws between engine calls, so arrivals behind one ride the next.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
 
 from repro.service.errors import QueueFull
 
@@ -26,26 +25,20 @@ class Request:
 
     kind: str  # "query" | "mutate"
     future: asyncio.Future
-    spec: Any = None
+    spec: object = None
     op: tuple | None = None
     deadline: float | None = None  # absolute loop time, None = unbounded
     epsilon: float = 0.0
-    submitted: float = 0.0
     attempts: int = 0
 
     def remaining(self, now: float) -> float:
-        if self.deadline is None:
-            return float("inf")
-        return self.deadline - now
+        return float("inf") if self.deadline is None else self.deadline - now
 
 
 class Coalescer:
-    """Bounded arrival-order queue with windowed micro-batch draws."""
+    """Bounded arrival-order queue with immediate micro-batch draws."""
 
-    def __init__(
-        self, *, window_s: float, max_batch: int, max_queue: int
-    ) -> None:
-        self._window_s = float(window_s)
+    def __init__(self, *, max_batch: int, max_queue: int) -> None:
         self._max_batch = int(max_batch)
         self._max_queue = int(max_queue)
         self._queue: deque[Request] = deque()
@@ -62,55 +55,31 @@ class Coalescer:
         self._arrival.set()
 
     def wake(self) -> None:
-        """Nudge a ``take()`` that is waiting for arrivals (used by
-        service shutdown)."""
+        """Nudge a ``take()`` waiting for arrivals (service shutdown)."""
         self._arrival.set()
-
-    def _batch_ready(self) -> bool:
-        """Whether a draw could already fill itself without waiting:
-        ``max_batch`` queries at the head, or a mutation barrier."""
-        count = 0
-        for request in self._queue:
-            if request.kind != "query":
-                return True
-            count += 1
-            if count >= self._max_batch:
-                return True
-        return False
 
     async def take(self, *, closing=lambda: False) -> list[Request] | None:
         """The next unit of work, in arrival order.
 
-        Returns a single-element list for a mutation, a list of up to
-        ``max_batch`` query requests for a micro-batch, or ``None``
-        when ``closing()`` is true and the queue has drained.
+        A single-element list for a mutation, up to ``max_batch``
+        query requests for a micro-batch, or ``None`` when ``closing()``
+        is true and the queue has drained.  Queries whose caller gave up
+        (cancelled future) are dropped here, before they cost an engine
+        call; mutations always run.
         """
-        while not self._queue:
-            if closing():
-                return None
-            self._arrival.clear()
-            await self._arrival.wait()
-        head = self._queue[0]
-        if head.kind != "query":
-            self._queue.popleft()
-            return [head]
-        if self._window_s > 0.0:
-            loop = asyncio.get_running_loop()
-            horizon = loop.time() + self._window_s
-            while not self._batch_ready() and not closing():
-                remaining = horizon - loop.time()
-                if remaining <= 0.0:
-                    break
+        queue, cap = self._queue, self._max_batch
+        while True:
+            while not queue:
+                if closing():
+                    return None
                 self._arrival.clear()
-                try:
-                    await asyncio.wait_for(self._arrival.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
-        batch: list[Request] = []
-        while (
-            self._queue
-            and self._queue[0].kind == "query"
-            and len(batch) < self._max_batch
-        ):
-            batch.append(self._queue.popleft())
-        return batch
+                await self._arrival.wait()
+            if queue[0].kind != "query":
+                return [queue.popleft()]
+            batch: list[Request] = []
+            while queue and queue[0].kind == "query" and len(batch) < cap:
+                request = queue.popleft()
+                if not request.future.cancelled():
+                    batch.append(request)
+            if batch:
+                return batch

@@ -14,15 +14,12 @@ class ServiceConfig:
     Attributes
     ----------
     coalesce_window_s:
-        How long the dispatcher holds the first query of a micro-batch
-        open for followers (seconds).  The window is the latency the
-        service *spends* to buy batch amortisation — the engine's
-        vectorised sweeps, shared tables, and parallel lanes only pay
-        off across a batch.  0 disables coalescing (every query ships
-        alone, the naive baseline).
+        Inert since 4.1.0: accepted and validated, never read.
     max_batch:
-        Hard cap on queries per micro-batch; a full batch ships before
-        the window expires.
+        Hard cap on queries per micro-batch.  Batches are whatever
+        queued behind the engine call in flight (one query when the
+        engine was idle); 1 ships every query alone, the naive
+        baseline.
     max_queue:
         Admission bound: requests beyond this many waiting are shed
         with :class:`~repro.service.errors.QueueFull` instead of

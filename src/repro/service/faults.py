@@ -70,7 +70,7 @@ def unlink_segment(context: dict) -> None:
 
 def delay(seconds: float) -> Callable[[dict], None]:
     """An action that simply holds the hook point for ``seconds`` —
-    long enough for a caller-side deadline or window to lapse."""
+    long enough for a caller-side deadline to lapse."""
 
     def action(context: dict) -> None:
         time.sleep(seconds)

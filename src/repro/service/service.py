@@ -3,10 +3,11 @@
 :class:`QueryService` wraps one engine (single or sharded) behind an
 asyncio front end (DESIGN.md §14):
 
-* **Coalescing** — single-query submissions gather into micro-batches
-  on a short window, so the engine's batch amortisation (vectorised
-  sweeps, shared subregion tables, parallel lanes) serves ad-hoc
-  traffic, not just callers who already hold a batch.
+* **Coalescing** — a query that finds the engine idle is dispatched at
+  once; queries that arrive behind an engine call in flight gather
+  into one micro-batch for the next call, so the engine's batch
+  amortisation (vectorised sweeps, shared subregion tables, parallel
+  lanes) serves ad-hoc traffic exactly when there is load to amortise.
 * **Mutation barriers** — inserts/removes/replaces run alone, in
   arrival order, through the engine's incremental-maintenance path;
   a query submitted after a mutation always sees its effect.
@@ -67,8 +68,10 @@ class ServiceReply:
     ``result`` is the engine's :class:`~repro.core.types.QueryResult`.
     ``approximate`` marks an ε-early answer (``epsilon`` is the widened
     tolerance it was certified against; 0 for exact answers).
-    ``coalesced`` is the micro-batch size this query rode in, and
-    ``attempts`` how many engine dispatches it took.
+    ``coalesced`` is the micro-batch size this query rode in,
+    ``attempts`` how many engine dispatches it took, and ``latency_s``
+    the engine call that produced the answer (client latency minus it
+    is queue wait).
     """
 
     result: QueryResult
@@ -130,7 +133,6 @@ class QueryService:
         self._engine = engine
         self._config = config or ServiceConfig()
         self._coalescer = Coalescer(
-            window_s=self._config.coalesce_window_s,
             max_batch=self._config.max_batch,
             max_queue=self._config.max_queue,
         )
@@ -222,7 +224,6 @@ class QueryService:
             epsilon=(
                 epsilon if epsilon is not None else self._config.default_epsilon
             ),
-            submitted=now,
         )
         self._admit(request)
         self._counters.submitted += 1
@@ -231,10 +232,7 @@ class QueryService:
     async def _mutate(self, op: tuple):
         assert self._loop is not None, "service not started"
         request = Request(
-            kind="mutate",
-            future=self._loop.create_future(),
-            op=op,
-            submitted=self._loop.time(),
+            kind="mutate", future=self._loop.create_future(), op=op
         )
         self._admit(request)
         self._counters.mutations += 1
@@ -343,6 +341,7 @@ class QueryService:
         try:
             value, report = await self._engine_call(run)
         except Exception as exc:
+            self._counters.failed += 1
             if not request.future.cancelled():
                 request.future.set_exception(
                     RequestFailed(exc, attempts=1)
@@ -479,6 +478,7 @@ class QueryService:
         def run():
             return engine.execute(spec)
 
+        tick = time.perf_counter()
         try:
             result = await self._engine_call(run)
         except Exception as exc:
@@ -487,6 +487,7 @@ class QueryService:
                 RequestFailed(exc, attempts=request.attempts + 1)
             )
             return
+        latency = time.perf_counter() - tick
         self._counters.approximate += 1
         result.diagnostics["approximate"] = {
             "reason": "deadline",
@@ -500,6 +501,7 @@ class QueryService:
                 epsilon=epsilon,
                 attempts=request.attempts + 1,
                 coalesced=batch_size,
+                latency_s=latency,
             )
         )
 

@@ -140,7 +140,7 @@ def test_any_interleaving_matches_sequential_execution(seed, ops):
     want_warm = replay_sequential(single, query_steps)
 
     async def main(engine):
-        config = ServiceConfig(coalesce_window_s=0.005, max_batch=8)
+        config = ServiceConfig(max_batch=8)
         async with QueryService(engine, config) as service:
             cold = await replay_service(service, steps)
             warm = await replay_service(service, query_steps)

@@ -64,7 +64,7 @@ class TestWorkerKillMidBatch:
         )
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.02)
+            config = ServiceConfig()
             async with QueryService(engine, config) as service:
                 first = await asyncio.gather(
                     *[service.submit(s) for s in specs]
@@ -102,7 +102,7 @@ class TestReplyTimeout:
         plan = FaultPlan().script("process.recv", delay(0.4), at=1)
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.0)
+            config = ServiceConfig()
             async with QueryService(engine, config) as service:
                 with pytest.raises(DeadlineExceeded):
                     await service.submit(spec, deadline_s=0.1)
@@ -131,7 +131,7 @@ class TestReplyTimeout:
         plan = FaultPlan().script("process.recv", delay(0.4), at=1)
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.0)
+            config = ServiceConfig()
             async with QueryService(engine, config) as service:
                 reply = await service.submit(
                     spec, deadline_s=0.1, epsilon=epsilon
@@ -172,9 +172,7 @@ class TestQueueSaturation:
         backend is held slow.  Excess load sheds with QueueFull; every
         admitted request still answers bit-identically."""
         engine, single = make_pair(rng)
-        config = ServiceConfig(
-            coalesce_window_s=0.005, max_batch=4, max_queue=6
-        )
+        config = ServiceConfig(max_batch=4, max_queue=6)
         total = 24
         plan = FaultPlan().script(
             "executor.dispatch", delay(0.05), at=(1, 2)
@@ -231,7 +229,7 @@ class TestPoisonQuarantine:
         )
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.0)
+            config = ServiceConfig()
             async with QueryService(engine, config) as service:
                 replies = []
                 for _ in range(4):
@@ -303,7 +301,7 @@ class TestShmAttachFailure:
         plan = FaultPlan().script("shm.attach", unlink_segment, at=1)
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.02)
+            config = ServiceConfig()
             async with QueryService(engine, config) as service:
                 replies = await asyncio.gather(
                     *[service.submit(s) for s in specs]

@@ -6,16 +6,20 @@ sequential ``execute`` loop on a replica engine.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro import hooks
 from repro.core.engine import ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.service import (
     DeadlineExceeded,
     QueryService,
     QueueFull,
+    RequestFailed,
     ServiceClosed,
     ServiceConfig,
 )
@@ -47,8 +51,7 @@ class TestCoalescing:
         want = [single.execute(spec) for spec in specs]
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.02, max_batch=64)
-            async with QueryService(engine, config) as service:
+            async with QueryService(engine, ServiceConfig()) as service:
                 replies = await asyncio.gather(
                     *[service.submit(spec) for spec in specs]
                 )
@@ -61,13 +64,12 @@ class TestCoalescing:
         assert stats["batches"] < len(specs)
         assert any(reply.coalesced > 1 for reply in replies)
 
-    def test_zero_window_ships_queries_alone(self, engines):
+    def test_sequentially_awaited_submits_ship_alone(self, engines):
         engine, single = engines
         specs = specs_for((7.0, 31.0, 48.0))
 
         async def main():
-            config = ServiceConfig(coalesce_window_s=0.0)
-            async with QueryService(engine, config) as service:
+            async with QueryService(engine, ServiceConfig()) as service:
                 for spec in specs:
                     reply = await service.submit(spec)
                     assert_results_identical(reply.result, single.execute(spec))
@@ -91,6 +93,173 @@ class TestCoalescing:
                 )
 
         for reply, spec in zip(run(main()), specs):
+            assert_results_identical(reply.result, single.execute(spec))
+
+
+class HeldEngine:
+    """The real engine with its first ``execute_batch`` held on an event
+    (not a sleep), so a test decides exactly what queues behind the
+    call in flight.  ``calls`` records every batch's specs in order."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls: list[list] = []
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def execute_batch(self, specs):
+        self.calls.append(list(specs))
+        if len(self.calls) == 1:
+            self.entered.set()
+            assert self.release.wait(30.0), "held call never released"
+        return self._engine.execute_batch(specs)
+
+
+async def hold_first_call(service, held, spec):
+    """Submit ``spec`` and return once its engine call is in flight."""
+    first = asyncio.ensure_future(service.submit(spec))
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, held.entered.wait, 30.0)
+    return first
+
+
+async def queue_behind(service, coros):
+    """Offer ``coros`` (submits / mutations) in order while the held
+    call is in flight; returns their tasks, all queued."""
+    before = service.stats()["queue_depth"]
+    tasks = [asyncio.ensure_future(coro) for coro in coros]
+    await asyncio.sleep(0)  # every task runs up to its queued future
+    assert service.stats()["queue_depth"] == before + len(tasks)
+    return tasks
+
+
+class TestEmergentDispatch:
+    """Batching comes from load alone: idle → dispatch, busy →
+    accumulate, barrier → cut.  No timer anywhere."""
+
+    def test_idle_service_dispatches_at_once(self, engines):
+        """...and ``coalesce_window_s`` is inert: 5 s of it delay nothing."""
+        engine, single = engines
+        spec = specs_for((31.0,))[0]
+
+        async def main():
+            config = ServiceConfig(coalesce_window_s=5.0)
+            async with QueryService(engine, config) as service:
+                tick = time.perf_counter()
+                reply = await service.submit(spec)
+                return reply, time.perf_counter() - tick, service.stats()
+
+        reply, wall, stats = run(main())
+        assert wall < 1.0  # far under the 5 s "window"
+        assert stats["batches"] == 1
+        assert reply.coalesced == 1
+        assert_results_identical(reply.result, single.execute(spec))
+
+    @pytest.mark.parametrize(
+        "max_batch, sizes", [(64, [1, 9]), (4, [1, 4, 4, 1])]
+    )
+    def test_followers_behind_a_call_in_flight_ride_together(
+        self, engines, max_batch, sizes
+    ):
+        """Nine followers queued behind the held call ride one batch,
+        or ``max_batch``-sized ones in arrival order."""
+        engine, single = engines
+        held = HeldEngine(engine)
+        specs = specs_for(np.linspace(3.0, 57.0, 10))
+
+        async def main():
+            config = ServiceConfig(max_batch=max_batch)
+            async with QueryService(held, config) as service:
+                first = await hold_first_call(service, held, specs[0])
+                followers = await queue_behind(
+                    service, [service.submit(s) for s in specs[1:]]
+                )
+                held.release.set()
+                return await asyncio.gather(first, *followers), service.stats()
+
+        replies, stats = run(main())
+        cuts = np.cumsum([0] + sizes)
+        assert held.calls == [specs[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert [r.coalesced for r in replies] == [
+            size for size in sizes for _ in range(size)
+        ]
+        assert stats["batches"] == len(sizes)
+        for reply, spec in zip(replies, specs):
+            assert_results_identical(reply.result, single.execute(spec))
+
+    def test_a_queued_mutation_cuts_the_followers_in_two(self, rng, engines):
+        engine, single = engines
+        held = HeldEngine(engine)
+        fresh = make_random_objects(rng, 25)[-1]  # key 24: no collision
+        specs = specs_for(np.linspace(3.0, 57.0, 7))
+
+        async def main():
+            async with QueryService(held, ServiceConfig()) as service:
+                first = await hold_first_call(service, held, specs[0])
+                queued = await queue_behind(
+                    service,
+                    [service.submit(s) for s in specs[1:4]]
+                    + [service.insert(fresh)]
+                    + [service.submit(s) for s in specs[4:]],
+                )
+                held.release.set()
+                outcomes = await asyncio.gather(first, *queued)
+                return outcomes, service.stats()
+
+        outcomes, stats = run(main())
+        replies = [o for o in outcomes if o is not None]
+        assert [r.coalesced for r in replies] == [1, 3, 3, 3, 3, 3, 3]
+        assert stats["batches"] == 3
+        assert held.calls == [specs[:1], specs[1:4], specs[4:]]
+        for reply, spec in zip(replies[:4], specs[:4]):
+            assert_results_identical(reply.result, single.execute(spec))
+        single.insert(fresh)
+        for reply, spec in zip(replies[4:], specs[4:]):
+            assert_results_identical(reply.result, single.execute(spec))
+
+    def test_abandoned_submits_never_reach_the_engine(self, engines):
+        """A submit whose caller gave up while it was queued is dropped
+        when the batch is drawn: the next batch is the survivors only."""
+        engine, single = engines
+        held = HeldEngine(engine)
+        specs = specs_for(np.linspace(3.0, 57.0, 9))
+        abandoned = (2, 5, 6)  # k = 3 of the n = 8 followers
+        sizes = []
+
+        def on_batch(point, context):
+            if point == "service.batch":
+                sizes.append(context["size"])
+
+        async def main():
+            async with QueryService(held, ServiceConfig()) as service:
+                first = await hold_first_call(service, held, specs[0])
+                followers = await queue_behind(
+                    service, [service.submit(s) for s in specs[1:]]
+                )
+                for i in abandoned:
+                    followers[i].cancel()
+                held.release.set()
+                outcomes = await asyncio.gather(
+                    first, *followers, return_exceptions=True
+                )
+                return outcomes, service.stats()
+
+        with hooks.handlers(on_batch):
+            outcomes, stats = run(main())
+        survivors = [
+            s for i, s in enumerate(specs[1:]) if i not in abandoned
+        ]
+        assert sizes == [1, len(specs) - 1 - len(abandoned)]
+        assert held.calls == [specs[:1], survivors]
+        assert stats["coalesced_queries"] == 1 + len(survivors)
+        for i, outcome in enumerate(outcomes[1:]):
+            if i in abandoned:
+                assert isinstance(outcome, asyncio.CancelledError)
+        replies = [o for o in outcomes if not isinstance(o, BaseException)]
+        for reply, spec in zip(replies, [specs[0]] + survivors):
             assert_results_identical(reply.result, single.execute(spec))
 
 
@@ -125,9 +294,7 @@ class TestMutationBarriers:
         spec_points = (5.0, 18.0, 33.0, 47.0)
 
         async def main():
-            async with QueryService(
-                engine, ServiceConfig(coalesce_window_s=0.005)
-            ) as service:
+            async with QueryService(engine, ServiceConfig()) as service:
                 replies = []
                 for i, obj in enumerate(extras):
                     batch = await asyncio.gather(
@@ -160,9 +327,7 @@ class TestMutationBarriers:
 class TestAdmissionControl:
     def test_overload_sheds_with_queue_full(self, engines):
         engine, single = engines
-        config = ServiceConfig(
-            coalesce_window_s=0.005, max_batch=4, max_queue=6
-        )
+        config = ServiceConfig(max_batch=4, max_queue=6)
         total = 24
 
         async def main():
@@ -226,9 +391,7 @@ class TestDeadlines:
         plan = FaultPlan().script("service.batch", delay(0.05), at=1)
 
         async def main():
-            async with QueryService(
-                engine, ServiceConfig(coalesce_window_s=0.0)
-            ) as service:
+            async with QueryService(engine, ServiceConfig()) as service:
                 with pytest.raises(DeadlineExceeded):
                     await service.submit(
                         CPNNQuery(22.0, threshold=0.3), deadline_s=0.01
@@ -250,9 +413,7 @@ class TestEpsilonEarlyAnswers:
         plan = FaultPlan().script("service.batch", delay(0.05), at=1)
 
         async def main():
-            async with QueryService(
-                engine, ServiceConfig(coalesce_window_s=0.0)
-            ) as service:
+            async with QueryService(engine, ServiceConfig()) as service:
                 reply = await service.submit(
                     spec, deadline_s=0.01, epsilon=epsilon
                 )
@@ -278,6 +439,27 @@ class TestEpsilonEarlyAnswers:
         }
         assert must_have <= answers <= may_have
 
+    def test_epsilon_reply_reports_its_engine_call(self, engines):
+        """``latency_s`` of an ε-early reply is the widened re-execution
+        that produced it, so client latency − latency_s stays a queue
+        wait and not the whole round trip."""
+        engine, _ = engines
+        spec = CPNNQuery(22.0, threshold=0.3, tolerance=0.01)
+        plan = FaultPlan().script("service.batch", delay(0.05), at=1)
+
+        async def main():
+            async with QueryService(engine, ServiceConfig()) as service:
+                tick = time.perf_counter()
+                reply = await service.submit(
+                    spec, deadline_s=0.01, epsilon=0.2
+                )
+                return reply, time.perf_counter() - tick
+
+        with plan:
+            reply, client_s = run(main())
+        assert reply.approximate is True
+        assert 0.0 < reply.latency_s < client_s
+
     def test_epsilon_zero_preserves_exactness(self, engines):
         """With ε=0 a lapsed deadline is always a typed error — the
         service never silently loosens an answer."""
@@ -286,9 +468,7 @@ class TestEpsilonEarlyAnswers:
         plan = FaultPlan().script("service.batch", delay(0.05), at=1)
 
         async def main():
-            async with QueryService(
-                engine, ServiceConfig(coalesce_window_s=0.0)
-            ) as service:
+            async with QueryService(engine, ServiceConfig()) as service:
                 with pytest.raises(DeadlineExceeded):
                     await service.submit(spec, deadline_s=0.01, epsilon=0.0)
                 # The service keeps answering exactly afterwards.
@@ -319,3 +499,20 @@ class TestStats:
         assert stats["batches"] == 1
         assert stats["executor"]["backend"] == "serial"
         assert "breaker" in stats["executor"]
+
+    def test_a_failed_mutation_counts_as_failed(self, rng, engines):
+        engine, single = engines
+        duplicate = make_random_objects(rng, 20)[0]  # key 0 already lives
+        spec = CPNNQuery(12.0, threshold=0.3)
+
+        async def main():
+            async with QueryService(engine, ServiceConfig()) as service:
+                with pytest.raises(RequestFailed):
+                    await service.insert(duplicate)
+                return await service.submit(spec), service.stats()
+
+        reply, stats = run(main())
+        assert stats["failed"] == 1
+        assert stats["mutations"] == 1
+        # The refused insert changed nothing.
+        assert_results_identical(reply.result, single.execute(spec))
