@@ -9,11 +9,12 @@ shape directly instead of looping over
 :meth:`~repro.core.engine.UncertainEngine.execute`.  For C-PNN specs:
 
 * **filtering** runs as a single vectorised MBR sweep for the whole
-  batch (:class:`repro.index.filtering.BatchMbrFilter`) instead of one
-  best-first R-tree traversal per point;
+  batch (:class:`repro.index.filtering.BatchMbrFilter`), the same
+  matrices the k-NN, range and sharded paths reduce;
 * **initialisation** shares distance distributions through an LRU
   cache keyed by ``(object, query point)``, so repeated probes (the
-  common case for moving clients) skip the histogram fold entirely;
+  common case for moving clients) share one row object (the fold is
+  the pack's: ``DistributionPack`` folds unfolded rows in one kernel);
 * **verification** applies each verifier across the whole
   candidate×query matrix with one flat ``tighten``/``classify`` sweep
   (:meth:`repro.core.verifiers.chain.VerifierChain.run_batch`);

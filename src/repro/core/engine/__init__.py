@@ -14,8 +14,8 @@ module              owns
 :mod:`.registry`    object storage, key bookkeeping, the **mutation
                     contract** (insert/remove/replace), and the deferred
                     table-cache invalidation queue
-:mod:`.filtering`   the single-query R-tree (deferred op queue) and the
-                    incrementally maintained whole-batch MBR filter
+:mod:`.filtering`   the incrementally maintained whole-batch MBR filter
+                    and the single-query filter packed from its arrays
 :mod:`.pnn`         the C-PNN executor (Basic / Refine / VR, single +
                     batch, table cache + result snapshots)
 :mod:`.knn`         the routed constrained k-NN executor

@@ -64,10 +64,10 @@ class EngineConfig:
     quadrature_margin:
         Extra Gauss–Legendre nodes beyond the exactness requirement.
     use_rtree:
-        Filter through a bulk-loaded R-tree (True, the paper's setup)
+        Filter through an STR-packed R-tree (True, the paper's setup)
         or a linear scan (False, for baselining the index itself).
     rtree_max_entries:
-        Node capacity of the bulk-loaded R-tree.
+        Fan-out of the STR packing the single-query filter descends.
     grid_refinement:
         Split every inner subregion into this many parts before
         verification: tighter verifier bounds at proportionally higher

@@ -34,7 +34,6 @@ from repro.core.types import (
     QueryPlan,
     QueryResult,
 )
-from repro.index.filtering import PnnFilter
 
 __all__ = ["QueryFacadeMixin", "UncertainEngine"]
 
@@ -403,7 +402,7 @@ class UncertainEngine(
                 stages=["empty engine: return an empty result"],
                 caches=caches,
             )
-        index = "rtree" if isinstance(self._filter, PnnFilter) else "linear"
+        index = "rtree" if self._config.use_rtree else "linear"
         if family == "cknn":
             counts = self._knn_plan_counts(spec, self._ensure_batch_filter())
             if counts is None:
@@ -489,16 +488,16 @@ class UncertainEngine(
         """Live observability counters, cheap enough to poll.
 
         Returns a plain dict (stable keys, JSON-friendly values):
-        object count, which index serves single-query filtering, the
-        deferred-maintenance queue depths, and per-cache
-        occupancy/hit/miss counters.  :class:`ShardedEngine
+        object count, which index serves single-query filtering and
+        whether it awaits a repack, the invalidation queue depth, and
+        per-cache occupancy/hit/miss counters.  :class:`ShardedEngine
         <repro.core.engine.sharded.ShardedEngine>` extends the same
         shape with per-shard occupancy and parallel-execution
         accounting.
         """
         if not self._objects:
             index = "none"
-        elif isinstance(self._filter, PnnFilter):
+        elif self._config.use_rtree:
             index = "rtree"
         else:
             index = "linear"
@@ -507,7 +506,6 @@ class UncertainEngine(
             "objects": len(self._objects),
             "index": index,
             "executor": self._executor_diagnostics(),
-            "pending_tree_ops": len(self._pending_tree_ops),
             "filter_stale": self._filter_stale,
             "pending_invalidations": len(self._pending_invalidation),
             "caches": self._cache_stats(),

@@ -1,11 +1,12 @@
 """The shared filter stage: single-query index + whole-batch MBR sweep.
 
-One mixin owns everything the filtering phase needs — the single-query
-R-tree (or linear scan) with its deferred-maintenance op queue, and
-the incrementally maintained :class:`~repro.index.filtering.BatchMbrFilter`
-serving every batch path — and implements the ``_maintain_*`` hooks the
-registry's mutation primitives call, so index upkeep stays out of the
-storage module and out of the executors.
+One mixin owns everything the filtering phase needs — the incrementally
+maintained :class:`~repro.index.filtering.BatchMbrFilter` serving every
+batch path, and the single-query :class:`~repro.index.filtering.PnnFilter`
+(or linear scan) packed from that filter's coordinate arrays — and
+implements the ``_maintain_*`` hooks the registry's mutation primitives
+call, so index upkeep stays out of the storage module and out of the
+executors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.index.filtering import (
     PnnFilter,
     filter_candidates,
 )
-from repro.index.str_pack import str_bulk_load
 
 __all__ = ["FilterStageMixin"]
 
@@ -32,22 +32,8 @@ class FilterStageMixin:
         #: Column stores this engine created and must unlink on close
         #: (``config.storage != "ram"``; DESIGN.md §16).
         self._owned_stores: list = []
-        #: Deferred single-query index maintenance: dynamic updates are
-        #: queued as ("add"/"del", obj) pairs and folded into the
-        #: R-tree only when a single-query path next needs it
-        #: (:meth:`_single_filter`).  Batch paths filter through
-        #: :class:`BatchMbrFilter`, so an update stream that is probed
-        #: via ``execute_batch`` never pays Python tree surgery at all.
-        #: Once the queue passes the rebuild threshold it is discarded
-        #: and ``_filter_stale`` is set instead — a bounded marker, so a
-        #: batch-only stream cannot pin unbounded stale objects.
-        self._pending_tree_ops: list[tuple[str, object]] = []
-        self._filter_stale = False
-        self._build_filter()
         #: Vectorised whole-batch filter shared by execute_batch and the
-        #: routed k-NN/range paths.  Built with the rest of the index
-        #: substrate for R-tree engines (it filters over the same MBRs
-        #: the tree holds) and maintained *incrementally* across
+        #: routed k-NN/range paths, maintained *incrementally* across
         #: dynamic updates: insert appends a coordinate row, remove
         #: masks one (DESIGN.md §11).
         self._batch_filter: BatchMbrFilter | None = (
@@ -55,6 +41,14 @@ class FilterStageMixin:
             if self._config.use_rtree and self._objects
             else None
         )
+        #: Mutations never maintain the single-query filter; they drop it
+        #: (it snapshots its items, so a kept one would pin replaced
+        #: objects) and set this flag, and :meth:`_single_filter`
+        #: rebuilds it — a repack from the batch filter's coordinate
+        #: arrays, ≈2 ms at N = 20 000 — so an update stream probed
+        #: only through ``execute_batch`` pays nothing for it.
+        self._filter_stale = False
+        self._build_filter()
 
     # ------------------------------------------------------------------
     # Column-store backing (DESIGN.md §16)
@@ -127,66 +121,23 @@ class FilterStageMixin:
 
     def _build_filter(self) -> None:
         """(Re)build the single-query PNN filter for the object set."""
-        self._pending_tree_ops.clear()
         self._filter_stale = False
         if not self._objects:
             self._filter = None
         elif self._config.use_rtree:
-            tree = str_bulk_load(
-                [(obj.mbr, obj) for obj in self._objects],
-                max_entries=self._config.rtree_max_entries,
+            lows, highs = self._ensure_batch_filter().coordinates()
+            self._filter = PnnFilter.from_arrays(
+                lows, highs, self._objects, self._config.rtree_max_entries
             )
-            self._filter = PnnFilter(tree)
         else:
             self._filter = lambda q: filter_candidates(self._objects, q)
 
     def _single_filter(self) -> PnnFilter | Callable:
-        """The single-query filter, with deferred maintenance applied.
-
-        Dynamic updates queue their index work (DESIGN.md §11); this
-        accessor settles the queue.  Small queues are folded into the
-        tree with incremental Guttman insert/delete; past
-        ``max(4, N/300)`` pending operations a fresh STR bulk load is
-        cheaper than the per-operation tree surgery (measured: one
-        Python-level insert costs ≈ the bulk-load share of ~300
-        objects), so the queue collapses into one rebuild.
-        """
+        """The single-query filter, repacked first if a mutation has
+        happened since it was built (DESIGN.md §11)."""
         if self._filter_stale:
             self._build_filter()
-            return self._filter
-        pending = self._pending_tree_ops
-        if not pending:
-            return self._filter
-        assert isinstance(self._filter, PnnFilter)
-        tree = self._filter.tree
-        while pending:
-            op, obj = pending[0]
-            if op == "add":
-                tree.insert(obj.mbr, obj)
-            elif not tree.delete(obj.mbr, lambda item: item is obj):
-                raise RuntimeError(
-                    "index out of sync with object list: "
-                    f"object {obj.key!r} was tracked but not indexed"
-                )
-            pending.pop(0)
         return self._filter
-
-    def _queue_tree_op(self, op: str, obj) -> None:
-        """Queue one deferred R-tree operation, with a bounded queue.
-
-        Past ``max(4, N/300)`` pending operations a fresh STR bulk
-        load beats the per-operation Guttman surgery anyway, so the
-        queue is discarded and the filter just marked stale — keeping
-        memory bounded no matter how long a batch-only update stream
-        runs between single queries.
-        """
-        if self._filter_stale:
-            return
-        pending = self._pending_tree_ops
-        pending.append((op, obj))
-        if len(pending) > max(4, len(self._objects) // 300):
-            pending.clear()
-            self._filter_stale = True
 
     # ------------------------------------------------------------------
     # Maintenance hooks called by the registry's mutation primitives
@@ -195,29 +146,23 @@ class FilterStageMixin:
     def _maintain_insert(self, obj, was_empty: bool) -> None:
         if was_empty:
             self._build_filter()
-        elif isinstance(self._filter, PnnFilter):
-            self._queue_tree_op("add", obj)
+            return
         if self._batch_filter is not None:
             self._batch_filter.append(obj)
+        self._filter, self._filter_stale = None, True
 
     def _maintain_remove(self, victim, index: int) -> None:
         if self._batch_filter is not None:
             self._batch_filter.remove_at(index)
-            if not self._objects:
-                self._batch_filter = None
-        if isinstance(self._filter, PnnFilter):
-            self._queue_tree_op("del", victim)
+        self._filter, self._filter_stale = None, True
         if not self._objects:
-            self._filter = None
-            self._pending_tree_ops.clear()
-            self._filter_stale = False
+            self._batch_filter = None
+            self._build_filter()
 
     def _maintain_replace(self, victim, obj, index: int) -> None:
         if self._batch_filter is not None:
             self._batch_filter.replace_at(index, obj)
-        if isinstance(self._filter, PnnFilter):
-            self._queue_tree_op("del", victim)
-            self._queue_tree_op("add", obj)
+        self._filter, self._filter_stale = None, True
 
     # ------------------------------------------------------------------
     # Serving the executors
@@ -244,9 +189,8 @@ class FilterStageMixin:
         ``mindist``/``maxdist`` (which may be tighter than the MBR for
         2-D regions), so they keep the reference scan per point.
         """
-        if isinstance(self._filter, PnnFilter):
+        if self._config.use_rtree:
             points = [p.q if isinstance(p, QuerySpec) else p for p in points]
             return self._ensure_batch_filter()(points)
-        return [
-            self._filter(p.q if isinstance(p, QuerySpec) else p) for p in points
-        ]
+        scan = self._single_filter()
+        return [scan(p.q if isinstance(p, QuerySpec) else p) for p in points]

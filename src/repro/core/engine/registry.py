@@ -4,8 +4,8 @@ This module owns the engine's *object order* (the sequence every other
 structure mirrors: batch-filter rows, k-NN/range records, merged shard
 candidates) plus the incremental-maintenance bookkeeping that rides on
 it — the lazy key→position map and the deferred table-cache
-invalidation queue.  The single-query R-tree op queue lives with the
-filter stage (:mod:`repro.core.engine.filtering`).
+invalidation queue.  The single-query filter's stale flag lives with
+the filter stage (:mod:`repro.core.engine.filtering`).
 
 .. _mutation-contract:
 
@@ -101,9 +101,9 @@ class ObjectRegistryMixin(InvalidationQueueMixin):
     """Object storage plus the dynamic-update primitives.
 
     Mutations are incrementally maintained, no rebuilds (DESIGN.md
-    §11): the R-tree absorbs insert/delete through the filter stage's
-    deferred op queue, the whole-batch MBR filter appends/masks
-    coordinate rows, and the table cache drops only the query points
+    §11): the whole-batch MBR filter appends/masks coordinate rows, the
+    packed single-query filter is marked stale and repacked from those
+    rows on next use, and the table cache drops only the query points
     the mutated object's MBR can affect.  See the module docstring for
     the :ref:`mutation contract <mutation-contract>`.
     """

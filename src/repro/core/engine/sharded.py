@@ -456,8 +456,8 @@ class ShardedEngine(
 
     def _execute_pnn(self, query: CPNNQuery, strategy: str) -> QueryResult:
         # Single C-PNN specs route through the batch path: the sharded
-        # engine has no per-shard best-first traversal that could beat
-        # one reconciled sweep, and the lane caches stay warm this way.
+        # engine keeps no per-shard packed filter, only the reconciled
+        # sweep, and the lane caches stay warm this way.
         return self._pnn_batch([query], strategy).results[0]
 
     def _pnn_batch(

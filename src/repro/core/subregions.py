@@ -45,6 +45,7 @@ Implementation notes
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -227,9 +228,10 @@ class SubregionTable:
             self._pack = DistributionPack(self._distributions)
         return self._pack
 
-    @property
+    @cached_property
     def keys(self) -> tuple[Hashable, ...]:
-        return tuple(d.key for d in self._distributions)
+        """Candidate identifiers, row-aligned (built once per table)."""
+        return tuple(map(attrgetter("key"), self._distributions))
 
     @property
     def size(self) -> int:

@@ -9,7 +9,8 @@ survive as the *candidate set* ``C``.
 
 Two implementations are provided with identical semantics:
 
-* :class:`PnnFilter` — R-tree branch-and-bound (two best-first passes);
+* :class:`PnnFilter` — R-tree branch-and-bound, one level-synchronous
+  descent over the tree's levels held as arrays;
 * :func:`filter_candidates` — a vectorisable linear scan used as the
   correctness reference and for small datasets.
 """
@@ -22,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.index.rtree import RTree, RTreeStats
+from repro.index.str_pack import str_pack_levels
 
 #: Byte budget of one chunked-sweep block's output (the two (B, rows)
 #: matrices plus the transient (B, rows, d) gap scratch).  Determines
@@ -71,32 +73,97 @@ def filter_candidates(objects: Sequence, q) -> FilterResult:
 
 
 class PnnFilter:
-    """R-tree-backed filtering with branch-and-bound pruning.
+    """Branch-and-bound filtering over an R-tree held as per-level arrays.
 
-    Pass 1 computes ``f_min`` by best-first descent ordered by node
-    ``mindist`` (a node whose ``mindist`` exceeds the best ``maxdist``
-    found so far cannot improve it).  Pass 2 reports every object whose
-    MBR ``mindist`` is within ``f_min``.
-
-    Because an object's MBR min/max distances equal its uncertainty
-    region's near/far distance, the survivors are exactly the paper's
-    candidate set.
+    A query is one level-synchronous descent (:func:`_descend`): no
+    per-entry Python, one pass where ``RTree.nearest_maxdist`` then
+    ``within_mindist`` (the reference it is property-tested against)
+    took two.  ``PnnFilter(tree)`` snapshots a tree's nodes at
+    construction and again whenever the tree's mutation counter has
+    moved; :meth:`from_arrays` packs ``(N, d)`` coordinate arrays with
+    ``str_bulk_load``'s tiling.  Both hold their own item list and
+    report the same candidates in the same (leaf) order.  An object's
+    MBR min/max distances equal its uncertainty region's near/far
+    distance, so the survivors are exactly the paper's candidate set.
     """
 
     def __init__(self, tree: RTree) -> None:
-        if len(tree) == 0:
-            raise ValueError("cannot filter with an empty index")
         self._tree = tree
+        self._version = tree.version
+        self._levels, self._items = _tree_levels(tree)
 
-    @property
-    def tree(self) -> RTree:
-        return self._tree
+    @classmethod
+    def from_arrays(
+        cls, lows: np.ndarray, highs: np.ndarray, items: Sequence, max_entries: int
+    ) -> "PnnFilter":
+        """Pack coordinate rows (``items[i]`` behind row ``i``)."""
+        if not len(items):
+            raise ValueError("cannot filter with an empty index")
+        flt = cls.__new__(cls)
+        flt._tree = flt._version = None
+        flt._levels, order = str_pack_levels(lows, highs, max_entries)
+        flt._items = list(map(items.__getitem__, order.tolist()))
+        return flt
 
     def __call__(self, q) -> FilterResult:
-        stats = RTreeStats()
-        fmin = self._tree.nearest_maxdist(q, stats=stats)
-        candidates = tuple(self._tree.within_mindist(q, fmin, stats=stats))
+        if self._tree is not None and self._tree.version != self._version:
+            self.__init__(self._tree)
+        rows, fmin, stats = _descend(self._levels, q)
+        candidates = tuple(map(self._items.__getitem__, rows.tolist()))
         return FilterResult(candidates=candidates, fmin=fmin, stats=stats)
+
+
+def _tree_levels(tree: RTree) -> tuple[list[tuple], list]:
+    """A tree's nodes as ``str_pack_levels`` arrays, its items in leaf order."""
+    if len(tree) == 0:
+        raise ValueError("cannot filter with an empty index")
+    levels = []
+    nodes = [tree.root]
+    while True:
+        entries = [entry for node in nodes for entry in node.entries]
+        lows = np.array([entry.rect.lows for entry in entries])
+        highs = np.array([entry.rect.highs for entry in entries])
+        if nodes[0].is_leaf:
+            levels.append((lows, highs, None, None))
+            return levels, [entry.item for entry in entries]
+        nodes = [entry.child for entry in entries]
+        count = np.fromiter(map(len, nodes), np.intp, len(nodes))
+        levels.append((lows, highs, np.cumsum(count) - count, count))
+
+
+def _descend(levels: Sequence[tuple], q) -> tuple[np.ndarray, float, RTreeStats]:
+    """One level-synchronous descent: surviving leaf rows and ``f_min``.
+
+    Per level, sweep the surviving entries (:meth:`BatchMbrFilter._sweep`,
+    bit-identical to ``Rect.mindist`` / ``maxdist``), tighten ``bound``
+    to the smallest ``maxdist`` seen and keep ``mindist <= bound``.
+    Every entry covers an item whose ``maxdist`` is no larger than its
+    own, so ``bound >= f_min`` throughout: the ancestors of the ``f_min``
+    witness and of every candidate survive, and at the leaves ``bound``
+    *is* ``f_min`` and the kept rows are the candidate set.
+    """
+    query = np.atleast_1d(np.asarray(q, dtype=float)).reshape(1, -1)
+    if query.shape[1] != levels[0][0].shape[1]:
+        raise ValueError("query point dimensionality mismatch")
+    stats = RTreeStats()
+    stats.nodes_visited = 1
+    bound = float("inf")
+    rows = None
+    for lows, highs, start, count in levels:
+        if rows is not None:
+            lows, highs = lows[rows], highs[rows]
+        mindist, maxdist = BatchMbrFilter._sweep(query, lows, highs)
+        stats.entries_scanned += lows.shape[0]
+        bound = min(bound, float(maxdist.min()))
+        keep = np.flatnonzero(mindist[0] <= bound)
+        if rows is not None:
+            keep = rows[keep]
+        if start is None:
+            return keep, bound, stats
+        stats.nodes_visited += keep.size
+        count = count[keep]
+        ends = np.cumsum(count)
+        rows = np.repeat(start[keep] - ends + count, count) + np.arange(ends[-1])
 
 
 def pnn_results_from_matrices(
@@ -156,9 +223,11 @@ class BatchMbrFilter:
     whole-matrix numpy operations: per-dimension gaps give ``mindist``
     and ``maxdist`` for every (query, object) pair, row minima give
     ``f_min`` per query, and one comparison yields every candidate set.
-    This replaces ``B`` best-first R-tree traversals with a single
-    O(B·N·d) sweep — for Python-level trees the matrix sweep wins by a
-    wide margin at realistic batch sizes.
+    One O(B·N·d) sweep serves the whole batch and yields the full
+    ``(B, N)`` matrices the k-NN, range and sharded paths also reduce.
+    It is not the cheaper way to get C-PNN candidate sets alone: at
+    N = 20 000 a :class:`PnnFilter` descent costs ≈0.13 ms per point
+    against ≈0.5 ms per point of sweep (ROADMAP item 3).
 
     The arithmetic mirrors :meth:`repro.index.geometry.Rect.mindist` /
     ``maxdist`` operation for operation (same per-dimension gap
@@ -229,14 +298,17 @@ class BatchMbrFilter:
         """
         from repro.storage import create_store
 
+        lows, highs = self.coordinates()
+        return create_store(backend, {"lows": lows, "highs": highs}, **options)
+
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(N, d)`` lows / highs in logical row order, pending
+        mutations folded in.  An unmutated chunk-backed filter reads the
+        columns out of its store without pinning them resident."""
         self._flush()
         if self._lows is None:
-            # Unmutated chunk-backed filter: re-export from the store.
-            lows = self._store.get("lows")
-            highs = self._store.get("highs")
-        else:
-            lows, highs = self._lows, self._highs
-        return create_store(backend, {"lows": lows, "highs": highs}, **options)
+            return self._store.get("lows"), self._store.get("highs")
+        return self._lows, self._highs
 
     @classmethod
     def from_store(cls, store, objects: Sequence) -> "BatchMbrFilter":

@@ -10,6 +10,7 @@ far, because no object inside it can ever be the nearest neighbour.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,15 +39,17 @@ class Rect:
         self._highs = np.asarray(highs, dtype=float)
         if self._lows.shape != self._highs.shape or self._lows.ndim != 1:
             raise ValueError("lows and highs must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(self._lows)) and np.all(np.isfinite(self._highs))):
+        self._set_bounds(tuple(self._lows.tolist()), tuple(self._highs.tolist()))
+
+    def _set_bounds(self, lows_t: tuple, highs_t: tuple) -> None:
+        """Validate the bounds (on plain floats: numpy's per-call overhead
+        dominates at d ≤ 3 and an engine builds one rectangle per object)
+        and keep those floats as mirrors for the distance hot path."""
+        if not all(map(math.isfinite, lows_t + highs_t)):
             raise ValueError("rectangle bounds must be finite")
-        if np.any(self._lows > self._highs):
+        if any(map(operator.gt, lows_t, highs_t)):
             raise ValueError("every low bound must not exceed its high bound")
-        # Plain-float mirrors for the distance hot path: branch-and-bound
-        # filtering calls mindist/maxdist tens of thousands of times per
-        # query, where numpy's per-call overhead dominates at d ≤ 3.
-        self._lows_t = tuple(self._lows.tolist())
-        self._highs_t = tuple(self._highs.tolist())
+        self._lows_t, self._highs_t = lows_t, highs_t
 
     # ------------------------------------------------------------------
     # Constructors
@@ -54,8 +57,12 @@ class Rect:
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "Rect":
-        """A 1-D interval as a degenerate rectangle."""
-        return cls([lo], [hi])
+        """A 1-D interval as a degenerate rectangle (no array parsing)."""
+        lo, hi = float(lo), float(hi)
+        rect = cls.__new__(cls)
+        rect._lows, rect._highs = np.array([lo]), np.array([hi])
+        rect._set_bounds((lo,), (hi,))
+        return rect
 
     @classmethod
     def point(cls, coords: Sequence[float] | float) -> "Rect":

@@ -95,6 +95,8 @@ class RTree:
             raise ValueError("min_entries must satisfy 1 <= min <= max/2")
         self._root = RTreeNode(is_leaf=True)
         self._size = 0
+        #: Mutation counter: lets an array snapshot notice it is stale.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -149,6 +151,7 @@ class RTree:
         """Insert ``item`` with bounding rectangle ``rect``."""
         self._insert_entry(RTreeEntry(rect, item=item))
         self._size += 1
+        self.version += 1
 
     def _insert_entry(self, entry: RTreeEntry) -> None:
         leaf = self._choose_leaf(self._root, entry.rect)
@@ -279,6 +282,7 @@ class RTree:
         leaf.entries.remove(entry)
         self._condense(leaf)
         self._size -= 1
+        self.version += 1
         if not self._root.is_leaf and len(self._root.entries) == 1:
             self._root = self._root.entries[0].child  # type: ignore[assignment]
             self._root.parent = None

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.index.geometry import Rect
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
 
-__all__ = ["str_bulk_load"]
+__all__ = ["str_bulk_load", "str_pack_levels"]
 
 
 def str_bulk_load(
@@ -39,12 +41,11 @@ def str_bulk_load(
         tree._size = len(pairs)
         return tree
 
-    dim = pairs[0][0].dim
     entries = [RTreeEntry(rect, item=item) for rect, item in pairs]
-    nodes = _pack_level(entries, max_entries, dim, is_leaf=True)
+    nodes = _pack_level(entries, max_entries, is_leaf=True)
     while len(nodes) > 1:
         upper_entries = [RTreeEntry(node.mbr(), child=node) for node in nodes]
-        nodes = _pack_level(upper_entries, max_entries, dim, is_leaf=False)
+        nodes = _pack_level(upper_entries, max_entries, is_leaf=False)
     root = nodes[0]
     root.parent = None
     tree._root = root
@@ -53,54 +54,93 @@ def str_bulk_load(
 
 
 def _pack_level(
-    entries: list[RTreeEntry], max_entries: int, dim: int, is_leaf: bool
+    entries: list[RTreeEntry], max_entries: int, is_leaf: bool
 ) -> list[RTreeNode]:
     """Tile one level of entries into nodes of up to ``max_entries``."""
-    groups = _tile(entries, max_entries, dim, axis=0)
+    centers = np.array([entry.rect.center for entry in entries])
+    order, sizes = _tile_rows(centers, np.arange(len(entries)), max_entries, 0)
+    order = order.tolist()
     nodes: list[RTreeNode] = []
-    for group in groups:
+    first = 0
+    for size in sizes:
         node = RTreeNode(is_leaf=is_leaf)
-        node.entries = group
+        node.entries = [entries[i] for i in order[first : first + size]]
+        first += size
         if not is_leaf:
-            for entry in group:
+            for entry in node.entries:
                 entry.child.parent = node  # type: ignore[union-attr]
         nodes.append(node)
     return nodes
 
 
-def _tile(
-    entries: list[RTreeEntry], max_entries: int, dim: int, axis: int
-) -> list[list[RTreeEntry]]:
-    """Recursively sort by center along ``axis`` and slice into tiles."""
-    entries = sorted(entries, key=lambda e: float(e.rect.center[axis]))
-    pages = math.ceil(len(entries) / max_entries)
-    if axis == dim - 1 or pages <= 1:
-        groups = [
-            entries[i : i + max_entries] for i in range(0, len(entries), max_entries)
-        ]
-        return _rebalance_tail(groups, max_entries)
-    slabs = math.ceil(pages ** (1.0 / (dim - axis)))
-    slab_size = math.ceil(len(entries) / slabs) if slabs else len(entries)
-    slab_size = max(slab_size, max_entries)
-    groups: list[list[RTreeEntry]] = []
-    for start in range(0, len(entries), slab_size):
-        slab = entries[start : start + slab_size]
-        groups.extend(_tile(slab, max_entries, dim, axis + 1))
-    return groups
+def str_pack_levels(
+    lows: np.ndarray, highs: np.ndarray, max_entries: int
+) -> tuple[list[tuple], np.ndarray]:
+    """The tree :func:`str_bulk_load` would build, as per-level arrays.
 
-
-def _rebalance_tail(
-    groups: list[list[RTreeEntry]], max_entries: int
-) -> list[list[RTreeEntry]]:
-    """Even out the final tile so no node falls below half fill.
-
-    Plain slicing can leave a runt tile (e.g. 8 + 8 + 1); moving
-    entries from its predecessor keeps both above ``max_entries // 2``,
-    preserving the dynamic tree's minimum-fill invariant.
+    Returns ``(levels, order)``.  ``levels`` runs from the root's
+    entries down to the leaf entries; each is ``(lows, highs,
+    child_start, child_count)`` with the children of entry ``i`` at rows
+    ``child_start[i] : child_start[i] + child_count[i]`` of the next
+    level (``None, None`` at the leaves).  ``order[r]`` is the input row
+    behind leaf row ``r``: the tiling is the tree builder's
+    (:func:`_tile_rows`), so this is the tree's leaf order.  The levels
+    never alias the input.
     """
-    min_fill = max(1, max_entries // 2)
-    if len(groups) >= 2 and len(groups[-1]) < min_fill:
-        deficit = min_fill - len(groups[-1])
-        groups[-1] = groups[-2][-deficit:] + groups[-1]
-        groups[-2] = groups[-2][:-deficit]
-    return groups
+    n = lows.shape[0]
+    if n <= max_entries:  # a lone leaf root keeps the input order
+        return [(lows.copy(), highs.copy(), None, None)], np.arange(n)
+    levels: list[tuple] = []
+    start = count = order = None
+    while True:
+        perm, sizes = _tile_rows(
+            0.5 * (lows + highs), np.arange(lows.shape[0]), max_entries, 0
+        )
+        lows, highs = lows[perm], highs[perm]
+        if start is None:
+            order = perm
+        else:
+            start, count = start[perm], count[perm]
+        levels.append((lows, highs, start, count))
+        if len(sizes) == 1:  # this node is the root
+            return levels[::-1], order
+        count = np.asarray(sizes, dtype=np.intp)
+        start = np.cumsum(count) - count
+        lows = np.minimum.reduceat(lows, start, axis=0)
+        highs = np.maximum.reduceat(highs, start, axis=0)
+
+
+def _tile_rows(
+    centers: np.ndarray, rows: np.ndarray, max_entries: int, axis: int
+) -> tuple[np.ndarray, list[int]]:
+    """Sort ``rows`` by centre along ``axis`` (stably), cut them into
+    slabs and recurse on the next axis; on the last axis cut into nodes.
+
+    Returns the tiled row order plus the node sizes cutting it.  A runt
+    final node (e.g. 8 + 8 + 1) takes rows from its predecessor so both
+    stay above ``max_entries // 2``, the dynamic tree's minimum fill —
+    that moves a boundary, never a row.
+    """
+    rows = rows[np.argsort(centers[rows, axis], kind="stable")]
+    n = rows.size
+    pages = math.ceil(n / max_entries)
+    dim = centers.shape[1]
+    if axis == dim - 1 or pages <= 1:
+        sizes = [max_entries] * (n // max_entries)
+        if n % max_entries:
+            sizes.append(n % max_entries)
+        min_fill = max(1, max_entries // 2)
+        if len(sizes) >= 2 and sizes[-1] < min_fill:
+            sizes[-2] -= min_fill - sizes[-1]
+            sizes[-1] = min_fill
+        return rows, sizes
+    slabs = math.ceil(pages ** (1.0 / (dim - axis)))
+    slab_size = max(math.ceil(n / slabs), max_entries)
+    parts, sizes = [], []
+    for first in range(0, n, slab_size):
+        part, part_sizes = _tile_rows(
+            centers, rows[first : first + slab_size], max_entries, axis + 1
+        )
+        parts.append(part)
+        sizes.extend(part_sizes)
+    return np.concatenate(parts), sizes

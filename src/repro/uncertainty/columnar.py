@@ -45,6 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.uncertainty.histogram import _EDGE_ATOL, _EDGE_RTOL
+
 __all__ = ["DistributionPack", "PagedDistributionPack"]
 
 #: Cap on ``|C| * n`` cells processed per internal block.  Bounds the
@@ -66,6 +68,60 @@ _SMALL_PACK = 8
 #: kernel exists for the many-rows × moderate-width shape of
 #: subregion-table initialisation.
 _WIDE_EVAL = 256
+
+
+def _fold_one_bar(distributions: Sequence, lazy: list[int]) -> tuple[list, tuple]:
+    """Fold the one-bar rows among ``distributions[lazy]`` column-wise.
+
+    Figure 6's cases as ``np.where`` over ``(lo, hi, d, q)`` columns,
+    with the arithmetic of ``Histogram.fold_abs`` + ``Histogram._raw``
+    operand for operand (knots are the same ``d·Δe`` products summed
+    left to right), so the columns are bit-identical to packing
+    ``DistanceDistribution(h.fold_abs(q))`` rows.  Rows that class would
+    normalise (folded mass off 1 by more than 1e-12) or whose density is
+    not positive are left to the scalar path.  Returns the indices
+    folded and their ``(edges, knots, densities, sizes)``.
+    """
+    picked = [i for i in lazy if distributions[i]._value._densities.size == 1]
+    if not picked:
+        return [], None
+    rows = [distributions[i] for i in picked]
+    lo, hi = np.concatenate([r._value._edges for r in rows]).reshape(-1, 2).T
+    d = np.concatenate([r._value._densities for r in rows])
+    q = np.array([r._q for r in rows], dtype=float)
+    left, right = q <= lo, q >= hi
+    inside = ~(left | right)
+    near = np.minimum(q - lo, hi - q)
+    far = np.maximum(q - lo, hi - q)
+    three = inside & (far - near > _EDGE_ATOL + _EDGE_RTOL * np.maximum(far, 1.0))
+    e0 = np.where(left, lo - q, np.where(right, q - hi, 0.0))
+    e1 = np.where(left, hi - q, np.where(right, q - lo, near))
+    d0 = np.where(inside, 2.0 * d, d)
+    k1 = d0 * (e1 - e0)
+    k2 = k1 + d * (far - e1)
+    ok = (d > 0) & (np.abs(np.where(three, k2, k1) - 1.0) <= 1e-12)
+    mask = np.repeat(ok[:, None], 3, axis=1)  # cells of the rows kept ...
+    mask[:, 2] &= three  # ... whose third edge exists only in two-bin rows
+    return [i for i, good in zip(picked, ok.tolist()) if good], (
+        np.column_stack((e0, e1, far))[mask],
+        np.column_stack((np.zeros_like(k1), k1, k2))[mask],
+        np.column_stack((d0, d))[mask[:, 1:]],
+        np.asarray(three[ok] + 2, dtype=np.intp),
+    )
+
+
+def _gather_rows(edges, knots, densities, sizes, perm) -> tuple:
+    """Ragged gather: ``(edges, knots, densities, sizes)`` of rows ``perm``
+    of flat columns whose row ``r`` holds ``sizes[r]`` edges."""
+    perm = np.asarray(perm, dtype=np.intp)
+    starts = (np.cumsum(sizes) - sizes)[perm]
+    sizes = sizes[perm]
+    new_starts = np.cumsum(sizes) - sizes
+    gather = np.repeat(starts - new_starts, sizes) + np.arange(int(sizes.sum()))
+    rows = np.arange(perm.size)  # row r owns one density fewer than edges
+    dens_gather = np.repeat((starts - perm) - (new_starts - rows), sizes - 1)
+    dens_gather += np.arange(dens_gather.size)
+    return edges[gather], knots[gather], densities[dens_gather], sizes
 
 
 class DistributionPack:
@@ -117,28 +173,43 @@ class DistributionPack:
             histograms = list(map(attrgetter("_histogram"), distributions))
         except AttributeError:
             histograms = [getattr(d, "histogram", d) for d in distributions]
-        try:
-            edges_parts = list(map(attrgetter("_edges"), histograms))
-            knots_parts = list(map(attrgetter("_cdf_knots"), histograms))
-            dens_parts = list(map(attrgetter("_densities"), histograms))
-        except AttributeError:
-            bad = next(
-                type(h).__name__
-                for h in histograms
-                if not hasattr(h, "_edges")
+        # Rows still unfolded (DistanceDistribution.from_value_histogram)
+        # are folded here: one-bar rows by the closed-form kernel, the
+        # rest through the scalar path, exactly as Histogram.fold_abs
+        # chooses.  ``histograms`` keeps None for kernel-folded rows.
+        lazy = [i for i, h in enumerate(histograms) if h is None]
+        folded, columns = _fold_one_bar(distributions, lazy) if lazy else ([], None)
+        for i in set(lazy).difference(folded):
+            histograms[i] = distributions[i].histogram
+        rest = [i for i, h in enumerate(histograms) if h is not None]
+        if rest:
+            parts = [histograms[i] for i in rest]
+            try:
+                edges_parts = list(map(attrgetter("_edges"), parts))
+                knots_parts = list(map(attrgetter("_cdf_knots"), parts))
+                dens_parts = list(map(attrgetter("_densities"), parts))
+            except AttributeError:
+                bad = next(
+                    type(h).__name__ for h in parts if not hasattr(h, "_edges")
+                )
+                raise TypeError(
+                    "DistributionPack takes DistanceDistributions or "
+                    f"Histograms, got {bad}"
+                ) from None
+            packed = (
+                np.concatenate(edges_parts),
+                np.concatenate(knots_parts),
+                np.concatenate(dens_parts),
+                np.fromiter(
+                    map(len, edges_parts), dtype=np.intp, count=len(edges_parts)
+                ),
             )
-            raise TypeError(
-                "DistributionPack takes DistanceDistributions or "
-                f"Histograms, got {bad}"
-            ) from None
-        self._finish(
-            np.concatenate(edges_parts),
-            np.concatenate(knots_parts),
-            np.concatenate(dens_parts),
-            np.fromiter(
-                map(len, edges_parts), dtype=np.intp, count=len(edges_parts)
-            ),
-        )
+            if folded:  # kernel rows come first: gather into the caller's order
+                columns = map(np.concatenate, zip(columns, packed))
+                columns = _gather_rows(*columns, np.argsort(folded + rest))
+            else:
+                columns = packed
+        self._finish(*columns)
 
     def _finish(
         self,
@@ -229,27 +300,9 @@ class DistributionPack:
         :class:`~repro.core.subregions.SubregionTable` to apply the
         near-point sort without re-walking the histograms.
         """
-        perm = np.asarray(perm, dtype=np.intp)
-        sizes = np.diff(self._offsets)[perm]
-        new_offsets = np.zeros(perm.size + 1, dtype=np.intp)
-        np.cumsum(sizes, out=new_offsets[1:])
-        starts = self._offsets[:-1][perm]
-        gather = np.repeat(starts - new_offsets[:-1], sizes) + np.arange(
-            int(new_offsets[-1]), dtype=np.intp
-        )
-        dens_sizes = sizes - 1
-        dens_offsets = new_offsets - np.arange(perm.size + 1, dtype=np.intp)
-        dens_starts = self._dens_offsets[:-1][perm]
-        dens_gather = np.repeat(
-            dens_starts - dens_offsets[:-1], dens_sizes
-        ) + np.arange(int(dens_offsets[-1]), dtype=np.intp)
         pack = object.__new__(DistributionPack)
-        pack._finish(
-            self._edges[gather],
-            self._knots[gather],
-            self._densities[dens_gather],
-            sizes,
-        )
+        columns = self._edges, self._knots, self._densities, self._nbins + 1
+        pack._finish(*_gather_rows(*columns, perm))
         return pack
 
     # ------------------------------------------------------------------

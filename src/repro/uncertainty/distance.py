@@ -24,6 +24,19 @@ from repro.uncertainty.histogram import Histogram, HistogramError
 __all__ = ["DistanceDistribution"]
 
 
+def _normalised(histogram: Histogram) -> Histogram:
+    """``histogram`` trimmed of zero-density margins and scaled to mass 1."""
+    total = histogram.total_mass
+    if total <= 0:
+        raise HistogramError("distance histogram must carry positive mass")
+    trimmed = histogram.trimmed()
+    if abs(total - 1.0) > 1e-12:
+        trimmed = trimmed.normalized()
+    if trimmed.lo < -1e-12:
+        raise HistogramError("distances must be non-negative")
+    return trimmed
+
+
 class DistanceDistribution:
     """The distribution of an object's distance from a query point.
 
@@ -37,19 +50,12 @@ class DistanceDistribution:
         pipeline so answers can name objects).
     """
 
-    __slots__ = ("_histogram", "_key")
+    __slots__ = ("_histogram", "_key", "_value", "_q")
 
     def __init__(self, histogram: Histogram, key: Hashable = None) -> None:
-        total = histogram.total_mass
-        if total <= 0:
-            raise HistogramError("distance histogram must carry positive mass")
-        trimmed = histogram.trimmed()
-        if abs(total - 1.0) > 1e-12:
-            trimmed = trimmed.normalized()
-        if trimmed.lo < -1e-12:
-            raise HistogramError("distances must be non-negative")
-        self._histogram = trimmed
+        self._histogram = _normalised(histogram)
         self._key = key
+        self._value = self._q = None
 
     # ------------------------------------------------------------------
 
@@ -59,17 +65,23 @@ class DistanceDistribution:
 
     @property
     def histogram(self) -> Histogram:
+        """The distance histogram.  A :meth:`from_value_histogram` row
+        folds here on first use (scalar ``Histogram.fold_abs``); the
+        fold is a pure function of ``(value histogram, q)``, so threads
+        racing to materialise one row store the same bits."""
+        if self._histogram is None:
+            self._histogram = _normalised(self._value.fold_abs(self._q))
         return self._histogram
 
     @property
     def near(self) -> float:
         """Near point ``n_i`` — the minimum possible distance."""
-        return self._histogram.lo
+        return self.histogram.lo
 
     @property
     def far(self) -> float:
         """Far point ``f_i`` — the maximum possible distance."""
-        return self._histogram.hi
+        return self.histogram.hi
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -79,36 +91,36 @@ class DistanceDistribution:
     @property
     def breakpoints(self) -> np.ndarray:
         """Points where the distance pdf changes value."""
-        return self._histogram.edges
+        return self.histogram.edges
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"DistanceDistribution(key={self._key!r}, "
             f"near={self.near:.6g}, far={self.far:.6g}, "
-            f"nbins={self._histogram.nbins})"
+            f"nbins={self.histogram.nbins})"
         )
 
     # ------------------------------------------------------------------
 
     def pdf(self, r: float | np.ndarray) -> float | np.ndarray:
         """Distance pdf ``d_i(r)``."""
-        return self._histogram.pdf(r)
+        return self.histogram.pdf(r)
 
     def cdf(self, r: float | np.ndarray) -> float | np.ndarray:
         """Distance cdf ``D_i(r)`` (piecewise linear)."""
-        return self._histogram.cdf(r)
+        return self.histogram.cdf(r)
 
     def sf(self, r: float | np.ndarray) -> float | np.ndarray:
         """Survival ``1 - D_i(r)`` — used by every verifier product."""
-        return 1.0 - self._histogram.cdf(r)
+        return 1.0 - self.histogram.cdf(r)
 
     def mass_between(self, a: float, b: float) -> float:
         """``Pr[a <= R_i <= b]`` — a subregion probability ``s_ij``."""
-        return self._histogram.mass_between(a, b)
+        return self.histogram.mass_between(a, b)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw iid distances (used by the Monte-Carlo baseline)."""
-        return self._histogram.sample(rng, size)
+        return self.histogram.sample(rng, size)
 
     def overlaps(self, a: float, b: float) -> bool:
         """Whether ``U_i`` intersects the open interval ``(a, b)``."""
@@ -120,8 +132,23 @@ class DistanceDistribution:
     def from_value_histogram(
         cls, histogram: Histogram, q: float, key: Hashable = None
     ) -> "DistanceDistribution":
-        """Fold a 1-D value histogram about ``q`` (Figure 6), exactly."""
-        return cls(histogram.fold_abs(q), key=key)
+        """Fold a 1-D value histogram about ``q`` (Figure 6), exactly —
+        on first use.
+
+        Only ``(histogram, q, key)`` is recorded.  A
+        :class:`~repro.uncertainty.columnar.DistributionPack` folds its
+        unfolded rows in one kernel; a single row folds when
+        :attr:`histogram` (``near``, ``cdf``, ``sample`` …) is read, to
+        the bits an eager fold would give.  The one possible input error
+        is raised here, with the constructor's message: the fold
+        preserves mass and ``|x − q|`` cannot be negative.
+        """
+        if histogram.total_mass <= 0:
+            raise HistogramError("distance histogram must carry positive mass")
+        dist = cls.__new__(cls)
+        dist._histogram, dist._key = None, key
+        dist._value, dist._q = histogram, q
+        return dist
 
     @classmethod
     def from_cdf(

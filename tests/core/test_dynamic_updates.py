@@ -88,25 +88,6 @@ class TestRemove:
         with pytest.raises(ValueError):
             engine.pnn(0.5)
 
-    def test_out_of_sync_index_raises_runtime_error(self, rng):
-        """A tracked-but-unindexed object must raise, even under -O.
-
-        Regression test: this guard used to be a bare ``assert`` that
-        optimised builds silently skip, leaving the engine's object
-        list and index divergent.  Index maintenance is deferred
-        (DESIGN.md §11), so the divergence surfaces when the next
-        single-query path folds the pending removal into the tree.
-        """
-        objects = make_random_objects(rng, 5)
-        engine = UncertainEngine(objects)
-        victim = objects[2]
-        # Sabotage: remove the object from the index behind the
-        # engine's back, leaving the object list out of sync.
-        assert engine._filter.tree.delete(victim.mbr, lambda item: item is victim)
-        assert engine.remove(victim.key)
-        with pytest.raises(RuntimeError, match="out of sync"):
-            engine.pnn(30.0)
-
     def test_empty_engine_reports_clear_error(self):
         engine = UncertainEngine([UncertainObject.uniform("solo", 0, 1)])
         assert engine.remove("solo")
@@ -335,16 +316,17 @@ class TestDeferredIndexMaintenance:
         engine = UncertainEngine(objects)
         engine.insert(UncertainObject.uniform("new", 29.9, 30.1))
         assert engine.remove(0)
-        # Single-query paths flush the deferred tree maintenance.
+        assert engine.stats()["filter_stale"]
+        # Single-query paths repack the stale filter before answering.
         assert "new" in engine.pnn(30.0)
+        assert not engine.stats()["filter_stale"]
         plan = engine.explain(CPNNQuery(30.0))
         assert plan.index == "rtree"
 
     def test_tree_queue_stays_bounded_under_batch_only_stream(self):
         """Regression: a batch-only update stream must not accumulate
-        deferred tree ops (and pin every replaced object) forever —
-        past the rebuild threshold the queue collapses into a stale
-        marker."""
+        deferred index work (and pin every replaced object) forever —
+        mutations leave one stale marker, nothing per update."""
         objects = [
             UncertainObject.uniform(i, float(i), float(i) + 1.0)
             for i in range(50)
@@ -355,8 +337,10 @@ class TestDeferredIndexMaintenance:
             engine.replace(
                 key, UncertainObject.uniform(key, float(key), float(key) + 1.0)
             )
-        assert len(engine._pending_tree_ops) <= 5
+            engine.execute_batch([CPNNQuery(10.5, threshold=0.3)])
+        assert not hasattr(engine, "_pending_tree_ops")
         assert engine._filter_stale
+        assert engine._filter is None  # its item snapshot went with it
         # The next single-query path rebuilds and answers correctly.
         assert engine.pnn(10.5)
         assert not engine._filter_stale
@@ -402,6 +386,8 @@ class TestDeferredIndexMaintenance:
         engine = UncertainEngine(objects)
         for i in range(30):  # far beyond the incremental threshold
             engine.insert(UncertainObject.uniform(("bulk", i), 30.0 + i, 31.0 + i))
+        assert engine.stats()["filter_stale"]
         pnn = engine.pnn(35.0)
         assert any(key == ("bulk", 4) for key in pnn)
-        assert not engine._pending_tree_ops
+        assert not engine.stats()["filter_stale"]
+        assert "pending_tree_ops" not in engine.stats()

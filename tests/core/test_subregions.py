@@ -74,6 +74,14 @@ class TestStructuralInvariants:
             totals = table.s_inner.sum(axis=1) + table.s_right
             assert np.allclose(totals, 1.0, atol=1e-9)
 
+    def test_keys_follow_row_order_in_both_branches(self, rng):
+        for n in (5, 20):  # the plain-loop branch and the columnar one
+            table = table_for(make_random_objects(rng, n), 30.0)
+            assert table.keys == tuple(d.key for d in table.distributions)
+            assert table.keys is table.keys  # built once per table
+            nears = [d.near for d in table.distributions]
+            assert nears == sorted(nears)
+
     def test_cdf_matrix_monotone(self, rng):
         objects = make_random_objects(rng, 10)
         table = table_for(objects, 30.0)

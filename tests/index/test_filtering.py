@@ -77,6 +77,67 @@ class TestRTreeFilter:
         assert len(result) == 1
         assert result.fmin == pytest.approx(5.0)
 
+    def test_stats_count_the_descent(self, rng):
+        """``entries_scanned`` = rows swept; ``nodes_visited`` = entries
+        expanded + the root.  Pruning must show: far fewer rows than N."""
+        objects = [
+            UncertainObject.uniform(i, float(i), float(i) + 0.5)
+            for i in range(512)
+        ]
+        result = PnnFilter(build_tree(objects, max_entries=8))(100.2)
+        # 512 = 8**3, every node full: the root's 8 entries are swept,
+        # then the 8 children of each entry expanded.
+        expanded = result.stats.nodes_visited - 1
+        assert result.stats.entries_scanned == 8 + 8 * expanded
+        assert 2 <= expanded <= 6  # one or two survivors per inner level
+        assert [o.key for o in result.candidates] == [100]
+
+    def test_snapshot_follows_tree_mutations(self, rng):
+        objects = make_random_objects(rng, 30)
+        tree = build_tree(objects, max_entries=4)
+        pnn_filter = PnnFilter(tree)
+        newcomer = UncertainObject.uniform("new", 29.9, 30.1)
+        tree.insert(newcomer.mbr, newcomer)
+        assert newcomer in pnn_filter(30.0).candidates
+        assert tree.delete(newcomer.mbr, lambda item: item is newcomer)
+        assert newcomer not in pnn_filter(30.0).candidates
+        for obj in objects:
+            assert tree.delete(obj.mbr, lambda item: item is obj)
+        with pytest.raises(ValueError, match="empty index"):
+            pnn_filter(30.0)
+
+    def test_from_arrays_matches_tree_candidate_order(self, rng):
+        objects = make_random_objects(rng, 200)
+        sweep = BatchMbrFilter(objects)
+        packed = PnnFilter.from_arrays(*sweep.coordinates(), objects, max_entries=8)
+        via_tree = PnnFilter(build_tree(objects, max_entries=8))
+        for q in rng.uniform(-5, 65, 12):
+            a, b = packed(float(q)), via_tree(float(q))
+            assert a.fmin == b.fmin
+            assert a.candidates == b.candidates
+
+    def test_from_arrays_snapshots_its_items(self, rng):
+        """The packed rows keep answering with the objects they were
+        packed from, whatever the caller does to its list afterwards."""
+        objects = make_random_objects(rng, 60)
+        held = list(objects)
+        packed = PnnFilter.from_arrays(
+            *BatchMbrFilter(objects).coordinates(), held, max_entries=4
+        )
+        before = packed(30.0)
+        del held[::2]
+        held.reverse()
+        after = packed(30.0)
+        assert after.candidates == before.candidates
+        assert after.fmin == before.fmin == filter_candidates(objects, 30.0).fmin
+
+    def test_dimension_mismatch_rejected(self, rng):
+        pnn_filter = PnnFilter(build_tree(make_random_objects(rng, 10)))
+        with pytest.raises(ValueError, match="dimensionality"):
+            pnn_filter((1.0, 2.0))
+        with pytest.raises(ValueError, match="empty index"):
+            PnnFilter.from_arrays(np.empty((0, 1)), np.empty((0, 1)), [], 8)
+
 
 class TestLinearScanIndex:
     def test_parity_with_rtree(self, rng):

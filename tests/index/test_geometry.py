@@ -35,6 +35,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Rect([0.0], [math.inf])
 
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (2.0, 1.0, "must not exceed"),
+            (0.0, math.inf, "finite"),
+            (math.nan, 1.0, "finite"),
+            (math.inf, -math.inf, "finite"),  # finiteness is checked first
+        ],
+    )
+    def test_interval_validates_like_init(self, lo, hi, message):
+        for build in (Rect.interval, lambda a, b: Rect([a], [b])):
+            with pytest.raises(ValueError, match=message):
+                build(lo, hi)
+
+    def test_interval_equals_init(self):
+        a, b = Rect.interval(1, 3), Rect([1.0], [3.0])
+        assert a == b and hash(a) == hash(b)
+        assert a.mindist(5.0) == b.mindist(5.0) == 2.0
+        assert a.lows.dtype == b.lows.dtype == np.float64
+
 
 class TestRelations:
     def test_intersects(self):

@@ -152,6 +152,50 @@ def test_interleaved_stream_matches_fresh_engine(stream, use_rtree):
     assert [obj.key for obj in engine.objects] == [obj.key for obj in mirror]
 
 
+def assert_same_records(a, b) -> None:
+    assert a.answers == b.answers and a.fmin == b.fmin
+    assert [(r.key, r.label, r.lower, r.upper) for r in a.records] == [
+        (r.key, r.label, r.lower, r.upper) for r in b.records
+    ]
+
+
+@given(stream=operation_streams())
+@settings(max_examples=30, deadline=None)
+def test_single_execute_matches_batch_and_fresh_at_every_step(stream):
+    """After *every* mutation the repacked single-query filter, the
+    incrementally maintained batch filter and a fresh engine agree on
+    each C-PNN result, record for record (DESIGN.md §11)."""
+    n_initial, ops = stream
+    counter = n_initial
+    mirror = [fresh_object(i, i) for i in range(n_initial)]
+    engine = UncertainEngine(list(mirror))
+    specs = [CPNNQuery(q, threshold=0.3, tolerance=0.0) for q in (5.0, 23.0, 41.0)]
+    for op, arg in ops:
+        if op == "remove" and mirror:
+            assert engine.remove(mirror.pop(arg % len(mirror)).key)
+        elif op == "replace" and mirror:
+            obj = fresh_object(counter, counter)
+            engine.replace(mirror[arg % len(mirror)].key, obj)
+            mirror[arg % len(mirror)] = obj
+        else:
+            obj = fresh_object(counter, counter)
+            engine.insert(obj)
+            mirror.append(obj)
+        counter += 1
+        if not mirror:
+            continue
+        # every mutation marks the packed filter stale, except the
+        # insert into an empty engine, which builds it
+        assert engine.stats()["filter_stale"] or len(mirror) == 1
+        fresh = UncertainEngine(list(mirror))
+        batched = engine.execute_batch(specs).results
+        for spec, via_batch in zip(specs, batched):
+            single = engine.execute(spec)
+            assert_same_records(single, via_batch)
+            assert_same_records(single, fresh.execute(spec))
+        assert not engine.stats()["filter_stale"]
+
+
 @given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=15, deadline=None)
 def test_churn_then_empty_then_refill(seed):

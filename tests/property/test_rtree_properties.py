@@ -83,3 +83,85 @@ def test_filter_equivalence_rtree_vs_scan(pairs, q):
     assert np.isclose(result.fmin, fmin)
     expected = {i for i, r in enumerate(rects) if r.mindist(q) <= fmin}
     assert set(result.candidates) == expected
+
+
+@st.composite
+def boxes(draw):
+    """1-D or 2-D MBRs on a coarse grid, so duplicates, zero-width
+    boxes and shared endpoints are common."""
+    dim = draw(st.integers(1, 2))
+    coord = st.integers(-20, 20).map(float)
+    extent = st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0])
+    n = draw(st.integers(1, 500) if draw(st.booleans()) else st.integers(1, 40))
+    lows = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                  min_size=n, max_size=n)))
+    highs = lows + np.array(draw(st.lists(st.lists(extent, min_size=dim, max_size=dim),
+                                          min_size=n, max_size=n)))
+    return lows, highs
+
+
+@settings(max_examples=120, deadline=None)
+@given(boxes(), st.integers(2, 16), st.data())
+def test_descent_matches_best_first_and_matrix_sweep(box_arrays, fanout, data):
+    """The level-synchronous descent ≡ the two best-first traversals ≡
+    the matrix sweep, and packing coordinate arrays ≡ snapshotting the
+    bulk-loaded tree — on ``fmin`` and on the candidate *tuple*."""
+    from repro.index.filtering import BatchMbrFilter, PnnFilter
+
+    class Item:
+        def __init__(self, mbr):
+            self.mbr = mbr
+
+    lows, highs = box_arrays
+    n, dim = lows.shape
+    items = [Item(Rect(lo, hi)) for lo, hi in zip(lows, highs)]
+    tree = str_bulk_load([(item.mbr, item) for item in items], max_entries=fanout)
+    from_tree = PnnFilter(tree)
+    from_arrays = PnnFilter.from_arrays(lows, highs, items, max_entries=fanout)
+    sweep = BatchMbrFilter(items)
+    endpoint = lows[data.draw(st.integers(0, n - 1))]
+    anywhere = data.draw(st.lists(st.floats(-30, 30), min_size=dim, max_size=dim))
+    for q in (tuple(endpoint), tuple(anywhere)):
+        descended = from_tree(q)
+        fmin = tree.nearest_maxdist(q)
+        assert descended.fmin == fmin
+        best_first = tree.within_mindist(q, fmin)
+        assert len(descended.candidates) == len(best_first)
+        assert set(map(id, descended.candidates)) == set(map(id, best_first))
+        packed = from_arrays(q)
+        assert packed.fmin == fmin
+        assert list(map(id, packed.candidates)) == list(map(id, descended.candidates))
+        (swept,) = sweep([q])
+        assert swept.fmin == fmin
+        assert set(map(id, swept.candidates)) == set(map(id, best_first))
+        assert descended.stats.entries_scanned >= len(best_first)
+        assert descended.stats.nodes_visited >= tree.height()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(intervals, min_size=2, max_size=40),
+    st.lists(st.integers(0, 1_000_000), min_size=1, max_size=12),
+    st.floats(-120, 120),
+)
+def test_tree_filter_resnapshots_after_mutation(pairs, picks, q):
+    """``PnnFilter(tree)`` follows the tree through inserts and deletes."""
+    from repro.index.filtering import PnnFilter
+
+    rects = {i: Rect.interval(lo, hi) for i, (lo, hi) in enumerate(pairs)}
+    tree = str_bulk_load([(rect, i) for i, rect in rects.items()], max_entries=4)
+    tree_filter = PnnFilter(tree)
+    for step, pick in enumerate(picks):
+        if pick % 2 and len(rects) > 1:
+            victim = sorted(rects)[pick % len(rects)]
+            assert tree.delete(rects.pop(victim), lambda item: item == victim)
+        else:
+            key = len(pairs) + step
+            rects[key] = Rect.interval(q + pick % 7, q + pick % 7 + 1.0)
+            tree.insert(rects[key], key)
+        result = tree_filter(q)
+        fmin = min(rect.maxdist(q) for rect in rects.values())
+        assert result.fmin == fmin
+        assert set(result.candidates) == {
+            i for i, rect in rects.items() if rect.mindist(q) <= fmin
+        }

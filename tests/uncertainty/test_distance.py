@@ -98,3 +98,69 @@ class TestDistanceDistribution:
         for q in (-1.0, 0.0, 2.0, 3.0, 6.0, 8.5):
             dist = obj.distance_distribution(q)
             assert dist.cdf(dist.far + 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDeferredFold:
+    """``from_value_histogram`` records the fold and performs it on first
+    use; nothing observable may depend on when that is."""
+
+    def test_unfolded_until_read(self):
+        value = Histogram.uniform(2.0, 10.0)
+        dist = DistanceDistribution.from_value_histogram(value, 5.0, key="k")
+        assert dist._histogram is None
+        assert dist.key == "k"
+        eager = DistanceDistribution(value.fold_abs(5.0), key="k")
+        assert dist.histogram == eager.histogram
+        assert dist.interval == eager.interval
+        assert dist._histogram is dist.histogram  # folded once, kept
+
+    def test_zero_mass_rejected_at_construction_with_same_message(self):
+        empty = Histogram([0.0, 1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(HistogramError, match="must carry positive mass"):
+            DistanceDistribution.from_value_histogram(empty, 0.5)
+        with pytest.raises(HistogramError, match="must carry positive mass"):
+            DistanceDistribution(empty.fold_abs(0.5))
+
+    def test_unfolded_row_survives_pickle(self):
+        import pickle
+
+        obj = UncertainObject.gaussian("g", 0.0, 6.0, bars=12)
+        dist = obj.distance_distribution(2.5)
+        clone = pickle.loads(pickle.dumps(dist))
+        assert clone._histogram is None and clone.key == "g"
+        assert clone.histogram == dist.histogram
+        assert pickle.loads(pickle.dumps(dist)).histogram == dist.histogram
+
+    def test_threads_materialising_one_row_agree(self):
+        import sys
+        import threading
+
+        obj = UncertainObject.gaussian("g", 0.0, 6.0, bars=200)
+        reference = DistanceDistribution(obj.histogram.fold_abs(2.5))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                dist = obj.distance_distribution(2.5)
+                seen = []
+                barrier = threading.Barrier(4)
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(dist.histogram)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert len(seen) == 4
+                for histogram in seen:
+                    assert histogram == reference.histogram
+                    assert (
+                        histogram.cdf_knots.tobytes()
+                        == reference.histogram.cdf_knots.tobytes()
+                    )
+        finally:
+            sys.setswitchinterval(previous)
