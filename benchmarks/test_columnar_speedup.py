@@ -3,8 +3,8 @@
 PR 2 made the numeric core columnar: :class:`DistributionPack` batches
 all candidates' cdf evaluations, :class:`SubregionTable` builds its
 edge grid and cdf matrix from flat pack columns, and
-:meth:`Refiner.refine_objects` sweeps all surviving candidates at
-once.  This module measures what that bought on the two phases the
+:class:`Refiner` reads survival at the quadrature nodes off the table.
+This module measures what that bought on the two phases the
 rewrite targets — initialisation (subregion-table construction) and
 refinement — for a 2000-object / 100-point VR workload, against a
 faithful replica of the PR-1 per-object scalar path.
@@ -182,8 +182,12 @@ def run_vr_pipeline(distributions_per_point, queries, columnar: bool):
     Initialisation is subregion-table + refiner construction;
     verification (identical work in both pipelines) runs untimed
     between the two timed phases; refinement is the post-verifier
-    incremental loop — ``refine_objects`` for the columnar pipeline,
-    one ``refine_object`` per survivor for the scalar reference.
+    incremental loop, one ``refine_object`` per survivor, in both
+    pipelines.  The stress workload leaves at most one survivor per
+    query, for which the vectorised sweep the columnar side used to
+    call (``refine_objects``, removed in 5.0.0) always delegated to
+    ``refine_object``: the recorded ``refinement_stress`` row never
+    measured the sweep and does not move with its removal.
     """
     table_cls = SubregionTable if columnar else ScalarSubregionTable
     refiner_cls = Refiner if columnar else ScalarRefiner
@@ -200,16 +204,8 @@ def run_vr_pipeline(distributions_per_point, queries, columnar: bool):
         chain.run(table, states, query)
 
         tick = time.perf_counter()
-        survivors = states.unknown_indices()
-        if columnar:
-            refiner.refine_objects(
-                survivors, states, query, use_verifier_slices=True
-            )
-        else:
-            for i in survivors:
-                refiner.refine_object(
-                    int(i), states, query, use_verifier_slices=True
-                )
+        for i in states.unknown_indices():
+            refiner.refine_object(int(i), states, query, use_verifier_slices=True)
         refine += time.perf_counter() - tick
         outcomes.append(
             (

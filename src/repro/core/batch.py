@@ -15,21 +15,17 @@ shape directly instead of looping over
   cache keyed by ``(object, query point)``, so repeated probes (the
   common case for moving clients) share one row object (the fold is
   the pack's: ``DistributionPack`` folds unfolded rows in one kernel);
-* **verification** applies each verifier across the whole
-  candidate×query matrix with one flat ``tighten``/``classify`` sweep
-  (:meth:`repro.core.verifiers.chain.VerifierChain.run_batch`);
-* **refinement** runs one vectorised
-  :meth:`~repro.core.refinement.Refiner.refine_objects` sweep per
-  query over *all* of its surviving candidates at once (each query has
-  its own subregion grid, so the sweeps stay per-query), operating on
-  slice-backed views of the flat state.
+* **verification and refinement** are not restructured: every query
+  that is not replayed from the table cache runs the single-query
+  phases (``PnnExecutorMixin._run_vr`` / ``_run_refine`` /
+  ``_run_basic``) on its own states and refiner.
 
 k-NN and range specs share the same MBR sweep and distribution cache
 (see :meth:`~repro.core.engine.UncertainEngine.execute_batch`).
 
-Per-candidate arithmetic is identical to the sequential path, so batch
-and sequential answers agree exactly; the speed-up comes purely from
-amortising per-query orchestration overhead.
+Behind the cache tiers the batch runs the sequential path's own code,
+so batch and sequential results agree exactly by construction; the
+speed-up comes from the shared sweep and from work the caches skip.
 """
 
 from __future__ import annotations
@@ -359,18 +355,14 @@ class BatchResult:
     ----------
     results:
         One :class:`~repro.core.types.QueryResult` per spec, in input
-        order.  For C-PNN specs, per-result timings for the *shared*
-        phases (filtering, initialisation, and VR's flat verification
-        sweep) are zero — they cannot be attributed to single queries;
-        see :attr:`timings` for the batch totals.  (The basic/refine
-        strategies run refinement per query, so those results carry
-        their own ``timings.refinement``; k-NN/range results carry
-        their full per-spec phase timings except the shared filtering
-        sweep.)
+        order.  Every result carries its own initialisation /
+        verification / refinement timings (all zero for a replayed
+        snapshot — nothing ran); ``timings.filtering`` is zero because
+        the shared sweep cannot be attributed to single queries.
     timings:
-        Wall-clock totals of the four batch phases (filtering once for
-        the whole batch, shared initialisation, the flat verification
-        sweep, per-query refinement).
+        Wall-clock totals of the four phases: filtering once for the
+        whole batch, and for the other three the plain sums of the
+        results' own phases.
     cache_hits / cache_misses:
         Distribution-cache traffic attributable to this batch.
     table_hits / table_misses:

@@ -115,19 +115,6 @@ class EngineConfig:
         Consecutive healthy dispatches a degraded breaker requires
         before probing one dispatch at the healthier level; a clean
         probe heals one level.
-    mc_tier:
-        Prepend a Monte-Carlo verifier (certified Hoeffding confidence
-        bounds, DESIGN.md §15) to the chain built by ``chain_factory``.
-        Candidates it settles hold with probability ``mc_confidence``;
-        everything it leaves unknown falls through to the certified
-        algebraic tiers unchanged.  Off by default — the paper's
-        answers are exact.
-    mc_trials:
-        Joint distance samples the MC tier draws per query.
-    mc_confidence:
-        Simultaneous coverage level of the MC tier's bounds.
-    mc_seed:
-        Base seed of the MC tier's deterministic per-table streams.
     parametric_fast_path:
         When every candidate of a VR query exposes a closed-form
         ``parametric_distance``, evaluate verification on an analytic
@@ -175,10 +162,6 @@ class EngineConfig:
     process_min_batch: int = 16
     breaker_threshold: int = 3
     breaker_probe_after: int = 8
-    mc_tier: bool = False
-    mc_trials: int = 4096
-    mc_confidence: float = 0.999
-    mc_seed: int = 20080199
     parametric_fast_path: bool = True
     analytic_grid: int = 64
     analytic_max_grid: int = 4096
@@ -211,10 +194,6 @@ class EngineConfig:
             raise ValueError("table_cache_size must be >= 0")
         if self.pipeline is not None and not callable(self.pipeline):
             raise ValueError("pipeline must be callable or None")
-        if self.mc_trials < 1:
-            raise ValueError("mc_trials must be >= 1")
-        if not 0.0 < self.mc_confidence < 1.0:
-            raise ValueError("mc_confidence must be in (0, 1)")
         if self.analytic_grid < 1:
             raise ValueError("analytic_grid must be >= 1")
         if self.analytic_max_grid < self.analytic_grid:

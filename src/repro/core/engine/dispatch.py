@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.core.engine.config import Strategy
 from repro.core.types import CPNNQuery, QuerySpec
 from repro.core.verifiers.chain import VerifierChain
-from repro.core.verifiers.mc import MCVerifier
 
 __all__ = ["SpecDispatchMixin"]
 
@@ -30,21 +29,8 @@ class SpecDispatchMixin:
         """Build the default verifier chain once (verifiers are
         stateless; see ``EngineConfig.chain_factory``) and the
         per-spec-type cache the ``pipeline`` hook fills."""
-        self._chain = self._compose_chain(self._config.chain_factory())
+        self._chain = self._config.chain_factory()
         self._chains: dict[type, VerifierChain] = {}
-
-    def _compose_chain(self, chain: VerifierChain) -> VerifierChain:
-        """Apply config-driven chain tiers (currently: the MC tier)."""
-        if not self._config.mc_tier:
-            return chain
-        if any(not v.certified for v in chain.verifiers):
-            return chain
-        mc = MCVerifier(
-            trials=self._config.mc_trials,
-            confidence=self._config.mc_confidence,
-            seed=self._config.mc_seed,
-        )
-        return VerifierChain([mc, *chain.verifiers])
 
     @staticmethod
     def _as_spec(spec) -> QuerySpec:
@@ -79,8 +65,6 @@ class SpecDispatchMixin:
                     "EngineConfig.pipeline must return a VerifierChain or None, "
                     f"got {type(custom).__name__}"
                 )
-            chain = (
-                self._compose_chain(custom) if custom is not None else self._chain
-            )
+            chain = custom if custom is not None else self._chain
             self._chains[spec_type] = chain
         return chain

@@ -196,14 +196,6 @@ class QueryFacadeMixin(SpecDispatchMixin):
                     "every candidate has a closed-form distance "
                     "(histogram pipeline on fallback)",
                 )
-            if self._config.mc_tier:
-                stages.insert(
-                    len(stages) - 1,
-                    "MC tier: Hoeffding bounds from "
-                    f"{self._config.mc_trials} joint samples at "
-                    f"{self._config.mc_confidence:g} confidence "
-                    "(uncertified; certified tiers unaffected)",
-                )
             return verifiers, stages
         if strategy == Strategy.REFINE:
             return (), [
@@ -248,13 +240,14 @@ class QueryFacadeMixin(SpecDispatchMixin):
         """Answer a batch of specs, amortising work batch-wide.
 
         Semantically equivalent to ``[execute(s) for s in specs]`` —
-        per-candidate arithmetic is shared with the single-spec path,
-        so answers and records agree exactly — but work is restructured
+        answers and records agree exactly — but work is restructured
         around the batch: each family's filtering runs as one
         vectorised MBR sweep, distance distributions go through the
-        engine's LRU cache, and C-PNN verification/refinement run as
-        flat sweeps (see :mod:`repro.core.batch`).  Specs of different
-        types may be mixed freely; ``results`` aligns with ``specs``.
+        engine's LRU cache, and repeated C-PNN probes reuse cached
+        tables and results; C-PNN verification/refinement are the
+        single-spec path's own (see :mod:`repro.core.batch`).  Specs of
+        different types may be mixed freely; ``results`` aligns with
+        ``specs``.
 
         An empty ``specs`` sequence yields an empty
         :class:`~repro.core.batch.BatchResult`; an empty engine yields
@@ -511,12 +504,6 @@ class UncertainEngine(
             "caches": self._cache_stats(),
             "storage": self._storage_stats(),
             "continuous": self._continuous_stats(),
-            "mc": {
-                "enabled": self._config.mc_tier,
-                "trials": self._config.mc_trials,
-                "confidence": self._config.mc_confidence,
-                "seed": self._config.mc_seed,
-            },
             "parametric": {
                 "fast_path": self._config.parametric_fast_path,
                 "grid": self._config.analytic_grid,

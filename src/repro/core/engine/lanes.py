@@ -67,8 +67,8 @@ class Lane(SpecDispatchMixin, InvalidationQueueMixin, PnnExecutorMixin):
     """One C-PNN execution lane of a sharded engine.
 
     Runs the *unmodified* single-engine C-PNN batch pipeline
-    (:class:`~repro.core.engine.pnn.PnnExecutorMixin`) over its slice
-    of a batch, against filter results the parent reconciled across
+    (:class:`~repro.core.engine.pnn.PnnExecutorMixin`: the cache tiers
+    around the single-query phases) over its slice of a batch, against filter results the parent reconciled across
     shards (thread/serial executors) or against its own resident
     filter (process-executor workers).  Each lane owns its caches and
     serves a deterministic subset of query points (:func:`lane_for`'s

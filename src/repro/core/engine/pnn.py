@@ -15,7 +15,7 @@ sequential ≡ sharded an exact, bit-level property (DESIGN.md §3, §12).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
@@ -66,8 +66,8 @@ def _replay_result(result: QueryResult) -> QueryResult:
     :class:`AnswerRecord` instances, so neither the stored snapshot nor
     any replayed result shares state with what a caller received — a
     caller mutating a record cannot corrupt later replays.  Timings are
-    zero (nothing ran), matching the batch path's convention for
-    shared phases.
+    zero: nothing ran, and a batch's phase totals are the sums of its
+    results' phases.
     """
     return QueryResult(
         answers=result.answers,
@@ -96,31 +96,26 @@ class _Prepared:
     table: SubregionTable
     states: CandidateStates
     refiner: Refiner
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
+    timings: PhaseTimings
 
 
 class PnnExecutorMixin:
     """C-PNN evaluation (single + batch) against the host protocol."""
 
     def _execute_pnn(self, query: CPNNQuery, strategy: str) -> QueryResult:
-        filter_result = None
-        filter_time = 0.0
+        timings = PhaseTimings()
+        tick = time.perf_counter()
+        filter_result = self._single_filter()(query.q)
+        timings.filtering = time.perf_counter() - tick
         if strategy == Strategy.VR and self._config.parametric_fast_path:
-            tick = time.perf_counter()
-            filter_result = self._single_filter()(query.q)
-            filter_time = time.perf_counter() - tick
-            result = self._run_parametric(filter_result, query, filter_time)
+            result = self._run_parametric(filter_result, query, timings)
             if result is not None:
                 return result
-        prepared = self._prepare(query, filter_result, filter_time)
-        if strategy == Strategy.BASIC:
-            return self._run_basic(prepared, query)
-        if strategy == Strategy.REFINE:
-            return self._run_refine(prepared, query)
-        return self._run_vr(prepared, query)
+        prepared = self._prepare(query, filter_result, timings)
+        return self._run(prepared, query, strategy)
 
     def _run_parametric(
-        self, filter_result: FilterResult, query: CPNNQuery, filter_time: float
+        self, filter_result: FilterResult, query: CPNNQuery, timings: PhaseTimings
     ) -> QueryResult | None:
         """Verify on an analytic table — no histogram materialisation.
 
@@ -128,22 +123,24 @@ class PnnExecutorMixin:
         candidate has no closed form) or cannot settle every candidate
         within ``analytic_max_grid``; the caller then reruns the
         standard histogram pipeline from *fresh* states, so fallback
-        answers are bit-identical to the histogram engine's.
+        answers are bit-identical to the histogram engine's.  Time
+        spent here is booked into ``timings`` either way, so a fallback
+        query's phases still sum to its wall time.
         """
         candidates = filter_result.candidates
         if not candidates or not all(
             hasattr(obj, "parametric_distance") for obj in candidates
         ):
             return None
-        timings = PhaseTimings(filtering=filter_time)
         tick = time.perf_counter()
         distances = [obj.parametric_distance(query.q) for obj in candidates]
         try:
             table = AnalyticTable(distances, grid=self._config.analytic_grid)
         except ValueError:
+            timings.initialization += time.perf_counter() - tick
             return None
         states = CandidateStates(table.keys, pad=self._config.bound_pad)
-        timings.initialization = time.perf_counter() - tick
+        timings.initialization += time.perf_counter() - tick
 
         chain = self._chain_for(type(query))
         unknown_after: dict[str, float] = {}
@@ -175,14 +172,13 @@ class PnnExecutorMixin:
     def _pnn_batch(
         self, queries: list[CPNNQuery], strategy: str | None
     ) -> BatchResult:
-        """One amortised pass over many C-PNN queries.
+        """Many C-PNN queries: the cache tiers around the one pipeline.
 
-        The phases are restructured around the batch (see
-        :mod:`repro.core.batch`): filtering is a single vectorised MBR
-        sweep, distance distributions go through the engine's LRU
-        cache, and the VR verifier chain runs as flat sweeps over the
-        whole candidate×query matrix.  Per-candidate arithmetic is
-        shared with the single-query path, so answers agree exactly.
+        Filtering is a single vectorised MBR sweep and distance
+        distributions go through the engine's LRU cache (see
+        :mod:`repro.core.batch`); every query that is not replayed then
+        runs the very phases :meth:`_execute_pnn` runs, on its own
+        states and refiner, so batch ≡ sequential by construction.
 
         Repeated probes short-circuit in two tiers (DESIGN.md §11):
         a memoised *result* snapshot replays the whole pipeline's
@@ -204,203 +200,75 @@ class PnnExecutorMixin:
         tick = time.perf_counter()
         self._flush_table_invalidations()
         table_cache = self._table_cache
-        all_queries = queries
-        slots: list[QueryResult | None] = [None] * len(all_queries)
-        entries: dict[int, CachedTable] = {}
-        live: list[int] = []
-        if table_cache is not None:
-            for b, query in enumerate(all_queries):
-                entry = table_cache.get(point_key(query.q))
-                if entry is not None:
-                    entries[b] = entry
-                    snapshot = entry.results.get(_result_sig(query, strategy))
-                    if snapshot is not None:
-                        slots[b] = _replay_result(snapshot)
-                        batch.table_hits += 1
-                        batch.result_hits += 1
-                        batch.replayed.append(b)
-                        continue
-                live.append(b)
-        else:
-            live = list(range(len(all_queries)))
-        queries = [all_queries[b] for b in live]
+        slots: list[QueryResult | None] = [None] * len(queries)
+        live: list[tuple[int, Hashable, CachedTable | None]] = []
+        for b, query in enumerate(queries):
+            key = point_key(query.q)
+            entry = table_cache.get(key) if table_cache is not None else None
+            if entry is not None:
+                snapshot = entry.results.get(_result_sig(query, strategy))
+                if snapshot is not None:
+                    slots[b] = _replay_result(snapshot)
+                    batch.table_hits += 1
+                    batch.result_hits += 1
+                    batch.replayed.append(b)
+                    continue
+            live.append((b, key, entry))
         filter_results = (
-            self._filter_batch([q.q for q in queries]) if queries else []
+            self._filter_batch([queries[b].q for b, _, _ in live]) if live else []
         )
         timings.filtering = time.perf_counter() - tick
-        if not queries:
-            # Every spec replayed a memoised snapshot; nothing to run.
-            batch.results = slots
-            for result, query in zip(slots, all_queries):
-                result.spec = query
-            return batch
 
-        if strategy == Strategy.VR and self._config.parametric_fast_path:
-            # Queries whose candidates all evaluate in closed form are
-            # answered analytically right here, skipping table build,
-            # caching, and snapshot memoisation (re-running the fast
-            # path is cheaper than pinning a materialised table).
-            # Queries with a warm cached table keep the standard flow.
-            keep = []
-            for i, b in enumerate(live):
-                if entries.get(b) is None:
-                    check_cancel(self)
-                    result = self._run_parametric(
-                        filter_results[i], queries[i], 0.0
-                    )
-                    if result is not None:
-                        slots[b] = result
-                        timings.initialization += result.timings.initialization
-                        timings.verification += result.timings.verification
-                        continue
-                keep.append(i)
-            if len(keep) < len(live):
-                live = [live[i] for i in keep]
-                queries = [queries[i] for i in keep]
-                filter_results = [filter_results[i] for i in keep]
-            if not queries:
-                batch.results = slots
-                for result, query in zip(slots, all_queries):
-                    result.spec = query
-                if cache is not None:
-                    batch.cache_hits = cache.hits - hits_before
-                    batch.cache_misses = cache.misses - misses_before
-                return batch
-
-        tick = time.perf_counter()
-        tables = []
+        fast_path = strategy == Strategy.VR and self._config.parametric_fast_path
         distributions_built = 0
         built_this_batch: dict[Hashable, CachedTable] = {}
-        for b, query, fr in zip(live, queries, filter_results):
+        for (b, key, entry), filter_result in zip(live, filter_results):
             check_cancel(self)
-            key = point_key(query.q)
-            entry = entries.get(b)
+            query = queries[b]
+            spent = PhaseTimings()
+            if entry is None and fast_path:
+                # Candidates that all evaluate in closed form are
+                # answered analytically, skipping table build, caching
+                # and snapshot memoisation (re-running the fast path is
+                # cheaper than pinning a materialised table).  A point
+                # whose table was warm before this batch keeps the
+                # standard flow.
+                result = self._run_parametric(filter_result, query, spent)
+                if result is not None:
+                    slots[b] = result
+                    continue
             if entry is None:
                 # A duplicate point earlier in this batch may have just
                 # built this table; a plain dict probe avoids counting
                 # a second miss against the cache for the same point.
                 entry = built_this_batch.get(key)
-                if entry is not None:
-                    entries[b] = entry
             if entry is not None:
-                table = entry.table
                 batch.table_hits += 1
-            else:
-                table = SubregionTable(
-                    distributions_for(fr.candidates, query.q, cache),
-                    grid_refinement=self._config.grid_refinement,
+                prepared = self._prepare(
+                    query, filter_result, spent, table=entry.table
                 )
-                distributions_built += table.size
+            else:
+                prepared = self._prepare(query, filter_result, spent, cache=cache)
+                distributions_built += prepared.table.size
                 batch.table_misses += 1
                 if table_cache is not None:
-                    entry = CachedTable(table=table, fmin=fr.fmin)
+                    entry = CachedTable(
+                        table=prepared.table, fmin=filter_result.fmin
+                    )
                     table_cache.put(key, entry)
-                    entries[b] = entry
                     built_this_batch[key] = entry
-            tables.append(table)
-        # Phase times accumulate (+=): the parametric pre-pass above may
-        # already have booked its share for fast-path queries.
-        offsets = np.zeros(len(tables) + 1, dtype=np.intp)
-        np.cumsum([table.size for table in tables], out=offsets[1:])
-        total = int(offsets[-1])
-        pad = self._config.bound_pad
-        flat_lower = np.zeros(total)
-        flat_upper = np.ones(total)
-        flat_labels = np.zeros(total, dtype=np.int8)
-        flat_states = CandidateStates.from_arrays(
-            [key for table in tables for key in table.keys],
-            flat_lower,
-            flat_upper,
-            flat_labels,
-            pad=pad,
-        )
-        prepared = []
-        for b, (table, fr) in enumerate(zip(tables, filter_results)):
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            states = CandidateStates.from_arrays(
-                table.keys,
-                flat_lower[lo:hi],
-                flat_upper[lo:hi],
-                flat_labels[lo:hi],
-                pad=pad,
-            )
-            refiner = Refiner(
-                table,
-                quadrature_margin=self._config.quadrature_margin,
-                order=self._config.refinement_order,
-            )
-            prepared.append(_Prepared(fr, table, states, refiner))
-        timings.initialization += time.perf_counter() - tick
-
-        if strategy == Strategy.VR:
-            # The flat sweep classifies the whole batch against one
-            # threshold/tolerance pair and one verifier chain.  Specs
-            # with heterogeneous constraints — or different PNN-family
-            # spec types, whose chains may differ through the pipeline
-            # hook — keep working through the sequential chain, query
-            # by query, so batch == loop holds per spec.
-            uniform = all(
-                q.threshold == queries[0].threshold
-                and q.tolerance == queries[0].tolerance
-                and type(q) is type(queries[0])
-                for q in queries[1:]
-            )
-            tick = time.perf_counter()
-            if uniform:
-                outcomes = self._chain_for(type(queries[0])).run_batch(
-                    tables,
-                    flat_states,
-                    offsets,
-                    queries[0].threshold,
-                    queries[0].tolerance,
-                )
-            else:
-                outcomes = [
-                    self._chain_for(type(query)).run(table, prep.states, query)
-                    for table, prep, query in zip(tables, prepared, queries)
-                ]
-            timings.verification += time.perf_counter() - tick
-
-            tick = time.perf_counter()
-            for b, prep, query, outcome in zip(live, prepared, queries, outcomes):
-                check_cancel(self)
-                states = prep.states
-                finished = states.n_unknown == 0
-                survivors = states.unknown_indices()
-                prep.refiner.refine_objects(
-                    survivors, states, query, use_verifier_slices=True
-                )
-                refined = int(survivors.size)
-                slots[b] = self._assemble(
-                    prep,
-                    query,
-                    unknown_after=outcome.unknown_after,
-                    finished_after_verification=finished,
-                    refined=refined,
-                )
-            timings.refinement = time.perf_counter() - tick
-        else:
-            runner = (
-                self._run_basic if strategy == Strategy.BASIC else self._run_refine
-            )
-            for b, prep, query in zip(live, prepared, queries):
-                check_cancel(self)
-                slots[b] = runner(prep, query)
-            timings.refinement = sum(
-                slots[b].timings.refinement for b in live
-            )
-
-        # Memoise freshly computed outcomes as pristine snapshots so a
-        # repeated probe of an undisturbed point replays them wholesale.
-        for b, query in zip(live, queries):
-            entry = entries.get(b)
+            result = slots[b] = self._run(prepared, query, strategy)
             if entry is not None:
-                entry.results[_result_sig(query, strategy)] = _replay_result(
-                    slots[b]
-                )
+                # Memoise the outcome as a pristine snapshot so a
+                # repeated probe of an undisturbed point replays it.
+                entry.results[_result_sig(query, strategy)] = _replay_result(result)
+
         batch.results = slots
-        for result, query in zip(batch.results, all_queries):
+        for result, query in zip(slots, queries):
             result.spec = query
+            timings.initialization += result.timings.initialization
+            timings.verification += result.timings.verification
+            timings.refinement += result.timings.refinement
         if cache is not None:
             batch.cache_hits = cache.hits - hits_before
             batch.cache_misses = cache.misses - misses_before
@@ -418,7 +286,7 @@ class PnnExecutorMixin:
         if not self._objects:
             raise ValueError("cannot query an empty engine (insert objects first)")
         query = CPNNQuery(q, threshold=1.0, tolerance=0.0)
-        prepared = self._prepare(query)
+        prepared = self._prepare(query, self._single_filter()(q), PhaseTimings())
         probabilities = prepared.refiner.exact_all()
         return {
             key: float(p)
@@ -432,30 +300,38 @@ class PnnExecutorMixin:
     def _prepare(
         self,
         query: CPNNQuery,
-        filter_result: FilterResult | None = None,
-        filter_time: float = 0.0,
+        filter_result: FilterResult,
+        timings: PhaseTimings,
+        cache=None,
+        table: SubregionTable | None = None,
     ) -> _Prepared:
-        timings = PhaseTimings(filtering=filter_time)
-        if filter_result is None:
-            tick = time.perf_counter()
-            filter_result = self._single_filter()(query.q)
-            timings.filtering = time.perf_counter() - tick
+        """Fresh states and a refiner around the query's subregion table.
 
+        The table is built here — distributions through ``cache`` when
+        the batch path hands one in — unless the table cache already
+        holds it (``table``).
+        """
         tick = time.perf_counter()
-        distributions = [
-            obj.distance_distribution(query.q) for obj in filter_result.candidates
-        ]
-        table = SubregionTable(
-            distributions, grid_refinement=self._config.grid_refinement
-        )
+        if table is None:
+            table = SubregionTable(
+                distributions_for(filter_result.candidates, query.q, cache),
+                grid_refinement=self._config.grid_refinement,
+            )
         states = CandidateStates(table.keys, pad=self._config.bound_pad)
         refiner = Refiner(
             table,
             quadrature_margin=self._config.quadrature_margin,
             order=self._config.refinement_order,
         )
-        timings.initialization = time.perf_counter() - tick
+        timings.initialization += time.perf_counter() - tick
         return _Prepared(filter_result, table, states, refiner, timings)
+
+    def _run(self, prepared: _Prepared, query: CPNNQuery, strategy: str) -> QueryResult:
+        if strategy == Strategy.BASIC:
+            return self._run_basic(prepared, query)
+        if strategy == Strategy.REFINE:
+            return self._run_refine(prepared, query)
+        return self._run_vr(prepared, query)
 
     def _run_basic(self, prepared: _Prepared, query: CPNNQuery) -> QueryResult:
         timings = prepared.timings
@@ -502,7 +378,7 @@ class PnnExecutorMixin:
 
         tick = time.perf_counter()
         outcome = chain.run(prepared.table, states, query)
-        timings.verification = time.perf_counter() - tick
+        timings.verification += time.perf_counter() - tick
 
         finished = states.n_unknown == 0
         tick = time.perf_counter()

@@ -33,14 +33,6 @@ subregion, so
   accumulated by the verifiers ... can facilitate the refinement
   process"), or are the vacuous ``[0, s_ij]`` for the *Refine*
   strategy that skips verification.
-* :meth:`Refiner.refine_objects` — the columnar variant of the above:
-  one vectorised sweep refines *all* still-unknown candidates
-  together, warming quadrature for every active candidate's next
-  subregion at once and classifying with
-  :func:`~repro.core.classifier.classify_arrays`.  Each candidate
-  visits its subregions in exactly the order, with exactly the
-  floating-point operations, of :meth:`Refiner.refine_object`, so
-  labels and bounds are bit-identical to the sequential loop.
 
 Columnar substrate
 ------------------
@@ -64,7 +56,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.classifier import classify_arrays
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery
@@ -289,121 +280,4 @@ class Refiner:
         states.lower[i] = best_lo
         states.upper[i] = best_up
         states.labels[i] = label
-        return integrated
-
-    def refine_objects(
-        self,
-        indices,
-        states: CandidateStates,
-        query: CPNNQuery,
-        use_verifier_slices: bool = True,
-        batch: int = 8,
-    ) -> int:
-        """Refine many candidates in one vectorised sweep.
-
-        Semantically a loop of :meth:`refine_object` over ``indices``
-        (candidates are independent: each reads only the shared table
-        and writes only its own state row), restructured so that every
-        step advances *all* still-unknown candidates by one subregion:
-        quadrature is warmed for the whole front of next subregions at
-        once, bound updates are flat array arithmetic, and labels come
-        from one :func:`classify_arrays` call.  Per-candidate
-        visitation order and floating-point operations are exactly
-        those of :meth:`refine_object`, so the resulting labels and
-        bounds are bit-identical to the sequential loop.
-
-        Returns the total number of object-subregion integrations.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            return 0
-        if idx.size == 1:
-            # The sweep's array plumbing costs more than it saves for a
-            # lone survivor; the scalar path is bit-identical.
-            return self.refine_object(
-                int(idx[0]), states, query, use_verifier_slices, batch=batch
-            )
-        table = self._table
-        s = np.asarray(table.s_inner[idx], dtype=float)
-        if use_verifier_slices:
-            lo = s * table.q_lower[idx]
-            up = s * table.q_upper[idx]
-        else:
-            lo = np.zeros_like(s)
-            up = s.copy()
-        cur_lo = lo.sum(axis=1)
-        cur_up = up.sum(axis=1)
-        pad = states.pad
-        threshold = query.threshold
-        tolerance = query.tolerance
-
-        relevant = (s > 0.0) | (up > lo)
-        n_relevant = relevant.sum(axis=1)
-        # Row-wise visitation order, irrelevant subregions pushed past
-        # the end; the stable full-row sort reproduces refine_object's
-        # "stable argsort of the relevant slice" tie-breaking.
-        if self._order == "widest":
-            key = np.where(relevant, -(up - lo), np.inf)
-        else:
-            key = np.where(
-                relevant,
-                np.arange(s.shape[1], dtype=float)[None, :],
-                np.inf,
-            )
-        order = np.argsort(key, axis=1, kind="stable")
-
-        best_lo = np.array(states.lower[idx], dtype=float)
-        best_up = np.array(states.upper[idx], dtype=float)
-        labels = np.zeros(idx.size, dtype=np.int8)
-        integrated = 0
-        step = 0
-        batch = max(batch, 1)
-        while True:
-            active = np.flatnonzero((labels == _UNKNOWN) & (step < n_relevant))
-            if active.size == 0:
-                break
-            if step % batch == 0:
-                # Warm the whole front's next batch of subregions in
-                # one quadrature pass — the same per-object look-ahead
-                # refine_object uses, so the chunks fed to the
-                # quadrature kernel stay big even when classification
-                # needs only a step or two.
-                window = order[active, step : step + batch]
-                valid = (
-                    np.arange(step, step + window.shape[1])[None, :]
-                    < n_relevant[active, None]
-                )
-                self._ensure_weighted_excl(np.unique(window[valid]))
-            js = order[active, step]
-            p = 0.5 * s[active, js] * self._weighted[idx[active], js]
-            cur_lo[active] += p - lo[active, js]
-            cur_up[active] += p - up[active, js]
-            integrated += int(active.size)
-            cand_lo = np.minimum(np.maximum(cur_lo[active] - pad, 0.0), 1.0)
-            cand_up = np.minimum(np.maximum(cur_up[active] + pad, 0.0), 1.0)
-            b_lo = np.maximum(best_lo[active], cand_lo)
-            b_up = np.minimum(best_up[active], cand_up)
-            crossed = b_lo > b_up
-            if np.any(crossed):
-                midpoint = 0.5 * (b_lo[crossed] + b_up[crossed])
-                b_lo[crossed] = midpoint
-                b_up[crossed] = midpoint
-            best_lo[active] = b_lo
-            best_up[active] = b_up
-            labels[active] = classify_arrays(b_lo, b_up, threshold, tolerance)
-            step += 1
-        self.integrations += integrated
-
-        exhausted = np.flatnonzero(labels == _UNKNOWN)
-        if exhausted.size:
-            # Every subregion is exact now: collapse to the exact value
-            # and break the tie with it, as refine_object does.
-            exact = np.minimum(np.maximum(cur_lo[exhausted], 0.0), 1.0)
-            best_lo[exhausted] = np.minimum(np.maximum(exact - pad, 0.0), 1.0)
-            best_up[exhausted] = np.minimum(np.maximum(exact + pad, 0.0), 1.0)
-            labels[exhausted] = np.where(exact >= threshold, _SATISFY, _FAIL)
-
-        states.lower[idx] = best_lo
-        states.upper[idx] = best_up
-        states.labels[idx] = labels
         return integrated

@@ -34,39 +34,6 @@ class CandidateStates:
         self.labels = np.zeros(n, dtype=np.int8)
         self._pad = float(pad)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        keys: Sequence[Hashable],
-        lower: np.ndarray,
-        upper: np.ndarray,
-        labels: np.ndarray,
-        pad: float = DEFAULT_BOUND_PAD,
-    ) -> "CandidateStates":
-        """Wrap externally owned bound/label arrays without copying.
-
-        The batch-query path allocates one flat array per bound for the
-        whole batch and hands each query a slice-backed view, so that a
-        single vectorised ``tighten``/``classify`` over the flat arrays
-        is visible through every per-query state (and vice versa during
-        refinement).  The arrays must be 1-D, equally sized, and match
-        ``keys``; they are adopted as-is, so callers are responsible
-        for initialising them to the paper's starting state
-        ([0, 1] bounds, all-unknown labels).
-        """
-        state = cls.__new__(cls)
-        state._keys = tuple(keys)
-        n = len(state._keys)
-        if n == 0:
-            raise ValueError("candidate state requires at least one candidate")
-        if not (lower.shape == upper.shape == labels.shape == (n,)):
-            raise ValueError("bound/label arrays must be 1-D with one entry per key")
-        state.lower = lower
-        state.upper = upper
-        state.labels = labels
-        state._pad = float(pad)
-        return state
-
     # ------------------------------------------------------------------
 
     @property

@@ -20,7 +20,6 @@ as soon as no candidate is left unknown.
 from repro.core.verifiers.base import BoundUpdate, Verifier
 from repro.core.verifiers.chain import ChainOutcome, VerifierChain, default_chain
 from repro.core.verifiers.lsr import LowerSubregionVerifier
-from repro.core.verifiers.mc import MCVerifier
 from repro.core.verifiers.rs import RightmostSubregionVerifier
 from repro.core.verifiers.usr import UpperSubregionVerifier
 
@@ -28,7 +27,6 @@ __all__ = [
     "BoundUpdate",
     "ChainOutcome",
     "LowerSubregionVerifier",
-    "MCVerifier",
     "RightmostSubregionVerifier",
     "UpperSubregionVerifier",
     "Verifier",

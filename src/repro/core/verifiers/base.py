@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,32 +43,9 @@ class Verifier(abc.ABC):
     #: orders verifiers by ascending running cost).
     cost_rank: int = 0
 
-    #: Whether the verifier's bounds hold with certainty.  Certified
-    #: bounds are intersected with the running interval and survive
-    #: escalation; uncertified ones (e.g. Monte-Carlo confidence
-    #: bounds) may classify candidates but are *not* allowed to
-    #: constrain later certified tiers — see the chain runner.
-    certified: bool = True
-
     @abc.abstractmethod
     def compute(self, table: SubregionTable) -> BoundUpdate:
         """Bounds for every candidate in ``table`` (vectorised)."""
-
-    def compute_batch(
-        self, tables: Sequence[SubregionTable]
-    ) -> list[BoundUpdate]:
-        """Bounds for every candidate of every table in one sweep.
-
-        The default evaluates :meth:`compute` per table — each call is
-        already a handful of whole-matrix numpy operations, and reusing
-        it keeps the batch path's arithmetic bit-identical to the
-        sequential path (each query's subregion grid has its own shape,
-        so stacking tables would change summation order and perturb
-        bounds at the ulp level).  The batch chain runner concatenates
-        these per-table updates and applies one flat tighten/classify
-        sweep across the whole candidate×query matrix.
-        """
-        return [self.compute(table) for table in tables]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}()"

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery
-from repro.core.verifiers.base import BoundUpdate, Verifier
+from repro.core.verifiers.base import Verifier
 from repro.core.verifiers.lsr import LowerSubregionVerifier
 from repro.core.verifiers.rs import RightmostSubregionVerifier
 from repro.core.verifiers.usr import UpperSubregionVerifier
@@ -32,16 +30,10 @@ class ChainOutcome:
     ``unknown_after`` maps each verifier's name to the fraction of
     candidates still unknown after it ran — the exact series Figure 12
     plots.  Verifiers skipped due to early termination are absent.
-
-    ``probabilistic`` records, per *uncertified* verifier that ran,
-    the statistical terms its classifications hold under (trial
-    count, Hoeffding deviation, simultaneous confidence) and how many
-    candidates it settled.  Empty for fully certified chains.
     """
 
     unknown_after: dict[str, float] = field(default_factory=dict)
     executed: list[str] = field(default_factory=list)
-    probabilistic: dict[str, dict] = field(default_factory=dict)
 
     @property
     def finished(self) -> bool:
@@ -75,165 +67,12 @@ class VerifierChain:
         for verifier in self._verifiers:
             if states.n_unknown == 0:
                 break
-            if not verifier.certified:
-                update = verifier.compute(table)
-                classified = self._apply_uncertified(
-                    update, states, query.threshold, query.tolerance
-                )
-                outcome.executed.append(verifier.name)
-                outcome.unknown_after[verifier.name] = states.unknown_fraction
-                outcome.probabilistic[verifier.name] = _probabilistic_info(
-                    verifier, table.size, classified
-                )
-                continue
             update = verifier.compute(table)
             states.tighten(lower=update.lower, upper=update.upper)
             states.classify(query.threshold, query.tolerance)
             outcome.executed.append(verifier.name)
             outcome.unknown_after[verifier.name] = states.unknown_fraction
         return outcome
-
-    @staticmethod
-    def _apply_uncertified(
-        update,
-        states: CandidateStates,
-        threshold: float,
-        tolerance: float,
-    ) -> int:
-        """Classify from statistical bounds without polluting certified state.
-
-        The update's bounds are intersected with the current interval
-        for the classification attempt only: rows still unknown
-        afterwards get their pre-verifier bounds back, so later
-        certified tiers never inherit a confidence-only constraint.
-        Rows where the statistical interval contradicts the certified
-        one (sampling landed outside the algebraic bracket) keep
-        their certified bounds untouched.
-        """
-        snap_lower = states.lower.copy()
-        snap_upper = states.upper.copy()
-        mask = states.unknown_mask()
-        before = int(mask.sum())
-        cand_lower = snap_lower.copy()
-        cand_upper = snap_upper.copy()
-        if update.lower is not None:
-            cand_lower[mask] = np.maximum(snap_lower, update.lower)[mask]
-        if update.upper is not None:
-            cand_upper[mask] = np.minimum(snap_upper, update.upper)[mask]
-        bad = cand_lower > cand_upper
-        cand_lower[bad] = snap_lower[bad]
-        cand_upper[bad] = snap_upper[bad]
-        states.lower[:] = cand_lower
-        states.upper[:] = cand_upper
-        states.classify(threshold, tolerance)
-        still = states.unknown_mask()
-        states.lower[still] = snap_lower[still]
-        states.upper[still] = snap_upper[still]
-        return before - int(still.sum())
-
-
-    def run_batch(
-        self,
-        tables: Sequence[SubregionTable],
-        flat_states: CandidateStates,
-        offsets: np.ndarray,
-        threshold: float,
-        tolerance: float,
-    ) -> list[ChainOutcome]:
-        """Execute the chain across a whole batch of queries at once.
-
-        ``flat_states`` holds the concatenated candidate states of
-        every query (query ``b``'s candidates occupy rows
-        ``offsets[b]:offsets[b+1]``).  Each verifier is evaluated for
-        the queries that still have unknown candidates — mirroring the
-        sequential early-termination rule query by query — but the
-        resulting bounds are applied with a *single* ``tighten`` and a
-        *single* ``classify`` over the flat candidate×query arrays, so
-        the per-stage numpy overhead is paid once per batch instead of
-        once per query.  Per-candidate arithmetic is identical to
-        :meth:`run`, hence so are the resulting labels and bounds.
-        """
-        n_queries = len(tables)
-        if offsets.shape != (n_queries + 1,):
-            raise ValueError("offsets must have one entry per query plus a sentinel")
-        outcomes = [ChainOutcome() for _ in range(n_queries)]
-        sizes = np.diff(offsets)
-        flat_states.classify(threshold, tolerance)
-        unknown = self._unknown_per_query(flat_states, offsets)
-        for verifier in self._verifiers:
-            active = np.flatnonzero(unknown)
-            if active.size == 0:
-                break
-            updates = verifier.compute_batch([tables[b] for b in active])
-            if not verifier.certified:
-                unknown_before = unknown.copy()
-                lower = np.zeros(flat_states.size)
-                upper = np.ones(flat_states.size)
-                for b, update in zip(active, updates):
-                    lo, hi = offsets[b], offsets[b + 1]
-                    if update.lower is not None:
-                        lower[lo:hi] = update.lower
-                    if update.upper is not None:
-                        upper[lo:hi] = update.upper
-                self._apply_uncertified(
-                    BoundUpdate(lower=lower, upper=upper),
-                    flat_states,
-                    threshold,
-                    tolerance,
-                )
-                unknown = self._unknown_per_query(flat_states, offsets)
-                for b in active:
-                    outcomes[b].executed.append(verifier.name)
-                    outcomes[b].unknown_after[verifier.name] = float(
-                        unknown[b] / sizes[b]
-                    )
-                    outcomes[b].probabilistic[verifier.name] = _probabilistic_info(
-                        verifier,
-                        tables[b].size,
-                        int(unknown_before[b] - unknown[b]),
-                    )
-                continue
-            lower = upper = None
-            if any(u.lower is not None for u in updates):
-                lower = np.zeros(flat_states.size)
-            if any(u.upper is not None for u in updates):
-                upper = np.ones(flat_states.size)
-            for b, update in zip(active, updates):
-                lo, hi = offsets[b], offsets[b + 1]
-                if update.lower is not None:
-                    lower[lo:hi] = update.lower
-                if update.upper is not None:
-                    upper[lo:hi] = update.upper
-            flat_states.tighten(lower=lower, upper=upper)
-            flat_states.classify(threshold, tolerance)
-            unknown = self._unknown_per_query(flat_states, offsets)
-            for b in active:
-                outcomes[b].executed.append(verifier.name)
-                outcomes[b].unknown_after[verifier.name] = float(
-                    unknown[b] / sizes[b]
-                )
-        return outcomes
-
-    @staticmethod
-    def _unknown_per_query(
-        flat_states: CandidateStates, offsets: np.ndarray
-    ) -> np.ndarray:
-        """Count still-unknown candidates per query segment."""
-        is_unknown = (flat_states.labels == 0).astype(np.int64)
-        return np.add.reduceat(is_unknown, offsets[:-1])
-
-
-def _probabilistic_info(verifier: Verifier, n_candidates: int, classified: int):
-    """Statistical terms an uncertified verifier's labels hold under."""
-    info: dict = {"classified": int(classified)}
-    for attr in ("trials", "confidence"):
-        value = getattr(verifier, attr, None)
-        if value is not None:
-            info[attr] = value
-    epsilon = getattr(verifier, "epsilon", None)
-    if callable(epsilon):
-        info["epsilon"] = float(epsilon(n_candidates))
-    return info
 
 
 def default_chain() -> VerifierChain:

@@ -37,7 +37,7 @@ from repro.uncertainty.twod import DEFAULT_DISTANCE_BINS
 
 __all__ = ["sensor_noise_objects", "gps_ellipse_objects"]
 
-#: Default deterministic seed (shared with the MC verifier's base).
+#: Default deterministic seed.
 DEFAULT_SCENARIO_SEED = 20080199
 
 

@@ -487,9 +487,8 @@ class DistributionPack:
         call — so drawing ``U ~ uniform(0, 1)`` row-major and scaling
         row ``i`` by ``totals[i]`` yields *exactly* the stream
         ``histogram.sample(rng, T)`` would produce per row (numpy's
-        ``uniform(0, m)`` evaluates ``0 + m·u`` on the same doubles).
-        This is how the MC verifier samples through the pack instead of
-        row objects (DESIGN.md §15/§16).
+        ``uniform(0, m)`` evaluates ``0 + m·u`` on the same doubles):
+        sampling through the pack instead of row objects.
         """
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[0] != self._size:

@@ -109,7 +109,7 @@ class ParametricDistance(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw iid distances from the exact model (MC tier/baseline)."""
+        """Draw iid distances from the exact model (sampling baselines)."""
 
     def overlaps(self, a: float, b: float) -> bool:
         return self.near < b and self.far > a

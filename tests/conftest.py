@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -20,6 +22,16 @@ settings.load_profile("default")
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20080407)
+
+
+@pytest.fixture
+def unit_clock(monkeypatch) -> None:
+    """The C-PNN executor's clock advances one unit per reading, so
+    every timed span is exactly 1 and phase sums are whole numbers."""
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        "repro.core.engine.pnn.time.perf_counter", lambda: float(next(ticks))
+    )
 
 
 def cpnn_specs(

@@ -263,21 +263,14 @@ class TestQueryBatch:
             assert set(result.answers) == set(reference.answers)
             assert result.fmin == reference.fmin
 
-    def test_prepared_queries_with_uniform_constraints(self, rng):
+    @pytest.mark.parametrize(
+        "thresholds", [[0.25] * 4, [0.1, 0.3, 0.5, 0.7]], ids=["uniform", "mixed"]
+    )
+    def test_prepared_queries(self, rng, thresholds):
         engine = UncertainEngine(make_random_objects(rng, 12))
-        points = query_points(rng, n=4)
-        prepared = [CPNNQuery(q, 0.25, 0.0) for q in points]
-        batch = engine.execute_batch(prepared)
-        for q, result in zip(points, batch):
-            reference = engine.execute(CPNNQuery(q, threshold=0.25, tolerance=0.0))
-            assert set(result.answers) == set(reference.answers)
-
-    def test_prepared_queries_with_mixed_constraints(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 12))
-        points = query_points(rng, n=4)
-        thresholds = [0.1, 0.3, 0.5, 0.7]
         prepared = [
-            CPNNQuery(q, threshold, 0.0) for q, threshold in zip(points, thresholds)
+            CPNNQuery(q, threshold, 0.0)
+            for q, threshold in zip(query_points(rng, n=4), thresholds)
         ]
         batch = engine.execute_batch(prepared)
         for query, result in zip(prepared, batch):
@@ -305,6 +298,24 @@ class TestQueryBatch:
         )
         assert batch.timings.total > 0
         assert batch.timings.initialization > 0
+
+    def test_batch_phases_are_the_sum_of_its_results(self, rng, unit_clock):
+        """A batch's phase totals equal the sums over its results
+        exactly — the VR refinement total covers what each query's own
+        span covers."""
+        objects = [
+            UncertainObject.gaussian(i, lo, lo + 12.0, bars=32)
+            for i, lo in enumerate(rng.uniform(0.0, 60.0, size=30))
+        ]
+        engine = UncertainEngine(objects)
+        specs = cpnn_specs(query_points(rng, n=6), threshold=0.05, tolerance=0.0)
+        batch = engine.execute_batch(specs)
+        assert batch.total_refined >= 2, "the workload must reach refinement"
+        for phase in ("initialization", "verification", "refinement"):
+            assert getattr(batch.timings, phase) == sum(
+                getattr(r.timings, phase) for r in batch.results
+            )
+        assert batch.timings.refinement == len(specs)
 
     def test_answer_sets_property(self, rng):
         engine = UncertainEngine(make_random_objects(rng, 10))

@@ -159,3 +159,33 @@ class TestAnswerQuality:
             result = engine.execute(spec)
             for record in result.records:
                 assert 0.0 <= record.lower <= record.upper <= 1.0
+
+
+class TestFallbackAccounting:
+    """A query the analytic brackets cannot settle pays for the failed
+    attempt; its phases must say so (whole units under ``unit_clock``)."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["execute", "batch"])
+    def test_failed_analytic_attempt_is_booked(self, unit_clock, batched):
+        with pytest.raises(ValueError):
+            EngineConfig(analytic_grid=64, analytic_max_grid=8)
+        # The smallest admissible ceiling: one coarse table, no escalation.
+        config = dict(analytic_grid=8, analytic_max_grid=8)
+        spec = query_specs(threshold=0.3, tolerance=0.0, n=1)[0]
+
+        def run(**overrides):
+            engine = UncertainEngine(
+                gaussian_objects(), EngineConfig(**config, **overrides)
+            )
+            if batched:
+                return engine.execute_batch([spec]).results[0]
+            return engine.execute(spec)
+
+        plain = run(parametric_fast_path=False)
+        fallback = run()
+        assert fallback.refined_objects > 0, "the analytic path never refines"
+        assert fallback.answers == plain.answers
+        # One analytic table and one chain run went nowhere.
+        assert fallback.timings.initialization == plain.timings.initialization + 1
+        assert fallback.timings.verification == plain.timings.verification + 1
+        assert fallback.timings.refinement == plain.timings.refinement

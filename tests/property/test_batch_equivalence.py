@@ -1,13 +1,17 @@
 """Property tests: execute_batch ≡ a sequential execute() loop.
 
-The batch path restructures orchestration (one filtering sweep, shared
-distributions, flat verifier sweeps) but shares every per-candidate
-arithmetic step with the sequential path, so at any tolerance the two
-must return identical answer sets — and at tolerance 0 both must agree
+The batch path puts cache tiers (one filtering sweep, shared
+distributions, cached tables, replayed snapshots) around the very
+phases ``execute`` runs, so the two must return identical results —
+bit for bit, record by record — and at tolerance 0 both must agree
 with the exact ``{i : p_i ≥ P}`` semantics.  Exercised across all
-three strategies and across 1-D and 2-D object mixes.
+three strategies, across 1-D and 2-D object mixes, and on a
+refinement-heavy Gaussian dataset where several candidates per query
+survive verification.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +143,53 @@ def test_batch_linear_and_rtree_engines_agree(case):
     a = rtree.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
     b = linear.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
     assert [set(x.answers) for x in a] == [set(x.answers) for x in b]
+
+
+def refine_shaped_objects():
+    """Overlapping many-bar Gaussians, the shape of ``pnn_refine``: at
+    P = 0.05, Δ = 0 the verifiers leave several candidates unknown."""
+    rng = np.random.default_rng(7)
+    return [
+        UncertainObject.gaussian(i, lo, lo + width, bars=60)
+        for i, (lo, width) in enumerate(
+            zip(rng.uniform(0.0, 100.0, 80), rng.uniform(6.0, 18.0, 80))
+        )
+    ]
+
+
+def assert_same_result(got, want):
+    assert got.answers == want.answers
+    assert got.records == want.records  # key, label, lower, upper, exact
+    assert got.fmin == want.fmin
+    assert got.unknown_after_verifier == want.unknown_after_verifier
+    assert got.finished_after_verification == want.finished_after_verification
+    assert got.refined_objects == want.refined_objects
+
+
+@pytest.mark.parametrize("table_cache_size", [256, 0], ids=["cached", "uncached"])
+@pytest.mark.parametrize("order", ["widest", "left"])
+@pytest.mark.parametrize("strategy", Strategy.ALL)
+def test_batch_is_execute_bit_for_bit(strategy, order, table_cache_size):
+    engine = UncertainEngine(
+        refine_shaped_objects(),
+        EngineConfig(refinement_order=order, table_cache_size=table_cache_size),
+    )
+    points = [float(q) for q in np.random.default_rng(11).uniform(5.0, 110.0, 8)]
+    constraints = [(0.05, 0.0), (0.3, 0.01), (0.5, 0.0), (0.05, 0.02)]
+    # Refinement-heavy specs first, then the same points again (duplicate
+    # points, some duplicate specs) under several (P, Δ) pairs.
+    specs = cpnn_specs(points, threshold=0.05, tolerance=0.0) + [
+        CPNNQuery(q, *constraints[i % len(constraints)])
+        for i, q in enumerate(points + points[:4])
+    ]
+    cold = engine.execute_batch(specs, strategy=strategy)
+    warm = engine.execute_batch(specs, strategy=strategy)
+    for spec, first, again in zip(specs, cold.results, warm.results):
+        reference = engine.execute(spec, strategy=strategy)
+        assert_same_result(first, reference)
+        assert_same_result(again, reference)
+    if table_cache_size:
+        assert warm.result_hits == len(specs)
+    if strategy == Strategy.VR:
+        survivors = [r.refined_objects for r in cold.results[: len(points)]]
+        assert max(survivors) >= 2, "the dataset must exercise refinement"

@@ -1,17 +1,13 @@
 """Property-based correctness of the parametric subsystem
 (DESIGN.md §15): the analytic laws agree with dense histogram replicas
-within a tolerance *derived from the replica's own resolution*, the
-uniform-disk fold is exactly the 2-D engine's, and the MC tier's
-Hoeffding brackets hold."""
+within a tolerance *derived from the replica's own resolution*, and
+the uniform-disk fold is exactly the 2-D engine's."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.refinement import Refiner
-from repro.core.subregions import SubregionTable
-from repro.core.verifiers import MCVerifier
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import (
     GaussianMixtureDistance,
@@ -107,33 +103,3 @@ def test_uniform_disk_fold_exact(cx, cy, radius, qx, qy, bins):
     )
     assert analytic.near == pytest.approx(reference.near, abs=1e-9)
     assert analytic.far == pytest.approx(reference.far, abs=1e-9)
-
-
-@st.composite
-def mc_candidate_sets(draw):
-    n = draw(st.integers(2, 6))
-    objects = []
-    for i in range(n):
-        lo = draw(st.floats(-20, 20))
-        width = draw(st.floats(0.5, 10))
-        if draw(st.booleans()):
-            objects.append(UncertainObject.uniform(i, lo, lo + width))
-        else:
-            objects.append(UncertainObject.gaussian(i, lo, lo + width, bars=24))
-    q = draw(st.floats(-25, 25))
-    return objects, q
-
-
-@settings(max_examples=40, deadline=None)
-@given(mc_candidate_sets())
-def test_mc_bounds_bracket_exact_probability(case):
-    """Hoeffding brackets hold around the exact probabilities.  At
-    1 - 1e-9 simultaneous confidence a single observed violation across
-    these examples would indicate a soundness bug, not bad luck."""
-    objects, q = case
-    table = SubregionTable([o.distance_distribution(q) for o in objects])
-    exact = Refiner(table).exact_all()
-    update = MCVerifier(trials=2048, confidence=1.0 - 1e-9).compute(table)
-    assert np.all(update.lower <= exact + 1e-12)
-    assert np.all(exact <= update.upper + 1e-12)
-    assert np.all(update.lower >= 0.0) and np.all(update.upper <= 1.0)
