@@ -20,8 +20,8 @@ query, near the paper's dense end):
   generous floor because shared runners make wall-clock ratios noisy).
 * **refinement-stress** (P = 0.35, Δ = 0.01) — candidates near the
   threshold force deep incremental refinement.  Both paths run the
-  same quadrature (same nodes, same products, same log-space
-  bookkeeping); the columnar one reads survival from the table where
+  same quadrature (same nodes, same exclusion-product kernel); the
+  columnar one reads survival from the table where
   the scalar one calls ``d.cdf`` per candidate.  It is asserted
   *identical* and reported, not gated.
 

@@ -205,10 +205,6 @@ def check_corpus(store: MmapStore, n_rows: int, cap_bytes: int) -> None:
         got = sub.cdf_many(xs)
         want = ref.cdf_many(xs)
         assert np.array_equal(got, want), f"cdf mismatch in block {block}"
-        u = rng.uniform(0.0, 1.0, (ROW_BLOCK, 4)) * ref.totals[:, None]
-        assert np.array_equal(sub.ppf_many(u), ref.ppf_many(u)), (
-            f"ppf mismatch in block {block}"
-        )
         for x, sweep in zip(SWEEP_XS, sweeps):
             assert np.array_equal(
                 sweep[r0 : r0 + ROW_BLOCK], ref.cdf_many(float(x))

@@ -51,7 +51,7 @@ from repro.uncertainty import (
     UncertainSegment,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "BatchResult",

@@ -47,9 +47,13 @@ the Gauss–Legendre node ``x_jn = e_j + t_n·(e_{j+1} − e_j)``,
 — one broadcast over ``(|C|, chunk, nodes)`` with no
 :class:`~repro.uncertainty.columnar.DistributionPack` call, no knot
 search and no dependence on subregion widths (a small table's lazy
-pack is never built for refinement).  The per-subregion
-weighted-exclusion vectors live in a lazily materialised dense
-``(|C|, M−1)`` matrix guarded by a filled-column mask.
+pack is never built for refinement).  The exclusion products over
+that block are one column product divided by each row, with an exact
+branch for zero factors
+(:func:`~repro.numerics.poisson_binomial.exclusion_products`, the same
+kernel as the tables' ``Z``).  The weighted-exclusion vectors live in
+a lazily materialised dense ``(|C|, M−1)`` matrix guarded by a
+filled-column mask.
 """
 
 from __future__ import annotations
@@ -59,12 +63,14 @@ import numpy as np
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery
+from repro.numerics.poisson_binomial import exclusion_products
 from repro.numerics.quadrature import gauss_legendre_nodes, nodes_for_degree
 
 __all__ = ["Refiner"]
 
-#: Subregions per chunk in vectorised evaluation; bounds peak memory at
-#: roughly ``|C| * chunk * nodes`` floats.
+#: Subregions per chunk in vectorised evaluation, and per block of
+#: :meth:`Refiner.refine_object`'s scan; bounds peak memory at roughly
+#: ``|C| * chunk * nodes`` floats.
 _CHUNK = 64
 
 _UNKNOWN, _SATISFY, _FAIL = 0, 1, 2
@@ -139,14 +145,7 @@ class Refiner:
         t = 0.5 * (1.0 + xs_unit)
         for start in range(0, missing.size, _CHUNK):
             chunk = missing[start : start + _CHUNK]
-            survival = self._node_survival(chunk, t)
-            zero = survival <= 0.0
-            logs = np.log(np.where(zero, 1.0, survival))
-            col_zero = zero.sum(axis=0)
-            col_log = logs.sum(axis=0)
-            zero_excl = col_zero[None] - zero
-            log_excl = col_log[None] - logs
-            excl = np.where(zero_excl > 0, 0.0, np.exp(log_excl))
+            excl = exclusion_products(self._node_survival(chunk, t))
             # (objects, chunk): weighted node sums per subregion.
             weighted_matrix[:, chunk] = np.einsum("imn,n->im", excl, ws)
             self._filled[chunk] = True
@@ -203,7 +202,6 @@ class Refiner:
         states: CandidateStates,
         query: CPNNQuery,
         use_verifier_slices: bool = True,
-        batch: int = 8,
     ) -> int:
         """Refine candidate ``i`` until classified; returns the number
         of subregions that had to be integrated.
@@ -212,9 +210,13 @@ class Refiner:
         of Section V, which runs incremental refinement without any
         verifier knowledge (every slice starts at ``[0, s_ij]``).
 
-        The quadrature cache is warmed ``batch`` subregions at a time;
-        bounds are updated and the classifier re-run after every single
-        subregion, as Section IV-D prescribes.
+        Bounds are updated and the classifier re-run after every single
+        subregion, as Section IV-D prescribes, by a prefix scan over each
+        warmed block of ``_CHUNK`` subregions: ``cumsum`` seeded with the
+        running sums (so additions happen in visiting order), ``maximum``
+        / ``minimum.accumulate`` for the running bounds, and the first
+        decided subregion by ``flatnonzero`` — a per-subregion loop's
+        labels, bounds and count, bit for bit.
         """
         table = self._table
         s = np.asarray(table.s_inner[i], dtype=float)
@@ -222,10 +224,8 @@ class Refiner:
             lo = s * table.q_lower[i]
             up = s * table.q_upper[i]
         else:
-            lo = np.zeros_like(s)
-            up = s.copy()
-        cur_lo = float(lo.sum())
-        cur_up = float(up.sum())
+            lo, up = np.zeros_like(s), s
+        cur_lo, cur_up = float(lo.sum()), float(up.sum())
         pad = states.pad
 
         relevant = np.flatnonzero((s > 0.0) | (up > lo))
@@ -234,39 +234,37 @@ class Refiner:
 
         # Track the running bound in plain floats; the state arrays are
         # only touched once, when the object's label is decided.
-        best_lo = float(states.lower[i])
-        best_up = float(states.upper[i])
-        threshold = query.threshold
-        tolerance = query.tolerance
-        s_list = s.tolist()
-        lo_list = lo.tolist()
-        up_list = up.tolist()
+        best_lo, best_up = float(states.lower[i]), float(states.upper[i])
+        threshold, tolerance = query.threshold, query.tolerance
 
         integrated = 0
         label = _UNKNOWN
-        for start in range(0, relevant.size, max(batch, 1)):
-            if label != _UNKNOWN:
-                break
-            chunk = relevant[start : start + max(batch, 1)]
-            self._ensure_weighted_excl(chunk)
-            for j in chunk:
-                j = int(j)
-                p_ij = 0.5 * s_list[j] * float(self._weighted[i, j])
-                cur_lo += p_ij - lo_list[j]
-                cur_up += p_ij - up_list[j]
-                lo_list[j] = p_ij
-                up_list[j] = p_ij
-                integrated += 1
-                best_lo = max(best_lo, min(max(cur_lo - pad, 0.0), 1.0))
-                best_up = min(best_up, min(max(cur_up + pad, 0.0), 1.0))
+        for start in range(0, relevant.size, _CHUNK):
+            block = relevant[start : start + _CHUNK]
+            self._ensure_weighted_excl(block)
+            p = 0.5 * s[block] * self._weighted[i, block]
+            sum_lo = np.cumsum(np.concatenate(([cur_lo], p - lo[block])))[1:]
+            sum_up = np.cumsum(np.concatenate(([cur_up], p - up[block])))[1:]
+            run_lo = np.maximum.accumulate(
+                np.maximum(np.clip(sum_lo - pad, 0.0, 1.0), best_lo)
+            )
+            run_up = np.minimum.accumulate(
+                np.minimum(np.clip(sum_up + pad, 0.0, 1.0), best_up)
+            )
+            decided = np.flatnonzero(
+                (run_up < threshold) | (run_lo >= threshold)
+                | (run_up - run_lo <= tolerance) | (run_lo > run_up)
+            )
+            k = int(decided[0]) if decided.size else block.size - 1
+            integrated += k + 1
+            cur_lo, cur_up = float(sum_lo[k]), float(sum_up[k])
+            best_lo, best_up = float(run_lo[k]), float(run_up[k])
+            if decided.size:
                 if best_lo > best_up:
                     best_lo = best_up = 0.5 * (best_lo + best_up)
-                if best_up < threshold:
-                    label = _FAIL
-                elif best_lo >= threshold or best_up - best_lo <= tolerance:
-                    label = _SATISFY
-                if label != _UNKNOWN:
-                    break
+                # A collapsed bound has width 0 ≤ Δ, so it always decides.
+                label = _FAIL if best_up < threshold else _SATISFY
+                break
         self.integrations += integrated
         if label == _UNKNOWN:
             # Every subregion is exact now: collapse to the exact value.

@@ -35,6 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.subregions import SubregionTable
+from repro.numerics.poisson_binomial import exclusion_products
 from repro.storage.errors import MissingPageError, StorageError
 from repro.storage.pool import BufferPool, PageStats
 
@@ -214,16 +215,7 @@ def subregion_bounds_from_store(
         # earlier/later lists only; we read their cdf from the table's
         # edge matrix, which a disk implementation would co-locate
         # with the directory (O(M) resident data).
-        full_survival = 1.0 - table.cdf_at_edges[:, j]
-        zero = full_survival <= 0.0
-        logs = np.log(np.where(zero, 1.0, full_survival))
-        total_zero = int(zero.sum())
-        total_log = float(logs.sum())
-        z_excl = np.where(
-            (total_zero - zero.astype(int)) > 0,
-            0.0,
-            np.exp(total_log - logs),
-        )
+        z_excl = exclusion_products(1.0 - table.cdf_at_edges[:, j])
         if rows.size:
             c_j = rows.size
             lower[rows] += s_vals * z_excl[rows] / c_j

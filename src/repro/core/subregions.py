@@ -31,10 +31,11 @@ Implementation notes
   kernel call over the packed candidate histograms instead of one
   ``cdf`` call per candidate.  The pack's kernels are bit-identical to
   the scalar path, so every matrix below is unchanged by this.
-* Products ``Z`` are evaluated in log-space with explicit zero-factor
-  bookkeeping, so hundreds of factors neither underflow nor divide by
-  zero (the paper's Equation 3 divides ``Y_j`` by ``1 − D_i(e_j)``,
-  which is unsafe when an object's support ends exactly at ``e_j``).
+* Products ``Z`` divide one column product by each factor, as the
+  paper's Equation 3 divides ``Y_j`` by ``1 − D_i(e_j)``, except where
+  a factor is zero (an object's support ends at or before ``e_j``):
+  those columns take an exact branch instead of 0/0 — see
+  :func:`~repro.numerics.poisson_binomial.exclusion_products`.
 * Products run over *all* candidates, not only those overlapping the
   subregion.  The paper restricts to overlapping objects, which is
   equivalent under its assumption that pdfs are non-zero throughout
@@ -50,6 +51,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.numerics.poisson_binomial import exclusion_products
 from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.distance import DistanceDistribution
 
@@ -320,19 +322,11 @@ class SubregionTable:
     def Z(self) -> np.ndarray:
         """``Z_ij = Π_{k≠i} (1 − D_k(e_j))``, shape (|C|, M).
 
-        Computed in log space with zero-factor counting so that a
-        single zero factor (an object certainly closer than ``e_j``)
-        is handled exactly instead of through 0/0 division.
+        A zero factor (an object certainly closer than ``e_j``) is
+        handled exactly, not through 0/0 division — see
+        :func:`~repro.numerics.poisson_binomial.exclusion_products`.
         """
-        survival = 1.0 - self._cdf_matrix
-        zero = survival <= 0.0
-        safe = np.where(zero, 1.0, survival)
-        logs = np.log(safe)
-        col_zero_count = zero.sum(axis=0)
-        col_log_sum = logs.sum(axis=0)
-        zeros_excluding_self = col_zero_count[None, :] - zero.astype(np.int64)
-        log_excluding_self = col_log_sum[None, :] - logs
-        z = np.where(zeros_excluding_self > 0, 0.0, np.exp(log_excluding_self))
+        z = exclusion_products(1.0 - self._cdf_matrix)
         np.clip(z, 0.0, 1.0, out=z)
         z.flags.writeable = False
         return z

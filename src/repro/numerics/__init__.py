@@ -1,6 +1,8 @@
-"""Shared numerical routines: quadrature and Poisson-binomial DP."""
+"""Shared numerical routines: quadrature, exclusion products and the
+Poisson-binomial DP."""
 
 from repro.numerics.poisson_binomial import (
+    exclusion_products,
     poisson_binomial_pmf,
     prob_at_most,
     prob_at_most_vectorized,
@@ -13,6 +15,7 @@ from repro.numerics.quadrature import (
 )
 
 __all__ = [
+    "exclusion_products",
     "gauss_legendre_nodes",
     "integrate_on_interval",
     "integrate_piecewise",

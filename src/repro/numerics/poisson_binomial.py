@@ -1,4 +1,10 @@
-"""Poisson-binomial probabilities for the k-NN extension.
+"""Products over independent objects: the C-PNN exclusion product and
+the Poisson-binomial probabilities of the k-NN extension.
+
+The nearest-neighbour case (``k = 1``) needs, for every object ``i``,
+the probability that no *other* object is closer:
+``Π_{k≠i}(1 − D_k(r))`` — :func:`exclusion_products`, shared by the
+subregion tables' ``Z`` and by refinement's quadrature.
 
 The paper lists k-NN queries as future work (Section VI).  Our
 extension (:mod:`repro.core.knn`) computes the probability that an
@@ -18,7 +24,34 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["poisson_binomial_pmf", "prob_at_most", "prob_at_most_vectorized"]
+__all__ = [
+    "exclusion_products",
+    "poisson_binomial_pmf",
+    "prob_at_most",
+    "prob_at_most_vectorized",
+]
+
+
+def exclusion_products(survival: np.ndarray) -> np.ndarray:
+    """``Π_{k≠i} survival[k, …]`` for every row ``i`` (products along axis 0).
+
+    One product per column divided by each row.  A factor ``<= 0``
+    (an object certainly closer) cannot go through the division, so
+    columns holding one get the exact answer instead: with one such
+    factor its row gets the product of the others and every other row
+    0; with two or more, every row gets 0.  Returns a new array of
+    ``survival``'s shape.
+    """
+    survival = np.asarray(survival, dtype=float)
+    zero = survival <= 0.0
+    if not zero.any():
+        return np.prod(survival, axis=0) / survival
+    safe = np.where(zero, 1.0, survival)
+    product = np.prod(safe, axis=0)  # of the factors above zero
+    zeros = zero.sum(axis=0)
+    return np.where(
+        zeros == 0, product / safe, np.where(zero & (zeros == 1), product, 0.0)
+    )
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:

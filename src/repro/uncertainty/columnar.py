@@ -1,12 +1,12 @@
 """Columnar distribution kernels: batched cdf/sf evaluation, no per-object dispatch.
 
-The VR pipeline's two hot loops — building the subregion table's cdf
-matrix during initialisation and evaluating exclusion-product
-quadrature during refinement — both reduce to "evaluate *every*
-candidate's piecewise-linear cdf at a shared, sorted set of points".
-Executing that as ``|C|`` separate :meth:`Histogram.cdf` calls makes
-Python dispatch, not numpy arithmetic, the bottleneck once candidate
-sets grow past a few dozen objects.
+Building the subregion table's cdf matrix during initialisation
+reduces to "evaluate *every* candidate's piecewise-linear cdf at a
+shared, sorted set of points".  Executing that as ``|C|`` separate
+:meth:`Histogram.cdf` calls makes Python dispatch, not numpy
+arithmetic, the bottleneck once candidate sets grow past a few dozen
+objects.  (Refinement reads survival off that table and never calls
+the pack.)
 
 :class:`DistributionPack` removes the loop.  It concatenates all
 candidates' histogram edges, densities, and cdf knots into flat ragged
@@ -479,43 +479,6 @@ class DistributionPack:
             raise ValueError("mass_between_many requires a <= b")
         return self.cdf_many(b_arr) - self.cdf_many(a_arr)
 
-    def ppf_many(self, u: np.ndarray) -> np.ndarray:
-        """Per-row inverse cdf: ``ppf_i(u[i])`` for a ``(|C|, T)`` input.
-
-        Row ``i`` reproduces :meth:`Histogram.ppf` on row ``i``'s knots
-        bit for bit — same range check, same clip, same ``np.interp``
-        call — so drawing ``U ~ uniform(0, 1)`` row-major and scaling
-        row ``i`` by ``totals[i]`` yields *exactly* the stream
-        ``histogram.sample(rng, T)`` would produce per row (numpy's
-        ``uniform(0, m)`` evaluates ``0 + m·u`` on the same doubles):
-        sampling through the pack instead of row objects.
-        """
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[0] != self._size:
-            raise ValueError(
-                f"ppf_many expects a ({self._size}, T) matrix, got "
-                f"shape {u.shape}"
-            )
-        return self._ppf_rows(u)
-
-    def _ppf_rows(self, u: np.ndarray) -> np.ndarray:
-        offsets = self._offsets
-        totals = self._totals
-        out = np.empty_like(u)
-        for i in range(self._size):
-            row = u[i]
-            if np.any((row < -1e-12) | (row > totals[i] + 1e-12)):
-                raise ValueError(
-                    f"ppf_many argument outside [0, total_mass] in row {i}"
-                )
-            lo, hi = offsets[i], offsets[i + 1]
-            out[i] = np.interp(
-                np.clip(row, 0.0, totals[i]),
-                self._knots[lo:hi],
-                self._edges[lo:hi],
-            )
-        return out
-
     # ------------------------------------------------------------------
     # Core kernel
     # ------------------------------------------------------------------
@@ -676,18 +639,6 @@ class PagedDistributionPack(DistributionPack):
             out[r0:r1] = sub.cdf_many(flat)
         if scalar:
             return out[:, 0]
-        return out
-
-    def ppf_many(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[0] != self._size:
-            raise ValueError(
-                f"ppf_many expects a ({self._size}, T) matrix, got "
-                f"shape {u.shape}"
-            )
-        out = np.empty_like(u)
-        for r0, r1, sub in self._iter_blocks():
-            out[r0:r1] = sub._ppf_rows(u[r0:r1])
         return out
 
     def take(self, perm: np.ndarray) -> DistributionPack:

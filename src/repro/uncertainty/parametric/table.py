@@ -27,6 +27,10 @@ certainly closer or ``d_i`` is zero), which also keeps R-S's
 to ``p_i`` as the grid refines, so verification terminates for any
 positive tolerance; callers escalate via :meth:`refined` and fall
 back to the histogram pipeline only if escalation runs out.
+
+``Z`` itself is the histogram table's product, from the one kernel
+both share (:func:`~repro.numerics.poisson_binomial.exclusion_products`);
+only the grid and the bracketing differ.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.numerics.poisson_binomial import exclusion_products
 from repro.uncertainty.parametric.base import ParametricDistance
 from repro.uncertainty.parametric.pack import MixedDistributionPack
 
@@ -195,16 +200,8 @@ class AnalyticTable:
 
     @cached_property
     def Z(self) -> np.ndarray:
-        """``Z_ij = Π_{k≠i} (1 − D_k(e_j))`` — log-space, zero-aware."""
-        survival = 1.0 - self._cdf_matrix
-        zero = survival <= 0.0
-        safe = np.where(zero, 1.0, survival)
-        logs = np.log(safe)
-        col_zero_count = zero.sum(axis=0)
-        col_log_sum = logs.sum(axis=0)
-        zeros_excluding_self = col_zero_count[None, :] - zero.astype(np.int64)
-        log_excluding_self = col_log_sum[None, :] - logs
-        z = np.where(zeros_excluding_self > 0, 0.0, np.exp(log_excluding_self))
+        """``Z_ij = Π_{k≠i} (1 − D_k(e_j))`` — zero-aware, as for histograms."""
+        z = exclusion_products(1.0 - self._cdf_matrix)
         np.clip(z, 0.0, 1.0, out=z)
         z.flags.writeable = False
         return z
