@@ -17,12 +17,14 @@ and served QPS, and the answers are asserted identical across runs
 before any timing is compared — the speedup can never be bought with
 approximation.
 
-The gate is deliberately generous — coalescing wins by integer factors
-when it works at all — and ``SERVICE_COALESCE_SPEEDUP_FLOOR`` overrides
-it for small or noisy CI runners (same convention as
-``SHARDED_SPEEDUP_FLOOR`` in ``test_sharded_parallel.py``).  Timings
-are best-of-3 on both sides: one slow outlier run (GC pause, noisy
-neighbour) cannot fail the gate, only a *consistent* regression can.
+The speedup is gated only when ``SERVICE_COALESCE_SPEEDUP_FLOOR`` is
+set (CI's bench-smoke sets it); otherwise the measured ratio is
+printed and the test passes on identity and batch formation alone — a
+wall-clock ratio on a small shared box says more about the scheduler
+than about coalescing (same rule as ``_gate`` in
+``test_sharded_parallel.py``).  Timings are best-of-3 on both sides:
+one slow outlier run (GC pause, noisy neighbour) cannot fail the gate,
+only a *consistent* regression can.
 
 A second case offers **mixed traffic** — waves of concurrent queries
 separated by awaited engine mutations, so every wave sees a different
@@ -63,15 +65,6 @@ MIXED_POINTS = 24
 BEST_OF = 3
 
 _STATE: dict = {}
-
-
-def _floor() -> float:
-    env = os.environ.get("SERVICE_COALESCE_SPEEDUP_FLOOR")
-    if env is not None:
-        return float(env)
-    # Batch amortisation is single-core arithmetic sharing, not
-    # parallelism, so the default floor does not depend on cpu_count.
-    return 1.2
 
 
 def objects_and_specs():
@@ -272,22 +265,27 @@ def measure_mixed(repeats: int = BEST_OF) -> dict:
     }
 
 
-def test_coalesced_service_beats_naive_loop():
-    """The gate: identical answers always; best-of-3 coalesced p50
-    under burst load beats the one-query-per-dispatch loop's best-of-3
-    by the floor."""
-    floor = _floor()
+def test_coalesced_service_beats_naive_loop(capsys):
+    """The gate: identical answers and micro-batches always; best-of-3
+    coalesced p50 under burst load beats the one-query-per-dispatch
+    loop's best-of-3 by ``SERVICE_COALESCE_SPEEDUP_FLOOR`` when set."""
     snapshot = measure(repeats=BEST_OF)
     assert snapshot["coalesced_mean_batch"] > 1.5, (
         "coalescer never formed micro-batches "
         f"(mean batch {snapshot['coalesced_mean_batch']:.2f})"
     )
-    assert snapshot["p50_speedup"] >= floor, (
-        f"coalesced p50 {snapshot['coalesced_p50_ms']:.1f} ms is only "
+    report = (
+        f"coalesced p50 {snapshot['coalesced_p50_ms']:.1f} ms is "
         f"{snapshot['p50_speedup']:.2f}x the naive loop's "
-        f"{snapshot['naive_p50_ms']:.1f} ms (floor {floor}x; override "
-        f"with SERVICE_COALESCE_SPEEDUP_FLOOR)"
+        f"{snapshot['naive_p50_ms']:.1f} ms"
     )
+    env = os.environ.get("SERVICE_COALESCE_SPEEDUP_FLOOR")
+    if env is None:
+        with capsys.disabled():
+            print(f"\n{report}; not gated (set SERVICE_COALESCE_SPEEDUP_FLOOR to gate)")
+        return
+    floor = float(env)
+    assert snapshot["p50_speedup"] >= floor, f"{report}, below floor {floor}x"
 
 
 def test_mixed_traffic_matches_and_batches():

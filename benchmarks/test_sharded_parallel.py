@@ -17,10 +17,10 @@ bench-smoke pins one generous value per step for its small shared
 runners); cores are counted through the process's affinity mask where
 the platform has one, so ``taskset`` and container cpusets count.
 
-The streaming test extends the PR-4 dynamic-equivalence harness to
-shards: the same memoised dead-reckoning stream drives a sharded and a
-single engine side by side, and every tick's monitoring batch must
-match to the bit while the churn migrates objects between shard tiles.
+The streaming test extends the dynamic-equivalence harness to the
+sharded engine: the same memoised dead-reckoning stream drives a
+sharded and a single engine side by side, and every tick's monitoring
+batch must match to the bit while the churn invalidates lane caches.
 """
 
 import os
@@ -44,7 +44,9 @@ MEAN_LENGTH = 400.0
 THRESHOLD = 0.35
 TOLERANCE = 0.01
 
-N_SHARDS = 4
+#: Lanes (and, under the process backend, workers): one per usable
+#: core up to the gate's four.
+N_SHARDS = min(4, os.cpu_count() or 1)
 
 _STATE: dict = {}
 
@@ -193,17 +195,14 @@ def test_sharded_warm_replay_identity():
 
 
 def test_sharded_streaming_equivalence():
-    """The PR-4 streaming harness, extended to shards: every tick of a
-    dead-reckoning churn stream answers bit-identically on the sharded
-    and the single engine, while reports migrate objects across shard
-    tiles (and may trigger rebalances)."""
+    """The streaming harness, extended to the sharded engine: every tick
+    of a dead-reckoning churn stream answers bit-identically on the
+    sharded and the single engine."""
     workload = StreamingWorkload(
         n_objects=600, churn=0.10, n_queries=12, seed=20080407
     )
     single = workload.make_engine()
-    with workload.make_sharded_engine(
-        n_shards=N_SHARDS, rebalance_threshold=2.0
-    ) as sharded:
+    with workload.make_sharded_engine(n_shards=N_SHARDS) as sharded:
         for tick in workload.ticks(6):
             workload.apply(single, tick)
             workload.apply(sharded, tick)
@@ -211,8 +210,7 @@ def test_sharded_streaming_equivalence():
                 sharded.execute_batch(list(tick.specs)),
                 single.execute_batch(list(tick.specs)),
             )
-        occupancy = sharded.stats()["shards"]["occupancy"]
-        assert sum(occupancy) == 600
+        assert len(sharded) == 600
 
 
 def test_sharded_parallel_accounting_reported():

@@ -149,7 +149,6 @@ async def main() -> None:
         sensors,
         EngineConfig(process_min_batch=0),
         n_shards=2,
-        max_workers=2,
         executor="process",
     ) as sharded:
         with plan:

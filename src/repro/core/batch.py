@@ -10,7 +10,7 @@ shape directly instead of looping over
 
 * **filtering** runs as a single vectorised MBR sweep for the whole
   batch (:class:`repro.index.filtering.BatchMbrFilter`), the same
-  matrices the k-NN, range and sharded paths reduce;
+  matrices the k-NN and range paths reduce;
 * **initialisation** shares distance distributions through an LRU
   cache keyed by ``(object, query point)``, so repeated probes (the
   common case for moving clients) share one row object (the fold is
@@ -281,7 +281,7 @@ class TableCache:
 
     def peek(self, key: Hashable) -> CachedTable | None:
         """The cached entry without touching counters or recency (the
-        sharded engine's pre-sweep probe; see DESIGN.md §12)."""
+        sharded engine's pre-filter probe; see DESIGN.md §12)."""
         return self._cache.peek(key)  # type: ignore[return-value]
 
     def put(self, key: Hashable, entry: CachedTable) -> None:

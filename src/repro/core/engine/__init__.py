@@ -10,7 +10,7 @@ per responsibility:
 module              owns
 ==================  ====================================================
 :mod:`.config`      :class:`EngineConfig` and the :class:`Strategy` names
-:mod:`.dispatch`    spec normalisation + per-spec-type verifier chains
+:mod:`.dispatch`    spec normalisation + the verifier chain
 :mod:`.registry`    object storage, key bookkeeping, the **mutation
                     contract** (insert/remove/replace), and the deferred
                     table-cache invalidation queue
@@ -22,8 +22,11 @@ module              owns
 :mod:`.ranges`      the routed constrained range executor
 :mod:`.facade`      :class:`UncertainEngine` — the thin coordinator that
                     routes specs and owns config/caches
-:mod:`.sharded`     :class:`ShardedEngine` — spatial shards planning
-                    batches as serialized work items (DESIGN.md §12)
+:mod:`.lanes`       the C-PNN execution lanes and their query-point
+                    affinity hash
+:mod:`.sharded`     :class:`ShardedEngine` — an :class:`UncertainEngine`
+                    whose C-PNN batches fan out across lanes as
+                    serialized work items (DESIGN.md §12)
 :mod:`.executors`   the pluggable execution backends the sharded engine
                     hands its work items to — serial / thread / process
                     (DESIGN.md §13)

@@ -4,8 +4,8 @@ Configuration is deliberately the only state shared between every
 stage of the pipeline (DESIGN.md §3): the registry, the filter stage,
 and the three family executors all read the same immutable-ish config
 object, so a :class:`~repro.core.engine.sharded.ShardedEngine` can
-hand one config to every shard and every execution lane and stay
-bit-identical to a single engine built from it.
+hand one config to every execution lane and stay bit-identical to a
+single engine built from it.
 """
 
 from __future__ import annotations
@@ -44,16 +44,6 @@ class EngineConfig:
         construction and reuses the chain across queries — verifiers
         are stateless, so per-query rebuilding would only add
         allocation overhead to the hot path.
-    pipeline:
-        Optional hook composing verifier chains *per spec type*: called
-        with the spec's class (e.g. :class:`CPNNQuery`) the first time
-        that type is executed, it may return a
-        :class:`~repro.core.verifiers.chain.VerifierChain` to use for
-        that family, or ``None`` to keep ``chain_factory``'s chain.
-        The result is cached per type.  Today only specs evaluated
-        through the subregion verification framework (C-PNN) consult
-        it; the type argument exists so future families can branch
-        without changing the signature.
     bound_pad:
         Floating-point guard added around computed bounds
         (DESIGN.md §5).
@@ -90,16 +80,16 @@ class EngineConfig:
         the working set of hot probe points, not higher.
     executor:
         Which executor backend a
-        :class:`~repro.core.engine.sharded.ShardedEngine` fans work out
-        on (DESIGN.md §13): ``"serial"`` (inline, the bit-identity
-        reference), ``"thread"`` (the shared thread pool — wins when
-        numpy sweeps dominate or on free-threaded builds),
-        ``"process"`` (persistent spawn workers with resident lane
-        caches — wins for GIL-bound C-PNN verification), or ``"auto"``
+        :class:`~repro.core.engine.sharded.ShardedEngine` runs its
+        C-PNN lanes on (DESIGN.md §13): ``"serial"`` (inline, the
+        bit-identity reference), ``"thread"`` (the shared thread pool —
+        wins on free-threaded builds), ``"process"`` (persistent spawn
+        workers with resident lane caches — wins for GIL-bound C-PNN
+        verification), or ``"auto"``
         (the default: ``thread`` on free-threaded interpreters or
         single-core boxes, ``process`` on multi-core GIL builds with a
         picklable config).  Single engines always execute serially;
-        the knob only drives the sharded fan-out.  Answers are
+        the knob only drives the sharded lane fan-out.  Answers are
         bit-identical across all backends.
     process_min_batch:
         Under the process backend, C-PNN batches smaller than this run
@@ -149,7 +139,6 @@ class EngineConfig:
 
     strategy: str = Strategy.VR
     chain_factory: Callable[[], VerifierChain] = default_chain
-    pipeline: Callable[[type], VerifierChain | None] | None = None
     bound_pad: float = DEFAULT_BOUND_PAD
     refinement_order: str = "widest"
     quadrature_margin: int = 1
@@ -192,8 +181,6 @@ class EngineConfig:
             raise ValueError("distribution_cache_size must be >= 0")
         if self.table_cache_size < 0:
             raise ValueError("table_cache_size must be >= 0")
-        if self.pipeline is not None and not callable(self.pipeline):
-            raise ValueError("pipeline must be callable or None")
         if self.analytic_grid < 1:
             raise ValueError("analytic_grid must be >= 1")
         if self.analytic_max_grid < self.analytic_grid:

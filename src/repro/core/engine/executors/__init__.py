@@ -1,7 +1,7 @@
 """Execution backends for the sharded engine (DESIGN.md §13).
 
-The engine *plans* batches as serialized work items; a backend from
-this package decides where they run — inline
+The sharded engine *plans* C-PNN batches as serialized per-lane work
+items; a backend from this package decides where they run — inline
 (:class:`~repro.core.engine.executors.serial.SerialExecutor`), on a
 thread pool
 (:class:`~repro.core.engine.executors.thread.ThreadExecutor`), or on a
@@ -18,7 +18,6 @@ from repro.core.engine.executors.base import (
     BACKENDS,
     ExecutorBase,
     PnnItem,
-    SweepItem,
     free_threaded,
     resolve_backend,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "PnnItem",
     "ProcessExecutor",
     "SerialExecutor",
-    "SweepItem",
     "ThreadExecutor",
     "free_threaded",
     "make_executor",

@@ -1,23 +1,21 @@
 """Executor substrate: typed work items + the backend contract.
 
 The plan/execute split (DESIGN.md §13): the sharded engine *plans* a
-batch as serialized work items — :class:`SweepItem` per shard,
-:class:`PnnItem` per lane — and an executor decides *where* they run:
+C-PNN batch as serialized work items — one :class:`PnnItem` per lane —
+and an executor decides *where* they run:
 
 * :class:`~repro.core.engine.executors.serial.SerialExecutor` — inline,
   the bit-identity reference;
 * :class:`~repro.core.engine.executors.thread.ThreadExecutor` — the
-  shared thread pool (sweeps overlap because numpy releases the GIL;
-  the whole pipeline overlaps on free-threaded builds);
+  shared thread pool (the pipeline overlaps on free-threaded builds);
 * :class:`~repro.core.engine.executors.process.ProcessExecutor` —
   persistent spawn workers with resident per-lane caches attached to a
   shared-memory coordinate segment.
 
-Items carry plain data (spec tuples, column index arrays), never
-closures, so the same item pickles to a worker or runs in-process via
-the host callbacks ``_run_sweep_item`` / ``_run_pnn_item`` — which is
-also how crash recovery re-executes a dead worker's items without a
-special path.
+Items carry plain data (spec tuples), never closures, so the same item
+pickles to a worker or runs in-process via the host callback
+``_run_pnn_item`` — which is also how crash recovery re-executes a dead
+worker's items without a special path.
 """
 
 from __future__ import annotations
@@ -29,15 +27,12 @@ import sysconfig
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "BACKENDS",
     "CancelScope",
     "ExecutionTimeout",
     "ExecutorBase",
     "PnnItem",
-    "SweepItem",
     "check_cancel",
     "free_threaded",
     "resolve_backend",
@@ -117,21 +112,6 @@ def check_cancel(host) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepItem:
-    """One shard's slice of a batch MBR sweep.
-
-    ``cols`` are the shard's global object-order positions: the item's
-    output is columns ``cols`` of the global ``(B, N)``
-    mindist/maxdist matrices.  Serialized (shard id + index array), so
-    a worker can compute it from its resident coordinate arrays via
-    :meth:`~repro.index.filtering.BatchMbrFilter.matrices_rows`.
-    """
-
-    shard: int
-    cols: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class PnnItem:
     """One lane's slice of a C-PNN batch.
 
@@ -156,9 +136,9 @@ def free_threaded() -> bool:
 
 
 def _spawnable(config) -> bool:
-    """Whether the config survives the spawn boundary (closures in
-    ``chain_factory``/``pipeline`` don't — such configs fall back to
-    threads under ``executor="auto"``)."""
+    """Whether the config survives the spawn boundary (a closure in
+    ``chain_factory`` doesn't — such configs fall back to threads under
+    ``executor="auto"``)."""
     try:
         pickle.dumps(config)
         return True
@@ -197,8 +177,7 @@ class ExecutorBase:
 
     ``host`` is the owning :class:`~repro.core.engine.sharded.ShardedEngine`;
     backends that run items in-process call back into
-    ``host._run_sweep_item(item, queries)`` and
-    ``host._run_pnn_item(item, staged, snapshot)``.
+    ``host._run_pnn_item(item, staged)``.
     """
 
     name = "?"
@@ -206,16 +185,11 @@ class ExecutorBase:
     def __init__(self, host) -> None:
         self._host = host
 
-    def run_sweeps(self, items, queries, mindist, maxdist) -> None:
-        """Execute sweep items, scattering each item's columns into the
-        global ``(B, N)`` output matrices in place."""
-        raise NotImplementedError
-
-    def run_pnn(self, items, staged, snapshot) -> list:
+    def run_pnn(self, items, staged) -> list:
         """Execute C-PNN items; returns one ``(BatchResult, seconds)``
-        per item, aligned with ``items``.  ``staged``/``snapshot`` are
-        the parent-reconciled filter results (ignored by backends whose
-        workers filter for themselves)."""
+        per item, aligned with ``items``.  ``staged`` maps point keys to
+        the parent's filter results (ignored by backends whose workers
+        filter for themselves)."""
         raise NotImplementedError
 
     def record_mutation(self, op) -> None:

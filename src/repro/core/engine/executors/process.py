@@ -50,8 +50,7 @@ cancellation for a CPU-bound item) and raises :class:`ExecutionTimeout
 <repro.core.engine.executors.base.ExecutionTimeout>`; and **shm attach
 fallback** — a worker that cannot map the exported coordinate segment
 rebuilds its filter from the pickled objects instead (slower attach,
-same floats), while a failed parent-side sweep readback recomputes the
-columns inline.
+same floats).
 """
 
 from __future__ import annotations
@@ -62,12 +61,10 @@ import os
 import time
 import weakref
 
-import numpy as np
-
 from repro import hooks
 from repro.core.batch import point_key
 from repro.core.engine.executors.base import ExecutionTimeout, ExecutorBase
-from repro.storage import ShmStore, StorageError, open_store
+from repro.storage import StorageError, open_store
 
 __all__ = ["ProcessExecutor"]
 
@@ -117,7 +114,7 @@ class _WorkerState:
 
 def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
     from repro.core.engine.lanes import Lane
-    from repro.index.filtering import BatchMbrFilter
+    from repro.index.filtering import BatchMbrFilter, filter_candidates
 
     state = _WorkerState()
     state.lane = Lane(config, n_lanes)
@@ -148,7 +145,9 @@ def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
     else:
         # Linear-scan mode: the lane replays the exact region-distance
         # scan over the resident list (mutated in place, never rebound).
-        state.lane._scan_objects = state.objects
+        state.lane._local_filter = lambda points: [
+            filter_candidates(state.objects, p) for p in points
+        ]
     return state
 
 
@@ -212,7 +211,7 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
 
 
 def _worker_main(conn, lane_id: int) -> None:
-    """Spawn target: serve attach/mutate/pnn/sweep requests until exit."""
+    """Spawn target: serve attach/pnn requests until exit."""
     state: _WorkerState | None = None
     crash_armed = False
     while True:
@@ -221,7 +220,7 @@ def _worker_main(conn, lane_id: int) -> None:
         except (EOFError, OSError):
             break
         kind = msg[0]
-        if crash_armed and kind in ("pnn", "sweep"):
+        if crash_armed and kind == "pnn":
             os._exit(13)  # armed by "die": perish mid-batch, task in hand
         try:
             if kind == "ping":
@@ -239,15 +238,6 @@ def _worker_main(conn, lane_id: int) -> None:
                 tick = time.perf_counter()
                 sub = state.lane._pnn_batch(list(specs), strategy)
                 conn.send(("ok", (sub, time.perf_counter() - tick)))
-            elif kind == "sweep":
-                _, ops, queries, cols, out_desc = msg
-                if ops:
-                    _worker_apply_ops(state, ops)
-                shard_min, shard_max = state.filter.matrices_rows(queries, cols)
-                with ShmStore.attach(out_desc, writable=True) as out:
-                    out.get("mindist")[:, cols] = shard_min
-                    out.get("maxdist")[:, cols] = shard_max
-                conn.send(("ok", None))
             elif kind == "exit":
                 conn.send(("ok", None))
                 break
@@ -335,7 +325,7 @@ class ProcessExecutor(ExecutorBase):
 
     @property
     def n_workers(self) -> int:
-        return self._host._max_workers
+        return self._host.n_shards
 
     def ensure_started(self) -> None:
         """Spawn (or respawn) every missing/dead worker and attach it to
@@ -361,8 +351,6 @@ class ProcessExecutor(ExecutorBase):
         columns_desc = None
         columns_store = None
         if host._config.use_rtree and host._objects:
-            from repro.index.filtering import BatchMbrFilter
-
             # The transport follows the engine's storage knob: mmap
             # engines ship the coordinate file (workers map it read-only
             # through their own buffer pools), everything else ships one
@@ -377,7 +365,9 @@ class ProcessExecutor(ExecutorBase):
                 if transport == "mmap"
                 else {}
             )
-            columns_store = BatchMbrFilter(host._objects).to_store(
+            # The engine's own filter exports its coordinates: the
+            # floats the parent filters with, no rebuild per spawn.
+            columns_store = host._ensure_batch_filter().to_store(
                 transport, **options
             )
             columns_desc = columns_store.descriptor()
@@ -570,10 +560,10 @@ class ProcessExecutor(ExecutorBase):
 
     # -- execution ------------------------------------------------------
 
-    def run_pnn(self, items, staged, snapshot) -> list:
+    def run_pnn(self, items, staged) -> list:
         """Dispatch each item to its lane's worker; a dead worker's item
-        is transparently re-executed in-process (``staged``/``snapshot``
-        are ignored — workers filter against their resident replicas).
+        is transparently re-executed in-process (``staged`` is ignored —
+        workers filter against their resident replicas).
 
         Quarantined specs never reach a worker (their item runs on the
         serial in-process path); an active host deadline terminates
@@ -651,117 +641,6 @@ class ProcessExecutor(ExecutorBase):
         host's in-process path (same pipeline, bit-identical answers)."""
         self._retries += 1
         return self._host._run_pnn_item_local(item)
-
-    def run_sweeps(self, items, queries, mindist, maxdist) -> None:
-        """Fan sweep items out across live workers, which write their
-        columns into a per-batch shared output segment; anything a dead
-        (or not-yet-started) pool can't take runs inline.  A failed
-        readback attach recomputes the columns inline (same floats);
-        an expired host deadline cancels in-flight workers and raises
-        :class:`ExecutionTimeout
-        <repro.core.engine.executors.base.ExecutionTimeout>`."""
-        scope = getattr(self._host, "_cancel_scope", None)
-        if not self._started or not any(
-            w is not None and w.alive for w in self._workers
-        ):
-            # No pool yet: don't pay a spawn for a sweep (numpy releases
-            # the GIL, so inline is what the thread backend would do on
-            # one runnable thread anyway).
-            for item in items:
-                if scope is not None:
-                    scope.check()
-                shard_min, shard_max = self._host._run_sweep_item(item, queries)
-                mindist[:, item.cols] = shard_min
-                maxdist[:, item.cols] = shard_max
-            return
-        hooks.fire(
-            "executor.dispatch", backend=self.name, kind="sweep", executor=self
-        )
-        self.ensure_started()
-        self._dispatches += 1
-        top = self._ops_base + len(self._ops)
-        out_store = ShmStore.create(
-            {
-                "mindist": np.zeros(mindist.shape),
-                "maxdist": np.zeros(maxdist.shape),
-            }
-        )
-        out_desc = out_store.descriptor()
-        try:
-            fallback: list = []
-            inflight = []
-            carried: set = set()
-            alive = [w for w in self._workers if w is not None and w.alive]
-            for position, item in enumerate(items):
-                worker = alive[position % len(alive)] if alive else None
-                if worker is None or not worker.alive:
-                    fallback.append(item)
-                    continue
-                # Round-robin can hand one worker several items in a
-                # single dispatch; only the first message may carry the
-                # pending ops suffix (synced advances on recv, so a
-                # second send would re-derive and re-apply the same
-                # mutations on the worker replica).
-                ops = () if id(worker) in carried else self._ops_for(worker)
-                try:
-                    hooks.fire(
-                        "process.send", lane=None, kind="sweep", worker=worker
-                    )
-                    worker.conn.send(("sweep", ops, queries, item.cols, out_desc))
-                    carried.add(id(worker))
-                    inflight.append((item, worker))
-                except (OSError, ValueError):
-                    self._fail(worker)
-                    fallback.append(item)
-            done = []
-            timed_out = False
-            for item, worker in inflight:
-                if timed_out:
-                    self._cancel_worker(worker)
-                    continue
-                try:
-                    status, payload = self._recv(worker, scope)
-                except ExecutionTimeout:
-                    self._cancel_worker(worker)
-                    timed_out = True
-                    continue
-                except _WorkerDied:
-                    self._fail(worker)
-                    fallback.append(item)
-                    continue
-                if status != "ok":
-                    self._retire(worker)
-                    fallback.append(item)
-                    continue
-                worker.synced = top
-                done.append(item)
-            if timed_out:
-                raise ExecutionTimeout(
-                    "deadline expired waiting on sweep replies"
-                )
-            if done:
-                try:
-                    readback = ShmStore.attach(out_desc)
-                except Exception:
-                    # Readback attach failed (injected or real): the
-                    # workers' columns are unreachable — recompute them
-                    # inline, same arithmetic, same floats.
-                    self._shm_fallbacks += 1
-                    fallback.extend(done)
-                else:
-                    with readback:
-                        for item in done:
-                            cols = item.cols
-                            mindist[:, cols] = readback.get("mindist")[:, cols]
-                            maxdist[:, cols] = readback.get("maxdist")[:, cols]
-            for item in fallback:
-                self._retries += 1
-                shard_min, shard_max = self._host._run_sweep_item(item, queries)
-                mindist[:, item.cols] = shard_min
-                maxdist[:, item.cols] = shard_max
-        finally:
-            out_store.close()
-        self._compact_ops()
 
     # -- test hooks & observability ------------------------------------
 

@@ -10,8 +10,8 @@ __all__ = ["SerialExecutor"]
 class SerialExecutor(ExecutorBase):
     """Run every work item inline on the calling thread.
 
-    Exactly the single-engine evaluation order with the sharded
-    engine's reconciliation around it — the reference the parallel
+    Exactly the single-engine evaluation order, lane by lane — the
+    reference the parallel
     backends are asserted bit-identical against, the zero-overhead
     choice for tiny workloads, and the circuit breaker's last resort
     (it cannot lose a worker).  Deadlines are honoured at item
@@ -20,16 +20,9 @@ class SerialExecutor(ExecutorBase):
 
     name = "serial"
 
-    def run_sweeps(self, items, queries, mindist, maxdist) -> None:
-        for item in items:
-            check_cancel(self._host)
-            shard_min, shard_max = self._host._run_sweep_item(item, queries)
-            mindist[:, item.cols] = shard_min
-            maxdist[:, item.cols] = shard_max
-
-    def run_pnn(self, items, staged, snapshot) -> list:
+    def run_pnn(self, items, staged) -> list:
         outcomes = []
         for item in items:
             check_cancel(self._host)
-            outcomes.append(self._host._run_pnn_item(item, staged, snapshot))
+            outcomes.append(self._host._run_pnn_item(item, staged))
         return outcomes

@@ -1,10 +1,9 @@
-"""Thread-pool execution: PR 5's lanes behind the executor contract.
+"""Thread-pool execution: the lanes behind the executor contract.
 
-Per-shard sweeps overlap because numpy releases the GIL for the matrix
-arithmetic; the Python-heavy C-PNN verification only overlaps on
-free-threaded (3.13t+) builds, which ``executor="auto"`` detects — on
-GIL builds the process backend is the one that buys verification real
-cores (DESIGN.md §13).
+The Python-heavy C-PNN verification only overlaps on free-threaded
+(3.13t+) builds, which ``executor="auto"`` detects — on GIL builds the
+process backend is the one that buys verification real cores
+(DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ __all__ = ["ThreadExecutor"]
 class ThreadExecutor(ExecutorBase):
     """Run work items on a lazily created shared thread pool.
 
-    Single-item dispatches (and ``max_workers == 1`` hosts) run inline
-    — same bits, no pool round-trip.  Distinct items never share
-    mutable state (disjoint output columns, disjoint lanes), so no
-    locks are needed.  When the host carries an active deadline scope,
-    result collection waits at most the remaining budget; not-started
-    items are cancelled and :class:`ExecutionTimeout
+    Single-item dispatches (every dispatch of a one-lane host) run
+    inline — same bits, no pool round-trip.  Distinct items never share
+    mutable state (disjoint lanes), so no locks are needed.  When the
+    host carries an active deadline scope, result collection waits at
+    most the remaining budget; not-started items are cancelled and
+    :class:`ExecutionTimeout
     <repro.core.engine.executors.base.ExecutionTimeout>` propagates
     (already-running threads also poll the scope inside the C-PNN
     loops, so they unwind on their own).
@@ -44,7 +43,7 @@ class ThreadExecutor(ExecutorBase):
 
     def _map(self, thunks: list) -> list:
         scope = getattr(self._host, "_cancel_scope", None)
-        if len(thunks) <= 1 or self._host._max_workers <= 1:
+        if len(thunks) <= 1:
             results = []
             for thunk in thunks:
                 check_cancel(self._host)
@@ -52,7 +51,7 @@ class ThreadExecutor(ExecutorBase):
             return results
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self._host._max_workers,
+                max_workers=self._host.n_shards,
                 thread_name_prefix="repro-shard",
             )
         futures = [self._pool.submit(thunk) for thunk in thunks]
@@ -74,25 +73,13 @@ class ThreadExecutor(ExecutorBase):
             raise
         return results
 
-    def run_sweeps(self, items, queries, mindist, maxdist) -> None:
-        hooks.fire(
-            "executor.dispatch", backend=self.name, kind="sweep", executor=self
-        )
-
-        def sweep(item):
-            shard_min, shard_max = self._host._run_sweep_item(item, queries)
-            mindist[:, item.cols] = shard_min
-            maxdist[:, item.cols] = shard_max
-
-        self._map([(lambda it=item: sweep(it)) for item in items])
-
-    def run_pnn(self, items, staged, snapshot) -> list:
+    def run_pnn(self, items, staged) -> list:
         hooks.fire(
             "executor.dispatch", backend=self.name, kind="pnn", executor=self
         )
         return self._map(
             [
-                (lambda it=item: self._host._run_pnn_item(it, staged, snapshot))
+                (lambda it=item: self._host._run_pnn_item(it, staged))
                 for item in items
             ]
         )
@@ -105,6 +92,6 @@ class ThreadExecutor(ExecutorBase):
     def stats(self) -> dict:
         return {
             "backend": self.name,
-            "max_workers": self._host._max_workers,
+            "workers": self._host.n_shards,
             "pool_live": self._pool is not None,
         }

@@ -44,9 +44,10 @@ class QueryFacadeMixin(SpecDispatchMixin):
     Pure routing: dispatch on the spec type, delegate to the host's
     family executors (``_execute_pnn`` / ``_pnn_batch`` /
     ``_knn_group`` / ``_range_group``), merge timings and counters.
-    Shared verbatim by :class:`UncertainEngine` and
-    :class:`~repro.core.engine.sharded.ShardedEngine`, which is how the
-    two stay behaviourally interchangeable.
+    :class:`~repro.core.engine.sharded.ShardedEngine` inherits it
+    through :class:`UncertainEngine` and overrides only where C-PNN
+    work runs, which is how the two stay behaviourally
+    interchangeable.
     """
 
     #: No active deadline by default; ``deadline()`` swaps a scope in.
@@ -158,23 +159,22 @@ class QueryFacadeMixin(SpecDispatchMixin):
             "misses": cache.misses,
         }
 
-    # Shared ``explain`` arithmetic — the counts and stage suffixes both
-    # engine's plans are built from, kept in one place so the sharded
-    # plan can never drift from the single engine's (DESIGN.md §12).
+    # ``explain`` arithmetic: the filter counts and stage suffixes the
+    # plans are built from.
 
-    def _knn_plan_counts(self, spec, batch_filter):
+    def _knn_plan_counts(self, spec):
         """``(candidates, pruned, fmin^k)`` for a non-trivial k-NN spec,
         or ``None`` when ``k >= N`` resolves as the all-satisfy case."""
         n = len(self._objects)
         k = min(spec.k, n)
         if k >= n:
             return None
-        survivors, fmin_k = batch_filter.kth_filter([spec.q], [k])[0]
+        survivors, fmin_k = self._ensure_batch_filter().kth_filter([spec.q], [k])[0]
         return int(survivors.size), n - int(survivors.size), fmin_k
 
-    def _range_plan_counts(self, spec, batch_filter):
+    def _range_plan_counts(self, spec):
         """``(sure_in, sure_out, straddle)`` MBR classification counts."""
-        mindist, maxdist = batch_filter.matrices([spec.q])
+        mindist, maxdist = self._ensure_batch_filter().matrices([spec.q])
         sure_in = int(np.count_nonzero(maxdist[0] <= spec.radius))
         sure_out = int(np.count_nonzero(mindist[0] > spec.radius))
         return sure_in, sure_out, len(self._objects) - sure_in - sure_out
@@ -182,8 +182,7 @@ class QueryFacadeMixin(SpecDispatchMixin):
     def _cpnn_plan_stages(self, spec, strategy):
         """``(verifier names, trailing stage lines)`` of a C-PNN plan."""
         if strategy == Strategy.VR:
-            chain = self._chain_for(type(spec))
-            verifiers = tuple(v.name for v in chain.verifiers)
+            verifiers = tuple(v.name for v in self._chain.verifiers)
             stages = [
                 "distance distributions + subregion table",
                 "verifier chain: " + " → ".join(verifiers),
@@ -341,7 +340,7 @@ class UncertainEngine(
     def __init__(self, objects: Sequence, config: EngineConfig | None = None):
         self._config = config or EngineConfig()
         self._init_registry(objects)
-        self._init_chains()
+        self._init_chain()
         self._init_filter_stage()
         self._distribution_cache: DistributionCache | None = (
             DistributionCache(self._config.distribution_cache_size)
@@ -397,7 +396,7 @@ class UncertainEngine(
             )
         index = "rtree" if self._config.use_rtree else "linear"
         if family == "cknn":
-            counts = self._knn_plan_counts(spec, self._ensure_batch_filter())
+            counts = self._knn_plan_counts(spec)
             if counts is None:
                 return QueryPlan(
                     spec=spec,
@@ -431,9 +430,7 @@ class UncertainEngine(
                 caches=caches,
             )
         if family == "crange":
-            sure_in, sure_out, straddle = self._range_plan_counts(
-                spec, self._ensure_batch_filter()
-            )
+            sure_in, sure_out, straddle = self._range_plan_counts(spec)
             return QueryPlan(
                 spec=spec,
                 family=family,
@@ -485,7 +482,7 @@ class UncertainEngine(
         whether it awaits a repack, the invalidation queue depth, and
         per-cache occupancy/hit/miss counters.  :class:`ShardedEngine
         <repro.core.engine.sharded.ShardedEngine>` extends the same
-        shape with per-shard occupancy and parallel-execution
+        shape with its lanes' caches and parallel-execution
         accounting.
         """
         if not self._objects:

@@ -5,9 +5,9 @@ shared substrate — the host's batch MBR filter (``f_min^k`` pruning),
 its LRU distribution cache, and the columnar bound/integration kernels
 (:func:`repro.core.knn.knn_routed_eval`).  The host protocol is
 ``_objects``, ``_config``, ``_distribution_cache`` and
-``_ensure_batch_filter`` — anything that serves those (a single
-engine, or a sharded engine whose filter fans out across shards)
-gets candidate-shaped results — one record per ``f_min^k`` survivor —
+``_ensure_batch_filter`` — anything that serves those (the single
+engine, and so the sharded engine built on it) gets candidate-shaped
+results — one record per ``f_min^k`` survivor —
 with the answers of the scalar
 :func:`repro.baselines.scalar.scalar_knn_query` reference and its
 records, bit for bit, for the survivors.

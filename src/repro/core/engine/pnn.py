@@ -2,12 +2,12 @@
 
 Implements the paper's three evaluation strategies (Section V) for
 C-PNN specs, single and batched, against a small host protocol —
-``_config``, ``_chain_for``, ``_as_strategy``, ``_filter_batch``,
+``_config``, ``_chain``, ``_as_strategy``, ``_filter_batch``,
 ``_single_filter``, ``_distribution_cache``, ``_table_cache`` and
 ``_flush_table_invalidations`` — so the same executor serves the
 single :class:`~repro.core.engine.UncertainEngine` *and* the execution
 lanes of a :class:`~repro.core.engine.sharded.ShardedEngine` (which
-feed it pre-reconciled cross-shard filter results).  Per-candidate
+feed it the parent's staged filter results).  Per-candidate
 arithmetic is identical everywhere, which is what makes batch ≡
 sequential ≡ sharded an exact, bit-level property (DESIGN.md §3, §12).
 """
@@ -142,7 +142,7 @@ class PnnExecutorMixin:
         states = CandidateStates(table.keys, pad=self._config.bound_pad)
         timings.initialization += time.perf_counter() - tick
 
-        chain = self._chain_for(type(query))
+        chain = self._chain
         unknown_after: dict[str, float] = {}
         tick = time.perf_counter()
         while True:
@@ -374,7 +374,7 @@ class PnnExecutorMixin:
     def _run_vr(self, prepared: _Prepared, query: CPNNQuery) -> QueryResult:
         timings = prepared.timings
         states = prepared.states
-        chain = self._chain_for(type(query))
+        chain = self._chain
 
         tick = time.perf_counter()
         outcome = chain.run(prepared.table, states, query)

@@ -1,8 +1,8 @@
 """Object registry: storage, key bookkeeping, and the mutation contract.
 
 This module owns the engine's *object order* (the sequence every other
-structure mirrors: batch-filter rows, k-NN/range records, merged shard
-candidates) plus the incremental-maintenance bookkeeping that rides on
+structure mirrors: batch-filter rows, k-NN/range records, candidate
+sets) plus the incremental-maintenance bookkeeping that rides on
 it — the lazy key→position map and the deferred table-cache
 invalidation queue.  The single-query filter's stale flag lives with
 the filter stage (:mod:`repro.core.engine.filtering`).

@@ -299,10 +299,10 @@ class QueryPlan:
     caches:
         Snapshot of the engine's cache configuration and counters.
     shards:
-        Sharded-execution snapshot (empty for single engines): shard
-        count, per-shard occupancy and skew, rebalance counters, and
-        the last batch's parallel accounting (summed lane seconds vs.
-        wall seconds — the realised parallel speedup).  See
+        Sharded-execution snapshot (empty for single engines): the
+        lane count ``n_shards``, the executor counters, and the last
+        batch's parallel accounting (summed lane seconds vs. wall
+        seconds — the realised parallel speedup).  See
         :class:`~repro.core.engine.sharded.ShardedEngine` and
         DESIGN.md §12.
     executor:
@@ -358,12 +358,7 @@ class QueryPlan:
         for name, stats in self.caches.items():
             lines.append(f"  cache     : {name} {stats}")
         if self.shards:
-            occupancy = self.shards.get("occupancy")
-            lines.append(
-                f"  shards    : {self.shards.get('n_shards')} "
-                f"(occupancy {occupancy}, "
-                f"{self.shards.get('max_workers')} workers)"
-            )
+            lines.append(f"  shards    : {self.shards.get('n_shards')} lanes")
             parallel = self.shards.get("parallel") or {}
             if parallel:
                 lines.append(

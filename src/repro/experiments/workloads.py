@@ -213,27 +213,19 @@ class StreamingWorkload:
         config: EngineConfig | None = None,
         *,
         n_shards: int | None = None,
-        max_workers: int | None = None,
-        rebalance_threshold: float = 4.0,
         executor: str | None = None,
     ) -> ShardedEngine:
         """The sharded streaming scenario: a
         :class:`~repro.core.engine.ShardedEngine` over the same initial
         object set, so the identical memoised stream can drive the
-        sharded and single engines side by side.  Because the stream's
-        ``replace`` churn moves objects between spatial tiles,
-        :meth:`apply`/:meth:`drive` against this engine also exercise
-        shard migration and the rebalance policy — while
-        ``benchmarks/test_sharded_parallel.py`` asserts every tick's
-        batch is bit-identical to the single engine's (DESIGN.md §12).
+        sharded and single engines side by side.  The stream's
+        ``replace`` churn exercises the lanes' cache invalidation —
+        while ``benchmarks/test_sharded_parallel.py`` asserts every
+        tick's batch is bit-identical to the single engine's
+        (DESIGN.md §12).
         """
         return ShardedEngine(
-            self.initial_objects(),
-            config,
-            n_shards=n_shards,
-            max_workers=max_workers,
-            rebalance_threshold=rebalance_threshold,
-            executor=executor,
+            self.initial_objects(), config, n_shards=n_shards, executor=executor
         )
 
     def tick(self, index: int) -> StreamingTick:

@@ -19,7 +19,7 @@ Points currently instrumented (callers pass keyword context):
 point                 fired
 ====================  ==================================================
 ``executor.dispatch``  before a parallel backend sends a work batch
-                       (``backend=``, ``kind=`` ``"pnn"``/``"sweep"``,
+                       (``backend=``, ``kind=`` ``"pnn"``,
                        ``executor=`` the backend instance)
 ``process.send``       before each per-worker work message
                        (``lane=``, ``kind=``, ``worker=`` the parent-

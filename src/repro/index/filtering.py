@@ -35,8 +35,6 @@ __all__ = [
     "FilterResult",
     "PnnFilter",
     "filter_candidates",
-    "kth_from_matrices",
-    "pnn_results_from_matrices",
 ]
 
 
@@ -166,55 +164,6 @@ def _descend(levels: Sequence[tuple], q) -> tuple[np.ndarray, float, RTreeStats]
         rows = np.repeat(start[keep] - ends + count, count) + np.arange(ends[-1])
 
 
-def pnn_results_from_matrices(
-    objects: Sequence, mindist: np.ndarray, maxdist: np.ndarray
-) -> list[FilterResult]:
-    """PNN candidate sets from precomputed ``(B, N)`` MBR matrices.
-
-    The reduction behind :meth:`BatchMbrFilter.__call__`, factored out
-    so a sharded engine can apply the *same* pruning rule to matrices
-    assembled from per-shard sweeps: ``f_min`` per query is the row
-    minimum of ``maxdist`` (order-independent, so scattering shard
-    columns into the global matrix cannot change it), and candidates
-    are reported in ascending object order.  ``stats`` counters are
-    left at zero — there is no tree traversal to count.
-    """
-    fmins = maxdist.min(axis=1)
-    keep = mindist <= fmins[:, None]
-    results = []
-    for b in range(keep.shape[0]):
-        candidates = tuple(objects[i] for i in np.flatnonzero(keep[b]))
-        results.append(FilterResult(candidates=candidates, fmin=float(fmins[b])))
-    return results
-
-
-def kth_from_matrices(
-    mindist: np.ndarray, maxdist: np.ndarray, ks: Sequence[int]
-) -> list[tuple[np.ndarray, float]]:
-    """k-NN survivors from precomputed ``(B, N)`` MBR matrices.
-
-    The reduction behind :meth:`BatchMbrFilter.kth_filter`, factored
-    out for the same reason as :func:`pnn_results_from_matrices`: the
-    ``f_min^k`` pruning radius is the k-th smallest ``maxdist`` of the
-    row (a selection, not an arithmetic reduction — bit-identical under
-    any column permutation), survivors are ascending object indices.
-    """
-    n = maxdist.shape[1]
-    results = []
-    for b, k in enumerate(ks):
-        k = int(k)
-        if not 1 <= k <= n:
-            raise ValueError(
-                f"kth_filter: k={k} (query {b}) must lie in [1, {n}]; "
-                "the engine clamps k > N to the trivial all-satisfy "
-                "case before filtering (DESIGN.md §8)"
-            )
-        fmin_k = float(np.partition(maxdist[b], k - 1)[k - 1])
-        survivors = np.flatnonzero(mindist[b] <= fmin_k)
-        results.append((survivors, fmin_k))
-    return results
-
-
 class BatchMbrFilter:
     """Vectorised MBR filtering for a whole batch of query points.
 
@@ -224,7 +173,7 @@ class BatchMbrFilter:
     and ``maxdist`` for every (query, object) pair, row minima give
     ``f_min`` per query, and one comparison yields every candidate set.
     One O(B·N·d) sweep serves the whole batch and yields the full
-    ``(B, N)`` matrices the k-NN, range and sharded paths also reduce.
+    ``(B, N)`` matrices the k-NN and range paths also reduce.
     It is not the cheaper way to get C-PNN candidate sets alone: at
     N = 20 000 a :class:`PnnFilter` descent costs ≈0.13 ms per point
     against ≈0.5 ms per point of sweep (ROADMAP item 3).
@@ -490,26 +439,6 @@ class BatchMbrFilter:
             return self._sweep_chunked(queries)
         return self._sweep(queries, self._lows, self._highs)
 
-    def matrices_rows(
-        self, points: Sequence, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`matrices` restricted to the row subset ``rows``.
-
-        Returns ``(B, len(rows))`` matrices whose column ``j`` equals
-        column ``rows[j]`` of the full sweep — the same element-wise
-        arithmetic over the same coordinate values, so every cell is
-        bit-identical.  This is the process-executor's per-shard work
-        item: each worker sweeps only its assigned columns of the
-        global matrix (DESIGN.md §13).
-        """
-        self._flush()
-        queries = self._as_matrix(points)
-        rows = np.asarray(rows, dtype=np.intp)
-        if self._lows is None:
-            lows, highs = self._gather_chunked(rows)
-            return self._sweep(queries, lows, highs)
-        return self._sweep(queries, self._lows[rows], self._highs[rows])
-
     def _sweep_chunked(
         self, queries: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -538,34 +467,6 @@ class BatchMbrFilter:
         per_row = 8 * max(1, n_queries) * (2 + self._dim)
         return max(1, _SWEEP_BLOCK_BYTES // per_row)
 
-    def _gather_chunked(
-        self, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather an arbitrary row subset from the chunked store.
-
-        Consecutive runs become single range reads (the process
-        executor's shard rows are contiguous or low-stride, so this
-        degenerates to a handful of reads in practice).
-        """
-        n = self._physical_count()
-        norm = np.where(rows < 0, rows + n, rows)
-        if norm.size and (int(norm.min()) < 0 or int(norm.max()) >= n):
-            raise IndexError(
-                f"row index out of range for {n} physical rows"
-            )
-        lows = np.empty((norm.size, self._dim))
-        highs = np.empty((norm.size, self._dim))
-        j = 0
-        while j < norm.size:
-            k = j + 1
-            while k < norm.size and norm[k] == norm[k - 1] + 1:
-                k += 1
-            r0, r1 = int(norm[j]), int(norm[k - 1]) + 1
-            lows[j:k] = self._store.read("lows", r0, r1)
-            highs[j:k] = self._store.read("highs", r0, r1)
-            j = k
-        return lows, highs
-
     @staticmethod
     def _sweep(
         queries: np.ndarray, lows: np.ndarray, highs: np.ndarray
@@ -586,11 +487,21 @@ class BatchMbrFilter:
     def __call__(self, points: Sequence) -> list[FilterResult]:
         """Filter every query point; returns one result per point.
 
-        ``stats`` counters are left at zero — there is no tree
-        traversal to count.
+        ``f_min`` per query is the row minimum of ``maxdist``, and
+        candidates are reported in ascending object order.  ``stats``
+        counters are left at zero — there is no tree traversal to count.
         """
         mindist, maxdist = self.matrices(points)
-        return pnn_results_from_matrices(self._objects, mindist, maxdist)
+        fmins = maxdist.min(axis=1)
+        keep = mindist <= fmins[:, None]
+        objects = self._objects
+        return [
+            FilterResult(
+                candidates=tuple(objects[i] for i in np.flatnonzero(row)),
+                fmin=float(fmin),
+            )
+            for row, fmin in zip(keep, fmins)
+        ]
 
     def kth_filter(
         self, points: Sequence, ks: Sequence[int]
@@ -607,4 +518,17 @@ class BatchMbrFilter:
         ``k`` objects.  ``ks[b]`` must lie in [1, N].
         """
         mindist, maxdist = self.matrices(points)
-        return kth_from_matrices(mindist, maxdist, ks)
+        n = maxdist.shape[1]
+        results = []
+        for b, k in enumerate(ks):
+            k = int(k)
+            if not 1 <= k <= n:
+                raise ValueError(
+                    f"kth_filter: k={k} (query {b}) must lie in [1, {n}]; "
+                    "the engine clamps k > N to the trivial all-satisfy "
+                    "case before filtering (DESIGN.md §8)"
+                )
+            fmin_k = float(np.partition(maxdist[b], k - 1)[k - 1])
+            survivors = np.flatnonzero(mindist[b] <= fmin_k)
+            results.append((survivors, fmin_k))
+        return results

@@ -98,7 +98,7 @@ class _Fault:
     match: dict | None
     #: Occurrences of (point, match) seen so far — each fault counts
     #: only the firings its ``match`` filter accepts, so "the 2nd pnn
-    #: send" means the 2nd *pnn* send regardless of interleaved sweeps.
+    #: send" means the 2nd *pnn* send regardless of other firings.
     seen: int = 0
 
     def matches(self, context: dict) -> bool:
@@ -116,7 +116,7 @@ class FaultPlan:
     Each scripted fault counts occurrences among the firings its own
     ``match`` filter accepts, starting at 1, over the plan's installed
     lifetime — "the 2nd ``kind='pnn'`` send" is unaffected by how many
-    sweep sends interleave.  ``fired`` records every triggered fault
+    other firings interleave.  ``fired`` records every triggered fault
     as ``(point, occurrence, action_name)`` so tests can assert the
     script actually ran (a plan that never fires is a broken test, not
     a passing one).

@@ -312,7 +312,7 @@ class TestObservability:
 class TestShardedEngine:
     def test_monitor_over_sharded_engine_matches_single(self):
         objects = make_objects()
-        sharded = ShardedEngine(list(objects), n_shards=3, max_workers=2)
+        sharded = ShardedEngine(list(objects), n_shards=2)
         try:
             monitor = ContinuousMonitor(sharded)
             handles = monitor.register_many(make_specs())

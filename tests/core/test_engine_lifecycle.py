@@ -35,7 +35,6 @@ _SCRIPT_PRELUDE = textwrap.dedent(
         make_random_objects(rng, 20),
         EngineConfig(process_min_batch=0),
         n_shards=2,
-        max_workers=2,
         executor="process",
     )
     specs = [CPNNQuery(float(q), threshold=0.3) for q in (8.0, 30.0, 52.0)]

@@ -67,7 +67,7 @@ class TestStatsSchema:
         objects = make_random_objects(rng, 16)
         config = EngineConfig(process_min_batch=0)
         with ShardedEngine(
-            objects, config, n_shards=2, max_workers=2, executor="process"
+            objects, config, n_shards=2, executor="process"
         ) as engine:
             engine.execute_batch(
                 [CPNNQuery(q, threshold=0.3) for q in (6.0, 40.0)]

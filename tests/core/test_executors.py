@@ -39,7 +39,7 @@ class TestResolution:
 
     def test_auto_avoids_process_for_unpicklable_config(self):
         chain = EngineConfig().chain_factory()
-        config = EngineConfig(pipeline=lambda spec_type: chain)
+        config = EngineConfig(chain_factory=lambda: chain)
         resolved = resolve_backend(config, parallel=True)
         if not free_threaded():
             assert resolved == "thread"
@@ -71,7 +71,7 @@ class TestInProcessBackendIdentity:
         specs = mixed_specs()
         want = UncertainEngine(objects).execute_batch(specs)
         with ShardedEngine(
-            objects, n_shards=3, max_workers=2, executor=backend
+            objects, n_shards=2, executor=backend
         ) as engine:
             got = engine.execute_batch(specs)
             assert_batches_identical(got, want)
@@ -82,7 +82,7 @@ class TestInProcessBackendIdentity:
         specs = [CPNNQuery(q, threshold=0.3) for q in (4.0, 22.0, 41.0, 55.0)]
         engines = {
             name: ShardedEngine(
-                list(objects), n_shards=3, max_workers=2, executor=name
+                list(objects), n_shards=2, executor=name
             )
             for name in ("serial", "thread")
         }

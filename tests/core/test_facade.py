@@ -1,8 +1,7 @@
 """Unit tests for the unified query façade.
 
 ``UncertainEngine.execute`` / ``execute_batch`` / ``explain`` over the
-typed spec hierarchy, the ``pipeline`` verifier-chain hook, and the
-uniform empty-input semantics.
+typed spec hierarchy and the uniform empty-input semantics.
 """
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from repro.baselines import scalar_knn_query, scalar_range_query
 from repro.baselines.scalar import assert_covers
-from repro.core.engine import EngineConfig, Strategy, UncertainEngine
+from repro.core.engine import Strategy, UncertainEngine
 from repro.core.types import (
     CKNNQuery,
     CPNNQuery,
@@ -20,7 +19,6 @@ from repro.core.types import (
     QueryResult,
     QuerySpec,
 )
-from repro.core.verifiers import RightmostSubregionVerifier, VerifierChain
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
 
@@ -274,67 +272,6 @@ class TestEmptyInputs:
         assert engine.execute(CRangeQuery(2.5, threshold=0.9, radius=1.0)).answers == (
             "b",
         )
-
-
-class TestPipelineHook:
-    def test_custom_chain_per_spec_type(self, rng):
-        calls = []
-
-        def pipeline(spec_type):
-            calls.append(spec_type)
-            if spec_type is CPNNQuery:
-                return VerifierChain([RightmostSubregionVerifier()])
-            return None
-
-        engine = UncertainEngine(
-            make_random_objects(rng, 10), EngineConfig(pipeline=pipeline)
-        )
-        result = engine.execute(CPNNQuery(30.0, 0.3, 0.01))
-        assert set(result.unknown_after_verifier) <= {"RS"}
-        engine.execute(CPNNQuery(31.0, 0.3, 0.01))
-        assert calls == [CPNNQuery]  # resolved once, then cached
-
-    def test_default_chain_when_hook_returns_none(self, rng):
-        engine = UncertainEngine(
-            make_random_objects(rng, 10), EngineConfig(pipeline=lambda t: None)
-        )
-        result = engine.execute(CPNNQuery(30.0, 0.3, 0.01))
-        default = UncertainEngine(make_random_objects(rng, 10))
-        assert set(result.unknown_after_verifier) <= {"RS", "L-SR", "U-SR"}
-        assert default.config.pipeline is None
-
-    def test_mixed_pnn_family_types_use_their_own_chains(self, rng):
-        # A custom QuerySpec subclass routes down the PNN path; with a
-        # per-type pipeline hook, batch and loop must still agree.
-        class MySpec(QuerySpec):
-            pass
-
-        def pipeline(spec_type):
-            if spec_type is MySpec:
-                return VerifierChain([RightmostSubregionVerifier()])
-            return None
-
-        engine = UncertainEngine(
-            make_random_objects(rng, 10), EngineConfig(pipeline=pipeline)
-        )
-        specs = [CPNNQuery(30.0, 0.3, 0.01), MySpec(31.0, 0.3, 0.01)]
-        batch = engine.execute_batch(specs)
-        for spec, batched in zip(specs, batch):
-            single = engine.execute(spec)
-            assert batched.answers == single.answers
-            assert records_tuple(batched) == records_tuple(single)
-        assert set(batch[1].unknown_after_verifier) <= {"RS"}
-
-    def test_bad_hook_return_raises(self, rng):
-        engine = UncertainEngine(
-            make_random_objects(rng, 4), EngineConfig(pipeline=lambda t: 42)
-        )
-        with pytest.raises(TypeError):
-            engine.execute(CPNNQuery(30.0))
-
-    def test_non_callable_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(pipeline="not-a-callable")
 
 
 class TestExplain:

@@ -23,7 +23,7 @@ from tests.conftest import make_random_objects
 ENGINES = [
     pytest.param(lambda objs: UncertainEngine(objs), id="uncertain"),
     pytest.param(
-        lambda objs: ShardedEngine(objs, n_shards=3, max_workers=1),
+        lambda objs: ShardedEngine(objs, n_shards=1),
         id="sharded",
     ),
 ]

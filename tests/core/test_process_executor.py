@@ -12,14 +12,17 @@ the crash and lifecycle tests build their own.
 import glob
 
 import numpy as np
-import pytest
 
+from repro import hooks
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.storage.shmstore import SEGMENT_PREFIX
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
-from tests.core.test_sharded import assert_batches_identical
+from tests.core.test_sharded import (
+    assert_batches_identical,
+    assert_results_identical,
+)
 
 #: Every C-PNN batch in this module must go to the workers.
 PROCESS_CONFIG = EngineConfig(process_min_batch=0)
@@ -28,7 +31,7 @@ PROCESS_CONFIG = EngineConfig(process_min_batch=0)
 def make_pair(rng, n=36, config=PROCESS_CONFIG):
     objects = make_random_objects(rng, n)
     sharded = ShardedEngine(
-        objects, config, n_shards=3, max_workers=2, executor="process"
+        objects, config, n_shards=2, executor="process"
     )
     return objects, sharded, UncertainEngine(objects, config)
 
@@ -104,32 +107,46 @@ class TestBitIdentity:
         finally:
             sharded.close()
 
-    def test_sweep_dispatch_carries_ops_once(self, rng):
-        """Round-robin sweep fan-out hands one worker several shard
-        columns in a single dispatch (3 shards over 2 workers here);
-        the mutation-log suffix must ride only that worker's *first*
-        message — ``synced`` advances on reply, so a naive re-send
-        would replay the same remove twice on the worker replica and
-        crash or desync it."""
+    def test_small_work_on_a_warm_pool_dispatches_nothing(self, rng):
+        """Below ``process_min_batch`` the parent answers on its own
+        filter and lanes: a warm pool sees no dispatch for a single
+        ``execute`` of any family nor for a small batch, and answers
+        equal the single engine's ``execute`` bit for bit.  The pending
+        mutation log then rides the next remote batch, once."""
         objects, sharded, single = make_pair(rng, config=EngineConfig())
+        kinds = []
+        handler = hooks.install(
+            lambda point, context: kinds.append(context["kind"])
+            if point == "executor.dispatch"
+            else None
+        )
         try:
             assert sharded.warm_executor() == "process"
             fresh = UncertainObject.uniform("fresh", 40.0, 52.0)
             for engine in (sharded, single):
                 engine.remove(objects[0].key)
                 engine.insert(fresh)
-            assert sharded.stats()["executor"]["pending_ops"] > 0
-            # Small batch: C-PNN verification stays inline (below the
-            # default process_min_batch) but the staging sweeps still
-            # fan out across the live pool, carrying the pending ops.
             specs = specs_for((8.0, 21.0, 44.0, 55.0))
+            for spec in specs + [
+                CKNNQuery(30.0, threshold=0.4, k=2),
+                CRangeQuery(30.0, threshold=0.5, radius=6.0),
+            ]:
+                assert_results_identical(sharded.execute(spec), single.execute(spec))
+            batch = sharded.execute_batch(specs)
+            for result, spec in zip(batch.results, specs):
+                assert_results_identical(result, single.execute(spec))
+            assert kinds == []
+            assert sharded.stats()["executor"]["pending_ops"] > 0
+            remote = specs_for(np.linspace(2.0, 58.0, 16))
             assert_batches_identical(
-                sharded.execute_batch(specs), single.execute_batch(specs)
+                sharded.execute_batch(remote), single.execute_batch(remote)
             )
+            assert kinds == ["pnn"]
             stats = sharded.stats()["executor"]
             assert stats["worker_failures"] == 0
             assert stats["pending_ops"] == 0
         finally:
+            hooks.uninstall(handler)
             sharded.close()
 
     def test_linear_scan_mode(self, rng):
@@ -232,8 +249,7 @@ class TestLifecycle:
     def test_context_manager_and_del_release_workers(self, rng):
         objects = make_random_objects(rng, 16)
         with ShardedEngine(
-            objects, PROCESS_CONFIG, n_shards=2, max_workers=2,
-            executor="process",
+            objects, PROCESS_CONFIG, n_shards=2, executor="process"
         ) as engine:
             engine.execute_batch(specs_for((10.0, 40.0)))
             assert engine.stats()["executor"]["alive"] == 2
@@ -242,8 +258,7 @@ class TestLifecycle:
     def test_warm_executor_prestarts_pool(self, rng):
         objects = make_random_objects(rng, 16)
         engine = ShardedEngine(
-            objects, PROCESS_CONFIG, n_shards=2, max_workers=2,
-            executor="process",
+            objects, PROCESS_CONFIG, n_shards=2, executor="process"
         )
         try:
             assert engine.warm_executor() == "process"

@@ -1,18 +1,16 @@
-"""Tests for the shard-parallel engine (DESIGN.md §12).
+"""Tests for the lane-parallel sharded engine (DESIGN.md §12).
 
 Bit-identity against :class:`UncertainEngine` is the load-bearing
 contract — answers, records, and bounds must match exactly for all
 three spec families, mixed batches, both filter modes, 1-D and 2-D
-data, and across dynamic updates.  The structural tests cover the STR
-partition, insert routing, the rebalance policy, and the observability
-surface.
+data, and across dynamic updates.  The structural tests cover
+construction, the staged filter, and the observability surface.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
-from repro.core.engine.partition import str_shard_split
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery, QueryPlan
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.twod import UncertainDisk
@@ -48,51 +46,6 @@ def assert_batches_identical(got, want):
         assert_results_identical(a, b)
 
 
-class TestPartition:
-    def test_groups_cover_and_balance_1d(self, rng):
-        objects = make_random_objects(rng, 40)
-        groups, route = str_shard_split(objects, 4)
-        assert sum(len(g) for g in groups) == 40
-        assert {o.key for g in groups for o in g} == {o.key for o in objects}
-        assert max(len(g) for g in groups) - min(len(g) for g in groups) <= 1
-        assert route is not None
-
-    def test_groups_cover_2d(self, rng):
-        objects = [
-            UncertainDisk(i, (float(rng.uniform(0, 50)), float(rng.uniform(0, 50))),
-                          1.0, distance_bins=16)
-            for i in range(23)
-        ]
-        for n_shards in (1, 2, 3, 4, 7):
-            groups, route = str_shard_split(objects, n_shards)
-            assert len(groups) == n_shards
-            assert sum(len(g) for g in groups) == 23
-            # The router places every existing object in *a* valid shard.
-            for obj in objects:
-                assert 0 <= route(obj) < n_shards
-
-    def test_empty_and_fewer_objects_than_shards(self):
-        groups, route = str_shard_split([], 4)
-        assert groups == [[], [], [], []] and route is None
-        objects = [UncertainObject.uniform(i, i, i + 1.0) for i in range(2)]
-        groups, route = str_shard_split(objects, 5)
-        assert sum(len(g) for g in groups) == 2
-        assert all(0 <= route(o) < 5 for o in objects)
-
-    def test_spatial_locality_1d(self):
-        # Contiguous tiles: every shard's centers form an interval.
-        objects = [UncertainObject.uniform(i, x, x + 1.0) for i, x in
-                   enumerate(np.linspace(0, 90, 30))]
-        groups, _ = str_shard_split(objects, 3)
-        spans = [
-            (min(o.mbr.center[0] for o in g), max(o.mbr.center[0] for o in g))
-            for g in groups
-        ]
-        spans.sort()
-        for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            assert hi <= lo
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("use_rtree", [True, False])
     def test_mixed_batch_matches_single_engine(self, rng, use_rtree):
@@ -100,7 +53,7 @@ class TestBitIdentity:
         config = EngineConfig(use_rtree=use_rtree)
         single = UncertainEngine(list(objects), config)
         with ShardedEngine(
-            list(objects), config, n_shards=4, max_workers=3
+            list(objects), config, n_shards=3
         ) as sharded:
             specs = mixed_specs()
             assert_batches_identical(
@@ -115,7 +68,7 @@ class TestBitIdentity:
     def test_strategies_match(self, rng, strategy):
         objects = make_random_objects(rng, 20)
         single = UncertainEngine(list(objects))
-        with ShardedEngine(list(objects), n_shards=3, max_workers=2) as sharded:
+        with ShardedEngine(list(objects), n_shards=2) as sharded:
             specs = [CPNNQuery(q, threshold=0.3, tolerance=0.01)
                      for q in (7.0, 31.0, 52.0)]
             assert_batches_identical(
@@ -126,7 +79,7 @@ class TestBitIdentity:
     def test_heterogeneous_constraints_match(self, rng):
         objects = make_random_objects(rng, 24)
         single = UncertainEngine(list(objects))
-        with ShardedEngine(list(objects), n_shards=4, max_workers=4) as sharded:
+        with ShardedEngine(list(objects), n_shards=4) as sharded:
             specs = [
                 CPNNQuery(10.0, threshold=0.2, tolerance=0.0),
                 CPNNQuery(25.0, threshold=0.6, tolerance=0.05),
@@ -147,7 +100,7 @@ class TestBitIdentity:
             for i in range(18)
         ]
         single = UncertainEngine(list(objects))
-        with ShardedEngine(list(objects), n_shards=4, max_workers=2) as sharded:
+        with ShardedEngine(list(objects), n_shards=2) as sharded:
             specs = [
                 CPNNQuery((10.0, 12.0), threshold=0.3, tolerance=0.0),
                 CKNNQuery((25.0, 30.0), threshold=0.4, k=3),
@@ -160,7 +113,7 @@ class TestBitIdentity:
     def test_single_execute_routes_through_batch_path(self, rng):
         objects = make_random_objects(rng, 16)
         single = UncertainEngine(list(objects))
-        with ShardedEngine(list(objects), n_shards=3, max_workers=2) as sharded:
+        with ShardedEngine(list(objects), n_shards=2) as sharded:
             for spec in mixed_specs((8.0, 44.0)):
                 a = sharded.execute(spec)
                 b = single.execute(spec)
@@ -183,7 +136,7 @@ class TestDynamicUpdates:
     def test_stream_matches_fresh_single_engine(self, rng):
         objects = make_random_objects(rng, 30)
         with ShardedEngine(
-            list(objects), n_shards=4, max_workers=2, rebalance_threshold=2.0
+            list(objects), n_shards=2
         ) as sharded:
             mirror = list(objects)
             sharded.execute_batch(mixed_specs())  # warm every lane cache
@@ -209,54 +162,6 @@ class TestDynamicUpdates:
                     fresh.execute_batch(mixed_specs()),
                 )
 
-    def test_insert_routes_to_spatial_shard(self, rng):
-        objects = [UncertainObject.uniform(i, x, x + 1.0)
-                   for i, x in enumerate(np.linspace(0, 90, 24))]
-        with ShardedEngine(objects, n_shards=3, max_workers=1) as sharded:
-            left = UncertainObject.uniform("left", 0.5, 1.5)
-            right = UncertainObject.uniform("right", 88.0, 89.0)
-            sharded.insert(left)
-            sharded.insert(right)
-            owner_left = sharded._owner["left"]
-            owner_right = sharded._owner["right"]
-            assert owner_left != owner_right
-            assert left in sharded.shards[owner_left].objects
-            assert right in sharded.shards[owner_right].objects
-
-    def test_rebalance_on_skew(self):
-        objects = [UncertainObject.uniform(i, x, x + 1.0)
-                   for i, x in enumerate(np.linspace(0, 90, 12))]
-        with ShardedEngine(
-            objects, n_shards=3, max_workers=1, rebalance_threshold=1.5
-        ) as sharded:
-            # Pile new objects into one tile until the skew trips.
-            for j in range(30):
-                sharded.insert(UncertainObject.uniform(("pile", j), 1.0, 2.0))
-            stats = sharded.stats()["shards"]
-            assert stats["rebalances"] >= 1
-            assert stats["skew"] <= 1.5
-            # Still answers exactly like a fresh single engine.
-            fresh = UncertainEngine(list(sharded.objects))
-            assert_batches_identical(
-                sharded.execute_batch(mixed_specs()),
-                fresh.execute_batch(mixed_specs()),
-            )
-
-    def test_replace_migrates_between_shards(self):
-        objects = [UncertainObject.uniform(i, x, x + 1.0)
-                   for i, x in enumerate(np.linspace(0, 90, 15))]
-        with ShardedEngine(objects, n_shards=3, max_workers=1) as sharded:
-            key = 0  # leftmost object
-            before = sharded._owner[key]
-            sharded.replace(key, UncertainObject.uniform(key, 88.0, 89.0))
-            after = sharded._owner[key]
-            assert before != after
-            fresh = UncertainEngine(list(sharded.objects))
-            assert_batches_identical(
-                sharded.execute_batch(mixed_specs()),
-                fresh.execute_batch(mixed_specs()),
-            )
-
     def test_pnn_matches_linear_filter_for_2d(self, rng):
         """With use_rtree=False the single engine's pnn filters with
         exact region distances (tighter than MBRs for 2-D regions);
@@ -273,24 +178,24 @@ class TestDynamicUpdates:
         config = EngineConfig(use_rtree=False)
         single = UncertainEngine(list(objects), config)
         with ShardedEngine(
-            list(objects), config, n_shards=4, max_workers=1
+            list(objects), config, n_shards=1
         ) as sharded:
             for q in ((70.0, 20.0), (10.0, 10.0), (33.0, 48.0)):
                 assert sharded.pnn(q) == single.pnn(q)
 
     def test_warm_replay_skips_the_fanout_sweep(self, rng):
-        """A fully snapshot-answerable batch must not pay the B×N
-        per-shard sweep it would then discard."""
+        """A fully snapshot-answerable batch must not pay the parent's
+        filter pass it would then discard."""
         objects = make_random_objects(rng, 20)
         specs = [CPNNQuery(q, threshold=0.3, tolerance=0.0)
                  for q in (4.0, 19.0, 33.0)]
-        with ShardedEngine(objects, n_shards=3, max_workers=2) as sharded:
+        with ShardedEngine(objects, n_shards=2) as sharded:
             cold = sharded.execute_batch(specs)
 
             def boom(points):
-                raise AssertionError("fan-out sweep ran on a warm batch")
+                raise AssertionError("parent filter ran on a warm batch")
 
-            sharded._global_matrices = boom
+            sharded._filter_batch = boom
             warm = sharded.execute_batch(specs)
             assert warm.result_hits == len(specs)
             assert [r.answers for r in warm.results] == [
@@ -299,7 +204,7 @@ class TestDynamicUpdates:
 
     def test_drain_and_refill(self, rng):
         objects = make_random_objects(rng, 6)
-        with ShardedEngine(list(objects), n_shards=2, max_workers=1) as sharded:
+        with ShardedEngine(list(objects), n_shards=1) as sharded:
             for obj in objects:
                 assert sharded.remove(obj.key)
             assert len(sharded) == 0
@@ -320,10 +225,6 @@ class TestConstructionAndConfig:
         with pytest.raises(ValueError):
             ShardedEngine(objects, n_shards=0)
         with pytest.raises(ValueError):
-            ShardedEngine(objects, max_workers=0)
-        with pytest.raises(ValueError):
-            ShardedEngine(objects, rebalance_threshold=1.0)
-        with pytest.raises(ValueError):
             ShardedEngine(objects + objects)  # duplicate keys
 
     def test_mixed_dimensions_rejected(self, rng):
@@ -343,14 +244,13 @@ class TestConstructionAndConfig:
 class TestObservability:
     def test_stats_shape(self, rng):
         objects = make_random_objects(rng, 20)
-        with ShardedEngine(objects, n_shards=4, max_workers=2) as sharded:
+        with ShardedEngine(objects, n_shards=2) as sharded:
             sharded.execute_batch(mixed_specs())
             stats = sharded.stats()
             assert stats["engine"] == "ShardedEngine"
             assert stats["objects"] == 20
             shards = stats["shards"]
-            assert shards["n_shards"] == 4
-            assert sum(shards["occupancy"]) == 20
+            assert shards["n_shards"] == 2
             assert shards["parallel"]["specs"] == 4  # the C-PNN slice
             assert shards["parallel"]["wall_s"] > 0
             assert len(stats["caches"]["lanes"]) == 2
@@ -366,7 +266,7 @@ class TestObservability:
 
     def test_explain_carries_shard_snapshot(self, rng):
         objects = make_random_objects(rng, 20)
-        with ShardedEngine(objects, n_shards=4, max_workers=2) as sharded:
+        with ShardedEngine(objects, n_shards=2) as sharded:
             single = UncertainEngine(list(objects))
             for spec in (
                 CPNNQuery(30.0),
@@ -380,13 +280,12 @@ class TestObservability:
                 assert plan.family == reference.family
                 assert plan.candidates == reference.candidates
                 assert plan.pruned == reference.pruned
-                assert plan.shards["n_shards"] == 4
-                assert sum(plan.shards["occupancy"]) == 20
+                assert plan.shards["n_shards"] == 2
                 assert "shards" in plan.describe()
 
     def test_compact_reprs(self, rng):
         objects = make_random_objects(rng, 10)
-        with ShardedEngine(objects, n_shards=2, max_workers=1) as sharded:
+        with ShardedEngine(objects, n_shards=1) as sharded:
             batch = sharded.execute_batch(mixed_specs((9.0,)))
             assert len(repr(batch)) < 200
             assert "BatchResult(results=3" in repr(batch)
@@ -396,7 +295,7 @@ class TestObservability:
 
     def test_parallel_speedup_reported_in_plan(self, rng):
         objects = make_random_objects(rng, 16)
-        with ShardedEngine(objects, n_shards=2, max_workers=2) as sharded:
+        with ShardedEngine(objects, n_shards=2) as sharded:
             sharded.execute_batch([CPNNQuery(q) for q in (3.0, 17.5, 42.25)])
             plan = sharded.explain(CPNNQuery(3.0))
             parallel = plan.shards["parallel"]

@@ -1,6 +1,6 @@
 """Spawn-safety: everything that crosses the worker pipe must pickle.
 
-The process executor serializes query specs, work items, shard
+The process executor serializes query specs, work items, store
 descriptors, and result containers across a spawn boundary.  These
 round-trips are load-bearing: a type that silently stops pickling
 (say, by growing a lambda-valued field) would take the process backend
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.batch import BatchResult
 from repro.core.engine import EngineConfig, UncertainEngine
-from repro.core.engine.executors.base import PnnItem, SweepItem
+from repro.core.engine.executors.base import PnnItem
 from repro.core.types import (
     CKNNQuery,
     CPNNQuery,
@@ -61,12 +61,6 @@ class TestSpecPickling:
 
 
 class TestWorkItemPickling:
-    def test_sweep_item(self):
-        item = SweepItem(shard=2, cols=np.array([0, 3, 7], dtype=np.intp))
-        twin = round_trip(item)
-        assert twin.shard == 2
-        np.testing.assert_array_equal(twin.cols, item.cols)
-
     def test_pnn_item(self):
         specs = (CPNNQuery(1.0, threshold=0.3), CPNNQuery(2.0, threshold=0.4))
         item = PnnItem(lane=1, indices=(0, 5), specs=specs, strategy="vr")

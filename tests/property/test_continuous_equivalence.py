@@ -192,7 +192,6 @@ def test_monitored_sharded_stream_matches_fresh_engine(
             objects,
             cfg,
             n_shards=n_shards,
-            max_workers=2,
             executor=executor,
         ),
         stream,

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.engine.executors.base import ExecutionTimeout
-from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
+from repro.core.types import CPNNQuery
 from repro.service import (
     DeadlineExceeded,
     QueryService,
@@ -41,7 +41,6 @@ def make_pair(rng, n=20):
         objects,
         PROCESS_CONFIG,
         n_shards=2,
-        max_workers=2,
         executor="process",
     )
     return sharded, UncertainEngine(list(objects))
@@ -278,47 +277,6 @@ class TestShmAttachFailure:
             assert_results_identical(reply.result, expected)
         executor = stats["executor"]
         assert executor["shm_fallbacks"] == executor["workers"]
-        assert_pool_healed(executor)
-
-    def test_sweep_readback_attach_failure_recomputes_inline(self, rng):
-        """Fault: the per-batch sweep output segment vanishes before
-        the parent reads it back.  The columns recompute inline — same
-        arithmetic — and the answers stay bit-identical.
-
-        Sweeps ride the pool for the k-NN/range families (C-PNN
-        filtering runs lane-side), so the batch mixes those.
-        """
-        engine, single = make_pair(rng)
-        specs = [
-            CKNNQuery(8.0, threshold=0.4, k=2),
-            CRangeQuery(30.0, threshold=0.5, radius=6.0),
-            CKNNQuery(52.0, threshold=0.4, k=2),
-        ]
-        want = [single.execute(s) for s in specs]
-        # Warm: a C-PNN dispatch spawns the pool, so the batch under
-        # the plan routes its sweeps through shared memory.
-        engine.execute(CPNNQuery(8.0, threshold=0.3))
-        plan = FaultPlan().script("shm.attach", unlink_segment, at=1)
-
-        async def main():
-            config = ServiceConfig()
-            async with QueryService(engine, config) as service:
-                replies = await asyncio.gather(
-                    *[service.submit(s) for s in specs]
-                )
-                return replies, service.stats()
-
-        try:
-            with plan:
-                replies, stats = run(main())
-        finally:
-            engine.close()
-        assert plan.fired
-        for reply, expected in zip(replies, want):
-            assert_results_identical(reply.result, expected)
-        executor = stats["executor"]
-        assert executor["shm_fallbacks"] >= 1
-        assert executor["in_process_retries"] >= 1
         assert_pool_healed(executor)
 
 

@@ -297,16 +297,6 @@ class TestBatchMbrFilterStore:
             with pytest.raises(ValueError):
                 BatchMbrFilter.from_store(store, objects[:-1])
 
-    def test_matrices_rows_matches_column_slice(self, rng):
-        objects = make_random_objects(rng, 30)
-        filt = BatchMbrFilter(objects)
-        queries = rng.uniform(0.0, 60.0, size=6)
-        rows = np.array([2, 3, 11, 29], dtype=np.intp)
-        full_min, full_max = filt.matrices(queries)
-        part_min, part_max = filt.matrices_rows(queries, rows)
-        np.testing.assert_array_equal(part_min, full_min[:, rows])
-        np.testing.assert_array_equal(part_max, full_max[:, rows])
-
     def test_replace_at_on_shared_columns_copies_first(self, rng):
         objects = make_random_objects(rng, 12)
         with BatchMbrFilter(objects).to_store("shm") as store:
