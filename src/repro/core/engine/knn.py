@@ -28,6 +28,7 @@ from repro.core.types import (
     PhaseTimings,
     QueryResult,
 )
+from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 
 __all__ = ["KnnExecutorMixin"]
 
@@ -91,19 +92,23 @@ class KnnExecutorMixin:
             if (
                 self._config.parametric_fast_path
                 and candidates
-                and all(hasattr(obj, "parametric_distance") for obj in candidates)
+                and closed_form(candidates)
             ):
                 # The k-NN leg of the parametric fast path: when every
                 # survivor has a closed-form distance law, one analytic
                 # cdf sweep can settle the whole spec without building
                 # a single histogram.  Undecided survivors fall through
-                # to the standard (histogram-certified) pipeline below.
+                # to the standard (histogram-certified) pipeline below;
+                # the attempt stays booked either way, so the phases
+                # still sum to the spec's wall.
                 tick = time.perf_counter()
-                distances = [obj.parametric_distance(spec.q) for obj in candidates]
-                settled = knn_analytic_eval(distances, keys, k, spec.threshold)
+                pack = MixedDistributionPack.from_objects(candidates, spec.q)
+                timings.initialization += time.perf_counter() - tick
+                tick = time.perf_counter()
+                settled = knn_analytic_eval(pack, keys, k, spec.threshold)
+                timings.verification += time.perf_counter() - tick
                 if settled is not None:
                     answers, records = settled
-                    timings.verification = time.perf_counter() - tick
                     results.append(
                         QueryResult(
                             answers=answers,
@@ -120,7 +125,7 @@ class KnnExecutorMixin:
             misses_before = cache.misses if cache is not None else 0
             tick = time.perf_counter()
             distributions = distributions_for(candidates, spec.q, cache)
-            timings.initialization = time.perf_counter() - tick
+            timings.initialization += time.perf_counter() - tick
             tick = time.perf_counter()
             answers, records, n_exact, exact_seconds = knn_routed_eval(
                 distributions,
@@ -129,7 +134,7 @@ class KnnExecutorMixin:
                 spec.threshold,
                 quadrature_margin=self._config.quadrature_margin,
             )
-            timings.verification = time.perf_counter() - tick - exact_seconds
+            timings.verification += time.perf_counter() - tick - exact_seconds
             timings.refinement = exact_seconds
             results.append(
                 QueryResult(

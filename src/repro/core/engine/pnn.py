@@ -39,6 +39,7 @@ from repro.core.types import (
     QueryResult,
 )
 from repro.index.filtering import FilterResult
+from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 from repro.uncertainty.parametric.table import AnalyticTable
 
 __all__ = ["PnnExecutorMixin"]
@@ -128,14 +129,14 @@ class PnnExecutorMixin:
         query's phases still sum to its wall time.
         """
         candidates = filter_result.candidates
-        if not candidates or not all(
-            hasattr(obj, "parametric_distance") for obj in candidates
-        ):
+        if not candidates or not closed_form(candidates):
             return None
         tick = time.perf_counter()
-        distances = [obj.parametric_distance(query.q) for obj in candidates]
+        # The candidates go in as objects: Gaussian rows become one
+        # column block, with no per-candidate distance law built.
+        pack = MixedDistributionPack.from_objects(candidates, query.q)
         try:
-            table = AnalyticTable(distances, grid=self._config.analytic_grid)
+            table = AnalyticTable(pack, grid=self._config.analytic_grid)
         except ValueError:
             timings.initialization += time.perf_counter() - tick
             return None

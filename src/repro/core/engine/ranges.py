@@ -16,6 +16,8 @@ import time
 from repro.core.batch import distributions_for
 from repro.core.range_query import range_routed_eval
 from repro.core.types import CRangeQuery, PhaseTimings, QueryResult
+from repro.uncertainty.columnar import DistributionPack
+from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 
 __all__ = ["RangeExecutorMixin"]
 
@@ -52,20 +54,19 @@ class RangeExecutorMixin:
 
             def provider(objs, _q=spec.q, _built=built, _secs=build_seconds):
                 inner = time.perf_counter()
-                if self._config.parametric_fast_path and all(
-                    hasattr(obj, "parametric_distance") for obj in objs
-                ):
-                    # The range leg of the parametric fast path: hand
-                    # the kernel closed-form distance laws — cdf(radius)
-                    # evaluates analytically, no histograms, no cache
-                    # traffic.  Mixed candidate sets keep the histogram
-                    # route (all-or-nothing, like the C-PNN fast path).
-                    distributions = [obj.parametric_distance(_q) for obj in objs]
+                if self._config.parametric_fast_path and closed_form(objs):
+                    # The range leg of the parametric fast path: the
+                    # objects go into one mixed pack, where cdf(radius)
+                    # evaluates analytically — no histograms, no cache
+                    # traffic, no per-candidate law.  Mixed candidate
+                    # sets keep the histogram route (all-or-nothing,
+                    # like the C-PNN fast path).
+                    pack = MixedDistributionPack.from_objects(objs, _q)
                 else:
-                    distributions = distributions_for(objs, _q, cache)
+                    pack = DistributionPack(distributions_for(objs, _q, cache))
                     _built.append(len(objs))
                 _secs[0] += time.perf_counter() - inner
-                return distributions
+                return pack
 
             answers, records, n_evaluated = range_routed_eval(
                 self._objects,

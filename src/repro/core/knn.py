@@ -291,7 +291,7 @@ def _candidate_records(
 
 
 def knn_analytic_eval(
-    distances: Sequence,
+    pack: MixedDistributionPack,
     keys: Sequence[Hashable],
     k: int,
     threshold: float,
@@ -299,14 +299,14 @@ def knn_analytic_eval(
     """Histogram-free constrained k-NN over closed-form distance laws.
 
     The analytic sibling of :func:`knn_routed_eval` for candidate sets
-    whose every member carries a
-    :class:`~repro.uncertainty.parametric.base.ParametricDistance`
+    whose every member carries a closed-form distance law, handed in
+    as one
+    :class:`~repro.uncertainty.parametric.pack.MixedDistributionPack`
     (the k-NN leg of the parametric fast path, DESIGN.md §15/§17):
     the RS-style bound pair (:func:`_rs_bounds`) holds for the
     **exact** distance cdfs just as it does for their histogram
-    approximations, so one
-    :class:`~repro.uncertainty.parametric.pack.MixedDistributionPack`
-    cdf sweep settles objects without materialising a single histogram.
+    approximations, so one pack cdf sweep settles objects without
+    materialising a single histogram.
     Bounds (and hence classifications) are with respect to the true
     model, like every analytic-tier answer.
 
@@ -318,7 +318,7 @@ def knn_analytic_eval(
     histogram-certified exact values.  Deterministic either way, which
     is what the continuous tier's replay contract needs.
     """
-    _, lower, upper = _rs_bounds(MixedDistributionPack(distances), k)
+    _, lower, upper = _rs_bounds(pack, k)
     if bool(np.any((upper >= threshold) & (lower < threshold))):
         return None
     return _candidate_records(keys, lower, upper, threshold, {})

@@ -36,9 +36,6 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from repro.core.types import AnswerRecord, Label
-from repro.uncertainty.columnar import DistributionPack
-from repro.uncertainty.parametric.base import ParametricDistance
-from repro.uncertainty.parametric.pack import MixedDistributionPack
 
 __all__ = ["range_probabilities", "range_routed_eval"]
 
@@ -67,7 +64,7 @@ def range_routed_eval(
     threshold: float,
     mbr_mindist: np.ndarray,
     mbr_maxdist: np.ndarray,
-    distribution_provider: Callable[[list], Sequence],
+    pack_provider: Callable[[list], object],
 ) -> tuple[tuple, list[AnswerRecord], int]:
     """Constrained range query over MBR-prefiltered objects.
 
@@ -79,10 +76,9 @@ def range_routed_eval(
     ``maxdist <= radius``) are decided without touching their pdfs;
     MBR-straddlers re-check their exact region distances (which 2-D
     regions may bound tighter than the MBR), and only true straddlers
-    have their distance distributions built — via
-    ``distribution_provider`` so the engine can route them through its
-    LRU cache — and their cdfs evaluated in one
-    :class:`~repro.uncertainty.columnar.DistributionPack` kernel call.
+    reach ``pack_provider``, which returns a columnar pack over their
+    distance distributions (the engine routes histogram rows through
+    its LRU cache) whose cdfs are evaluated in one kernel call.
 
     Returns ``(answers, records, n_evaluated)`` with one record per
     candidate, in object order.  Each is bit-identical to the record
@@ -109,16 +105,12 @@ def range_routed_eval(
         candidates.append(obj)
         probability.append(p)
     if pending:
-        distributions = distribution_provider([candidates[i] for i in pending])
-        # The provider may hand back closed-form distance laws (the
-        # range leg of the parametric fast path): the mixed pack
-        # evaluates those rows analytically — the probability is the
-        # exact model's, no histogram ever built — and is a drop-in
-        # replacement for the all-histogram kernel otherwise.
-        if any(isinstance(d, ParametricDistance) for d in distributions):
-            pack = MixedDistributionPack(distributions)
-        else:
-            pack = DistributionPack(distributions)
+        # The provider may hand back a MixedDistributionPack (the range
+        # leg of the parametric fast path): it evaluates the rows
+        # analytically — the probability is the exact model's, no
+        # histogram ever built — and is a drop-in replacement for the
+        # all-histogram DistributionPack otherwise.
+        pack = pack_provider([candidates[i] for i in pending])
         evaluated = np.asarray(pack.cdf_many(float(radius)), dtype=float)
         for i, p in zip(pending, evaluated.tolist()):
             probability[i] = p

@@ -164,25 +164,63 @@ class TruncatedGaussianDistance(ParametricDistance):
         return cls(q, lo, hi, mean=mean, sigma=sigma, bars=int(bars))
 
     # ------------------------------------------------------------------
-    # Family-level vectorisation (one ndtr over all rows x all points)
+    # Family-level vectorisation: a column block of many rows
     # ------------------------------------------------------------------
 
     @staticmethod
-    def cdf_rows(rows: Sequence["TruncatedGaussianDistance"], xs: np.ndarray):
-        """``(len(rows), len(xs))`` cdf matrix in a single ``ndtr`` sweep."""
-        q = np.array([d._q for d in rows])[:, None]
-        lo = np.array([d._lo for d in rows])[:, None]
-        hi = np.array([d._hi for d in rows])[:, None]
-        mean = np.array([d._mean for d in rows])[:, None]
-        sigma = np.array([d._sigma for d in rows])[:, None]
-        phi_lo = np.array([d._phi_lo for d in rows])[:, None]
-        denom = np.array([d._denom for d in rows])[:, None]
+    def columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(block, near, far)`` for the ``(6, n)`` parameter columns
+        ``q, lo, hi, mean, sigma, bars`` (:meth:`pack_params`, transposed).
+
+        ``block`` is ``(8, n)``: the parameters plus ``phi_lo`` and
+        ``denom``.  Every value is the one :meth:`__init__` computes for
+        the same row, bit for bit — two ``ndtr`` calls over all rows
+        instead of two per row.
+        """
+        q, lo, hi, mean, sigma, _ = params
+        phi_lo = ndtr((lo - mean) / sigma)
+        denom = ndtr((hi - mean) / sigma) - phi_lo
+        if np.any(denom <= 0):
+            raise ValueError("truncation interval carries no Gaussian mass")
+        # Python's max keeps the first of equal arguments; these
+        # np.where chains replay it, signed zeros included.
+        below, above = lo - q, q - hi
+        near = np.where(above > below, above, below)
+        near = np.where(0.0 > near, 0.0, near)
+        left, right = q - lo, hi - q
+        far = np.where(right > left, right, left)
+        return np.vstack((params, phi_lo, denom)), near, far
+
+    @staticmethod
+    def knot_rows(block: np.ndarray, near: np.ndarray, far: np.ndarray) -> np.ndarray:
+        """Every row's :meth:`knots`, pooled (unsorted, not deduplicated)."""
+        q, lo, hi = block[:3]
+        pts = np.concatenate((np.abs(q - lo), np.abs(q - hi)))
+        near, far = np.concatenate((near, near)), np.concatenate((far, far))
+        return pts[(pts > near) & (pts < far)]
+
+    @staticmethod
+    def cdf_rows(block: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """``(n, len(xs))`` cdf matrix of a :meth:`columns` block in a
+        single ``ndtr`` sweep, in place over two buffers.
+
+        Per element: ``F(x) = clip((ndtr((clip(x, lo, hi) − mean) / σ)
+        − phi_lo) / denom, 0, 1)`` at ``x = q ± r``, and
+        ``clip(F(q + r) − F(q − r), 0, 1)``.
+        """
+        q, lo, hi, mean, sigma, _, phi_lo, denom = block[:, :, None]
         rr = np.maximum(np.asarray(xs, dtype=float)[None, :], 0.0)
-        z_hi = (np.clip(q + rr, lo, hi) - mean) / sigma
-        z_lo = (np.clip(q - rr, lo, hi) - mean) / sigma
-        upper = np.clip((ndtr(z_hi) - phi_lo) / denom, 0.0, 1.0)
-        lower = np.clip((ndtr(z_lo) - phi_lo) / denom, 0.0, 1.0)
-        return np.clip(upper - lower, 0.0, 1.0)
+        upper, lower = np.add(q, rr), np.subtract(q, rr)
+        for z in (upper, lower):
+            np.clip(z, lo, hi, out=z)
+            z -= mean
+            z /= sigma
+            ndtr(z, out=z)
+            z -= phi_lo
+            z /= denom
+            np.clip(z, 0.0, 1.0, out=z)
+        upper -= lower
+        return np.clip(upper, 0.0, 1.0, out=upper)
 
 
 @register_family

@@ -3,42 +3,65 @@
 :class:`~repro.uncertainty.columnar.DistributionPack` materialises
 every row into histogram columns.  :class:`MixedDistributionPack`
 keeps parametric rows *parametric*: ``cdf_many``/``sf_many``/
-``mass_between_many`` evaluate closed forms for those rows —
-truncated-Gaussian rows in one family-batched ``ndtr`` sweep, other
-families per row — and route only genuine histogram rows through an
-inner ``DistributionPack``.  Row order is preserved, so the result
-matrices are drop-in replacements for the all-histogram kernels.
+``mass_between_many`` evaluate closed forms for those rows and route
+only genuine histogram rows through an inner ``DistributionPack``.
+Row order is preserved, so the result matrices are drop-in
+replacements for the all-histogram kernels.
+
+Plain truncated-Gaussian rows — the dominant workload — are one
+**column block**: their parameters, ``phi_lo``/``denom`` and support
+live in arrays, and every derived quantity (supports, knots, the cdf
+matrix) is one array operation over all of them.
+:meth:`MixedDistributionPack.from_objects` gathers the block straight
+from :class:`~repro.uncertainty.parametric.objects.GaussianObject`
+candidates, so the engine's fast path never builds a per-candidate
+distance law; :attr:`~MixedDistributionPack.distributions` builds those
+laws lazily, only for a caller that reads them.  Mixture, disk,
+ellipse and histogram rows keep a per-row route inside the same class.
 
 ``materialized()`` is the explicit knot fallback: a plain
 ``DistributionPack`` over every row (parametric rows materialise their
 byte-identical histogram replicas through the lazy ``histogram``
-property) for consumers that genuinely need breakpoints — exact
-refinement being the only one in the engine.
+property) for consumers that genuinely need breakpoints.
 
 Column-store transport mirrors ``DistributionPack.to_store``:
-histogram columns ship as flat arrays, parametric rows ship as
-per-family parameter matrices (``pack_params`` rows) plus row-index
-columns, all in one store.  ``from_store`` rebuilds the pack —
-zero-copy views for resident backends (``ram``/``shm``: histogram
-rows become ``Histogram`` views over the mapped flats, parametric
-rows are reconstructed from their parameter rows, O(rows) scalars
-and no bulk copies); the chunked ``mmap`` backend *materialises* the
-histogram flats on attach (mixed packs exist for candidate sets,
-which fit in RAM — only the all-histogram corpus tier streams).
+histogram columns ship as flat arrays, the Gaussian block as its
+``(n, 6)`` parameter matrix, other parametric rows as per-family
+``pack_params`` matrices, each with a row-index column, all in one
+store.  ``from_store`` rebuilds the pack — zero-copy views for resident
+backends (``ram``/``shm``: histogram rows become ``Histogram`` views
+over the mapped flats, the Gaussian block is re-derived as columns);
+the chunked ``mmap`` backend *materialises* the histogram flats on
+attach (mixed packs exist for candidate sets, which fit in RAM — only
+the all-histogram corpus tier streams).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.histogram import Histogram
+from repro.uncertainty.objects import _scalar_query
 from repro.uncertainty.parametric.base import FAMILY_REGISTRY, ParametricDistance
 from repro.uncertainty.parametric.gaussian import TruncatedGaussianDistance
+from repro.uncertainty.parametric.objects import GaussianObject
 
 __all__ = ["MixedDistributionPack"]
+
+_GAUSS = TruncatedGaussianDistance
+_LAW_PARAMS = attrgetter("_q", "_lo", "_hi", "_mean", "_sigma", "_bars")
+_PDF_PARAMS = attrgetter("_lo", "_hi", "_mean", "_sigma", "_bars")
+
+
+def closed_form(objects: Sequence) -> bool:
+    """Whether every object has a ``parametric_distance`` — the fast
+    path's precondition, checked once per distinct type."""
+    return all(hasattr(kind, "parametric_distance") for kind in set(map(type, objects)))
 
 
 def _support(dist) -> tuple[float, float]:
@@ -53,56 +76,155 @@ class MixedDistributionPack:
     """Columnar cdf/sf kernels over mixed parametric/histogram rows."""
 
     def __init__(self, distributions: Sequence) -> None:
-        self._distributions = tuple(distributions)
-        if not self._distributions:
+        laws = list(distributions)
+        if not laws:
             raise ValueError("mixed pack requires at least one distribution")
-        parametric_rows = []
-        histogram_rows = []
-        for i, dist in enumerate(self._distributions):
-            if isinstance(dist, ParametricDistance):
-                parametric_rows.append(i)
+        gauss, loop, histogram = [], [], []
+        for i, dist in enumerate(laws):
+            if type(dist) is _GAUSS:
+                gauss.append(i)
+            elif isinstance(dist, ParametricDistance):
+                loop.append(i)
             else:
-                histogram_rows.append(i)
-        self._histogram_pack = (
-            DistributionPack([self._distributions[i] for i in histogram_rows])
-            if histogram_rows
-            else None
+                histogram.append(i)
+        params = np.array([_LAW_PARAMS(laws[i]) for i in gauss], dtype=float)
+        self._finish(
+            laws,
+            None,
+            gauss,
+            params.reshape(-1, 6).T,
+            loop,
+            histogram,
+            DistributionPack([laws[i] for i in histogram]) if histogram else None,
         )
-        self._index(parametric_rows, histogram_rows)
+
+    @classmethod
+    def from_objects(cls, objects: Sequence, q) -> "MixedDistributionPack":
+        """The pack of the candidates' distance laws about ``q``.
+
+        :class:`GaussianObject` rows are gathered straight into the
+        column block — no per-row law is built; every other row is its
+        object's ``parametric_distance(q)``.  Kernels, supports and
+        (lazily) :attr:`distributions` equal those of the pack over the
+        per-row laws, bit for bit.
+        """
+        objects = list(objects)
+        if not objects:
+            raise ValueError("mixed pack requires at least one distribution")
+        kinds = list(map(type, objects))
+        laws: list = [None] * len(objects)
+        if kinds.count(GaussianObject) == len(objects):
+            gauss, loop = range(len(objects)), []
+            gauss_objects = objects
+        else:
+            gauss = [i for i, kind in enumerate(kinds) if kind is GaussianObject]
+            loop = [i for i, kind in enumerate(kinds) if kind is not GaussianObject]
+            for i in loop:
+                laws[i] = objects[i].parametric_distance(q)
+            gauss_objects = [objects[i] for i in gauss]
+        # C-level attrgetter maps, as in DistributionPack.__init__.
+        pdfs = map(attrgetter("_pdf"), gauss_objects)
+        flat = chain.from_iterable(map(_PDF_PARAMS, pdfs))
+        params = np.fromiter(flat, float, 5 * len(gauss)).reshape(-1, 5).T
+        q_column = np.full(len(gauss), _scalar_query(q) if gauss else 0.0)
+        try:
+            keys = tuple(map(attrgetter("_key"), objects))
+        except AttributeError:
+            keys = tuple(map(attrgetter("key"), objects))
+        pack = cls.__new__(cls)
+        pack._finish(
+            laws,
+            keys,
+            gauss,
+            np.vstack((q_column, params)),
+            loop,
+            [],
+            None,
+        )
+        return pack
+
+    def _finish(
+        self, laws, keys, gauss_rows, params, loop_rows, histogram_rows, histogram_pack
+    ) -> None:
+        """Row maps, the Gaussian column block and support columns
+        (shared by every constructor)."""
+        self._laws = laws
+        self._keys = keys
+        self._gauss_rows = np.asarray(gauss_rows, dtype=np.int64)
+        self._gauss, gauss_near, gauss_far = _GAUSS.columns(params)
+        self._loop_rows = np.asarray(loop_rows, dtype=np.int64)
+        self._histogram_rows = np.asarray(histogram_rows, dtype=np.int64)
+        self._histogram_pack = histogram_pack
+        size = len(laws)
+        self._near = np.empty(size)
+        self._far = np.empty(size)
+        self._near[self._gauss_rows] = gauss_near
+        self._far[self._gauss_rows] = gauss_far
+        for i in np.concatenate((self._loop_rows, self._histogram_rows)).tolist():
+            self._near[i], self._far[i] = _support(laws[i])
+        self._distributions: tuple | None = None
+        self._materialized_pack: DistributionPack | None = None
         self._store = None
 
-    def _index(self, parametric_rows, histogram_rows) -> None:
-        """Derive row maps and support columns (shared with from_store)."""
-        self._parametric_rows = np.asarray(parametric_rows, dtype=np.int64)
-        self._histogram_rows = np.asarray(histogram_rows, dtype=np.int64)
-        # Family-batch the dominant workload: plain truncated Gaussians
-        # evaluate as one broadcast ndtr sweep over all rows at once.
-        self._gauss_rows = np.asarray(
-            [
-                i
-                for i in parametric_rows
-                if type(self._distributions[i]) is TruncatedGaussianDistance
-            ],
-            dtype=np.int64,
+    def sorted(self) -> "MixedDistributionPack":
+        """The rows stably sorted by ``(near, far)`` — ``self`` if they
+        already are.  The Gaussian block is permuted as columns."""
+        size = self.size
+        order = np.lexsort((self._far, self._near))
+        if np.array_equal(order, np.arange(size)):
+            return self
+        position = np.empty(size, dtype=np.int64)
+        position[order] = np.arange(size)
+        gauss_rows = position[self._gauss_rows]
+        block_order = np.argsort(gauss_rows, kind="stable")
+        rows = order.tolist()
+        pack = object.__new__(type(self))
+        pack._laws = list(map(self._laws.__getitem__, rows))
+        pack._keys = (
+            None if self._keys is None else tuple(map(self._keys.__getitem__, rows))
         )
-        gauss = set(self._gauss_rows.tolist())
-        self._loop_rows = np.asarray(
-            [i for i in parametric_rows if i not in gauss], dtype=np.int64
-        )
-        supports = [_support(d) for d in self._distributions]
-        self._near = np.array([s[0] for s in supports])
-        self._far = np.array([s[1] for s in supports])
-        self._materialized_pack: DistributionPack | None = None
+        pack._gauss_rows = gauss_rows[block_order]
+        pack._gauss = self._gauss[:, block_order]
+        pack._loop_rows = np.sort(position[self._loop_rows])
+        # The inner histogram pack keeps its row order; only the map
+        # from its rows to pack positions changes.
+        pack._histogram_rows = position[self._histogram_rows]
+        pack._histogram_pack = self._histogram_pack
+        pack._near = self._near[order]
+        pack._far = self._far[order]
+        pack._distributions = None
+        pack._materialized_pack = None
+        pack._store = None
+        return pack
 
     # ------------------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return len(self._distributions)
+        return len(self._laws)
 
     @property
     def distributions(self) -> tuple:
+        """Per-row distance laws; Gaussian-block laws are built here, on
+        first access, from their columns."""
+        if self._distributions is None:
+            laws = list(self._laws)
+            keys = self.keys
+            for j, i in enumerate(self._gauss_rows.tolist()):
+                if laws[i] is None:
+                    q, lo, hi, mean, sigma, bars = self._gauss[:6, j].tolist()
+                    laws[i] = _GAUSS(
+                        q, lo, hi, mean=mean, sigma=sigma, bars=int(bars), key=keys[i]
+                    )
+            self._distributions = tuple(laws)
         return self._distributions
+
+    @property
+    def keys(self) -> tuple[Hashable, ...]:
+        """Row keys (``None`` for rows without one)."""
+        if self._keys is None:
+            self._keys = tuple(getattr(d, "key", None) for d in self._laws)
+        return self._keys
 
     @property
     def near(self) -> np.ndarray:
@@ -114,11 +236,19 @@ class MixedDistributionPack:
 
     @property
     def n_parametric(self) -> int:
-        return int(self._parametric_rows.size)
+        return int(self._gauss_rows.size + self._loop_rows.size)
 
     @property
     def n_histogram(self) -> int:
         return int(self._histogram_rows.size)
+
+    def knots(self) -> np.ndarray:
+        """Every parametric row's ``knots()``, pooled — unsorted and not
+        deduplicated (:class:`AnalyticTable` sorts and dedups the pool)."""
+        rows = self._gauss_rows
+        parts = [_GAUSS.knot_rows(self._gauss, self._near[rows], self._far[rows])]
+        parts.extend(self._laws[i].knots() for i in self._loop_rows.tolist())
+        return np.concatenate(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -135,16 +265,18 @@ class MixedDistributionPack:
         arr = np.asarray(xs, dtype=float)
         scalar = arr.ndim == 0
         points = np.atleast_1d(arr)
-        out = np.empty((self.size, points.size))
-        if self._gauss_rows.size:
-            rows = [self._distributions[i] for i in self._gauss_rows]
-            out[self._gauss_rows] = TruncatedGaussianDistance.cdf_rows(rows, points)
-        for i in self._loop_rows:
-            out[i] = self._distributions[i].cdf(points)
-        if self._histogram_pack is not None:
-            out[self._histogram_rows] = np.atleast_2d(
-                self._histogram_pack.cdf_many(points)
-            ).reshape(self._histogram_rows.size, points.size)
+        if self._gauss_rows.size == self.size:
+            out = _GAUSS.cdf_rows(self._gauss, points)
+        else:
+            out = np.empty((self.size, points.size))
+            if self._gauss_rows.size:
+                out[self._gauss_rows] = _GAUSS.cdf_rows(self._gauss, points)
+            for i in self._loop_rows.tolist():
+                out[i] = self._laws[i].cdf(points)
+            if self._histogram_pack is not None:
+                out[self._histogram_rows] = np.atleast_2d(
+                    self._histogram_pack.cdf_many(points)
+                ).reshape(self._histogram_rows.size, points.size)
         if scalar:
             return out[:, 0]
         return out
@@ -168,7 +300,7 @@ class MixedDistributionPack:
     def materialized(self) -> DistributionPack:
         """Knot fallback: an all-histogram pack over the same rows."""
         if self._materialized_pack is None:
-            self._materialized_pack = DistributionPack(self._distributions)
+            self._materialized_pack = DistributionPack(self.distributions)
         return self._materialized_pack
 
     # ------------------------------------------------------------------
@@ -188,11 +320,14 @@ class MixedDistributionPack:
             arrays["hist_knots"] = self._histogram_pack.knots_flat
             arrays["hist_densities"] = self._histogram_pack.densities_flat
             arrays["hist_sizes"] = np.diff(self._histogram_pack.offsets)
+        if self._gauss_rows.size:
+            arrays[f"param:{_GAUSS.family}"] = np.ascontiguousarray(self._gauss[:6].T)
+            arrays[f"rows:{_GAUSS.family}"] = self._gauss_rows
         by_family: dict[str, list[int]] = {}
-        for i in self._parametric_rows:
-            by_family.setdefault(self._distributions[i].family, []).append(int(i))
+        for i in self._loop_rows.tolist():
+            by_family.setdefault(self._laws[i].family, []).append(i)
         for family, rows in by_family.items():
-            params = [self._distributions[i].pack_params() for i in rows]
+            params = [self._laws[i].pack_params() for i in rows]
             width = max(p.size for p in params)
             matrix = np.zeros((len(rows), width))
             lengths = np.empty(len(rows), dtype=np.int64)
@@ -210,14 +345,15 @@ class MixedDistributionPack:
 
         Histogram columns become views over resident backends (the
         inner ``DistributionPack`` is finished directly on the flats —
-        no concatenation) and copies for chunked ones; parametric rows
-        rebuild their instances from the parameter rows.  The pack
-        pins the store for its lifetime; the store's creator owns the
-        unlink.
+        no concatenation) and copies for chunked ones; the Gaussian
+        block is re-derived from its parameter matrix as columns, other
+        parametric rows rebuild their instances from their parameter
+        rows.  Keys do not travel.  The pack pins the store for its
+        lifetime; the store's creator owns the unlink.
         """
         get = store.get
         total = int(get("total_rows")[0])
-        slots: list = [None] * total
+        laws: list = [None] * total
         histogram_rows = [int(i) for i in get("histogram_rows")]
         hist_pack = None
         if histogram_rows:
@@ -240,25 +376,37 @@ class MixedDistributionPack:
                     dens_offsets[j] : dens_offsets[j + 1]
                 ]
                 row._cdf_knots = hist_knots[offsets[j] : offsets[j + 1]]
-                slots[i] = row
-        parametric_rows = []
+                laws[i] = row
+        gauss_rows: np.ndarray = np.empty(0, dtype=np.int64)
+        params = np.empty((6, 0))
+        loop_rows = []
         for name in store.columns():
             if not name.startswith("param:"):
                 continue
             family = name.split(":", 1)[1]
-            family_cls = FAMILY_REGISTRY[family]
             matrix = get(name)
-            lengths = get(f"len:{family}")
             rows = get(f"rows:{family}")
+            if family == _GAUSS.family:
+                gauss_rows = np.asarray(rows, dtype=np.int64)
+                params = np.asarray(matrix, dtype=float).T
+                continue
+            family_cls = FAMILY_REGISTRY[family]
+            lengths = get(f"len:{family}")
             for j, i in enumerate(rows):
                 index = int(i)
-                slots[index] = family_cls.from_params(
+                laws[index] = family_cls.from_params(
                     np.asarray(matrix[j, : int(lengths[j])])
                 )
-                parametric_rows.append(index)
+                loop_rows.append(index)
         pack = cls.__new__(cls)
-        pack._distributions = tuple(slots)
-        pack._histogram_pack = hist_pack
-        pack._index(sorted(parametric_rows), histogram_rows)
+        pack._finish(
+            laws,
+            (None,) * total,
+            gauss_rows,
+            params,
+            sorted(loop_rows),
+            histogram_rows,
+            hist_pack,
+        )
         pack._store = store
         return pack

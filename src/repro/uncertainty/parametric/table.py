@@ -36,12 +36,11 @@ only the grid and the bracketing differ.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
 from repro.numerics.poisson_binomial import exclusion_products
-from repro.uncertainty.parametric.base import ParametricDistance
 from repro.uncertainty.parametric.pack import MixedDistributionPack
 
 __all__ = ["AnalyticTable"]
@@ -57,58 +56,58 @@ class AnalyticTable:
     ----------
     distributions:
         The candidate set — parametric distances, or a mix with
-        histogram-backed ones (any order; sorted by near point here).
+        histogram-backed ones, or a :class:`MixedDistributionPack` over
+        them (any order; sorted by ``(near, far)`` here).
     grid:
         Target number of inner subregions.  The pooled analytic knots
         and near points always stay in the grid; intervals are split
         uniformly until the count reaches the target.
     """
 
-    def __init__(self, distributions: Sequence, grid: int = 64) -> None:
-        if not distributions:
+    def __init__(self, distributions, grid: int = 64) -> None:
+        if isinstance(distributions, MixedDistributionPack):
+            pack = distributions
+        elif not distributions:
             raise ValueError("candidate set must not be empty")
-        if grid < 1:
-            raise ValueError("grid must be >= 1")
-        self._grid = int(grid)
-        ordered = sorted(distributions, key=lambda d: (d.near, d.far))
-        self._distributions = tuple(ordered)
-        self._pack = MixedDistributionPack(ordered)
-        fars = self._pack.far
-        self._fmin = float(fars.min())
+        else:
+            pack = MixedDistributionPack(distributions)
+        self._pack = pack = pack.sorted()
+        nears, fars = pack.near, pack.far
+        self._fmin = fmin = float(fars.min())
         self._fmax = float(fars.max())
-        self._edges = self._build_edges()
-        cdf = np.clip(self._pack.cdf_many(self._edges), 0.0, 1.0)
-        # Guard against last-ulp wiggle in the closed forms: the
-        # downstream algebra assumes each row is a non-decreasing cdf.
-        np.maximum.accumulate(cdf, axis=1, out=cdf)
-        self._cdf_matrix = cdf
-
-    # ------------------------------------------------------------------
-
-    def _build_edges(self) -> np.ndarray:
-        """Knot-pinned grid from ``n_min`` to ``f_min``, ≥ ``grid`` cells."""
-        n_min = float(self._pack.near.min())
-        if not self._fmin > n_min:
+        n_min = float(nears.min())
+        if not fmin > n_min:
             raise ValueError(
                 "f_min must exceed the smallest near point; the candidate "
                 "set is degenerate (a zero-width distance support?)"
             )
-        pool = [np.asarray([n_min, self._fmin])]
-        for dist in self._distributions:
-            if isinstance(dist, ParametricDistance):
-                knots = dist.knots()
-            else:
-                knots = np.empty(0)
-            pool.append(knots[(knots > n_min) & (knots < self._fmin)])
-        nears = self._pack.near
-        pool.append(nears[(nears > n_min) & (nears < self._fmin)])
-        merged = np.sort(np.concatenate(pool))
+        knots = pack.knots()
+        merged = np.sort(
+            np.concatenate(
+                (
+                    [n_min, fmin],
+                    knots[(knots > n_min) & (knots < fmin)],
+                    nears[(nears > n_min) & (nears < fmin)],
+                )
+            )
+        )
         scale = max(abs(float(merged[0])), abs(float(merged[-1])), 1.0)
         keep = np.empty(merged.size, dtype=bool)
         keep[0] = True
         np.greater(np.diff(merged), _EDGE_RTOL * scale, out=keep[1:])
-        edges = merged[keep]
-        edges[-1] = self._fmin
+        # The knot-pinned edges: grid-independent, shared by refined().
+        self._pinned = merged[keep]
+        self._pinned[-1] = fmin
+        self._set_grid(grid)
+
+    # ------------------------------------------------------------------
+
+    def _set_grid(self, grid: int) -> None:
+        """Split the pinned edges to ≥ ``grid`` cells; the cdf matrix."""
+        if grid < 1:
+            raise ValueError("grid must be >= 1")
+        self._grid = int(grid)
+        edges = self._pinned
         inner = edges.size - 1
         if inner < self._grid:
             parts = -(-self._grid // inner)
@@ -116,11 +115,22 @@ class AnalyticTable:
             widths = np.diff(edges)
             fine = (edges[:-1, None] + widths[:, None] * steps[None, :]).reshape(-1)
             edges = np.concatenate((fine, edges[-1:]))
-        return edges
+        self._edges = edges
+        cdf = np.clip(self._pack.cdf_many(edges), 0.0, 1.0)
+        # Guard against last-ulp wiggle in the closed forms: the
+        # downstream algebra assumes each row is a non-decreasing cdf.
+        np.maximum.accumulate(cdf, axis=1, out=cdf)
+        self._cdf_matrix = cdf
 
     def refined(self, grid: int) -> "AnalyticTable":
-        """A finer table over the same candidates (bounds only tighten)."""
-        return AnalyticTable(self._distributions, grid=grid)
+        """A finer table over the same candidates (bounds only tighten):
+        the sorted pack and the pinned edges are reused."""
+        table = object.__new__(AnalyticTable)
+        table._pack = self._pack
+        table._fmin, table._fmax = self._fmin, self._fmax
+        table._pinned = self._pinned
+        table._set_grid(grid)
+        return table
 
     # ------------------------------------------------------------------
     # Shape and identity (SubregionTable surface)
@@ -128,7 +138,8 @@ class AnalyticTable:
 
     @property
     def distributions(self) -> tuple:
-        return self._distributions
+        """Per-candidate laws, built lazily by the pack."""
+        return self._pack.distributions
 
     @property
     def pack(self) -> MixedDistributionPack:
@@ -136,11 +147,11 @@ class AnalyticTable:
 
     @property
     def keys(self) -> tuple[Hashable, ...]:
-        return tuple(d.key for d in self._distributions)
+        return self._pack.keys
 
     @property
     def size(self) -> int:
-        return len(self._distributions)
+        return self._pack.size
 
     @property
     def grid(self) -> int:

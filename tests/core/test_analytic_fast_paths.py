@@ -156,6 +156,28 @@ class TestKnnLeg:
         spec = CKNNQuery(13.0, k=2, threshold=0.5)
         assert fast.execute(spec).answers == slow.execute(spec).answers
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["execute", "batch"])
+    def test_failed_analytic_attempt_is_booked(self, unit_clock, batched):
+        # The undecided spec above: the column gather and the bound
+        # sweep each cost one unit under ``unit_clock``, and the
+        # histogram pipeline's phases are added to them, not written
+        # over them, so the spec's phases still sum to its wall.
+        objects = [GaussianObject(i, 10.0 + i, 16.0 + i) for i in range(6)]
+        spec = CKNNQuery(13.0, k=2, threshold=0.5)
+
+        def run(**overrides):
+            engine = UncertainEngine(list(objects), EngineConfig(**overrides))
+            if batched:
+                return engine.execute_batch([spec]).results[0]
+            return engine.execute(spec)
+
+        plain = run(parametric_fast_path=False)
+        fallback = run()
+        assert fallback.answers == plain.answers
+        assert fallback.timings.initialization == plain.timings.initialization + 1
+        assert fallback.timings.verification == plain.timings.verification + 1
+        assert fallback.timings.refinement == plain.timings.refinement
+
     def test_trivial_k_geq_n_unaffected(self):
         objects = gaussian_objects()[:3]
         engine = UncertainEngine(objects)

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, UncertainEngine
-from repro.core.types import CPNNQuery
+from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.uncertainty.histogram import Histogram
 from repro.uncertainty.objects import UncertainObject
-from repro.uncertainty.parametric import GaussianObject
+from repro.uncertainty.parametric import (
+    AnalyticTable,
+    GaussianObject,
+    TruncatedGaussianDistance,
+)
 
 N_OBJECTS = 60
 DOMAIN = (0.0, 300.0)
@@ -159,6 +163,59 @@ class TestAnswerQuality:
             result = engine.execute(spec)
             for record in result.records:
                 assert 0.0 <= record.lower <= record.upper <= 1.0
+
+
+class TestZeroConstruction:
+    """The legs hand the pack candidate objects: a Gaussian candidate
+    set is evaluated as columns, never as per-candidate distance laws."""
+
+    def test_no_law_and_no_histogram_on_any_leg(self, monkeypatch, histogram_counter):
+        calls = {"law": 0, "parametric_distance": 0, "refined": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TruncatedGaussianDistance,
+            "__init__",
+            counting("law", TruncatedGaussianDistance.__init__),
+        )
+        monkeypatch.setattr(
+            GaussianObject,
+            "parametric_distance",
+            counting("parametric_distance", GaussianObject.parametric_distance),
+        )
+        monkeypatch.setattr(
+            AnalyticTable, "refined", counting("refined", AnalyticTable.refined)
+        )
+        engine = UncertainEngine(gaussian_objects())
+        specs = query_specs()
+        for spec in specs:
+            engine.execute(spec)
+        engine.execute_batch(specs)
+        escalating = UncertainEngine(
+            gaussian_objects(), EngineConfig(analytic_grid=8, analytic_max_grid=2048)
+        )
+        escalating.execute_batch(query_specs(tolerance=0.002, n=4))
+        assert calls["refined"] > 0, "the narrow tolerance must escalate"
+        ranged = engine.execute_batch(
+            [CRangeQuery(s.q, threshold=0.3, radius=8.0) for s in specs]
+        )
+        assert sum(r.refined_objects for r in ranged.results) > 0
+        # Far-apart clusters, so the analytic bounds settle every k-NN spec.
+        clusters = UncertainEngine(
+            [GaussianObject(i, 30.0 * i, 30.0 * i + 2.0) for i in range(8)]
+        )
+        knn = clusters.execute_batch(
+            [CKNNQuery(30.0 * i + 1.0, threshold=0.5, k=1) for i in range(8)]
+        )
+        assert all(r.answers for r in knn.results)
+        assert calls["law"] == calls["parametric_distance"] == 0
+        assert histogram_counter["n"] == 0
 
 
 class TestFallbackAccounting:

@@ -23,8 +23,10 @@ from repro.core.types import (
     QueryResult,
 )
 from repro.storage import ColumnField, StoreDescriptor, open_store
+from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import (
     GaussianMixtureDistance,
+    GaussianObject,
     GpsEllipseDistance,
     MixedDistributionPack,
     TruncatedGaussianDistance,
@@ -113,18 +115,38 @@ class TestParametricPickling:
         np.testing.assert_array_equal(twin.cdf(xs), dist.cdf(xs))
 
     def test_mixed_pack_store_descriptor_round_trips(self):
-        rows = [
-            TruncatedGaussianDistance(5.0, 2.0, 8.0, bars=24, key=0),
-            UniformDiskDistance((0.0, 0.0), (3.0, 4.0), 2.0, key=1),
+        q = 5.0
+        gaussians = [
+            GaussianObject(i, lo, lo + width, bars=24)
+            for i, (lo, width) in enumerate([(2.0, 6.0), (4.5, 1.0), (-3.0, 9.0)])
         ]
-        pack = MixedDistributionPack(rows)
-        with pack.to_store("shm") as store:
-            twin = MixedDistributionPack.from_store(
-                open_store(round_trip(store.descriptor()))
-            )
-            xs = np.linspace(0.0, 10.0, 33)
-            np.testing.assert_array_equal(twin.cdf_many(xs), pack.cdf_many(xs))
-            del twin
+        mixed = [
+            TruncatedGaussianDistance(q, 2.0, 8.0, bars=24, key="g"),
+            UniformDiskDistance((0.0, 0.0), (3.0, 4.0), 2.0, key="d"),
+            UncertainObject.uniform("h", 6.0, 9.0).distance_distribution(q),
+            UncertainObject.uniform("i", 1.0, 3.0).distance_distribution(q),
+            GaussianMixtureDistance(
+                q, [TruncatedGaussianPdf(0.0, 3.0, bars=16)], key="m"
+            ),
+        ]
+        packs = [
+            MixedDistributionPack(mixed[:2]),
+            # sorted: the histogram rows map to permuted positions
+            MixedDistributionPack(mixed).sorted(),
+            # the Gaussian column block, gathered from objects
+            MixedDistributionPack.from_objects(gaussians, q),
+        ]
+        xs = np.linspace(0.0, 10.0, 33)
+        for pack in packs:
+            with pack.to_store("shm") as store:
+                twin = MixedDistributionPack.from_store(
+                    open_store(round_trip(store.descriptor()))
+                )
+                np.testing.assert_array_equal(twin.cdf_many(xs), pack.cdf_many(xs))
+                np.testing.assert_array_equal(twin.near, pack.near)
+                np.testing.assert_array_equal(twin.far, pack.far)
+                assert twin.n_histogram == pack.n_histogram
+                del twin
 
 
 class TestResultPickling:
