@@ -8,9 +8,9 @@ changing object set.
 shape directly instead of looping over
 :meth:`~repro.core.engine.UncertainEngine.execute`.  For C-PNN specs:
 
-* **filtering** runs as a single vectorised MBR sweep for the whole
-  batch (:class:`repro.index.filtering.BatchMbrFilter`), the same
-  matrices the k-NN and range paths reduce;
+* **filtering** runs as one batched descent of the packed filter for
+  the whole batch (:class:`repro.index.filtering.BatchMbrFilter`), the
+  same levels the k-NN and range paths descend;
 * **initialisation** shares distance distributions through an LRU
   cache keyed by ``(object, query point)``, so repeated probes (the
   common case for moving clients) share one row object (the fold is
@@ -20,12 +20,12 @@ shape directly instead of looping over
   phases (``PnnExecutorMixin._run_vr`` / ``_run_refine`` /
   ``_run_basic``) on its own states and refiner.
 
-k-NN and range specs share the same MBR sweep and distribution cache
+k-NN and range specs share the same packed filter and distribution cache
 (see :meth:`~repro.core.engine.UncertainEngine.execute_batch`).
 
 Behind the cache tiers the batch runs the sequential path's own code,
 so batch and sequential results agree exactly by construction; the
-speed-up comes from the shared sweep and from work the caches skip.
+speed-up comes from the shared descent and from work the caches skip.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class TableCache:
 
         The test per cached point ``q`` is ``mindist(mbr, q) <=
         f_min(q)``, with the mindist arithmetic mirroring
-        :meth:`repro.index.filtering.BatchMbrFilter.matrices` operation
+        :meth:`repro.index.filtering.BatchMbrFilter._sweep` operation
         for operation so the decision is exactly the filter's own
         candidate test.
         """
@@ -358,7 +358,7 @@ class BatchResult:
         order.  Every result carries its own initialisation /
         verification / refinement timings (all zero for a replayed
         snapshot — nothing ran); ``timings.filtering`` is zero because
-        the shared sweep cannot be attributed to single queries.
+        the shared descent cannot be attributed to single queries.
     timings:
         Wall-clock totals of the four phases: filtering once for the
         whole batch, and for the other three the plain sums of the

@@ -126,7 +126,7 @@ def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
             try:
                 store = open_store(columns_desc)
                 state.filter = BatchMbrFilter.from_store(
-                    store, state.objects
+                    store, state.objects, config.rtree_max_entries
                 )
                 state.shm = store
             except StorageError:
@@ -135,10 +135,12 @@ def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
                 # the same message, so rebuild the filter locally: a
                 # slower attach, bit-identical coordinates, and the
                 # parent is told so it can count the degradation.
-                state.filter = BatchMbrFilter(state.objects)
+                state.filter = BatchMbrFilter(
+                    state.objects, config.rtree_max_entries
+                )
                 state.attach_fallback = True
         elif state.objects:
-            state.filter = BatchMbrFilter(state.objects)
+            state.filter = BatchMbrFilter(state.objects, config.rtree_max_entries)
         # The lane consults the *current* filter at call time (mutations
         # may rebuild or drop it), hence a closure, not the filter itself.
         state.lane._local_filter = lambda points: state.filter(points)
@@ -171,7 +173,9 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
             state.key_list.append(obj.key)
             if state.use_rtree:
                 if state.filter is None:
-                    state.filter = BatchMbrFilter(state.objects)
+                    state.filter = BatchMbrFilter(
+                        state.objects, lane._config.rtree_max_entries
+                    )
                 else:
                     state.filter.append(obj)
             lane._queue_invalidation(obj)

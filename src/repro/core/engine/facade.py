@@ -174,10 +174,11 @@ class QueryFacadeMixin(SpecDispatchMixin):
 
     def _range_plan_counts(self, spec):
         """``(sure_in, sure_out, straddle)`` MBR classification counts."""
-        mindist, maxdist = self._ensure_batch_filter().matrices([spec.q])
-        sure_in = int(np.count_nonzero(maxdist[0] <= spec.radius))
-        sure_out = int(np.count_nonzero(mindist[0] > spec.radius))
-        return sure_in, sure_out, len(self._objects) - sure_in - sure_out
+        [(inside, _, maxdist)] = self._ensure_batch_filter().range_filter(
+            [spec.q], [spec.radius]
+        )
+        sure_in = int(np.count_nonzero(maxdist <= spec.radius))
+        return sure_in, len(self._objects) - inside.size, inside.size - sure_in
 
     def _cpnn_plan_stages(self, spec, strategy):
         """``(verifier names, trailing stage lines)`` of a C-PNN plan."""
@@ -240,9 +241,9 @@ class QueryFacadeMixin(SpecDispatchMixin):
 
         Semantically equivalent to ``[execute(s) for s in specs]`` —
         answers and records agree exactly — but work is restructured
-        around the batch: each family's filtering runs as one
-        vectorised MBR sweep, distance distributions go through the
-        engine's LRU cache, and repeated C-PNN probes reuse cached
+        around the batch: each family's filtering runs as one batched
+        descent of the packed filter, distance distributions go through
+        the engine's LRU cache, and repeated C-PNN probes reuse cached
         tables and results; C-PNN verification/refinement are the
         single-spec path's own (see :mod:`repro.core.batch`).  Specs of
         different types may be mixed freely; ``results`` aligns with
@@ -419,7 +420,7 @@ class UncertainEngine(
                 strategy=None,
                 index=index,
                 stages=[
-                    f"MBR filtering with f_min^{min(spec.k, n)} (vectorised sweep)",
+                    f"MBR filtering with f_min^{min(spec.k, n)} (packed descent)",
                     "distance distributions for survivors (LRU cache)",
                     "RS-style k-NN bounds via columnar cdf kernels",
                     "exact Poisson-binomial integration for undecided objects",
@@ -437,7 +438,7 @@ class UncertainEngine(
                 strategy=None,
                 index=index,
                 stages=[
-                    "MBR range classification (vectorised sweep): "
+                    "MBR range classification (packed descent): "
                     f"{sure_in} certainly inside, {sure_out} certainly outside",
                     f"exact region-distance re-check for {straddle} straddling objects",
                     "cdf(radius) via columnar kernel for true straddlers (LRU cache)",
@@ -448,7 +449,7 @@ class UncertainEngine(
                 caches=caches,
             )
         strategy = self._as_strategy(strategy)
-        filter_result = self._single_filter()(spec.q)
+        filter_result = self._filter(spec.q)
         verifiers, suffix = self._cpnn_plan_stages(spec, strategy)
         return QueryPlan(
             spec=spec,
@@ -496,7 +497,8 @@ class UncertainEngine(
             "objects": len(self._objects),
             "index": index,
             "executor": self._executor_diagnostics(),
-            "filter_stale": self._filter_stale,
+            "filter_stale": self._batch_filter is not None
+            and not self._batch_filter.packed,
             "pending_invalidations": len(self._pending_invalidation),
             "caches": self._cache_stats(),
             "storage": self._storage_stats(),

@@ -1,54 +1,37 @@
-"""The shared filter stage: single-query index + whole-batch MBR sweep.
+"""The shared filter stage: one packed filter for every query path.
 
 One mixin owns everything the filtering phase needs — the incrementally
-maintained :class:`~repro.index.filtering.BatchMbrFilter` serving every
-batch path, and the single-query :class:`~repro.index.filtering.PnnFilter`
-(or linear scan) packed from that filter's coordinate arrays — and
-implements the ``_maintain_*`` hooks the registry's mutation primitives
-call, so index upkeep stays out of the storage module and out of the
-executors.
+maintained :class:`~repro.index.filtering.BatchMbrFilter`, whose packed
+STR levels answer single queries, batches, k-NN and range alike (or the
+linear scan) — and implements the ``_maintain_*`` hooks the registry's
+mutation primitives call, so index upkeep stays out of the storage
+module and out of the executors.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.types import QuerySpec
-from repro.index.filtering import (
-    BatchMbrFilter,
-    FilterResult,
-    PnnFilter,
-    filter_candidates,
-)
+from repro.index.filtering import BatchMbrFilter, FilterResult, filter_candidates
 
 __all__ = ["FilterStageMixin"]
 
 
 class FilterStageMixin:
-    """Builds, maintains, and serves the engine's two filters."""
+    """Builds, maintains, and serves the engine's filter."""
 
     def _init_filter_stage(self) -> None:
-        self._filter: PnnFilter | Callable | None = None
         #: Column stores this engine created and must unlink on close
         #: (``config.storage != "ram"``; DESIGN.md §16).
         self._owned_stores: list = []
-        #: Vectorised whole-batch filter shared by execute_batch and the
-        #: routed k-NN/range paths, maintained *incrementally* across
-        #: dynamic updates: insert appends a coordinate row, remove
-        #: masks one (DESIGN.md §11).
+        #: The filter every query path descends, maintained
+        #: *incrementally* across dynamic updates (DESIGN.md §11).
         self._batch_filter: BatchMbrFilter | None = (
             self._make_batch_filter()
             if self._config.use_rtree and self._objects
             else None
         )
-        #: Mutations never maintain the single-query filter; they drop it
-        #: (it snapshots its items, so a kept one would pin replaced
-        #: objects) and set this flag, and :meth:`_single_filter`
-        #: rebuilds it — a repack from the batch filter's coordinate
-        #: arrays, ≈2 ms at N = 20 000 — so an update stream probed
-        #: only through ``execute_batch`` pays nothing for it.
-        self._filter_stale = False
-        self._build_filter()
 
     # ------------------------------------------------------------------
     # Column-store backing (DESIGN.md §16)
@@ -71,16 +54,17 @@ class FilterStageMixin:
         default path is untouched).  ``shm``/``mmap`` export the
         coordinate columns into an engine-owned store and serve the
         filter as a view over it; the store is released by
-        :meth:`_release_stores` when the engine closes.  Sweeps are
+        :meth:`_release_stores` when the engine closes.  Answers are
         bit-identical across backends (property-tested), so the knob is
-        invisible in the answers.
+        invisible in them.  The levels pack at ``rtree_max_entries``.
         """
-        flt = BatchMbrFilter(self._objects)
+        fanout = self._config.rtree_max_entries
+        flt = BatchMbrFilter(self._objects, fanout)
         if self._config.storage == "ram":
             return flt
         store = flt.to_store(self._config.storage, **self._store_options())
         self._owned_stores.append(store)
-        return BatchMbrFilter.from_store(store, self._objects)
+        return BatchMbrFilter.from_store(store, self._objects, fanout)
 
     def _storage_stats(self) -> dict:
         """The ``stats()["storage"]`` payload: backend plus aggregated
@@ -119,78 +103,45 @@ class FilterStageMixin:
         while self._owned_stores:
             self._owned_stores.pop().close()
 
-    def _build_filter(self) -> None:
-        """(Re)build the single-query PNN filter for the object set."""
-        self._filter_stale = False
-        if not self._objects:
-            self._filter = None
-        elif self._config.use_rtree:
-            lows, highs = self._ensure_batch_filter().coordinates()
-            self._filter = PnnFilter.from_arrays(
-                lows, highs, self._objects, self._config.rtree_max_entries
-            )
-        else:
-            self._filter = lambda q: filter_candidates(self._objects, q)
-
-    def _single_filter(self) -> PnnFilter | Callable:
-        """The single-query filter, repacked first if a mutation has
-        happened since it was built (DESIGN.md §11)."""
-        if self._filter_stale:
-            self._build_filter()
-        return self._filter
-
     # ------------------------------------------------------------------
     # Maintenance hooks called by the registry's mutation primitives
     # ------------------------------------------------------------------
 
     def _maintain_insert(self, obj, was_empty: bool) -> None:
-        if was_empty:
-            self._build_filter()
-            return
         if self._batch_filter is not None:
             self._batch_filter.append(obj)
-        self._filter, self._filter_stale = None, True
 
     def _maintain_remove(self, victim, index: int) -> None:
-        if self._batch_filter is not None:
-            self._batch_filter.remove_at(index)
-        self._filter, self._filter_stale = None, True
         if not self._objects:
             self._batch_filter = None
-            self._build_filter()
+        elif self._batch_filter is not None:
+            self._batch_filter.remove_at(index)
 
     def _maintain_replace(self, victim, obj, index: int) -> None:
         if self._batch_filter is not None:
             self._batch_filter.replace_at(index, obj)
-        self._filter, self._filter_stale = None, True
 
     # ------------------------------------------------------------------
     # Serving the executors
     # ------------------------------------------------------------------
 
     def _ensure_batch_filter(self) -> BatchMbrFilter:
-        """The vectorised MBR filter, built lazily on first use.
-
-        Once built it is maintained incrementally by
-        :meth:`~repro.core.engine.registry.ObjectRegistryMixin.insert` /
-        ``remove`` (append / mask a coordinate row) rather than rebuilt
-        from the object tuple.
-        """
+        """The packed MBR filter, built lazily on first use, then
+        maintained by the ``_maintain_*`` hooks above, never rebuilt."""
         if self._batch_filter is None:
             self._batch_filter = self._make_batch_filter()
         return self._batch_filter
 
-    def _filter_batch(self, points: Sequence) -> list[FilterResult]:
-        """Filter every point, in one vectorised pass when possible.
+    def _filter(self, q) -> FilterResult:
+        """Filter one point (:meth:`_filter_batch` of one)."""
+        return self._filter_batch([q])[0]
 
-        R-tree engines filter over object MBRs, which is exactly what
-        the tree's branch-and-bound computes, so the whole batch runs
-        as one matrix sweep.  Linear-scan engines use per-object
-        ``mindist``/``maxdist`` (which may be tighter than the MBR for
-        2-D regions), so they keep the reference scan per point.
-        """
+    def _filter_batch(self, points: Sequence) -> list[FilterResult]:
+        """Filter every point: one descent over the packed levels on
+        R-tree engines (MBR pruning is the tree's branch-and-bound), else
+        the reference scan of exact region distances, which 2-D regions
+        may bound tighter than their MBRs."""
+        points = [p.q if isinstance(p, QuerySpec) else p for p in points]
         if self._config.use_rtree:
-            points = [p.q if isinstance(p, QuerySpec) else p for p in points]
             return self._ensure_batch_filter()(points)
-        scan = self._single_filter()
-        return [scan(p.q if isinstance(p, QuerySpec) else p) for p in points]
+        return [filter_candidates(self._objects, p) for p in points]

@@ -41,8 +41,8 @@ class KnnExecutorMixin:
     ) -> tuple[list[QueryResult], float]:
         """Evaluate k-NN specs through the shared substrate.
 
-        One vectorised ``f_min^k`` MBR sweep filters every spec's
-        point; survivors' distance distributions go through the LRU
+        One batched ``f_min^k`` descent of the packed filter serves
+        every spec's point; survivors' distance distributions go through the LRU
         cache and the columnar bound/integration kernels
         (:func:`~repro.core.knn.knn_routed_eval`).  Returns the results
         and the shared filtering seconds.

@@ -3,7 +3,7 @@
 Implements the paper's three evaluation strategies (Section V) for
 C-PNN specs, single and batched, against a small host protocol —
 ``_config``, ``_chain``, ``_as_strategy``, ``_filter_batch``,
-``_single_filter``, ``_distribution_cache``, ``_table_cache`` and
+``_filter``, ``_distribution_cache``, ``_table_cache`` and
 ``_flush_table_invalidations`` — so the same executor serves the
 single :class:`~repro.core.engine.UncertainEngine` *and* the execution
 lanes of a :class:`~repro.core.engine.sharded.ShardedEngine` (which
@@ -106,7 +106,7 @@ class PnnExecutorMixin:
     def _execute_pnn(self, query: CPNNQuery, strategy: str) -> QueryResult:
         timings = PhaseTimings()
         tick = time.perf_counter()
-        filter_result = self._single_filter()(query.q)
+        filter_result = self._filter(query.q)
         timings.filtering = time.perf_counter() - tick
         if strategy == Strategy.VR and self._config.parametric_fast_path:
             result = self._run_parametric(filter_result, query, timings)
@@ -175,7 +175,7 @@ class PnnExecutorMixin:
     ) -> BatchResult:
         """Many C-PNN queries: the cache tiers around the one pipeline.
 
-        Filtering is a single vectorised MBR sweep and distance
+        Filtering is one batched descent of the packed filter and distance
         distributions go through the engine's LRU cache (see
         :mod:`repro.core.batch`); every query that is not replayed then
         runs the very phases :meth:`_execute_pnn` runs, on its own
@@ -287,7 +287,7 @@ class PnnExecutorMixin:
         if not self._objects:
             raise ValueError("cannot query an empty engine (insert objects first)")
         query = CPNNQuery(q, threshold=1.0, tolerance=0.0)
-        prepared = self._prepare(query, self._single_filter()(q), PhaseTimings())
+        prepared = self._prepare(query, self._filter(q), PhaseTimings())
         probabilities = prepared.refiner.exact_all()
         return {
             key: float(p)

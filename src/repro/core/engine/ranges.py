@@ -30,21 +30,21 @@ class RangeExecutorMixin:
     ) -> tuple[list[QueryResult], float]:
         """Evaluate range specs through the shared substrate.
 
-        One vectorised MBR distance sweep classifies every (spec,
-        object) pair — the last step that sees the whole dataset; only
-        straddling objects re-check exact region distances, and only
-        true straddlers build distributions (LRU cache) and evaluate
-        ``cdf(radius)`` through the columnar kernel
+        One batched descent of the packed filter returns, per spec,
+        the objects whose MBR reaches the ball with their MBR
+        ``maxdist``; only straddling objects re-check exact region
+        distances, and only true straddlers build distributions (LRU
+        cache) and evaluate ``cdf(radius)`` through the columnar kernel
         (:func:`~repro.core.range_query.range_routed_eval`).
         """
         cache = self._distribution_cache
         tick = time.perf_counter()
-        mindist, maxdist = self._ensure_batch_filter().matrices(
-            [spec.q for spec in specs]
+        survivors = self._ensure_batch_filter().range_filter(
+            [spec.q for spec in specs], [spec.radius for spec in specs]
         )
         filter_seconds = time.perf_counter() - tick
         results = []
-        for b, spec in enumerate(specs):
+        for spec, (inside, _, inside_maxdist) in zip(specs, survivors):
             timings = PhaseTimings()
             hits_before = cache.hits if cache is not None else 0
             misses_before = cache.misses if cache is not None else 0
@@ -73,8 +73,8 @@ class RangeExecutorMixin:
                 spec.q,
                 spec.radius,
                 spec.threshold,
-                mindist[b],
-                maxdist[b],
+                inside,
+                inside_maxdist,
                 provider,
             )
             elapsed = time.perf_counter() - tick

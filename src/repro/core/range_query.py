@@ -18,9 +18,9 @@ filter-then-verify philosophy as the C-PNN engine:
 
 The paper's economy (Section III) is that after filtering every cost
 follows the candidate set, never the dataset, and
-:func:`range_routed_eval` keeps to it: past the one vectorised MBR
-sweep its loops, its kernel call and its records run over the objects
-whose region reaches the ball.  Objects proved outside get no record —
+:func:`range_routed_eval` keeps to it: it is handed the index's
+survivors, and its loops, its kernel call and its records run over the
+objects whose region reaches the ball.  Objects proved outside get no record —
 they are implied ``FAIL 0/0``, as they are for C-PNN.
 
 With a threshold ``P`` and tolerance ``Δ`` the answer obeys the same
@@ -62,17 +62,18 @@ def range_routed_eval(
     q,
     radius: float,
     threshold: float,
-    mbr_mindist: np.ndarray,
-    mbr_maxdist: np.ndarray,
+    inside: np.ndarray,
+    inside_maxdist: np.ndarray,
     pack_provider: Callable[[list], object],
 ) -> tuple[tuple, list[AnswerRecord], int]:
     """Constrained range query over MBR-prefiltered objects.
 
-    ``mbr_mindist`` / ``mbr_maxdist`` are one row of
-    :meth:`repro.index.filtering.BatchMbrFilter.matrices` for ``q``.
-    Everything after that sweep is proportional to the *candidates* —
-    the objects whose region ``mindist(q) <= radius`` — never to
-    ``len(objects)``.  Candidates certainly inside (MBR or region
+    ``inside`` holds the positions (ascending) of the objects whose MBR
+    ``mindist(q) <= radius`` and ``inside_maxdist`` their MBR
+    ``maxdist(q)``: one point's
+    :meth:`repro.index.filtering.BatchMbrFilter.range_filter` result.
+    Everything here is proportional to the *candidates* — the objects
+    whose region ``mindist(q) <= radius`` — never to ``len(objects)``.  Candidates certainly inside (MBR or region
     ``maxdist <= radius``) are decided without touching their pdfs;
     MBR-straddlers re-check their exact region distances (which 2-D
     regions may bound tighter than the MBR), and only true straddlers
@@ -88,8 +89,7 @@ def range_routed_eval(
     the objects it omits are the ones the scalar path labels
     ``FAIL 0/0`` — implied, as for C-PNN.
     """
-    inside = np.flatnonzero(mbr_mindist <= radius)
-    sure_in = (mbr_maxdist[inside] <= radius).tolist()
+    sure_in = (inside_maxdist <= radius).tolist()
     candidates: list = []
     probability: list[float] = []
     pending: list[int] = []  # candidate positions awaiting cdf(radius)

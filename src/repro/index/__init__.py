@@ -12,9 +12,10 @@ exceeds it.  This package provides
   insertion, deletion, range and best-first search,
 * :func:`~repro.index.str_pack.str_bulk_load` — Sort-Tile-Recursive
   packing for bulk construction,
-* :func:`~repro.index.filtering.filter_candidates` and
-  :class:`~repro.index.filtering.PnnFilter` — the pruning step itself,
-  plus a linear-scan reference implementation used for testing.
+* :class:`~repro.index.filtering.PnnFilter` — the pruning step itself
+  (the engine's ``BatchMbrFilter`` runs the same descent over packed
+  STR levels), plus :func:`~repro.index.filtering.filter_candidates`,
+  a linear-scan reference implementation used for testing.
 """
 
 from repro.index.filtering import FilterResult, PnnFilter, filter_candidates

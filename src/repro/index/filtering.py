@@ -7,10 +7,12 @@ exceeds ``f_min`` can never be the nearest neighbour — some other
 object is certainly closer — so only objects with ``near <= f_min``
 survive as the *candidate set* ``C``.
 
-Two implementations are provided with identical semantics:
+Three implementations are provided with identical semantics:
 
-* :class:`PnnFilter` — R-tree branch-and-bound, one level-synchronous
-  descent over the tree's levels held as arrays;
+* :class:`BatchMbrFilter` — the engine's filter: one batched
+  level-synchronous descent over packed STR levels answers every
+  query family (C-PNN ``f_min``, k-NN ``f_min^k``, range radius);
+* :class:`PnnFilter` — the same descent over an R-tree's nodes;
 * :func:`filter_candidates` — a vectorisable linear scan used as the
   correctness reference and for small datasets.
 """
@@ -18,17 +20,12 @@ Two implementations are provided with identical semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.index.rtree import RTree, RTreeStats
 from repro.index.str_pack import str_pack_levels
-
-#: Byte budget of one chunked-sweep block's output (the two (B, rows)
-#: matrices plus the transient (B, rows, d) gap scratch).  Determines
-#: how many coordinate rows a store-backed filter pulls per block.
-_SWEEP_BLOCK_BYTES = 4 << 20
 
 __all__ = [
     "BatchMbrFilter",
@@ -73,16 +70,11 @@ def filter_candidates(objects: Sequence, q) -> FilterResult:
 class PnnFilter:
     """Branch-and-bound filtering over an R-tree held as per-level arrays.
 
-    A query is one level-synchronous descent (:func:`_descend`): no
-    per-entry Python, one pass where ``RTree.nearest_maxdist`` then
-    ``within_mindist`` (the reference it is property-tested against)
-    took two.  ``PnnFilter(tree)`` snapshots a tree's nodes at
-    construction and again whenever the tree's mutation counter has
-    moved; :meth:`from_arrays` packs ``(N, d)`` coordinate arrays with
-    ``str_bulk_load``'s tiling.  Both hold their own item list and
-    report the same candidates in the same (leaf) order.  An object's
-    MBR min/max distances equal its uncertainty region's near/far
-    distance, so the survivors are exactly the paper's candidate set.
+    A query is one level-synchronous descent (:func:`_descend_one`), one
+    pass where ``RTree.nearest_maxdist`` then ``within_mindist`` (its
+    property-tested reference) took two.  The tree's nodes are
+    snapshotted again whenever its mutation counter has moved;
+    candidates come in leaf order.
     """
 
     def __init__(self, tree: RTree) -> None:
@@ -90,29 +82,19 @@ class PnnFilter:
         self._version = tree.version
         self._levels, self._items = _tree_levels(tree)
 
-    @classmethod
-    def from_arrays(
-        cls, lows: np.ndarray, highs: np.ndarray, items: Sequence, max_entries: int
-    ) -> "PnnFilter":
-        """Pack coordinate rows (``items[i]`` behind row ``i``)."""
-        if not len(items):
-            raise ValueError("cannot filter with an empty index")
-        flt = cls.__new__(cls)
-        flt._tree = flt._version = None
-        flt._levels, order = str_pack_levels(lows, highs, max_entries)
-        flt._items = list(map(items.__getitem__, order.tolist()))
-        return flt
-
     def __call__(self, q) -> FilterResult:
-        if self._tree is not None and self._tree.version != self._version:
+        if self._tree.version != self._version:
             self.__init__(self._tree)
-        rows, fmin, stats = _descend(self._levels, q)
+        query = np.atleast_1d(np.asarray(q, dtype=float)).reshape(1, -1)
+        if query.shape[1] != self._levels[0][0].shape[1]:
+            raise ValueError("query point dimensionality mismatch")
+        rows, fmin, stats = _descend_one(self._levels, query)
         candidates = tuple(map(self._items.__getitem__, rows.tolist()))
         return FilterResult(candidates=candidates, fmin=fmin, stats=stats)
 
 
 def _tree_levels(tree: RTree) -> tuple[list[tuple], list]:
-    """A tree's nodes as ``str_pack_levels`` arrays, its items in leaf order."""
+    """A tree's nodes as descent levels, its items in leaf order."""
     if len(tree) == 0:
         raise ValueError("cannot filter with an empty index")
     levels = []
@@ -122,38 +104,83 @@ def _tree_levels(tree: RTree) -> tuple[list[tuple], list]:
         lows = np.array([entry.rect.lows for entry in entries])
         highs = np.array([entry.rect.highs for entry in entries])
         if nodes[0].is_leaf:
-            levels.append((lows, highs, None, None))
+            levels.append((lows, highs, None, None, None))
             return levels, [entry.item for entry in entries]
         nodes = [entry.child for entry in entries]
         count = np.fromiter(map(len, nodes), np.intp, len(nodes))
-        levels.append((lows, highs, np.cumsum(count) - count, count))
+        levels.append((lows, highs, np.cumsum(count) - count, count, None))
 
 
-def _descend(levels: Sequence[tuple], q) -> tuple[np.ndarray, float, RTreeStats]:
-    """One level-synchronous descent: surviving leaf rows and ``f_min``.
+def _nearest(bound, point, rows, maxdist, size) -> np.ndarray:
+    """C-PNN: tighten each point's bound to its smallest entry ``maxdist``."""
+    bound = bound.copy()
+    np.minimum.at(bound, point, maxdist)
+    return bound
 
-    Per level, sweep the surviving entries (:meth:`BatchMbrFilter._sweep`,
-    bit-identical to ``Rect.mindist`` / ``maxdist``), tighten ``bound``
-    to the smallest ``maxdist`` seen and keep ``mindist <= bound``.
-    Every entry covers an item whose ``maxdist`` is no larger than its
-    own, so ``bound >= f_min`` throughout: the ancestors of the ``f_min``
-    witness and of every candidate survive, and at the leaves ``bound``
-    *is* ``f_min`` and the kept rows are the candidate set.
+
+def _kth(ks: np.ndarray) -> Callable:
+    """k-NN: the smallest ``b`` whose entries with ``maxdist <= b``
+    cover ``>= k`` objects (subtree counts ``size``)."""
+
+    def rule(bound, point, rows, maxdist, size):
+        by = np.lexsort((maxdist, point))
+        weight = size[rows[by]]
+        covered = np.cumsum(weight)
+        first = np.searchsorted(point, np.arange(bound.size))
+        at = np.searchsorted(covered, covered[first] - weight[first] + ks)
+        return np.minimum(bound, maxdist[by[at]])
+
+    return rule
+
+
+def _descend(levels: Sequence[tuple], queries: np.ndarray, bound, rule):
+    """One batched level-synchronous descent.
+
+    Carries ``(point, entry)`` pairs from the root's entries down,
+    ``point`` sorted.  Per level it sweeps every pair
+    (:meth:`BatchMbrFilter._sweep`, bit-identical to ``Rect.mindist`` /
+    ``maxdist``), lets ``rule(bound, point, rows, maxdist, size)`` move
+    each point's bound (``size``: subtree counts) and keeps ``mindist <=
+    bound``.  An entry's ``maxdist`` is no smaller, and its ``mindist``
+    no larger, than any item's below it, so each rule stays at or above
+    its exact radius, and equals it at the leaves.  Returns the leaf
+    pairs ``(point, rows, (mindist, maxdist))`` and the bounds.
     """
-    query = np.atleast_1d(np.asarray(q, dtype=float)).reshape(1, -1)
-    if query.shape[1] != levels[0][0].shape[1]:
-        raise ValueError("query point dimensionality mismatch")
+    width = levels[0][0].shape[0]
+    point = np.repeat(np.arange(queries.shape[0]), width)
+    rows = np.tile(np.arange(width), queries.shape[0])
+    for lows, highs, start, count, size in levels:
+        query = queries if queries.shape[0] == 1 else queries[point]
+        mindist, maxdist = BatchMbrFilter._sweep(query, lows[rows], highs[rows])
+        bound = rule(bound, point, rows, maxdist, size)
+        keep = np.flatnonzero(mindist <= bound[point])
+        point, rows = point[keep], rows[keep]
+        if start is None:
+            return point, rows, (mindist[keep], maxdist[keep]), bound
+        count = count[rows]
+        ends = np.cumsum(count)
+        point = np.repeat(point, count)
+        rows = np.repeat(start[rows] - ends + count, count) + np.arange(
+            ends[-1] if ends.size else 0
+        )
+
+
+def _descend_one(levels: Sequence[tuple], query: np.ndarray):
+    """:func:`_descend` under the C-PNN rule for one point, without the
+    pair bookkeeping: a scalar bound and no point column, which in the
+    engine's single-query loop at N = 20 000 filters in ≈0.25 ms against
+    ≈0.31 ms for the batched body.  Returns the surviving leaf rows,
+    ``f_min`` and the traversal counters."""
     stats = RTreeStats()
     stats.nodes_visited = 1
-    bound = float("inf")
-    rows = None
-    for lows, highs, start, count in levels:
+    bound, rows = float("inf"), None
+    for lows, highs, start, count, _ in levels:
         if rows is not None:
             lows, highs = lows[rows], highs[rows]
         mindist, maxdist = BatchMbrFilter._sweep(query, lows, highs)
         stats.entries_scanned += lows.shape[0]
         bound = min(bound, float(maxdist.min()))
-        keep = np.flatnonzero(mindist[0] <= bound)
+        keep = np.flatnonzero(mindist <= bound)
         if rows is not None:
             keep = rows[keep]
         if start is None:
@@ -165,46 +192,39 @@ def _descend(levels: Sequence[tuple], q) -> tuple[np.ndarray, float, RTreeStats]
 
 
 class BatchMbrFilter:
-    """Vectorised MBR filtering for a whole batch of query points.
+    """The engine's filter: MBR pruning for a whole batch of points.
 
-    Materialises the object MBRs into two ``(N, d)`` coordinate arrays
-    once, then answers any number of query points with a handful of
-    whole-matrix numpy operations: per-dimension gaps give ``mindist``
-    and ``maxdist`` for every (query, object) pair, row minima give
-    ``f_min`` per query, and one comparison yields every candidate set.
-    One O(B·N·d) sweep serves the whole batch and yields the full
-    ``(B, N)`` matrices the k-NN and range paths also reduce.
-    It is not the cheaper way to get C-PNN candidate sets alone: at
-    N = 20 000 a :class:`PnnFilter` descent costs ≈0.13 ms per point
-    against ≈0.5 ms per point of sweep (ROADMAP item 3).
+    Holds the object MBRs as ``(N, d)`` coordinate arrays in insertion
+    order and, packed from them on first use, STR levels
+    (:func:`~repro.index.str_pack.str_pack_levels` at ``max_entries``)
+    with subtree counts.  Every family is one batched descent
+    (:func:`_descend`): C-PNN (:meth:`__call__`) tightens to ``f_min``,
+    k-NN (:meth:`kth_filter`) to ``f_min^k``, range
+    (:meth:`range_filter`) keeps its radius.  Survivors are sorted by
+    position, so they equal the reductions of the ``(B, N)`` sweep
+    (:meth:`matrices`, the test reference) bit for bit.
 
-    The arithmetic mirrors :meth:`repro.index.geometry.Rect.mindist` /
-    ``maxdist`` operation for operation (same per-dimension gap
-    expressions, same accumulation order for d ≤ 2, correctly rounded
-    square roots), so ``f_min`` and the candidate sets are bit-identical
-    to a :class:`PnnFilter` over the same objects.  Candidates are
-    reported in object insertion order rather than tree traversal
-    order; the downstream subregion table re-sorts them by near point,
-    so this is observable only through record ordering.
-
-    The filter is **incrementally maintainable** (DESIGN.md §11):
-    :meth:`append` queues one new coordinate row, :meth:`remove_at`
-    masks one row out through an alive-mask, and :meth:`replace_at`
-    overwrites one row in place (the dead-reckoning fast path).
-    Masked rows and queued appends are folded into the contiguous
-    coordinate arrays by one vectorised compaction at the next query
-    (:meth:`_flush`), so a whole tick of churn costs one boolean mask
-    plus one concatenate instead of a per-update rebuild of the arrays
-    from Python objects.
+    Maintenance (DESIGN.md §11): :meth:`append` / :meth:`remove_at`
+    queue or mask a coordinate row (compacted at the next query by
+    :meth:`_flush`) and drop the levels for the next query to repack.
+    :meth:`replace_at` overwrites the row and the leaf entry and widens
+    the ancestors, which stay exact because they still contain their
+    items; once the replaces since the last pack reach the leaf-node
+    count the levels are dropped too.
     """
 
-    def __init__(self, objects: Sequence) -> None:
+    def __init__(self, objects: Sequence, max_entries: int = 16) -> None:
         if not objects:
             raise ValueError("cannot filter an empty object collection")
-        self._objects = list(objects)
-        self._lows = np.array([obj.mbr.lows for obj in self._objects])
-        self._highs = np.array([obj.mbr.highs for obj in self._objects])
-        self._dim = self._lows.shape[1]
+        objects = list(objects)
+        lows = np.array([obj.mbr.lows for obj in objects])
+        highs = np.array([obj.mbr.highs for obj in objects])
+        self._setup(objects, lows, highs, None, max_entries)
+
+    def _setup(self, objects, lows, highs, store, max_entries) -> None:
+        self._objects = objects
+        self._lows, self._highs = lows, highs
+        self._dim = (store.shape("lows") if lows is None else lows.shape)[1]
         #: Alive-mask over the physical rows of ``_lows``/``_highs``
         #: (None = all alive), plus objects appended since the last
         #: compaction.  Logical row order is always "alive physical
@@ -215,9 +235,14 @@ class BatchMbrFilter:
         self._pending: list = []
         #: A pinned column store.  For resident backends the coordinate
         #: arrays are zero-copy views over it; for chunked backends
-        #: (``_lows is None``) sweeps stream row blocks through
-        #: :meth:`_sweep` instead (same arithmetic, same bits).
-        self._store = None
+        #: (``_lows is None``) the columns are read on first use.
+        self._store = store
+        self._max_entries = max_entries
+        #: Packed levels (None = repack on the next query): per level
+        #: ``(lows, highs, child_start, child_count, subtree_size)``,
+        #: plus (set by :meth:`_packed`) the leaf order, its inverse,
+        #: each row's parent entry and the replaces since the pack.
+        self._levels: list[tuple] | None = None
 
     @property
     def dim(self) -> int:
@@ -260,19 +285,20 @@ class BatchMbrFilter:
         return self._lows, self._highs
 
     @classmethod
-    def from_store(cls, store, objects: Sequence) -> "BatchMbrFilter":
+    def from_store(
+        cls, store, objects: Sequence, max_entries: int = 16
+    ) -> "BatchMbrFilter":
         """Rebuild a filter over an exported coordinate store.
 
         ``objects`` must be the same sequence (same order) the exporter
         held.  Resident backends (``ram``/``shm``) hand out read-only
         zero-copy coordinate views; the chunked ``mmap`` backend keeps
-        the coordinates on disk and streams sweeps block by block —
-        bit-identical either way because :meth:`_sweep` is elementwise
-        per row.  Mutations remain supported: appends/removals build
-        fresh arrays on the next :meth:`_flush` (a chunk-backed filter
-        materialises its columns first, once), and :meth:`replace_at`
-        copies before its first in-place write (copy-on-write), so an
-        attached filter never writes into the shared backing.
+        the coordinates on disk until a pack or a mutation reads them.
+        Mutations remain supported: appends/removals build fresh arrays
+        on the next :meth:`_flush` (a chunk-backed filter materialises
+        its columns first, once), and :meth:`replace_at` copies before
+        its first in-place write (copy-on-write), so an attached filter
+        never writes into the shared backing.
         """
         objects = list(objects)
         rows = store.shape("lows")[0]
@@ -281,27 +307,15 @@ class BatchMbrFilter:
                 f"descriptor carries {rows} rows for {len(objects)} objects"
             )
         flt = cls.__new__(cls)
-        flt._objects = objects
-        if store.chunked:
-            flt._lows = None
-            flt._highs = None
-        else:
-            flt._lows = store.get("lows")
-            flt._highs = store.get("highs")
-        flt._dim = store.shape("lows")[1]
-        flt._alive = None
-        flt._n_dead = 0
-        flt._pending = []
-        flt._store = store  # pins the backing for the filter's lifetime
+        columns = (None, None) if store.chunked else map(store.get, ("lows", "highs"))
+        flt._setup(objects, *columns, store, max_entries)
         return flt
 
-    # ------------------------------------------------------------------
-
     @property
-    def chunked(self) -> bool:
-        """True while sweeps stream from a chunked store (no resident
-        coordinate arrays)."""
-        return self._lows is None
+    def packed(self) -> bool:
+        """True while the STR levels are held (False = the next query
+        repacks them)."""
+        return self._levels is not None
 
     def _physical_count(self) -> int:
         """Physical coordinate rows (before masks/pending)."""
@@ -343,6 +357,7 @@ class BatchMbrFilter:
         self._check_dim(obj)
         self._objects.append(obj)
         self._pending.append(obj)
+        self._levels = None
 
     def remove_at(self, index: int) -> None:
         """Mask one object's row out of the coordinate arrays.
@@ -356,6 +371,7 @@ class BatchMbrFilter:
         if not 0 <= index < n:
             raise IndexError(f"row {index} out of range for {n} objects")
         del self._objects[index]
+        self._levels = None
         alive_rows = self._physical_count() - self._n_dead
         if index >= alive_rows:
             del self._pending[index - alive_rows]
@@ -368,8 +384,9 @@ class BatchMbrFilter:
     def replace_at(self, index: int, obj) -> None:
         """Overwrite one object's row in place (same logical position).
 
-        The dead-reckoning fast path: replacing an uncertainty region
-        with a fresh report costs O(d), no masking or compaction.
+        The dead-reckoning fast path: O(d) for the row, O(height·d) to
+        write the leaf entry and widen its ancestors, no repack until
+        the replaces since the last pack reach the leaf-node count.
         """
         n = len(self._objects)
         if not 0 <= index < n:
@@ -385,6 +402,21 @@ class BatchMbrFilter:
         self._ensure_writable()
         self._lows[row] = mbr.lows
         self._highs[row] = mbr.highs
+        if self._levels is None:
+            return
+        self._replaced += 1
+        leaf_nodes = self._levels[-2][0].shape[0] if len(self._levels) > 1 else 1
+        if self._replaced >= leaf_nodes:
+            self._levels = None
+            return
+        row = self._rank[index]
+        leaf = self._levels[-1]
+        leaf[0][row], leaf[1][row] = mbr.lows, mbr.highs
+        for depth in range(len(self._levels) - 1, 0, -1):
+            row = self._parents[depth][row]
+            lows, highs = self._levels[depth - 1][:2]
+            np.minimum(lows[row], mbr.lows, out=lows[row])
+            np.maximum(highs[row], mbr.highs, out=highs[row])
 
     def _flush(self) -> None:
         """Fold masked rows and queued appends into contiguous arrays.
@@ -412,6 +444,27 @@ class BatchMbrFilter:
             )
             self._pending = []
 
+    def _packed(self) -> list[tuple]:
+        """The STR levels, repacked from the coordinates if dropped."""
+        if self._levels is None:
+            levels, order = str_pack_levels(*self.coordinates(), self._max_entries)
+            size = np.ones(order.size, dtype=np.intp)
+            self._parents = [None] * len(levels)
+            for depth in range(len(levels) - 1, -1, -1):
+                lows, highs, start, count = levels[depth]
+                if start is not None:
+                    by_start = np.argsort(start)
+                    self._parents[depth + 1] = np.repeat(by_start, count[by_start])
+                    total = np.concatenate(([0], np.cumsum(size)))
+                    size = total[start + count] - total[start]
+                levels[depth] = (lows, highs, start, count, size)
+            self._order = order
+            self._rank = np.empty_like(order)
+            self._rank[order] = np.arange(order.size)
+            self._replaced = 0
+            self._levels = levels
+        return self._levels
+
     def _as_matrix(self, points: Sequence) -> np.ndarray:
         matrix = np.asarray(points, dtype=float)
         if matrix.ndim == 1:
@@ -425,82 +478,66 @@ class BatchMbrFilter:
     def matrices(self, points: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """MBR ``mindist`` / ``maxdist`` of every (query, object) pair.
 
-        Returns two ``(B, N)`` matrices.  The arithmetic mirrors
-        :meth:`repro.index.geometry.Rect.mindist` / ``maxdist``
-        operation for operation, so the values are bit-identical to the
-        per-object methods (for 1-D objects they also equal the
-        objects' own ``mindist``/``maxdist``; 2-D regions may be
-        strictly tighter than their MBR, so callers needing the exact
-        region distances must re-check straddling objects).
+        Returns two ``(B, N)`` matrices: the full sweep no query path
+        runs, kept as the reference the descent is tested against.  The
+        arithmetic mirrors :meth:`repro.index.geometry.Rect.mindist` /
+        ``maxdist`` operation for operation, so the values are
+        bit-identical to the per-object methods (for 1-D objects they
+        also equal the objects' own ``mindist``/``maxdist``; 2-D regions
+        may be strictly tighter than their MBR).
         """
-        self._flush()
         queries = self._as_matrix(points)  # (B, d)
-        if self._lows is None:
-            return self._sweep_chunked(queries)
-        return self._sweep(queries, self._lows, self._highs)
-
-    def _sweep_chunked(
-        self, queries: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Full sweep streamed in row blocks from the chunked store.
-
-        :meth:`_sweep` is elementwise per object row (each output cell
-        depends only on its own row's coordinates), so filling the
-        ``(B, N)`` matrices block by block is bit-identical to one
-        resident sweep.
-        """
-        n = self._physical_count()
-        block = self._sweep_block_rows(queries.shape[0])
-        mindist = np.empty((queries.shape[0], n))
-        maxdist = np.empty((queries.shape[0], n))
-        for r0 in range(0, n, block):
-            r1 = min(n, r0 + block)
-            lows = self._store.read("lows", r0, r1)
-            highs = self._store.read("highs", r0, r1)
-            mindist[:, r0:r1], maxdist[:, r0:r1] = self._sweep(
-                queries, lows, highs
-            )
-        return mindist, maxdist
-
-    def _sweep_block_rows(self, n_queries: int) -> int:
-        """Rows per chunked-sweep block within ``_SWEEP_BLOCK_BYTES``."""
-        per_row = 8 * max(1, n_queries) * (2 + self._dim)
-        return max(1, _SWEEP_BLOCK_BYTES // per_row)
+        lows, highs = self.coordinates()
+        return self._sweep(queries[:, None, :], lows[None], highs[None])
 
     @staticmethod
     def _sweep(
         queries: np.ndarray, lows: np.ndarray, highs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        diff_lo = lows[None, :, :] - queries[:, None, :]  # lo - q
-        diff_hi = queries[:, None, :] - highs[None, :, :]  # q - hi
+        """MBR ``mindist`` / ``maxdist`` of broadcast (query, box) pairs
+        (coordinates on the last axis)."""
+        diff_lo = lows - queries  # lo - q
+        diff_hi = queries - highs  # q - hi
         span = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
         np.multiply(span, span, out=span)
-        maxdist = span.sum(axis=2)
+        maxdist = span.sum(axis=-1)
         np.sqrt(maxdist, out=maxdist)
         gap = np.maximum(diff_lo, diff_hi, out=diff_lo)
         np.maximum(gap, 0.0, out=gap)
         np.multiply(gap, gap, out=gap)
-        mindist = gap.sum(axis=2)
+        mindist = gap.sum(axis=-1)
         np.sqrt(mindist, out=mindist)
         return mindist, maxdist
 
-    def __call__(self, points: Sequence) -> list[FilterResult]:
-        """Filter every query point; returns one result per point.
+    def _survivors(self, points: Sequence, bound, rule: Callable):
+        """Descend for every point: the surviving object positions and
+        their leaf ``(mindist, maxdist)`` sorted by ``(point, position)``,
+        the slice of each point into them, and the final bounds."""
+        queries = self._as_matrix(points)
+        point, rows, dists, bound = _descend(self._packed(), queries, bound, rule)
+        position = self._order[rows]
+        by = np.lexsort((position, point))
+        cuts = [0, *np.cumsum(np.bincount(point, minlength=len(queries))).tolist()]
+        spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        return position[by], dists[0][by], dists[1][by], spans, bound.tolist()
 
-        ``f_min`` per query is the row minimum of ``maxdist``, and
-        candidates are reported in ascending object order.  ``stats``
-        counters are left at zero — there is no tree traversal to count.
+    def __call__(self, points: Sequence) -> list[FilterResult]:
+        """C-PNN filtering of every point: one result per point.
+
+        Candidates are the objects with ``mindist <= f_min``, in
+        ascending object order.  ``stats`` counters are left at zero.
+        One point takes :func:`_descend_one`.
         """
-        mindist, maxdist = self.matrices(points)
-        fmins = maxdist.min(axis=1)
-        keep = mindist <= fmins[:, None]
-        objects = self._objects
+        if len(points) == 1:
+            rows, fmin, _ = _descend_one(self._packed(), self._as_matrix(points))
+            picks = np.sort(self._order[rows]).tolist()
+            return [FilterResult(tuple(map(self._objects.__getitem__, picks)), fmin)]
+        inf = np.full(len(points), np.inf)
+        position, _, _, spans, fmins = self._survivors(points, inf, _nearest)
+        picks = list(map(self._objects.__getitem__, position.tolist()))
         return [
-            FilterResult(
-                candidates=tuple(objects[i] for i in np.flatnonzero(row)),
-                fmin=float(fmin),
-            )
-            for row, fmin in zip(keep, fmins)
+            FilterResult(candidates=tuple(picks[span]), fmin=fmin)
+            for span, fmin in zip(spans, fmins)
         ]
 
     def kth_filter(
@@ -517,18 +554,27 @@ class BatchMbrFilter:
         order) and the pruning radius.  Guaranteed to keep at least
         ``k`` objects.  ``ks[b]`` must lie in [1, N].
         """
-        mindist, maxdist = self.matrices(points)
-        n = maxdist.shape[1]
-        results = []
+        n = len(self._objects)
         for b, k in enumerate(ks):
-            k = int(k)
-            if not 1 <= k <= n:
+            if not 1 <= int(k) <= n:
                 raise ValueError(
-                    f"kth_filter: k={k} (query {b}) must lie in [1, {n}]; "
+                    f"kth_filter: k={int(k)} (query {b}) must lie in [1, {n}]; "
                     "the engine clamps k > N to the trivial all-satisfy "
                     "case before filtering (DESIGN.md §8)"
                 )
-            fmin_k = float(np.partition(maxdist[b], k - 1)[k - 1])
-            survivors = np.flatnonzero(mindist[b] <= fmin_k)
-            results.append((survivors, fmin_k))
-        return results
+        inf = np.full(len(points), np.inf)
+        rule = _kth(np.asarray(ks, dtype=np.intp))
+        position, _, _, spans, fmins = self._survivors(points, inf, rule)
+        return [(position[span], fmin) for span, fmin in zip(spans, fmins)]
+
+    def range_filter(
+        self, points: Sequence, radii: Sequence[float]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Range filtering: per point, the object indices with MBR
+        ``mindist <= radius`` (ascending insertion order) and their MBR
+        ``mindist`` / ``maxdist``."""
+        radii = np.asarray(radii, dtype=float)
+        position, near, far, spans, _ = self._survivors(
+            points, radii, lambda bound, *_: bound  # the radius never moves
+        )
+        return [(position[span], near[span], far[span]) for span in spans]

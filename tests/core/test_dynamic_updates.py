@@ -326,7 +326,7 @@ class TestDeferredIndexMaintenance:
     def test_tree_queue_stays_bounded_under_batch_only_stream(self):
         """Regression: a batch-only update stream must not accumulate
         deferred index work (and pin every replaced object) forever —
-        mutations leave one stale marker, nothing per update."""
+        replaces widen the packed levels in place, nothing queues."""
         objects = [
             UncertainObject.uniform(i, float(i), float(i) + 1.0)
             for i in range(50)
@@ -339,11 +339,11 @@ class TestDeferredIndexMaintenance:
             )
             engine.execute_batch([CPNNQuery(10.5, threshold=0.3)])
         assert not hasattr(engine, "_pending_tree_ops")
-        assert engine._filter_stale
-        assert engine._filter is None  # its item snapshot went with it
-        # The next single-query path rebuilds and answers correctly.
+        # The one filter holds the current objects only; a repack the
+        # replaces made due happens at the next filtering.
+        assert engine._batch_filter.objects == tuple(engine.objects)
         assert engine.pnn(10.5)
-        assert not engine._filter_stale
+        assert not engine.stats()["filter_stale"]
 
     def test_replayed_records_are_isolated(self):
         """Mutating a replayed record must not corrupt the snapshot."""

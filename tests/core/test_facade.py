@@ -306,6 +306,30 @@ class TestExplain:
         assert plan.candidates + plan.pruned == len(objects)
         assert plan.fmin == 5.0
 
+    def test_plans_equal_the_sweep_counts(self, rng):
+        """k-NN and range plans take their counts from the packed
+        descent; on a fixed engine they equal the ``(B, N)`` sweep's."""
+        objects = make_random_objects(rng, 200)
+        engine = UncertainEngine(objects)
+        sweep = engine._batch_filter.matrices
+        for q in (0.5, 17.25, 30.0, 61.0):
+            mindist, maxdist = (row[0] for row in sweep([q]))
+            for k in (1, 3, 40):
+                plan = engine.explain(CKNNQuery(q, threshold=0.3, k=k))
+                fmin_k = np.partition(maxdist, k - 1)[k - 1]
+                survivors = int(np.count_nonzero(mindist <= fmin_k))
+                assert (plan.candidates, plan.pruned) == (survivors, 200 - survivors)
+                assert plan.fmin == fmin_k
+            for radius in (0.0, 2.0, 9.5):
+                plan = engine.explain(CRangeQuery(q, threshold=0.5, radius=radius))
+                sure_in = int(np.count_nonzero(maxdist <= radius))
+                sure_out = int(np.count_nonzero(mindist > radius))
+                assert plan.pruned == sure_in + sure_out
+                assert plan.candidates == 200 - sure_in - sure_out
+                assert f"{sure_in} certainly inside, {sure_out} certainly outside" in (
+                    plan.stages[0]
+                )
+
     def test_empty_engine_plan(self):
         plan = UncertainEngine([]).explain(CPNNQuery(1.0))
         assert plan.index == "none"

@@ -106,37 +106,36 @@ class TestRTreeFilter:
         with pytest.raises(ValueError, match="empty index"):
             pnn_filter(30.0)
 
-    def test_from_arrays_matches_tree_candidate_order(self, rng):
+    def test_packed_levels_match_tree_candidates(self, rng):
+        """The engine's filter packs the same STR levels the tree holds;
+        it reports the tree's candidates in object order."""
         objects = make_random_objects(rng, 200)
-        sweep = BatchMbrFilter(objects)
-        packed = PnnFilter.from_arrays(*sweep.coordinates(), objects, max_entries=8)
+        packed = BatchMbrFilter(objects, max_entries=8)
         via_tree = PnnFilter(build_tree(objects, max_entries=8))
         for q in rng.uniform(-5, 65, 12):
-            a, b = packed(float(q)), via_tree(float(q))
+            (a,), b = packed([float(q)]), via_tree(float(q))
             assert a.fmin == b.fmin
-            assert a.candidates == b.candidates
+            assert a.candidates == tuple(o for o in objects if o in b.candidates)
 
-    def test_from_arrays_snapshots_its_items(self, rng):
+    def test_batch_filter_snapshots_its_items(self, rng):
         """The packed rows keep answering with the objects they were
         packed from, whatever the caller does to its list afterwards."""
         objects = make_random_objects(rng, 60)
         held = list(objects)
-        packed = PnnFilter.from_arrays(
-            *BatchMbrFilter(objects).coordinates(), held, max_entries=4
-        )
-        before = packed(30.0)
+        packed = BatchMbrFilter(held, max_entries=4)
+        (before,) = packed([30.0])
         del held[::2]
         held.reverse()
-        after = packed(30.0)
+        (after,) = packed([30.0])
         assert after.candidates == before.candidates
         assert after.fmin == before.fmin == filter_candidates(objects, 30.0).fmin
 
     def test_dimension_mismatch_rejected(self, rng):
-        pnn_filter = PnnFilter(build_tree(make_random_objects(rng, 10)))
+        objects = make_random_objects(rng, 10)
         with pytest.raises(ValueError, match="dimensionality"):
-            pnn_filter((1.0, 2.0))
-        with pytest.raises(ValueError, match="empty index"):
-            PnnFilter.from_arrays(np.empty((0, 1)), np.empty((0, 1)), [], 8)
+            PnnFilter(build_tree(objects))((1.0, 2.0))
+        with pytest.raises(ValueError, match="dimensionality"):
+            BatchMbrFilter(objects)([(1.0, 2.0)])
 
 
 class TestLinearScanIndex:
@@ -270,6 +269,108 @@ class TestBatchFilterMaintenance:
         batch = BatchMbrFilter(make_random_objects(rng, 4))
         with pytest.raises(ValueError, match=r"k=9 \(query 0\)"):
             batch.kth_filter([30.0], [9])
+
+
+class TestAmortisedRepack:
+    """``replace_at`` widens the packed levels in place; the levels are
+    repacked only after as many replaces as there are leaf nodes, or
+    after an ``append`` / ``remove_at`` — each time lazily, by the next
+    query, exactly once."""
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        import repro.index.filtering as filtering
+
+        calls = []
+        real = filtering.str_pack_levels
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(filtering, "str_pack_levels", counting)
+        return calls
+
+    @staticmethod
+    def assert_fresh(flt, objects, points):
+        """Candidates and ``f_min`` equal the sweep of a fresh filter
+        (``matrices`` never packs, so the count is untouched)."""
+        mindist, maxdist = BatchMbrFilter(objects).matrices(points)
+        for b, got in enumerate(flt(points)):
+            fmin = maxdist[b].min()
+            assert got.fmin == fmin
+            assert got.candidates == tuple(
+                objects[i] for i in np.flatnonzero(mindist[b] <= fmin)
+            )
+
+    def test_replace_stream_repacks_once_per_leaf_count(self, rng, packs):
+        objects = [
+            UncertainObject.uniform(i, float(i), float(i) + 0.5) for i in range(64)
+        ]
+        flt = BatchMbrFilter(objects, max_entries=4)
+        points = [0.2, 17.0, 40.3, 63.9]
+        self.assert_fresh(flt, objects, points)
+        assert packs == [4]
+        leaf_nodes = len(flt._levels[-2][0])  # 64 / 4
+        assert leaf_nodes == 16
+        for step in range(1, leaf_nodes + 1):
+            index = int(rng.integers(0, len(objects)))
+            lo = float(rng.uniform(-10.0, 75.0))
+            objects[index] = UncertainObject.uniform(index, lo, lo + 0.5)
+            flt.replace_at(index, objects[index])
+            assert flt.packed == (step < leaf_nodes)
+            self.assert_fresh(flt, objects, points + [lo + 0.25])
+            assert len(packs) == (1 if step < leaf_nodes else 2)
+        newcomer = UncertainObject.uniform("new", 30.1, 30.2)
+        flt.append(newcomer)
+        objects.append(newcomer)
+        assert not flt.packed and len(packs) == 2
+        self.assert_fresh(flt, objects, points + [30.15])
+        self.assert_fresh(flt, objects, points)
+        assert len(packs) == 3
+        flt.remove_at(5)
+        del objects[5]
+        assert not flt.packed and len(packs) == 3
+        self.assert_fresh(flt, objects, points + [5.2])
+        self.assert_fresh(flt, objects, points)
+        assert len(packs) == 4
+
+    def test_worker_replica_repacks_lazily(self, rng, packs):
+        """The same accounting through a process worker's replica
+        (:func:`_worker_apply_ops` over a filter attached to the
+        exported coordinate store)."""
+        from repro.core.engine import EngineConfig
+        from repro.core.engine.executors.process import (
+            _worker_apply_ops,
+            _worker_attach,
+        )
+
+        objects = make_random_objects(rng, 40)
+        config = EngineConfig(rtree_max_entries=4)
+        with BatchMbrFilter(objects).to_store("shm") as store:
+            state = _worker_attach(0, config, objects, 1, store.descriptor())
+            points = [5.0, 30.0, 55.0]
+            current = list(objects)
+            self.assert_fresh(state.lane._local_filter, current, points)
+            assert packs == [4]
+            leaf_nodes = len(state.filter._levels[-2][0])
+            for step in range(1, leaf_nodes + 1):
+                index = step % len(current)
+                obj = UncertainObject.uniform(current[index].key, 29.0 + step, 29.5 + step)
+                _worker_apply_ops(state, [("replace", obj.key, obj)])
+                current[index] = obj
+                self.assert_fresh(state.lane._local_filter, current, points + [29.2 + step])
+                assert len(packs) == (1 if step < leaf_nodes else 2)
+            newcomer = UncertainObject.uniform("new", 30.1, 30.2)
+            _worker_apply_ops(state, [("insert", newcomer)])
+            current.append(newcomer)
+            self.assert_fresh(state.lane._local_filter, current, points)
+            assert len(packs) == 3
+            _worker_apply_ops(state, [("remove", current[0].key)])
+            del current[0]
+            self.assert_fresh(state.lane._local_filter, current, points)
+            self.assert_fresh(state.lane._local_filter, current, points)
+            assert len(packs) == 4
 
 
 class TestDegenerateGeometry:

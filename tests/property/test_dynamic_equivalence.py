@@ -162,8 +162,8 @@ def assert_same_records(a, b) -> None:
 @given(stream=operation_streams())
 @settings(max_examples=30, deadline=None)
 def test_single_execute_matches_batch_and_fresh_at_every_step(stream):
-    """After *every* mutation the repacked single-query filter, the
-    incrementally maintained batch filter and a fresh engine agree on
+    """After *every* mutation single execution and the batch path over
+    the incrementally maintained filter, and a fresh engine, agree on
     each C-PNN result, record for record (DESIGN.md §11)."""
     n_initial, ops = stream
     counter = n_initial
@@ -171,9 +171,10 @@ def test_single_execute_matches_batch_and_fresh_at_every_step(stream):
     engine = UncertainEngine(list(mirror))
     specs = [CPNNQuery(q, threshold=0.3, tolerance=0.0) for q in (5.0, 23.0, 41.0)]
     for op, arg in ops:
+        replaced = op == "replace" and bool(mirror)
         if op == "remove" and mirror:
             assert engine.remove(mirror.pop(arg % len(mirror)).key)
-        elif op == "replace" and mirror:
+        elif replaced:
             obj = fresh_object(counter, counter)
             engine.replace(mirror[arg % len(mirror)].key, obj)
             mirror[arg % len(mirror)] = obj
@@ -184,9 +185,10 @@ def test_single_execute_matches_batch_and_fresh_at_every_step(stream):
         counter += 1
         if not mirror:
             continue
-        # every mutation marks the packed filter stale, except the
-        # insert into an empty engine, which builds it
-        assert engine.stats()["filter_stale"] or len(mirror) == 1
+        # insert and remove drop the packed levels (the next filtering
+        # repacks them), except the insert into an empty engine, which
+        # has no filter yet; a replace widens them in place
+        assert engine.stats()["filter_stale"] or replaced or len(mirror) == 1
         fresh = UncertainEngine(list(mirror))
         batched = engine.execute_batch(specs).results
         for spec, via_batch in zip(specs, batched):

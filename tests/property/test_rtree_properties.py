@@ -104,8 +104,8 @@ def boxes(draw):
 @given(boxes(), st.integers(2, 16), st.data())
 def test_descent_matches_best_first_and_matrix_sweep(box_arrays, fanout, data):
     """The level-synchronous descent ≡ the two best-first traversals ≡
-    the matrix sweep, and packing coordinate arrays ≡ snapshotting the
-    bulk-loaded tree — on ``fmin`` and on the candidate *tuple*."""
+    the matrix sweep, and the engine's packed filter ≡ the sweep's
+    reductions — on ``fmin`` and on the candidate *tuple*."""
     from repro.index.filtering import BatchMbrFilter, PnnFilter
 
     class Item:
@@ -117,8 +117,7 @@ def test_descent_matches_best_first_and_matrix_sweep(box_arrays, fanout, data):
     items = [Item(Rect(lo, hi)) for lo, hi in zip(lows, highs)]
     tree = str_bulk_load([(item.mbr, item) for item in items], max_entries=fanout)
     from_tree = PnnFilter(tree)
-    from_arrays = PnnFilter.from_arrays(lows, highs, items, max_entries=fanout)
-    sweep = BatchMbrFilter(items)
+    packed = BatchMbrFilter(items, max_entries=fanout)
     endpoint = lows[data.draw(st.integers(0, n - 1))]
     anywhere = data.draw(st.lists(st.floats(-30, 30), min_size=dim, max_size=dim))
     for q in (tuple(endpoint), tuple(anywhere)):
@@ -128,12 +127,14 @@ def test_descent_matches_best_first_and_matrix_sweep(box_arrays, fanout, data):
         best_first = tree.within_mindist(q, fmin)
         assert len(descended.candidates) == len(best_first)
         assert set(map(id, descended.candidates)) == set(map(id, best_first))
-        packed = from_arrays(q)
-        assert packed.fmin == fmin
-        assert list(map(id, packed.candidates)) == list(map(id, descended.candidates))
-        (swept,) = sweep([q])
-        assert swept.fmin == fmin
-        assert set(map(id, swept.candidates)) == set(map(id, best_first))
+        mindist, maxdist = packed.matrices([q])
+        assert maxdist.min() == fmin
+        (got,) = packed([q])
+        assert got.fmin == fmin
+        assert got.candidates == tuple(
+            items[i] for i in np.flatnonzero(mindist[0] <= fmin)
+        )
+        assert set(map(id, got.candidates)) == set(map(id, best_first))
         assert descended.stats.entries_scanned >= len(best_first)
         assert descended.stats.nodes_visited >= tree.height()
 
