@@ -1,4 +1,4 @@
-"""Ablation: R-tree vs linear-scan filtering, and R-tree fanout.
+"""Ablation: R-tree vs linear-scan filtering, and the packed filter's fanout.
 
 The R-tree's branch-and-bound visits O(log n + answer) nodes instead
 of scanning all n objects; the gap widens with dataset size and is the
@@ -10,6 +10,7 @@ import pytest
 from repro.core.engine import EngineConfig, UncertainEngine
 from repro.datasets.longbeach import long_beach_surrogate
 from repro.datasets.queries import random_query_points
+from repro.index.filtering import BatchMbrFilter
 
 _OBJECTS = {}
 _ENGINES = {}
@@ -21,12 +22,11 @@ def objects_for(n: int):
     return _OBJECTS[n]
 
 
-def engine_for(n: int, use_rtree: bool, fanout: int = 16) -> UncertainEngine:
-    key = (n, use_rtree, fanout)
+def engine_for(n: int, use_rtree: bool) -> UncertainEngine:
+    key = (n, use_rtree)
     if key not in _ENGINES:
         _ENGINES[key] = UncertainEngine(
-            objects_for(n),
-            EngineConfig(use_rtree=use_rtree, rtree_max_entries=fanout),
+            objects_for(n), EngineConfig(use_rtree=use_rtree)
         )
     return _ENGINES[key]
 
@@ -47,8 +47,8 @@ def test_filtering_index_choice(benchmark, n, use_rtree):
 
 @pytest.mark.parametrize("fanout", [4, 16, 64])
 def test_rtree_fanout(benchmark, fanout):
-    engine = engine_for(16_000, True, fanout)
+    flt = BatchMbrFilter(objects_for(16_000), fanout)
     pts = queries()
     benchmark.group = "ablation rtree fanout"
     benchmark.name = f"fanout={fanout}"
-    benchmark(lambda: [engine._filter(q) for q in pts])
+    benchmark(lambda: [flt([q]) for q in pts])

@@ -117,8 +117,7 @@ class ScalarSubregionTable(SubregionTable):
     bit-identical tables, which the benchmark asserts.
     """
 
-    def __init__(self, distributions, grid_refinement: int = 1) -> None:
-        assert grid_refinement == 1
+    def __init__(self, distributions) -> None:
         ordered = sorted(distributions, key=lambda d: (d.near, d.far))
         self._distributions = tuple(ordered)
         self._pack = None  # lazy, as in the small-set path

@@ -78,7 +78,7 @@ class FullRebuildReplica:
         engine = UncertainEngine(list(self._objects))
         str_bulk_load(
             [(obj.mbr, obj) for obj in self._objects],
-            max_entries=engine.config.rtree_max_entries,
+            max_entries=16,
         )
         return engine.execute_batch(list(tick.specs))
 

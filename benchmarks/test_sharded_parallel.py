@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from repro.core.engine import ShardedEngine, UncertainEngine
+from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.datasets.longbeach import long_beach_surrogate
 from repro.experiments.workloads import StreamingWorkload
@@ -136,7 +136,7 @@ def _cold_sharded_process(objects, specs) -> tuple[float, object]:
     full pipeline, but spawn+attach happen before the clock starts —
     the steady-state serving regime the backend exists for."""
     with ShardedEngine(
-        list(objects), n_shards=N_SHARDS, executor="process"
+        list(objects), EngineConfig(executor="process"), n_shards=N_SHARDS
     ) as engine:
         engine.warm_executor()
         tick = time.perf_counter()

@@ -147,9 +147,8 @@ async def main() -> None:
     plan = FaultPlan().script("process.attach", unlink_segment, at=1)
     with ShardedEngine(
         sensors,
-        EngineConfig(process_min_batch=0),
+        EngineConfig(executor="process", process_min_batch=0),
         n_shards=2,
-        executor="process",
     ) as sharded:
         with plan:
             got = sharded.execute(spec).answers

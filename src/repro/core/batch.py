@@ -122,6 +122,11 @@ class LruCache:
 _ABSENT = object()
 
 
+#: Capacity of an engine's distance-distribution cache, in
+#: ``(object, point)`` entries (a sharded engine's lanes split it).
+DISTRIBUTION_CACHE_SIZE = 65536
+
+
 class DistributionCache:
     """LRU cache of distance distributions keyed by (object, point).
 
@@ -144,7 +149,7 @@ class DistributionCache:
     size).
     """
 
-    def __init__(self, maxsize: int = 65536) -> None:
+    def __init__(self, maxsize: int = DISTRIBUTION_CACHE_SIZE) -> None:
         self._cache = LruCache(maxsize)
         self._by_object: dict[int, set[Hashable]] = {}
 
@@ -230,6 +235,12 @@ class CachedTable:
     results: dict = field(default_factory=dict)
 
 
+#: Capacity of an engine's subregion-table cache, in query points (a
+#: sharded engine's lanes split it).  The bound counts entries, not
+#: bytes: each table pins its distributions plus O(|C|·M) matrices.
+TABLE_CACHE_SIZE = 256
+
+
 class TableCache:
     """LRU of fully built subregion tables, selectively invalidated.
 
@@ -248,7 +259,7 @@ class TableCache:
     consecutive sweeps reuse the same arrays.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int = TABLE_CACHE_SIZE) -> None:
         self._cache = LruCache(maxsize)
         self._points: np.ndarray | None = None
         self._fmins: np.ndarray | None = None

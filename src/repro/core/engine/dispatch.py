@@ -4,17 +4,17 @@ Every object that *executes* specs — the single
 :class:`~repro.core.engine.UncertainEngine`, a
 :class:`~repro.core.engine.sharded.ShardedEngine`, and the sharded
 engine's internal execution lanes — needs the same small behaviours:
-normalise a bare point into a default spec, validate a strategy name,
-and hold the verifier chain ``EngineConfig.chain_factory`` builds.
-:class:`SpecDispatchMixin` provides them against one host attribute,
-``_config`` (an :class:`~repro.core.engine.config.EngineConfig`); the
-host builds the chain via :meth:`SpecDispatchMixin._init_chain`.
+normalise a bare point into a default spec, validate a strategy name
+(VR when none is given), and hold the paper's verifier chain.
+:class:`SpecDispatchMixin` provides them; the host builds the chain
+via :meth:`SpecDispatchMixin._init_chain`.
 """
 
 from __future__ import annotations
 
 from repro.core.engine.config import Strategy
 from repro.core.types import CPNNQuery, QuerySpec
+from repro.core.verifiers.chain import default_chain
 
 __all__ = ["SpecDispatchMixin"]
 
@@ -23,9 +23,10 @@ class SpecDispatchMixin:
     """Spec/strategy normalisation + the host's verifier chain."""
 
     def _init_chain(self) -> None:
-        """Build the verifier chain once (verifiers are stateless; see
-        ``EngineConfig.chain_factory``)."""
-        self._chain = self._config.chain_factory()
+        """Build the RS → L-SR → U-SR chain once: verifiers are
+        stateless, so per-query rebuilding would only add allocation to
+        the hot path."""
+        self._chain = default_chain()
 
     @staticmethod
     def _as_spec(spec) -> QuerySpec:
@@ -35,13 +36,13 @@ class SpecDispatchMixin:
         return CPNNQuery(spec)
 
     def _as_strategy(self, strategy: str | None) -> str:
-        strategy = strategy or self._config.strategy
+        strategy = strategy or Strategy.VR
         if strategy not in Strategy.ALL:
             raise ValueError(f"unknown strategy {strategy!r}")
         return strategy
 
     def _executor_backend(self) -> str:
         """The resolved execution backend serving this host — the
-        sharded engine's ``executor=`` knob, or ``"serial"`` for hosts
+        sharded engine's ``config.executor``, or ``"serial"`` for hosts
         with no parallel substrate (the single engine, the lanes)."""
         return getattr(self, "_backend", None) or "serial"

@@ -45,7 +45,7 @@ _EXECUTORS = {
 
 
 def make_executor(backend: str, host) -> ExecutorBase:
-    """Instantiate the backend named by a *resolved* ``executor=`` knob
+    """Instantiate the backend named by a *resolved* ``config.executor``
     (``"auto"`` must already have gone through
     :func:`~repro.core.engine.executors.base.resolve_backend`)."""
     try:

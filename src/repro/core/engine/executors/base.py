@@ -21,7 +21,6 @@ worker's items without a special path.
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 import sysconfig
 import time
@@ -135,39 +134,23 @@ def free_threaded() -> bool:
     return bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
-def _spawnable(config) -> bool:
-    """Whether the config survives the spawn boundary (a closure in
-    ``chain_factory`` doesn't — such configs fall back to threads under
-    ``executor="auto"``)."""
-    try:
-        pickle.dumps(config)
-        return True
-    except Exception:
-        return False
+def resolve_backend(config, *, parallel: bool = True) -> str:
+    """Resolve ``config.executor`` (validated by the frozen config) to a
+    concrete backend name.
 
-
-def resolve_backend(config, *, parallel: bool = True, override: str | None = None) -> str:
-    """Resolve the ``executor=`` knob to a concrete backend name.
-
-    ``override`` (an engine-constructor argument) beats the config
-    field.  ``"auto"`` picks: ``serial`` for non-parallel hosts (the
-    single engine), ``thread`` on free-threaded builds (lanes already
-    scale there) or when processes can't help (single core, unpicklable
-    config), else ``process`` — the only backend that buys C-PNN
-    verification real cores on a GIL build.
+    ``"auto"`` picks: ``serial`` for non-parallel hosts (the single
+    engine), ``thread`` on free-threaded builds (lanes already scale
+    there) or on a single core, else ``process`` — the only backend
+    that buys C-PNN verification real cores on a GIL build (every
+    config pickles, so the workers can always receive it).
     """
-    requested = override if override is not None else config.executor
-    if requested not in BACKENDS:
-        raise ValueError(
-            f"unknown executor {requested!r}: expected one of {BACKENDS}"
-        )
-    if requested != "auto":
-        return requested
+    if config.executor != "auto":
+        return config.executor
     if not parallel:
         return "serial"
     if free_threaded():
         return "thread"
-    if (os.cpu_count() or 1) >= 2 and _spawnable(config):
+    if (os.cpu_count() or 1) >= 2:
         return "process"
     return "thread"
 

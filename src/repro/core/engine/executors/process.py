@@ -125,9 +125,7 @@ def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
         if columns_desc is not None and state.objects:
             try:
                 store = open_store(columns_desc)
-                state.filter = BatchMbrFilter.from_store(
-                    store, state.objects, config.rtree_max_entries
-                )
+                state.filter = BatchMbrFilter.from_store(store, state.objects)
                 state.shm = store
             except StorageError:
                 # The backing store vanished (or could not be mapped)
@@ -135,12 +133,10 @@ def _worker_attach(lane_id, config, objects, n_lanes, columns_desc):
                 # the same message, so rebuild the filter locally: a
                 # slower attach, bit-identical coordinates, and the
                 # parent is told so it can count the degradation.
-                state.filter = BatchMbrFilter(
-                    state.objects, config.rtree_max_entries
-                )
+                state.filter = BatchMbrFilter(state.objects)
                 state.attach_fallback = True
         elif state.objects:
-            state.filter = BatchMbrFilter(state.objects, config.rtree_max_entries)
+            state.filter = BatchMbrFilter(state.objects)
         # The lane consults the *current* filter at call time (mutations
         # may rebuild or drop it), hence a closure, not the filter itself.
         state.lane._local_filter = lambda points: state.filter(points)
@@ -173,9 +169,7 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
             state.key_list.append(obj.key)
             if state.use_rtree:
                 if state.filter is None:
-                    state.filter = BatchMbrFilter(
-                        state.objects, lane._config.rtree_max_entries
-                    )
+                    state.filter = BatchMbrFilter(state.objects)
                 else:
                     state.filter.append(obj)
             lane._queue_invalidation(obj)
@@ -190,14 +184,12 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
                 else:
                     state.filter = None
             lane._queue_invalidation(victim)
-            if lane._distribution_cache is not None:
-                lane._distribution_cache.evict_object(victim)
+            lane._distribution_cache.evict_object(victim)
             if not state.objects:
                 # Drained: mirror the engine-side reset (a refill may
                 # change dimensionality; DESIGN.md §11).
                 lane._pending_invalidation.clear()
-                if lane._table_cache is not None:
-                    lane._table_cache.clear()
+                lane._table_cache.clear()
         elif kind == "replace":
             key, obj = op[1], op[2]
             index = state.key_list.index(key)
@@ -208,8 +200,7 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
                 state.filter.replace_at(index, obj)
             lane._queue_invalidation(victim)
             lane._queue_invalidation(obj)
-            if lane._distribution_cache is not None:
-                lane._distribution_cache.evict_object(victim)
+            lane._distribution_cache.evict_object(victim)
         else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unknown mutation op {kind!r}")
 

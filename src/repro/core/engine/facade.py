@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.batch import BatchResult, DistributionCache, TableCache
+from repro.core.engine import pnn
 from repro.core.engine.config import EngineConfig, Strategy
 from repro.core.engine.dispatch import SpecDispatchMixin
 from repro.core.engine.executors.base import CancelScope
@@ -148,10 +149,8 @@ class QueryFacadeMixin(SpecDispatchMixin):
         return "cpnn"
 
     @staticmethod
-    def _cache_summary(cache) -> dict | str:
-        """Uniform counter snapshot for one LRU cache (or "disabled")."""
-        if cache is None:
-            return "disabled"
+    def _cache_summary(cache) -> dict:
+        """Uniform counter snapshot for one LRU cache."""
         return {
             "maxsize": cache.maxsize,
             "entries": len(cache),
@@ -343,18 +342,11 @@ class UncertainEngine(
         self._init_registry(objects)
         self._init_chain()
         self._init_filter_stage()
-        self._distribution_cache: DistributionCache | None = (
-            DistributionCache(self._config.distribution_cache_size)
-            if self._config.distribution_cache_size
-            else None
-        )
+        self._distribution_cache = DistributionCache()
         #: LRU of fully built subregion tables keyed by query point,
-        #: selectively invalidated on dynamic updates (DESIGN.md §11).
-        self._table_cache: TableCache | None = (
-            TableCache(self._config.table_cache_size)
-            if self._config.table_cache_size
-            else None
-        )
+        #: selectively invalidated on dynamic updates (DESIGN.md §11);
+        #: ``None`` on a sharded engine's parent, whose lanes hold them.
+        self._table_cache: TableCache | None = TableCache()
 
     @property
     def config(self) -> EngineConfig:
@@ -505,7 +497,7 @@ class UncertainEngine(
             "continuous": self._continuous_stats(),
             "parametric": {
                 "fast_path": self._config.parametric_fast_path,
-                "grid": self._config.analytic_grid,
-                "max_grid": self._config.analytic_max_grid,
+                "grid": pnn.ANALYTIC_GRID,
+                "max_grid": pnn.ANALYTIC_MAX_GRID,
             },
         }

@@ -55,16 +55,15 @@ class FilterStageMixin:
         coordinate columns into an engine-owned store and serve the
         filter as a view over it; the store is released by
         :meth:`_release_stores` when the engine closes.  Answers are
-        bit-identical across backends (property-tested), so the knob is
-        invisible in them.  The levels pack at ``rtree_max_entries``.
+        bit-identical across backends (property-tested), so the setting
+        is invisible in them.
         """
-        fanout = self._config.rtree_max_entries
-        flt = BatchMbrFilter(self._objects, fanout)
+        flt = BatchMbrFilter(self._objects)
         if self._config.storage == "ram":
             return flt
         store = flt.to_store(self._config.storage, **self._store_options())
         self._owned_stores.append(store)
-        return BatchMbrFilter.from_store(store, self._objects, fanout)
+        return BatchMbrFilter.from_store(store, self._objects)
 
     def _storage_stats(self) -> dict:
         """The ``stats()["storage"]`` payload: backend plus aggregated

@@ -121,18 +121,13 @@ class KnnExecutorMixin:
                         )
                     )
                     continue
-            hits_before = cache.hits if cache is not None else 0
-            misses_before = cache.misses if cache is not None else 0
+            hits_before, misses_before = cache.hits, cache.misses
             tick = time.perf_counter()
             distributions = distributions_for(candidates, spec.q, cache)
             timings.initialization += time.perf_counter() - tick
             tick = time.perf_counter()
             answers, records, n_exact, exact_seconds = knn_routed_eval(
-                distributions,
-                keys,
-                k,
-                spec.threshold,
-                quadrature_margin=self._config.quadrature_margin,
+                distributions, keys, k, spec.threshold
             )
             timings.verification += time.perf_counter() - tick - exact_seconds
             timings.refinement = exact_seconds
@@ -145,10 +140,8 @@ class KnnExecutorMixin:
                     finished_after_verification=n_exact == 0,
                     refined_objects=n_exact,
                     spec=spec,
-                    cache_hits=(cache.hits - hits_before) if cache is not None else 0,
-                    cache_misses=(cache.misses - misses_before)
-                    if cache is not None
-                    else len(distributions),
+                    cache_hits=cache.hits - hits_before,
+                    cache_misses=cache.misses - misses_before,
                 )
             )
         return results, filter_seconds

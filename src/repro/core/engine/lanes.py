@@ -15,7 +15,13 @@ import struct
 import zlib
 from typing import Sequence
 
-from repro.core.batch import DistributionCache, TableCache, point_key
+from repro.core.batch import (
+    DISTRIBUTION_CACHE_SIZE,
+    TABLE_CACHE_SIZE,
+    DistributionCache,
+    TableCache,
+    point_key,
+)
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.dispatch import SpecDispatchMixin
 from repro.core.engine.pnn import PnnExecutorMixin
@@ -70,17 +76,13 @@ class Lane(SpecDispatchMixin, InvalidationQueueMixin, PnnExecutorMixin):
         self._config = config
         self._init_chain()
         self._init_invalidation_queue()
-        # Each lane gets its share of the configured capacities: the
+        # Each lane gets its share of the engine's capacities: the
         # lane population partitions the query points, so the per-point
         # working set splits the same way.
-        size = config.distribution_cache_size
-        self._distribution_cache = (
-            DistributionCache(max(1, size // n_lanes)) if size else None
+        self._distribution_cache = DistributionCache(
+            max(1, DISTRIBUTION_CACHE_SIZE // n_lanes)
         )
-        table_size = config.table_cache_size
-        self._table_cache = (
-            TableCache(max(1, table_size // n_lanes)) if table_size else None
-        )
+        self._table_cache = TableCache(max(1, TABLE_CACHE_SIZE // n_lanes))
         #: Per-dispatch filter lookup staged by the parent: point key →
         #: the parent's FilterResult.
         self._staged: dict | None = None

@@ -48,6 +48,13 @@ _UNKNOWN, _SATISFY, _FAIL = 0, 1, 2
 
 _CODE_TO_LABEL = {_UNKNOWN: Label.UNKNOWN, _SATISFY: Label.SATISFY, _FAIL: Label.FAIL}
 
+#: Inner-subregion count of the first analytic table.
+ANALYTIC_GRID = 64
+#: Escalation ceiling: the analytic grid refines ×4 per round up to this
+#: count before the query falls back to histograms.  Both are read at
+#: call time.
+ANALYTIC_MAX_GRID = 4096
+
 
 def _result_sig(query: CPNNQuery, strategy: str) -> tuple:
     """Memoisation key of a C-PNN outcome within one cached table.
@@ -122,7 +129,7 @@ class PnnExecutorMixin:
 
         Returns ``None`` when the fast path does not apply (some
         candidate has no closed form) or cannot settle every candidate
-        within ``analytic_max_grid``; the caller then reruns the
+        within ``ANALYTIC_MAX_GRID``; the caller then reruns the
         standard histogram pipeline from *fresh* states, so fallback
         answers are bit-identical to the histogram engine's.  Time
         spent here is booked into ``timings`` either way, so a fallback
@@ -136,11 +143,11 @@ class PnnExecutorMixin:
         # column block, with no per-candidate distance law built.
         pack = MixedDistributionPack.from_objects(candidates, query.q)
         try:
-            table = AnalyticTable(pack, grid=self._config.analytic_grid)
+            table = AnalyticTable(pack, grid=ANALYTIC_GRID)
         except ValueError:
             timings.initialization += time.perf_counter() - tick
             return None
-        states = CandidateStates(table.keys, pad=self._config.bound_pad)
+        states = CandidateStates(table.keys)
         timings.initialization += time.perf_counter() - tick
 
         chain = self._chain
@@ -152,7 +159,7 @@ class PnnExecutorMixin:
             if states.n_unknown == 0:
                 break
             next_grid = table.grid * 4
-            if next_grid > self._config.analytic_max_grid:
+            if next_grid > ANALYTIC_MAX_GRID:
                 timings.verification += time.perf_counter() - tick
                 return None
             # Same states across escalations: every certified bound
@@ -194,8 +201,7 @@ class PnnExecutorMixin:
         if not queries:
             return batch
         cache = self._distribution_cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
+        hits_before, misses_before = cache.hits, cache.misses
         timings = batch.timings
 
         tick = time.perf_counter()
@@ -205,7 +211,7 @@ class PnnExecutorMixin:
         live: list[tuple[int, Hashable, CachedTable | None]] = []
         for b, query in enumerate(queries):
             key = point_key(query.q)
-            entry = table_cache.get(key) if table_cache is not None else None
+            entry = table_cache.get(key)
             if entry is not None:
                 snapshot = entry.results.get(_result_sig(query, strategy))
                 if snapshot is not None:
@@ -221,7 +227,6 @@ class PnnExecutorMixin:
         timings.filtering = time.perf_counter() - tick
 
         fast_path = strategy == Strategy.VR and self._config.parametric_fast_path
-        distributions_built = 0
         built_this_batch: dict[Hashable, CachedTable] = {}
         for (b, key, entry), filter_result in zip(live, filter_results):
             check_cancel(self)
@@ -250,19 +255,14 @@ class PnnExecutorMixin:
                 )
             else:
                 prepared = self._prepare(query, filter_result, spent, cache=cache)
-                distributions_built += prepared.table.size
                 batch.table_misses += 1
-                if table_cache is not None:
-                    entry = CachedTable(
-                        table=prepared.table, fmin=filter_result.fmin
-                    )
-                    table_cache.put(key, entry)
-                    built_this_batch[key] = entry
+                entry = CachedTable(table=prepared.table, fmin=filter_result.fmin)
+                table_cache.put(key, entry)
+                built_this_batch[key] = entry
             result = slots[b] = self._run(prepared, query, strategy)
-            if entry is not None:
-                # Memoise the outcome as a pristine snapshot so a
-                # repeated probe of an undisturbed point replays it.
-                entry.results[_result_sig(query, strategy)] = _replay_result(result)
+            # Memoise the outcome as a pristine snapshot so a repeated
+            # probe of an undisturbed point replays it.
+            entry.results[_result_sig(query, strategy)] = _replay_result(result)
 
         batch.results = slots
         for result, query in zip(slots, queries):
@@ -270,11 +270,8 @@ class PnnExecutorMixin:
             timings.initialization += result.timings.initialization
             timings.verification += result.timings.verification
             timings.refinement += result.timings.refinement
-        if cache is not None:
-            batch.cache_hits = cache.hits - hits_before
-            batch.cache_misses = cache.misses - misses_before
-        else:
-            batch.cache_misses = distributions_built
+        batch.cache_hits = cache.hits - hits_before
+        batch.cache_misses = cache.misses - misses_before
         return batch
 
     def pnn(self, q) -> dict[Hashable, float]:
@@ -315,15 +312,10 @@ class PnnExecutorMixin:
         tick = time.perf_counter()
         if table is None:
             table = SubregionTable(
-                distributions_for(filter_result.candidates, query.q, cache),
-                grid_refinement=self._config.grid_refinement,
+                distributions_for(filter_result.candidates, query.q, cache)
             )
-        states = CandidateStates(table.keys, pad=self._config.bound_pad)
-        refiner = Refiner(
-            table,
-            quadrature_margin=self._config.quadrature_margin,
-            order=self._config.refinement_order,
-        )
+        states = CandidateStates(table.keys)
+        refiner = Refiner(table)
         timings.initialization += time.perf_counter() - tick
         return _Prepared(filter_result, table, states, refiner, timings)
 

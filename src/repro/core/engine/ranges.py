@@ -46,13 +46,11 @@ class RangeExecutorMixin:
         results = []
         for spec, (inside, _, inside_maxdist) in zip(specs, survivors):
             timings = PhaseTimings()
-            hits_before = cache.hits if cache is not None else 0
-            misses_before = cache.misses if cache is not None else 0
+            hits_before, misses_before = cache.hits, cache.misses
             tick = time.perf_counter()
-            built: list[int] = []
             build_seconds = [0.0]
 
-            def provider(objs, _q=spec.q, _built=built, _secs=build_seconds):
+            def provider(objs, _q=spec.q, _secs=build_seconds):
                 inner = time.perf_counter()
                 if self._config.parametric_fast_path and closed_form(objs):
                     # The range leg of the parametric fast path: the
@@ -64,7 +62,6 @@ class RangeExecutorMixin:
                     pack = MixedDistributionPack.from_objects(objs, _q)
                 else:
                     pack = DistributionPack(distributions_for(objs, _q, cache))
-                    _built.append(len(objs))
                 _secs[0] += time.perf_counter() - inner
                 return pack
 
@@ -89,10 +86,8 @@ class RangeExecutorMixin:
                     finished_after_verification=n_evaluated == 0,
                     refined_objects=n_evaluated,
                     spec=spec,
-                    cache_hits=(cache.hits - hits_before) if cache is not None else 0,
-                    cache_misses=(cache.misses - misses_before)
-                    if cache is not None
-                    else sum(built),
+                    cache_hits=cache.hits - hits_before,
+                    cache_misses=cache.misses - misses_before,
                 )
             )
         return results, filter_seconds

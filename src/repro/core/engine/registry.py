@@ -218,8 +218,7 @@ class ObjectRegistryMixin(InvalidationQueueMixin):
         self._key_index = None  # later positions shifted
         self._maintain_remove(victim, index)
         self._queue_invalidation(victim)
-        if self._distribution_cache is not None:
-            self._distribution_cache.evict_object(victim)
+        self._distribution_cache.evict_object(victim)
         if not self._objects:
             # Drained: reset the last maintenance structures holding
             # geometry (DESIGN.md §11 — "every maintenance structure
@@ -271,5 +270,4 @@ class ObjectRegistryMixin(InvalidationQueueMixin):
         self._maintain_replace(victim, obj, index)
         self._queue_invalidation(victim)
         self._queue_invalidation(obj)
-        if self._distribution_cache is not None:
-            self._distribution_cache.evict_object(victim)
+        self._distribution_cache.evict_object(victim)

@@ -24,8 +24,8 @@ the filter *is* the single engine's.
 *Where* the lanes run is the executor's business (DESIGN.md §13): the
 engine plans each batch as serialized
 :class:`~repro.core.engine.executors.base.PnnItem` work items — plain
-data, never closures — and hands them to the backend the ``executor=``
-knob selected: inline (``"serial"``), the shared thread pool
+data, never closures — and hands them to the backend
+``config.executor`` selected: inline (``"serial"``), the shared thread pool
 (``"thread"``), or a persistent spawn-based worker pool whose workers
 hold a replica of the objects and the filter coordinates
 (``"process"``).  ``"auto"`` picks per host (see
@@ -74,9 +74,6 @@ class ShardedEngine(UncertainEngine):
         Execution-lane count, and under the process backend the
         worker-pool size — one resident worker per lane (default: one
         per core, capped at 8).
-    executor:
-        Backend override (``"auto" | "serial" | "thread" | "process"``);
-        beats ``config.executor`` when given.
     """
 
     def __init__(
@@ -85,7 +82,6 @@ class ShardedEngine(UncertainEngine):
         config: EngineConfig | None = None,
         *,
         n_shards: int | None = None,
-        executor: str | None = None,
     ) -> None:
         if n_shards is None:
             n_shards = max(1, min(8, os.cpu_count() or 1))
@@ -97,19 +93,13 @@ class ShardedEngine(UncertainEngine):
         #: every lane instead.
         self._table_cache = None
         self._n_shards = int(n_shards)
-        self._backend = resolve_backend(
-            self._config, parallel=True, override=executor
-        )
+        self._backend = resolve_backend(self._config, parallel=True)
         self._executor = make_executor(self._backend, self)
         #: Lazily built cache of every backend the breaker may route to
         #: (the configured one is pre-seeded so tests and callers can
         #: keep reaching ``self._executor`` directly).
         self._executors = {self._backend: self._executor}
-        self._breaker = CircuitBreaker(
-            self._backend,
-            threshold=self._config.breaker_threshold,
-            probe_after=self._config.breaker_probe_after,
-        )
+        self._breaker = CircuitBreaker(self._backend)
         self._fallback_items = 0
         self._lanes = [
             Lane(self._config, self._n_shards) for _ in range(self._n_shards)
@@ -202,15 +192,13 @@ class ShardedEngine(UncertainEngine):
         super()._maintain_remove(victim, index)
         for lane in self._lanes:
             lane._queue_invalidation(victim)
-            if lane._distribution_cache is not None:
-                lane._distribution_cache.evict_object(victim)
+            lane._distribution_cache.evict_object(victim)
             if not self._objects:
                 # Drained: reset the lanes' geometry-holding structures
                 # too (the registry resets the parent's) — a refill may
                 # change dimensionality (DESIGN.md §11).
                 lane._pending_invalidation.clear()
-                if lane._table_cache is not None:
-                    lane._table_cache.clear()
+                lane._table_cache.clear()
         self._record_mutation(("remove", victim.key))
 
     def _maintain_replace(self, victim, obj, index: int) -> None:
@@ -218,8 +206,7 @@ class ShardedEngine(UncertainEngine):
         for lane in self._lanes:
             lane._queue_invalidation(victim)
             lane._queue_invalidation(obj)
-            if lane._distribution_cache is not None:
-                lane._distribution_cache.evict_object(victim)
+            lane._distribution_cache.evict_object(victim)
         self._record_mutation(("replace", victim.key, obj))
 
     # ------------------------------------------------------------------
@@ -376,8 +363,7 @@ class ShardedEngine(UncertainEngine):
             key = point_key(query.q)
             if key in seen:
                 continue
-            cache = lane._table_cache
-            entry = cache.peek(key) if cache is not None else None
+            entry = lane._table_cache.peek(key)
             if entry is None or entry.results.get(
                 _result_sig(query, strategy)
             ) is None:

@@ -79,18 +79,10 @@ _UNKNOWN, _SATISFY, _FAIL = 0, 1, 2
 class Refiner:
     """Exact integration services bound to one subregion table."""
 
-    def __init__(
-        self,
-        table: SubregionTable,
-        quadrature_margin: int = 1,
-        order: str = "widest",
-    ) -> None:
-        if order not in ("widest", "left"):
-            raise ValueError("order must be 'widest' or 'left'")
+    def __init__(self, table: SubregionTable, quadrature_margin: int = 1) -> None:
         self._table = table
         degree = max(table.size - 1, 1)
         self._nodes = nodes_for_degree(degree) + int(quadrature_margin)
-        self._order = order
         #: Dense (|C|, M−1) matrix of weighted exclusion sums
         #: ``W[i, j] = Σ_n w_n Π_{k≠i}(1−D_k(x_jn))``, materialised
         #: lazily; ``_filled[j]`` marks the columns computed so far.
@@ -228,9 +220,9 @@ class Refiner:
         cur_lo, cur_up = float(lo.sum()), float(up.sum())
         pad = states.pad
 
+        # Widest remaining bound gap first: the fastest way to a label.
         relevant = np.flatnonzero((s > 0.0) | (up > lo))
-        if self._order == "widest":
-            relevant = relevant[np.argsort(-(up - lo)[relevant], kind="stable")]
+        relevant = relevant[np.argsort(-(up - lo)[relevant], kind="stable")]
 
         # Track the running bound in plain floats; the state arrays are
         # only touched once, when the object's label is decided.

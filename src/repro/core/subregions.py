@@ -65,14 +65,6 @@ _EDGE_RTOL = 1e-12
 _SMALL_SET = 8
 
 
-def _subdivide(edges: np.ndarray, parts: int) -> np.ndarray:
-    """Split every interval of ``edges`` into ``parts`` equal pieces."""
-    steps = np.linspace(0.0, 1.0, parts + 1)[:-1]
-    widths = np.diff(edges)
-    fine = (edges[:-1, None] + widths[:, None] * steps[None, :]).reshape(-1)
-    return np.concatenate((fine, edges[-1:]))
-
-
 class SubregionTable:
     """Subregion probabilities and cdf values for one candidate set.
 
@@ -88,25 +80,9 @@ class SubregionTable:
         If the candidate set is empty.
     """
 
-    def __init__(
-        self,
-        distributions: Sequence[DistanceDistribution],
-        grid_refinement: int = 1,
-    ) -> None:
-        """``grid_refinement > 1`` splits every inner subregion into
-        that many equal parts.  The pdfs remain constant inside each
-        finer subregion, so all verifier bounds stay *sound* at any
-        refinement level; the U-SR upper bound converges toward the
-        exact probability as the grid refines (the event "another
-        object shares my subregion" vanishes), though convergence is
-        not necessarily monotone step-by-step.  This is the simplest
-        instance of the paper's future-work direction of "other kinds
-        of verifiers"; ``benchmarks/test_ablation_grid_refinement.py``
-        quantifies the tightness/cost trade-off."""
+    def __init__(self, distributions: Sequence[DistanceDistribution]) -> None:
         if not distributions:
             raise ValueError("candidate set must not be empty")
-        if grid_refinement < 1:
-            raise ValueError("grid_refinement must be >= 1")
         if len(distributions) <= _SMALL_SET:
             # Tiny candidate sets are cheaper through plain Python
             # loops than through the columnar machinery; the pack is
@@ -137,8 +113,6 @@ class SubregionTable:
             self._fmin = float(fars.min())
             self._fmax = float(fars.max())
         self._edges = self._build_edges()
-        if grid_refinement > 1:
-            self._edges = _subdivide(self._edges, grid_refinement)
         self._cdf_matrix = self._build_cdf_matrix()
         # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
         np.clip(self._cdf_matrix, 0.0, 1.0, out=self._cdf_matrix)

@@ -213,7 +213,6 @@ class StreamingWorkload:
         config: EngineConfig | None = None,
         *,
         n_shards: int | None = None,
-        executor: str | None = None,
     ) -> ShardedEngine:
         """The sharded streaming scenario: a
         :class:`~repro.core.engine.ShardedEngine` over the same initial
@@ -224,9 +223,7 @@ class StreamingWorkload:
         tick's batch is bit-identical to the single engine's
         (DESIGN.md §12).
         """
-        return ShardedEngine(
-            self.initial_objects(), config, n_shards=n_shards, executor=executor
-        )
+        return ShardedEngine(self.initial_objects(), config, n_shards=n_shards)
 
     def tick(self, index: int) -> StreamingTick:
         """The ``index``-th tick, generated on first demand and memoised."""

@@ -10,11 +10,11 @@ hook occurrences.
 Quickstart::
 
     import asyncio
-    from repro import ShardedEngine
+    from repro import EngineConfig, ShardedEngine
     from repro.service import QueryService, ServiceConfig
 
     async def main():
-        engine = ShardedEngine(objects, executor="process")
+        engine = ShardedEngine(objects, EngineConfig(executor="process"))
         async with QueryService(engine, ServiceConfig()) as service:
             reply = await service.submit(CPNNQuery(2.0), deadline_s=0.05)
             print(reply.result.answers, reply.coalesced)

@@ -187,24 +187,9 @@ class TestQueryBatch:
         assert batch.table_misses == 1
         assert len({tuple(r.answers) for r in batch}) == 1
 
-    def test_caches_can_be_disabled(self, rng):
-        config = EngineConfig(distribution_cache_size=0, table_cache_size=0)
-        engine = UncertainEngine(make_random_objects(rng, 10), config)
-        points = query_points(rng, n=4)
-        for _ in range(2):
-            batch = engine.execute_batch(
-                cpnn_specs(points, threshold=0.3, tolerance=0.0)
-            )
-            assert batch.table_hits == 0
-            assert batch.cache_hits == 0
-        for q, result in zip(points, batch):
-            reference = engine.execute(CPNNQuery(q, threshold=0.3, tolerance=0.0))
-            assert set(result.answers) == set(reference.answers)
-
     def test_table_hits_report_no_distribution_misses(self, rng):
         """A table-cache hit builds no distributions, and says so."""
-        config = EngineConfig(distribution_cache_size=0)
-        engine = UncertainEngine(make_random_objects(rng, 10), config)
+        engine = UncertainEngine(make_random_objects(rng, 10))
         points = query_points(rng, n=4)
         cold = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert cold.cache_misses == sum(len(r.records) for r in cold)

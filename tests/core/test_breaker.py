@@ -110,22 +110,21 @@ class TestEngineLevelBreaker:
 
     def test_degrade_then_heal_with_identical_answers(self, rng):
         objects = make_random_objects(rng, 18)
-        config = EngineConfig(breaker_threshold=2, breaker_probe_after=2)
-        single = UncertainEngine(objects, config)
+        single = UncertainEngine(objects)
         specs = [CPNNQuery(q, threshold=0.3) for q in (7.0, 23.0, 41.0)]
         want = single.execute_batch(specs)
         plan = FaultPlan()
-        # The first two thread dispatches blow up wholesale; answers
-        # must still come back (inline fallback), and the second
-        # failure trips the breaker onto the serial level.
+        # The first three thread dispatches blow up wholesale; answers
+        # must still come back (inline fallback), and the third failure
+        # (the breaker's default threshold) trips it onto serial.
         plan.script(
             "executor.dispatch",
             raise_error(lambda: RuntimeError("injected pool failure")),
-            at=(1, 2),
+            at=(1, 2, 3),
             match={"backend": "thread", "kind": "pnn"},
         )
         with ShardedEngine(
-            objects, config, n_shards=2, executor="thread"
+            objects, EngineConfig(executor="thread"), n_shards=2
         ) as engine:
             with plan:
                 assert_batches_identical(engine.execute_batch(specs), want)
@@ -133,27 +132,29 @@ class TestEngineLevelBreaker:
                 assert snapshot["state"] == "closed"
                 assert snapshot["consecutive_failures"] == 1
                 assert_batches_identical(engine.execute_batch(specs), want)
+                assert_batches_identical(engine.execute_batch(specs), want)
                 snapshot = engine.stats()["executor"]["breaker"]
                 assert snapshot["state"] == "degraded"
                 assert snapshot["active"] == "serial"
                 assert engine.stats()["executor"]["inline_fallbacks"] >= 2
-            # Fault cleared.  Two healthy serial dispatches earn a
-            # probe back at the thread level, which heals the breaker.
-            assert_batches_identical(engine.execute_batch(specs), want)
-            assert_batches_identical(engine.execute_batch(specs), want)
-            assert_batches_identical(engine.execute_batch(specs), want)
+            # Fault cleared.  Eight healthy serial dispatches (the
+            # default probe_after) earn a probe back at the thread
+            # level, which heals the breaker.
+            for _ in range(9):
+                assert_batches_identical(engine.execute_batch(specs), want)
             snapshot = engine.stats()["executor"]["breaker"]
             assert snapshot["state"] == "closed"
             assert snapshot["active"] == "thread"
             assert snapshot["heals"] == 1
-        assert len(plan.fired) == 2
+        assert len(plan.fired) == 3
 
     def test_deadline_expiry_does_not_trip_the_breaker(self, rng):
         objects = make_random_objects(rng, 18)
-        config = EngineConfig(breaker_threshold=1, breaker_probe_after=1)
         specs = [CPNNQuery(q, threshold=0.3) for q in (5.0, 30.0, 50.0)]
+        # Three expiries: enough to trip the default threshold, were
+        # they counted as failures.
         with ShardedEngine(
-            objects, config, n_shards=2, executor="thread"
+            objects, EngineConfig(executor="thread"), n_shards=2
         ) as engine:
             for _ in range(3):
                 with pytest.raises(ExecutionTimeout):

@@ -1,9 +1,13 @@
 """Tests for the C-PNN engine and its three strategies."""
 
+import dataclasses
+import inspect
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig, Strategy, UncertainEngine
+from repro.core.engine import EngineConfig, ShardedEngine, Strategy, UncertainEngine
 from repro.core.types import CPNNQuery, Label
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects, two_object_textbook_case
@@ -11,18 +15,55 @@ from tests.conftest import make_random_objects, two_object_textbook_case
 
 class TestConfiguration:
     def test_default_strategy_is_vr(self):
-        assert EngineConfig().strategy == Strategy.VR
+        engine = UncertainEngine([UncertainObject.uniform(0, 0, 1)])
+        assert engine.explain(CPNNQuery(0.5)).strategy == Strategy.VR
 
     def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(strategy="magic")
         engine = UncertainEngine([UncertainObject.uniform(0, 0, 1)])
         with pytest.raises(ValueError):
             engine.execute(CPNNQuery(0.5), strategy="magic")
 
-    def test_invalid_refinement_order_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(refinement_order="bogus")
+    def test_settable_surface_is_pinned(self):
+        """Eight config fields and three engine parameters: a knob that
+        comes back must come back through review."""
+        assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == (
+            "use_rtree",
+            "executor",
+            "process_min_batch",
+            "parametric_fast_path",
+            "storage",
+            "storage_pool_pages",
+            "storage_page_bytes",
+            "storage_dir",
+        )
+        assert tuple(inspect.signature(ShardedEngine).parameters) == (
+            "objects",
+            "config",
+            "n_shards",
+        )
+        # Every field plain data, so any config crosses the process
+        # executor's spawn boundary.
+        config = EngineConfig(
+            use_rtree=False,
+            executor="serial",
+            process_min_batch=3,
+            parametric_fast_path=False,
+            storage="mmap",
+            storage_pool_pages=5,
+            storage_page_bytes=4096,
+            storage_dir="/nonexistent",
+        )
+        assert all(
+            getattr(config, f.name) != f.default
+            for f in dataclasses.fields(EngineConfig)
+        )
+        assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_config_is_frozen(self):
+        engine = UncertainEngine([UncertainObject.uniform(0, 0, 1)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.config.use_rtree = False
+        assert engine.config.use_rtree is True
 
 
 class TestQueryApi:

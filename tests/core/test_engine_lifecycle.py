@@ -33,9 +33,8 @@ _SCRIPT_PRELUDE = textwrap.dedent(
     rng = np.random.default_rng(20080407)
     engine = ShardedEngine(
         make_random_objects(rng, 20),
-        EngineConfig(process_min_batch=0),
+        EngineConfig(executor="process", process_min_batch=0),
         n_shards=2,
-        executor="process",
     )
     specs = [CPNNQuery(float(q), threshold=0.3) for q in (8.0, 30.0, 52.0)]
     engine.execute_batch(specs)

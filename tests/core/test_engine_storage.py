@@ -185,9 +185,10 @@ class TestProcessTransport:
         want = UncertainEngine(list(objects)).execute_batch(specs)
         engine = ShardedEngine(
             objects,
-            EngineConfig(storage="mmap", process_min_batch=0, **THRASH),
+            EngineConfig(
+                storage="mmap", executor="process", process_min_batch=0, **THRASH
+            ),
             n_shards=2,
-            executor="process",
         )
         try:
             got = engine.execute_batch(specs)
@@ -205,9 +206,8 @@ class TestProcessTransport:
         want = UncertainEngine(list(objects)).execute_batch(specs)
         engine = ShardedEngine(
             objects,
-            EngineConfig(storage="shm", process_min_batch=0),
+            EngineConfig(storage="shm", executor="process", process_min_batch=0),
             n_shards=2,
-            executor="process",
         )
         try:
             got = engine.execute_batch(specs)

@@ -56,7 +56,8 @@ class TestStatsSchema:
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_sharded_engine_carries_the_full_schema(self, rng, backend):
         objects = make_random_objects(rng, 12)
-        with ShardedEngine(objects, n_shards=2, executor=backend) as engine:
+        config = EngineConfig(executor=backend)
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             engine.execute_batch([CPNNQuery(10.0, threshold=0.3)])
             stats = engine.stats()["executor"]
             assert_canonical(stats)
@@ -65,10 +66,8 @@ class TestStatsSchema:
 
     def test_process_backend_carries_the_full_schema(self, rng):
         objects = make_random_objects(rng, 16)
-        config = EngineConfig(process_min_batch=0)
-        with ShardedEngine(
-            objects, config, n_shards=2, executor="process"
-        ) as engine:
+        config = EngineConfig(executor="process", process_min_batch=0)
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             engine.execute_batch(
                 [CPNNQuery(q, threshold=0.3) for q in (6.0, 40.0)]
             )
@@ -89,7 +88,8 @@ class TestExplainSchema:
 
     def test_sharded_plan_reports_executor(self, rng):
         objects = make_random_objects(rng, 12)
-        with ShardedEngine(objects, n_shards=2, executor="thread") as engine:
+        config = EngineConfig(executor="thread")
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             plan = engine.explain(CPNNQuery(9.0, threshold=0.3))
             assert_canonical(plan.executor)
             assert plan.executor["backend"] == "thread"
@@ -100,7 +100,8 @@ class TestExplainSchema:
 class TestResultDiagnostics:
     def test_happy_path_results_carry_no_diagnostics(self, rng):
         objects = make_random_objects(rng, 12)
-        with ShardedEngine(objects, n_shards=2, executor="serial") as engine:
+        config = EngineConfig(executor="serial")
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             result = engine.execute(CPNNQuery(9.0, threshold=0.3))
         assert result.diagnostics == {}
         assert "diagnostics" not in repr(result)
@@ -113,7 +114,8 @@ class TestResultDiagnostics:
             at=1,
             match={"backend": "thread", "kind": "pnn"},
         )
-        with ShardedEngine(objects, n_shards=2, executor="thread") as engine:
+        config = EngineConfig(executor="thread")
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             with plan:
                 result = engine.execute(CPNNQuery(9.0, threshold=0.3))
         assert plan.fired

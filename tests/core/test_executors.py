@@ -1,7 +1,6 @@
 """Tests for the executor layer's resolution and in-process backends.
 
-The ``executor=`` knob (config field + engine override) resolves to a
-concrete backend; the serial and thread backends must answer
+``EngineConfig.executor`` resolves to a concrete backend; the serial and thread backends must answer
 bit-identically to each other and to the single engine, and the choice
 must be visible through ``stats()`` and ``explain()``.  The process
 backend has its own suite (``test_process_executor.py``) because it
@@ -12,7 +11,6 @@ import pytest
 
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.engine.executors import make_executor, resolve_backend
-from repro.core.engine.executors.base import free_threaded
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
@@ -21,14 +19,8 @@ from tests.core.test_sharded import assert_batches_identical, mixed_specs
 
 class TestResolution:
     def test_non_auto_names_pass_through(self):
-        config = EngineConfig()
         for name in ("serial", "thread", "process"):
-            assert resolve_backend(config, override=name) == name
             assert resolve_backend(EngineConfig(executor=name)) == name
-
-    def test_override_beats_config_field(self):
-        config = EngineConfig(executor="thread")
-        assert resolve_backend(config, override="serial") == "serial"
 
     def test_auto_is_serial_for_non_parallel_hosts(self):
         assert resolve_backend(EngineConfig(), parallel=False) == "serial"
@@ -37,17 +29,8 @@ class TestResolution:
         resolved = resolve_backend(EngineConfig(), parallel=True)
         assert resolved in ("thread", "process")
 
-    def test_auto_avoids_process_for_unpicklable_config(self):
-        chain = EngineConfig().chain_factory()
-        config = EngineConfig(chain_factory=lambda: chain)
-        resolved = resolve_backend(config, parallel=True)
-        if not free_threaded():
-            assert resolved == "thread"
-
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_backend(EngineConfig(), override="gpu")
-        with pytest.raises(ValueError, match="executor"):
             EngineConfig(executor="gpu")
         with pytest.raises(ValueError):
             make_executor("gpu", host=None)
@@ -58,9 +41,9 @@ class TestResolution:
 
     def test_engine_exposes_resolved_backend(self, rng):
         objects = make_random_objects(rng, 12)
-        engine = ShardedEngine(objects, n_shards=2, executor="serial")
+        engine = ShardedEngine(objects, EngineConfig(executor="serial"), n_shards=2)
         assert engine.executor == "serial"
-        engine = ShardedEngine(objects, n_shards=2, executor="auto")
+        engine = ShardedEngine(objects, EngineConfig(executor="auto"), n_shards=2)
         assert engine.executor in ("serial", "thread", "process")
 
 
@@ -71,7 +54,7 @@ class TestInProcessBackendIdentity:
         specs = mixed_specs()
         want = UncertainEngine(objects).execute_batch(specs)
         with ShardedEngine(
-            objects, n_shards=2, executor=backend
+            objects, EngineConfig(executor=backend), n_shards=2
         ) as engine:
             got = engine.execute_batch(specs)
             assert_batches_identical(got, want)
@@ -82,7 +65,7 @@ class TestInProcessBackendIdentity:
         specs = [CPNNQuery(q, threshold=0.3) for q in (4.0, 22.0, 41.0, 55.0)]
         engines = {
             name: ShardedEngine(
-                list(objects), n_shards=2, executor=name
+                list(objects), EngineConfig(executor=name), n_shards=2
             )
             for name in ("serial", "thread")
         }
@@ -100,20 +83,21 @@ class TestInProcessBackendIdentity:
 
     def test_linear_scan_mode(self, rng):
         objects = make_random_objects(rng, 20)
-        config = EngineConfig(use_rtree=False)
         specs = [CPNNQuery(q, threshold=0.3) for q in (9.0, 27.0, 44.0)]
-        want = UncertainEngine(objects, config).execute_batch(specs)
+        want = UncertainEngine(
+            objects, EngineConfig(use_rtree=False)
+        ).execute_batch(specs)
         for backend in ("serial", "thread"):
-            with ShardedEngine(
-                objects, config, n_shards=2, executor=backend
-            ) as engine:
+            config = EngineConfig(use_rtree=False, executor=backend)
+            with ShardedEngine(objects, config, n_shards=2) as engine:
                 assert_batches_identical(engine.execute_batch(specs), want)
 
 
 class TestObservability:
     def test_sharded_stats_report_backend(self, rng):
         objects = make_random_objects(rng, 15)
-        with ShardedEngine(objects, n_shards=2, executor="thread") as engine:
+        config = EngineConfig(executor="thread")
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             stats = engine.stats()
             assert stats["executor"]["backend"] == "thread"
             engine.execute_batch([CPNNQuery(11.0, threshold=0.3)])
@@ -126,7 +110,8 @@ class TestObservability:
 
     def test_explain_mentions_backend(self, rng):
         objects = make_random_objects(rng, 15)
-        with ShardedEngine(objects, n_shards=2, executor="serial") as engine:
+        config = EngineConfig(executor="serial")
+        with ShardedEngine(objects, config, n_shards=2) as engine:
             for spec in (
                 CPNNQuery(9.0, threshold=0.3),
                 CKNNQuery(9.0, threshold=0.4, k=2),
@@ -138,7 +123,7 @@ class TestObservability:
 
     def test_close_is_idempotent_and_engine_stays_usable(self, rng):
         objects = make_random_objects(rng, 15)
-        engine = ShardedEngine(objects, n_shards=2, executor="thread")
+        engine = ShardedEngine(objects, EngineConfig(executor="thread"), n_shards=2)
         specs = [CPNNQuery(12.0, threshold=0.3)]
         first = engine.execute_batch(specs)
         engine.close()

@@ -19,6 +19,13 @@ N_OBJECTS = 60
 DOMAIN = (0.0, 300.0)
 
 
+def analytic_grids(monkeypatch, grid, max_grid):
+    """Start the analytic tables at ``grid`` and escalate up to
+    ``max_grid`` (the engine reads both constants at call time)."""
+    monkeypatch.setattr("repro.core.engine.pnn.ANALYTIC_GRID", grid)
+    monkeypatch.setattr("repro.core.engine.pnn.ANALYTIC_MAX_GRID", max_grid)
+
+
 def gaussian_objects(representation="parametric", seed=5):
     rng = np.random.default_rng(seed)
     objects = []
@@ -151,14 +158,12 @@ class TestAnswerQuality:
         engine.execute_batch(query_specs())
         assert histogram_counter["n"] == 0
 
-    def test_escalation_settles_narrow_tolerance(self):
+    def test_escalation_settles_narrow_tolerance(self, monkeypatch):
         """A tighter tolerance forces grid escalation; answers still
         respect the contract and the analytic path stays histogram-free
         whenever it reports finishing after verification."""
-        engine = UncertainEngine(
-            gaussian_objects(),
-            EngineConfig(analytic_grid=8, analytic_max_grid=2048),
-        )
+        analytic_grids(monkeypatch, 8, 2048)
+        engine = UncertainEngine(gaussian_objects())
         for spec in query_specs(tolerance=0.002, n=4):
             result = engine.execute(spec)
             for record in result.records:
@@ -197,10 +202,10 @@ class TestZeroConstruction:
         for spec in specs:
             engine.execute(spec)
         engine.execute_batch(specs)
-        escalating = UncertainEngine(
-            gaussian_objects(), EngineConfig(analytic_grid=8, analytic_max_grid=2048)
-        )
-        escalating.execute_batch(query_specs(tolerance=0.002, n=4))
+        with monkeypatch.context() as patch:
+            analytic_grids(patch, 8, 2048)
+            escalating = UncertainEngine(gaussian_objects())
+            escalating.execute_batch(query_specs(tolerance=0.002, n=4))
         assert calls["refined"] > 0, "the narrow tolerance must escalate"
         ranged = engine.execute_batch(
             [CRangeQuery(s.q, threshold=0.3, radius=8.0) for s in specs]
@@ -223,17 +228,15 @@ class TestFallbackAccounting:
     attempt; its phases must say so (whole units under ``unit_clock``)."""
 
     @pytest.mark.parametrize("batched", [False, True], ids=["execute", "batch"])
-    def test_failed_analytic_attempt_is_booked(self, unit_clock, batched):
-        with pytest.raises(ValueError):
-            EngineConfig(analytic_grid=64, analytic_max_grid=8)
+    def test_failed_analytic_attempt_is_booked(
+        self, monkeypatch, unit_clock, batched
+    ):
         # The smallest admissible ceiling: one coarse table, no escalation.
-        config = dict(analytic_grid=8, analytic_max_grid=8)
+        analytic_grids(monkeypatch, 8, 8)
         spec = query_specs(threshold=0.3, tolerance=0.0, n=1)[0]
 
         def run(**overrides):
-            engine = UncertainEngine(
-                gaussian_objects(), EngineConfig(**config, **overrides)
-            )
+            engine = UncertainEngine(gaussian_objects(), EngineConfig(**overrides))
             if batched:
                 return engine.execute_batch([spec]).results[0]
             return engine.execute(spec)

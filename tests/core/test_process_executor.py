@@ -9,6 +9,7 @@ engine pair serves the identity tests (spawn costs ~0.2 s per worker);
 the crash and lifecycle tests build their own.
 """
 
+import dataclasses
 import glob
 
 import numpy as np
@@ -25,13 +26,13 @@ from tests.core.test_sharded import (
 )
 
 #: Every C-PNN batch in this module must go to the workers.
-PROCESS_CONFIG = EngineConfig(process_min_batch=0)
+PROCESS_CONFIG = EngineConfig(executor="process", process_min_batch=0)
 
 
 def make_pair(rng, n=36, config=PROCESS_CONFIG):
     objects = make_random_objects(rng, n)
     sharded = ShardedEngine(
-        objects, config, n_shards=2, executor="process"
+        objects, dataclasses.replace(config, executor="process"), n_shards=2
     )
     return objects, sharded, UncertainEngine(objects, config)
 
@@ -248,18 +249,14 @@ class TestLifecycle:
 
     def test_context_manager_and_del_release_workers(self, rng):
         objects = make_random_objects(rng, 16)
-        with ShardedEngine(
-            objects, PROCESS_CONFIG, n_shards=2, executor="process"
-        ) as engine:
+        with ShardedEngine(objects, PROCESS_CONFIG, n_shards=2) as engine:
             engine.execute_batch(specs_for((10.0, 40.0)))
             assert engine.stats()["executor"]["alive"] == 2
         assert engine.stats()["executor"]["started"] is False
 
     def test_warm_executor_prestarts_pool(self, rng):
         objects = make_random_objects(rng, 16)
-        engine = ShardedEngine(
-            objects, PROCESS_CONFIG, n_shards=2, executor="process"
-        )
+        engine = ShardedEngine(objects, PROCESS_CONFIG, n_shards=2)
         try:
             assert engine.warm_executor() == "process"
             stats = engine.stats()["executor"]

@@ -115,25 +115,6 @@ class TestIncrementalRefinement:
         )
         assert work_with <= work_without
 
-    def test_orders_agree_on_labels(self, rng):
-        objects = make_random_objects(rng, 10)
-        q = 30.0
-        query = CPNNQuery(q, threshold=0.3, tolerance=0.0)
-        labels = {}
-        for order in ("widest", "left"):
-            table, refiner = build(objects, q, order=order)
-            states = CandidateStates(table.keys)
-            for i in range(table.size):
-                refiner.refine_object(i, states, query, use_verifier_slices=False)
-            labels[order] = list(states.labels)
-        assert labels["widest"] == labels["left"]
-
-    def test_invalid_order_rejected(self, rng):
-        objects = make_random_objects(rng, 3)
-        table = SubregionTable([o.distance_distribution(0.0) for o in objects])
-        with pytest.raises(ValueError):
-            Refiner(table, order="random")
-
     def test_zero_tolerance_at_threshold_resolved_exactly(self):
         # Engineered so an object's probability sits exactly at P:
         # two identical objects, each with probability 0.5.

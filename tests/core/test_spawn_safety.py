@@ -59,7 +59,7 @@ class TestSpecPickling:
         config = round_trip(EngineConfig(executor="process", process_min_batch=4))
         assert config.executor == "process"
         assert config.process_min_batch == 4
-        assert config.strategy == EngineConfig().strategy
+        assert config == EngineConfig(executor="process", process_min_batch=4)
 
 
 class TestWorkItemPickling:

@@ -335,18 +335,20 @@ class TestAmortisedRepack:
         self.assert_fresh(flt, objects, points)
         assert len(packs) == 4
 
-    def test_worker_replica_repacks_lazily(self, rng, packs):
+    def test_worker_replica_repacks_lazily(self, rng, packs, monkeypatch):
         """The same accounting through a process worker's replica
         (:func:`_worker_apply_ops` over a filter attached to the
-        exported coordinate store)."""
+        exported coordinate store), packed at fan-out 4."""
         from repro.core.engine import EngineConfig
         from repro.core.engine.executors.process import (
             _worker_apply_ops,
             _worker_attach,
         )
 
+        for method in (BatchMbrFilter.__init__, BatchMbrFilter.from_store.__func__):
+            monkeypatch.setattr(method, "__defaults__", (4,))
         objects = make_random_objects(rng, 40)
-        config = EngineConfig(rtree_max_entries=4)
+        config = EngineConfig()
         with BatchMbrFilter(objects).to_store("shm") as store:
             state = _worker_attach(0, config, objects, 1, store.descriptor())
             points = [5.0, 30.0, 55.0]

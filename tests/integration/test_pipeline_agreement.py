@@ -7,12 +7,13 @@ import pytest
 
 from repro.baselines.basic import basic_pnn_probabilities
 from repro.baselines.montecarlo import monte_carlo_pnn_probabilities
-from repro.core.engine import EngineConfig, UncertainEngine
+from repro.core.engine import UncertainEngine
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery
 from repro.datasets.synthetic import mixed_pdf_objects
+from repro.index.filtering import BatchMbrFilter
 from tests.conftest import make_random_objects
 
 
@@ -61,21 +62,15 @@ class TestFourWayAgreement:
 
 
 class TestConsistencyAcrossConfigurations:
-    def test_refinement_orders_give_same_answers(self, rng):
-        objects = make_random_objects(rng, 20)
-        q = 30.0
-        answers = {}
-        for order in ("widest", "left"):
-            engine = UncertainEngine(objects, EngineConfig(refinement_order=order))
-            answers[order] = set(engine.execute(CPNNQuery(q, tolerance=0.0)).answers)
-        assert answers["widest"] == answers["left"]
-
-    def test_rtree_fanouts_give_same_answers(self, rng):
+    def test_rtree_fanouts_give_same_answers(self, rng, monkeypatch):
         objects = make_random_objects(rng, 30)
         q = 30.0
         baseline = None
         for fanout in (4, 8, 32):
-            engine = UncertainEngine(objects, EngineConfig(rtree_max_entries=fanout))
+            # The engine packs its filter at BatchMbrFilter's default.
+            monkeypatch.setattr(BatchMbrFilter.__init__, "__defaults__", (fanout,))
+            engine = UncertainEngine(objects)
+            assert engine._ensure_batch_filter()._max_entries == fanout
             answers = set(engine.execute(CPNNQuery(q, tolerance=0.0)).answers)
             if baseline is None:
                 baseline = answers

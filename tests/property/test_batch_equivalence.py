@@ -166,14 +166,11 @@ def assert_same_result(got, want):
     assert got.refined_objects == want.refined_objects
 
 
-@pytest.mark.parametrize("table_cache_size", [256, 0], ids=["cached", "uncached"])
-@pytest.mark.parametrize("order", ["widest", "left"])
-@pytest.mark.parametrize("strategy", Strategy.ALL)
-def test_batch_is_execute_bit_for_bit(strategy, order, table_cache_size):
-    engine = UncertainEngine(
-        refine_shaped_objects(),
-        EngineConfig(refinement_order=order, table_cache_size=table_cache_size),
-    )
+# The ids name the engine's one path: widest-first refinement behind the
+# table cache.
+@pytest.mark.parametrize("strategy", Strategy.ALL, ids=lambda s: f"{s}-widest-cached")
+def test_batch_is_execute_bit_for_bit(strategy):
+    engine = UncertainEngine(refine_shaped_objects())
     points = [float(q) for q in np.random.default_rng(11).uniform(5.0, 110.0, 8)]
     constraints = [(0.05, 0.0), (0.3, 0.01), (0.5, 0.0), (0.05, 0.02)]
     # Refinement-heavy specs first, then the same points again (duplicate
@@ -188,8 +185,7 @@ def test_batch_is_execute_bit_for_bit(strategy, order, table_cache_size):
         reference = engine.execute(spec, strategy=strategy)
         assert_same_result(first, reference)
         assert_same_result(again, reference)
-    if table_cache_size:
-        assert warm.result_hits == len(specs)
+    assert warm.result_hits == len(specs)
     if strategy == Strategy.VR:
         survivors = [r.refined_objects for r in cold.results[: len(points)]]
         assert max(survivors) >= 2, "the dataset must exercise refinement"

@@ -186,14 +186,9 @@ def test_monitored_stream_matches_fresh_engine(stream, use_rtree):
 def test_monitored_sharded_stream_matches_fresh_engine(
     stream, n_shards, executor
 ):
-    config = EngineConfig()
+    config = EngineConfig(executor=executor)
     engine = run_stream(
-        lambda objects, cfg: ShardedEngine(
-            objects,
-            cfg,
-            n_shards=n_shards,
-            executor=executor,
-        ),
+        lambda objects, cfg: ShardedEngine(objects, cfg, n_shards=n_shards),
         stream,
         config,
     )

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from repro.core.engine import EngineConfig, UncertainEngine
+from repro.core.engine import UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.numerics.poisson_binomial import exclusion_products
 from repro.uncertainty.columnar import DistributionPack
@@ -344,15 +344,17 @@ def records(results):
 
 
 @pytest.mark.parametrize(
-    "config",
-    [{}, dict(analytic_grid=8, analytic_max_grid=32), dict(analytic_max_grid=64)],
+    "grids",
+    [{}, dict(ANALYTIC_GRID=8, ANALYTIC_MAX_GRID=32), dict(ANALYTIC_MAX_GRID=64)],
     ids=["default", "escalate", "fallback"],
 )
-def test_engine_records_equal_per_row_replica(monkeypatch, config):
+def test_engine_records_equal_per_row_replica(monkeypatch, grids):
     specs = engine_specs()
+    for name, value in grids.items():
+        monkeypatch.setattr(f"repro.core.engine.pnn.{name}", value)
 
     def run():
-        engine = UncertainEngine(engine_objects(), EngineConfig(**config))
+        engine = UncertainEngine(engine_objects())
         return records(engine.execute_batch(specs).results) + records(
             engine.execute(s) for s in specs
         )

@@ -8,8 +8,8 @@ only while the end-point grid contains every pdf breakpoint below
 these tests pit the table-derived values against the distributions
 themselves on the candidate sets most likely to break it: zero-density
 gaps, coincident supports, breakpoints closer than the grid's
-deduplication threshold, subdivided grids, and both the small-set and
-the columnar table construction.
+deduplication threshold, and both the small-set and the columnar
+table construction.
 
 They also hold :meth:`Refiner.refine_object`'s prefix scan to the
 per-subregion loop it replaced, kept here as the oracle.
@@ -57,7 +57,7 @@ def _make(i: int, family: str, lo: float, width: float) -> UncertainObject:
 @st.composite
 def candidate_tables(draw, max_size=14):
     """A subregion table over 2–14 assorted objects (so both sides of
-    ``_SMALL_SET``), on the plain or the 3-way subdivided grid."""
+    ``_SMALL_SET``)."""
     n = draw(st.integers(2, max_size))
     objects, supports = [], []
     for i in range(n):
@@ -72,10 +72,7 @@ def candidate_tables(draw, max_size=14):
         supports.append((lo, width))
         objects.append(_make(i, family, lo, width))
     q = draw(st.floats(-40, 40))
-    return SubregionTable(
-        [o.distance_distribution(q) for o in objects],
-        grid_refinement=draw(st.sampled_from([1, 3])),
-    )
+    return SubregionTable([o.distance_distribution(q) for o in objects])
 
 
 def survival_atol(table) -> float:
@@ -165,8 +162,7 @@ def loop_refine(refiner, i, states, query, use_verifier_slices):
     cur_up = float(up.sum())
     pad = states.pad
     relevant = np.flatnonzero((s > 0.0) | (up > lo))
-    if refiner._order == "widest":
-        relevant = relevant[np.argsort(-(up - lo)[relevant], kind="stable")]
+    relevant = relevant[np.argsort(-(up - lo)[relevant], kind="stable")]
     best_lo = float(states.lower[i])
     best_up = float(states.upper[i])
     threshold, tolerance = query.threshold, query.tolerance
@@ -229,11 +225,10 @@ def assert_scan_is_loop(refiner, i, states, query, use_verifier_slices):
     candidate_tables(),
     st.floats(0.01, 0.95),
     st.sampled_from([0.0, 0.005, 0.05]),
-    st.sampled_from(["widest", "left"]),
     st.booleans(),
 )
-def test_scan_equals_per_subregion_loop(table, threshold, tolerance, order, slices):
-    refiner = Refiner(table, order=order)
+def test_scan_equals_per_subregion_loop(table, threshold, tolerance, slices):
+    refiner = Refiner(table)
     query = CPNNQuery(0.0, threshold=threshold, tolerance=tolerance)
     states = CandidateStates(table.keys)
     if slices:  # start from the verifier chain's bounds, as the engine does

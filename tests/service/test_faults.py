@@ -27,7 +27,7 @@ from repro.service.faults import FaultPlan, delay, kill_worker, unlink_segment
 from tests.conftest import make_random_objects
 from tests.core.test_sharded import assert_results_identical
 
-PROCESS_CONFIG = EngineConfig(process_min_batch=0)
+PROCESS_CONFIG = EngineConfig(executor="process", process_min_batch=0)
 
 
 def run(coro):
@@ -37,12 +37,7 @@ def run(coro):
 def make_pair(rng, n=20):
     """A process-backed sharded engine plus its sequential reference."""
     objects = make_random_objects(rng, n)
-    sharded = ShardedEngine(
-        objects,
-        PROCESS_CONFIG,
-        n_shards=2,
-        executor="process",
-    )
+    sharded = ShardedEngine(objects, PROCESS_CONFIG, n_shards=2)
     return sharded, UncertainEngine(list(objects))
 
 

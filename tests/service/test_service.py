@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import hooks
-from repro.core.engine import ShardedEngine, UncertainEngine
+from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.service import (
     DeadlineExceeded,
@@ -39,7 +39,7 @@ def specs_for(points):
 @pytest.fixture
 def engines(rng):
     objects = make_random_objects(rng, 20)
-    sharded = ShardedEngine(objects, n_shards=2, executor="serial")
+    sharded = ShardedEngine(objects, EngineConfig(executor="serial"), n_shards=2)
     yield sharded, UncertainEngine(list(objects))
     sharded.close()
 

@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.core.engine import ShardedEngine, UncertainEngine
+from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.service import QueryService, Subscription
 from repro.uncertainty.objects import UncertainObject
@@ -152,7 +152,9 @@ def test_subscribe_over_sharded_engine():
             reply = await service.submit(spec)
             assert pushed.answers == reply.result.answers
 
-    engine = ShardedEngine(make_objects(), n_shards=2, executor="serial")
+    engine = ShardedEngine(
+        make_objects(), EngineConfig(executor="serial"), n_shards=2
+    )
     try:
         run(scenario(engine))
     finally:
