@@ -31,6 +31,7 @@ the property tests) is::
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -69,7 +70,7 @@ class QuerySpec:
     ----------
     q:
         The query point — a float for 1-D data or a coordinate sequence
-        for 2-D data.
+        for 2-D data.  Every coordinate must be finite.
     threshold:
         ``P ∈ (0, 1]``.  The paper's default in Section V is 0.3.
     tolerance:
@@ -81,6 +82,12 @@ class QuerySpec:
     tolerance: float = 0.01
 
     def __post_init__(self) -> None:
+        try:
+            coords = iter(self.q)
+        except TypeError:  # a scalar: 1-D data
+            coords = (self.q,)
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"query point q must be finite, got {self.q!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold P must lie in (0, 1]")
         if not 0.0 <= self.tolerance <= 1.0:
@@ -142,7 +149,7 @@ class CRangeQuery(QuerySpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:  # NaN fails too
             raise ValueError("radius must be non-negative")
 
 

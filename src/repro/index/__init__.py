@@ -1,4 +1,4 @@
-"""Spatial indexing substrate: an R-tree and the PNN filtering step.
+"""Spatial indexing substrate: STR packing and the PNN filtering step.
 
 The paper's solution framework (Figure 3) first *filters* objects that
 cannot possibly be the nearest neighbour of the query point using an
@@ -8,27 +8,22 @@ exceeds it.  This package provides
 
 * :class:`~repro.index.geometry.Rect` — d-dimensional rectangles with
   the ``mindist``/``maxdist`` metrics branch-and-bound needs,
-* :class:`~repro.index.rtree.RTree` — a quadratic-split R-tree with
-  insertion, deletion, range and best-first search,
 * :func:`~repro.index.str_pack.str_bulk_load` — Sort-Tile-Recursive
-  packing for bulk construction,
+  packing ([18]) into a static tree,
 * :class:`~repro.index.filtering.PnnFilter` — the pruning step itself
-  (the engine's ``BatchMbrFilter`` runs the same descent over packed
-  STR levels), plus :func:`~repro.index.filtering.filter_candidates`,
-  a linear-scan reference implementation used for testing.
+  over that tree (the engine's ``BatchMbrFilter`` runs the same descent
+  over the same STR levels packed as arrays), plus
+  :func:`~repro.index.filtering.filter_candidates`, the linear
+  reference scan.
 """
 
 from repro.index.filtering import FilterResult, PnnFilter, filter_candidates
 from repro.index.geometry import Rect
-from repro.index.linear import LinearScanIndex
-from repro.index.rtree import RTree
 from repro.index.str_pack import str_bulk_load
 
 __all__ = [
     "FilterResult",
-    "LinearScanIndex",
     "PnnFilter",
-    "RTree",
     "Rect",
     "filter_candidates",
     "str_bulk_load",

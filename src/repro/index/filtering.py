@@ -12,20 +12,20 @@ Three implementations are provided with identical semantics:
 * :class:`BatchMbrFilter` — the engine's filter: one batched
   level-synchronous descent over packed STR levels answers every
   query family (C-PNN ``f_min``, k-NN ``f_min^k``, range radius);
-* :class:`PnnFilter` — the same descent over an R-tree's nodes;
-* :func:`filter_candidates` — a vectorisable linear scan used as the
-  correctness reference and for small datasets.
+* :class:`PnnFilter` — the same C-PNN descent over the nodes of a
+  static :func:`~repro.index.str_pack.str_bulk_load` tree;
+* :func:`filter_candidates` — the linear reference scan, also the
+  engine's exact-region filter when ``use_rtree`` is off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.index.rtree import RTree, RTreeStats
-from repro.index.str_pack import str_pack_levels
+from repro.index.str_pack import Node, str_pack_levels
 
 __all__ = [
     "BatchMbrFilter",
@@ -46,13 +46,10 @@ class FilterResult:
         i.e. ``mindist(q) <= f_min``.
     fmin:
         The pruning radius: minimum over all objects of ``maxdist(q)``.
-    stats:
-        Index traversal counters (empty for the linear scan).
     """
 
     candidates: tuple
     fmin: float
-    stats: RTreeStats = field(default_factory=RTreeStats)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -68,37 +65,33 @@ def filter_candidates(objects: Sequence, q) -> FilterResult:
 
 
 class PnnFilter:
-    """Branch-and-bound filtering over an R-tree held as per-level arrays.
+    """Branch-and-bound filtering over a static STR tree held as
+    per-level arrays.
 
-    A query is one level-synchronous descent (:func:`_descend_one`), one
-    pass where ``RTree.nearest_maxdist`` then ``within_mindist`` (its
-    property-tested reference) took two.  The tree's nodes are
-    snapshotted again whenever its mutation counter has moved;
-    candidates come in leaf order.
+    ``root`` is what :func:`~repro.index.str_pack.str_bulk_load`
+    returns; its nodes are snapshotted once.  A query is one
+    level-synchronous descent (:func:`_descend_one`); candidates come in
+    leaf order.
     """
 
-    def __init__(self, tree: RTree) -> None:
-        self._tree = tree
-        self._version = tree.version
-        self._levels, self._items = _tree_levels(tree)
+    def __init__(self, root: Node) -> None:
+        self._levels, self._items = _tree_levels(root)
 
     def __call__(self, q) -> FilterResult:
-        if self._tree.version != self._version:
-            self.__init__(self._tree)
         query = np.atleast_1d(np.asarray(q, dtype=float)).reshape(1, -1)
         if query.shape[1] != self._levels[0][0].shape[1]:
             raise ValueError("query point dimensionality mismatch")
-        rows, fmin, stats = _descend_one(self._levels, query)
+        rows, fmin = _descend_one(self._levels, query)
         candidates = tuple(map(self._items.__getitem__, rows.tolist()))
-        return FilterResult(candidates=candidates, fmin=fmin, stats=stats)
+        return FilterResult(candidates=candidates, fmin=fmin)
 
 
-def _tree_levels(tree: RTree) -> tuple[list[tuple], list]:
+def _tree_levels(root: Node) -> tuple[list[tuple], list]:
     """A tree's nodes as descent levels, its items in leaf order."""
-    if len(tree) == 0:
+    if not root.entries:
         raise ValueError("cannot filter with an empty index")
     levels = []
-    nodes = [tree.root]
+    nodes = [root]
     while True:
         entries = [entry for node in nodes for entry in node.entries]
         lows = np.array([entry.rect.lows for entry in entries])
@@ -169,23 +162,19 @@ def _descend_one(levels: Sequence[tuple], query: np.ndarray):
     """:func:`_descend` under the C-PNN rule for one point, without the
     pair bookkeeping: a scalar bound and no point column, which in the
     engine's single-query loop at N = 20 000 filters in ≈0.25 ms against
-    ≈0.31 ms for the batched body.  Returns the surviving leaf rows,
-    ``f_min`` and the traversal counters."""
-    stats = RTreeStats()
-    stats.nodes_visited = 1
+    ≈0.31 ms for the batched body.  Returns the surviving leaf rows and
+    ``f_min``."""
     bound, rows = float("inf"), None
     for lows, highs, start, count, _ in levels:
         if rows is not None:
             lows, highs = lows[rows], highs[rows]
         mindist, maxdist = BatchMbrFilter._sweep(query, lows, highs)
-        stats.entries_scanned += lows.shape[0]
         bound = min(bound, float(maxdist.min()))
         keep = np.flatnonzero(mindist <= bound)
         if rows is not None:
             keep = rows[keep]
         if start is None:
-            return keep, bound, stats
-        stats.nodes_visited += keep.size
+            return keep, bound
         count = count[keep]
         ends = np.cumsum(count)
         rows = np.repeat(start[keep] - ends + count, count) + np.arange(ends[-1])
@@ -240,8 +229,9 @@ class BatchMbrFilter:
         self._max_entries = max_entries
         #: Packed levels (None = repack on the next query): per level
         #: ``(lows, highs, child_start, child_count, subtree_size)``,
-        #: plus (set by :meth:`_packed`) the leaf order, its inverse,
-        #: each row's parent entry and the replaces since the pack.
+        #: plus (set by :meth:`_packed`) each leaf row's object position,
+        #: its inverse, each row's parent entry and the replaces since
+        #: the pack.
         self._levels: list[tuple] | None = None
 
     @property
@@ -525,11 +515,10 @@ class BatchMbrFilter:
         """C-PNN filtering of every point: one result per point.
 
         Candidates are the objects with ``mindist <= f_min``, in
-        ascending object order.  ``stats`` counters are left at zero.
-        One point takes :func:`_descend_one`.
+        ascending object order.  One point takes :func:`_descend_one`.
         """
         if len(points) == 1:
-            rows, fmin, _ = _descend_one(self._packed(), self._as_matrix(points))
+            rows, fmin = _descend_one(self._packed(), self._as_matrix(points))
             picks = np.sort(self._order[rows]).tolist()
             return [FilterResult(tuple(map(self._objects.__getitem__, picks)), fmin)]
         inf = np.full(len(points), np.inf)

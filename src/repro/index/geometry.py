@@ -18,13 +18,6 @@ import numpy as np
 __all__ = ["Rect"]
 
 
-def _as_point(q) -> np.ndarray:
-    point = np.atleast_1d(np.asarray(q, dtype=float))
-    if point.ndim != 1:
-        raise ValueError("query point must be one-dimensional")
-    return point
-
-
 class Rect:
     """A closed axis-aligned box in ``d`` dimensions.
 
@@ -63,11 +56,6 @@ class Rect:
         rect._lows, rect._highs = np.array([lo]), np.array([hi])
         rect._set_bounds((lo,), (hi,))
         return rect
-
-    @classmethod
-    def point(cls, coords: Sequence[float] | float) -> "Rect":
-        point = _as_point(coords)
-        return cls(point, point)
 
     @classmethod
     def union_of(cls, rects: Iterable["Rect"]) -> "Rect":
@@ -110,10 +98,6 @@ class Rect:
         """Hyper-volume (width for 1-D, area for 2-D, ...)."""
         return float(np.prod(self.extents))
 
-    def margin(self) -> float:
-        """Sum of side lengths (used as a split tie-breaker)."""
-        return float(np.sum(self.extents))
-
     def __repr__(self) -> str:  # pragma: no cover
         pairs = ", ".join(
             f"[{lo:.6g}, {hi:.6g}]" for lo, hi in zip(self._lows, self._highs)
@@ -129,34 +113,6 @@ class Rect:
 
     def __hash__(self) -> int:
         return hash((self._lows.tobytes(), self._highs.tobytes()))
-
-    # ------------------------------------------------------------------
-    # Relations
-    # ------------------------------------------------------------------
-
-    def union(self, other: "Rect") -> "Rect":
-        return Rect(
-            np.minimum(self._lows, other._lows),
-            np.maximum(self._highs, other._highs),
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        return bool(
-            np.all(self._lows <= other._highs) and np.all(other._lows <= self._highs)
-        )
-
-    def contains(self, other: "Rect") -> bool:
-        return bool(
-            np.all(self._lows <= other._lows) and np.all(other._highs <= self._highs)
-        )
-
-    def contains_point(self, q) -> bool:
-        point = _as_point(q)
-        return bool(np.all(self._lows <= point) and np.all(point <= self._highs))
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area growth needed to absorb ``other`` (choose-leaf metric)."""
-        return self.union(other).area() - self.area()
 
     # ------------------------------------------------------------------
     # Distance metrics

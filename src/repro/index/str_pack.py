@@ -1,4 +1,4 @@
-"""Sort-Tile-Recursive (STR) bulk loading for the R-tree.
+"""Sort-Tile-Recursive (STR) bulk loading.
 
 Building a tree by repeated insertion is O(n log n) with large
 constants and produces poor page utilisation; STR packs leaves at
@@ -14,61 +14,69 @@ from typing import Sequence
 import numpy as np
 
 from repro.index.geometry import Rect
-from repro.index.rtree import RTree, RTreeEntry, RTreeNode
 
 __all__ = ["str_bulk_load", "str_pack_levels"]
 
 
+class Entry:
+    """A node slot: a rectangle plus either a child node or a leaf item."""
+
+    __slots__ = ("rect", "child", "item")
+
+    def __init__(self, rect: Rect, child: "Node | None" = None, item=None):
+        self.rect = rect
+        self.child = child
+        self.item = item
+
+
+class Node:
+    """A tree node holding up to ``max_entries`` entries."""
+
+    __slots__ = ("entries", "is_leaf")
+
+    def __init__(self, is_leaf: bool) -> None:
+        self.entries: list[Entry] = []
+        self.is_leaf = is_leaf
+
+    def mbr(self) -> Rect:
+        return Rect.union_of(entry.rect for entry in self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
 def str_bulk_load(
-    rects_and_items: Sequence[tuple[Rect, object]],
-    max_entries: int = 8,
-    min_entries: int | None = None,
-) -> RTree:
-    """Build an R-tree from ``(rect, item)`` pairs using STR packing.
+    rects_and_items: Sequence[tuple[Rect, object]], max_entries: int = 8
+) -> Node:
+    """Build a static tree from ``(rect, item)`` pairs using STR packing.
 
-    The resulting tree satisfies every invariant of the dynamic tree
-    (checked by ``RTree.check_invariants``) and further insertions or
-    deletions behave normally.
+    Returns the root :class:`Node` (an empty leaf for no pairs).  The
+    tree is static: :class:`~repro.index.filtering.PnnFilter` snapshots
+    it into arrays once.
     """
-    tree = RTree(max_entries=max_entries, min_entries=min_entries)
-    pairs = list(rects_and_items)
-    if not pairs:
-        return tree
-    if len(pairs) <= max_entries:
-        root = RTreeNode(is_leaf=True)
-        root.entries = [RTreeEntry(rect, item=item) for rect, item in pairs]
-        tree._root = root
-        tree._size = len(pairs)
-        return tree
-
-    entries = [RTreeEntry(rect, item=item) for rect, item in pairs]
+    entries = [Entry(rect, item=item) for rect, item in rects_and_items]
+    if len(entries) <= max_entries:
+        root = Node(is_leaf=True)
+        root.entries = entries
+        return root
     nodes = _pack_level(entries, max_entries, is_leaf=True)
     while len(nodes) > 1:
-        upper_entries = [RTreeEntry(node.mbr(), child=node) for node in nodes]
+        upper_entries = [Entry(node.mbr(), child=node) for node in nodes]
         nodes = _pack_level(upper_entries, max_entries, is_leaf=False)
-    root = nodes[0]
-    root.parent = None
-    tree._root = root
-    tree._size = len(pairs)
-    return tree
+    return nodes[0]
 
 
-def _pack_level(
-    entries: list[RTreeEntry], max_entries: int, is_leaf: bool
-) -> list[RTreeNode]:
+def _pack_level(entries: list[Entry], max_entries: int, is_leaf: bool) -> list[Node]:
     """Tile one level of entries into nodes of up to ``max_entries``."""
     centers = np.array([entry.rect.center for entry in entries])
     order, sizes = _tile_rows(centers, np.arange(len(entries)), max_entries, 0)
     order = order.tolist()
-    nodes: list[RTreeNode] = []
+    nodes: list[Node] = []
     first = 0
     for size in sizes:
-        node = RTreeNode(is_leaf=is_leaf)
+        node = Node(is_leaf=is_leaf)
         node.entries = [entries[i] for i in order[first : first + size]]
         first += size
-        if not is_leaf:
-            for entry in node.entries:
-                entry.child.parent = node  # type: ignore[union-attr]
         nodes.append(node)
     return nodes
 
@@ -83,9 +91,12 @@ def str_pack_levels(
     child_start, child_count)`` with the children of entry ``i`` at rows
     ``child_start[i] : child_start[i] + child_count[i]`` of the next
     level (``None, None`` at the leaves).  ``order[r]`` is the input row
-    behind leaf row ``r``: the tiling is the tree builder's
-    (:func:`_tile_rows`), so this is the tree's leaf order.  The levels
-    never alias the input.
+    behind leaf row ``r``.  The tiling is the tree builder's
+    (:func:`_tile_rows`), so the nodes and the order of each node's
+    entries are the tree's; a level's rows, though, keep that level's
+    tiling order, so the tree's leaf order is ``order`` read depth-first
+    through ``child_start`` / ``child_count``, not ``order`` itself.
+    The levels never alias the input.
     """
     n = lows.shape[0]
     if n <= max_entries:  # a lone leaf root keeps the input order
@@ -118,8 +129,8 @@ def _tile_rows(
 
     Returns the tiled row order plus the node sizes cutting it.  A runt
     final node (e.g. 8 + 8 + 1) takes rows from its predecessor so both
-    stay above ``max_entries // 2``, the dynamic tree's minimum fill —
-    that moves a boundary, never a row.
+    hold at least ``max_entries // 2`` — that moves a boundary, never a
+    row.
     """
     rows = rows[np.argsort(centers[rows, axis], kind="stable")]
     n = rows.size

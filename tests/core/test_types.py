@@ -1,10 +1,14 @@
 """Tests for query/result types."""
 
+import math
+
 import pytest
 
 from repro.core.types import (
     AnswerRecord,
+    CKNNQuery,
     CPNNQuery,
+    CRangeQuery,
     Label,
     PhaseTimings,
     QueryResult,
@@ -35,6 +39,31 @@ class TestCPNNQuery:
         q = CPNNQuery(0.0)
         with pytest.raises(AttributeError):
             q.threshold = 0.5
+
+
+FAMILIES = {
+    "cpnn": lambda q: CPNNQuery(q),
+    "knn": lambda q: CKNNQuery(q, k=2),
+    "range": lambda q: CRangeQuery(q, radius=1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize(
+    "q", [math.nan, math.inf, -math.inf, (1.0, math.nan)], ids=repr
+)
+def test_non_finite_query_point_rejected_at_construction(family, q):
+    """A NaN or infinite coordinate never reaches the filtering kernels,
+    where each family used to fail differently (or answer nothing)."""
+    with pytest.raises(ValueError, match="q must be finite"):
+        FAMILIES[family](q)
+    FAMILIES[family]((1.0, 2.0) if isinstance(q, tuple) else 1.0)
+
+
+def test_nan_radius_rejected_at_construction():
+    with pytest.raises(ValueError, match="radius"):
+        CRangeQuery(1.0, radius=math.nan)
+    CRangeQuery(1.0, radius=0.0)
 
 
 class TestPhaseTimings:

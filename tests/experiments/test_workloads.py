@@ -103,7 +103,7 @@ class TestPublicApi:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_legacy_surface_is_gone(self):
         import repro
@@ -131,3 +131,19 @@ class TestPublicApi:
             "scalar_knn_query",
             "scalar_range_query",
         }
+
+    def test_index_surface_is_pinned(self):
+        """One static STR tree, its filter and the reference scan: the
+        dynamic R-tree and the linear index left in 9.0."""
+        import repro.index
+
+        assert set(repro.index.__all__) == {
+            "FilterResult",
+            "PnnFilter",
+            "Rect",
+            "filter_candidates",
+            "str_bulk_load",
+        }
+        for module in ("repro.index.rtree", "repro.index.linear"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)

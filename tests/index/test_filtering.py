@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.montecarlo import monte_carlo_pnn_probabilities
 from repro.index.filtering import BatchMbrFilter, PnnFilter, filter_candidates
-from repro.index.linear import LinearScanIndex
 from repro.index.str_pack import str_bulk_load
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
@@ -59,52 +58,15 @@ class TestRTreeFilter:
                 o.key for o in via_scan.candidates
             }
 
-    def test_records_traversal_stats(self, rng):
-        objects = make_random_objects(rng, 60)
-        result = PnnFilter(build_tree(objects, max_entries=4))(30.0)
-        assert result.stats.nodes_visited > 0
-        assert result.stats.entries_scanned > 0
-
     def test_empty_tree_rejected(self):
-        from repro.index.rtree import RTree
-
-        with pytest.raises(ValueError):
-            PnnFilter(RTree())
+        with pytest.raises(ValueError, match="empty index"):
+            PnnFilter(str_bulk_load([]))
 
     def test_single_object(self):
         obj = UncertainObject.uniform("only", 0.0, 1.0)
         result = PnnFilter(build_tree([obj]))(5.0)
         assert len(result) == 1
         assert result.fmin == pytest.approx(5.0)
-
-    def test_stats_count_the_descent(self, rng):
-        """``entries_scanned`` = rows swept; ``nodes_visited`` = entries
-        expanded + the root.  Pruning must show: far fewer rows than N."""
-        objects = [
-            UncertainObject.uniform(i, float(i), float(i) + 0.5)
-            for i in range(512)
-        ]
-        result = PnnFilter(build_tree(objects, max_entries=8))(100.2)
-        # 512 = 8**3, every node full: the root's 8 entries are swept,
-        # then the 8 children of each entry expanded.
-        expanded = result.stats.nodes_visited - 1
-        assert result.stats.entries_scanned == 8 + 8 * expanded
-        assert 2 <= expanded <= 6  # one or two survivors per inner level
-        assert [o.key for o in result.candidates] == [100]
-
-    def test_snapshot_follows_tree_mutations(self, rng):
-        objects = make_random_objects(rng, 30)
-        tree = build_tree(objects, max_entries=4)
-        pnn_filter = PnnFilter(tree)
-        newcomer = UncertainObject.uniform("new", 29.9, 30.1)
-        tree.insert(newcomer.mbr, newcomer)
-        assert newcomer in pnn_filter(30.0).candidates
-        assert tree.delete(newcomer.mbr, lambda item: item is newcomer)
-        assert newcomer not in pnn_filter(30.0).candidates
-        for obj in objects:
-            assert tree.delete(obj.mbr, lambda item: item is obj)
-        with pytest.raises(ValueError, match="empty index"):
-            pnn_filter(30.0)
 
     def test_packed_levels_match_tree_candidates(self, rng):
         """The engine's filter packs the same STR levels the tree holds;
@@ -136,40 +98,6 @@ class TestRTreeFilter:
             PnnFilter(build_tree(objects))((1.0, 2.0))
         with pytest.raises(ValueError, match="dimensionality"):
             BatchMbrFilter(objects)([(1.0, 2.0)])
-
-
-class TestLinearScanIndex:
-    def test_parity_with_rtree(self, rng):
-        objects = make_random_objects(rng, 40)
-        index = LinearScanIndex.from_objects(objects)
-        tree = build_tree(objects)
-        assert len(index) == len(tree)
-        q = 25.0
-        assert index.nearest_maxdist(q) == pytest.approx(tree.nearest_maxdist(q))
-        radius = index.nearest_maxdist(q)
-        assert {o.key for o in index.within_mindist(q, radius)} == {
-            o.key for o in tree.within_mindist(q, radius)
-        }
-
-    def test_filter_method(self, rng):
-        objects = make_random_objects(rng, 20)
-        index = LinearScanIndex.from_objects(objects)
-        result = index.filter(10.0)
-        reference = filter_candidates(objects, 10.0)
-        assert {o.key for o in result.candidates} == {
-            o.key for o in reference.candidates
-        }
-
-    def test_search_and_stab(self, rng):
-        objects = make_random_objects(rng, 20)
-        index = LinearScanIndex.from_objects(objects)
-        hits = index.stab(30.0)
-        for obj in hits:
-            assert obj.lo <= 30.0 <= obj.hi
-
-    def test_empty_index_raises(self):
-        with pytest.raises(ValueError):
-            LinearScanIndex().nearest_maxdist(0.0)
 
 
 class TestBatchFilterMaintenance:

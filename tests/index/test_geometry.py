@@ -14,11 +14,6 @@ class TestConstruction:
         assert r.dim == 1
         assert r.area() == pytest.approx(2.0)
 
-    def test_point(self):
-        p = Rect.point([2.0, 3.0])
-        assert p.area() == 0.0
-        assert p.contains_point((2.0, 3.0))
-
     def test_union_of(self):
         u = Rect.union_of([Rect.interval(0, 1), Rect.interval(5, 6)])
         assert u.lows[0] == 0.0 and u.highs[0] == 6.0
@@ -57,23 +52,6 @@ class TestConstruction:
 
 
 class TestRelations:
-    def test_intersects(self):
-        assert Rect.interval(0, 2).intersects(Rect.interval(1, 3))
-        assert Rect.interval(0, 2).intersects(Rect.interval(2, 3))  # touching
-        assert not Rect.interval(0, 1).intersects(Rect.interval(2, 3))
-
-    def test_contains(self):
-        assert Rect.interval(0, 10).contains(Rect.interval(2, 3))
-        assert not Rect.interval(0, 10).contains(Rect.interval(5, 11))
-
-    def test_enlargement(self):
-        r = Rect([0, 0], [2, 2])
-        assert r.enlargement(Rect([0, 0], [2, 4])) == pytest.approx(4.0)
-        assert r.enlargement(Rect([1, 1], [2, 2])) == 0.0
-
-    def test_margin(self):
-        assert Rect([0, 0], [2, 3]).margin() == pytest.approx(5.0)
-
     def test_equality_and_hash(self):
         assert Rect.interval(0, 1) == Rect.interval(0, 1)
         assert hash(Rect.interval(0, 1)) == hash(Rect.interval(0, 1))

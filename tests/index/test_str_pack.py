@@ -3,7 +3,6 @@
 import pytest
 
 from repro.index.geometry import Rect
-from repro.index.rtree import RTree
 from repro.index.str_pack import str_bulk_load
 
 
@@ -19,68 +18,45 @@ def pairs_2d(rng, n):
     return [(Rect(lo, lo + w), i) for i, (lo, w) in enumerate(zip(lows, widths))]
 
 
+def leaf_items(root):
+    """The items under ``root``, in leaf order."""
+    if root.is_leaf:
+        return [entry.item for entry in root.entries]
+    return [item for entry in root.entries for item in leaf_items(entry.child)]
+
+
+def leaf_depths(node, max_entries, depth=0):
+    """Every leaf's depth; asserts each node's fill and that each inner
+    entry's rectangle is its child's MBR on the way down."""
+    assert 1 <= len(node) <= max_entries
+    if node.is_leaf:
+        return {depth}
+    depths = set()
+    for entry in node.entries:
+        assert entry.rect == entry.child.mbr()
+        depths |= leaf_depths(entry.child, max_entries, depth + 1)
+    return depths
+
+
 class TestBulkLoad:
     def test_empty(self):
-        tree = str_bulk_load([])
-        assert len(tree) == 0
+        root = str_bulk_load([])
+        assert len(root) == 0
+        assert root.is_leaf
 
     def test_single_leaf(self, rng):
-        tree = str_bulk_load(pairs_1d(rng, 5), max_entries=8)
-        assert len(tree) == 5
-        assert tree.height() == 1
-        tree.check_invariants()
+        root = str_bulk_load(pairs_1d(rng, 5), max_entries=8)
+        assert len(root) == 5
+        assert root.is_leaf
 
     @pytest.mark.parametrize("n", [9, 17, 64, 100, 257, 1000])
     def test_invariants_across_sizes_1d(self, rng, n):
-        tree = str_bulk_load(pairs_1d(rng, n), max_entries=8)
-        tree.check_invariants()
-        assert len(tree) == n
-        assert sorted(tree.items()) == list(range(n))
+        root = str_bulk_load(pairs_1d(rng, n), max_entries=8)
+        assert len(leaf_depths(root, 8)) == 1
+        assert sorted(leaf_items(root)) == list(range(n))
 
     @pytest.mark.parametrize("n", [65, 250, 777])
     def test_invariants_across_sizes_2d(self, rng, n):
-        tree = str_bulk_load(pairs_2d(rng, n), max_entries=10)
-        tree.check_invariants()
-        assert len(tree) == n
-
-    def test_search_matches_dynamic_tree(self, rng):
-        pairs = pairs_1d(rng, 300)
-        packed = str_bulk_load(pairs, max_entries=8)
-        dynamic = RTree(max_entries=8)
-        for rect, item in pairs:
-            dynamic.insert(rect, item)
-        for _ in range(20):
-            lo = float(rng.uniform(0, 1000))
-            window = Rect.interval(lo, lo + float(rng.uniform(0, 50)))
-            assert set(packed.search(window)) == set(dynamic.search(window))
-
-    def test_packed_tree_is_shallower(self, rng):
-        pairs = pairs_1d(rng, 500)
-        packed = str_bulk_load(pairs, max_entries=8)
-        dynamic = RTree(max_entries=8)
-        for rect, item in pairs:
-            dynamic.insert(rect, item)
-        assert packed.height() <= dynamic.height()
-
-    def test_insertion_after_bulk_load(self, rng):
-        tree = str_bulk_load(pairs_1d(rng, 100), max_entries=8)
-        tree.insert(Rect.interval(-5, -4), "new")
-        tree.check_invariants()
-        assert "new" in set(tree.items())
-        assert len(tree) == 101
-
-    def test_deletion_after_bulk_load(self, rng):
-        pairs = pairs_1d(rng, 100)
-        tree = str_bulk_load(pairs, max_entries=8)
-        rect, item = pairs[42]
-        assert tree.delete(rect, lambda x: x == item)
-        tree.check_invariants()
-        assert len(tree) == 99
-
-    def test_nearest_maxdist_after_bulk_load(self, rng):
-        pairs = pairs_1d(rng, 400)
-        tree = str_bulk_load(pairs, max_entries=16)
-        rects = [rect for rect, _ in pairs]
-        for q in rng.uniform(0, 1000, 10):
-            expected = min(r.maxdist(float(q)) for r in rects)
-            assert tree.nearest_maxdist(float(q)) == pytest.approx(expected)
+        root = str_bulk_load(pairs_2d(rng, n), max_entries=10)
+        assert len(leaf_depths(root, 10)) == 1
+        assert sorted(leaf_items(root)) == list(range(n))

@@ -7,6 +7,9 @@ keeps ``mindist <= radius``.  The descent must return the same
 survivors in the same (object) order and the same radii, bit for bit
 (``np.array_equal`` / ``==``, never a tolerance), on fresh filters and
 across any interleaving of ``append`` / ``remove_at`` / ``replace_at``.
+``PnnFilter`` over a ``str_bulk_load`` tree runs the same C-PNN descent
+in the tree's leaf order, which is ``str_pack_levels``' ``order`` read
+depth-first through the packed levels.
 """
 
 import numpy as np
@@ -20,8 +23,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.index.filtering import BatchMbrFilter
+from repro.index.filtering import BatchMbrFilter, PnnFilter, filter_candidates
 from repro.index.geometry import Rect
+from repro.index.str_pack import str_bulk_load, str_pack_levels
 
 FANOUTS = st.sampled_from([2, 4, 16])
 COORD = st.integers(-20, 20).map(float)
@@ -32,6 +36,12 @@ EXTENT = st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0])
 class Item:
     def __init__(self, lows, highs):
         self.mbr = Rect(lows, highs)
+
+    def mindist(self, q):
+        return self.mbr.mindist(q)
+
+    def maxdist(self, q):
+        return self.mbr.maxdist(q)
 
 
 @st.composite
@@ -101,6 +111,71 @@ def test_descent_matches_sweep(data, dim, fanout, n_points):
     radii = [data.draw(st.sampled_from([0.0, 1.0, 4.5, 60.0])) for _ in points]
     flt = BatchMbrFilter(objects, max_entries=fanout)
     assert_matches_sweep(flt, objects, points, ks, radii)
+
+
+intervals = st.tuples(
+    st.floats(-100, 100), st.floats(0, 20)
+).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(intervals, min_size=1, max_size=50), st.floats(-120, 120))
+def test_filter_equivalence_rtree_vs_scan(pairs, q):
+    """The tree filter and the per-rectangle scan agree on ``fmin`` and
+    survivors."""
+    rects = [Rect.interval(lo, hi) for lo, hi in pairs]
+    tree = str_bulk_load(list(zip(rects, range(len(rects)))), max_entries=4)
+    result = PnnFilter(tree)(q)
+    fmin = min(r.maxdist(q) for r in rects)
+    assert np.isclose(result.fmin, fmin)
+    expected = {i for i, r in enumerate(rects) if r.mindist(q) <= fmin}
+    assert set(result.candidates) == expected
+
+
+def leaf_items(root):
+    """The items under ``root``, in leaf order."""
+    if root.is_leaf:
+        return [entry.item for entry in root.entries]
+    return [item for entry in root.entries for item in leaf_items(entry.child)]
+
+
+def leaf_rows(levels, rows=None, depth=0):
+    """The packed leaf rows, read depth-first from the root's entries."""
+    lows, _, start, count = levels[depth]
+    rows = range(lows.shape[0]) if rows is None else rows
+    if start is None:
+        return list(rows)
+    children = (range(start[row], start[row] + count[row]) for row in rows)
+    return [leaf for child in children for leaf in leaf_rows(levels, child, depth + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(2, 16))
+def test_tree_descent_matches_matrix_sweep(data, dim, fanout):
+    """``PnnFilter(str_bulk_load(...))`` ≡ the matrix sweep ≡ the linear
+    scan ≡ the engine's packed filter, on ``fmin`` and on the candidate
+    *tuple*.  The packed levels are the tree: read depth-first, their
+    leaf rows' ``order`` is its leaf order, the tree filter's order."""
+    objects = data.draw(items(dim, max_size=data.draw(st.sampled_from([40, 500]))))
+    root = str_bulk_load([(obj.mbr, obj) for obj in objects], max_entries=fanout)
+    packed = BatchMbrFilter(objects, max_entries=fanout)
+    levels, order = str_pack_levels(*packed.coordinates(), fanout)
+    order = order[leaf_rows(levels)]
+    assert leaf_items(root) == [objects[i] for i in order]
+    from_tree = PnnFilter(root)
+    for q in query_points(data.draw, objects, dim, 2):
+        mindist, maxdist = packed.matrices([q])
+        fmin = maxdist.min()
+        keep = mindist[0] <= fmin
+        scan = filter_candidates(objects, q)
+        assert scan.fmin == fmin
+        assert scan.candidates == tuple(objects[i] for i in np.flatnonzero(keep))
+        (got,) = packed([q])
+        assert got.fmin == fmin
+        assert got.candidates == scan.candidates
+        descended = from_tree(q)
+        assert descended.fmin == fmin
+        assert descended.candidates == tuple(objects[i] for i in order if keep[i])
 
 
 class MutatedFilter(RuleBasedStateMachine):
