@@ -46,7 +46,11 @@ import test_parametric_init as parametric_bench  # noqa: E402
 import test_service_latency as service_bench  # noqa: E402
 import test_sharded_parallel as sharded_bench  # noqa: E402
 
-from repro.core.engine.executors.base import free_threaded  # noqa: E402
+from repro.core.engine import EngineConfig  # noqa: E402
+from repro.core.engine.executors.base import (  # noqa: E402
+    free_threaded,
+    resolve_backend,
+)
 
 #: Shared best-of-N timing loop — the same reduction the pytest
 #: speedup gates use, so the snapshot and the gates measure alike.
@@ -255,7 +259,9 @@ def measure_sharded_parallel(repeats: int) -> dict:
         "single_cold_s": single,
         "sharded_cold_s": sharded,
         "speedup": single / sharded,
-        **_environment("thread"),
+        # _cold_sharded leaves the executor at "auto": stamp what it
+        # resolves to on this box (process on >= 2 GIL cores).
+        **_environment(resolve_backend(EngineConfig())),
     }
 
 

@@ -12,10 +12,7 @@ here, and belt-and-braces via ``ulimit -v`` in CI) and
    cdf kernel over **every** row through the bounded window pool,
    comparing spot-checked row blocks **bit for bit** against reference
    blocks regenerated from the same seeds;
-4. runs a full ``storage="mmap"`` engine next to a ``storage="ram"``
-   engine on the same objects and demands identical answers and
-   records;
-5. asserts the buffer-pool accounting shows real out-of-core behaviour:
+4. asserts the buffer-pool accounting shows real out-of-core behaviour:
    faults exceed the pool capacity, evictions happened, and resident
    bytes never exceeded the configured budget.
 
@@ -45,11 +42,8 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from repro.core.engine import EngineConfig, UncertainEngine  # noqa: E402
-from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery  # noqa: E402
 from repro.storage import MmapStore  # noqa: E402
 from repro.uncertainty.columnar import DistributionPack  # noqa: E402
-from repro.uncertainty.objects import UncertainObject  # noqa: E402
 
 CAP_MB = int(os.environ.get("OUT_OF_CORE_CAP_MB", "512"))
 SEED = 20080612
@@ -213,48 +207,6 @@ def check_corpus(store: MmapStore, n_rows: int, cap_bytes: int) -> None:
           flush=True)
 
 
-def check_engine(cap_bytes: int) -> None:
-    """A whole mmap engine under the cap answers like a ram engine."""
-    rng = np.random.default_rng(SEED + 2)
-    objects = [
-        UncertainObject.uniform(i, float(lo), float(lo + w))
-        for i, (lo, w) in enumerate(
-            zip(rng.uniform(0.0, 400.0, 512), rng.uniform(0.5, 4.0, 512))
-        )
-    ]
-    points = rng.uniform(0.0, 400.0, 24)
-    specs = [CPNNQuery(float(p), threshold=0.25) for p in points[:12]]
-    specs += [CKNNQuery(float(p), k=3, threshold=0.1) for p in points[12:18]]
-    specs += [
-        CRangeQuery(float(p), radius=8.0, threshold=0.1) for p in points[18:]
-    ]
-    want = UncertainEngine(list(objects)).execute_batch(specs)
-    engine = UncertainEngine(
-        list(objects),
-        EngineConfig(
-            storage="mmap", storage_page_bytes=1 << 13, storage_pool_pages=2
-        ),
-    )
-    try:
-        got = engine.execute_batch(specs)
-        for w, g in zip(want.results, got.results):
-            assert w.answers == g.answers
-            assert [
-                (r.key, r.label, r.lower, r.upper, r.exact) for r in w.records
-            ] == [
-                (r.key, r.label, r.lower, r.upper, r.exact) for r in g.records
-            ]
-        storage = engine.stats()["storage"]
-        assert storage["backend"] == "mmap" and storage["stores"] >= 1
-        print(
-            f"engine: mmap == ram on {len(specs)} mixed specs "
-            f"({storage['page_faults']} faults over {storage['stores']} store)",
-            flush=True,
-        )
-    finally:
-        engine.close()
-
-
 def main() -> int:
     cap_bytes = _cap_address_space()
     target = int(cap_bytes * 1.5)
@@ -266,7 +218,6 @@ def main() -> int:
     finally:
         store.close()
     assert not os.path.exists(store.path), "store file survived close()"
-    check_engine(cap_bytes)
     print("out-of-core smoke: OK", flush=True)
     return 0
 

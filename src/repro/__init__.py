@@ -51,7 +51,7 @@ from repro.uncertainty import (
     UncertainSegment,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "BatchResult",

@@ -72,34 +72,12 @@ class EngineConfig:
         analytic brackets cannot settle fall back to the standard
         histogram pipeline, whose exact tier is bit-identical to the
         histogram engine.
-    storage:
-        Column-store backend for the engine's bulk coordinate arrays
-        (DESIGN.md §16): ``"ram"`` (resident numpy, zero overhead, the
-        default), ``"shm"`` (one shared-memory segment — the resident
-        bytes are directly attachable by process workers), or
-        ``"mmap"`` (a 64-byte-aligned on-disk file streamed through a
-        bounded buffer pool of mmap windows — out-of-core scale with
-        page-fault/eviction accounting in ``stats()["storage"]``).
-        Answers are bit-identical across all three.
-    storage_pool_pages:
-        Buffer-pool capacity (in pages) of each mmap-backed store.
-        Bounds the resident bytes at ``storage_pool_pages ·
-        storage_page_bytes`` per store.
-    storage_page_bytes:
-        Page size of mmap-backed stores; rounded up to the platform
-        mmap allocation granularity.
-    storage_dir:
-        Directory for mmap store files (default: the system temp dir).
     """
 
     use_rtree: bool = True
     executor: str = "auto"
     process_min_batch: int = 16
     parametric_fast_path: bool = True
-    storage: str = "ram"
-    storage_pool_pages: int = 64
-    storage_page_bytes: int = 1 << 20
-    storage_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.executor not in ("auto", "serial", "thread", "process"):
@@ -109,12 +87,3 @@ class EngineConfig:
             )
         if self.process_min_batch < 0:
             raise ValueError("process_min_batch must be >= 0")
-        if self.storage not in ("ram", "shm", "mmap"):
-            raise ValueError(
-                f"unknown storage {self.storage!r}: expected 'ram', "
-                "'shm', or 'mmap'"
-            )
-        if self.storage_pool_pages < 1:
-            raise ValueError("storage_pool_pages must be >= 1")
-        if self.storage_page_bytes < 1:
-            raise ValueError("storage_page_bytes must be >= 1")

@@ -13,19 +13,15 @@ Worker lifecycle
 On (re)spawn, a worker receives one ``attach`` message: the pickled
 :class:`~repro.core.engine.config.EngineConfig`, the object list, and a
 :class:`~repro.storage.StoreDescriptor` for the parent-exported
-coordinate store — a shared-memory segment by default, or the mmap
-column file when ``config.storage == "mmap"`` (workers then map the
-file read-only through their own bounded buffer pools instead of a
-segment; DESIGN.md §16).  It rebuilds a full
-:class:`~repro.index.filtering.BatchMbrFilter` over that store (no
-coordinate is re-pickled) and a resident
+coordinate store, one shared-memory segment (DESIGN.md §16).  It
+rebuilds a full :class:`~repro.index.filtering.BatchMbrFilter` over
+that store (no coordinate is re-pickled) and a resident
 :class:`~repro.core.engine.lanes.Lane`; thereafter each work message
 piggybacks the mutation-log suffix the worker hasn't seen, which it
 replays against its replica with the registry's exact ordering
 semantics before executing.  The parent unlinks the store's name as
-soon as every worker has attached — shm mappings and open file
-descriptors outlive the name, so nothing can leak in ``/dev/shm`` or
-the spill directory past the handshake.
+soon as every worker has attached — shm mappings outlive the name, so
+nothing can leak in ``/dev/shm`` past the handshake.
 
 Crash recovery
 --------------
@@ -346,25 +342,10 @@ class ProcessExecutor(ExecutorBase):
         columns_desc = None
         columns_store = None
         if host._config.use_rtree and host._objects:
-            # The transport follows the engine's storage knob: mmap
-            # engines ship the coordinate file (workers map it read-only
-            # through their own buffer pools), everything else ships one
-            # shared-memory segment (DESIGN.md §16).
-            transport = "mmap" if host._config.storage == "mmap" else "shm"
-            options = (
-                {
-                    "page_bytes": host._config.storage_page_bytes,
-                    "pool_pages": host._config.storage_pool_pages,
-                    "directory": host._config.storage_dir,
-                }
-                if transport == "mmap"
-                else {}
-            )
-            # The engine's own filter exports its coordinates: the
-            # floats the parent filters with, no rebuild per spawn.
-            columns_store = host._ensure_batch_filter().to_store(
-                transport, **options
-            )
+            # The engine's own filter exports its coordinates into one
+            # shared-memory segment: the floats the parent filters with,
+            # no rebuild per spawn (DESIGN.md §16).
+            columns_store = host._ensure_batch_filter().to_store("shm")
             columns_desc = columns_store.descriptor()
             # Injection point: a handler may unlink the backing here to
             # exercise the workers' attach-failure fallback.
@@ -401,9 +382,8 @@ class ProcessExecutor(ExecutorBase):
                 if isinstance(payload, tuple) and payload[1]:
                     self._shm_fallbacks += 1
         finally:
-            # Mappings and open descriptors outlive the name: once every
-            # worker holds its attachment the name can go, so a crash
-            # can't leak it (shm unlink / file unlink alike).
+            # Mappings outlive the name: once every worker holds its
+            # attachment the name can go, so a crash can't leak it.
             if columns_store is not None:
                 columns_store.close()
 

@@ -125,7 +125,6 @@ class QueryFacadeMixin(SpecDispatchMixin):
         """
         plan = self._explain(spec, strategy)
         plan.executor = self._executor_diagnostics()
-        plan.storage = self._storage_stats()
         plan.continuous = self._continuous_stats()
         return plan
 
@@ -355,13 +354,11 @@ class UncertainEngine(
     def close(self) -> None:
         """Release engine-owned resources.
 
-        For ``storage="ram"`` engines there is nothing resident; for
-        ``shm``/``mmap`` storage this unlinks the engine-owned column
-        stores (DESIGN.md §16).  Exists on both engine classes so they
-        are interchangeable in ``with`` blocks and service shutdown
-        paths.
+        A single engine holds nothing that outlives it; a
+        :class:`~repro.core.engine.sharded.ShardedEngine` closes its
+        executor here.  Exists on both engine classes so they are
+        interchangeable in ``with`` blocks and service shutdown paths.
         """
-        self._release_stores()
 
     def __enter__(self) -> "UncertainEngine":
         return self
@@ -493,7 +490,6 @@ class UncertainEngine(
             and not self._batch_filter.packed,
             "pending_invalidations": len(self._pending_invalidation),
             "caches": self._cache_stats(),
-            "storage": self._storage_stats(),
             "continuous": self._continuous_stats(),
             "parametric": {
                 "fast_path": self._config.parametric_fast_path,

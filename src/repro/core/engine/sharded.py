@@ -152,12 +152,10 @@ class ShardedEngine(UncertainEngine):
 
     def close(self) -> None:
         """Release every backend's resources — thread pools, worker
-        processes, shared-memory segments — and the engine's column
-        stores (idempotent; engine stays usable — they are recreated on
-        the next call that needs them)."""
+        processes, shared-memory segments (idempotent; engine stays
+        usable — they are recreated on the next call that needs them)."""
         for executor in self._executors.values():
             executor.close()
-        super().close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:

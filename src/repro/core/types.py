@@ -318,12 +318,6 @@ class QueryPlan:
         respawns, retries, timeouts, quarantines, shared-memory
         fallbacks — structurally 0 for inline engines), and the
         circuit-breaker snapshot (DESIGN.md §14).
-    storage:
-        The column-store story at plan time (DESIGN.md §16): the
-        configured backend plus aggregated buffer-pool counters
-        (logical reads, page faults, evictions, resident bytes,
-        hit rate) over every engine-owned store — structurally
-        all-zero/all-hit for ``ram`` engines.
     continuous:
         The continuous-query tier at plan time (DESIGN.md §17):
         ``{"attached": False}`` when no monitor is registered, else
@@ -344,7 +338,6 @@ class QueryPlan:
     caches: dict = field(default_factory=dict)
     shards: dict = field(default_factory=dict)
     executor: dict = field(default_factory=dict)
-    storage: dict = field(default_factory=dict)
     continuous: dict = field(default_factory=dict)
 
     def describe(self) -> str:

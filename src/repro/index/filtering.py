@@ -213,7 +213,7 @@ class BatchMbrFilter:
     def _setup(self, objects, lows, highs, store, max_entries) -> None:
         self._objects = objects
         self._lows, self._highs = lows, highs
-        self._dim = (store.shape("lows") if lows is None else lows.shape)[1]
+        self._dim = lows.shape[1]
         #: Alive-mask over the physical rows of ``_lows``/``_highs``
         #: (None = all alive), plus objects appended since the last
         #: compaction.  Logical row order is always "alive physical
@@ -222,9 +222,8 @@ class BatchMbrFilter:
         self._alive: np.ndarray | None = None
         self._n_dead = 0
         self._pending: list = []
-        #: A pinned column store.  For resident backends the coordinate
-        #: arrays are zero-copy views over it; for chunked backends
-        #: (``_lows is None``) the columns are read on first use.
+        #: A pinned shared-memory store the coordinate arrays are
+        #: zero-copy views over (None = resident arrays of our own).
         self._store = store
         self._max_entries = max_entries
         #: Packed levels (None = repack on the next query): per level
@@ -247,7 +246,7 @@ class BatchMbrFilter:
         return len(self._objects)
 
     # ------------------------------------------------------------------
-    # Column-store transport (DESIGN.md §13/§16)
+    # Process transport (DESIGN.md §13/§16)
     # ------------------------------------------------------------------
 
     def to_store(self, backend: str = "shm", **options):
@@ -267,28 +266,23 @@ class BatchMbrFilter:
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(N, d)`` lows / highs in logical row order, pending
-        mutations folded in.  An unmutated chunk-backed filter reads the
-        columns out of its store without pinning them resident."""
+        mutations folded in."""
         self._flush()
-        if self._lows is None:
-            return self._store.get("lows"), self._store.get("highs")
         return self._lows, self._highs
 
     @classmethod
     def from_store(
         cls, store, objects: Sequence, max_entries: int = 16
     ) -> "BatchMbrFilter":
-        """Rebuild a filter over an exported coordinate store.
+        """Rebuild a filter over an exported shared-memory coordinate
+        store.
 
         ``objects`` must be the same sequence (same order) the exporter
-        held.  Resident backends (``ram``/``shm``) hand out read-only
-        zero-copy coordinate views; the chunked ``mmap`` backend keeps
-        the coordinates on disk until a pack or a mutation reads them.
-        Mutations remain supported: appends/removals build fresh arrays
-        on the next :meth:`_flush` (a chunk-backed filter materialises
-        its columns first, once), and :meth:`replace_at` copies before
-        its first in-place write (copy-on-write), so an attached filter
-        never writes into the shared backing.
+        held.  The coordinates are read-only zero-copy views over the
+        segment.  Mutations remain supported: appends/removals build
+        fresh arrays on the next :meth:`_flush`, and :meth:`replace_at`
+        copies before its first in-place write (copy-on-write), so an
+        attached filter never writes into the shared backing.
         """
         objects = list(objects)
         rows = store.shape("lows")[0]
@@ -297,8 +291,7 @@ class BatchMbrFilter:
                 f"descriptor carries {rows} rows for {len(objects)} objects"
             )
         flt = cls.__new__(cls)
-        columns = (None, None) if store.chunked else map(store.get, ("lows", "highs"))
-        flt._setup(objects, *columns, store, max_entries)
+        flt._setup(objects, store.get("lows"), store.get("highs"), store, max_entries)
         return flt
 
     @property
@@ -307,23 +300,9 @@ class BatchMbrFilter:
         repacks them)."""
         return self._levels is not None
 
-    def _physical_count(self) -> int:
-        """Physical coordinate rows (before masks/pending)."""
-        if self._lows is not None:
-            return self._lows.shape[0]
-        return self._store.shape("lows")[0]
-
-    def _materialize(self) -> None:
-        """Pull the full coordinate columns resident (chunk-backed
-        filters do this once, on first mutation flush or write)."""
-        if self._lows is None:
-            self._lows = self._store.get("lows")
-            self._highs = self._store.get("highs")
-
     def _ensure_writable(self) -> None:
         """Copy-on-write: detach from a shared backing before an
         in-place coordinate write."""
-        self._materialize()
         if not self._lows.flags.writeable:
             self._lows = self._lows.copy()
             self._highs = self._highs.copy()
@@ -362,12 +341,12 @@ class BatchMbrFilter:
             raise IndexError(f"row {index} out of range for {n} objects")
         del self._objects[index]
         self._levels = None
-        alive_rows = self._physical_count() - self._n_dead
+        alive_rows = self._lows.shape[0] - self._n_dead
         if index >= alive_rows:
             del self._pending[index - alive_rows]
             return
         if self._alive is None:
-            self._alive = np.ones(self._physical_count(), dtype=bool)
+            self._alive = np.ones(self._lows.shape[0], dtype=bool)
         self._alive[self._physical_row(index)] = False
         self._n_dead += 1
 
@@ -383,7 +362,7 @@ class BatchMbrFilter:
             raise IndexError(f"row {index} out of range for {n} objects")
         self._check_dim(obj)
         self._objects[index] = obj
-        alive_rows = self._physical_count() - self._n_dead
+        alive_rows = self._lows.shape[0] - self._n_dead
         if index >= alive_rows:
             self._pending[index - alive_rows] = obj
             return
@@ -409,17 +388,7 @@ class BatchMbrFilter:
             np.maximum(highs[row], mbr.highs, out=highs[row])
 
     def _flush(self) -> None:
-        """Fold masked rows and queued appends into contiguous arrays.
-
-        A chunk-backed filter materialises its columns first (once) —
-        the streaming representation is immutable, so the first
-        structural mutation pays one full-column read and the filter
-        behaves residently from then on.
-        """
-        if self._lows is None:
-            if not (self._n_dead or self._pending):
-                return
-            self._materialize()
+        """Fold masked rows and queued appends into contiguous arrays."""
         if self._n_dead:
             self._lows = self._lows[self._alive]
             self._highs = self._highs[self._alive]

@@ -53,15 +53,9 @@ def kill_worker(context: dict) -> None:
 
 
 def unlink_segment(context: dict) -> None:
-    """Unlink the coordinate backing named in the context before
-    whoever fired the hook attaches it, forcing the attach to fail.
-    Handles both transports: a shared-memory segment name or an mmap
-    column-file path (``config.storage == "mmap"``)."""
-    name = context["segment"]
-    if os.path.sep in name and os.path.exists(name):
-        os.unlink(name)
-        return
-    segment = shared_memory.SharedMemory(name=name)
+    """Unlink the shared-memory segment named in the context before
+    whoever fired the hook attaches it, forcing the attach to fail."""
+    segment = shared_memory.SharedMemory(name=context["segment"])
     try:
         segment.unlink()
     finally:

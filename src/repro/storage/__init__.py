@@ -1,14 +1,14 @@
-"""Pluggable column storage: ram / shm / mmap behind one interface.
+"""Column stores for the two callers that move columns out of process.
 
-See DESIGN.md §16.  The substrate in one paragraph: a
-:class:`ColumnStore` is a named, immutable set of numpy columns with a
-picklable :class:`StoreDescriptor`; ``ram`` holds resident arrays,
-``shm`` holds one shared-memory segment (zero-copy across process
-workers), ``mmap`` holds a 64-byte-aligned file streamed through a
-bounded :class:`BufferPool` of real mmap windows — out-of-core scale
-with page-fault/eviction accounting.  Consumers copy before writing
-(one copy-on-write rule) and chunked consumers walk ``read`` ranges
-instead of materialising columns.
+See DESIGN.md §16.  A :class:`ColumnStore` is a named, immutable set of
+numpy columns with a picklable :class:`StoreDescriptor`.  ``shm`` holds
+one shared-memory segment: the process executor ships a filter's
+coordinates to its workers in one, zero-copy.  ``mmap`` holds a
+64-byte-aligned file streamed through a bounded :class:`BufferPool` of
+real mmap windows: a :class:`~repro.uncertainty.columnar.DistributionPack`
+corpus larger than RAM pages through one, with page-fault/eviction
+accounting.  Consumers copy before writing (one copy-on-write rule) and
+chunked consumers walk ``read`` ranges instead of materialising columns.
 """
 
 from repro.storage.base import (
@@ -26,7 +26,6 @@ from repro.storage.mmapstore import (
     MmapStore,
 )
 from repro.storage.pool import BufferPool, PageStats
-from repro.storage.ram import RamStore
 from repro.storage.shmstore import ShmStore
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "MissingPageError",
     "MmapStore",
     "PageStats",
-    "RamStore",
     "ShmStore",
     "StorageError",
     "StoreDescriptor",

@@ -1,24 +1,23 @@
-"""The pluggable column store: one interface, three backings.
+"""The column store: one interface, two backings.
 
 A :class:`ColumnStore` holds a named set of numpy columns (flat or
 2-D) behind four operations — ``get`` (whole column), ``read``
 (first-axis range), ``descriptor`` (a picklable rehydration recipe),
-and ``close`` — plus uniform I/O ``stats``.  Three backends implement
+and ``close`` — plus uniform I/O ``stats``.  Two backends implement
 it:
 
-* ``ram`` — plain ndarrays, the zero-overhead default;
 * ``shm`` — one ``multiprocessing.shared_memory`` segment, zero-copy
   across process workers;
 * ``mmap`` — a 64-byte-aligned on-disk file served through a
   page-granular :class:`~repro.storage.pool.BufferPool` of real mmap
   windows, so column sets larger than RAM stay queryable.
 
-``chunked`` distinguishes the modes of consumption: non-chunked
-stores hand out zero-copy views (``ram``/``shm``), chunked stores
-(``mmap``) copy the requested range out of pooled windows — callers
-that can stream should prefer ``read`` over ``get`` on them.
+``chunked`` distinguishes the modes of consumption: ``shm`` hands out
+zero-copy views, ``mmap`` copies the requested range out of pooled
+windows — callers that can stream should prefer ``read`` over ``get``
+on it.
 
-One descriptor type (:class:`StoreDescriptor`) covers every backend:
+One descriptor type (:class:`StoreDescriptor`) covers both backends:
 a backend tag, a location (segment name or file path), and a per-field
 ``(name, dtype, shape, offset)`` table of :class:`ColumnField` records.
 ``open_store`` rehydrates it in any process.
@@ -26,7 +25,7 @@ a backend tag, a location (segment name or file path), and a per-field
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 #: The recognised backend tags, in documentation order.
-BACKENDS = ("ram", "shm", "mmap")
+BACKENDS = ("shm", "mmap")
 
 #: Column offsets are rounded up to this many bytes so every view is
 #: aligned for any dtype the columns use.
@@ -67,24 +66,19 @@ class StoreDescriptor:
     Attributes
     ----------
     backend:
-        ``'ram'`` / ``'shm'`` / ``'mmap'``.
+        ``'shm'`` or ``'mmap'``.
     location:
-        Segment name (shm), file path (mmap), or ``None`` (ram).
+        Segment name (shm) or file path (mmap).
     nbytes:
         Total backing size in bytes.
     fields:
         Per-column layout, one :class:`ColumnField` per column.
-    arrays:
-        Ram only: the columns themselves.  A ram descriptor pickles
-        O(data) — it exists so the API is total, not as a transport;
-        processes should ship shm or mmap descriptors.
     """
 
     backend: str
-    location: str | None
+    location: str
     nbytes: int
     fields: tuple[ColumnField, ...] = ()
-    arrays: dict | None = field(default=None, compare=False)
 
     def field(self, name: str) -> ColumnField:
         for f in self.fields:
@@ -104,6 +98,8 @@ def layout_columns(
         dtype = np.dtype(dtype)
         if not shape:
             raise ValueError(f"column {name!r} must have at least one axis")
+        if dtype.hasobject:
+            raise ValueError(f"column {name!r} holds Python objects ({dtype})")
         fields.append(ColumnField(str(name), dtype.str, tuple(shape), offset))
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         offset = (offset + nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
@@ -128,8 +124,7 @@ class ColumnStore:
         raise NotImplementedError
 
     def get(self, name: str) -> np.ndarray:
-        """The whole column (a view for resident backends, a copy for
-        chunked ones)."""
+        """The whole column (a view for shm, a copy for chunked mmap)."""
         raise NotImplementedError
 
     def read(self, name: str, start: int, stop: int) -> np.ndarray:
@@ -146,7 +141,7 @@ class ColumnStore:
     # -- shared surface --------------------------------------------------
 
     def stats(self) -> dict:
-        """Uniform I/O counters; resident backends report all-hit."""
+        """Uniform I/O counters; the resident shm backend reports all-hit."""
         return {
             "backend": self.backend,
             "nbytes": self.nbytes,
@@ -177,16 +172,11 @@ def create_store(
     """Build a fresh store of ``backend`` holding ``arrays``.
 
     ``options`` are backend-specific (the mmap backend accepts
-    ``page_bytes``, ``pool_pages`` and ``directory``); backends
-    without options reject any.
+    ``page_bytes``, ``pool_pages`` and ``directory``); shm rejects any.
     """
     from repro.storage.mmapstore import MmapStore
-    from repro.storage.ram import RamStore
     from repro.storage.shmstore import ShmStore
 
-    if backend == "ram":
-        _reject_options("ram", options)
-        return RamStore(arrays)
     if backend == "shm":
         _reject_options("shm", options)
         return ShmStore.create(arrays)
@@ -204,12 +194,8 @@ def open_store(descriptor: StoreDescriptor, **options) -> ColumnStore:
     does not unlink — the creator keeps that responsibility.
     """
     from repro.storage.mmapstore import MmapStore
-    from repro.storage.ram import RamStore
     from repro.storage.shmstore import ShmStore
 
-    if descriptor.backend == "ram":
-        _reject_options("ram", options)
-        return RamStore(descriptor.arrays)
     if descriptor.backend == "shm":
         _reject_options("shm", options)
         return ShmStore.attach(descriptor)

@@ -340,9 +340,9 @@ class DistributionPack:
     def from_store(cls, store) -> "DistributionPack":
         """A pack view over a column store.
 
-        Resident backends (``ram``/``shm``) rehydrate zero-copy: the
-        flat columns are read-only views, kernels are bit-identical to
-        the exporting pack's.  Chunked backends (``mmap``) return a
+        A shared-memory store rehydrates zero-copy: the flat columns
+        are read-only views, kernels are bit-identical to the exporting
+        pack's.  A chunked ``mmap`` store returns a
         :class:`PagedDistributionPack`, which keeps only O(|C|) row
         metadata resident and streams the flats block by block —
         same bits, bounded memory.  Either way the pack pins the store
@@ -703,23 +703,6 @@ class PagedDistributionPack(DistributionPack):
     def store(self):
         """The backing chunked column store."""
         return self._store
-
-    def to_store(self, backend: str = "shm", **options):
-        from repro.storage import create_store
-
-        return create_store(
-            backend,
-            {
-                "edges": self._store.get("edges"),
-                "knots": self._store.get("knots"),
-                "densities": self._store.get("densities"),
-                "sizes": np.asarray(np.diff(self._offsets), dtype=np.int64),
-                "totals": self._totals,
-                "near": self._near_col,
-                "far": self._far_col,
-            },
-            **options,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,17 +23,6 @@ ellipse and histogram rows keep a per-row route inside the same class.
 ``DistributionPack`` over every row (parametric rows materialise their
 byte-identical histogram replicas through the lazy ``histogram``
 property) for consumers that genuinely need breakpoints.
-
-Column-store transport mirrors ``DistributionPack.to_store``:
-histogram columns ship as flat arrays, the Gaussian block as its
-``(n, 6)`` parameter matrix, other parametric rows as per-family
-``pack_params`` matrices, each with a row-index column, all in one
-store.  ``from_store`` rebuilds the pack — zero-copy views for resident
-backends (``ram``/``shm``: histogram rows become ``Histogram`` views
-over the mapped flats, the Gaussian block is re-derived as columns);
-the chunked ``mmap`` backend *materialises* the histogram flats on
-attach (mixed packs exist for candidate sets, which fit in RAM — only
-the all-histogram corpus tier streams).
 """
 
 from __future__ import annotations
@@ -45,9 +34,8 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.uncertainty.columnar import DistributionPack
-from repro.uncertainty.histogram import Histogram
 from repro.uncertainty.objects import _scalar_query
-from repro.uncertainty.parametric.base import FAMILY_REGISTRY, ParametricDistance
+from repro.uncertainty.parametric.base import ParametricDistance
 from repro.uncertainty.parametric.gaussian import TruncatedGaussianDistance
 from repro.uncertainty.parametric.objects import GaussianObject
 
@@ -164,7 +152,6 @@ class MixedDistributionPack:
             self._near[i], self._far[i] = _support(laws[i])
         self._distributions: tuple | None = None
         self._materialized_pack: DistributionPack | None = None
-        self._store = None
 
     def sorted(self) -> "MixedDistributionPack":
         """The rows stably sorted by ``(near, far)`` — ``self`` if they
@@ -194,7 +181,6 @@ class MixedDistributionPack:
         pack._far = self._far[order]
         pack._distributions = None
         pack._materialized_pack = None
-        pack._store = None
         return pack
 
     # ------------------------------------------------------------------
@@ -302,111 +288,3 @@ class MixedDistributionPack:
         if self._materialized_pack is None:
             self._materialized_pack = DistributionPack(self.distributions)
         return self._materialized_pack
-
-    # ------------------------------------------------------------------
-    # Column-store transport (DESIGN.md §13/§15/§16)
-    # ------------------------------------------------------------------
-
-    def to_store(self, backend: str = "shm", **options):
-        """Export all columns into a fresh column store of ``backend``."""
-        from repro.storage import create_store
-
-        arrays: dict[str, np.ndarray] = {
-            "total_rows": np.array([self.size], dtype=np.int64),
-            "histogram_rows": self._histogram_rows,
-        }
-        if self._histogram_pack is not None:
-            arrays["hist_edges"] = self._histogram_pack.edges_flat
-            arrays["hist_knots"] = self._histogram_pack.knots_flat
-            arrays["hist_densities"] = self._histogram_pack.densities_flat
-            arrays["hist_sizes"] = np.diff(self._histogram_pack.offsets)
-        if self._gauss_rows.size:
-            arrays[f"param:{_GAUSS.family}"] = np.ascontiguousarray(self._gauss[:6].T)
-            arrays[f"rows:{_GAUSS.family}"] = self._gauss_rows
-        by_family: dict[str, list[int]] = {}
-        for i in self._loop_rows.tolist():
-            by_family.setdefault(self._laws[i].family, []).append(i)
-        for family, rows in by_family.items():
-            params = [self._laws[i].pack_params() for i in rows]
-            width = max(p.size for p in params)
-            matrix = np.zeros((len(rows), width))
-            lengths = np.empty(len(rows), dtype=np.int64)
-            for j, p in enumerate(params):
-                matrix[j, : p.size] = p
-                lengths[j] = p.size
-            arrays[f"param:{family}"] = matrix
-            arrays[f"len:{family}"] = lengths
-            arrays[f"rows:{family}"] = np.asarray(rows, dtype=np.int64)
-        return create_store(backend, arrays, **options)
-
-    @classmethod
-    def from_store(cls, store) -> "MixedDistributionPack":
-        """Rehydrate from a column store.
-
-        Histogram columns become views over resident backends (the
-        inner ``DistributionPack`` is finished directly on the flats —
-        no concatenation) and copies for chunked ones; the Gaussian
-        block is re-derived from its parameter matrix as columns, other
-        parametric rows rebuild their instances from their parameter
-        rows.  Keys do not travel.  The pack pins the store for its
-        lifetime; the store's creator owns the unlink.
-        """
-        get = store.get
-        total = int(get("total_rows")[0])
-        laws: list = [None] * total
-        histogram_rows = [int(i) for i in get("histogram_rows")]
-        hist_pack = None
-        if histogram_rows:
-            hist_edges = get("hist_edges")
-            hist_knots = get("hist_knots")
-            hist_densities = get("hist_densities")
-            hist_pack = object.__new__(DistributionPack)
-            hist_pack._finish(
-                hist_edges,
-                hist_knots,
-                hist_densities,
-                np.asarray(get("hist_sizes"), dtype=np.intp),
-            )
-            offsets = hist_pack.offsets
-            dens_offsets = hist_pack.density_offsets
-            for j, i in enumerate(histogram_rows):
-                row = Histogram.__new__(Histogram)
-                row._edges = hist_edges[offsets[j] : offsets[j + 1]]
-                row._densities = hist_densities[
-                    dens_offsets[j] : dens_offsets[j + 1]
-                ]
-                row._cdf_knots = hist_knots[offsets[j] : offsets[j + 1]]
-                laws[i] = row
-        gauss_rows: np.ndarray = np.empty(0, dtype=np.int64)
-        params = np.empty((6, 0))
-        loop_rows = []
-        for name in store.columns():
-            if not name.startswith("param:"):
-                continue
-            family = name.split(":", 1)[1]
-            matrix = get(name)
-            rows = get(f"rows:{family}")
-            if family == _GAUSS.family:
-                gauss_rows = np.asarray(rows, dtype=np.int64)
-                params = np.asarray(matrix, dtype=float).T
-                continue
-            family_cls = FAMILY_REGISTRY[family]
-            lengths = get(f"len:{family}")
-            for j, i in enumerate(rows):
-                index = int(i)
-                laws[index] = family_cls.from_params(
-                    np.asarray(matrix[j, : int(lengths[j])])
-                )
-                loop_rows.append(index)
-        pack = cls.__new__(cls)
-        pack._finish(
-            laws,
-            (None,) * total,
-            gauss_rows,
-            params,
-            sorted(loop_rows),
-            histogram_rows,
-            hist_pack,
-        )
-        pack._store = store
-        return pack

@@ -4,7 +4,6 @@ import dataclasses
 import inspect
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, ShardedEngine, Strategy, UncertainEngine
@@ -24,17 +23,13 @@ class TestConfiguration:
             engine.execute(CPNNQuery(0.5), strategy="magic")
 
     def test_settable_surface_is_pinned(self):
-        """Eight config fields and three engine parameters: a knob that
+        """Four config fields and three engine parameters: a knob that
         comes back must come back through review."""
         assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == (
             "use_rtree",
             "executor",
             "process_min_batch",
             "parametric_fast_path",
-            "storage",
-            "storage_pool_pages",
-            "storage_page_bytes",
-            "storage_dir",
         )
         assert tuple(inspect.signature(ShardedEngine).parameters) == (
             "objects",
@@ -48,10 +43,6 @@ class TestConfiguration:
             executor="serial",
             process_min_batch=3,
             parametric_fast_path=False,
-            storage="mmap",
-            storage_pool_pages=5,
-            storage_page_bytes=4096,
-            storage_dir="/nonexistent",
         )
         assert all(
             getattr(config, f.name) != f.default

@@ -264,3 +264,18 @@ class TestLifecycle:
             assert stats["alive"] == 2
         finally:
             engine.close()
+
+
+class TestTransport:
+    def test_shm_transport_still_default(self, rng):
+        objects = make_random_objects(rng, 30)
+        specs = specs_for(rng.uniform(0.0, 60.0, 6))
+        want = UncertainEngine(list(objects)).execute_batch(specs)
+        engine = ShardedEngine(objects, PROCESS_CONFIG, n_shards=2)
+        try:
+            got = engine.execute_batch(specs)
+            for a, b in zip(got.results, want.results):
+                assert a.answers == b.answers
+            assert engine.stats()["executor"]["shm_fallbacks"] == 0
+        finally:
+            engine.close()

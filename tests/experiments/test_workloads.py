@@ -103,7 +103,7 @@ class TestPublicApi:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "9.0.0"
+        assert repro.__version__ == "10.0.0"
 
     def test_legacy_surface_is_gone(self):
         import repro
@@ -147,3 +147,28 @@ class TestPublicApi:
         for module in ("repro.index.rtree", "repro.index.linear"):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
+
+    def test_storage_surface_is_pinned(self):
+        """Shared memory for the process transport, mmap for the paged
+        corpus: the ram backend left in 10.0."""
+        import repro.storage
+
+        assert set(repro.storage.__all__) == {
+            "BACKENDS",
+            "BufferPool",
+            "ColumnField",
+            "ColumnStore",
+            "DEFAULT_PAGE_BYTES",
+            "DEFAULT_POOL_PAGES",
+            "MissingPageError",
+            "MmapStore",
+            "PageStats",
+            "ShmStore",
+            "StorageError",
+            "StoreDescriptor",
+            "create_store",
+            "open_store",
+        }
+        assert repro.storage.BACKENDS == ("shm", "mmap")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.storage.ram")

@@ -138,7 +138,7 @@ def test_mixed_pack_take_and_store_are_bit_identical(rows, random):
     perm = list(range(len(rows)))
     random.shuffle(perm)
     assert_same_bits(got.take(np.array(perm)), want.take(np.array(perm)))
-    store = got.to_store("ram")
+    store = got.to_store("shm")
     try:
         assert_same_bits(DistributionPack.from_store(store), want)
     finally:

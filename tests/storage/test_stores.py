@@ -1,4 +1,4 @@
-"""The ColumnStore contract across all three backends.
+"""The ColumnStore contract across both backends.
 
 One parametrised suite proves the load-bearing invariants: round-trip
 equality (create → read back), range reads matching whole-column
@@ -142,9 +142,35 @@ class TestDispatch:
             create_store("tape", {"xs": np.arange(4.0)})
 
     def test_resident_backends_reject_options(self):
-        for backend in ("ram", "shm"):
-            with pytest.raises(StorageError):
-                create_store(backend, {"xs": np.arange(4.0)}, page_bytes=4096)
+        with pytest.raises(StorageError):
+            create_store("shm", {"xs": np.arange(4.0)}, page_bytes=4096)
+
+
+def _specs(arrays):
+    return {name: (arr.dtype, arr.shape) for name, arr in arrays.items()}
+
+
+class TestObjectColumns:
+    """An object column's bytes are ``PyObject*`` pointers, meaningless
+    in a worker (which would crash dereferencing them) or on disk: every
+    way into a backing refuses them before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            ShmStore.create,
+            MmapStore.create,
+            lambda arrays: MmapStore.build(_specs(arrays)),
+        ],
+        ids=["shm-create", "mmap-create", "mmap-build"],
+    )
+    def test_object_column_rejected(self, make):
+        arrays = {
+            "xs": np.arange(4.0),
+            "payload": np.array([{"a": 1}], dtype=object),
+        }
+        with pytest.raises(ValueError, match="Python objects"):
+            make(arrays)
 
 
 class TestOwnerSemantics:

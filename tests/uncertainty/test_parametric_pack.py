@@ -1,12 +1,9 @@
-"""Mixed-representation columnar pack: kernels, materialisation, and
-zero-copy shared-memory transport (DESIGN.md §15)."""
-
-import pickle
+"""Mixed-representation columnar pack: kernels and materialisation
+(DESIGN.md §15)."""
 
 import numpy as np
 import pytest
 
-from repro.storage import open_store
 from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import (
@@ -88,51 +85,3 @@ class TestMixedPackKernels:
             hist.cdf_many(xs), pack.cdf_many(xs), atol=0.2
         )
 
-
-class TestSharedMemoryTransport:
-    def test_round_trip_exact(self):
-        rows = mixed_rows()
-        pack = MixedDistributionPack(rows)
-        with pack.to_store("shm") as store:
-            twin = MixedDistributionPack.from_store(
-                open_store(store.descriptor())
-            )
-            assert twin.size == pack.size
-            assert twin.n_parametric == pack.n_parametric
-            xs = np.linspace(0.0, 12.0, 101)
-            np.testing.assert_array_equal(
-                twin.cdf_many(xs), pack.cdf_many(xs)
-            )
-            np.testing.assert_array_equal(twin.near, pack.near)
-            np.testing.assert_array_equal(twin.far, pack.far)
-            del twin
-
-    def test_descriptor_pickles(self):
-        pack = MixedDistributionPack(mixed_rows())
-        with pack.to_store("shm") as store:
-            descriptor = store.descriptor()
-            twin_desc = pickle.loads(pickle.dumps(descriptor))
-            assert twin_desc == descriptor
-            rehydrated = MixedDistributionPack.from_store(open_store(twin_desc))
-            xs = np.linspace(0.0, 12.0, 11)
-            np.testing.assert_array_equal(
-                rehydrated.cdf_many(xs), pack.cdf_many(xs)
-            )
-            del rehydrated
-
-    def test_all_parametric_round_trip(self):
-        rows = [
-            TruncatedGaussianDistance(1.0, 2.0, 8.0, bars=24, key=i)
-            for i in range(4)
-        ]
-        pack = MixedDistributionPack(rows)
-        with pack.to_store("shm") as store:
-            twin = MixedDistributionPack.from_store(
-                open_store(store.descriptor())
-            )
-            assert twin.n_histogram == 0
-            xs = np.linspace(0.0, 8.0, 33)
-            np.testing.assert_array_equal(
-                twin.cdf_many(xs), pack.cdf_many(xs)
-            )
-            del twin
