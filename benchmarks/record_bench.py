@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import sys
+import sysconfig
 
 import numpy as np
 
@@ -47,10 +48,7 @@ import test_service_latency as service_bench  # noqa: E402
 import test_sharded_parallel as sharded_bench  # noqa: E402
 
 from repro.core.engine import EngineConfig  # noqa: E402
-from repro.core.engine.executors.base import (  # noqa: E402
-    free_threaded,
-    resolve_backend,
-)
+from repro.core.engine.executors.base import resolve_backend  # noqa: E402
 
 #: Shared best-of-N timing loop — the same reduction the pytest
 #: speedup gates use, so the snapshot and the gates measure alike.
@@ -64,7 +62,7 @@ def _environment(executor: str) -> dict:
     workstation legitimately disagree about parallel speedups."""
     return {
         "cpu_count": os.cpu_count(),
-        "free_threaded": free_threaded(),
+        "free_threaded": bool(sysconfig.get_config_var("Py_GIL_DISABLED")),
         "executor": executor,
     }
 

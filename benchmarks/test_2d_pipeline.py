@@ -11,6 +11,7 @@ import pytest
 from repro.core.engine import UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.datasets.planar import planar_disks, planar_mixed_objects
+from repro.experiments.strategies import STRATEGIES
 
 _ENGINES = {}
 
@@ -38,11 +39,10 @@ def test_2d_query(benchmark, kind, strategy):
     pts = queries()
     benchmark.group = f"2d pipeline ({kind})"
     benchmark.name = strategy
+    answer = STRATEGIES[strategy]
     benchmark(
         lambda: [
-            engine.execute(
-                CPNNQuery(tuple(q), threshold=0.3, tolerance=0.01), strategy=strategy
-            )
+            answer(engine, CPNNQuery(tuple(q), threshold=0.3, tolerance=0.01))
             for q in pts
         ]
     )

@@ -9,6 +9,7 @@ from repro.core.engine import UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.datasets.longbeach import long_beach_surrogate
 from repro.datasets.queries import random_query_points
+from repro.experiments.strategies import basic
 
 SIZES = [2_000, 8_000, 24_000]
 
@@ -41,9 +42,7 @@ def test_basic_evaluation(benchmark, size):
     benchmark.group = f"fig9 |T|={size}"
     benchmark(
         lambda: [
-            engine.execute(
-                CPNNQuery(float(q), threshold=0.3, tolerance=0.0), strategy="basic"
-            )
+            basic(engine, CPNNQuery(float(q), threshold=0.3, tolerance=0.0))
             for q in pts
         ]
     )

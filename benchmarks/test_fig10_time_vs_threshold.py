@@ -8,9 +8,9 @@ without integration."""
 import pytest
 
 from repro.core.types import CPNNQuery
+from repro.experiments.strategies import STRATEGIES
 
 THRESHOLDS = [0.1, 0.3, 0.7]
-STRATEGIES = ["basic", "refine", "vr"]
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)
@@ -18,11 +18,12 @@ STRATEGIES = ["basic", "refine", "vr"]
 def test_query_time(benchmark, uniform_engine, bench_queries, strategy, threshold):
     benchmark.group = f"fig10 P={threshold}"
     benchmark.name = strategy
+    answer = STRATEGIES[strategy]
     benchmark(
         lambda: [
-            uniform_engine.execute(
+            answer(
+                uniform_engine,
                 CPNNQuery(float(q), threshold=threshold, tolerance=0.01),
-                strategy=strategy,
             )
             for q in bench_queries
         ]

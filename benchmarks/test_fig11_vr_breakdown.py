@@ -59,7 +59,6 @@ def test_full_vr_including_refinement(
         lambda: [
             uniform_engine.execute(
                 CPNNQuery(float(q), threshold=threshold, tolerance=0.01),
-                strategy="vr",
             )
             for q in bench_queries
         ]

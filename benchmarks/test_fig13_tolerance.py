@@ -18,7 +18,6 @@ def test_vr_time_vs_tolerance(benchmark, uniform_engine, bench_queries, toleranc
         lambda: [
             uniform_engine.execute(
                 CPNNQuery(float(q), threshold=0.3, tolerance=tolerance),
-                strategy="vr",
             )
             for q in bench_queries
         ]
@@ -35,7 +34,6 @@ def test_refinement_work_shrinks_with_tolerance(
         return sum(
             uniform_engine.execute(
                 CPNNQuery(float(q), threshold=0.3, tolerance=tolerance),
-                strategy="vr",
             ).refined_objects
             for q in bench_queries
         )

@@ -9,9 +9,9 @@ P = 1 everything is cheap."""
 import pytest
 
 from repro.core.types import CPNNQuery
+from repro.experiments.strategies import STRATEGIES
 
 THRESHOLDS = [0.3, 0.7, 1.0]
-STRATEGIES = ["basic", "refine", "vr"]
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)
@@ -21,11 +21,12 @@ def test_gaussian_query_time(
 ):
     benchmark.group = f"fig14 P={threshold}"
     benchmark.name = strategy
+    answer = STRATEGIES[strategy]
     benchmark(
         lambda: [
-            gaussian_engine.execute(
+            answer(
+                gaussian_engine,
                 CPNNQuery(float(q), threshold=threshold, tolerance=0.01),
-                strategy=strategy,
             )
             for q in bench_queries
         ]

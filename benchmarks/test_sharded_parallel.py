@@ -38,7 +38,7 @@ SHARDED_OBJECTS = 4_000
 SHARDED_POINTS = 200
 
 #: Dense candidate sets (~180 per query) keep the per-query work
-#: numpy-bound, which is what the thread fan-out parallelises.
+#: numpy-bound, which is what the lane fan-out parallelises.
 MEAN_LENGTH = 400.0
 
 THRESHOLD = 0.35

@@ -11,7 +11,8 @@ a 1-D feature, then runs — all through the one ``execute`` façade:
 
 * a C-PNN spec ("who is the single best match with ≥50% confidence?"),
 * a k-NN spec ("which identities are in the top 3?"), and
-* a comparison of all three evaluation strategies, echoing the paper's
+* a comparison of the engine's VR pipeline with the Basic and Refine
+  references (:mod:`repro.experiments.strategies`), echoing the paper's
   Figure 14 observation that verifiers help *most* on Gaussian pdfs.
 
 Run:  python examples/biometric_knn.py
@@ -21,7 +22,8 @@ import time
 
 import numpy as np
 
-from repro import CKNNQuery, CPNNQuery, Strategy, UncertainEngine, UncertainObject
+from repro import CKNNQuery, CPNNQuery, UncertainEngine, UncertainObject
+from repro.experiments.strategies import STRATEGIES
 
 
 def enroll_population(rng: np.random.Generator, n: int = 40):
@@ -70,9 +72,9 @@ def main() -> None:
     print()
     print("=== Strategy comparison on the Gaussian workload ===")
     spec = CPNNQuery(probe, threshold=0.5, tolerance=0.01)
-    for strategy in Strategy.ALL:
+    for strategy, answer in STRATEGIES.items():
         tick = time.perf_counter()
-        res = engine.execute(spec, strategy=strategy)
+        res = answer(engine, spec)
         elapsed = 1e3 * (time.perf_counter() - tick)
         print(
             f"  {strategy:6s}: {elapsed:7.2f} ms, answers={list(res.answers)}, "

@@ -37,7 +37,6 @@ from repro.core import (
     QueryResult,
     QuerySpec,
     ShardedEngine,
-    Strategy,
     SubregionTable,
     UncertainEngine,
     knn_qualification_probabilities,
@@ -51,7 +50,7 @@ from repro.uncertainty import (
     UncertainSegment,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "BatchResult",
@@ -66,7 +65,6 @@ __all__ = [
     "QueryResult",
     "QuerySpec",
     "ShardedEngine",
-    "Strategy",
     "SubregionTable",
     "UncertainDisk",
     "UncertainEngine",

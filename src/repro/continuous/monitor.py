@@ -116,17 +116,13 @@ class ContinuousMonitor:
         ``engine._continuous`` so ``stats()["continuous"]`` and
         ``explain()`` report this tier; a later monitor on the same
         engine takes the slot over.
-    strategy:
-        Optional C-PNN strategy override, passed through to every
-        ``execute_batch`` call.
     group_size:
         Dominance-index group width
         (:class:`~repro.continuous.index.DominanceIndex`).
     """
 
-    def __init__(self, engine, *, strategy: str | None = None, group_size: int = 32):
+    def __init__(self, engine, *, group_size: int = 32):
         self._engine = engine
-        self._strategy = strategy
         self._index = DominanceIndex(group_size)
         self._handles: dict[int, ContinuousHandle] = {}
         self._ids = itertools.count(1)
@@ -157,7 +153,7 @@ class ContinuousMonitor:
     def register_many(self, specs: Sequence) -> list[ContinuousHandle]:
         """Install many monitoring queries with one micro-batch."""
         specs = [self._engine._as_spec(s) for s in specs]
-        batch = self._engine.execute_batch(specs, strategy=self._strategy)
+        batch = self._engine.execute_batch(specs)
         handles = []
         for spec, result in zip(specs, batch.results):
             handle = ContinuousHandle(
@@ -345,7 +341,7 @@ class ContinuousMonitor:
             for handle_id, spec in moves.items():
                 self._handles[handle_id].spec = spec
             specs = [self._handles[h].spec for h in to_run]
-            batch = self._engine.execute_batch(specs, strategy=self._strategy)
+            batch = self._engine.execute_batch(specs)
             for handle_id, result in zip(to_run, batch.results):
                 handle = self._handles[handle_id]
                 previous = handle.result.answers

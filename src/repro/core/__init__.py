@@ -22,12 +22,7 @@ Public entry points:
 from repro.core.batch import BatchResult, DistributionCache
 from repro.core.bounds import ProbabilityBound
 from repro.core.classifier import classify
-from repro.core.engine import (
-    EngineConfig,
-    ShardedEngine,
-    Strategy,
-    UncertainEngine,
-)
+from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.knn import (
     knn_probability_bounds,
     knn_qualification_probabilities,
@@ -75,7 +70,6 @@ __all__ = [
     "Refiner",
     "RightmostSubregionVerifier",
     "ShardedEngine",
-    "Strategy",
     "SubregionStore",
     "SubregionTable",
     "UncertainEngine",

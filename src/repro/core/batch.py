@@ -17,8 +17,8 @@ shape directly instead of looping over
   the pack's: ``DistributionPack`` folds unfolded rows in one kernel);
 * **verification and refinement** are not restructured: every query
   that is not replayed from the table cache runs the single-query
-  phases (``PnnExecutorMixin._run_vr`` / ``_run_refine`` /
-  ``_run_basic``) on its own states and refiner.
+  phases (``PnnExecutorMixin._run_vr``) on its own states and
+  refiner.
 
 k-NN and range specs share the same packed filter and distribution cache
 (see :meth:`~repro.core.engine.UncertainEngine.execute_batch`).
@@ -223,7 +223,7 @@ class CachedTable:
         long as the entry lives.
     results:
         Memoised :class:`~repro.core.types.QueryResult` snapshots keyed
-        by ``(strategy, spec type, threshold, tolerance)``.  The full
+        by ``(spec type, threshold, tolerance)``.  The full
         pipeline is deterministic in (table, spec, engine config), so a
         result stays exact precisely as long as its table does; a
         repeated probe of an undisturbed point replays the snapshot and

@@ -9,14 +9,14 @@ per responsibility:
 ==================  ====================================================
 module              owns
 ==================  ====================================================
-:mod:`.config`      :class:`EngineConfig` and the :class:`Strategy` names
+:mod:`.config`      :class:`EngineConfig`
 :mod:`.dispatch`    spec normalisation + the verifier chain
 :mod:`.registry`    object storage, key bookkeeping, the **mutation
                     contract** (insert/remove/replace), and the deferred
                     table-cache invalidation queue
 :mod:`.filtering`   the incrementally maintained whole-batch MBR filter
                     and the single-query filter packed from its arrays
-:mod:`.pnn`         the C-PNN executor (Basic / Refine / VR, single +
+:mod:`.pnn`         the C-PNN executor (the VR pipeline, single +
                     batch, table cache + result snapshots)
 :mod:`.knn`         the routed constrained k-NN executor
 :mod:`.ranges`      the routed constrained range executor
@@ -28,7 +28,7 @@ module              owns
                     whose C-PNN batches fan out across lanes as
                     serialized work items (DESIGN.md §12)
 :mod:`.executors`   the pluggable execution backends the sharded engine
-                    hands its work items to — serial / thread / process
+                    hands its work items to — serial / process
                     (DESIGN.md §13)
 ==================  ====================================================
 
@@ -39,13 +39,12 @@ suites assert batch ≡ sequential ≡ sharded for all three spec
 families.
 """
 
-from repro.core.engine.config import EngineConfig, Strategy
+from repro.core.engine.config import EngineConfig
 from repro.core.engine.facade import UncertainEngine
 from repro.core.engine.sharded import ShardedEngine
 
 __all__ = [
     "EngineConfig",
     "ShardedEngine",
-    "Strategy",
     "UncertainEngine",
 ]

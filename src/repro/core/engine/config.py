@@ -1,4 +1,4 @@
-"""Engine settings: evaluation strategies and :class:`EngineConfig`.
+"""Engine settings: :class:`EngineConfig`.
 
 Configuration is deliberately the only state shared between every
 stage of the pipeline (DESIGN.md §3): the registry, the filter stage,
@@ -18,17 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["EngineConfig", "Strategy"]
-
-
-class Strategy:
-    """String constants naming the three evaluation strategies."""
-
-    BASIC = "basic"
-    REFINE = "refine"
-    VR = "vr"
-
-    ALL = (BASIC, REFINE, VR)
+__all__ = ["EngineConfig"]
 
 
 @dataclass(frozen=True)
@@ -51,12 +41,10 @@ class EngineConfig:
         Which executor backend a
         :class:`~repro.core.engine.sharded.ShardedEngine` runs its
         C-PNN lanes on (DESIGN.md §13): ``"serial"`` (inline, the
-        bit-identity reference), ``"thread"`` (the shared thread pool —
-        wins on free-threaded builds), ``"process"`` (persistent spawn
+        bit-identity reference), ``"process"`` (persistent spawn
         workers with resident lane caches — wins for GIL-bound C-PNN
-        verification), or ``"auto"`` (the default: ``thread`` on
-        free-threaded interpreters or single-core boxes, ``process`` on
-        multi-core GIL builds).  Single engines always execute
+        verification), or ``"auto"`` (the default: ``process`` on two
+        or more cores, else ``serial``).  Single engines always execute
         serially; the field only drives the sharded lane fan-out.
         Answers are bit-identical across all backends.
     process_min_batch:
@@ -66,7 +54,7 @@ class EngineConfig:
         workloads should not pay a pool spawn.  0 forces every batch to
         the workers (useful in tests).
     parametric_fast_path:
-        When every candidate of a VR query exposes a closed-form
+        When every candidate of a C-PNN query exposes a closed-form
         ``parametric_distance``, evaluate verification on an analytic
         subregion table (no histogram materialisation); queries the
         analytic brackets cannot settle fall back to the standard
@@ -80,10 +68,10 @@ class EngineConfig:
     parametric_fast_path: bool = True
 
     def __post_init__(self) -> None:
-        if self.executor not in ("auto", "serial", "thread", "process"):
+        if self.executor not in ("auto", "serial", "process"):
             raise ValueError(
                 f"unknown executor {self.executor!r}: expected 'auto', "
-                "'serial', 'thread', or 'process'"
+                "'serial', or 'process'"
             )
         if self.process_min_batch < 0:
             raise ValueError("process_min_batch must be >= 0")

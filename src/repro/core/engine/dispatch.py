@@ -4,15 +4,14 @@ Every object that *executes* specs — the single
 :class:`~repro.core.engine.UncertainEngine`, a
 :class:`~repro.core.engine.sharded.ShardedEngine`, and the sharded
 engine's internal execution lanes — needs the same small behaviours:
-normalise a bare point into a default spec, validate a strategy name
-(VR when none is given), and hold the paper's verifier chain.
+normalise a bare point into a default spec and hold the paper's
+verifier chain.
 :class:`SpecDispatchMixin` provides them; the host builds the chain
 via :meth:`SpecDispatchMixin._init_chain`.
 """
 
 from __future__ import annotations
 
-from repro.core.engine.config import Strategy
 from repro.core.types import CPNNQuery, QuerySpec
 from repro.core.verifiers.chain import default_chain
 
@@ -20,7 +19,7 @@ __all__ = ["SpecDispatchMixin"]
 
 
 class SpecDispatchMixin:
-    """Spec/strategy normalisation + the host's verifier chain."""
+    """Spec normalisation + the host's verifier chain."""
 
     def _init_chain(self) -> None:
         """Build the RS → L-SR → U-SR chain once: verifiers are
@@ -34,12 +33,6 @@ class SpecDispatchMixin:
         if isinstance(spec, QuerySpec):
             return spec
         return CPNNQuery(spec)
-
-    def _as_strategy(self, strategy: str | None) -> str:
-        strategy = strategy or Strategy.VR
-        if strategy not in Strategy.ALL:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        return strategy
 
     def _executor_backend(self) -> str:
         """The resolved execution backend serving this host — the

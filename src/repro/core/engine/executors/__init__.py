@@ -2,13 +2,11 @@
 
 The sharded engine *plans* C-PNN batches as serialized per-lane work
 items; a backend from this package decides where they run — inline
-(:class:`~repro.core.engine.executors.serial.SerialExecutor`), on a
-thread pool
-(:class:`~repro.core.engine.executors.thread.ThreadExecutor`), or on a
+(:class:`~repro.core.engine.executors.serial.SerialExecutor`) or on a
 persistent spawn-based worker pool with shared-memory coordinate
 segments
 (:class:`~repro.core.engine.executors.process.ProcessExecutor`).
-All three produce bit-identical answers; they differ only in where the
+Both produce bit-identical answers; they differ only in where the
 work happens and which caches stay warm.
 """
 
@@ -18,12 +16,10 @@ from repro.core.engine.executors.base import (
     BACKENDS,
     ExecutorBase,
     PnnItem,
-    free_threaded,
     resolve_backend,
 )
 from repro.core.engine.executors.process import ProcessExecutor
 from repro.core.engine.executors.serial import SerialExecutor
-from repro.core.engine.executors.thread import ThreadExecutor
 
 __all__ = [
     "BACKENDS",
@@ -31,15 +27,12 @@ __all__ = [
     "PnnItem",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
-    "free_threaded",
     "make_executor",
     "resolve_backend",
 ]
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 

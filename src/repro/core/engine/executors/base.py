@@ -6,8 +6,6 @@ and an executor decides *where* they run:
 
 * :class:`~repro.core.engine.executors.serial.SerialExecutor` — inline,
   the bit-identity reference;
-* :class:`~repro.core.engine.executors.thread.ThreadExecutor` — the
-  shared thread pool (the pipeline overlaps on free-threaded builds);
 * :class:`~repro.core.engine.executors.process.ProcessExecutor` —
   persistent spawn workers with resident per-lane caches attached to a
   shared-memory coordinate segment.
@@ -21,8 +19,6 @@ worker's items without a special path.
 from __future__ import annotations
 
 import os
-import sys
-import sysconfig
 import time
 from dataclasses import dataclass
 
@@ -33,11 +29,10 @@ __all__ = [
     "ExecutorBase",
     "PnnItem",
     "check_cancel",
-    "free_threaded",
     "resolve_backend",
 ]
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 
 class ExecutionTimeout(TimeoutError):
@@ -122,37 +117,22 @@ class PnnItem:
     lane: int
     indices: tuple[int, ...]
     specs: tuple
-    strategy: str
-
-
-def free_threaded() -> bool:
-    """True on a free-threaded (no-GIL) CPython build with the GIL
-    actually disabled."""
-    checker = getattr(sys, "_is_gil_enabled", None)
-    if checker is not None:
-        return not checker()
-    return bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
 def resolve_backend(config, *, parallel: bool = True) -> str:
     """Resolve ``config.executor`` (validated by the frozen config) to a
     concrete backend name.
 
-    ``"auto"`` picks: ``serial`` for non-parallel hosts (the single
-    engine), ``thread`` on free-threaded builds (lanes already scale
-    there) or on a single core, else ``process`` — the only backend
-    that buys C-PNN verification real cores on a GIL build (every
-    config pickles, so the workers can always receive it).
+    ``"auto"`` picks ``process`` for a parallel host on two or more
+    cores (every config pickles, so the workers can always receive
+    it), else ``serial`` — the single engine, or a single core, where
+    there is nothing to fan out to.
     """
     if config.executor != "auto":
         return config.executor
-    if not parallel:
-        return "serial"
-    if free_threaded():
-        return "thread"
-    if (os.cpu_count() or 1) >= 2:
+    if parallel and (os.cpu_count() or 1) >= 2:
         return "process"
-    return "thread"
+    return "serial"
 
 
 class ExecutorBase:

@@ -4,8 +4,8 @@ A worker pool that keeps losing workers is worse than no pool: every
 dispatch pays spawn + attach + retry for answers the inline path would
 have produced directly.  The breaker watches dispatch health at the
 :class:`~repro.core.engine.sharded.ShardedEngine` level and walks the
-degradation chain ``process → thread → serial`` (starting from the
-configured backend) after ``threshold`` consecutive unhealthy
+degradation chain ``process → serial`` (starting from the configured
+backend) after ``threshold`` consecutive unhealthy
 dispatches.  Once degraded, ``probe_after`` consecutive healthy
 dispatches earn one *probe*: a single dispatch routed at the next level
 up.  A healthy probe heals one level; a sick one re-arms the streak.
@@ -29,7 +29,7 @@ __all__ = ["CircuitBreaker", "degradation_chain"]
 
 def degradation_chain(configured: str) -> tuple[str, ...]:
     """The fallback order starting at ``configured`` (resolved name)."""
-    order = ("process", "thread", "serial")
+    order = ("process", "serial")
     if configured not in order:
         raise ValueError(f"unknown backend {configured!r}")
     return order[order.index(configured):]

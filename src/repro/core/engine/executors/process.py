@@ -223,11 +223,11 @@ def _worker_main(conn, lane_id: int) -> None:
                 )
                 conn.send(("ok", (len(state.objects), state.attach_fallback)))
             elif kind == "pnn":
-                _, ops, specs, strategy = msg
+                _, ops, specs = msg
                 if ops:
                     _worker_apply_ops(state, ops)
                 tick = time.perf_counter()
-                sub = state.lane._pnn_batch(list(specs), strategy)
+                sub = state.lane._pnn_batch(list(specs))
                 conn.send(("ok", (sub, time.perf_counter() - tick)))
             elif kind == "exit":
                 conn.send(("ok", None))
@@ -574,9 +574,7 @@ class ProcessExecutor(ExecutorBase):
                 hooks.fire(
                     "process.send", lane=item.lane, kind="pnn", worker=worker
                 )
-                worker.conn.send(
-                    ("pnn", self._ops_for(worker), item.specs, item.strategy)
-                )
+                worker.conn.send(("pnn", self._ops_for(worker), item.specs))
                 inflight.append((position, item, worker))
             except (OSError, ValueError):
                 self._fail(worker)

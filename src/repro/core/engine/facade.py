@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.batch import BatchResult, DistributionCache, TableCache
 from repro.core.engine import pnn
-from repro.core.engine.config import EngineConfig, Strategy
+from repro.core.engine.config import EngineConfig
 from repro.core.engine.dispatch import SpecDispatchMixin
 from repro.core.engine.executors.base import CancelScope
 from repro.core.engine.filtering import FilterStageMixin
@@ -114,7 +114,7 @@ class QueryFacadeMixin(SpecDispatchMixin):
         diagnostics["breaker"] = {"state": "disabled"}
         return diagnostics
 
-    def explain(self, spec, strategy: str | None = None) -> "QueryPlan":
+    def explain(self, spec) -> "QueryPlan":
         """The evaluation plan for ``spec``, without computing answers.
 
         Runs only the filtering phase (cheap — no distribution is
@@ -123,7 +123,7 @@ class QueryFacadeMixin(SpecDispatchMixin):
         state, and the executor's failure counters
         (:attr:`~repro.core.types.QueryPlan.executor`).
         """
-        plan = self._explain(spec, strategy)
+        plan = self._explain(spec)
         plan.executor = self._executor_diagnostics()
         plan.continuous = self._continuous_stats()
         return plan
@@ -178,48 +178,19 @@ class QueryFacadeMixin(SpecDispatchMixin):
         sure_in = int(np.count_nonzero(maxdist <= spec.radius))
         return sure_in, len(self._objects) - inside.size, inside.size - sure_in
 
-    def _cpnn_plan_stages(self, spec, strategy):
-        """``(verifier names, trailing stage lines)`` of a C-PNN plan."""
-        if strategy == Strategy.VR:
-            verifiers = tuple(v.name for v in self._chain.verifiers)
-            stages = [
-                "distance distributions + subregion table",
-                "verifier chain: " + " → ".join(verifiers),
-                "incremental refinement of surviving candidates",
-            ]
-            if self._config.parametric_fast_path:
-                stages.insert(
-                    0,
-                    "parametric fast path: analytic subregion table when "
-                    "every candidate has a closed-form distance "
-                    "(histogram pipeline on fallback)",
-                )
-            return verifiers, stages
-        if strategy == Strategy.REFINE:
-            return (), [
-                "distance distributions + subregion table",
-                "incremental refinement of all candidates",
-            ]
-        return (), [
-            "distance distributions + subregion table",
-            "exact integration of every candidate (Basic)",
-        ]
-
-    def execute(self, spec, strategy: str | None = None) -> QueryResult:
+    def execute(self, spec) -> QueryResult:
         """Answer one query spec; dispatches on the spec type.
 
         ``spec`` may be a :class:`CPNNQuery`, :class:`CKNNQuery`,
         :class:`CRangeQuery`, or a bare query point (normalised to a
-        :class:`CPNNQuery` with the Section V defaults).  ``strategy``
-        overrides the configured evaluation strategy for C-PNN specs;
-        it is validated for every spec but otherwise ignored by the
-        other families (they have a single evaluation pipeline).
+        :class:`CPNNQuery` with the Section V defaults).  C-PNN specs
+        run the VR pipeline (filter → verifier chain → refinement of
+        what stays UNKNOWN).
 
         Always returns a :class:`~repro.core.types.QueryResult`; an
         empty engine yields an empty result for every spec type.
         """
         spec = self._as_spec(spec)
-        strategy = self._as_strategy(strategy)
         if not self._objects:
             return QueryResult(answers=(), spec=spec)
         if isinstance(spec, CKNNQuery):
@@ -230,11 +201,11 @@ class QueryFacadeMixin(SpecDispatchMixin):
             results, filter_seconds = self._range_group([spec])
             results[0].timings.filtering = filter_seconds
             return results[0]
-        result = self._execute_pnn(spec, strategy)
+        result = self._execute_pnn(spec)
         result.spec = spec
         return result
 
-    def execute_batch(self, specs: Sequence, strategy: str | None = None) -> BatchResult:
+    def execute_batch(self, specs: Sequence) -> BatchResult:
         """Answer a batch of specs, amortising work batch-wide.
 
         Semantically equivalent to ``[execute(s) for s in specs]`` —
@@ -252,7 +223,6 @@ class QueryFacadeMixin(SpecDispatchMixin):
         one empty :class:`~repro.core.types.QueryResult` per spec.
         """
         specs = [self._as_spec(s) for s in specs]
-        self._as_strategy(strategy)  # reject typos even in k-NN/range-only batches
         batch = BatchResult()
         if not specs:
             return batch
@@ -268,7 +238,7 @@ class QueryFacadeMixin(SpecDispatchMixin):
             if not isinstance(s, (CKNNQuery, CRangeQuery))
         ]
         if pnn_idx:
-            sub = self._pnn_batch([specs[i] for i in pnn_idx], strategy)
+            sub = self._pnn_batch([specs[i] for i in pnn_idx])
             for i, result in zip(pnn_idx, sub.results):
                 slots[i] = result
             for phase in ("filtering", "initialization", "verification", "refinement"):
@@ -316,12 +286,11 @@ class UncertainEngine(
     :meth:`execute_batch`, which dispatch on the spec type and share
     the filtering / caching / columnar substrate.
 
-    For C-PNN specs the engine implements the three evaluation
-    strategies compared in Section V: **Basic** (exact qualification
-    probabilities for every candidate), **Refine** (incremental
-    refinement directly), and **VR** (the paper's proposal — the
-    verifier chain settles most candidates algebraically; survivors
-    fall through to refinement seeded with the verifier's bounds).
+    For C-PNN specs the engine runs the paper's VR pipeline: the
+    verifier chain settles most candidates algebraically, and survivors
+    fall through to refinement seeded with the verifiers' bounds.  The
+    Basic and Refine baselines of Section V are reference functions in
+    :mod:`repro.experiments.strategies`.
 
     Parameters
     ----------
@@ -366,7 +335,7 @@ class UncertainEngine(
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _explain(self, spec, strategy: str | None = None) -> QueryPlan:
+    def _explain(self, spec) -> QueryPlan:
         """Single-engine plan arithmetic behind the façade's
         :meth:`~QueryFacadeMixin.explain` wrapper (which stamps the
         executor diagnostics on the returned plan)."""
@@ -379,7 +348,6 @@ class UncertainEngine(
             return QueryPlan(
                 spec=spec,
                 family=family,
-                strategy=None,
                 index="none",
                 stages=["empty engine: return an empty result"],
                 caches=caches,
@@ -391,8 +359,7 @@ class UncertainEngine(
                 return QueryPlan(
                     spec=spec,
                     family=family,
-                    strategy=None,
-                    index=index,
+                        index=index,
                     stages=[
                         f"k={spec.k} covers all {n} objects: "
                         "every object qualifies with probability 1"
@@ -406,7 +373,6 @@ class UncertainEngine(
             return QueryPlan(
                 spec=spec,
                 family=family,
-                strategy=None,
                 index=index,
                 stages=[
                     f"MBR filtering with f_min^{min(spec.k, n)} (packed descent)",
@@ -424,7 +390,6 @@ class UncertainEngine(
             return QueryPlan(
                 spec=spec,
                 family=family,
-                strategy=None,
                 index=index,
                 stages=[
                     "MBR range classification (packed descent): "
@@ -437,15 +402,25 @@ class UncertainEngine(
                 fmin=float(spec.radius),
                 caches=caches,
             )
-        strategy = self._as_strategy(strategy)
         filter_result = self._filter(spec.q)
-        verifiers, suffix = self._cpnn_plan_stages(spec, strategy)
+        verifiers = tuple(v.name for v in self._chain.verifiers)
+        stages = ["PNN filtering (f_min pruning rule)"]
+        if self._config.parametric_fast_path:
+            stages.append(
+                "parametric fast path: analytic subregion table when "
+                "every candidate has a closed-form distance "
+                "(histogram pipeline on fallback)"
+            )
+        stages += [
+            "distance distributions + subregion table",
+            "verifier chain: " + " → ".join(verifiers),
+            "incremental refinement of surviving candidates",
+        ]
         return QueryPlan(
             spec=spec,
             family=family,
-            strategy=strategy,
             index=index,
-            stages=["PNN filtering (f_min pruning rule)"] + suffix,
+            stages=stages,
             verifiers=verifiers,
             candidates=len(filter_result.candidates),
             pruned=n - len(filter_result.candidates),

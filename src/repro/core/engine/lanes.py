@@ -2,7 +2,7 @@
 
 A :class:`Lane` runs the unmodified single-engine C-PNN batch pipeline
 over its slice of a batch — against filter results the parent staged
-(serial/thread backends, and the process backend's inline paths) or
+(the serial backend, and the process backend's inline paths) or
 against a process worker's own resident filter (DESIGN.md §12–§13).
 Lanes never share mutable state with each other, so the fan-out needs
 no locks; everything they read concurrently (config, staged filter

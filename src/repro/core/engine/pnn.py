@@ -1,24 +1,22 @@
 """The C-PNN executor: filtering → initialisation → verify → refine.
 
-Implements the paper's three evaluation strategies (Section V) for
-C-PNN specs, single and batched, against a small host protocol —
-``_config``, ``_chain``, ``_as_strategy``, ``_filter_batch``,
-``_filter``, ``_distribution_cache``, ``_table_cache`` and
-``_flush_table_invalidations`` — so the same executor serves the
-single :class:`~repro.core.engine.UncertainEngine` *and* the execution
-lanes of a :class:`~repro.core.engine.sharded.ShardedEngine` (which
+Runs the paper's VR pipeline (Section IV) for C-PNN specs, single and
+batched, against a small host protocol — ``_config``, ``_chain``,
+``_filter_batch``, ``_filter``, ``_distribution_cache``,
+``_table_cache`` and ``_flush_table_invalidations`` — so the same
+executor serves the single :class:`~repro.core.engine.UncertainEngine`
+*and* the execution lanes of a :class:`~repro.core.engine.sharded.ShardedEngine` (which
 feed it the parent's staged filter results).  Per-candidate
 arithmetic is identical everywhere, which is what makes batch ≡
 sequential ≡ sharded an exact, bit-level property (DESIGN.md §3, §12).
+The paper's Basic and Refine baselines are references beside the
+engine, in :mod:`repro.experiments.strategies`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Hashable
-
-import numpy as np
 
 from repro.core.batch import (
     BatchResult,
@@ -26,7 +24,6 @@ from repro.core.batch import (
     distributions_for,
     point_key,
 )
-from repro.core.engine.config import Strategy
 from repro.core.engine.executors.base import check_cancel
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
@@ -44,10 +41,6 @@ from repro.uncertainty.parametric.table import AnalyticTable
 
 __all__ = ["PnnExecutorMixin"]
 
-_UNKNOWN, _SATISFY, _FAIL = 0, 1, 2
-
-_CODE_TO_LABEL = {_UNKNOWN: Label.UNKNOWN, _SATISFY: Label.SATISFY, _FAIL: Label.FAIL}
-
 #: Inner-subregion count of the first analytic table.
 ANALYTIC_GRID = 64
 #: Escalation ceiling: the analytic grid refines ×4 per round up to this
@@ -56,15 +49,15 @@ ANALYTIC_GRID = 64
 ANALYTIC_MAX_GRID = 4096
 
 
-def _result_sig(query: CPNNQuery, strategy: str) -> tuple:
+def _result_sig(query: CPNNQuery) -> tuple:
     """Memoisation key of a C-PNN outcome within one cached table.
 
     The pipeline's output is a deterministic function of the table
-    (fixed per cache entry), the spec's type and constraints, the
-    strategy, and the engine config (fixed per engine) — so this tuple
-    identifies the result exactly.
+    (fixed per cache entry), the spec's type and constraints, and the
+    engine config (fixed per engine) — so this tuple identifies the
+    result exactly.
     """
-    return (strategy, type(query), query.threshold, query.tolerance)
+    return (type(query), query.threshold, query.tolerance)
 
 
 def _replay_result(result: QueryResult) -> QueryResult:
@@ -96,31 +89,20 @@ def _replay_result(result: QueryResult) -> QueryResult:
     )
 
 
-@dataclass
-class _Prepared:
-    """Everything shared by the post-filter phases of one query."""
-
-    filter_result: FilterResult
-    table: SubregionTable
-    states: CandidateStates
-    refiner: Refiner
-    timings: PhaseTimings
-
-
 class PnnExecutorMixin:
     """C-PNN evaluation (single + batch) against the host protocol."""
 
-    def _execute_pnn(self, query: CPNNQuery, strategy: str) -> QueryResult:
+    def _execute_pnn(self, query: CPNNQuery) -> QueryResult:
         timings = PhaseTimings()
         tick = time.perf_counter()
         filter_result = self._filter(query.q)
         timings.filtering = time.perf_counter() - tick
-        if strategy == Strategy.VR and self._config.parametric_fast_path:
+        if self._config.parametric_fast_path:
             result = self._run_parametric(filter_result, query, timings)
             if result is not None:
                 return result
-        prepared = self._prepare(query, filter_result, timings)
-        return self._run(prepared, query, strategy)
+        table = self._build_table(query, filter_result, timings)
+        return self._run_vr(query, filter_result.fmin, table, timings)
 
     def _run_parametric(
         self, filter_result: FilterResult, query: CPNNQuery, timings: PhaseTimings
@@ -177,9 +159,7 @@ class PnnExecutorMixin:
             refined=0,
         )
 
-    def _pnn_batch(
-        self, queries: list[CPNNQuery], strategy: str | None
-    ) -> BatchResult:
+    def _pnn_batch(self, queries: list[CPNNQuery]) -> BatchResult:
         """Many C-PNN queries: the cache tiers around the one pipeline.
 
         Filtering is one batched descent of the packed filter and distance
@@ -190,13 +170,12 @@ class PnnExecutorMixin:
 
         Repeated probes short-circuit in two tiers (DESIGN.md §11):
         a memoised *result* snapshot replays the whole pipeline's
-        outcome for an undisturbed (point, strategy, constraints)
-        triple, and a cached *table* skips filtering/initialisation
+        outcome for an undisturbed (point, constraints) pair, and a
+        cached *table* skips filtering/initialisation
         when only the constraints changed.  Both tiers are exact —
         entries survive dynamic updates only while their candidate set
         provably cannot have changed.
         """
-        strategy = self._as_strategy(strategy)
         batch = BatchResult()
         if not queries:
             return batch
@@ -213,7 +192,7 @@ class PnnExecutorMixin:
             key = point_key(query.q)
             entry = table_cache.get(key)
             if entry is not None:
-                snapshot = entry.results.get(_result_sig(query, strategy))
+                snapshot = entry.results.get(_result_sig(query))
                 if snapshot is not None:
                     slots[b] = _replay_result(snapshot)
                     batch.table_hits += 1
@@ -226,7 +205,7 @@ class PnnExecutorMixin:
         )
         timings.filtering = time.perf_counter() - tick
 
-        fast_path = strategy == Strategy.VR and self._config.parametric_fast_path
+        fast_path = self._config.parametric_fast_path
         built_this_batch: dict[Hashable, CachedTable] = {}
         for (b, key, entry), filter_result in zip(live, filter_results):
             check_cancel(self)
@@ -250,19 +229,18 @@ class PnnExecutorMixin:
                 entry = built_this_batch.get(key)
             if entry is not None:
                 batch.table_hits += 1
-                prepared = self._prepare(
-                    query, filter_result, spent, table=entry.table
-                )
             else:
-                prepared = self._prepare(query, filter_result, spent, cache=cache)
+                table = self._build_table(query, filter_result, spent, cache)
                 batch.table_misses += 1
-                entry = CachedTable(table=prepared.table, fmin=filter_result.fmin)
+                entry = CachedTable(table=table, fmin=filter_result.fmin)
                 table_cache.put(key, entry)
                 built_this_batch[key] = entry
-            result = slots[b] = self._run(prepared, query, strategy)
+            result = slots[b] = self._run_vr(
+                query, filter_result.fmin, entry.table, spent
+            )
             # Memoise the outcome as a pristine snapshot so a repeated
             # probe of an undisturbed point replays it.
-            entry.results[_result_sig(query, strategy)] = _replay_result(result)
+            entry.results[_result_sig(query)] = _replay_result(result)
 
         batch.results = slots
         for result, query in zip(slots, queries):
@@ -284,133 +262,63 @@ class PnnExecutorMixin:
         if not self._objects:
             raise ValueError("cannot query an empty engine (insert objects first)")
         query = CPNNQuery(q, threshold=1.0, tolerance=0.0)
-        prepared = self._prepare(query, self._filter(q), PhaseTimings())
-        probabilities = prepared.refiner.exact_all()
-        return {
-            key: float(p)
-            for key, p in zip(prepared.table.keys, probabilities)
-        }
+        table = self._build_table(query, self._filter(q), PhaseTimings())
+        probabilities = Refiner(table).exact_all()
+        return {key: float(p) for key, p in zip(table.keys, probabilities)}
 
     # ------------------------------------------------------------------
     # C-PNN phases
     # ------------------------------------------------------------------
 
-    def _prepare(
+    @staticmethod
+    def _build_table(
+        query: CPNNQuery, filter_result: FilterResult, timings: PhaseTimings, cache=None
+    ) -> SubregionTable:
+        """The query's subregion table, its distributions routed through
+        ``cache`` when the batch path hands one in."""
+        tick = time.perf_counter()
+        table = SubregionTable(
+            distributions_for(filter_result.candidates, query.q, cache)
+        )
+        timings.initialization += time.perf_counter() - tick
+        return table
+
+    def _run_vr(
         self,
         query: CPNNQuery,
-        filter_result: FilterResult,
+        fmin: float,
+        table: SubregionTable,
         timings: PhaseTimings,
-        cache=None,
-        table: SubregionTable | None = None,
-    ) -> _Prepared:
-        """Fresh states and a refiner around the query's subregion table.
-
-        The table is built here — distributions through ``cache`` when
-        the batch path hands one in — unless the table cache already
-        holds it (``table``).
-        """
+    ) -> QueryResult:
+        """Fresh states over ``table``: verify with the chain, then
+        refine the candidates it left UNKNOWN, seeded with the
+        verifiers' per-subregion bounds."""
         tick = time.perf_counter()
-        if table is None:
-            table = SubregionTable(
-                distributions_for(filter_result.candidates, query.q, cache)
-            )
         states = CandidateStates(table.keys)
         refiner = Refiner(table)
         timings.initialization += time.perf_counter() - tick
-        return _Prepared(filter_result, table, states, refiner, timings)
-
-    def _run(self, prepared: _Prepared, query: CPNNQuery, strategy: str) -> QueryResult:
-        if strategy == Strategy.BASIC:
-            return self._run_basic(prepared, query)
-        if strategy == Strategy.REFINE:
-            return self._run_refine(prepared, query)
-        return self._run_vr(prepared, query)
-
-    def _run_basic(self, prepared: _Prepared, query: CPNNQuery) -> QueryResult:
-        timings = prepared.timings
-        tick = time.perf_counter()
-        probabilities = prepared.refiner.exact_all()
-        states = prepared.states
-        for i, p in enumerate(probabilities):
-            states.set_exact(i, float(p))
-            states.labels[i] = _SATISFY if p >= query.threshold else _FAIL
-        timings.refinement = time.perf_counter() - tick
-        return self._assemble(
-            prepared,
-            query,
-            unknown_after={},
-            finished_after_verification=False,
-            refined=prepared.table.size,
-            exact=probabilities,
-        )
-
-    def _run_refine(self, prepared: _Prepared, query: CPNNQuery) -> QueryResult:
-        timings = prepared.timings
-        states = prepared.states
-        tick = time.perf_counter()
-        refined = 0
-        for i in range(prepared.table.size):
-            if states.labels[i] == _UNKNOWN:
-                prepared.refiner.refine_object(
-                    i, states, query, use_verifier_slices=False
-                )
-                refined += 1
-        timings.refinement = time.perf_counter() - tick
-        return self._assemble(
-            prepared,
-            query,
-            unknown_after={},
-            finished_after_verification=False,
-            refined=refined,
-        )
-
-    def _run_vr(self, prepared: _Prepared, query: CPNNQuery) -> QueryResult:
-        timings = prepared.timings
-        states = prepared.states
-        chain = self._chain
 
         tick = time.perf_counter()
-        outcome = chain.run(prepared.table, states, query)
+        outcome = self._chain.run(table, states, query)
         timings.verification += time.perf_counter() - tick
 
         finished = states.n_unknown == 0
         tick = time.perf_counter()
-        refined = 0
-        for i in states.unknown_indices():
-            prepared.refiner.refine_object(
-                int(i), states, query, use_verifier_slices=True
-            )
-            refined += 1
+        unknown = states.unknown_indices()
+        for i in unknown:
+            refiner.refine_object(int(i), states, query)
         timings.refinement = time.perf_counter() - tick
-        return self._assemble(
-            prepared,
-            query,
+        return self._build_result(
+            table.keys,
+            states,
+            fmin,
+            timings,
             unknown_after=outcome.unknown_after,
             finished_after_verification=finished,
-            refined=refined,
+            refined=len(unknown),
         )
 
     # ------------------------------------------------------------------
-
-    def _assemble(
-        self,
-        prepared: _Prepared,
-        query: CPNNQuery,
-        unknown_after: dict[str, float],
-        finished_after_verification: bool,
-        refined: int,
-        exact: np.ndarray | None = None,
-    ) -> QueryResult:
-        return self._build_result(
-            prepared.table.keys,
-            prepared.states,
-            prepared.filter_result.fmin,
-            prepared.timings,
-            unknown_after=unknown_after,
-            finished_after_verification=finished_after_verification,
-            refined=refined,
-            exact=exact,
-        )
 
     def _build_result(
         self,
@@ -421,17 +329,16 @@ class PnnExecutorMixin:
         unknown_after: dict[str, float],
         finished_after_verification: bool,
         refined: int,
-        exact: np.ndarray | None = None,
     ) -> QueryResult:
         """Assemble a :class:`QueryResult` from final candidate states —
-        shared by the histogram pipeline (via :meth:`_assemble`) and the
-        table-less parametric fast path."""
+        shared by the histogram pipeline and the table-less parametric
+        fast path."""
         records = []
         answers = []
         for i, key in enumerate(keys):
-            label = _CODE_TO_LABEL[int(states.labels[i])]
-            exact_p = float(exact[i]) if exact is not None else None
-            if exact_p is None and states.upper[i] - states.lower[i] <= 3 * states.pad:
+            label = states.label_of(i)
+            exact_p = None
+            if states.upper[i] - states.lower[i] <= 3 * states.pad:
                 exact_p = 0.5 * (states.upper[i] + states.lower[i])
             records.append(
                 AnswerRecord(

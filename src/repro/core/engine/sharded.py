@@ -25,10 +25,9 @@ the filter *is* the single engine's.
 engine plans each batch as serialized
 :class:`~repro.core.engine.executors.base.PnnItem` work items — plain
 data, never closures — and hands them to the backend
-``config.executor`` selected: inline (``"serial"``), the shared thread pool
-(``"thread"``), or a persistent spawn-based worker pool whose workers
-hold a replica of the objects and the filter coordinates
-(``"process"``).  ``"auto"`` picks per host (see
+``config.executor`` selected: inline (``"serial"``) or a persistent
+spawn-based worker pool whose workers hold a replica of the objects and
+the filter coordinates (``"process"``).  ``"auto"`` picks per host (see
 :func:`~repro.core.engine.executors.base.resolve_backend`).
 :meth:`ShardedEngine.close` releases whatever the backend holds (also
 used as a context manager).
@@ -151,8 +150,8 @@ class ShardedEngine(UncertainEngine):
         )
 
     def close(self) -> None:
-        """Release every backend's resources — thread pools, worker
-        processes, shared-memory segments (idempotent; engine stays
+        """Release every backend's resources — worker processes and
+        shared-memory segments (idempotent; engine stays
         usable — they are recreated on the next call that needs them)."""
         for executor in self._executors.values():
             executor.close()
@@ -214,18 +213,20 @@ class ShardedEngine(UncertainEngine):
     def _lane_for(self, q) -> int:
         return lane_for(q, len(self._lanes))
 
-    def _execute_pnn(self, query: CPNNQuery, strategy: str) -> QueryResult:
+    def _execute_pnn(self, query: CPNNQuery) -> QueryResult:
         # Single C-PNN specs route through the batch path, so the lane
-        # caches stay warm and one code path decides where work runs.
-        return self._pnn_batch([query], strategy).results[0]
+        # caches stay warm and one code path decides where work runs;
+        # the batch's filtering (staged on the parent) is this query's.
+        batch = self._pnn_batch([query])
+        result = batch.results[0]
+        result.timings.filtering = batch.timings.filtering
+        return result
 
-    def _pnn_batch(
-        self, queries: list[CPNNQuery], strategy: str | None
-    ) -> BatchResult:
+    def _pnn_batch(self, queries: list[CPNNQuery]) -> BatchResult:
         """Plan the batch as per-lane work items, then let the executor
         run them.
 
-        Under the serial/thread backends the parent filters the batch
+        Under the serial backend the parent filters the batch
         with its own filter stage and stages the candidate sets on the
         lanes; each query then runs on its affinity lane, every lane
         running the unmodified single-engine C-PNN batch executor over
@@ -234,11 +235,11 @@ class ShardedEngine(UncertainEngine):
         arithmetic, same answers — and batches smaller than
         ``config.process_min_batch`` run inline on the parent lanes (a
         pipe round-trip isn't worth it).  Results scatter back into
-        input order; counters and phase timings sum over lanes
+        input order; counters and phase timings sum over lanes, plus
+        the parent's staging filter in ``timings.filtering``
         (wall-clock vs. summed lane time is reported through
         :meth:`stats` as the parallel speedup).
         """
-        strategy = self._as_strategy(strategy)
         batch = BatchResult()
         if not queries:
             return batch
@@ -251,7 +252,6 @@ class ShardedEngine(UncertainEngine):
                 lane=lane_id,
                 indices=tuple(indices),
                 specs=tuple(queries[i] for i in indices),
-                strategy=strategy,
             )
             for lane_id, indices in assignments.items()
         ]
@@ -269,14 +269,13 @@ class ShardedEngine(UncertainEngine):
                 # parent stages nothing.
                 outcomes = executor.run_pnn(items, None)
             else:
-                staged = self._stage_filter_results(queries, strategy)
-                if active == "process":
-                    # Below the dispatch floor: run on the parent lanes
-                    # (exactly the serial backend's path) so unit-scale
-                    # workloads never pay a spawn.
-                    outcomes = [self._run_pnn_item(item, staged) for item in items]
-                else:
-                    outcomes = executor.run_pnn(items, staged)
+                # The serial backend's path — also where process batches
+                # below the dispatch floor run, so unit-scale workloads
+                # never pay a spawn.
+                tick = time.perf_counter()
+                staged = self._stage_filter_results(queries)
+                batch.timings.filtering += time.perf_counter() - tick
+                outcomes = self._executor_for("serial").run_pnn(items, staged)
         except ExecutionTimeout:
             # The caller's deadline, not the pool's health.
             self._breaker.abort()
@@ -340,9 +339,7 @@ class ShardedEngine(UncertainEngine):
                 result.diagnostics["executor"] = dict(note)
         return batch
 
-    def _stage_filter_results(
-        self, queries: list[CPNNQuery], strategy: str
-    ) -> dict:
+    def _stage_filter_results(self, queries: list[CPNNQuery]) -> dict:
         """The parent's filter results for the lanes, keyed by point.
 
         Filters only the points the lanes cannot answer from their
@@ -362,9 +359,7 @@ class ShardedEngine(UncertainEngine):
             if key in seen:
                 continue
             entry = lane._table_cache.peek(key)
-            if entry is None or entry.results.get(
-                _result_sig(query, strategy)
-            ) is None:
+            if entry is None or entry.results.get(_result_sig(query)) is None:
                 seen.add(key)
                 points.append(query.q)
         if not points:
@@ -375,7 +370,7 @@ class ShardedEngine(UncertainEngine):
         self, item: PnnItem, staged: dict
     ) -> tuple[BatchResult, float]:
         """In-process execution of one C-PNN item on its parent lane
-        (serial/thread backends and the process backend's small-batch
+        (the serial backend and the process backend's small-batch
         path)."""
         lane = self._lanes[item.lane]
         lane._staged = staged
@@ -384,7 +379,7 @@ class ShardedEngine(UncertainEngine):
         lane._cancel_scope = self._cancel_scope
         tick = time.perf_counter()
         try:
-            sub = lane._pnn_batch(list(item.specs), item.strategy)
+            sub = lane._pnn_batch(list(item.specs))
         finally:
             lane._staged = None
             lane._cancel_scope = None
@@ -394,10 +389,15 @@ class ShardedEngine(UncertainEngine):
         """Crash-recovery path: re-execute a dead worker's item wholly
         in-process, filtering its points on the parent (never back
         through the executor — the pool is the thing that just
-        failed)."""
+        failed).  The parent's filter pass is booked as the item's
+        filtering time."""
+        tick = time.perf_counter()
         points = [spec.q for spec in item.specs]
         staged = dict(zip(map(point_key, points), self._filter_batch(points)))
-        return self._run_pnn_item(item, staged)
+        filtering = time.perf_counter() - tick
+        sub, seconds = self._run_pnn_item(item, staged)
+        sub.timings.filtering += filtering
+        return sub, seconds
 
     # ------------------------------------------------------------------
     # Observability
@@ -444,12 +444,12 @@ class ShardedEngine(UncertainEngine):
         stats["shards"] = self._shard_stats()
         return stats
 
-    def _explain(self, spec, strategy: str | None = None) -> QueryPlan:
+    def _explain(self, spec) -> QueryPlan:
         """The single engine's plan, plus where its stages run and the
         lane snapshot in :attr:`~repro.core.types.QueryPlan.shards`."""
         for lane in self._lanes:
             lane._flush_table_invalidations()  # report live entry counts
-        plan = super()._explain(spec, strategy)
+        plan = super()._explain(spec)
         plan.shards = self._shard_stats()
         plan.shards["executor"] = self._executor_diagnostics()
         if not self._objects:

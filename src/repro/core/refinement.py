@@ -32,7 +32,8 @@ subregion, so
   slice bounds come from the verifiers when available ("the knowledge
   accumulated by the verifiers ... can facilitate the refinement
   process"), or are the vacuous ``[0, s_ij]`` for the *Refine*
-  strategy that skips verification.
+  baseline that skips verification
+  (:func:`repro.experiments.strategies.refine`).
 
 Columnar substrate
 ------------------
@@ -198,9 +199,10 @@ class Refiner:
         """Refine candidate ``i`` until classified; returns the number
         of subregions that had to be integrated.
 
-        ``use_verifier_slices=False`` reproduces the *Refine* strategy
-        of Section V, which runs incremental refinement without any
-        verifier knowledge (every slice starts at ``[0, s_ij]``).
+        ``use_verifier_slices=False`` reproduces the *Refine* baseline
+        of Section V (:func:`repro.experiments.strategies.refine`),
+        which runs incremental refinement without any verifier
+        knowledge (every slice starts at ``[0, s_ij]``).
 
         Bounds are updated and the classifier re-run after every single
         subregion, as Section IV-D prescribes, by a prefix scan over each

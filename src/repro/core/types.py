@@ -281,17 +281,19 @@ class QueryPlan:
         The normalised spec being explained.
     family:
         ``'cpnn'`` / ``'cknn'`` / ``'crange'``.
-    strategy:
-        The evaluation strategy a C-PNN spec would use; ``None`` for
-        families without strategy variants.
     index:
-        ``'rtree'`` or ``'linear'`` — what serves single-query PNN
-        filtering (batch paths always use the vectorised MBR sweep).
+        ``'rtree'`` (the packed STR descent of
+        :class:`~repro.index.filtering.BatchMbrFilter`) or ``'linear'``
+        (the exact-distance scan
+        :func:`~repro.index.filtering.filter_candidates`), as
+        ``EngineConfig.use_rtree`` selects — what serves C-PNN
+        filtering, single and batched alike (k-NN and range always
+        descend the packed levels).
     stages:
         Human-readable pipeline stages, in execution order.
     verifiers:
         Names of the verifier chain a C-PNN spec would run (empty for
-        other families or non-VR strategies).
+        other families).
     candidates:
         Objects surviving the filtering phase (for range specs: the
         objects whose bounding boxes straddle the range and therefore
@@ -328,7 +330,6 @@ class QueryPlan:
 
     spec: QuerySpec
     family: str
-    strategy: str | None
     index: str
     stages: list[str] = field(default_factory=list)
     verifiers: tuple[str, ...] = ()
@@ -345,8 +346,7 @@ class QueryPlan:
         lines = [
             f"{type(self.spec).__name__} @ q={self.spec.q!r} "
             f"(P={self.spec.threshold}, Δ={self.spec.tolerance})",
-            f"  family    : {self.family}"
-            + (f"  strategy: {self.strategy}" if self.strategy else ""),
+            f"  family    : {self.family}",
             f"  index     : {self.index}",
             f"  filtering : {self.candidates} candidates "
             f"({self.pruned} pruned), radius {self.fmin:.6g}",

@@ -6,7 +6,7 @@ time starts to dominate the filtering time when the data set size is
 larger than 5000."
 
 We sweep the surrogate dataset size, answer queries with the Basic
-strategy, and report the average filtering and probability-evaluation
+reference (:func:`repro.experiments.strategies.basic`), and report the average filtering and probability-evaluation
 times plus Basic's share of the total — the quantity the figure plots.
 """
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.types import CPNNQuery
 from repro.experiments.report import ExperimentResult, Series
+from repro.experiments.strategies import basic as basic_query
 from repro.experiments.workloads import DEFAULT_QUERY_SEED, cached_engine, query_points
 
 __all__ = ["Fig09Params", "run"]
@@ -50,8 +51,8 @@ def run(params: Fig09Params | None = None) -> ExperimentResult:
         engine = cached_engine(n, mean_length=params.mean_length)
         filter_times, basic_times, cand_sizes = [], [], []
         for q in query_points(params.n_queries, seed=params.seed):
-            res = engine.execute(
-                CPNNQuery(float(q), threshold=0.3, tolerance=0.0), strategy="basic"
+            res = basic_query(
+                engine, CPNNQuery(float(q), threshold=0.3, tolerance=0.0)
             )
             filter_times.append(res.timings.filtering)
             basic_times.append(res.timings.refinement)

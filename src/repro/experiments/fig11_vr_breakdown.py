@@ -52,7 +52,6 @@ def run(params: Fig11Params | None = None) -> ExperimentResult:
         for q in points:
             res = engine.execute(
                 CPNNQuery(float(q), threshold=threshold, tolerance=params.tolerance),
-                strategy="vr",
             )
             f.append(res.timings.filtering)
             # The paper's three-phase accounting charges initialisation

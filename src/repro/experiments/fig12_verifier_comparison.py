@@ -58,7 +58,6 @@ def run(params: Fig12Params | None = None) -> ExperimentResult:
         for q in points:
             res = engine.execute(
                 CPNNQuery(float(q), threshold=threshold, tolerance=params.tolerance),
-                strategy="vr",
             )
             last = 1.0
             for name in _VERIFIER_ORDER:

@@ -52,7 +52,6 @@ def run(params: Fig13Params | None = None) -> ExperimentResult:
         for q in points:
             res = engine.execute(
                 CPNNQuery(float(q), threshold=params.threshold, tolerance=tolerance),
-                strategy="vr",
             )
             flags.append(1.0 if res.finished_after_verification else 0.0)
             r_times.append(res.timings.refinement)

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.types import CPNNQuery
 from repro.experiments.report import ExperimentResult, Series
+from repro.experiments.strategies import STRATEGIES
 from repro.experiments.workloads import DEFAULT_QUERY_SEED, cached_engine, query_points
 
 __all__ = ["Fig14Params", "run"]
@@ -64,16 +65,16 @@ def run(params: Fig14Params | None = None) -> ExperimentResult:
             "representation": params.representation,
         },
     )
-    series = {name: Series(f"{name}_ms") for name in ("basic", "refine", "vr")}
+    series = {name: Series(f"{name}_ms") for name in STRATEGIES}
     for threshold in params.thresholds:
-        for name in ("basic", "refine", "vr"):
+        for name, answer in STRATEGIES.items():
             times = []
             for q in points:
-                res = engine.execute(
+                res = answer(
+                    engine,
                     CPNNQuery(
                         float(q), threshold=threshold, tolerance=params.tolerance
                     ),
-                    strategy=name,
                 )
                 times.append(res.timings.total)
             series[name].add(threshold, 1e3 * float(np.mean(times)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchResult, DistributionCache, point_key
-from repro.core.engine import EngineConfig, Strategy, UncertainEngine
+from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.types import CPNNQuery
+from repro.experiments.strategies import STRATEGIES
 from repro.index.filtering import BatchMbrFilter, PnnFilter
 from repro.index.str_pack import str_bulk_load
 from repro.uncertainty.objects import UncertainObject
@@ -147,23 +148,18 @@ class TestQueryBatch:
             reference = engine.execute(CPNNQuery(q, threshold=0.4, tolerance=0.05))
             assert set(result.answers) == set(reference.answers)
 
-    @pytest.mark.parametrize("strategy", Strategy.ALL)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategies_match_sequential(self, rng, strategy):
+        """At Δ = 0 a batch's answers are every strategy's sequential
+        answers: the engine's pipeline and the Basic / Refine
+        references agree."""
         engine = UncertainEngine(make_random_objects(rng, 15))
         points = query_points(rng, n=6)
-        batch = engine.execute_batch(
-            cpnn_specs(points, threshold=0.3, tolerance=0.0), strategy=strategy
-        )
+        batch = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
+        answer = STRATEGIES[strategy]
         for q, result in zip(points, batch):
-            reference = engine.execute(
-                CPNNQuery(q, threshold=0.3, tolerance=0.0), strategy=strategy
-            )
+            reference = answer(engine, CPNNQuery(q, threshold=0.3, tolerance=0.0))
             assert set(result.answers) == set(reference.answers)
-
-    def test_unknown_strategy_rejected(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 4))
-        with pytest.raises(ValueError):
-            engine.execute_batch([1.0], strategy="nope")
 
     def test_repeated_probes_hit_caches(self, rng):
         engine = UncertainEngine(make_random_objects(rng, 15))

@@ -14,16 +14,19 @@ from repro.service.faults import FaultPlan, raise_error
 from tests.conftest import make_random_objects
 from tests.core.test_sharded import assert_batches_identical
 
+#: Every C-PNN batch crosses the process executor's dispatch hook.
+PROCESS_CONFIG = EngineConfig(executor="process", process_min_batch=0)
+
 
 class TestDegradationChain:
     def test_chain_is_a_suffix_of_the_full_order(self):
-        assert degradation_chain("process") == ("process", "thread", "serial")
-        assert degradation_chain("thread") == ("thread", "serial")
+        assert degradation_chain("process") == ("process", "serial")
         assert degradation_chain("serial") == ("serial",)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            degradation_chain("auto")
+        for name in ("auto", "thread"):
+            with pytest.raises(ValueError):
+                degradation_chain(name)
 
 
 class TestCircuitBreakerUnit:
@@ -37,11 +40,11 @@ class TestCircuitBreakerUnit:
         assert breaker.record(False) is None
         assert breaker.record(False) is None
         assert breaker.record(False) == "degraded"
-        assert breaker.backend == "thread"
+        assert breaker.backend == "serial"
         assert breaker.snapshot()["trips"] == 1
 
     def test_probe_heals_one_level(self):
-        breaker = CircuitBreaker("thread", threshold=1, probe_after=2)
+        breaker = CircuitBreaker("process", threshold=1, probe_after=2)
         breaker.begin()
         assert breaker.record(False) == "degraded"
         assert breaker.backend == "serial"
@@ -50,15 +53,15 @@ class TestCircuitBreakerUnit:
         breaker.record(True)
         assert breaker.begin() == "serial"
         breaker.record(True)
-        assert breaker.begin() == "thread"  # the probe
+        assert breaker.begin() == "process"  # the probe
         assert breaker.snapshot()["state"] == "probing"
         assert breaker.record(True) == "healed"
-        assert breaker.backend == "thread"
+        assert breaker.backend == "process"
         assert breaker.snapshot() == {
             "state": "closed",
-            "configured": "thread",
-            "active": "thread",
-            "chain": ["thread", "serial"],
+            "configured": "process",
+            "active": "process",
+            "chain": ["process", "serial"],
             "consecutive_failures": 0,
             "healthy_streak": 0,
             "trips": 1,
@@ -66,12 +69,12 @@ class TestCircuitBreakerUnit:
         }
 
     def test_failed_probe_stays_degraded(self):
-        breaker = CircuitBreaker("thread", threshold=1, probe_after=1)
+        breaker = CircuitBreaker("process", threshold=1, probe_after=1)
         breaker.begin()
         breaker.record(False)
         breaker.begin()
         breaker.record(True)
-        assert breaker.begin() == "thread"  # probe
+        assert breaker.begin() == "process"  # probe
         assert breaker.record(False) is None
         assert breaker.backend == "serial"
         # The streak restarts; the next dispatch is not a probe.
@@ -86,27 +89,28 @@ class TestCircuitBreakerUnit:
         assert breaker.snapshot()["trips"] == 0
 
     def test_abort_clears_probe_only(self):
-        breaker = CircuitBreaker("thread", threshold=1, probe_after=1)
+        breaker = CircuitBreaker("process", threshold=1, probe_after=1)
         breaker.begin()
         breaker.record(False)
         breaker.begin()
         breaker.record(True)
-        assert breaker.begin() == "thread"  # probe armed
+        assert breaker.begin() == "process"  # probe armed
         breaker.abort()  # deadline expiry: no health verdict
         assert breaker.snapshot()["state"] == "degraded"
         assert breaker.snapshot()["heals"] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CircuitBreaker("thread", threshold=0)
+            CircuitBreaker("process", threshold=0)
         with pytest.raises(ValueError):
-            CircuitBreaker("thread", probe_after=0)
+            CircuitBreaker("process", probe_after=0)
 
 
 class TestEngineLevelBreaker:
     """Drive the breaker through a real engine with injected dispatch
-    failures: degrade thread → serial, keep answering bit-identically,
-    then heal when the fault clears."""
+    failures: degrade process → serial, keep answering bit-identically,
+    then heal when the fault clears.  ``process_min_batch=0`` sends
+    every batch through the process executor's dispatch hook."""
 
     def test_degrade_then_heal_with_identical_answers(self, rng):
         objects = make_random_objects(rng, 18)
@@ -114,18 +118,16 @@ class TestEngineLevelBreaker:
         specs = [CPNNQuery(q, threshold=0.3) for q in (7.0, 23.0, 41.0)]
         want = single.execute_batch(specs)
         plan = FaultPlan()
-        # The first three thread dispatches blow up wholesale; answers
+        # The first three process dispatches blow up wholesale; answers
         # must still come back (inline fallback), and the third failure
         # (the breaker's default threshold) trips it onto serial.
         plan.script(
             "executor.dispatch",
             raise_error(lambda: RuntimeError("injected pool failure")),
             at=(1, 2, 3),
-            match={"backend": "thread", "kind": "pnn"},
+            match={"backend": "process", "kind": "pnn"},
         )
-        with ShardedEngine(
-            objects, EngineConfig(executor="thread"), n_shards=2
-        ) as engine:
+        with ShardedEngine(objects, PROCESS_CONFIG, n_shards=2) as engine:
             with plan:
                 assert_batches_identical(engine.execute_batch(specs), want)
                 snapshot = engine.stats()["executor"]["breaker"]
@@ -138,13 +140,13 @@ class TestEngineLevelBreaker:
                 assert snapshot["active"] == "serial"
                 assert engine.stats()["executor"]["inline_fallbacks"] >= 2
             # Fault cleared.  Eight healthy serial dispatches (the
-            # default probe_after) earn a probe back at the thread
+            # default probe_after) earn a probe back at the process
             # level, which heals the breaker.
             for _ in range(9):
                 assert_batches_identical(engine.execute_batch(specs), want)
             snapshot = engine.stats()["executor"]["breaker"]
             assert snapshot["state"] == "closed"
-            assert snapshot["active"] == "thread"
+            assert snapshot["active"] == "process"
             assert snapshot["heals"] == 1
         assert len(plan.fired) == 3
 
@@ -153,9 +155,7 @@ class TestEngineLevelBreaker:
         specs = [CPNNQuery(q, threshold=0.3) for q in (5.0, 30.0, 50.0)]
         # Three expiries: enough to trip the default threshold, were
         # they counted as failures.
-        with ShardedEngine(
-            objects, EngineConfig(executor="thread"), n_shards=2
-        ) as engine:
+        with ShardedEngine(objects, PROCESS_CONFIG, n_shards=2) as engine:
             for _ in range(3):
                 with pytest.raises(ExecutionTimeout):
                     with engine.deadline(0.0):

@@ -1,4 +1,4 @@
-"""Tests for the C-PNN engine and its three strategies."""
+"""Tests for the C-PNN engine and the Basic / Refine references."""
 
 import dataclasses
 import inspect
@@ -6,25 +6,27 @@ import pickle
 
 import pytest
 
-from repro.core.engine import EngineConfig, ShardedEngine, Strategy, UncertainEngine
+from repro.continuous import ContinuousMonitor
+from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CPNNQuery, Label
+from repro.experiments.strategies import STRATEGIES, basic
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects, two_object_textbook_case
 
 
 class TestConfiguration:
     def test_default_strategy_is_vr(self):
+        """C-PNN specs always run the verifier chain: VR is the only
+        pipeline in the engine."""
         engine = UncertainEngine([UncertainObject.uniform(0, 0, 1)])
-        assert engine.explain(CPNNQuery(0.5)).strategy == Strategy.VR
-
-    def test_invalid_strategy_rejected(self):
-        engine = UncertainEngine([UncertainObject.uniform(0, 0, 1)])
-        with pytest.raises(ValueError):
-            engine.execute(CPNNQuery(0.5), strategy="magic")
+        plan = engine.explain(CPNNQuery(0.5))
+        assert plan.verifiers == ("RS", "L-SR", "U-SR")
+        assert not hasattr(plan, "strategy")
 
     def test_settable_surface_is_pinned(self):
-        """Four config fields and three engine parameters: a knob that
-        comes back must come back through review."""
+        """Four config fields, three engine parameters, one spec per
+        query call: a knob that comes back must come back through
+        review."""
         assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == (
             "use_rtree",
             "executor",
@@ -35,6 +37,18 @@ class TestConfiguration:
             "objects",
             "config",
             "n_shards",
+        )
+        for engine_cls in (UncertainEngine, ShardedEngine):
+            for method, params in (
+                ("execute", ("self", "spec")),
+                ("execute_batch", ("self", "specs")),
+                ("explain", ("self", "spec")),
+            ):
+                signature = inspect.signature(getattr(engine_cls, method))
+                assert tuple(signature.parameters) == params, method
+        assert tuple(inspect.signature(ContinuousMonitor).parameters) == (
+            "engine",
+            "group_size",
         )
         # Every field plain data, so any config crosses the process
         # executor's spawn boundary.
@@ -77,24 +91,19 @@ class TestTextbookAnswers:
         assert pnn["A"] == pytest.approx(0.875)
         assert pnn["B"] == pytest.approx(0.125)
 
-    @pytest.mark.parametrize("strategy", Strategy.ALL)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_threshold_partitions(self, strategy):
         objects, q = two_object_textbook_case()
         engine = UncertainEngine(objects)
+        answer = STRATEGIES[strategy]
         assert set(
-            engine.execute(
-                CPNNQuery(q, threshold=0.1, tolerance=0.0), strategy=strategy
-            ).answers
+            answer(engine, CPNNQuery(q, threshold=0.1, tolerance=0.0)).answers
         ) == {"A", "B"}
         assert set(
-            engine.execute(
-                CPNNQuery(q, threshold=0.5, tolerance=0.0), strategy=strategy
-            ).answers
+            answer(engine, CPNNQuery(q, threshold=0.5, tolerance=0.0)).answers
         ) == {"A"}
         assert set(
-            engine.execute(
-                CPNNQuery(q, threshold=0.9, tolerance=0.0), strategy=strategy
-            ).answers
+            answer(engine, CPNNQuery(q, threshold=0.9, tolerance=0.0)).answers
         ) == set()
 
 
@@ -105,16 +114,24 @@ class TestStrategyAgreement:
             engine = UncertainEngine(objects)
             q = float(rng.uniform(-5, 65))
             threshold = float(rng.uniform(0.05, 0.9))
+            spec = CPNNQuery(q, threshold=threshold, tolerance=0.0)
             answers = {
-                strategy: set(
-                    engine.execute(
-                        CPNNQuery(q, threshold=threshold, tolerance=0.0),
-                        strategy=strategy,
-                    ).answers
-                )
-                for strategy in Strategy.ALL
+                name: set(answer(engine, spec).answers)
+                for name, answer in STRATEGIES.items()
             }
             assert answers["basic"] == answers["refine"] == answers["vr"]
+
+    def test_basic_exact_is_the_engines_pnn(self, rng):
+        """The Basic reference integrates every candidate with the
+        engine's own exact tier: its records carry ``engine.pnn``."""
+        for _ in range(4):
+            objects = make_random_objects(rng, int(rng.integers(3, 20)))
+            engine = UncertainEngine(objects)
+            q = float(rng.uniform(-5, 65))
+            result = basic(engine, CPNNQuery(q, threshold=0.3, tolerance=0.0))
+            pnn = engine.pnn(q)
+            assert {r.key: r.exact for r in result.records} == pnn
+            assert result.refined_objects == len(pnn)
 
     def test_rtree_and_linear_filters_agree(self, rng):
         objects = make_random_objects(rng, 25)
@@ -134,7 +151,7 @@ class TestResultContents:
 
     def test_records_cover_candidates(self, rng):
         objects = make_random_objects(rng, 15)
-        result = UncertainEngine(objects).execute(CPNNQuery(30.0), strategy="vr")
+        result = UncertainEngine(objects).execute(CPNNQuery(30.0))
         assert len(result.records) >= 1
         for record in result.records:
             assert 0.0 <= record.lower <= record.upper <= 1.0
@@ -142,23 +159,21 @@ class TestResultContents:
 
     def test_basic_records_have_exact_probabilities(self, rng):
         objects = make_random_objects(rng, 10)
-        result = UncertainEngine(objects).execute(CPNNQuery(30.0), strategy="basic")
+        result = basic(UncertainEngine(objects), CPNNQuery(30.0))
         total = sum(r.exact for r in result.records)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_timings_populated(self, rng):
         objects = make_random_objects(rng, 10)
-        result = UncertainEngine(objects).execute(CPNNQuery(30.0), strategy="vr")
+        result = UncertainEngine(objects).execute(CPNNQuery(30.0))
         assert result.timings.filtering >= 0.0
         assert result.timings.total > 0.0
 
     def test_unknown_after_verifier_only_for_vr(self, rng):
         objects = make_random_objects(rng, 10)
         engine = UncertainEngine(objects)
-        assert engine.execute(
-            CPNNQuery(30.0), strategy="basic"
-        ).unknown_after_verifier == {}
-        vr = engine.execute(CPNNQuery(30.0), strategy="vr")
+        assert basic(engine, CPNNQuery(30.0)).unknown_after_verifier == {}
+        vr = engine.execute(CPNNQuery(30.0))
         assert "RS" in vr.unknown_after_verifier
 
     def test_fmin_recorded(self, rng):
@@ -179,10 +194,8 @@ class TestSpecialCases:
     def test_threshold_one_returns_at_most_one(self, rng):
         objects = make_random_objects(rng, 12)
         engine = UncertainEngine(objects)
-        for strategy in Strategy.ALL:
-            result = engine.execute(
-                CPNNQuery(30.0, threshold=1.0, tolerance=0.0), strategy=strategy
-            )
+        for answer in STRATEGIES.values():
+            result = answer(engine, CPNNQuery(30.0, threshold=1.0, tolerance=0.0))
             assert len(result.answers) <= 1
 
     def test_min_query_is_pnn_at_left_infinity(self, rng):

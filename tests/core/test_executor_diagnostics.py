@@ -53,7 +53,7 @@ class TestStatsSchema:
         assert stats["breaker"]["state"] == "disabled"
         assert all(stats[c] == 0 for c in CANONICAL_COUNTERS)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sharded_engine_carries_the_full_schema(self, rng, backend):
         objects = make_random_objects(rng, 12)
         config = EngineConfig(executor=backend)
@@ -88,11 +88,11 @@ class TestExplainSchema:
 
     def test_sharded_plan_reports_executor(self, rng):
         objects = make_random_objects(rng, 12)
-        config = EngineConfig(executor="thread")
+        config = EngineConfig(executor="process")
         with ShardedEngine(objects, config, n_shards=2) as engine:
             plan = engine.explain(CPNNQuery(9.0, threshold=0.3))
             assert_canonical(plan.executor)
-            assert plan.executor["backend"] == "thread"
+            assert plan.executor["backend"] == "process"
             described = plan.describe()
             assert "breaker closed" in described
 
@@ -112,9 +112,9 @@ class TestResultDiagnostics:
             "executor.dispatch",
             raise_error(lambda: RuntimeError("injected")),
             at=1,
-            match={"backend": "thread", "kind": "pnn"},
+            match={"backend": "process", "kind": "pnn"},
         )
-        config = EngineConfig(executor="thread")
+        config = EngineConfig(executor="process", process_min_batch=0)
         with ShardedEngine(objects, config, n_shards=2) as engine:
             with plan:
                 result = engine.execute(CPNNQuery(9.0, threshold=0.3))
@@ -122,5 +122,5 @@ class TestResultDiagnostics:
         note = result.diagnostics["executor"]
         assert note["recovered_inline"] is True
         assert note["backend"] == "serial"
-        assert note["configured"] == "thread"
+        assert note["configured"] == "process"
         assert "diagnostics=['executor']" in repr(result)

@@ -1,11 +1,16 @@
 """Tests for the executor layer's resolution and in-process backends.
 
-``EngineConfig.executor`` resolves to a concrete backend; the serial and thread backends must answer
+``EngineConfig.executor`` resolves to a concrete backend; the serial
+backend and the process backend's inline path (batches below
+``process_min_batch`` run on the parent's lanes) must answer
 bit-identically to each other and to the single engine, and the choice
 must be visible through ``stats()`` and ``explain()``.  The process
-backend has its own suite (``test_process_executor.py``) because it
-spawns interpreters.
+workers have their own suite (``test_process_executor.py``) because
+they spawn interpreters.
 """
+
+import importlib
+import os
 
 import pytest
 
@@ -19,7 +24,7 @@ from tests.core.test_sharded import assert_batches_identical, mixed_specs
 
 class TestResolution:
     def test_non_auto_names_pass_through(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert resolve_backend(EngineConfig(executor=name)) == name
 
     def test_auto_is_serial_for_non_parallel_hosts(self):
@@ -27,13 +32,14 @@ class TestResolution:
 
     def test_auto_resolves_to_a_parallel_backend(self):
         resolved = resolve_backend(EngineConfig(), parallel=True)
-        assert resolved in ("thread", "process")
+        assert resolved == ("process" if (os.cpu_count() or 1) >= 2 else "serial")
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            EngineConfig(executor="gpu")
-        with pytest.raises(ValueError):
-            make_executor("gpu", host=None)
+        for name in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                EngineConfig(executor=name)
+            with pytest.raises(ValueError):
+                make_executor(name, host=None)
 
     def test_process_min_batch_validated(self):
         with pytest.raises(ValueError):
@@ -44,11 +50,11 @@ class TestResolution:
         engine = ShardedEngine(objects, EngineConfig(executor="serial"), n_shards=2)
         assert engine.executor == "serial"
         engine = ShardedEngine(objects, EngineConfig(executor="auto"), n_shards=2)
-        assert engine.executor in ("serial", "thread", "process")
+        assert engine.executor in ("serial", "process")
 
 
 class TestInProcessBackendIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_mixed_batch_matches_single_engine(self, rng, backend):
         objects = make_random_objects(rng, 40)
         specs = mixed_specs()
@@ -59,7 +65,7 @@ class TestInProcessBackendIdentity:
             got = engine.execute_batch(specs)
             assert_batches_identical(got, want)
 
-    def test_serial_and_thread_agree_after_mutations(self, rng):
+    def test_serial_and_process_agree_after_mutations(self, rng):
         objects = make_random_objects(rng, 30)
         newcomer = UncertainObject.uniform("newcomer", 18.0, 26.0)
         specs = [CPNNQuery(q, threshold=0.3) for q in (4.0, 22.0, 41.0, 55.0)]
@@ -67,7 +73,7 @@ class TestInProcessBackendIdentity:
             name: ShardedEngine(
                 list(objects), EngineConfig(executor=name), n_shards=2
             )
-            for name in ("serial", "thread")
+            for name in ("serial", "process")
         }
         single = UncertainEngine(list(objects))
         try:
@@ -87,7 +93,7 @@ class TestInProcessBackendIdentity:
         want = UncertainEngine(
             objects, EngineConfig(use_rtree=False)
         ).execute_batch(specs)
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             config = EngineConfig(use_rtree=False, executor=backend)
             with ShardedEngine(objects, config, n_shards=2) as engine:
                 assert_batches_identical(engine.execute_batch(specs), want)
@@ -96,13 +102,14 @@ class TestInProcessBackendIdentity:
 class TestObservability:
     def test_sharded_stats_report_backend(self, rng):
         objects = make_random_objects(rng, 15)
-        config = EngineConfig(executor="thread")
+        config = EngineConfig(executor="process")
         with ShardedEngine(objects, config, n_shards=2) as engine:
             stats = engine.stats()
-            assert stats["executor"]["backend"] == "thread"
+            assert stats["executor"]["backend"] == "process"
             engine.execute_batch([CPNNQuery(11.0, threshold=0.3)])
             parallel = engine.stats()["shards"]["parallel"]
-            assert parallel["backend"] == "thread"
+            # One spec is below ``process_min_batch``: it ran inline.
+            assert parallel["backend"] == "serial"
 
     def test_single_engine_stats_report_serial(self, rng):
         engine = UncertainEngine(make_random_objects(rng, 8))
@@ -123,7 +130,7 @@ class TestObservability:
 
     def test_close_is_idempotent_and_engine_stays_usable(self, rng):
         objects = make_random_objects(rng, 15)
-        engine = ShardedEngine(objects, EngineConfig(executor="thread"), n_shards=2)
+        engine = ShardedEngine(objects, EngineConfig(executor="process"), n_shards=2)
         specs = [CPNNQuery(12.0, threshold=0.3)]
         first = engine.execute_batch(specs)
         engine.close()
@@ -131,3 +138,16 @@ class TestObservability:
         again = engine.execute_batch(specs)
         assert_batches_identical(again, first)
         engine.close()
+
+
+class TestSurface:
+    def test_executors_surface_is_pinned(self):
+        """Two backends behind ``auto``: the thread pool left in 11.0,
+        and any return must come with a test on a free-threaded build."""
+        from repro.core.engine.executors import BACKENDS
+        from repro.core.engine.executors.breaker import degradation_chain
+
+        assert BACKENDS == ("auto", "serial", "process")
+        assert degradation_chain("process") == ("process", "serial")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.engine.executors.thread")

@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines import scalar_knn_query, scalar_range_query
 from repro.baselines.scalar import assert_covers
-from repro.core.engine import Strategy, UncertainEngine
+from repro.core.engine import UncertainEngine
 from repro.core.types import (
     CKNNQuery,
     CPNNQuery,
@@ -19,6 +19,7 @@ from repro.core.types import (
     QueryResult,
     QuerySpec,
 )
+from repro.experiments.strategies import basic
 from repro.uncertainty.objects import UncertainObject
 from tests.conftest import make_random_objects
 
@@ -79,19 +80,21 @@ class TestExecuteDispatch:
         assert result.spec.threshold == 0.3
 
     def test_strategy_override(self, rng):
+        """The per-call override left the façade: Basic is a reference
+        beside the engine, and a stale ``strategy=`` fails loudly."""
         engine = UncertainEngine(make_random_objects(rng, 8))
         spec = CPNNQuery(30.0, 0.3, 0.0)
-        vr = engine.execute(spec, strategy=Strategy.VR)
-        basic = engine.execute(spec, strategy=Strategy.BASIC)
-        assert set(vr.answers) == set(basic.answers)
-        assert basic.refined_objects == len(basic.records)
-        with pytest.raises(ValueError):
-            engine.execute(spec, strategy="nope")
-        # Typos are rejected for every spec family and batch shape.
-        with pytest.raises(ValueError):
-            engine.execute(CKNNQuery(30.0, k=2), strategy="nope")
-        with pytest.raises(ValueError):
-            engine.execute_batch([CKNNQuery(30.0, k=2)], strategy="nope")
+        vr = engine.execute(spec)
+        reference = basic(engine, spec)
+        assert set(vr.answers) == set(reference.answers)
+        assert reference.refined_objects == len(reference.records)
+        assert basic(engine, 30.0).spec == CPNNQuery(30.0)
+        with pytest.raises(TypeError):
+            basic(engine, CKNNQuery(30.0, k=2))
+        with pytest.raises(TypeError):
+            engine.execute(spec, strategy="basic")
+        with pytest.raises(TypeError):
+            engine.execute_batch([spec], strategy="basic")
 
     def test_knn_covers_everything(self, rng):
         objects = make_random_objects(rng, 4)
@@ -237,6 +240,7 @@ class TestEmptyInputs:
             assert result.answers == ()
             assert result.records == []
             assert result.spec is spec
+        assert basic(engine, CPNNQuery(1.0)).records == []
 
     def test_empty_engine_execute_batch(self):
         engine = UncertainEngine([])
@@ -250,11 +254,6 @@ class TestEmptyInputs:
         engine = UncertainEngine(make_random_objects(rng, 4))
         batch = engine.execute_batch([])
         assert len(batch) == 0
-
-    def test_empty_batch_still_validates_strategy(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 3))
-        with pytest.raises(ValueError):
-            engine.execute_batch([], strategy="bogus")
 
     def test_reference_paths_still_raise_on_empty(self):
         with pytest.raises(ValueError):
@@ -281,7 +280,6 @@ class TestExplain:
         plan = engine.explain(CPNNQuery(30.0, 0.3, 0.01))
         assert isinstance(plan, QueryPlan)
         assert plan.family == "cpnn"
-        assert plan.strategy == Strategy.VR
         assert plan.verifiers == ("RS", "L-SR", "U-SR")
         assert plan.candidates + plan.pruned == len(objects)
         assert np.isfinite(plan.fmin)

@@ -7,11 +7,14 @@ data, and across dynamic updates.  The structural tests cover
 construction, the staged filter, and the observability surface.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery, QueryPlan
+from repro.experiments.strategies import STRATEGIES
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.twod import UncertainDisk
 from tests.conftest import make_random_objects
@@ -64,17 +67,17 @@ class TestBitIdentity:
                 sharded.execute_batch(specs), single.execute_batch(specs)
             )
 
-    @pytest.mark.parametrize("strategy", ["basic", "refine", "vr"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategies_match(self, rng, strategy):
+        """The engine's pipeline and the Basic / Refine references read
+        the same filter on both engines, so they answer alike."""
         objects = make_random_objects(rng, 20)
         single = UncertainEngine(list(objects))
+        answer = STRATEGIES[strategy]
         with ShardedEngine(list(objects), n_shards=2) as sharded:
-            specs = [CPNNQuery(q, threshold=0.3, tolerance=0.01)
-                     for q in (7.0, 31.0, 52.0)]
-            assert_batches_identical(
-                sharded.execute_batch(specs, strategy=strategy),
-                single.execute_batch(specs, strategy=strategy),
-            )
+            for q in (7.0, 31.0, 52.0):
+                spec = CPNNQuery(q, threshold=0.3, tolerance=0.01)
+                assert_results_identical(answer(sharded, spec), answer(single, spec))
 
     def test_heterogeneous_constraints_match(self, rng):
         objects = make_random_objects(rng, 24)
@@ -233,13 +236,6 @@ class TestConstructionAndConfig:
         with pytest.raises(ValueError):
             ShardedEngine(objects)
 
-    def test_strategy_validation(self, rng):
-        with ShardedEngine(make_random_objects(rng, 4)) as sharded:
-            with pytest.raises(ValueError):
-                sharded.execute(CPNNQuery(1.0), strategy="bogus")
-            with pytest.raises(ValueError):
-                sharded.execute_batch([CKNNQuery(1.0, k=1)], strategy="bogus")
-
 
 class TestObservability:
     def test_stats_shape(self, rng):
@@ -301,3 +297,20 @@ class TestObservability:
             parallel = plan.shards["parallel"]
             assert parallel["lanes_used"] >= 1
             assert parallel["parallel_speedup"] > 0
+
+    def test_parent_filtering_is_booked(self, rng, monkeypatch):
+        """The parent stages every C-PNN filter pass for the lanes; that
+        time is the batch's (and a single query's) filtering phase."""
+        objects = make_random_objects(rng, 16)
+        config = EngineConfig(executor="serial")
+        with ShardedEngine(objects, config, n_shards=2) as sharded:
+            filter_batch = sharded._filter_batch
+
+            def slow_filter_batch(points):
+                time.sleep(0.02)
+                return filter_batch(points)
+
+            monkeypatch.setattr(sharded, "_filter_batch", slow_filter_batch)
+            assert sharded.execute(CPNNQuery(3.0)).timings.filtering >= 0.02
+            batch = sharded.execute_batch([CPNNQuery(q) for q in (5.0, 17.5, 42.25)])
+            assert batch.timings.filtering >= 0.02

@@ -62,9 +62,9 @@ class TestSpecPickling:
 class TestWorkItemPickling:
     def test_pnn_item(self):
         specs = (CPNNQuery(1.0, threshold=0.3), CPNNQuery(2.0, threshold=0.4))
-        item = PnnItem(lane=1, indices=(0, 5), specs=specs, strategy="vr")
+        item = PnnItem(lane=1, indices=(0, 5), specs=specs)
         twin = round_trip(item)
-        assert (twin.lane, twin.indices, twin.strategy) == (1, (0, 5), "vr")
+        assert (twin.lane, twin.indices) == (1, (0, 5))
         assert twin.specs == specs
 
 

@@ -103,7 +103,7 @@ class TestPublicApi:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
 
     def test_legacy_surface_is_gone(self):
         import repro
@@ -117,6 +117,7 @@ class TestPublicApi:
             "CKNNEngine",
             "CPNNEngine",
             "CPNNResult",
+            "Strategy",
             "constrained_range_query",
         }
         for module in (repro, repro.core, repro.core.engine):

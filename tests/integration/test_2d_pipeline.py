@@ -5,12 +5,12 @@ because everything downstream of distance-distribution construction is
 dimension-agnostic.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.montecarlo import monte_carlo_pnn_probabilities
-from repro.core.engine import Strategy, UncertainEngine
+from repro.core.engine import UncertainEngine
 from repro.core.types import CPNNQuery
+from repro.experiments.strategies import STRATEGIES
 from repro.uncertainty.twod import (
     UncertainDisk,
     UncertainRectangle,
@@ -53,13 +53,10 @@ class Test2DPipeline:
         objects = mixed_2d_objects(rng)
         engine = UncertainEngine(objects)
         q = (10.0, 10.0)
+        spec = CPNNQuery(q, threshold=0.25, tolerance=0.0)
         answers = {
-            s: set(
-                engine.execute(
-                    CPNNQuery(q, threshold=0.25, tolerance=0.0), strategy=s
-                ).answers
-            )
-            for s in Strategy.ALL
+            name: set(answer(engine, spec).answers)
+            for name, answer in STRATEGIES.items()
         }
         assert answers["basic"] == answers["refine"] == answers["vr"]
 

@@ -12,6 +12,7 @@ from repro.core.engine import UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.datasets.longbeach import long_beach_surrogate
 from repro.datasets.queries import random_query_points
+from repro.experiments.strategies import STRATEGIES, refine
 
 
 @pytest.fixture(scope="module")
@@ -28,42 +29,31 @@ def points():
 class TestPaperShapeClaims:
     def test_strategies_agree_on_answers(self, engine, points):
         for q in points:
+            spec = CPNNQuery(q, threshold=0.3, tolerance=0.0)
             answers = [
-                set(
-                    engine.execute(
-                        CPNNQuery(q, threshold=0.3, tolerance=0.0), strategy=s
-                    ).answers
-                )
-                for s in ("basic", "refine", "vr")
+                set(answer(engine, spec).answers) for answer in STRATEGIES.values()
             ]
             assert answers[0] == answers[1] == answers[2]
 
     def test_vr_refines_fewer_objects_than_refine(self, engine, points):
         vr_refined = refine_refined = 0
         for q in points:
-            vr_refined += engine.execute(
-                CPNNQuery(q, threshold=0.3, tolerance=0.01), strategy="vr"
-            ).refined_objects
-            refine_refined += engine.execute(
-                CPNNQuery(q, threshold=0.3, tolerance=0.01), strategy="refine"
-            ).refined_objects
+            spec = CPNNQuery(q, threshold=0.3, tolerance=0.01)
+            vr_refined += engine.execute(spec).refined_objects
+            refine_refined += refine(engine, spec).refined_objects
         assert vr_refined < refine_refined
 
     def test_high_threshold_needs_no_refinement(self, engine, points):
         # Figure 11: "when P >= 0.3, no more qualification probabilities
         # need to be computed" — verifiers settle everything.
         for q in points:
-            result = engine.execute(
-                CPNNQuery(q, threshold=0.5, tolerance=0.01), strategy="vr"
-            )
+            result = engine.execute(CPNNQuery(q, threshold=0.5, tolerance=0.01))
             assert result.refined_objects == 0
             assert result.finished_after_verification
 
     def test_unknown_fraction_falls_along_chain(self, engine, points):
         for q in points:
-            result = engine.execute(
-                CPNNQuery(q, threshold=0.2, tolerance=0.01), strategy="vr"
-            )
+            result = engine.execute(CPNNQuery(q, threshold=0.2, tolerance=0.01))
             series = [
                 result.unknown_after_verifier[name]
                 for name in ("RS", "L-SR", "U-SR")
@@ -74,12 +64,8 @@ class TestPaperShapeClaims:
     def test_tolerance_reduces_refinement(self, engine, points):
         tight = lax = 0
         for q in points:
-            tight += engine.execute(
-                CPNNQuery(q, threshold=0.1, tolerance=0.0), strategy="vr"
-            ).refined_objects
-            lax += engine.execute(
-                CPNNQuery(q, threshold=0.1, tolerance=0.2), strategy="vr"
-            ).refined_objects
+            tight += engine.execute(CPNNQuery(q, threshold=0.1, tolerance=0.0)).refined_objects
+            lax += engine.execute(CPNNQuery(q, threshold=0.1, tolerance=0.2)).refined_objects
         assert lax <= tight
 
     def test_answers_nonempty_at_low_threshold(self, engine, points):

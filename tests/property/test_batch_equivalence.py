@@ -4,18 +4,16 @@ The batch path puts cache tiers (one filtering sweep, shared
 distributions, cached tables, replayed snapshots) around the very
 phases ``execute`` runs, so the two must return identical results —
 bit for bit, record by record — and at tolerance 0 both must agree
-with the exact ``{i : p_i ≥ P}`` semantics.  Exercised across all
-three strategies, across 1-D and 2-D object mixes, and on a
-refinement-heavy Gaussian dataset where several candidates per query
-survive verification.
+with the exact ``{i : p_i ≥ P}`` semantics.  Exercised across 1-D and
+2-D object mixes, and on a refinement-heavy Gaussian dataset where
+several candidates per query survive verification.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import EngineConfig, Strategy, UncertainEngine
+from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.twod import UncertainDisk, UncertainRectangle, UncertainSegment
@@ -74,32 +72,24 @@ def batch_cases_2d(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(batch_cases_1d(), st.sampled_from(Strategy.ALL))
-def test_batch_equals_sequential_1d(case, strategy):
+@given(batch_cases_1d())
+def test_batch_equals_sequential_1d(case):
     objects, points, threshold = case
     engine = UncertainEngine(objects)
-    batch = engine.execute_batch(
-        cpnn_specs(points, threshold=threshold, tolerance=0.0), strategy=strategy
-    )
+    batch = engine.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
     for q, result in zip(points, batch):
-        reference = engine.execute(
-            CPNNQuery(q, threshold=threshold, tolerance=0.0), strategy=strategy
-        )
+        reference = engine.execute(CPNNQuery(q, threshold=threshold, tolerance=0.0))
         assert set(result.answers) == set(reference.answers)
 
 
 @settings(max_examples=20, deadline=None)
-@given(batch_cases_2d(), st.sampled_from(Strategy.ALL))
-def test_batch_equals_sequential_2d(case, strategy):
+@given(batch_cases_2d())
+def test_batch_equals_sequential_2d(case):
     objects, points, threshold = case
     engine = UncertainEngine(objects)
-    batch = engine.execute_batch(
-        cpnn_specs(points, threshold=threshold, tolerance=0.0), strategy=strategy
-    )
+    batch = engine.execute_batch(cpnn_specs(points, threshold=threshold, tolerance=0.0))
     for q, result in zip(points, batch):
-        reference = engine.execute(
-            CPNNQuery(q, threshold=threshold, tolerance=0.0), strategy=strategy
-        )
+        reference = engine.execute(CPNNQuery(q, threshold=threshold, tolerance=0.0))
         assert set(result.answers) == set(reference.answers)
 
 
@@ -166,10 +156,7 @@ def assert_same_result(got, want):
     assert got.refined_objects == want.refined_objects
 
 
-# The ids name the engine's one path: widest-first refinement behind the
-# table cache.
-@pytest.mark.parametrize("strategy", Strategy.ALL, ids=lambda s: f"{s}-widest-cached")
-def test_batch_is_execute_bit_for_bit(strategy):
+def test_batch_is_execute_bit_for_bit():
     engine = UncertainEngine(refine_shaped_objects())
     points = [float(q) for q in np.random.default_rng(11).uniform(5.0, 110.0, 8)]
     constraints = [(0.05, 0.0), (0.3, 0.01), (0.5, 0.0), (0.05, 0.02)]
@@ -179,13 +166,12 @@ def test_batch_is_execute_bit_for_bit(strategy):
         CPNNQuery(q, *constraints[i % len(constraints)])
         for i, q in enumerate(points + points[:4])
     ]
-    cold = engine.execute_batch(specs, strategy=strategy)
-    warm = engine.execute_batch(specs, strategy=strategy)
+    cold = engine.execute_batch(specs)
+    warm = engine.execute_batch(specs)
     for spec, first, again in zip(specs, cold.results, warm.results):
-        reference = engine.execute(spec, strategy=strategy)
+        reference = engine.execute(spec)
         assert_same_result(first, reference)
         assert_same_result(again, reference)
     assert warm.result_hits == len(specs)
-    if strategy == Strategy.VR:
-        survivors = [r.refined_objects for r in cold.results[: len(points)]]
-        assert max(survivors) >= 2, "the dataset must exercise refinement"
+    survivors = [r.refined_objects for r in cold.results[: len(points)]]
+    assert max(survivors) >= 2, "the dataset must exercise refinement"

@@ -177,16 +177,10 @@ def test_monitored_stream_matches_fresh_engine(stream, use_rtree):
     )
 
 
-@given(
-    stream=monitored_streams(),
-    n_shards=st.integers(min_value=1, max_value=4),
-    executor=st.sampled_from(["serial", "thread"]),
-)
+@given(stream=monitored_streams(), n_shards=st.integers(min_value=1, max_value=4))
 @settings(max_examples=15, deadline=None)
-def test_monitored_sharded_stream_matches_fresh_engine(
-    stream, n_shards, executor
-):
-    config = EngineConfig(executor=executor)
+def test_monitored_sharded_stream_matches_fresh_engine(stream, n_shards):
+    config = EngineConfig(executor="serial")
     engine = run_stream(
         lambda objects, cfg: ShardedEngine(objects, cfg, n_shards=n_shards),
         stream,

@@ -1,11 +1,11 @@
 """Property-based engine contract tests over random workloads."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import Strategy, UncertainEngine
+from repro.core.engine import UncertainEngine
 from repro.core.types import CPNNQuery
+from repro.experiments.strategies import STRATEGIES
 from repro.uncertainty.objects import UncertainObject
 
 SLACK = 1e-7
@@ -26,15 +26,13 @@ def engine_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(engine_cases(), st.sampled_from(Strategy.ALL))
-def test_answer_set_contract(case, strategy):
+@given(engine_cases(), st.sampled_from(list(STRATEGIES.values())))
+def test_answer_set_contract(case, answer):
     objects, q, threshold, tolerance = case
     engine = UncertainEngine(objects)
     exact = engine.pnn(q)
     answers = set(
-        engine.execute(
-            CPNNQuery(q, threshold=threshold, tolerance=tolerance), strategy=strategy
-        ).answers
+        answer(engine, CPNNQuery(q, threshold=threshold, tolerance=tolerance)).answers
     )
     must = {k for k, p in exact.items() if p >= threshold + SLACK}
     may = {k for k, p in exact.items() if p >= threshold - tolerance - SLACK}
@@ -46,14 +44,8 @@ def test_answer_set_contract(case, strategy):
 def test_strategies_agree_at_zero_tolerance(case):
     objects, q, threshold, _ = case
     engine = UncertainEngine(objects)
-    results = [
-        set(
-            engine.execute(
-                CPNNQuery(q, threshold=threshold, tolerance=0.0), strategy=s
-            ).answers
-        )
-        for s in Strategy.ALL
-    ]
+    spec = CPNNQuery(q, threshold=threshold, tolerance=0.0)
+    results = [set(answer(engine, spec).answers) for answer in STRATEGIES.values()]
     assert results[0] == results[1] == results[2]
 
 
@@ -87,9 +79,7 @@ def test_vr_bounds_contain_monte_carlo_estimate(case, seed):
     """VR's reported bounds must be consistent with sampled reality."""
     objects, q, threshold, tolerance = case
     engine = UncertainEngine(objects)
-    result = engine.execute(
-        CPNNQuery(q, threshold=threshold, tolerance=tolerance), strategy="vr"
-    )
+    result = engine.execute(CPNNQuery(q, threshold=threshold, tolerance=tolerance))
     exact = engine.pnn(q)
     for record in result.records:
         assert record.lower - SLACK <= exact[record.key] <= record.upper + SLACK
