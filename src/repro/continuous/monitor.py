@@ -70,9 +70,10 @@ class ContinuousHandle:
     def snapshot(self) -> QueryResult:
         """A caller-owned replay of the memoised result.
 
-        Records are deep-copied (the stored snapshot shares no mutable
-        state with what callers hold) and timings are zero — nothing
-        ran, matching the engine's own replay-tier convention.
+        A fresh view of the read-only record columns (the stored
+        snapshot shares no mutable state with what callers hold) and
+        zero timings — nothing ran, matching the engine's own
+        replay-tier convention.
         """
         result = _replay_result(self.result)
         result.spec = self.spec
@@ -186,7 +187,7 @@ class ContinuousMonitor:
         handle.candidate_keys = (
             None
             if handle.region.structural
-            else frozenset(record.key for record in result.records)
+            else frozenset(result.records.keys)
         )
         handle.reexecutions += 1
         self._index.put(

@@ -34,6 +34,7 @@ from repro.core.storage import SubregionStore, subregion_bounds_from_store
 from repro.core.subregions import SubregionTable
 from repro.core.types import (
     AnswerRecord,
+    AnswerRecords,
     CKNNQuery,
     CPNNQuery,
     CRangeQuery,
@@ -53,6 +54,7 @@ from repro.core.verifiers import (
 
 __all__ = [
     "AnswerRecord",
+    "AnswerRecords",
     "BatchResult",
     "CKNNQuery",
     "CPNNQuery",

@@ -10,7 +10,7 @@ per responsibility:
 module              owns
 ==================  ====================================================
 :mod:`.config`      :class:`EngineConfig`
-:mod:`.dispatch`    spec normalisation + the verifier chain
+:mod:`.dispatch`    spec normalisation
 :mod:`.registry`    object storage, key bookkeeping, the **mutation
                     contract** (insert/remove/replace), and the deferred
                     table-cache invalidation queue

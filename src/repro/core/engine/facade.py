@@ -35,6 +35,7 @@ from repro.core.types import (
     QueryPlan,
     QueryResult,
 )
+from repro.core.verifiers.fused import VERIFIERS
 
 __all__ = ["QueryFacadeMixin", "UncertainEngine"]
 
@@ -308,7 +309,6 @@ class UncertainEngine(
     def __init__(self, objects: Sequence, config: EngineConfig | None = None):
         self._config = config or EngineConfig()
         self._init_registry(objects)
-        self._init_chain()
         self._init_filter_stage()
         self._distribution_cache = DistributionCache()
         #: LRU of fully built subregion tables keyed by query point,
@@ -403,7 +403,7 @@ class UncertainEngine(
                 caches=caches,
             )
         filter_result = self._filter(spec.q)
-        verifiers = tuple(v.name for v in self._chain.verifiers)
+        verifiers = VERIFIERS
         stages = ["PNN filtering (f_min pruning rule)"]
         if self._config.parametric_fast_path:
             stages.append(

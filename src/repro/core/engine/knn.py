@@ -21,16 +21,12 @@ import numpy as np
 
 from repro.core.batch import distributions_for
 from repro.core.knn import knn_analytic_eval, knn_routed_eval
-from repro.core.types import (
-    AnswerRecord,
-    CKNNQuery,
-    Label,
-    PhaseTimings,
-    QueryResult,
-)
+from repro.core.types import AnswerRecords, CKNNQuery, PhaseTimings, QueryResult
 from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 
 __all__ = ["KnnExecutorMixin"]
+
+_SATISFY = 1
 
 
 class KnnExecutorMixin:
@@ -68,17 +64,14 @@ class KnnExecutorMixin:
                 # scalar path's early return, replicated before any
                 # distribution is built.  All of them are candidates,
                 # so this is the one result that lists the census.
-                keys = [obj.key for obj in self._objects]
-                records = [
-                    AnswerRecord(
-                        key=key, label=Label.SATISFY, lower=1.0, upper=1.0, exact=1.0
-                    )
-                    for key in keys
-                ]
+                keys = tuple(obj.key for obj in self._objects)
+                ones = np.ones(len(keys))
                 results.append(
                     QueryResult(
-                        answers=tuple(keys),
-                        records=records,
+                        answers=keys,
+                        records=AnswerRecords(
+                            keys, np.full(len(keys), _SATISFY), ones, ones, ones
+                        ),
                         fmin=float("inf"),
                         timings=timings,
                         finished_after_verification=True,

@@ -74,7 +74,6 @@ class Lane(SpecDispatchMixin, InvalidationQueueMixin, PnnExecutorMixin):
 
     def __init__(self, config: EngineConfig, n_lanes: int) -> None:
         self._config = config
-        self._init_chain()
         self._init_invalidation_queue()
         # Each lane gets its share of the engine's capacities: the
         # lane population partitions the query points, so the per-point

@@ -1,7 +1,7 @@
 """The C-PNN executor: filtering → initialisation → verify → refine.
 
 Runs the paper's VR pipeline (Section IV) for C-PNN specs, single and
-batched, against a small host protocol — ``_config``, ``_chain``,
+batched, against a small host protocol — ``_config``,
 ``_filter_batch``, ``_filter``, ``_distribution_cache``,
 ``_table_cache`` and ``_flush_table_invalidations`` — so the same
 executor serves the single :class:`~repro.core.engine.UncertainEngine`
@@ -28,13 +28,8 @@ from repro.core.engine.executors.base import check_cancel
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
-from repro.core.types import (
-    AnswerRecord,
-    CPNNQuery,
-    Label,
-    PhaseTimings,
-    QueryResult,
-)
+from repro.core.types import CPNNQuery, PhaseTimings, QueryResult
+from repro.core.verifiers.fused import verify
 from repro.index.filtering import FilterResult
 from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 from repro.uncertainty.parametric.table import AnalyticTable
@@ -63,25 +58,17 @@ def _result_sig(query: CPNNQuery) -> tuple:
 def _replay_result(result: QueryResult) -> QueryResult:
     """A fresh :class:`QueryResult` replaying a memoised outcome.
 
-    Copies the mutable containers *and* the (mutable)
-    :class:`AnswerRecord` instances, so neither the stored snapshot nor
-    any replayed result shares state with what a caller received — a
-    caller mutating a record cannot corrupt later replays.  Timings are
-    zero: nothing ran, and a batch's phase totals are the sums of its
+    Copies the mutable containers and takes a fresh view of the
+    read-only record columns, whose records are built anew on first
+    access — so neither the stored snapshot nor any replayed result
+    shares a mutable object with what a caller received: a caller
+    mutating a record cannot corrupt later replays.  Timings are zero:
+    nothing ran, and a batch's phase totals are the sums of its
     results' phases.
     """
     return QueryResult(
         answers=result.answers,
-        records=[
-            AnswerRecord(
-                key=r.key,
-                label=r.label,
-                lower=r.lower,
-                upper=r.upper,
-                exact=r.exact,
-            )
-            for r in result.records
-        ],
+        records=result.records.copy(),
         fmin=result.fmin,
         unknown_after_verifier=dict(result.unknown_after_verifier),
         finished_after_verification=result.finished_after_verification,
@@ -132,13 +119,12 @@ class PnnExecutorMixin:
         states = CandidateStates(table.keys)
         timings.initialization += time.perf_counter() - tick
 
-        chain = self._chain
         unknown_after: dict[str, float] = {}
         tick = time.perf_counter()
         while True:
-            outcome = chain.run(table, states, query)
-            unknown_after.update(outcome.unknown_after)
-            if states.n_unknown == 0:
+            verified = verify(table, states, query.threshold, query.tolerance)
+            unknown_after.update(verified.unknown_after)
+            if not verified.rows.size:
                 break
             next_grid = table.grid * 4
             if next_grid > ANALYTIC_MAX_GRID:
@@ -150,7 +136,6 @@ class PnnExecutorMixin:
             table = table.refined(next_grid)
         timings.verification += time.perf_counter() - tick
         return self._build_result(
-            table.keys,
             states,
             filter_result.fmin,
             timings,
@@ -290,39 +275,41 @@ class PnnExecutorMixin:
         table: SubregionTable,
         timings: PhaseTimings,
     ) -> QueryResult:
-        """Fresh states over ``table``: verify with the chain, then
-        refine the candidates it left UNKNOWN, seeded with the
-        verifiers' per-subregion bounds."""
+        """Fresh states over ``table``: the verifier pass, then
+        refinement of the candidates it left UNKNOWN, seeded with their
+        per-subregion bracket rows from the pass."""
         tick = time.perf_counter()
         states = CandidateStates(table.keys)
         refiner = Refiner(table)
         timings.initialization += time.perf_counter() - tick
 
         tick = time.perf_counter()
-        outcome = self._chain.run(table, states, query)
+        verified = verify(table, states, query.threshold, query.tolerance)
         timings.verification += time.perf_counter() - tick
 
-        finished = states.n_unknown == 0
+        unknown = verified.rows
         tick = time.perf_counter()
-        unknown = states.unknown_indices()
-        for i in unknown:
-            refiner.refine_object(int(i), states, query)
+        if unknown.size:
+            for i, q_lower, q_upper in zip(
+                unknown.tolist(), verified.q_lower, verified.q_upper
+            ):
+                refiner.refine_object(
+                    i, states, query, q_lower=q_lower, q_upper=q_upper
+                )
         timings.refinement = time.perf_counter() - tick
         return self._build_result(
-            table.keys,
             states,
             fmin,
             timings,
-            unknown_after=outcome.unknown_after,
-            finished_after_verification=finished,
-            refined=len(unknown),
+            unknown_after=verified.unknown_after,
+            finished_after_verification=not unknown.size,
+            refined=unknown.size,
         )
 
     # ------------------------------------------------------------------
 
     def _build_result(
         self,
-        keys,
         states: CandidateStates,
         fmin: float,
         timings: PhaseTimings,
@@ -333,26 +320,9 @@ class PnnExecutorMixin:
         """Assemble a :class:`QueryResult` from final candidate states —
         shared by the histogram pipeline and the table-less parametric
         fast path."""
-        records = []
-        answers = []
-        for i, key in enumerate(keys):
-            label = states.label_of(i)
-            exact_p = None
-            if states.upper[i] - states.lower[i] <= 3 * states.pad:
-                exact_p = 0.5 * (states.upper[i] + states.lower[i])
-            records.append(
-                AnswerRecord(
-                    key=key,
-                    label=label,
-                    lower=float(states.lower[i]),
-                    upper=float(states.upper[i]),
-                    exact=exact_p,
-                )
-            )
-            if label is Label.SATISFY:
-                answers.append(key)
+        records = states.to_records()
         return QueryResult(
-            answers=tuple(answers),
+            answers=records.satisfied(),
             records=records,
             fmin=fmin,
             timings=timings,

@@ -39,7 +39,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.types import AnswerRecord, Label
+from repro.core.types import AnswerRecords
 from repro.numerics.poisson_binomial import prob_at_most_vectorized
 from repro.numerics.quadrature import gauss_legendre_nodes, nodes_for_degree
 from repro.uncertainty.columnar import DistributionPack
@@ -53,6 +53,8 @@ __all__ = [
     "knn_routed_eval",
     "kth_smallest_far",
 ]
+
+_SATISFY, _FAIL = 1, 2
 
 #: Cap on ``|survivors| * points`` cells evaluated per exact-integration
 #: chunk — bounds the transient cdf matrices regardless of grid size.
@@ -274,20 +276,18 @@ def _candidate_records(
     upper: np.ndarray,
     threshold: float,
     exact: dict[int, float],
-) -> tuple[tuple, list[AnswerRecord]]:
+) -> tuple[tuple, AnswerRecords]:
     """One record per candidate: the exact value where one was
     integrated, else the bound pair that decided the label."""
-    answers: list[Hashable] = []
-    records: list[AnswerRecord] = []
-    for i, (key, lo, hi) in enumerate(zip(keys, lower.tolist(), upper.tolist())):
-        p = exact.get(i)
-        if p is not None:
-            lo = hi = p
-        label = Label.SATISFY if lo >= threshold else Label.FAIL
-        records.append(AnswerRecord(key=key, label=label, lower=lo, upper=hi, exact=p))
-        if label is Label.SATISFY:
-            answers.append(key)
-    return tuple(answers), records
+    exact_column = np.full(len(keys), np.nan)
+    if exact:
+        at, values = list(exact), list(exact.values())
+        lower, upper = lower.copy(), upper.copy()
+        lower[at] = upper[at] = exact_column[at] = values
+    records = AnswerRecords(
+        keys, np.where(lower >= threshold, _SATISFY, _FAIL), lower, upper, exact_column
+    )
+    return records.satisfied(), records
 
 
 def knn_analytic_eval(
@@ -295,7 +295,7 @@ def knn_analytic_eval(
     keys: Sequence[Hashable],
     k: int,
     threshold: float,
-) -> tuple[tuple, list[AnswerRecord]] | None:
+) -> tuple[tuple, AnswerRecords] | None:
     """Histogram-free constrained k-NN over closed-form distance laws.
 
     The analytic sibling of :func:`knn_routed_eval` for candidate sets
@@ -330,7 +330,7 @@ def knn_routed_eval(
     k: int,
     threshold: float,
     quadrature_margin: int = 1,
-) -> tuple[tuple, list[AnswerRecord], int, float]:
+) -> tuple[tuple, AnswerRecords, int, float]:
     """Constrained k-NN over a *filtered* candidate set.
 
     ``distributions`` are the distance distributions of the objects

@@ -35,9 +35,11 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from repro.core.types import AnswerRecord, Label
+from repro.core.types import AnswerRecords
 
 __all__ = ["range_probabilities", "range_routed_eval"]
+
+_SATISFY, _FAIL = 1, 2
 
 
 def range_probabilities(
@@ -65,7 +67,7 @@ def range_routed_eval(
     inside: np.ndarray,
     inside_maxdist: np.ndarray,
     pack_provider: Callable[[list], object],
-) -> tuple[tuple, list[AnswerRecord], int]:
+) -> tuple[tuple, AnswerRecords, int]:
     """Constrained range query over MBR-prefiltered objects.
 
     ``inside`` holds the positions (ascending) of the objects whose MBR
@@ -104,6 +106,8 @@ def range_routed_eval(
             pending.append(len(candidates))
         candidates.append(obj)
         probability.append(p)
+    probability = np.asarray(probability, dtype=float)
+    exact = np.full(probability.size, np.nan)
     if pending:
         # The provider may hand back a MixedDistributionPack (the range
         # leg of the parametric fast path): it evaluates the rows
@@ -112,22 +116,12 @@ def range_routed_eval(
         # all-histogram DistributionPack otherwise.
         pack = pack_provider([candidates[i] for i in pending])
         evaluated = np.asarray(pack.cdf_many(float(radius)), dtype=float)
-        for i, p in zip(pending, evaluated.tolist()):
-            probability[i] = p
-    exact_at = set(pending)
-    answers: list[Hashable] = []
-    records: list[AnswerRecord] = []
-    for i, (obj, p) in enumerate(zip(candidates, probability)):
-        label = Label.SATISFY if p >= threshold else Label.FAIL
-        records.append(
-            AnswerRecord(
-                key=obj.key,
-                label=label,
-                lower=p,
-                upper=p,
-                exact=p if i in exact_at else None,
-            )
-        )
-        if label is Label.SATISFY:
-            answers.append(obj.key)
-    return tuple(answers), records, len(pending)
+        probability[pending] = exact[pending] = evaluated
+    records = AnswerRecords(
+        [obj.key for obj in candidates],
+        np.where(probability >= threshold, _SATISFY, _FAIL),
+        probability,
+        probability,
+        exact,
+    )
+    return records.satisfied(), records, len(pending)

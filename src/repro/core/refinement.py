@@ -195,10 +195,17 @@ class Refiner:
         states: CandidateStates,
         query: CPNNQuery,
         use_verifier_slices: bool = True,
+        *,
+        q_lower: np.ndarray | None = None,
+        q_upper: np.ndarray | None = None,
     ) -> int:
         """Refine candidate ``i`` until classified; returns the number
         of subregions that had to be integrated.
 
+        ``q_lower`` / ``q_upper`` are row ``i`` of the table's
+        per-subregion brackets when the caller already holds them (the
+        verifier pass hands them over), so the table's full matrices
+        are never built; by default the row is read off the table.
         ``use_verifier_slices=False`` reproduces the *Refine* baseline
         of Section V (:func:`repro.experiments.strategies.refine`),
         which runs incremental refinement without any verifier
@@ -215,8 +222,8 @@ class Refiner:
         table = self._table
         s = np.asarray(table.s_inner[i], dtype=float)
         if use_verifier_slices:
-            lo = s * table.q_lower[i]
-            up = s * table.q_upper[i]
+            lo = s * (table.q_lower[i] if q_lower is None else q_lower)
+            up = s * (table.q_upper[i] if q_upper is None else q_upper)
         else:
             lo, up = np.zeros_like(s), s
         cur_lo, cur_up = float(lo.sum()), float(up.sum())

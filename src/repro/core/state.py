@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.bounds import DEFAULT_BOUND_PAD
 from repro.core.classifier import classify_arrays, label_from_code
-from repro.core.types import Label
+from repro.core.types import AnswerRecords, Label
 
 __all__ = ["CandidateStates"]
 
@@ -108,6 +108,16 @@ class CandidateStates:
         # but must stay consistent with them.
         self.lower[index] = max(min(lo, self.upper[index]), min(self.lower[index], hi))
         self.upper[index] = min(max(hi, self.lower[index]), max(self.upper[index], lo))
+
+    def to_records(self, exact: np.ndarray | None = None) -> AnswerRecords:
+        """The final states as a result's record columns, handing the
+        arrays over.  ``exact`` defaults to the midpoint of every bound
+        that collapsed to within three pads, NaN elsewhere."""
+        lower, upper = self.lower, self.upper
+        if exact is None:
+            settled = upper - lower <= 3 * self._pad
+            exact = np.where(settled, 0.5 * (upper + lower), np.nan)
+        return AnswerRecords(self._keys, self.labels, lower, upper, exact)
 
     def classify(self, threshold: float, tolerance: float) -> None:
         """Re-run the classifier on all still-unknown candidates."""

@@ -300,9 +300,15 @@ class SubregionTable:
         handled exactly, not through 0/0 division — see
         :func:`~repro.numerics.poisson_binomial.exclusion_products`.
         """
-        z = exclusion_products(1.0 - self._cdf_matrix)
-        np.clip(z, 0.0, 1.0, out=z)
+        z = self.exclusion_rows()
         z.flags.writeable = False
+        return z
+
+    def exclusion_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``rows`` of :attr:`Z` (all when ``None``), bit for bit,
+        without computing the others."""
+        z = exclusion_products(1.0 - self._cdf_matrix, rows)
+        np.clip(z, 0.0, 1.0, out=z)
         return z
 
     # ------------------------------------------------------------------
@@ -321,10 +327,7 @@ class SubregionTable:
         probability is undefined on a null event and Equation 4
         multiplies it by ``s_ij`` anyway.
         """
-        divisor = np.where(self.counts > 0, self.counts, 1).astype(float)
-        q = self.Z[:, :-1] / divisor[None, :]
-        q[self.s_inner <= 0.0] = 0.0
-        np.clip(q, 0.0, 1.0, out=q)
+        q = self.q_lower_of(self.Z, self.s_inner)
         q.flags.writeable = False
         return q
 
@@ -337,10 +340,26 @@ class SubregionTable:
 
         As with :attr:`q_lower`, entries with ``s_ij = 0`` are zeroed.
         """
-        q = 0.5 * (self.Z[:, 1:] + self.Z[:, :-1])
-        q[self.s_inner <= 0.0] = 0.0
-        np.clip(q, 0.0, 1.0, out=q)
+        q = self.q_upper_of(self.Z, self.s_inner)
         q.flags.writeable = False
+        return q
+
+    def q_lower_of(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:attr:`q_lower` of the rows whose :attr:`Z` and
+        :attr:`s_inner` rows are ``z`` and ``s``."""
+        divisor = np.where(self.counts > 0, self.counts, 1).astype(float)
+        q = z[:, :-1] / divisor[None, :]
+        q[s <= 0.0] = 0.0
+        np.clip(q, 0.0, 1.0, out=q)
+        return q
+
+    @staticmethod
+    def q_upper_of(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:attr:`q_upper` of the rows whose :attr:`Z` and
+        :attr:`s_inner` rows are ``z`` and ``s``."""
+        q = 0.5 * (z[:, 1:] + z[:, :-1])
+        q[s <= 0.0] = 0.0
+        np.clip(q, 0.0, 1.0, out=q)
         return q
 
     # ------------------------------------------------------------------

@@ -32,11 +32,16 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable
+
+import numpy as np
 
 __all__ = [
     "AnswerRecord",
+    "AnswerRecords",
     "CKNNQuery",
     "CPNNQuery",
     "CRangeQuery",
@@ -60,6 +65,12 @@ class Label(enum.Enum):
     UNKNOWN = "unknown"
     SATISFY = "satisfy"
     FAIL = "fail"
+
+
+#: The labels in the order of their int8 codes (0 = unknown, 1 =
+#: satisfy, 2 = fail), as the vectorised classifier writes them.
+_LABELS = (Label.UNKNOWN, Label.SATISFY, Label.FAIL)
+_CODE_OF = {label: code for code, label in enumerate(_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -182,6 +193,142 @@ class AnswerRecord:
         return self.upper - self.lower
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array (no copy when it already is one
+    of ``dtype``: the caller hands the array over)."""
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class AnswerRecords(Sequence):
+    """A result's per-candidate outcome: read-only columns, seen as a
+    sequence of :class:`AnswerRecord`.
+
+    The columns are the candidates' ``keys`` (a tuple), their int8
+    label ``codes`` (0 unknown, 1 satisfy, 2 fail) and float arrays
+    ``lower``, ``upper`` and ``exact`` (NaN where no exact value was
+    computed).  The records are built on first access, once per view,
+    so a caller may mutate the records of one view without touching
+    another view of the same columns.  Built from records instead
+    (:meth:`of`), the view holds those records and derives the columns
+    on first use.  A view compares equal to the list of its records;
+    it pickles as its columns, ``exact`` as its non-NaN entries.
+    """
+
+    __slots__ = ("_columns", "_records")
+
+    def __init__(self, keys=(), codes=(), lower=(), upper=(), exact=()) -> None:
+        self._columns = (
+            tuple(keys),
+            _frozen(codes, np.int8),
+            _frozen(lower),
+            _frozen(upper),
+            _frozen(exact),
+        )
+        self._records: tuple[AnswerRecord, ...] | None = None
+
+    @classmethod
+    def of(cls, records) -> "AnswerRecords":
+        """A view holding ``records`` themselves."""
+        view = cls.__new__(cls)
+        view._columns = None
+        view._records = tuple(records)
+        return view
+
+    def _cols(self) -> tuple:
+        if self._columns is None:
+            records = self._records
+            self._columns = (
+                tuple(r.key for r in records),
+                _frozen([_CODE_OF[r.label] for r in records], np.int8),
+                _frozen([r.lower for r in records]),
+                _frozen([r.upper for r in records]),
+                _frozen([math.nan if r.exact is None else r.exact for r in records]),
+            )
+        return self._columns
+
+    def _built(self) -> tuple[AnswerRecord, ...]:
+        if self._records is None:
+            keys, codes, lower, upper, exact = self._columns
+            self._records = tuple(
+                map(
+                    AnswerRecord,
+                    keys,
+                    map(_LABELS.__getitem__, codes.tolist()),
+                    lower.tolist(),
+                    upper.tolist(),
+                    [None if e != e else e for e in exact.tolist()],
+                )
+            )
+        return self._records
+
+    @property
+    def keys(self) -> tuple:
+        return self._cols()[0]
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._cols()[1]
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self._cols()[2]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._cols()[3]
+
+    @property
+    def exact(self) -> np.ndarray:
+        return self._cols()[4]
+
+    def satisfied(self) -> tuple:
+        """Keys labelled *satisfy*, in candidate order (the answers)."""
+        keys, codes = self._cols()[:2]
+        return tuple(compress(keys, (codes == _CODE_OF[Label.SATISFY]).tolist()))
+
+    def copy(self) -> "AnswerRecords":
+        """A fresh view of the same (read-only) columns."""
+        return AnswerRecords(*self._cols())
+
+    def __len__(self) -> int:
+        if self._columns is not None:
+            return len(self._columns[0])
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._built()[index])
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (AnswerRecords, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # ``exact`` is NaN nearly everywhere: it travels as its set
+        # positions and values.
+        keys, codes, lower, upper, exact = self._cols()
+        at = np.flatnonzero(exact == exact)
+        return _unpickle_records, (keys, codes, lower, upper, at.tolist(), exact[at].tolist())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _unpickle_records(keys, codes, lower, upper, at, values) -> AnswerRecords:
+    exact = np.full(len(keys), np.nan)
+    exact[at] = values
+    return AnswerRecords(keys, codes, lower, upper, exact)
+
+
 @dataclass
 class QueryResult:
     """Uniform outcome of one :meth:`UncertainEngine.execute` call.
@@ -201,7 +348,11 @@ class QueryResult:
         survivors (C-PNN), the ``f_min^k`` survivors (k-NN; all objects
         when ``k >= n``), the objects whose region reaches the ball
         (range).  Objects the filter proved outside have no record:
-        they are implied ``FAIL`` with bounds 0/0.
+        they are implied ``FAIL`` with bounds 0/0.  An
+        :class:`AnswerRecords` view: read-only columns
+        (``records.keys``, ``.codes``, ``.lower``, ``.upper``,
+        ``.exact``) whose :class:`AnswerRecord` objects are built on
+        first access; a list of records passed in is wrapped in one.
     fmin:
         The filtering radius used to prune (``f_min`` for PNN,
         ``f_min^k`` for k-NN, the query radius for range queries).
@@ -233,7 +384,7 @@ class QueryResult:
     """
 
     answers: tuple
-    records: list[AnswerRecord] = field(default_factory=list)
+    records: AnswerRecords = field(default_factory=AnswerRecords)
     fmin: float = float("nan")
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     unknown_after_verifier: dict[str, float] = field(default_factory=dict)
@@ -244,11 +395,15 @@ class QueryResult:
     cache_misses: int = 0
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, AnswerRecords):
+            self.records = AnswerRecords.of(self.records)
+
     def record_for(self, key: Hashable) -> AnswerRecord:
-        for record in self.records:
-            if record.key == key:
-                return record
-        raise KeyError(key)
+        try:
+            return self.records[self.records.keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
 
     def __repr__(self) -> str:
         """Compact summary — a result can carry thousands of records,

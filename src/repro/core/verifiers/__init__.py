@@ -12,13 +12,17 @@ L-SR      lower           O(|C|·M)   Lemma 2 / Equation 4
 U-SR      upper           O(|C|·M)   Equation 5 / Equation 4
 ========  ==============  =========  ==========================
 
-:class:`~repro.core.verifiers.chain.VerifierChain` strings them
-together with the classifier exactly as Figure 5 prescribes, stopping
-as soon as no candidate is left unknown.
+:func:`~repro.core.verifiers.fused.verify` runs them with the
+classifier as Figure 5 prescribes, in one pass that bounds only the
+candidates still unknown and stops as soon as none is left; the engine
+verifies through it.  :class:`~repro.core.verifiers.chain.VerifierChain`
+and the three verifier classes are the staged reference it is checked
+against, bit for bit.
 """
 
 from repro.core.verifiers.base import BoundUpdate, Verifier
 from repro.core.verifiers.chain import ChainOutcome, VerifierChain, default_chain
+from repro.core.verifiers.fused import VERIFIERS, Verified, verify
 from repro.core.verifiers.lsr import LowerSubregionVerifier
 from repro.core.verifiers.rs import RightmostSubregionVerifier
 from repro.core.verifiers.usr import UpperSubregionVerifier
@@ -29,7 +33,10 @@ __all__ = [
     "LowerSubregionVerifier",
     "RightmostSubregionVerifier",
     "UpperSubregionVerifier",
+    "VERIFIERS",
+    "Verified",
     "Verifier",
     "VerifierChain",
     "default_chain",
+    "verify",
 ]

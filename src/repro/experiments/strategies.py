@@ -23,14 +23,7 @@ import time
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
-from repro.core.types import (
-    AnswerRecord,
-    CPNNQuery,
-    Label,
-    PhaseTimings,
-    QueryResult,
-    QuerySpec,
-)
+from repro.core.types import CPNNQuery, PhaseTimings, QueryResult, QuerySpec
 
 __all__ = ["STRATEGIES", "basic", "refine", "vr"]
 
@@ -99,20 +92,9 @@ def _evaluate(engine, spec, phase) -> QueryResult:
     exact = phase(states, refiner, spec)
     timings.refinement = time.perf_counter() - tick
 
-    records = []
-    for i, key in enumerate(table.keys):
-        lower, upper = states.lower[i], states.upper[i]
-        if exact is not None:
-            exact_p = float(exact[i])
-        elif upper - lower <= 3 * states.pad:
-            exact_p = 0.5 * (upper + lower)
-        else:
-            exact_p = None
-        records.append(
-            AnswerRecord(key, states.label_of(i), float(lower), float(upper), exact_p)
-        )
+    records = states.to_records(exact)
     return QueryResult(
-        answers=tuple(r.key for r in records if r.label is Label.SATISFY),
+        answers=records.satisfied(),
         records=records,
         fmin=filter_result.fmin,
         timings=timings,

@@ -32,7 +32,9 @@ __all__ = [
 ]
 
 
-def exclusion_products(survival: np.ndarray) -> np.ndarray:
+def exclusion_products(
+    survival: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """``Π_{k≠i} survival[k, …]`` for every row ``i`` (products along axis 0).
 
     One product per column divided by each row.  A factor ``<= 0``
@@ -40,15 +42,20 @@ def exclusion_products(survival: np.ndarray) -> np.ndarray:
     columns holding one get the exact answer instead: with one such
     factor its row gets the product of the others and every other row
     0; with two or more, every row gets 0.  Returns a new array of
-    ``survival``'s shape.
+    ``survival``'s shape, or of its ``rows`` only when given: the
+    column products still run over every row, and each chosen row's
+    values are those of the full result, bit for bit.
     """
     survival = np.asarray(survival, dtype=float)
     zero = survival <= 0.0
     if not zero.any():
-        return np.prod(survival, axis=0) / survival
+        product = np.prod(survival, axis=0)
+        return product / (survival if rows is None else survival[rows])
     safe = np.where(zero, 1.0, survival)
     product = np.prod(safe, axis=0)  # of the factors above zero
     zeros = zero.sum(axis=0)
+    if rows is not None:
+        safe, zero = safe[rows], zero[rows]
     return np.where(
         zeros == 0, product / safe, np.where(zero & (zeros == 1), product, 0.0)
     )

@@ -1,9 +1,11 @@
 """Analytic subregion tables for parametric candidate sets.
 
 :class:`AnalyticTable` duck-types the slice of
-:class:`~repro.core.subregions.SubregionTable` the verifier chain
-reads — ``keys``/``size``/``fmin``/``fmax``/``edges``/``s_inner``/
-``s_right``/``q_lower``/``q_upper``/``distributions`` — but is built
+:class:`~repro.core.subregions.SubregionTable` the verifiers read —
+``keys``/``size``/``fmin``/``fmax``/``edges``/``s_inner``/``s_right``/
+``q_lower``/``q_upper``/``distributions``, and the row-wise
+``exclusion_rows``/``q_lower_of``/``q_upper_of`` of the verifier
+pass — but is built
 from exact closed-form cdfs instead of histogram breakpoints, so its
 grid is *chosen*, not dictated by 300 bars per candidate.
 
@@ -212,23 +214,43 @@ class AnalyticTable:
     @cached_property
     def Z(self) -> np.ndarray:
         """``Z_ij = Π_{k≠i} (1 − D_k(e_j))`` — zero-aware, as for histograms."""
-        z = exclusion_products(1.0 - self._cdf_matrix)
-        np.clip(z, 0.0, 1.0, out=z)
+        z = self.exclusion_rows()
         z.flags.writeable = False
+        return z
+
+    def exclusion_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``rows`` of :attr:`Z` (all when ``None``), bit for bit,
+        without computing the others."""
+        z = exclusion_products(1.0 - self._cdf_matrix, rows)
+        np.clip(z, 0.0, 1.0, out=z)
         return z
 
     @cached_property
     def q_lower(self) -> np.ndarray:
         """Right-edge Riemann bound: ``Z_i(e_{j+1})`` (see module docs)."""
-        q = np.array(self.Z[:, 1:])
-        q[self.s_inner <= 0.0] = 0.0
+        q = self.q_lower_of(self.Z, self.s_inner)
         q.flags.writeable = False
         return q
 
     @cached_property
     def q_upper(self) -> np.ndarray:
         """Left-edge Riemann bound: ``Z_i(e_j)`` (see module docs)."""
-        q = np.array(self.Z[:, :-1])
-        q[self.s_inner <= 0.0] = 0.0
+        q = self.q_upper_of(self.Z, self.s_inner)
         q.flags.writeable = False
+        return q
+
+    @staticmethod
+    def q_lower_of(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:attr:`q_lower` of the rows whose ``Z`` and ``s_inner`` rows
+        are ``z`` and ``s``."""
+        q = np.array(z[:, 1:])
+        q[s <= 0.0] = 0.0
+        return q
+
+    @staticmethod
+    def q_upper_of(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:attr:`q_upper` of the rows whose ``Z`` and ``s_inner`` rows
+        are ``z`` and ``s``."""
+        q = np.array(z[:, :-1])
+        q[s <= 0.0] = 0.0
         return q

@@ -15,7 +15,7 @@ import pytest
 
 from repro.continuous import ContinuousMonitor
 from repro.core.engine import ShardedEngine, UncertainEngine
-from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
+from repro.core.types import AnswerRecords, CKNNQuery, CPNNQuery, CRangeQuery
 from repro.uncertainty.objects import UncertainObject
 
 
@@ -123,6 +123,23 @@ class TestTicks:
         assert report.replayed == len(handles)
         for handle in handles:
             assert_snapshot_fresh(handle, engine.objects)
+
+    def test_install_and_reexecution_leave_records_unbuilt(self, monkeypatch):
+        """Certificates read the result's key column: registering and
+        re-executing handles never builds a record."""
+
+        def unbuilt(view):
+            raise AssertionError("a result's records were built")
+
+        monkeypatch.setattr(AnswerRecords, "_built", unbuilt)
+        engine = UncertainEngine(make_objects())
+        monitor = ContinuousMonitor(engine)
+        handles = monitor.register_many(make_specs())
+        monitor.replace(4, uniform(4, 45.0, 47.0))
+        assert monitor.tick().reexecuted
+        for handle in handles:
+            if handle.candidate_keys is not None:
+                assert handle.candidate_keys == frozenset(handle.result.records.keys)
 
     def test_near_replace_invalidates_affected_only(self):
         engine = UncertainEngine(make_objects())

@@ -135,13 +135,27 @@ class RowTable:
         self.s_inner = np.clip(np.diff(cdf, axis=1), 0.0, 1.0)
         self.s_right = np.clip(1.0 - cdf[:, -1], 0.0, 1.0)
         self.Z = np.clip(exclusion_products(1.0 - cdf), 0.0, 1.0)
-        self.q_lower = np.array(self.Z[:, 1:])
-        self.q_lower[self.s_inner <= 0.0] = 0.0
-        self.q_upper = np.array(self.Z[:, :-1])
-        self.q_upper[self.s_inner <= 0.0] = 0.0
+        self.q_lower = self.q_lower_of(self.Z, self.s_inner)
+        self.q_upper = self.q_upper_of(self.Z, self.s_inner)
 
     def refined(self, grid):
         return RowTable(self.laws, grid=grid)
+
+    # The row-wise surface the verifier pass reads.
+    def exclusion_rows(self, rows):
+        return self.Z[rows]
+
+    @staticmethod
+    def q_lower_of(z, s):
+        q = np.array(z[:, 1:])
+        q[s <= 0.0] = 0.0
+        return q
+
+    @staticmethod
+    def q_upper_of(z, s):
+        q = np.array(z[:, :-1])
+        q[s <= 0.0] = 0.0
+        return q
 
 
 def assert_same_table(got, want):
