@@ -120,7 +120,6 @@ class ScalarSubregionTable(SubregionTable):
     def __init__(self, distributions) -> None:
         ordered = sorted(distributions, key=lambda d: (d.near, d.far))
         self._distributions = tuple(ordered)
-        self._pack = None  # lazy, as in the small-set path
         self._fmin = min(d.far for d in ordered)
         self._fmax = max(d.far for d in ordered)
         self._edges = self._scalar_edges()

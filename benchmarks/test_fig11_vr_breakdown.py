@@ -1,25 +1,31 @@
 """Figure 11 bench: the three phases of VR measured in isolation.
 
 Expected shape (paper): filtering flat in P, verification ~constant
-and small, refinement shrinking to zero past P ≈ 0.3."""
+and small, refinement shrinking to zero past P ≈ 0.3.  Each phase times
+the step the engine runs: the filter, the table built from the filter's
+positions and fold columns, and the one verifier pass."""
 
 import pytest
 
 from repro.core.state import CandidateStates
-from repro.core.subregions import SubregionTable
-from repro.core.types import CPNNQuery
-from repro.core.verifiers import default_chain
+from repro.core.types import CPNNQuery, PhaseTimings
+from repro.core.verifiers import verify
 
 
 @pytest.fixture(scope="module")
 def prepared(uniform_engine, bench_queries):
-    """Pre-filtered candidate distributions for each query point."""
-    cases = []
-    for q in bench_queries:
-        result = uniform_engine._filter(q)
-        dists = [obj.distance_distribution(q) for obj in result.candidates]
-        cases.append(dists)
-    return cases
+    """Each query point's spec and filter result (positions + columns)."""
+    return [
+        (CPNNQuery(float(q)), uniform_engine._filter(float(q))) for q in bench_queries
+    ]
+
+
+def build_tables(engine, prepared) -> list:
+    """The engine's initialisation step: positions → subregion table."""
+    return [
+        engine._build_table(spec, filtered, PhaseTimings())
+        for spec, filtered in prepared
+    ]
 
 
 def test_filtering_phase(benchmark, uniform_engine, bench_queries):
@@ -27,27 +33,23 @@ def test_filtering_phase(benchmark, uniform_engine, bench_queries):
     benchmark(lambda: [uniform_engine._filter(q) for q in bench_queries])
 
 
-def test_initialization_phase(benchmark, prepared):
+def test_initialization_phase(benchmark, uniform_engine, prepared):
     benchmark.group = "fig11 phases"
-    benchmark(lambda: [SubregionTable(dists) for dists in prepared])
+    benchmark(build_tables, uniform_engine, prepared)
 
 
 @pytest.mark.parametrize("threshold", [0.1, 0.5])
-def test_verification_phase(benchmark, prepared, bench_queries, threshold):
-    tables = [SubregionTable(dists) for dists in prepared]
-    chain = default_chain()
+def test_verification_phase(benchmark, uniform_engine, prepared, threshold):
+    tables = build_tables(uniform_engine, prepared)
 
-    def verify():
-        outcomes = []
-        for q, table in zip(bench_queries, tables):
-            states = CandidateStates(table.keys)
-            outcomes.append(
-                chain.run(table, states, CPNNQuery(q, threshold, 0.01))
-            )
-        return outcomes
+    def verify_all():
+        return [
+            verify(table, CandidateStates(table.keys), threshold, 0.01)
+            for table in tables
+        ]
 
     benchmark.group = "fig11 phases"
-    benchmark(verify)
+    benchmark(verify_all)
 
 
 @pytest.mark.parametrize("threshold", [0.1, 0.5])

@@ -11,17 +11,19 @@ shape directly instead of looping over
 * **filtering** runs as one batched descent of the packed filter for
   the whole batch (:class:`repro.index.filtering.BatchMbrFilter`), the
   same levels the k-NN and range paths descend;
-* **initialisation** shares distance distributions through an LRU
-  cache keyed by ``(object, query point)``, so repeated probes (the
-  common case for moving clients) share one row object (the fold is
-  the pack's: ``DistributionPack`` folds unfolded rows in one kernel);
+* **initialisation** folds each table's pack from the filter's
+  positions and columns (``DistributionPack.from_objects``); only the
+  rows no fold kernel takes (2-D regions, rows the scalar fold trims or
+  renormalises) build a distance distribution, through an LRU cache
+  keyed by ``(object, query point)``;
 * **verification and refinement** are not restructured: every query
   that is not replayed from the table cache runs the single-query
   phases (``PnnExecutorMixin._run_vr``) on its own states and
   refiner.
 
-k-NN and range specs share the same packed filter and distribution cache
-(see :meth:`~repro.core.engine.UncertainEngine.execute_batch`).
+k-NN and range specs share the same packed filter and route every
+survivor's distribution through that cache (see
+:meth:`~repro.core.engine.UncertainEngine.execute_batch`).
 
 Behind the cache tiers the batch runs the sequential path's own code,
 so batch and sequential results agree exactly by construction; the

@@ -212,9 +212,10 @@ class QueryFacadeMixin(SpecDispatchMixin):
         Semantically equivalent to ``[execute(s) for s in specs]`` —
         answers and records agree exactly — but work is restructured
         around the batch: each family's filtering runs as one batched
-        descent of the packed filter, distance distributions go through
-        the engine's LRU cache, and repeated C-PNN probes reuse cached
-        tables and results; C-PNN verification/refinement are the
+        descent of the packed filter, k-NN and range distance
+        distributions go through the engine's LRU cache (C-PNN tables
+        fold from the filter's columns), and repeated C-PNN probes reuse
+        cached tables and results; C-PNN verification/refinement are the
         single-spec path's own (see :mod:`repro.core.batch`).  Specs of
         different types may be mixed freely; ``results`` aligns with
         ``specs``.
@@ -412,7 +413,7 @@ class UncertainEngine(
                 "(histogram pipeline on fallback)"
             )
         stages += [
-            "distance distributions + subregion table",
+            "subregion table folded from the filter's columns",
             "verifier chain: " + " → ".join(verifiers),
             "incremental refinement of surviving candidates",
         ]

@@ -16,21 +16,18 @@ engine, in :mod:`repro.experiments.strategies`.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Hashable
 
-from repro.core.batch import (
-    BatchResult,
-    CachedTable,
-    distributions_for,
-    point_key,
-)
+from repro.core.batch import BatchResult, CachedTable, point_key
 from repro.core.engine.executors.base import check_cancel
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery, PhaseTimings, QueryResult
 from repro.core.verifiers.fused import verify
-from repro.index.filtering import FilterResult
+from repro.index.filtering import FilterResult, FoldColumns
+from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 from repro.uncertainty.parametric.table import AnalyticTable
 
@@ -74,6 +71,11 @@ def _replay_result(result: QueryResult) -> QueryResult:
         finished_after_verification=result.finished_after_verification,
         refined_objects=result.refined_objects,
     )
+
+
+def _distance_rows(candidates: tuple, q) -> list:
+    """The candidates' distance distributions, for a table's reader."""
+    return [obj.distance_distribution(q) for obj in candidates]
 
 
 class PnnExecutorMixin:
@@ -147,11 +149,12 @@ class PnnExecutorMixin:
     def _pnn_batch(self, queries: list[CPNNQuery]) -> BatchResult:
         """Many C-PNN queries: the cache tiers around the one pipeline.
 
-        Filtering is one batched descent of the packed filter and distance
-        distributions go through the engine's LRU cache (see
-        :mod:`repro.core.batch`); every query that is not replayed then
-        runs the very phases :meth:`_execute_pnn` runs, on its own
-        states and refiner, so batch ≡ sequential by construction.
+        Filtering is one batched descent of the packed filter, and the
+        rows no fold kernel takes build their distributions through the
+        engine's LRU cache (see :mod:`repro.core.batch`); every query
+        that is not replayed then runs the very phases
+        :meth:`_execute_pnn` runs, on its own states and refiner, so
+        batch ≡ sequential by construction.
 
         Repeated probes short-circuit in two tiers (DESIGN.md §11):
         a memoised *result* snapshot replays the whole pipeline's
@@ -259,11 +262,23 @@ class PnnExecutorMixin:
     def _build_table(
         query: CPNNQuery, filter_result: FilterResult, timings: PhaseTimings, cache=None
     ) -> SubregionTable:
-        """The query's subregion table, its distributions routed through
+        """The query's subregion table, folded from the filter's columns
+        (DistributionPack.from_objects) with no per-candidate
+        distribution; the rows no kernel folds build theirs, through
         ``cache`` when the batch path hands one in."""
         tick = time.perf_counter()
-        table = SubregionTable(
-            distributions_for(filter_result.candidates, query.q, cache)
+        candidates = filter_result.candidates
+        columns = filter_result.columns
+        if columns is None:
+            columns = FoldColumns.of(candidates)
+        distribution = None
+        if cache is not None:
+            distribution = partial(cache.distribution, key=point_key(query.q))
+        pack = DistributionPack.from_objects(
+            candidates, query.q, columns[1:], distribution
+        )
+        table = SubregionTable.from_pack(
+            pack, columns.keys, partial(_distance_rows, candidates, query.q)
         )
         timings.initialization += time.perf_counter() - tick
         return table

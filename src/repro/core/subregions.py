@@ -31,6 +31,10 @@ Implementation notes
   kernel call over the packed candidate histograms instead of one
   ``cdf`` call per candidate.  The pack's kernels are bit-identical to
   the scalar path, so every matrix below is unchanged by this.
+* The engine builds its tables with :meth:`SubregionTable.from_pack`
+  from a pack the fold kernels filled straight from the filter's
+  columns: keys come with the pack, and ``distributions`` are built
+  only if something reads them.
 * Products ``Z`` divide one column product by each factor, as the
   paper's Equation 3 divides ``Y_j`` by ``1 − D_i(e_j)``, except where
   a factor is zero (an object's support ends at or before ``e_j``):
@@ -60,10 +64,6 @@ __all__ = ["SubregionTable"]
 #: Relative tolerance for deduplicating end-points.
 _EDGE_RTOL = 1e-12
 
-#: Candidate sets at or below this size skip the columnar machinery —
-#: plain loops win on latency there (results are bit-identical).
-_SMALL_SET = 8
-
 
 class SubregionTable:
     """Subregion probabilities and cdf values for one candidate set.
@@ -73,6 +73,8 @@ class SubregionTable:
     distributions:
         Distance distributions of the candidate set (any order; they
         are sorted by near point internally, as the paper prescribes).
+        :meth:`from_pack` builds the same table from a pack and keys
+        without them.
 
     Raises
     ------
@@ -80,38 +82,54 @@ class SubregionTable:
         If the candidate set is empty.
     """
 
+    #: Row-aligned distance distributions (sorted), or ``None`` until
+    #: :attr:`distributions` builds them from ``_rows``.
+    _distributions = None
+    #: Candidate keys in row order, or ``None`` to read them off
+    #: :attr:`distributions`.
+    _keys = None
+
     def __init__(self, distributions: Sequence[DistanceDistribution]) -> None:
         if not distributions:
             raise ValueError("candidate set must not be empty")
-        if len(distributions) <= _SMALL_SET:
-            # Tiny candidate sets are cheaper through plain Python
-            # loops than through the columnar machinery; the pack is
-            # still materialised lazily if refinement asks for it.
-            # Both branches produce bit-identical tables.
-            ordered = sorted(distributions, key=lambda d: (d.near, d.far))
-            self._distributions = tuple(ordered)
-            self._pack = None
-            self._fmin = min(d.far for d in ordered)
-            self._fmax = max(d.far for d in ordered)
+        rows = tuple(distributions)
+        self._setup(DistributionPack(rows), None, None)
+        if self._perm is not None:
+            rows = tuple(map(rows.__getitem__, self._perm.tolist()))
+        self._distributions = rows
+
+    @classmethod
+    def from_pack(
+        cls, pack: DistributionPack, keys: Sequence[Hashable], rows
+    ) -> "SubregionTable":
+        """The table of the candidates whose distance histograms are the
+        rows of ``pack`` (any order) and whose identifiers are ``keys``.
+
+        ``rows`` is a callable returning the row-aligned distance
+        distributions; :attr:`distributions` calls it on first read
+        (nothing on the query path does).  Bit-identical to
+        ``SubregionTable(rows())``.
+        """
+        table = cls.__new__(cls)
+        table._setup(pack, tuple(keys), rows)
+        return table
+
+    def _setup(self, pack: DistributionPack, keys, rows) -> None:
+        # Sort by (near, far) as the paper prescribes: one lexsort over
+        # the pack's columns; np.lexsort is stable, so the order matches
+        # sorted(key=lambda d: (d.near, d.far)) exactly.
+        perm = np.lexsort((pack.far, pack.near))
+        if np.array_equal(perm, np.arange(perm.size)):
+            self._pack, self._perm = pack, None
         else:
-            # Sort by (near, far) as the paper prescribes — the keys
-            # come from the pack's flat columns (one lexsort) instead
-            # of one Python key tuple per candidate; np.lexsort is
-            # stable, so the order matches
-            # sorted(key=lambda d: (d.near, d.far)) exactly.
-            unsorted_pack = DistributionPack(distributions)
-            perm = np.lexsort((unsorted_pack.far, unsorted_pack.near))
-            if np.array_equal(perm, np.arange(perm.size)):
-                self._distributions = tuple(distributions)
-                self._pack = unsorted_pack
-            else:
-                self._distributions = tuple(
-                    map(distributions.__getitem__, perm.tolist())
-                )
-                self._pack = unsorted_pack.take(perm)
-            fars = self._pack.far
-            self._fmin = float(fars.min())
-            self._fmax = float(fars.max())
+            self._pack, self._perm = pack.take(perm), perm
+            if keys is not None:
+                keys = tuple(map(keys.__getitem__, perm.tolist()))
+        self._keys = keys
+        self._rows = rows
+        fars = self._pack.far
+        self._fmin = float(fars.min())
+        self._fmax = float(fars.max())
         self._edges = self._build_edges()
         self._cdf_matrix = self._build_cdf_matrix()
         # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
@@ -128,38 +146,20 @@ class SubregionTable:
         implicitly through :attr:`s_right`, which avoids degenerate
         zero-width edges when all far points coincide.
         """
-        if self._pack is None:
-            n_min = min(d.near for d in self._distributions)
-        else:
-            n_min = float(self._pack.near.min())
+        n_min = float(self._pack.near.min())
         if not self._fmin > n_min:
             raise ValueError(
                 "f_min must exceed the smallest near point; the candidate "
                 "set is degenerate (a zero-width distance support?)"
             )
-        if self._pack is None:
-            pool = [np.asarray([n_min, self._fmin])]
-            for dist in self._distributions:
-                edges = dist.breakpoints
-                inside = edges[(edges > n_min) & (edges < self._fmin)]
-                pool.append(inside)
-                if n_min < dist.near < self._fmin:
-                    pool.append(np.asarray([dist.near]))
-            merged = np.sort(np.concatenate(pool))
-        else:
-            # Same multiset of end-points, pooled from the pack's flat
-            # columns instead of one masking pass per candidate.
-            nears = self._pack.near
-            breakpoints = self._pack.edges_flat
-            inside = breakpoints[
-                (breakpoints > n_min) & (breakpoints < self._fmin)
-            ]
-            nears_inside = nears[(nears > n_min) & (nears < self._fmin)]
-            merged = np.sort(
-                np.concatenate(
-                    (np.asarray([n_min, self._fmin]), inside, nears_inside)
-                )
-            )
+        # The end-point multiset, pooled from the pack's flat columns.
+        nears = self._pack.near
+        breakpoints = self._pack.edges_flat
+        inside = breakpoints[(breakpoints > n_min) & (breakpoints < self._fmin)]
+        nears_inside = nears[(nears > n_min) & (nears < self._fmin)]
+        merged = np.sort(
+            np.concatenate((np.asarray([n_min, self._fmin]), inside, nears_inside))
+        )
         scale = max(abs(float(merged[0])), abs(float(merged[-1])), 1.0)
         threshold = _EDGE_RTOL * scale
         keep = np.empty(merged.size, dtype=bool)
@@ -178,10 +178,6 @@ class SubregionTable:
         :mod:`repro.uncertainty.columnar`).  Overridable so benchmarks
         can pit the scalar loop against the columnar kernel.
         """
-        if self._pack is None:
-            return np.vstack(
-                [np.asarray(d.cdf(self._edges)) for d in self._distributions]
-            )
         return self._pack.cdf_many(self._edges)
 
     # ------------------------------------------------------------------
@@ -190,29 +186,31 @@ class SubregionTable:
 
     @property
     def distributions(self) -> tuple[DistanceDistribution, ...]:
-        """Candidates sorted by near point (the paper's X_1 .. X_|C|)."""
+        """Candidates sorted by near point (the paper's X_1 .. X_|C|),
+        built on first read for a :meth:`from_pack` table."""
+        if self._distributions is None:
+            rows = self._rows()
+            if self._perm is not None:
+                rows = map(rows.__getitem__, self._perm.tolist())
+            self._distributions = tuple(rows)
         return self._distributions
 
     @property
     def pack(self) -> DistributionPack:
-        """Columnar view of the candidates' histograms (row-aligned).
-
-        Materialised lazily for small candidate sets, whose table is
-        built through plain loops.
-        """
-        if self._pack is None:
-            self._pack = DistributionPack(self._distributions)
+        """Columnar view of the candidates' histograms (row-aligned)."""
         return self._pack
 
     @cached_property
     def keys(self) -> tuple[Hashable, ...]:
         """Candidate identifiers, row-aligned (built once per table)."""
-        return tuple(map(attrgetter("key"), self._distributions))
+        if self._keys is not None:
+            return self._keys
+        return tuple(map(attrgetter("key"), self.distributions))
 
     @property
     def size(self) -> int:
         """|C| — number of candidates."""
-        return len(self._distributions)
+        return self._cdf_matrix.shape[0]
 
     @property
     def fmin(self) -> float:
@@ -379,7 +377,7 @@ class SubregionTable:
 
     def index_of(self, key: Hashable) -> int:
         """Row index of the candidate with identifier ``key``."""
-        for idx, dist in enumerate(self._distributions):
-            if dist.key == key:
-                return idx
-        raise KeyError(key)
+        try:
+            return self.keys.index(key)
+        except ValueError:
+            raise KeyError(key) from None

@@ -20,8 +20,8 @@ Three implementations are provided with identical semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,9 +30,49 @@ from repro.index.str_pack import Node, str_pack_levels
 __all__ = [
     "BatchMbrFilter",
     "FilterResult",
+    "FoldColumns",
     "PnnFilter",
     "filter_candidates",
 ]
+
+
+class FoldColumns(NamedTuple):
+    """The candidates' fold inputs, row-aligned with
+    :attr:`FilterResult.candidates`.
+
+    ``density`` is the density of a candidate's one uniform bar on
+    ``[lo, hi]`` (its ``uniform_density``; ``lo`` / ``hi`` are its MBR's
+    first coordinate), and 0.0 where it has none — so ``density > 0``
+    is the one-bar flag.  A table folds those rows from the columns
+    alone (:meth:`~repro.uncertainty.columnar.DistributionPack.from_objects`).
+    """
+
+    keys: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    density: np.ndarray
+
+    @classmethod
+    def of(cls, objects: Sequence) -> "FoldColumns":
+        """The columns read off ``objects`` (the linear scan has no
+        filter to keep them)."""
+        return cls(
+            tuple(obj.key for obj in objects),
+            np.array([obj.mbr.lows[0] for obj in objects], dtype=float),
+            np.array([obj.mbr.highs[0] for obj in objects], dtype=float),
+            bar_densities(objects),
+        )
+
+
+def _bar_density(obj) -> float:
+    """An object's ``uniform_density``, 0.0 where it has none (2-D
+    regions, multi-bar pdfs, bare boxes)."""
+    return getattr(obj, "uniform_density", None) or 0.0
+
+
+def bar_densities(objects: Sequence) -> np.ndarray:
+    """:func:`_bar_density` of each object, as a column."""
+    return np.fromiter(map(_bar_density, objects), dtype=float, count=len(objects))
 
 
 @dataclass(frozen=True)
@@ -46,10 +86,18 @@ class FilterResult:
         i.e. ``mindist(q) <= f_min``.
     fmin:
         The pruning radius: minimum over all objects of ``maxdist(q)``.
+    positions:
+        The candidates' row positions in the filtered sequence
+        (ascending), or ``None`` where the filter has no row order.
+    columns:
+        The candidates' :class:`FoldColumns`, or ``None`` where the
+        filter keeps none (the table reads them off the objects).
     """
 
     candidates: tuple
     fmin: float
+    positions: np.ndarray | None = field(default=None, compare=False, repr=False)
+    columns: FoldColumns | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -60,8 +108,12 @@ def filter_candidates(objects: Sequence, q) -> FilterResult:
     if not objects:
         raise ValueError("cannot filter an empty object collection")
     fmin = min(obj.maxdist(q) for obj in objects)
-    candidates = tuple(obj for obj in objects if obj.mindist(q) <= fmin)
-    return FilterResult(candidates=candidates, fmin=fmin)
+    positions = [i for i, obj in enumerate(objects) if obj.mindist(q) <= fmin]
+    return FilterResult(
+        candidates=tuple(map(objects.__getitem__, positions)),
+        fmin=fmin,
+        positions=np.array(positions, dtype=np.intp),
+    )
 
 
 class PnnFilter:
@@ -208,13 +260,17 @@ class BatchMbrFilter:
         objects = list(objects)
         lows = np.array([obj.mbr.lows for obj in objects])
         highs = np.array([obj.mbr.highs for obj in objects])
-        self._setup(objects, lows, highs, None, max_entries)
+        self._setup(objects, lows, highs, bar_densities(objects), None, max_entries)
 
-    def _setup(self, objects, lows, highs, store, max_entries) -> None:
+    def _setup(self, objects, lows, highs, density, store, max_entries) -> None:
         self._objects = objects
-        self._lows, self._highs = lows, highs
+        #: Row-aligned fold columns (:class:`FoldColumns`): keys in
+        #: logical order like ``_objects``, densities in physical order
+        #: like ``_lows`` / ``_highs``.
+        self._keys = [getattr(obj, "key", None) for obj in objects]
+        self._lows, self._highs, self._density = lows, highs, density
         self._dim = lows.shape[1]
-        #: Alive-mask over the physical rows of ``_lows``/``_highs``
+        #: Alive-mask over the physical rows of ``_lows``/``_highs``/``_density``
         #: (None = all alive), plus objects appended since the last
         #: compaction.  Logical row order is always "alive physical
         #: rows, then pending appends" — removals preserve relative
@@ -250,19 +306,20 @@ class BatchMbrFilter:
     # ------------------------------------------------------------------
 
     def to_store(self, backend: str = "shm", **options):
-        """Export the flushed ``(N, d)`` coordinate arrays into a fresh
-        column store of ``backend``.
+        """Export the flushed ``(N, d)`` coordinate arrays and the
+        density column into a fresh column store of ``backend``.
 
         The caller owns the store; the descriptor rehydrates via
         :meth:`from_store` (objects ship separately — coordinates are
-        the bulk, objects pickle once per worker).  Pending appends and
-        masked rows are compacted first so the exported rows equal the
-        logical row order.
+        the bulk, objects and their keys pickle once per worker).
+        Pending appends and masked rows are compacted first so the
+        exported rows equal the logical row order.
         """
         from repro.storage import create_store
 
         lows, highs = self.coordinates()
-        return create_store(backend, {"lows": lows, "highs": highs}, **options)
+        columns = {"lows": lows, "highs": highs, "density": self._density}
+        return create_store(backend, columns, **options)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(N, d)`` lows / highs in logical row order, pending
@@ -291,7 +348,14 @@ class BatchMbrFilter:
                 f"descriptor carries {rows} rows for {len(objects)} objects"
             )
         flt = cls.__new__(cls)
-        flt._setup(objects, store.get("lows"), store.get("highs"), store, max_entries)
+        flt._setup(
+            objects,
+            store.get("lows"),
+            store.get("highs"),
+            store.get("density"),
+            store,
+            max_entries,
+        )
         return flt
 
     @property
@@ -306,6 +370,7 @@ class BatchMbrFilter:
         if not self._lows.flags.writeable:
             self._lows = self._lows.copy()
             self._highs = self._highs.copy()
+            self._density = self._density.copy()
 
     def _check_dim(self, obj) -> None:
         if obj.mbr.dim != self._dim:
@@ -325,6 +390,7 @@ class BatchMbrFilter:
         """
         self._check_dim(obj)
         self._objects.append(obj)
+        self._keys.append(getattr(obj, "key", None))
         self._pending.append(obj)
         self._levels = None
 
@@ -340,6 +406,7 @@ class BatchMbrFilter:
         if not 0 <= index < n:
             raise IndexError(f"row {index} out of range for {n} objects")
         del self._objects[index]
+        del self._keys[index]
         self._levels = None
         alive_rows = self._lows.shape[0] - self._n_dead
         if index >= alive_rows:
@@ -362,6 +429,7 @@ class BatchMbrFilter:
             raise IndexError(f"row {index} out of range for {n} objects")
         self._check_dim(obj)
         self._objects[index] = obj
+        self._keys[index] = getattr(obj, "key", None)
         alive_rows = self._lows.shape[0] - self._n_dead
         if index >= alive_rows:
             self._pending[index - alive_rows] = obj
@@ -371,6 +439,7 @@ class BatchMbrFilter:
         self._ensure_writable()
         self._lows[row] = mbr.lows
         self._highs[row] = mbr.highs
+        self._density[row] = _bar_density(obj)
         if self._levels is None:
             return
         self._replaced += 1
@@ -392,6 +461,7 @@ class BatchMbrFilter:
         if self._n_dead:
             self._lows = self._lows[self._alive]
             self._highs = self._highs[self._alive]
+            self._density = self._density[self._alive]
             self._alive = None
             self._n_dead = 0
         if self._pending:
@@ -400,6 +470,9 @@ class BatchMbrFilter:
             )
             self._highs = np.concatenate(
                 [self._highs, np.array([o.mbr.highs for o in self._pending])]
+            )
+            self._density = np.concatenate(
+                [self._density, bar_densities(self._pending)]
             )
             self._pending = []
 
@@ -484,17 +557,28 @@ class BatchMbrFilter:
         """C-PNN filtering of every point: one result per point.
 
         Candidates are the objects with ``mindist <= f_min``, in
-        ascending object order.  One point takes :func:`_descend_one`.
+        ascending object order, with their positions and
+        :class:`FoldColumns`.  One point takes :func:`_descend_one`.
         """
         if len(points) == 1:
             rows, fmin = _descend_one(self._packed(), self._as_matrix(points))
-            picks = np.sort(self._order[rows]).tolist()
-            return [FilterResult(tuple(map(self._objects.__getitem__, picks)), fmin)]
-        inf = np.full(len(points), np.inf)
-        position, _, _, spans, fmins = self._survivors(points, inf, _nearest)
-        picks = list(map(self._objects.__getitem__, position.tolist()))
+            position = np.sort(self._order[rows])
+            fmins, spans = [fmin], [slice(None)]
+        else:
+            inf = np.full(len(points), np.inf)
+            position, _, _, spans, fmins = self._survivors(points, inf, _nearest)
+        at = position.tolist()
+        picks = list(map(self._objects.__getitem__, at))
+        keys = list(map(self._keys.__getitem__, at))
+        lo, hi = self._lows[position, 0], self._highs[position, 0]
+        density = self._density[position]
         return [
-            FilterResult(candidates=tuple(picks[span]), fmin=fmin)
+            FilterResult(
+                tuple(picks[span]),
+                fmin,
+                position[span],
+                FoldColumns(tuple(keys[span]), lo[span], hi[span], density[span]),
+            )
             for span, fmin in zip(spans, fmins)
         ]
 

@@ -19,6 +19,18 @@ arrays (values + offsets) once, then answers
 for the whole candidate set with a handful of ``np.searchsorted`` /
 ``bincount`` / gather passes.
 
+Folding
+-------
+A pack also folds ``|X − q|`` (Figure 6) without per-candidate
+objects: :func:`_fold_bars` folds one-bar rows from ``(lo, hi, d, q)``
+columns, :func:`_fold_ragged` folds multi-bar value histograms from
+their flat edges and densities.  :meth:`DistributionPack.from_objects`
+(the engine's tables, from the filter's columns) and the constructor's
+unfolded ``from_value_histogram`` rows go through the same two
+kernels, and both leave the rows ``DistanceDistribution`` would trim or
+renormalise to the scalar path — so every packed column equals the pack
+of eagerly folded rows bit for bit.
+
 Bit-identity
 ------------
 The kernels reproduce ``np.interp`` (the scalar path used by
@@ -40,12 +52,14 @@ unchanged by the columnar rewrite:
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, methodcaller
 from typing import Sequence
 
 import numpy as np
 
 from repro.uncertainty.histogram import _EDGE_ATOL, _EDGE_RTOL
+from repro.uncertainty.objects import UncertainObject, _scalar_query
 
 __all__ = ["DistributionPack", "PagedDistributionPack"]
 
@@ -70,25 +84,19 @@ _SMALL_PACK = 8
 _WIDE_EVAL = 256
 
 
-def _fold_one_bar(distributions: Sequence, lazy: list[int]) -> tuple[list, tuple]:
-    """Fold the one-bar rows among ``distributions[lazy]`` column-wise.
+def _fold_bars(lo, hi, d, q) -> tuple[np.ndarray, tuple]:
+    """Fold one-bar value histograms (density ``d`` on ``[lo, hi]``)
+    about ``q``, column-wise (``q`` a scalar or a column).
 
-    Figure 6's cases as ``np.where`` over ``(lo, hi, d, q)`` columns,
-    with the arithmetic of ``Histogram.fold_abs`` + ``Histogram._raw``
-    operand for operand (knots are the same ``d·Δe`` products summed
-    left to right), so the columns are bit-identical to packing
+    Figure 6's cases as ``np.where`` over the columns, with the
+    arithmetic of ``Histogram.fold_abs`` + ``Histogram._raw`` operand for
+    operand (knots are the same ``d·Δe`` products summed left to right),
+    so the columns are bit-identical to packing
     ``DistanceDistribution(h.fold_abs(q))`` rows.  Rows that class would
     normalise (folded mass off 1 by more than 1e-12) or whose density is
-    not positive are left to the scalar path.  Returns the indices
-    folded and their ``(edges, knots, densities, sizes)``.
+    not positive are not folded.  Returns the mask of rows folded and
+    their ``(edges, knots, densities, sizes)``.
     """
-    picked = [i for i in lazy if distributions[i]._value._densities.size == 1]
-    if not picked:
-        return [], None
-    rows = [distributions[i] for i in picked]
-    lo, hi = np.concatenate([r._value._edges for r in rows]).reshape(-1, 2).T
-    d = np.concatenate([r._value._densities for r in rows])
-    q = np.array([r._q for r in rows], dtype=float)
     left, right = q <= lo, q >= hi
     inside = ~(left | right)
     near = np.minimum(q - lo, hi - q)
@@ -102,12 +110,149 @@ def _fold_one_bar(distributions: Sequence, lazy: list[int]) -> tuple[list, tuple
     ok = (d > 0) & (np.abs(np.where(three, k2, k1) - 1.0) <= 1e-12)
     mask = np.repeat(ok[:, None], 3, axis=1)  # cells of the rows kept ...
     mask[:, 2] &= three  # ... whose third edge exists only in two-bin rows
-    return [i for i, good in zip(picked, ok.tolist()) if good], (
+    return ok, (
         np.column_stack((e0, e1, far))[mask],
         np.column_stack((np.zeros_like(k1), k1, k2))[mask],
         np.column_stack((d0, d))[mask[:, 1:]],
         np.asarray(three[ok] + 2, dtype=np.intp),
     )
+
+
+def _fold_ragged(edges, densities, sizes, q) -> tuple[np.ndarray, tuple]:
+    """Fold multi-bar value histograms about ``q``, all rows at once.
+
+    Row ``r`` holds ``sizes[r]`` (at least three) strictly increasing
+    ``edges`` and one density fewer; ``q`` is a scalar or a column.  The
+    arithmetic is ``Histogram.fold_abs``'s general path operand for
+    operand — ``|e − q|`` plus 0 when ``q`` is inside, sorted, deduped
+    at ``1e-15 + 1e-12·scale``, densities ``pdf(q + mid) + pdf(q − mid)``
+    at the bin midpoints, knots the left-to-right ``cumsum`` of
+    ``density · width`` — on rows padded to a common width (numpy's
+    row-wise ``sort`` / ``diff`` / ``cumsum`` visit each row as the
+    1-D calls do).  Only the pdf lookups loop: one ``searchsorted`` per
+    row, exact where any offset trick would round.  Rows whose folded
+    histogram ``DistanceDistribution`` would trim (a zero-density
+    margin) or renormalise (mass off 1 by more than 1e-12) are not
+    folded.  Returns the mask of rows folded and their ``(edges,
+    knots, densities, sizes)``.
+    """
+    n = sizes.size
+    starts = np.cumsum(sizes) - sizes
+    q = np.broadcast_to(np.asarray(q, dtype=float), (n,))
+    lo, hi = edges[starts], edges[starts + sizes - 1]
+    inside = (lo < q) & (q < hi)
+    count = sizes + inside
+    row = np.repeat(np.arange(n), sizes)
+    cand = np.full((n, int(count.max())), np.inf)
+    cand[row, np.arange(edges.size) - starts[row]] = np.abs(edges - q[row])
+    cand[inside, sizes[inside]] = 0.0
+    cand.sort(axis=1)
+    scale = np.maximum(np.abs(cand[:, 0]), np.abs(cand[np.arange(n), count - 1]))
+    threshold = _EDGE_ATOL + _EDGE_RTOL * np.maximum(scale, 1.0)
+    keep = np.empty(cand.shape, dtype=bool)
+    keep[:, 0] = True
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        np.greater(np.diff(cand, axis=1), threshold[:, None], out=keep[:, 1:])
+    keep &= np.arange(cand.shape[1]) < count[:, None]
+    folded = cand[keep]
+    m = keep.sum(axis=1)  # folded edges per row
+    ends = np.cumsum(m)
+    bins = np.ones(folded.size, dtype=bool)
+    bins[ends - 1] = False
+    at = np.flatnonzero(bins)  # each bin's left edge
+    bin_row = np.repeat(np.arange(n), m - 1)
+    mids = 0.5 * (folded[at] + folded[at + 1])
+    x = np.stack((q[bin_row] + mids, q[bin_row] - mids))
+    index = np.empty(x.shape, dtype=np.intp)
+    cut = np.concatenate(([0], np.cumsum(m - 1)))
+    spans = cut.tolist()
+    rows = zip(starts.tolist(), (starts + sizes).tolist(), spans, spans[1:])
+    for first_edge, end_edge, a, b in rows:
+        row_edges = edges[first_edge:end_edge]
+        index[:, a:b] = np.searchsorted(row_edges, x[:, a:b], side="right")
+    index -= 1
+    np.clip(index, 0, (sizes - 2)[bin_row], out=index)
+    values = densities[index + (starts - np.arange(n))[bin_row]]
+    support = (x >= lo[bin_row]) & (x <= hi[bin_row])
+    pdf = np.where(support, values, 0.0)
+    dens = pdf[0] + pdf[1]
+    col = at - (ends - m)[bin_row]  # each bin's place in its row
+    masses = np.zeros((n, int(m.max()) - 1))
+    masses[bin_row, col] = dens * (folded[at + 1] - folded[at])
+    knots = np.zeros(folded.size)
+    knots[at + 1] = np.cumsum(masses, axis=1)[bin_row, col]
+    has = m > 1
+    first, last = np.zeros(n), np.zeros(n)
+    first[has] = dens[cut[:-1][has]]
+    last[has] = dens[cut[1:][has] - 1]
+    ok = (first > 0) & (last > 0) & (np.abs(knots[ends - 1] - 1.0) <= 1e-12)
+    columns = folded, knots, dens, m
+    if not ok.all():
+        columns = _gather_rows(*columns, np.flatnonzero(ok))
+    return ok, columns
+
+
+def _fold_one_bar(distributions: Sequence, lazy: list[int]) -> tuple[list, tuple]:
+    """:func:`_fold_bars` over the one-bar rows among
+    ``distributions[lazy]`` (unfolded ``from_value_histogram`` rows).
+    Returns the indices folded and their columns."""
+    picked = [i for i in lazy if distributions[i]._value._densities.size == 1]
+    if not picked:
+        return [], None
+    rows = [distributions[i] for i in picked]
+    lo, hi = np.concatenate([r._value._edges for r in rows]).reshape(-1, 2).T
+    d = np.concatenate([r._value._densities for r in rows])
+    ok, columns = _fold_bars(lo, hi, d, np.array([r._q for r in rows], dtype=float))
+    return list(compress(picked, ok.tolist())), columns
+
+
+def _fold_histograms(rows: list[int], histograms: list, q) -> tuple[list, tuple]:
+    """:func:`_fold_ragged` over multi-bar value ``histograms`` (those of
+    ``rows``).  Returns the rows folded and their columns."""
+    edges = list(map(attrgetter("_edges"), histograms))
+    sizes = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+    densities = np.concatenate(list(map(attrgetter("_densities"), histograms)))
+    ok, columns = _fold_ragged(np.concatenate(edges), densities, sizes, q)
+    return list(compress(rows, ok.tolist())), columns
+
+
+def _histogram_columns(histograms: list) -> tuple:
+    """``(edges, knots, densities, sizes)`` of folded distance histograms."""
+    try:
+        edges = list(map(attrgetter("_edges"), histograms))
+        knots = list(map(attrgetter("_cdf_knots"), histograms))
+        densities = list(map(attrgetter("_densities"), histograms))
+    except AttributeError:
+        bad = next(type(h).__name__ for h in histograms if not hasattr(h, "_edges"))
+        raise TypeError(
+            f"DistributionPack takes DistanceDistributions or Histograms, got {bad}"
+        ) from None
+    return (
+        np.concatenate(edges),
+        np.concatenate(knots),
+        np.concatenate(densities),
+        np.fromiter(map(len, edges), dtype=np.intp, count=len(edges)),
+    )
+
+
+def _assemble(n: int, parts: list, histogram_of) -> tuple:
+    """The columns of ``n`` rows in row order.
+
+    ``parts`` are ``(rows, columns)`` the kernels folded (rows
+    ascending); every other row ``i`` packs the folded histogram
+    ``histogram_of(i)``.
+    """
+    done = np.zeros(n, dtype=bool)
+    for rows, _ in parts:
+        done[rows] = True
+    rest = np.flatnonzero(~done).tolist()
+    if rest:
+        parts.append((rest, _histogram_columns(list(map(histogram_of, rest)))))
+    if len(parts) == 1:
+        return parts[0][1]
+    order = np.concatenate([np.asarray(rows, dtype=np.intp) for rows, _ in parts])
+    columns = map(np.concatenate, zip(*(columns for _, columns in parts)))
+    return _gather_rows(*columns, np.argsort(order))
 
 
 def _gather_rows(edges, knots, densities, sizes, perm) -> tuple:
@@ -174,42 +319,76 @@ class DistributionPack:
         except AttributeError:
             histograms = [getattr(d, "histogram", d) for d in distributions]
         # Rows still unfolded (DistanceDistribution.from_value_histogram)
-        # are folded here: one-bar rows by the closed-form kernel, the
-        # rest through the scalar path, exactly as Histogram.fold_abs
-        # chooses.  ``histograms`` keeps None for kernel-folded rows.
+        # fold here through the column kernels; the rows they leave, and
+        # the rows that arrive folded, pack their own histogram.
         lazy = [i for i, h in enumerate(histograms) if h is None]
-        folded, columns = _fold_one_bar(distributions, lazy) if lazy else ([], None)
-        for i in set(lazy).difference(folded):
-            histograms[i] = distributions[i].histogram
-        rest = [i for i, h in enumerate(histograms) if h is not None]
-        if rest:
-            parts = [histograms[i] for i in rest]
-            try:
-                edges_parts = list(map(attrgetter("_edges"), parts))
-                knots_parts = list(map(attrgetter("_cdf_knots"), parts))
-                dens_parts = list(map(attrgetter("_densities"), parts))
-            except AttributeError:
-                bad = next(
-                    type(h).__name__ for h in parts if not hasattr(h, "_edges")
+        parts = []
+        if lazy:
+            folded, columns = _fold_one_bar(distributions, lazy)
+            if folded:
+                parts.append((folded, columns))
+            many = [i for i in lazy if distributions[i]._value._densities.size > 1]
+            if many:
+                rows = [distributions[i] for i in many]
+                q = np.array([row._q for row in rows], dtype=float)
+                parts.append(
+                    _fold_histograms(many, [row._value for row in rows], q)
                 )
-                raise TypeError(
-                    "DistributionPack takes DistanceDistributions or "
-                    f"Histograms, got {bad}"
-                ) from None
-            packed = (
-                np.concatenate(edges_parts),
-                np.concatenate(knots_parts),
-                np.concatenate(dens_parts),
-                np.fromiter(
-                    map(len, edges_parts), dtype=np.intp, count=len(edges_parts)
-                ),
+
+        def histogram_of(i):
+            h = histograms[i]
+            return distributions[i].histogram if h is None else h
+
+        self._finish(*_assemble(len(distributions), parts, histogram_of))
+
+    @classmethod
+    def from_objects(
+        cls, objects: Sequence, q, bars: tuple, distribution=None
+    ) -> "DistributionPack":
+        """The pack of the objects' distance distributions about ``q``,
+        folded by the column kernels without building them.
+
+        ``bars`` are row-aligned ``(lo, hi, density)`` columns — the
+        filter's (:class:`~repro.index.filtering.FoldColumns`): rows
+        with ``density > 0`` are one uniform bar on ``[lo, hi]`` and fold
+        in closed form from the columns alone.  Other 1-D
+        :class:`~repro.uncertainty.objects.UncertainObject` rows fold in
+        the ragged kernel from the object's own histogram arrays.  Every
+        remaining row — 2-D regions, and rows the scalar fold would trim
+        or renormalise — packs ``distribution(obj).histogram`` (default
+        ``obj.distance_distribution(q)``).  Bit-identical to
+        ``DistributionPack([obj.distance_distribution(q) for obj in
+        objects])``.
+        """
+        if not len(objects):
+            raise ValueError("DistributionPack requires at least one distribution")
+        lo, hi, density = bars
+        one = np.flatnonzero(density > 0)
+        parts = []
+        done = np.zeros(len(objects), dtype=bool)
+        if one.size:
+            ok, columns = _fold_bars(lo[one], hi[one], density[one], _scalar_query(q))
+            parts.append((one[ok], columns))
+            done[one[ok]] = True
+        many, histograms = [], []
+        for i in np.flatnonzero(~done).tolist():
+            obj = objects[i]
+            if isinstance(obj, UncertainObject):
+                h = obj.histogram
+                if h._densities.size > 1:
+                    many.append(i)
+                    histograms.append(h)
+        if many:
+            parts.append(_fold_histograms(many, histograms, _scalar_query(q)))
+        if distribution is None:
+            distribution = methodcaller("distance_distribution", q)
+        pack = object.__new__(cls)
+        pack._finish(
+            *_assemble(
+                len(objects), parts, lambda i: distribution(objects[i]).histogram
             )
-            if folded:  # kernel rows come first: gather into the caller's order
-                columns = map(np.concatenate, zip(columns, packed))
-                columns = _gather_rows(*columns, np.argsort(folded + rest))
-            else:
-                columns = packed
-        self._finish(*columns)
+        )
+        return pack
 
     def _finish(
         self,

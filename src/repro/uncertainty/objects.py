@@ -127,6 +127,14 @@ class UncertainObject:
             self._mbr = Rect.interval(self.lo, self.hi)
         return self._mbr
 
+    @property
+    def uniform_density(self) -> float | None:
+        """The density of a pdf that is one uniform bar on ``[lo, hi]``
+        — all Figure 6's closed-form fold needs beside the MBR — else
+        ``None``."""
+        densities = self._histogram._densities
+        return float(densities[0]) if densities.size == 1 else None
+
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"UncertainObject(key={self._key!r}, "

@@ -77,6 +77,10 @@ class GaussianObject(UncertainObject):
 
     __slots__ = ()
 
+    #: Never a one-bar fold row: the histogram is lazy, and ``lo`` /
+    #: ``hi`` come from the pdf, not from its edges.
+    uniform_density = None
+
     def __init__(
         self,
         key: Hashable,
@@ -142,6 +146,8 @@ class GaussianMixtureObject(UncertainObject):
     """Mixture of truncated Gaussians with a lazy histogram."""
 
     __slots__ = ("_components", "_weights")
+
+    uniform_density = None  # as for GaussianObject
 
     def __init__(
         self,

@@ -14,6 +14,14 @@ from repro.uncertainty.twod import UncertainDisk, UncertainRectangle, UncertainS
 from tests.conftest import cpnn_specs, make_random_objects
 
 
+def random_disks(rng, n):
+    """2-D regions, whose distance distributions no fold kernel builds."""
+    return [
+        UncertainDisk(i, tuple(rng.uniform(0.0, 60.0, 2)), float(rng.uniform(1.0, 8.0)))
+        for i in range(n)
+    ]
+
+
 def query_points(rng, n=12, domain=(-5.0, 65.0)):
     return [float(q) for q in rng.uniform(*domain, size=n)]
 
@@ -184,9 +192,11 @@ class TestQueryBatch:
         assert len({tuple(r.answers) for r in batch}) == 1
 
     def test_table_hits_report_no_distribution_misses(self, rng):
-        """A table-cache hit builds no distributions, and says so."""
-        engine = UncertainEngine(make_random_objects(rng, 10))
-        points = query_points(rng, n=4)
+        """A table-cache hit builds no distributions, and says so.  (2-D
+        regions: C-PNN builds a distribution, through the cache, only
+        for rows no fold kernel takes.)"""
+        engine = UncertainEngine(random_disks(rng, 10))
+        points = [tuple(p) for p in rng.uniform(-5, 65, size=(4, 2))]
         cold = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert cold.cache_misses == sum(len(r.records) for r in cold)
         warm = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
@@ -194,11 +204,10 @@ class TestQueryBatch:
         assert warm.cache_misses == 0
 
     def test_remove_evicts_distribution_cache_entries(self, rng):
-        objects = make_random_objects(rng, 10)
+        objects = random_disks(rng, 10)
         engine = UncertainEngine(objects)
-        engine.execute_batch(
-            cpnn_specs(query_points(rng, n=4), threshold=0.3, tolerance=0.0)
-        )
+        points = [tuple(p) for p in rng.uniform(-5, 65, size=(4, 2))]
+        engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         cached = len(engine._distribution_cache)
         assert cached > 0
         victim = objects[0]

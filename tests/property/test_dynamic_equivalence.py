@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
+from repro.index.filtering import bar_densities
 from repro.uncertainty.objects import UncertainObject
 
 
@@ -296,3 +297,111 @@ def test_pnn_after_interleaved_updates():
     fresh = UncertainEngine(survivors)
     for q in (3.0, 17.0, 42.0):
         assert engine.pnn(q) == pytest.approx(fresh.pnn(q))
+
+
+def shaped_object(counter: int, slot: int, bars: int) -> UncertainObject:
+    """An interval at :func:`fresh_object`'s centre with a one-bar
+    (``bars == 1``) or a multi-bar pdf, so a replace can switch the
+    row's fold kernel.  Every width is the same: a one-bar density
+    misplaced onto a multi-bar row then still folds to mass 1, so the
+    kernel's mass check cannot hide a misaligned density column."""
+    lo = (slot * 7.3) % 60.0 - 1.3
+    if bars == 1:
+        return UncertainObject.uniform(("obj", counter), lo, lo + 2.6)
+    return UncertainObject.gaussian(("obj", counter), lo, lo + 2.6, bars=bars)
+
+
+#: (operation, index into the object sequence, bars of the new object).
+#: Index 1 goes one-bar → multi-bar → one-bar → multi-bar by replace.
+MUTATIONS = (
+    ("replace", 1, 12),
+    ("insert", None, 30),
+    ("replace", 1, 1),
+    ("remove", 0, None),
+    ("insert", None, 1),
+    ("replace", 0, 7),
+    ("replace", 3, 1),
+    ("remove", 2, None),
+    ("replace", 0, 1),
+    ("insert", None, 5),
+)
+
+
+def assert_pnn_identical(got, want) -> None:
+    """Answers, every record field, ``fmin`` and the refinement counters,
+    bit for bit."""
+    assert_results_identical(got, want)
+    for a, b in zip(got.results, want.results):
+        assert a.refined_objects == b.refined_objects
+        assert a.unknown_after_verifier == b.unknown_after_verifier
+
+
+def mutation_stream(engine):
+    """Apply :data:`MUTATIONS` to ``engine``; yield the object sequence
+    after every step."""
+    mirror = list(engine.objects)
+    for counter, (op, index, bars) in enumerate(MUTATIONS, start=100):
+        if op == "insert":
+            obj = shaped_object(counter, counter, bars)
+            engine.insert(obj)
+            mirror.append(obj)
+        elif op == "remove":
+            assert engine.remove(mirror.pop(index).key)
+        else:
+            obj = shaped_object(counter, index * 5 + counter, bars)
+            engine.replace(mirror[index].key, obj)
+            mirror[index] = obj
+        yield mirror
+
+
+def test_fold_columns_stay_aligned_across_kind_changing_mutations():
+    """Insert / remove / replace, including a replace that turns a
+    one-bar object into a multi-bar one and back: after every step
+    ``execute`` and ``execute_batch`` equal a fresh engine bit for bit,
+    and the filter's density and key columns equal those read off the
+    objects."""
+    initial = [shaped_object(i, i, 1 if i % 3 else 9) for i in range(8)]
+    engine = UncertainEngine(list(initial))
+    specs = [
+        CPNNQuery(q, threshold=0.3, tolerance=tolerance)
+        for q in (4.0, 14.6, 23.0, 36.5, 51.1)
+        for tolerance in (0.0, 0.01)
+    ]
+    engine.execute_batch(specs)  # warm the table cache and snapshots
+    for mirror in mutation_stream(engine):
+        fresh = UncertainEngine(list(mirror))
+        want = fresh.execute_batch(specs)
+        assert_pnn_identical(engine.execute_batch(specs), want)
+        assert_pnn_identical(engine.execute_batch(specs), want)  # replays
+        for spec, cold in zip(specs, want.results):
+            single = engine.execute(spec)
+            assert_pnn_identical(type(want)([single]), type(want)([cold]))
+        flt = engine._batch_filter
+        flt._flush()
+        assert flt._keys == [obj.key for obj in mirror]
+        assert flt._density.tobytes() == bar_densities(mirror).tobytes()
+
+
+def test_process_workers_keep_fold_columns_aligned():
+    """The same stream on a 2-shard process engine, whose workers
+    attach the filter's coordinate and density columns from shared
+    memory and replay the mutations against them."""
+    initial = [shaped_object(i, i, 1 if i % 3 else 9) for i in range(8)]
+    config = EngineConfig(executor="process", process_min_batch=0)
+    engine = ShardedEngine(list(initial), config, n_shards=2)
+    specs = [
+        CPNNQuery(q, threshold=0.3, tolerance=0.0)
+        for q in (4.0, 14.6, 23.0, 36.5, 51.1, 8.2, 44.4, 29.9)
+    ]
+    try:
+        engine.execute_batch(specs)
+        for mirror in mutation_stream(engine):
+            want = UncertainEngine(list(mirror)).execute_batch(specs)
+            assert_pnn_identical(engine.execute_batch(specs), want)
+        executor = engine.stats()["executor"]
+        assert executor["backend"] == "process" and executor["dispatches"] > 0
+        for counter in ("worker_failures", "worker_errors", "shm_fallbacks"):
+            assert executor[counter] == 0, counter
+        assert executor["in_process_retries"] == 0
+    finally:
+        engine.close()

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.baselines.basic import basic_pnn_probabilities
 from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
-from repro.core.subregions import _EDGE_RTOL, _SMALL_SET, SubregionTable
+from repro.core.subregions import _EDGE_RTOL, SubregionTable
 from repro.core.types import CPNNQuery
 from repro.core.verifiers.chain import default_chain
 from repro.numerics.quadrature import gauss_legendre_nodes
@@ -56,8 +56,7 @@ def _make(i: int, family: str, lo: float, width: float) -> UncertainObject:
 
 @st.composite
 def candidate_tables(draw, max_size=14):
-    """A subregion table over 2–14 assorted objects (so both sides of
-    ``_SMALL_SET``)."""
+    """A subregion table over 2–14 assorted objects."""
     n = draw(st.integers(2, max_size))
     objects, supports = [], []
     for i in range(n):
@@ -133,18 +132,6 @@ def test_exact_all_equals_brute_force(table):
     brute = basic_pnn_probabilities(table.distributions, subdivisions=64)
     for p, dist in zip(exact, table.distributions):
         assert abs(p - brute[dist.key]) <= BASELINE_ATOL
-
-
-@settings(max_examples=40, deadline=None)
-@given(candidate_tables(max_size=_SMALL_SET), st.floats(0.05, 0.9))
-def test_small_table_refines_without_its_pack(table, threshold):
-    refiner = Refiner(table)
-    states = CandidateStates(table.keys)
-    query = CPNNQuery(0.0, threshold=threshold, tolerance=0.0)
-    for i in range(table.size):
-        refiner.refine_object(i, states, query)
-    assert states.n_unknown == 0
-    assert table._pack is None
 
 
 def loop_refine(refiner, i, states, query, use_verifier_slices):
