@@ -7,11 +7,11 @@ probability?").  The same points get probed again and again as clients
 revisit locations, which is exactly the workload
 ``UncertainEngine.execute_batch`` amortises:
 
-* filtering runs once per batch as a vectorised MBR sweep,
-* distance distributions and whole subregion tables are LRU-cached
-  across probes of the same point,
-* the verifier chain runs as flat sweeps over all candidates of all
-  queries at once.
+* filtering runs once per batch as one descent of the packed filter,
+* each subregion table folds from the filter's columns and is
+  LRU-cached across probes of the same point (whole results too),
+* every query that misses the cache runs ``execute``'s own
+  verification and refinement, so batch and sequential answers agree.
 
 Run:  python examples/batch_workload.py
 """

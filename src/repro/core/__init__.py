@@ -19,7 +19,7 @@ Public entry points:
   loops they are bit-identical to live in :mod:`repro.baselines`.
 """
 
-from repro.core.batch import BatchResult, DistributionCache
+from repro.core.batch import BatchResult
 from repro.core.bounds import ProbabilityBound
 from repro.core.classifier import classify
 from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
@@ -60,7 +60,6 @@ __all__ = [
     "CPNNQuery",
     "CRangeQuery",
     "CandidateStates",
-    "DistributionCache",
     "EngineConfig",
     "Label",
     "LowerSubregionVerifier",

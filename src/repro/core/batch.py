@@ -14,37 +14,34 @@ shape directly instead of looping over
 * **initialisation** folds each table's pack from the filter's
   positions and columns (``DistributionPack.from_objects``); only the
   rows no fold kernel takes (2-D regions, rows the scalar fold trims or
-  renormalises) build a distance distribution, through an LRU cache
-  keyed by ``(object, query point)``;
+  renormalises) build a distance distribution;
 * **verification and refinement** are not restructured: every query
   that is not replayed from the table cache runs the single-query
   phases (``PnnExecutorMixin._run_vr``) on its own states and
   refiner.
 
-k-NN and range specs share the same packed filter and route every
-survivor's distribution through that cache (see
+k-NN and range specs share the same packed filter and fold their packs
+from its columns the same way (see
 :meth:`~repro.core.engine.UncertainEngine.execute_batch`).
 
-Behind the cache tiers the batch runs the sequential path's own code,
+Behind the table cache the batch runs the sequential path's own code,
 so batch and sequential results agree exactly by construction; the
-speed-up comes from the shared descent and from work the caches skip.
+speed-up comes from the shared descent and from work the table cache
+skips.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator
 
 import numpy as np
 
 from repro.core.types import PhaseTimings, QueryResult
-from repro.uncertainty.distance import DistanceDistribution
 
 __all__ = [
     "BatchResult",
-    "DistributionCache",
-    "LruCache",
     "TableCache",
     "point_key",
 ]
@@ -55,157 +52,6 @@ def point_key(q) -> Hashable:
     if hasattr(q, "__len__"):
         return tuple(float(c) for c in q)
     return float(q)
-
-
-class LruCache:
-    """Minimal LRU with hit/miss counters, shared by the batch caches.
-
-    ``get`` counts a hit (and refreshes recency) or a miss; ``put``
-    inserts and evicts the least-recently-used entry past ``maxsize``.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("cache maxsize must be positive")
-        self._maxsize = int(maxsize)
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def get(self, key: Hashable):
-        """The cached value, refreshed as most recent, or ``None``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def peek(self, key: Hashable):
-        """The cached value without counting a hit/miss or refreshing
-        recency — for planning probes that must not perturb the
-        counters a later :meth:`get` will produce."""
-        return self._entries.get(key)
-
-    def put(self, key: Hashable, value) -> tuple[Hashable, object] | None:
-        """Insert an entry; returns the ``(key, value)`` it evicted, if any.
-
-        Reporting the LRU victim lets callers that keep secondary
-        indexes over the entries (``DistributionCache``) stay in sync
-        without scanning.
-        """
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self._maxsize:
-            return self._entries.popitem(last=False)
-        return None
-
-    def delete(self, key: Hashable) -> bool:
-        """Drop one entry by key; True if it was present."""
-        return self._entries.pop(key, _ABSENT) is not _ABSENT
-
-    def items(self):
-        """Snapshot of ``(key, value)`` pairs, LRU-oldest first."""
-        return list(self._entries.items())
-
-
-#: Sentinel distinguishing "absent" from a stored ``None``.
-_ABSENT = object()
-
-
-#: Capacity of an engine's distance-distribution cache, in
-#: ``(object, point)`` entries (a sharded engine's lanes split it).
-DISTRIBUTION_CACHE_SIZE = 65536
-
-
-class DistributionCache:
-    """LRU cache of distance distributions keyed by (object, point).
-
-    A distance distribution is a pure function of the uncertain object
-    and the query point, so cached entries never go stale.  Keys use
-    ``id(object)`` for speed; each entry keeps a strong reference to
-    its object, so an ``id`` can never be recycled while its entry is
-    live.  The flip side is that entries pin their objects in memory —
-    hence :meth:`evict_object`, which the engine calls when an object
-    is removed.
-
-    The cache pays off whenever a batch (or a sequence of batches)
-    probes the same point more than once — moving-client traces revisit
-    locations constantly — and costs one dict probe per miss otherwise.
-
-    A per-object reverse index (``id(obj)`` → live cache keys) keeps
-    :meth:`evict_object` proportional to *that object's* entries rather
-    than the whole cache — under dead-reckoning churn the engine calls
-    it once per removal, so a full scan would make every update O(cache
-    size).
-    """
-
-    def __init__(self, maxsize: int = DISTRIBUTION_CACHE_SIZE) -> None:
-        self._cache = LruCache(maxsize)
-        self._by_object: dict[int, set[Hashable]] = {}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def maxsize(self) -> int:
-        return self._cache.maxsize
-
-    @property
-    def hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.misses
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self._by_object.clear()
-
-    def evict_object(self, obj) -> int:
-        """Drop every entry belonging to ``obj`` (e.g. on removal)."""
-        doomed = self._by_object.pop(id(obj), None)
-        if not doomed:
-            return 0
-        for cache_key in doomed:
-            self._cache.delete(cache_key)
-        return len(doomed)
-
-    def distribution(self, obj, key: Hashable) -> DistanceDistribution:
-        """The distribution of ``|obj - q|`` for the point behind ``key``.
-
-        ``key`` must be ``point_key(q)`` for the point ``q`` the caller
-        passes to ``obj.distance_distribution`` on a miss — it doubles
-        as the query coordinates here to avoid recomputing it per
-        candidate.
-        """
-        cache_key = (id(obj), key)
-        entry = self._cache.get(cache_key)
-        if entry is not None:
-            return entry[1]
-        distribution = obj.distance_distribution(key)
-        evicted = self._cache.put(cache_key, (obj, distribution))
-        self._by_object.setdefault(id(obj), set()).add(cache_key)
-        if evicted is not None:
-            victim_key = evicted[0]
-            bucket = self._by_object.get(victim_key[0])
-            if bucket is not None:
-                bucket.discard(victim_key)
-                if not bucket:
-                    del self._by_object[victim_key[0]]
-        return distribution
 
 
 @dataclass(frozen=True)
@@ -262,49 +108,57 @@ class TableCache:
     """
 
     def __init__(self, maxsize: int = TABLE_CACHE_SIZE) -> None:
-        self._cache = LruCache(maxsize)
+        if maxsize < 1:
+            raise ValueError("cache maxsize must be positive")
+        self._maxsize = int(maxsize)
+        #: Entries in recency order, least recently used first.
+        self._entries: OrderedDict[Hashable, CachedTable] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
         self._points: np.ndarray | None = None
         self._fmins: np.ndarray | None = None
         self._keys: list[Hashable] = []
         self._dirty = True
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._entries)
 
     @property
     def maxsize(self) -> int:
-        return self._cache.maxsize
-
-    @property
-    def hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.misses
+        return self._maxsize
 
     def clear(self) -> None:
-        self._cache.clear()
+        self._entries.clear()
         self._dirty = True
 
     def get(self, key: Hashable) -> CachedTable | None:
-        """The cached entry for a point key (LRU-refreshed), or None."""
-        entry = self._cache.get(key)
-        return entry  # type: ignore[return-value]
+        """The cached entry for a point key, refreshed as most recent
+        and counted as a hit, or ``None`` (a miss)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry
 
     def peek(self, key: Hashable) -> CachedTable | None:
         """The cached entry without touching counters or recency (the
         sharded engine's pre-filter probe; see DESIGN.md §12)."""
-        return self._cache.peek(key)  # type: ignore[return-value]
+        return self._entries.get(key)
 
     def put(self, key: Hashable, entry: CachedTable) -> None:
-        self._cache.put(key, entry)
+        """Insert an entry, evicting the least recently used one past
+        ``maxsize``."""
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        if len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
         self._dirty = True
 
     def _geometry(self) -> tuple[np.ndarray, np.ndarray, list[Hashable]]:
         if self._dirty:
-            items = self._cache.items()
-            self._keys = [key for key, _ in items]
+            self._keys = list(self._entries)
             self._points = np.array(
                 [
                     key if isinstance(key, tuple) else (key,)
@@ -313,7 +167,7 @@ class TableCache:
                 dtype=float,
             ).reshape(len(self._keys), -1)
             self._fmins = np.array(
-                [entry.fmin for _, entry in items], dtype=float
+                [entry.fmin for entry in self._entries.values()], dtype=float
             )
             self._dirty = False
         return self._points, self._fmins, self._keys
@@ -340,7 +194,7 @@ class TableCache:
         the ``m × entries`` grid — how the engine folds a tick's worth
         of queued dynamic updates into the cache at the next query.
         """
-        if not len(self._cache) or not len(lows):
+        if not self._entries or not len(lows):
             return 0
         points, fmins, keys = self._geometry()
         gap = np.maximum(
@@ -354,8 +208,8 @@ class TableCache:
         doomed = np.flatnonzero((mindist <= fmins[None, :]).any(axis=0))
         if not doomed.size:
             return 0
-        for i in doomed:
-            self._cache.delete(keys[int(i)])
+        for i in doomed.tolist():
+            del self._entries[keys[i]]
         self._dirty = True
         return int(doomed.size)
 
@@ -377,7 +231,8 @@ class BatchResult:
         whole batch, and for the other three the plain sums of the
         results' own phases.
     cache_hits / cache_misses:
-        Distribution-cache traffic attributable to this batch.
+        Always 0.  The engine keeps no distance-distribution cache;
+        the fields stay for readers of its former counters.
     table_hits / table_misses:
         Subregion-table-cache traffic: a table hit means a repeated
         probe skipped distribution construction and table building
@@ -437,19 +292,3 @@ class BatchResult:
             f"cache_hits={self.cache_hits}, cache_misses={self.cache_misses}, "
             f"table_hits={self.table_hits}, result_hits={self.result_hits})"
         )
-
-
-def distributions_for(
-    candidates: Sequence,
-    q,
-    cache: DistributionCache | None,
-) -> list[DistanceDistribution]:
-    """Distance distributions of ``candidates`` w.r.t. ``q``.
-
-    Routes through ``cache`` when one is given; otherwise constructs
-    directly (the sequential path's behaviour).
-    """
-    if cache is None:
-        return [obj.distance_distribution(q) for obj in candidates]
-    key = point_key(q)
-    return [cache.distribution(obj, key) for obj in candidates]

@@ -4,9 +4,8 @@ The backend that buys GIL-bound C-PNN verification real cores
 (DESIGN.md §13).  One spawn-based worker per lane, addressed over its
 own duplex pipe — addressed dispatch (not a task queue) is what keeps
 the content-hash lane affinity meaningful across the process boundary:
-worker *i* always serves lane *i*, so its resident
-``DistributionCache``/``TableCache`` stay warm between batches exactly
-like an in-process lane's.
+worker *i* always serves lane *i*, so its resident ``TableCache``
+stays warm between batches exactly like an in-process lane's.
 
 Worker lifecycle
 ----------------
@@ -152,7 +151,7 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
     ordering semantics exactly — append on insert, order-preserving
     delete on remove, position-preserving overwrite on replace — plus
     the per-lane cache maintenance the parent applies to every lane:
-    invalidation-box queueing and distribution-cache eviction.
+    invalidation-box queueing.
     """
     from repro.index.filtering import BatchMbrFilter
 
@@ -180,7 +179,6 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
                 else:
                     state.filter = None
             lane._queue_invalidation(victim)
-            lane._distribution_cache.evict_object(victim)
             if not state.objects:
                 # Drained: mirror the engine-side reset (a refill may
                 # change dimensionality; DESIGN.md §11).
@@ -196,7 +194,6 @@ def _worker_apply_ops(state: _WorkerState, ops) -> None:
                 state.filter.replace_at(index, obj)
             lane._queue_invalidation(victim)
             lane._queue_invalidation(obj)
-            lane._distribution_cache.evict_object(victim)
         else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unknown mutation op {kind!r}")
 

@@ -3,7 +3,7 @@
 :class:`UncertainEngine` is deliberately thin — it assembles the
 focused stage modules (object registry, filter stage, one executor per
 spec family) and owns only what they share: the
-:class:`~repro.core.engine.config.EngineConfig` and the two LRU caches.
+:class:`~repro.core.engine.config.EngineConfig` and the table cache.
 ``execute``/``execute_batch``/``explain`` do nothing but dispatch on
 the spec type and merge the executors' outputs; all evaluation lives in
 :mod:`~repro.core.engine.pnn`, :mod:`~repro.core.engine.knn` and
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch import BatchResult, DistributionCache, TableCache
+from repro.core.batch import BatchResult, TableCache
 from repro.core.engine import pnn
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.dispatch import SpecDispatchMixin
@@ -212,10 +212,9 @@ class QueryFacadeMixin(SpecDispatchMixin):
         Semantically equivalent to ``[execute(s) for s in specs]`` —
         answers and records agree exactly — but work is restructured
         around the batch: each family's filtering runs as one batched
-        descent of the packed filter, k-NN and range distance
-        distributions go through the engine's LRU cache (C-PNN tables
-        fold from the filter's columns), and repeated C-PNN probes reuse
-        cached tables and results; C-PNN verification/refinement are the
+        descent of the packed filter, every family folds its packs from
+        the filter's positions and columns, and repeated C-PNN probes
+        reuse cached tables and results; C-PNN verification/refinement are the
         single-spec path's own (see :mod:`repro.core.batch`).  Specs of
         different types may be mixed freely; ``results`` aligns with
         ``specs``.
@@ -249,8 +248,6 @@ class QueryFacadeMixin(SpecDispatchMixin):
                     phase,
                     getattr(batch.timings, phase) + getattr(sub.timings, phase),
                 )
-            batch.cache_hits += sub.cache_hits
-            batch.cache_misses += sub.cache_misses
             batch.table_hits += sub.table_hits
             batch.table_misses += sub.table_misses
             batch.result_hits += sub.result_hits
@@ -266,8 +263,6 @@ class QueryFacadeMixin(SpecDispatchMixin):
                 batch.timings.initialization += timings.initialization
                 batch.timings.verification += timings.verification
                 batch.timings.refinement += timings.refinement
-                batch.cache_hits += result.cache_hits
-                batch.cache_misses += result.cache_misses
         batch.results = slots
         return batch
 
@@ -311,7 +306,6 @@ class UncertainEngine(
         self._config = config or EngineConfig()
         self._init_registry(objects)
         self._init_filter_stage()
-        self._distribution_cache = DistributionCache()
         #: LRU of fully built subregion tables keyed by query point,
         #: selectively invalidated on dynamic updates (DESIGN.md §11);
         #: ``None`` on a sharded engine's parent, whose lanes hold them.
@@ -377,7 +371,7 @@ class UncertainEngine(
                 index=index,
                 stages=[
                     f"MBR filtering with f_min^{min(spec.k, n)} (packed descent)",
-                    "distance distributions for survivors (LRU cache)",
+                    "distance pack folded from the survivors' filter columns",
                     "RS-style k-NN bounds via columnar cdf kernels",
                     "exact Poisson-binomial integration for undecided objects",
                 ],
@@ -396,7 +390,7 @@ class UncertainEngine(
                     "MBR range classification (packed descent): "
                     f"{sure_in} certainly inside, {sure_out} certainly outside",
                     f"exact region-distance re-check for {straddle} straddling objects",
-                    "cdf(radius) via columnar kernel for true straddlers (LRU cache)",
+                    "cdf(radius) via columnar kernel for true straddlers",
                 ],
                 candidates=straddle,
                 pruned=sure_in + sure_out,
@@ -435,10 +429,7 @@ class UncertainEngine(
 
     def _cache_stats(self) -> dict:
         """Snapshot of the engine's cache configuration and counters."""
-        return {
-            "distribution_cache": self._cache_summary(self._distribution_cache),
-            "table_cache": self._cache_summary(self._table_cache),
-        }
+        return {"table_cache": self._cache_summary(self._table_cache)}
 
     def stats(self) -> dict:
         """Live observability counters, cheap enough to poll.

@@ -2,10 +2,11 @@
 
 Evaluates :class:`~repro.core.types.CKNNQuery` specs through the
 shared substrate — the host's batch MBR filter (``f_min^k`` pruning),
-its LRU distribution cache, and the columnar bound/integration kernels
+a pack folded from the survivors' positions and columns, and the
+columnar bound/integration kernels
 (:func:`repro.core.knn.knn_routed_eval`).  The host protocol is
-``_objects``, ``_config``, ``_distribution_cache`` and
-``_ensure_batch_filter`` — anything that serves those (the single
+``_objects``, ``_config`` and ``_ensure_batch_filter`` — anything that
+serves those (the single
 engine, and so the sharded engine built on it) gets candidate-shaped
 results — one record per ``f_min^k`` survivor —
 with the answers of the scalar
@@ -19,9 +20,9 @@ import time
 
 import numpy as np
 
-from repro.core.batch import distributions_for
 from repro.core.knn import knn_analytic_eval, knn_routed_eval
 from repro.core.types import AnswerRecords, CKNNQuery, PhaseTimings, QueryResult
+from repro.uncertainty.columnar import DistributionPack
 from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 
 __all__ = ["KnnExecutorMixin"]
@@ -38,20 +39,22 @@ class KnnExecutorMixin:
         """Evaluate k-NN specs through the shared substrate.
 
         One batched ``f_min^k`` descent of the packed filter serves
-        every spec's point; survivors' distance distributions go through the LRU
-        cache and the columnar bound/integration kernels
-        (:func:`~repro.core.knn.knn_routed_eval`).  Returns the results
-        and the shared filtering seconds.
+        every spec's point; each spec's pack folds from its survivors'
+        filter columns (``DistributionPack.from_objects``) into the
+        columnar bound/integration kernels
+        (:func:`~repro.core.knn.knn_routed_eval`), which build a
+        distribution only for the survivors they integrate.  Returns
+        the results and the shared filtering seconds.
         """
         n = len(self._objects)
-        cache = self._distribution_cache
         ks = [min(spec.k, n) for spec in specs]
         nontrivial = [i for i, spec in enumerate(specs) if spec.k < n]
         filter_seconds = 0.0
         filtered: dict[int, tuple[np.ndarray, float]] = {}
         if nontrivial:
             tick = time.perf_counter()
-            swept = self._ensure_batch_filter().kth_filter(
+            flt = self._ensure_batch_filter()
+            swept = flt.kth_filter(
                 [specs[i].q for i in nontrivial], [ks[i] for i in nontrivial]
             )
             filter_seconds = time.perf_counter() - tick
@@ -81,7 +84,8 @@ class KnnExecutorMixin:
                 continue
             survivors, fmin_k = filtered[b]
             candidates = [self._objects[i] for i in survivors]
-            keys = [obj.key for obj in candidates]
+            columns = flt.columns(survivors)
+            keys = columns.keys
             if (
                 self._config.parametric_fast_path
                 and candidates
@@ -114,13 +118,16 @@ class KnnExecutorMixin:
                         )
                     )
                     continue
-            hits_before, misses_before = cache.hits, cache.misses
             tick = time.perf_counter()
-            distributions = distributions_for(candidates, spec.q, cache)
+            pack = DistributionPack.from_objects(candidates, spec.q, columns[1:])
             timings.initialization += time.perf_counter() - tick
             tick = time.perf_counter()
             answers, records, n_exact, exact_seconds = knn_routed_eval(
-                distributions, keys, k, spec.threshold
+                pack,
+                lambda i: candidates[i].distance_distribution(spec.q),
+                keys,
+                k,
+                spec.threshold,
             )
             timings.verification += time.perf_counter() - tick - exact_seconds
             timings.refinement = exact_seconds
@@ -133,8 +140,6 @@ class KnnExecutorMixin:
                     finished_after_verification=n_exact == 0,
                     refined_objects=n_exact,
                     spec=spec,
-                    cache_hits=cache.hits - hits_before,
-                    cache_misses=cache.misses - misses_before,
                 )
             )
         return results, filter_seconds

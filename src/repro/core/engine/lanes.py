@@ -15,13 +15,7 @@ import struct
 import zlib
 from typing import Sequence
 
-from repro.core.batch import (
-    DISTRIBUTION_CACHE_SIZE,
-    TABLE_CACHE_SIZE,
-    DistributionCache,
-    TableCache,
-    point_key,
-)
+from repro.core.batch import TABLE_CACHE_SIZE, TableCache, point_key
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.dispatch import SpecDispatchMixin
 from repro.core.engine.pnn import PnnExecutorMixin
@@ -75,12 +69,9 @@ class Lane(SpecDispatchMixin, InvalidationQueueMixin, PnnExecutorMixin):
     def __init__(self, config: EngineConfig, n_lanes: int) -> None:
         self._config = config
         self._init_invalidation_queue()
-        # Each lane gets its share of the engine's capacities: the
+        # Each lane gets its share of the engine's table cache: the
         # lane population partitions the query points, so the per-point
         # working set splits the same way.
-        self._distribution_cache = DistributionCache(
-            max(1, DISTRIBUTION_CACHE_SIZE // n_lanes)
-        )
         self._table_cache = TableCache(max(1, TABLE_CACHE_SIZE // n_lanes))
         #: Per-dispatch filter lookup staged by the parent: point key →
         #: the parent's FilterResult.

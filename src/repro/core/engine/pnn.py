@@ -2,8 +2,8 @@
 
 Runs the paper's VR pipeline (Section IV) for C-PNN specs, single and
 batched, against a small host protocol — ``_config``,
-``_filter_batch``, ``_filter``, ``_distribution_cache``,
-``_table_cache`` and ``_flush_table_invalidations`` — so the same
+``_filter_batch``, ``_filter``, ``_table_cache`` and
+``_flush_table_invalidations`` — so the same
 executor serves the single :class:`~repro.core.engine.UncertainEngine`
 *and* the execution lanes of a :class:`~repro.core.engine.sharded.ShardedEngine` (which
 feed it the parent's staged filter results).  Per-candidate
@@ -149,9 +149,9 @@ class PnnExecutorMixin:
     def _pnn_batch(self, queries: list[CPNNQuery]) -> BatchResult:
         """Many C-PNN queries: the cache tiers around the one pipeline.
 
-        Filtering is one batched descent of the packed filter, and the
-        rows no fold kernel takes build their distributions through the
-        engine's LRU cache (see :mod:`repro.core.batch`); every query
+        Filtering is one batched descent of the packed filter, and each
+        table folds from the filter's positions and columns as in
+        :meth:`_execute_pnn` (see :mod:`repro.core.batch`); every query
         that is not replayed then runs the very phases
         :meth:`_execute_pnn` runs, on its own states and refiner, so
         batch ≡ sequential by construction.
@@ -167,8 +167,6 @@ class PnnExecutorMixin:
         batch = BatchResult()
         if not queries:
             return batch
-        cache = self._distribution_cache
-        hits_before, misses_before = cache.hits, cache.misses
         timings = batch.timings
 
         tick = time.perf_counter()
@@ -218,7 +216,7 @@ class PnnExecutorMixin:
             if entry is not None:
                 batch.table_hits += 1
             else:
-                table = self._build_table(query, filter_result, spent, cache)
+                table = self._build_table(query, filter_result, spent)
                 batch.table_misses += 1
                 entry = CachedTable(table=table, fmin=filter_result.fmin)
                 table_cache.put(key, entry)
@@ -236,8 +234,6 @@ class PnnExecutorMixin:
             timings.initialization += result.timings.initialization
             timings.verification += result.timings.verification
             timings.refinement += result.timings.refinement
-        batch.cache_hits = cache.hits - hits_before
-        batch.cache_misses = cache.misses - misses_before
         return batch
 
     def pnn(self, q) -> dict[Hashable, float]:
@@ -260,23 +256,17 @@ class PnnExecutorMixin:
 
     @staticmethod
     def _build_table(
-        query: CPNNQuery, filter_result: FilterResult, timings: PhaseTimings, cache=None
+        query: CPNNQuery, filter_result: FilterResult, timings: PhaseTimings
     ) -> SubregionTable:
         """The query's subregion table, folded from the filter's columns
         (DistributionPack.from_objects) with no per-candidate
-        distribution; the rows no kernel folds build theirs, through
-        ``cache`` when the batch path hands one in."""
+        distribution; only the rows no kernel folds build theirs."""
         tick = time.perf_counter()
         candidates = filter_result.candidates
         columns = filter_result.columns
         if columns is None:
             columns = FoldColumns.of(candidates)
-        distribution = None
-        if cache is not None:
-            distribution = partial(cache.distribution, key=point_key(query.q))
-        pack = DistributionPack.from_objects(
-            candidates, query.q, columns[1:], distribution
-        )
+        pack = DistributionPack.from_objects(candidates, query.q, columns[1:])
         table = SubregionTable.from_pack(
             pack, columns.keys, partial(_distance_rows, candidates, query.q)
         )

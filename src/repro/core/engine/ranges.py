@@ -2,7 +2,7 @@
 
 Evaluates :class:`~repro.core.types.CRangeQuery` specs through the
 shared substrate against the same host protocol as the k-NN executor
-(``_objects``, ``_distribution_cache``, ``_ensure_batch_filter``).
+(``_objects``, ``_config``, ``_ensure_batch_filter``).
 Results are candidate-shaped — one record per object whose region
 reaches the ball — with the answers of the scalar
 :func:`repro.baselines.scalar.scalar_range_query` reference and its
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core.batch import distributions_for
 from repro.core.range_query import range_routed_eval
 from repro.core.types import CRangeQuery, PhaseTimings, QueryResult
 from repro.uncertainty.columnar import DistributionPack
@@ -33,35 +32,35 @@ class RangeExecutorMixin:
         One batched descent of the packed filter returns, per spec,
         the objects whose MBR reaches the ball with their MBR
         ``maxdist``; only straddling objects re-check exact region
-        distances, and only true straddlers build distributions (LRU
-        cache) and evaluate ``cdf(radius)`` through the columnar kernel
-        (:func:`~repro.core.range_query.range_routed_eval`).
+        distances, and only true straddlers fold a pack from their
+        filter columns and evaluate ``cdf(radius)`` through the columnar
+        kernel (:func:`~repro.core.range_query.range_routed_eval`).
         """
-        cache = self._distribution_cache
         tick = time.perf_counter()
-        survivors = self._ensure_batch_filter().range_filter(
+        flt = self._ensure_batch_filter()
+        survivors = flt.range_filter(
             [spec.q for spec in specs], [spec.radius for spec in specs]
         )
         filter_seconds = time.perf_counter() - tick
         results = []
         for spec, (inside, _, inside_maxdist) in zip(specs, survivors):
             timings = PhaseTimings()
-            hits_before, misses_before = cache.hits, cache.misses
             tick = time.perf_counter()
             build_seconds = [0.0]
 
-            def provider(objs, _q=spec.q, _secs=build_seconds):
+            def provider(objs, positions, _q=spec.q, _secs=build_seconds):
                 inner = time.perf_counter()
                 if self._config.parametric_fast_path and closed_form(objs):
                     # The range leg of the parametric fast path: the
                     # objects go into one mixed pack, where cdf(radius)
-                    # evaluates analytically — no histograms, no cache
-                    # traffic, no per-candidate law.  Mixed candidate
-                    # sets keep the histogram route (all-or-nothing,
-                    # like the C-PNN fast path).
+                    # evaluates analytically — no histograms, no
+                    # per-candidate law.  Mixed candidate sets keep the
+                    # histogram route (all-or-nothing, like the C-PNN
+                    # fast path).
                     pack = MixedDistributionPack.from_objects(objs, _q)
                 else:
-                    pack = DistributionPack(distributions_for(objs, _q, cache))
+                    bars = flt.columns(positions)[1:]
+                    pack = DistributionPack.from_objects(objs, _q, bars)
                 _secs[0] += time.perf_counter() - inner
                 return pack
 
@@ -86,8 +85,6 @@ class RangeExecutorMixin:
                     finished_after_verification=n_evaluated == 0,
                     refined_objects=n_evaluated,
                     spec=spec,
-                    cache_hits=cache.hits - hits_before,
-                    cache_misses=cache.misses - misses_before,
                 )
             )
         return results, filter_seconds

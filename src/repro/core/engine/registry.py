@@ -218,7 +218,6 @@ class ObjectRegistryMixin(InvalidationQueueMixin):
         self._key_index = None  # later positions shifted
         self._maintain_remove(victim, index)
         self._queue_invalidation(victim)
-        self._distribution_cache.evict_object(victim)
         if not self._objects:
             # Drained: reset the last maintenance structures holding
             # geometry (DESIGN.md §11 — "every maintenance structure
@@ -270,4 +269,3 @@ class ObjectRegistryMixin(InvalidationQueueMixin):
         self._maintain_replace(victim, obj, index)
         self._queue_invalidation(victim)
         self._queue_invalidation(obj)
-        self._distribution_cache.evict_object(victim)

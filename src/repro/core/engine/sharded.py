@@ -16,7 +16,7 @@ parent filters a C-PNN batch with its own batch MBR filter, stages the
 candidate sets, and sends each query to its affinity lane
 (:func:`~repro.core.engine.lanes.lane_for`'s content hash, so repeated
 probes stay warm).  A lane is a private C-PNN executor with its own
-distribution/table caches running the unmodified single-engine pipeline
+table cache running the unmodified single-engine pipeline
 on its slice of the batch.  Batch ≡ per-query loop is a bit-level
 property of that pipeline, so any partition of the batch is too — and
 the filter *is* the single engine's.
@@ -189,7 +189,6 @@ class ShardedEngine(UncertainEngine):
         super()._maintain_remove(victim, index)
         for lane in self._lanes:
             lane._queue_invalidation(victim)
-            lane._distribution_cache.evict_object(victim)
             if not self._objects:
                 # Drained: reset the lanes' geometry-holding structures
                 # too (the registry resets the parent's) — a refill may
@@ -203,7 +202,6 @@ class ShardedEngine(UncertainEngine):
         for lane in self._lanes:
             lane._queue_invalidation(victim)
             lane._queue_invalidation(obj)
-            lane._distribution_cache.evict_object(victim)
         self._record_mutation(("replace", victim.key, obj))
 
     # ------------------------------------------------------------------
@@ -306,8 +304,6 @@ class ShardedEngine(UncertainEngine):
                     phase,
                     getattr(batch.timings, phase) + getattr(sub.timings, phase),
                 )
-            batch.cache_hits += sub.cache_hits
-            batch.cache_misses += sub.cache_misses
             batch.table_hits += sub.table_hits
             batch.table_misses += sub.table_misses
             batch.result_hits += sub.result_hits
@@ -420,14 +416,8 @@ class ShardedEngine(UncertainEngine):
 
     def _cache_stats(self) -> dict:
         return {
-            "distribution_cache": self._cache_summary(self._distribution_cache),
             "lanes": [
-                {
-                    "distribution_cache": self._cache_summary(
-                        lane._distribution_cache
-                    ),
-                    "table_cache": self._cache_summary(lane._table_cache),
-                }
+                {"table_cache": self._cache_summary(lane._table_cache)}
                 for lane in self._lanes
             ],
         }

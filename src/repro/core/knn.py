@@ -35,7 +35,7 @@ module provides that extension on top of the same substrate:
 from __future__ import annotations
 
 import time
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -107,15 +107,11 @@ def knn_probability_bounds(
     return bounds
 
 
-def _breakpoint_grid(
-    distributions: Sequence[DistanceDistribution], lo: float, hi: float
-) -> np.ndarray:
-    """All pdf breakpoints of all objects inside [lo, hi]."""
-    pool = [np.asarray([lo, hi])]
-    for dist in distributions:
-        edges = dist.breakpoints
-        pool.append(edges[(edges > lo) & (edges < hi)])
-    grid = np.unique(np.concatenate(pool))
+def _breakpoint_grid(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """All pdf breakpoints inside [lo, hi], from every object's
+    ``edges`` pooled flat."""
+    inner = edges[(edges > lo) & (edges < hi)]
+    grid = np.unique(np.concatenate((np.asarray([lo, hi]), inner)))
     return grid[(grid >= lo) & (grid <= hi)]
 
 
@@ -164,6 +160,7 @@ def knn_qualification_probabilities(
         [d.near for d in distributions], fmin_k, quadrature_margin
     )
 
+    edges = np.concatenate([d.breakpoints for d in distributions])
     results: dict[Hashable, float] = {}
     for i, dist in enumerate(distributions):
         lo = dist.near
@@ -171,7 +168,7 @@ def knn_qualification_probabilities(
         if hi <= lo:
             results[dist.key] = 0.0
             continue
-        grid = _breakpoint_grid(distributions, lo, hi)
+        grid = _breakpoint_grid(edges, lo, hi)
         total = 0.0
         others = [d for j, d in enumerate(distributions) if j != i]
         for a, b in zip(grid[:-1], grid[1:]):
@@ -189,7 +186,7 @@ def knn_qualification_probabilities(
 
 def _routed_exact(
     pack: DistributionPack,
-    distributions: Sequence[DistanceDistribution],
+    distribution: Callable[[int], DistanceDistribution],
     needed: np.ndarray,
     k: int,
     fmin_k: float,
@@ -206,23 +203,23 @@ def _routed_exact(
     row-sequential DP — which is also how object ``i``'s own row is
     dropped: zeroed in place, not copied out), and the per-segment
     accumulation replays the scalar loop's float operations in order.
-    The survivor cdf matrix is evaluated through the
-    :class:`~repro.uncertainty.columnar.DistributionPack` kernels
-    instead of one ``cdf`` call per other object per segment.
+    Supports and breakpoints come from the pack, the survivor cdf
+    matrix from its kernels; only the integrated row's pdf needs its
+    distribution, ``distribution(i)``, built once per such row.
     """
     xs_unit, ws = _segment_rule(pack.near, fmin_k, quadrature_margin)
     n_nodes = len(ws)
+    edges, nears, fars = pack.edges_flat, pack.near.tolist(), pack.far.tolist()
     out: dict[int, float] = {}
     per_chunk = max(1, _EXACT_MAX_CELLS // max(pack.size * n_nodes, 1))
-    for i in needed:
-        i = int(i)
-        dist = distributions[i]
-        lo = dist.near
-        hi = min(dist.far, fmin_k)
+    for i in needed.tolist():
+        lo = nears[i]
+        hi = min(fars[i], fmin_k)
         if hi <= lo:
             out[i] = 0.0
             continue
-        grid = _breakpoint_grid(distributions, lo, hi)
+        dist = distribution(i)
+        grid = _breakpoint_grid(edges, lo, hi)
         segments = [(a, b) for a, b in zip(grid[:-1], grid[1:]) if b > a]
         total_p = 0.0
         for start in range(0, len(segments), per_chunk):
@@ -325,7 +322,8 @@ def knn_analytic_eval(
 
 
 def knn_routed_eval(
-    distributions: Sequence[DistanceDistribution],
+    pack: DistributionPack,
+    distribution: Callable[[int], DistanceDistribution],
     keys: Sequence[Hashable],
     k: int,
     threshold: float,
@@ -333,22 +331,22 @@ def knn_routed_eval(
 ) -> tuple[tuple, AnswerRecords, int, float]:
     """Constrained k-NN over a *filtered* candidate set.
 
-    ``distributions`` are the distance distributions of the objects
-    surviving ``f_min^k`` MBR filtering, in insertion order, and
-    ``keys`` their keys.  Returns ``(answers, records, n_exact,
-    exact_seconds)`` with one record per survivor, each **bit-identical**
-    to the record the unfiltered scalar path
-    (:func:`repro.baselines.scalar.scalar_knn_query`) computes for that
-    key; the objects the filter pruned are implied ``FAIL 0/0`` — the
+    ``pack`` holds the distance distributions of the objects surviving
+    ``f_min^k`` MBR filtering, in insertion order, ``keys`` their keys
+    and ``distribution(i)`` builds row ``i``'s distribution — called
+    once for each row whose probability is integrated.  Returns
+    ``(answers, records, n_exact, exact_seconds)`` with one record per
+    survivor, each **bit-identical** to the record the unfiltered
+    scalar path (:func:`repro.baselines.scalar.scalar_knn_query`)
+    computes for that key; the objects the filter pruned are implied ``FAIL 0/0`` — the
     bounds the scalar path computes for them, their supports lying
     strictly beyond ``f_min^k``.  The bounds are :func:`_rs_bounds`;
     exact integrals replay :func:`knn_qualification_probabilities`'s
     float operations (see :func:`_routed_exact`).
 
-    Requires ``len(distributions) >= k`` (guaranteed by the filter); the
+    Requires ``pack.size >= k`` (guaranteed by the filter); the
     ``k >= n`` trivial case is the caller's.
     """
-    pack = DistributionPack(distributions)
     fmin_k, lower, upper = _rs_bounds(pack, k)
     needed = np.flatnonzero((upper >= threshold) & (lower < threshold))
     exact: dict[int, float] = {}
@@ -356,7 +354,7 @@ def knn_routed_eval(
     if needed.size:
         tick = time.perf_counter()
         exact = _routed_exact(
-            pack, distributions, needed, k, fmin_k, quadrature_margin
+            pack, distribution, needed, k, fmin_k, quadrature_margin
         )
         exact_seconds = time.perf_counter() - tick
     answers, records = _candidate_records(keys, lower, upper, threshold, exact)

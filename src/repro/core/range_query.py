@@ -66,7 +66,7 @@ def range_routed_eval(
     threshold: float,
     inside: np.ndarray,
     inside_maxdist: np.ndarray,
-    pack_provider: Callable[[list], object],
+    pack_provider: Callable[[list, np.ndarray], object],
 ) -> tuple[tuple, AnswerRecords, int]:
     """Constrained range query over MBR-prefiltered objects.
 
@@ -79,9 +79,10 @@ def range_routed_eval(
     ``maxdist <= radius``) are decided without touching their pdfs;
     MBR-straddlers re-check their exact region distances (which 2-D
     regions may bound tighter than the MBR), and only true straddlers
-    reach ``pack_provider``, which returns a columnar pack over their
-    distance distributions (the engine routes histogram rows through
-    its LRU cache) whose cdfs are evaluated in one kernel call.
+    reach ``pack_provider(objects, positions)``, which returns a
+    columnar pack over their distance distributions (the engine folds
+    it from the filter's columns at those positions) whose cdfs are
+    evaluated in one kernel call.
 
     Returns ``(answers, records, n_evaluated)`` with one record per
     candidate, in object order.  Each is bit-identical to the record
@@ -94,7 +95,8 @@ def range_routed_eval(
     sure_in = (inside_maxdist <= radius).tolist()
     candidates: list = []
     probability: list[float] = []
-    pending: list[int] = []  # candidate positions awaiting cdf(radius)
+    pending: list[int] = []  # candidate rows awaiting cdf(radius) ...
+    straddlers: list[int] = []  # ... and their object positions
     for j, sure in zip(inside.tolist(), sure_in):
         obj = objects[j]
         if sure or obj.maxdist(q) <= radius:
@@ -104,6 +106,7 @@ def range_routed_eval(
         else:
             p = 0.0
             pending.append(len(candidates))
+            straddlers.append(j)
         candidates.append(obj)
         probability.append(p)
     probability = np.asarray(probability, dtype=float)
@@ -114,7 +117,9 @@ def range_routed_eval(
         # analytically — the probability is the exact model's, no
         # histogram ever built — and is a drop-in replacement for the
         # all-histogram DistributionPack otherwise.
-        pack = pack_provider([candidates[i] for i in pending])
+        pack = pack_provider(
+            [candidates[i] for i in pending], np.array(straddlers, dtype=np.intp)
+        )
         evaluated = np.asarray(pack.cdf_many(float(radius)), dtype=float)
         probability[pending] = exact[pending] = evaluated
     records = AnswerRecords(

@@ -371,9 +371,6 @@ class QueryResult:
     spec:
         The (normalised) spec that produced this result, when it came
         through the ``execute``/``execute_batch`` façade.
-    cache_hits / cache_misses:
-        Distance-distribution cache traffic attributable to this
-        query, for paths routed through the engine's LRU cache.
     diagnostics:
         Out-of-band execution notes, populated only when something
         noteworthy happened on the way to this (still exact) answer —
@@ -391,8 +388,6 @@ class QueryResult:
     finished_after_verification: bool = False
     refined_objects: int = 0
     spec: QuerySpec | None = None
-    cache_hits: int = 0
-    cache_misses: int = 0
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

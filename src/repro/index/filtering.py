@@ -243,7 +243,8 @@ class BatchMbrFilter:
     k-NN (:meth:`kth_filter`) to ``f_min^k``, range
     (:meth:`range_filter`) keeps its radius.  Survivors are sorted by
     position, so they equal the reductions of the ``(B, N)`` sweep
-    (:meth:`matrices`, the test reference) bit for bit.
+    (:meth:`matrices`, the test reference) bit for bit, and every
+    family's packs fold from :meth:`columns` at those positions.
 
     Maintenance (DESIGN.md §11): :meth:`append` / :meth:`remove_at`
     queue or mask a coordinate row (compacted at the next query by
@@ -567,20 +568,28 @@ class BatchMbrFilter:
         else:
             inf = np.full(len(points), np.inf)
             position, _, _, spans, fmins = self._survivors(points, inf, _nearest)
-        at = position.tolist()
-        picks = list(map(self._objects.__getitem__, at))
-        keys = list(map(self._keys.__getitem__, at))
-        lo, hi = self._lows[position, 0], self._highs[position, 0]
-        density = self._density[position]
+        picks = list(map(self._objects.__getitem__, position.tolist()))
+        keys, lo, hi, density = self.columns(position)
         return [
             FilterResult(
                 tuple(picks[span]),
                 fmin,
                 position[span],
-                FoldColumns(tuple(keys[span]), lo[span], hi[span], density[span]),
+                FoldColumns(keys[span], lo[span], hi[span], density[span]),
             )
             for span, fmin in zip(spans, fmins)
         ]
+
+    def columns(self, positions: np.ndarray) -> FoldColumns:
+        """The :class:`FoldColumns` of the objects at ``positions``
+        (logical rows, as every filter method returns them)."""
+        self._flush()
+        return FoldColumns(
+            tuple(map(self._keys.__getitem__, positions.tolist())),
+            self._lows[positions, 0],
+            self._highs[positions, 0],
+            self._density[positions],
+        )
 
     def kth_filter(
         self, points: Sequence, ks: Sequence[int]

@@ -53,7 +53,7 @@ unchanged by the columnar rewrite:
 from __future__ import annotations
 
 from itertools import compress
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -342,9 +342,7 @@ class DistributionPack:
         self._finish(*_assemble(len(distributions), parts, histogram_of))
 
     @classmethod
-    def from_objects(
-        cls, objects: Sequence, q, bars: tuple, distribution=None
-    ) -> "DistributionPack":
+    def from_objects(cls, objects: Sequence, q, bars: tuple) -> "DistributionPack":
         """The pack of the objects' distance distributions about ``q``,
         folded by the column kernels without building them.
 
@@ -355,10 +353,9 @@ class DistributionPack:
         :class:`~repro.uncertainty.objects.UncertainObject` rows fold in
         the ragged kernel from the object's own histogram arrays.  Every
         remaining row — 2-D regions, and rows the scalar fold would trim
-        or renormalise — packs ``distribution(obj).histogram`` (default
-        ``obj.distance_distribution(q)``).  Bit-identical to
-        ``DistributionPack([obj.distance_distribution(q) for obj in
-        objects])``.
+        or renormalise — packs ``obj.distance_distribution(q).histogram``.
+        Bit-identical to ``DistributionPack([obj.distance_distribution(q)
+        for obj in objects])``.
         """
         if not len(objects):
             raise ValueError("DistributionPack requires at least one distribution")
@@ -380,12 +377,12 @@ class DistributionPack:
                     histograms.append(h)
         if many:
             parts.append(_fold_histograms(many, histograms, _scalar_query(q)))
-        if distribution is None:
-            distribution = methodcaller("distance_distribution", q)
         pack = object.__new__(cls)
         pack._finish(
             *_assemble(
-                len(objects), parts, lambda i: distribution(objects[i]).histogram
+                len(objects),
+                parts,
+                lambda i: objects[i].distance_distribution(q).histogram,
             )
         )
         return pack

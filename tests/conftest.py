@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.types import CPNNQuery
+from repro.uncertainty.distance import DistanceDistribution
 from repro.uncertainty.histogram import Histogram
 from repro.uncertainty.objects import UncertainObject
 
@@ -32,6 +33,30 @@ def unit_clock(monkeypatch) -> None:
     monkeypatch.setattr(
         "repro.core.engine.pnn.time.perf_counter", lambda: float(next(ticks))
     )
+
+
+@pytest.fixture
+def constructed(monkeypatch) -> list:
+    """Every ``DistanceDistribution`` built from now on, by its two
+    constructors: ``__init__`` and ``from_value_histogram``.  (Patching
+    ``__new__`` instead would leave the class broken after the undo.)"""
+    built = []
+    init = DistanceDistribution.__init__
+    lazy = DistanceDistribution.from_value_histogram
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_lazy(cls, *args, **kwargs):
+        built.append("from_value_histogram")
+        return lazy(*args, **kwargs)
+
+    monkeypatch.setattr(DistanceDistribution, "__init__", counting_init)
+    monkeypatch.setattr(
+        DistanceDistribution, "from_value_histogram", classmethod(counting_lazy)
+    )
+    return built
 
 
 def cpnn_specs(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchResult, DistributionCache, point_key
+from repro.core.batch import BatchResult, point_key
 from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.types import CPNNQuery
 from repro.experiments.strategies import STRATEGIES
@@ -39,48 +39,6 @@ class TestPointKey:
         key = point_key([3.0])
         assert key == (3.0,)
         hash(key)
-
-
-class TestDistributionCache:
-    def test_hit_and_miss_accounting(self):
-        cache = DistributionCache(maxsize=8)
-        obj = UncertainObject.uniform("a", 0.0, 1.0)
-        first = cache.distribution(obj, 2.0)
-        second = cache.distribution(obj, 2.0)
-        assert first is second
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_lru_eviction(self):
-        cache = DistributionCache(maxsize=2)
-        objs = [UncertainObject.uniform(i, i, i + 1.0) for i in range(3)]
-        for obj in objs:
-            cache.distribution(obj, 10.0)
-        assert len(cache) == 2
-        # Object 0 was evicted: probing it again is a miss.
-        cache.distribution(objs[0], 10.0)
-        assert cache.misses == 4 and cache.hits == 0
-
-    def test_entries_pin_their_objects(self):
-        """Live entries hold their object, so ids cannot be recycled."""
-        cache = DistributionCache(maxsize=8)
-        obj = UncertainObject.uniform("a", 0.0, 1.0)
-        cache.distribution(obj, 2.0)
-        (entry,) = cache._cache._entries.values()
-        assert entry[0] is obj
-
-    def test_evict_object_drops_all_entries(self):
-        cache = DistributionCache(maxsize=8)
-        obj = UncertainObject.uniform("a", 0.0, 1.0)
-        other = UncertainObject.uniform("b", 2.0, 3.0)
-        for q in (4.0, 5.0):
-            cache.distribution(obj, q)
-            cache.distribution(other, q)
-        assert cache.evict_object(obj) == 2
-        assert len(cache) == 2
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            DistributionCache(maxsize=0)
 
 
 class TestBatchMbrFilter:
@@ -191,31 +149,20 @@ class TestQueryBatch:
         assert batch.table_misses == 1
         assert len({tuple(r.answers) for r in batch}) == 1
 
-    def test_table_hits_report_no_distribution_misses(self, rng):
-        """A table-cache hit builds no distributions, and says so.  (2-D
-        regions: C-PNN builds a distribution, through the cache, only
-        for rows no fold kernel takes.)"""
+    def test_table_hits_report_no_distribution_misses(self, rng, constructed):
+        """A table-cache hit builds no distributions.  (2-D regions:
+        C-PNN builds a distribution only for rows no fold kernel
+        takes, so a cold table builds one per candidate.)"""
         engine = UncertainEngine(random_disks(rng, 10))
         points = [tuple(p) for p in rng.uniform(-5, 65, size=(4, 2))]
+        del constructed[:]
         cold = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
-        assert cold.cache_misses == sum(len(r.records) for r in cold)
+        assert len(constructed) == sum(len(r.records) for r in cold)
+        del constructed[:]
         warm = engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
         assert warm.table_hits == len(points)
-        assert warm.cache_misses == 0
-
-    def test_remove_evicts_distribution_cache_entries(self, rng):
-        objects = random_disks(rng, 10)
-        engine = UncertainEngine(objects)
-        points = [tuple(p) for p in rng.uniform(-5, 65, size=(4, 2))]
-        engine.execute_batch(cpnn_specs(points, threshold=0.3, tolerance=0.0))
-        cached = len(engine._distribution_cache)
-        assert cached > 0
-        victim = objects[0]
-        assert engine.remove(victim.key)
-        assert all(
-            entry[0] is not victim
-            for entry in engine._distribution_cache._cache._entries.values()
-        )
+        assert constructed == []
+        assert (warm.cache_hits, warm.cache_misses) == (0, 0)
 
     def test_insert_invalidates_batch_state(self, rng):
         engine = UncertainEngine(make_random_objects(rng, 10))
@@ -314,56 +261,45 @@ class TestQueryBatch:
         assert batch.answer_sets == [frozenset(r.answers) for r in batch.results]
 
 
-class TestLruCacheMaintenance:
-    def test_put_reports_evicted_entry(self):
-        from repro.core.batch import LruCache
+class TestTableCacheRecency:
+    @staticmethod
+    def _entry():
+        from repro.core.batch import CachedTable
 
-        cache = LruCache(2)
-        assert cache.put("a", 1) is None
-        assert cache.put("b", 2) is None
-        assert cache.put("c", 3) == ("a", 1)  # LRU victim surfaces
+        return CachedTable(table=object(), fmin=1.0)
 
-    def test_delete(self):
-        from repro.core.batch import LruCache
+    def test_lru_eviction(self):
+        from repro.core.batch import TableCache
 
-        cache = LruCache(4)
-        cache.put("a", 1)
-        assert cache.delete("a")
-        assert not cache.delete("a")
-        assert cache.get("a") is None
-
-    def test_items_snapshot(self):
-        from repro.core.batch import LruCache
-
-        cache = LruCache(4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.items() == [("a", 1), ("b", 2)]
-
-
-class TestDistributionCacheIndex:
-    def test_evict_object_drops_only_that_object(self, rng):
-        objects = make_random_objects(rng, 3)
-        cache = DistributionCache(maxsize=64)
-        for obj in objects:
-            for q in (1.0, 2.0):
-                cache.distribution(obj, point_key(q))
-        assert len(cache) == 6
-        assert cache.evict_object(objects[0]) == 2
-        assert len(cache) == 4
-        assert cache.evict_object(objects[0]) == 0
-
-    def test_index_survives_lru_eviction(self, rng):
-        objects = make_random_objects(rng, 2)
-        cache = DistributionCache(maxsize=2)
-        cache.distribution(objects[0], point_key(1.0))
-        cache.distribution(objects[0], point_key(2.0))
-        cache.distribution(objects[1], point_key(1.0))  # evicts oldest
+        cache = TableCache(2)
+        first, second = self._entry(), self._entry()
+        cache.put("a", first)
+        cache.put("b", second)
+        assert cache.get("a") is first  # refreshed: "b" is now the oldest
+        cache.put("c", self._entry())
         assert len(cache) == 2
-        # The evicted entry must be gone from the reverse index too.
-        assert cache.evict_object(objects[0]) == 1
-        assert cache.evict_object(objects[1]) == 1
-        assert len(cache) == 0
+        assert cache.peek("b") is None
+        assert cache.peek("a") is first
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    def test_hit_and_miss_accounting(self):
+        """``get`` counts; ``peek`` (the sharded pre-filter probe) does
+        not."""
+        from repro.core.batch import TableCache
+
+        cache = TableCache(2)
+        cache.put("a", self._entry())
+        cache.peek("a")
+        cache.peek("b")
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.get("b") is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_rejects_nonpositive_size(self):
+        from repro.core.batch import TableCache
+
+        with pytest.raises(ValueError):
+            TableCache(0)
 
 
 class TestTableCacheInvalidation:

@@ -120,15 +120,6 @@ class TestExecuteDispatch:
             assert result.answers == loop.answers
             assert records_tuple(result) == records_tuple(loop)
 
-    def test_knn_cache_counters(self, rng):
-        engine = UncertainEngine(make_random_objects(rng, 10))
-        spec = CKNNQuery(30.0, threshold=0.3, k=2)
-        first = engine.execute(spec)
-        assert first.cache_misses > 0
-        second = engine.execute(spec)
-        assert second.cache_hits == first.cache_misses
-        assert second.cache_misses == 0
-
 
 class TestKnnOutOfRange:
     """k validation fires at spec construction; k > N resolves to the
@@ -144,7 +135,7 @@ class TestKnnOutOfRange:
         spec = CKNNQuery(1.0, k=3.0)
         assert spec.k == 3 and isinstance(spec.k, int)
 
-    def test_k_exceeding_engine_size_in_mixed_batch(self, rng):
+    def test_k_exceeding_engine_size_in_mixed_batch(self, rng, constructed):
         """A k > N spec mid-batch must not disturb its neighbours and
         must cost nothing (no filtering, no distributions)."""
         objects = make_random_objects(rng, 5)
@@ -159,7 +150,9 @@ class TestKnnOutOfRange:
         trivial = batch[1]
         assert set(trivial.answers) == {o.key for o in objects}
         assert all(r.exact == 1.0 for r in trivial.records)
-        assert trivial.cache_misses == 0  # no distribution was built
+        del constructed[:]
+        engine.execute_batch(specs[1:2])
+        assert constructed == []  # the trivial spec builds no distribution
         for spec, result in zip(specs, batch):
             loop = engine.execute(spec)
             assert result.answers == loop.answers
@@ -334,13 +327,12 @@ class TestExplain:
         assert plan.candidates == 0
         assert "empty" in plan.stages[0]
 
-    def test_explain_computes_no_probabilities(self, rng):
+    def test_explain_computes_no_probabilities(self, rng, constructed):
         engine = UncertainEngine(make_random_objects(rng, 6))
-        before = len(engine._distribution_cache) if engine._distribution_cache else 0
+        del constructed[:]
         engine.explain(CKNNQuery(30.0, k=2))
         engine.explain(CRangeQuery(30.0, radius=2.0))
-        after = len(engine._distribution_cache) if engine._distribution_cache else 0
-        assert before == after
+        assert constructed == []
 
 
 class TestRangeRecords:

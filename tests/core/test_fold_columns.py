@@ -1,11 +1,15 @@
-"""Candidates as positions: C-PNN tables fold from the filter's columns.
+"""Candidates as positions: every family folds from the filter's columns.
 
 The engine builds each subregion table from the filter's row positions
 and fold columns (``FilterResult.positions`` / ``.columns``) through the
-column kernels of :mod:`repro.uncertainty.columnar`, so a 1-D query
-constructs no per-candidate ``DistanceDistribution``; the table's
+column kernels of :mod:`repro.uncertainty.columnar`, so a 1-D C-PNN
+query constructs no per-candidate ``DistanceDistribution``; the table's
 ``distributions`` are built only when something reads them, and then
-equal the rows an eager table holds.
+equal the rows an eager table holds.  k-NN and range packs fold the
+same way from ``BatchMbrFilter.columns``: a range query builds no
+distribution, a k-NN query one per survivor it integrates
+(``refined_objects``), the ``k >= n`` census none.  (``constructed``,
+the counter, lives in ``tests/conftest.py``.)
 """
 
 import numpy as np
@@ -13,37 +17,12 @@ import pytest
 
 from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.subregions import SubregionTable
-from repro.core.types import CPNNQuery
+from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
 from repro.datasets.longbeach import long_beach_surrogate
 from repro.index.filtering import filter_candidates
-from repro.uncertainty.distance import DistanceDistribution
 from tests.conftest import cpnn_specs, make_random_objects
 
 POINTS = (812.5, 2500.0, 4444.4, 6100.25, 9001.0)
-
-
-@pytest.fixture
-def constructed(monkeypatch) -> list:
-    """Every ``DistanceDistribution`` built from now on, by its two
-    constructors: ``__init__`` and ``from_value_histogram``.  (Patching
-    ``__new__`` instead would leave the class broken after the undo.)"""
-    built = []
-    init = DistanceDistribution.__init__
-    lazy = DistanceDistribution.from_value_histogram
-
-    def counting_init(self, *args, **kwargs):
-        built.append("init")
-        init(self, *args, **kwargs)
-
-    def counting_lazy(cls, *args, **kwargs):
-        built.append("from_value_histogram")
-        return lazy(*args, **kwargs)
-
-    monkeypatch.setattr(DistanceDistribution, "__init__", counting_init)
-    monkeypatch.setattr(
-        DistanceDistribution, "from_value_histogram", classmethod(counting_lazy)
-    )
-    return built
 
 
 @pytest.mark.parametrize("pdf", ["uniform", "gaussian"])
@@ -62,6 +41,31 @@ def test_queries_build_no_distance_distribution(constructed, pdf):
     assert constructed == []
     engine._filter(POINTS[0]).candidates[0].distance_distribution(POINTS[0])
     assert constructed == ["from_value_histogram"]  # the counter counts
+
+
+@pytest.mark.parametrize("pdf", ["uniform", "gaussian"])
+def test_range_and_knn_build_only_the_rows_they_integrate(constructed, pdf):
+    objects = long_beach_surrogate(
+        n=2000, mean_length=120.0, pdf=pdf, bars=40, representation="histogram", seed=3
+    )
+    engine = UncertainEngine(objects, EngineConfig(parametric_fast_path=False))
+    ranges = [CRangeQuery(q, threshold=0.3, radius=150.0) for q in POINTS]
+    census = [CKNNQuery(q, threshold=0.3, k=len(objects)) for q in POINTS]
+    knns = [CKNNQuery(q, threshold=0.3, k=3) for q in POINTS]
+    del constructed[:]
+    evaluated = sum(engine.execute(spec).refined_objects for spec in ranges)
+    assert evaluated > 0, "some straddler must reach cdf(radius)"
+    for spec in census:
+        engine.execute(spec)
+    batch = engine.execute_batch(ranges + census)
+    assert batch.total_refined == evaluated
+    assert constructed == []
+    refined = sum(engine.execute(spec).refined_objects for spec in knns)
+    assert refined > 0, "some survivor must reach exact integration"
+    assert len(constructed) == refined
+    del constructed[:]
+    assert engine.execute_batch(knns).total_refined == refined
+    assert len(constructed) == refined
 
 
 def test_read_back_rows_equal_an_eager_table(rng):
@@ -108,3 +112,21 @@ def test_filter_results_carry_positions_and_columns(rng):
     # Only uniform objects carry a bar density; their folds need nothing else.
     assert {i % 3 for i, obj in enumerate(objects) if obj.uniform_density} == {0}
     assert np.all(np.array([o.uniform_density for o in objects[::3]]) > 0)
+
+
+def test_column_gather_serves_every_family(rng):
+    """``BatchMbrFilter.columns`` at the k-NN and range survivors'
+    positions reads the same columns ``__call__`` hands C-PNN."""
+    objects = make_random_objects(rng, 60)
+    flt = UncertainEngine(objects)._ensure_batch_filter()
+    points = [float(q) for q in rng.uniform(0.0, 60.0, 5)]
+    survivors = [p for p, _ in flt.kth_filter(points, [4] * len(points))]
+    survivors += [p for p, _, _ in flt.range_filter(points, [5.0] * len(points))]
+    survivors += [result.positions for result in flt(points)]
+    for positions in survivors:
+        keys, lo, hi, density = flt.columns(positions)
+        picked = [objects[i] for i in positions]
+        assert keys == tuple(obj.key for obj in picked)
+        assert lo.tolist() == [obj.lo for obj in picked]
+        assert hi.tolist() == [obj.hi for obj in picked]
+        assert density.tolist() == [obj.uniform_density or 0.0 for obj in picked]

@@ -7,9 +7,9 @@ exactly as a brand-new engine constructed over the same final object
 sequence — same answers, same per-object records, same pruning radii —
 and repeating the batch against the (now fully warm) caches must not
 change a bit.  The mid-stream queries are the point: they populate the
-batch filter, the distribution cache, the table cache, and the
-memoised result snapshots that the subsequent mutations must keep
-exactly consistent.
+batch filter and its fold columns, the table cache, and the memoised
+result snapshots that the subsequent mutations must keep exactly
+consistent.
 """
 
 import numpy as np
@@ -327,6 +327,21 @@ MUTATIONS = (
 )
 
 
+#: k-NN (the census included) and range specs over the same stream:
+#: their packs fold from ``BatchMbrFilter.columns`` at the survivors'
+#: positions, so a misaligned column would show in their records.
+FAMILY_SPECS = [
+    spec
+    for q in (4.0, 23.0, 36.5, 51.1)
+    for spec in (
+        CKNNQuery(q, threshold=0.3, k=1),
+        CKNNQuery(q, threshold=0.2, k=3),
+        CRangeQuery(q, threshold=0.3, radius=2.0),
+        CRangeQuery(q, threshold=0.5, radius=6.0),
+    )
+] + [CKNNQuery(30.0, threshold=0.3, k=50)]
+
+
 def assert_pnn_identical(got, want) -> None:
     """Answers, every record field, ``fmin`` and the refinement counters,
     bit for bit."""
@@ -357,16 +372,16 @@ def mutation_stream(engine):
 def test_fold_columns_stay_aligned_across_kind_changing_mutations():
     """Insert / remove / replace, including a replace that turns a
     one-bar object into a multi-bar one and back: after every step
-    ``execute`` and ``execute_batch`` equal a fresh engine bit for bit,
-    and the filter's density and key columns equal those read off the
-    objects."""
+    ``execute`` and ``execute_batch`` of C-PNN, k-NN and range specs
+    equal a fresh engine bit for bit, and the filter's density and key
+    columns equal those read off the objects."""
     initial = [shaped_object(i, i, 1 if i % 3 else 9) for i in range(8)]
     engine = UncertainEngine(list(initial))
     specs = [
         CPNNQuery(q, threshold=0.3, tolerance=tolerance)
         for q in (4.0, 14.6, 23.0, 36.5, 51.1)
         for tolerance in (0.0, 0.01)
-    ]
+    ] + FAMILY_SPECS
     engine.execute_batch(specs)  # warm the table cache and snapshots
     for mirror in mutation_stream(engine):
         fresh = UncertainEngine(list(mirror))
@@ -392,12 +407,16 @@ def test_process_workers_keep_fold_columns_aligned():
     specs = [
         CPNNQuery(q, threshold=0.3, tolerance=0.0)
         for q in (4.0, 14.6, 23.0, 36.5, 51.1, 8.2, 44.4, 29.9)
-    ]
+    ] + FAMILY_SPECS
     try:
         engine.execute_batch(specs)
         for mirror in mutation_stream(engine):
-            want = UncertainEngine(list(mirror)).execute_batch(specs)
+            fresh = UncertainEngine(list(mirror))
+            want = fresh.execute_batch(specs)
             assert_pnn_identical(engine.execute_batch(specs), want)
+            for spec, cold in zip(FAMILY_SPECS, want.results[-len(FAMILY_SPECS) :]):
+                single = engine.execute(spec)
+                assert_pnn_identical(type(want)([single]), type(want)([cold]))
         executor = engine.stats()["executor"]
         assert executor["backend"] == "process" and executor["dispatches"] > 0
         for counter in ("worker_failures", "worker_errors", "shm_fallbacks"):
