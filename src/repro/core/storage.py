@@ -184,7 +184,7 @@ def subregion_bounds_from_store(
     The per-edge exclusion products are rebuilt from the scanned
     ``D_i(e_j)`` values: for every subregion the scan provides each
     present object's cdf at the subregion's left edge, which is all
-    Lemma 2 / Equation 5 need (absent objects have ``D_k(e_j) = 0``
+    L-SR's two terms and Equation 5 need (absent objects have ``D_k(e_j) = 0``
     for edges at or left of ``f_min``, contributing factor 1).
     """
     table = store.table
@@ -194,6 +194,7 @@ def subregion_bounds_from_store(
     prev_rows: np.ndarray | None = None
     prev_s: np.ndarray | None = None
     prev_z_excl: np.ndarray | None = None
+    cdf = table.cdf_at_edges
     for j in range(table.n_inner + 1):
         if j < table.n_inner:
             entries = list(store.scan_subregion(j))
@@ -215,10 +216,13 @@ def subregion_bounds_from_store(
         # earlier/later lists only; we read their cdf from the table's
         # edge matrix, which a disk implementation would co-locate
         # with the directory (O(M) resident data).
-        z_excl = exclusion_products(1.0 - table.cdf_at_edges[:, j])
+        z_excl = exclusion_products(1.0 - cdf[:, j])
         if rows.size:
-            c_j = rows.size
-            lower[rows] += s_vals * z_excl[rows] / c_j
+            # L-SR's slice: the larger of Lemma 2 and the product at the
+            # subregion's midpoint, where every survival is the mean of
+            # its two edge values (SubregionTable.q_lower).
+            z_mid = exclusion_products(1.0 - 0.5 * (cdf[:, j] + cdf[:, j + 1]))
+            lower[rows] += s_vals * np.maximum(z_excl[rows] / rows.size, z_mid[rows])
         if prev_rows is not None and prev_rows.size:
             # U-SR needs this edge's products as the e_{j+1} term for
             # the previous subregion.

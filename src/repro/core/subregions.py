@@ -21,8 +21,10 @@ and by incremental refinement.
 Because the end-point grid contains *every* pdf breakpoint below
 ``f_min``, each distance pdf is constant inside every subregion.  This
 is what makes Lemma 3 (conditional uniformity / exchangeability inside
-a subregion) valid, and what makes the refinement integrand a
-polynomial on each subregion — see :mod:`repro.core.refinement`.
+a subregion) valid, what makes ``Z_i`` convex on each subregion (so its
+value at the midpoint bounds L-SR's slice from below, see
+:attr:`SubregionTable.q_lower`), and what makes the refinement integrand
+a polynomial on each subregion — see :mod:`repro.core.refinement`.
 
 Implementation notes
 --------------------
@@ -310,16 +312,26 @@ class SubregionTable:
         return z
 
     # ------------------------------------------------------------------
-    # Per-subregion qualification-probability bounds (Lemma 2 / Eq. 5)
+    # Per-subregion qualification-probability bounds (L-SR / Eq. 5)
     # ------------------------------------------------------------------
 
     @cached_property
     def q_lower(self) -> np.ndarray:
         """``q_ij.l`` — L-SR's lower bound per inner subregion, (|C|, M−1).
 
-        Lemma 2: ``q_ij.l = (1/c_j) · Π_{k≠i} (1 − D_k(e_j))``.  With
-        ``c_j = 1`` and no interior-zero pdfs the product is 1 and the
-        bound reduces to the paper's special case ``q_ij.l = 1``.
+        ``q_ij.l = max(Z_i(e_j) / c_j, Z_i(m_j))``, with ``m_j`` the
+        midpoint of ``S_j``.  The first term is Lemma 2.  The second
+        holds because every pdf is constant inside ``S_j``: each factor
+        ``1 − D_k`` of ``Z_i`` is linear, non-negative and
+        non-increasing there, so their product is convex
+        (``(fg)'' = f''g + 2f'g' + fg'' ≥ 0``), and ``d_i`` is constant,
+        so ``q_ij`` is the mean of ``Z_i`` over ``S_j``, which the
+        Hermite–Hadamard inequality bounds below by ``Z_i(m_j)`` (and
+        above by U-SR's ``½ (Z_i(e_j) + Z_i(e_{j+1}))``).  Neither term
+        dominates: with three objects spanning ``S_j`` and nothing
+        inside ``e_j``, Lemma 2 reads 1/3 and the midpoint 1/4.  With
+        ``c_j = 1`` and no interior-zero pdfs the bound is the paper's
+        special case ``q_ij.l = 1``.
 
         Entries with ``s_ij = 0`` are set to 0: the conditional
         probability is undefined on a null event and Equation 4
@@ -342,11 +354,20 @@ class SubregionTable:
         q.flags.writeable = False
         return q
 
-    def q_lower_of(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """:attr:`q_lower` of the rows whose :attr:`Z` and
-        :attr:`s_inner` rows are ``z`` and ``s``."""
+    def q_lower_of(
+        self, z: np.ndarray, s: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """:attr:`q_lower` of the rows ``rows`` (all when ``None``),
+        whose :attr:`Z` and :attr:`s_inner` rows are ``z`` and ``s``;
+        bit for bit the rows of the full matrix."""
         divisor = np.where(self.counts > 0, self.counts, 1).astype(float)
         q = z[:, :-1] / divisor[None, :]
+        # Z_i(m_j): each D_k is linear on S_j, so its survival at the
+        # midpoint is 1 − ½ (D_k(e_j) + D_k(e_{j+1})).
+        survival = self._cdf_matrix[:, :-1] + self._cdf_matrix[:, 1:]
+        survival *= -0.5
+        survival += 1.0
+        np.maximum(q, exclusion_products(survival, rows), out=q)
         q[s <= 0.0] = 0.0
         np.clip(q, 0.0, 1.0, out=q)
         return q

@@ -8,7 +8,7 @@ three subregion-based verifiers, in ascending cost order (Table III):
 Verifier  Bound           Cost       Key formula
 ========  ==============  =========  ==========================
 RS        upper           O(|C|)     Lemma 1:  p_i.u ≤ 1 − s_iM
-L-SR      lower           O(|C|·M)   Lemma 2 / Equation 4
+L-SR      lower           O(|C|·M)   Lemma 2 ∨ midpoint / Eq. 4
 U-SR      upper           O(|C|·M)   Equation 5 / Equation 4
 ========  ==============  =========  ==========================
 

@@ -33,7 +33,8 @@ from repro.core.state import CandidateStates
 __all__ = ["VERIFIERS", "Verified", "verify"]
 
 #: The verifiers of the pass, in the order they run (Table III's cost
-#: order): Lemma 1, Lemma 2 / Equation 4, Equation 5.
+#: order): Lemma 1, Lemma 2 or the midpoint bound / Equation 4,
+#: Equation 5.
 VERIFIERS = ("RS", "L-SR", "U-SR")
 
 #: ``einsum`` sums the row of a one-row operand longer than its
@@ -113,7 +114,7 @@ def verify(table, states: CandidateStates, threshold: float, tolerance: float) -
     at = rows if wide else np.arange(rows.size)
     s = table.s_inner[span]
     z = table.exclusion_rows(span)
-    q_lower = table.q_lower_of(z, s)
+    q_lower = table.q_lower_of(z, s, span)
     lsr = np.clip(np.einsum("ij,ij->i", s, q_lower), 0.0, 1.0)
     keep = _settle(states, rows, threshold, tolerance, lower=lsr[at])
     rows, at = rows[keep], at[keep]

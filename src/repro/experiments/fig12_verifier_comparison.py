@@ -15,6 +15,14 @@ Paper observations to reproduce:
 
 When the chain terminates early the remaining verifiers never run; the
 unknown fraction is then carried forward (it is 0 by definition).
+
+The L-SR column is not the paper's Lemma 2 alone.  Since 14.0.0 the
+engine's L-SR slice is ``max(Z_i(e_j)/c_j, Z_i(m_j))``, Lemma 2 or the
+exclusion product at the subregion's midpoint (see
+:mod:`repro.core.verifiers.lsr`).  Lemma 2 alone removed nothing after
+RS at any P on this workload; the midpoint term is what makes L-SR's
+column drop below RS's, so compare its share with the paper's ≈ 7 %
+with that in mind.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ grid is *chosen*, not dictated by 300 bars per candidate.
 
 Soundness under arbitrary smooth cdfs
 -------------------------------------
-The histogram table's Lemma-2/Equation-5 bounds lean on pdfs being
-constant inside every subregion.  Analytic models void that premise,
-so this table uses the coarser-but-always-sound Riemann bracketing:
+The histogram table's L-SR (Lemma 2 and the midpoint bound) and
+Equation-5 bounds lean on pdfs being constant inside every subregion.
+Analytic models void that premise, so this table uses the
+coarser-but-always-sound Riemann bracketing:
 ``Z_i(r) = Π_{k≠i}(1 − D_k(r))`` is non-increasing in ``r``, hence
 for the inner subregion ``S_j = [e_j, e_{j+1}]``
 
@@ -240,9 +241,13 @@ class AnalyticTable:
         return q
 
     @staticmethod
-    def q_lower_of(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def q_lower_of(
+        z: np.ndarray, s: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """:attr:`q_lower` of the rows whose ``Z`` and ``s_inner`` rows
-        are ``z`` and ``s``."""
+        are ``z`` and ``s``.  ``rows`` is ignored: a smooth cell's
+        ``Z_i`` need not be convex, so the histogram table's midpoint
+        term has no place here (see module docs)."""
         q = np.array(z[:, 1:])
         q[s <= 0.0] = 0.0
         return q

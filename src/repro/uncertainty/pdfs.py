@@ -26,7 +26,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from repro.uncertainty.histogram import Histogram, HistogramError
 
@@ -180,7 +180,7 @@ class TruncatedGaussianPdf(UncertaintyPdf):
             raise HistogramError("bins must be >= 1")
         edges = np.linspace(self._lo, self._hi, nbins + 1)
         z = (edges - self._mean) / self._sigma
-        cdf = stats.norm.cdf(z)
+        cdf = ndtr(z)
         masses = np.diff(cdf)
         total = cdf[-1] - cdf[0]
         if total <= 0:

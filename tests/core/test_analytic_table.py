@@ -137,17 +137,22 @@ class TestSoundness:
         assert widths[1] <= widths[0] + 1e-12
         assert widths[2] <= widths[1] + 1e-12
 
-    def test_analytic_at_matched_grid_at_least_as_tight(self):
-        """At a fine grid the analytic bracket beats the histogram
-        table's (no discretisation error in the cdf columns)."""
+    def test_histogram_bracket_at_matched_grid_at_least_as_tight(self):
+        """At a fine grid each table brackets its own model: the
+        analytic bracket the true probability (no discretisation error
+        in the cdf columns), the histogram's the materialised model's
+        exact one.  The histogram's is the tighter: its cells are
+        linear, so L-SR takes the midpoint bound, which smooth cells
+        cannot."""
         rows = gaussian_candidates(n=4, seed=23)
         analytic = AnalyticTable(rows, grid=512)
         histogram = SubregionTable([r.materialized() for r in rows])
+        truth = true_probabilities(rows)
+        true_vec = np.array([truth[k] for k in analytic.keys])
+        exact = Refiner(histogram).exact_all()
         lsr, usr = LowerSubregionVerifier(), UpperSubregionVerifier()
-        a_gap = (
-            usr.compute(analytic).upper - lsr.compute(analytic).lower
-        ).mean()
-        h_gap = (
-            usr.compute(histogram).upper - lsr.compute(histogram).lower
-        ).mean()
-        assert a_gap <= h_gap + 1e-6
+        a_lo, a_up = lsr.compute(analytic).lower, usr.compute(analytic).upper
+        h_lo, h_up = lsr.compute(histogram).lower, usr.compute(histogram).upper
+        assert np.all((a_lo - TOL <= true_vec) & (true_vec <= a_up + TOL))
+        assert np.all((h_lo - TOL <= exact) & (exact <= h_up + TOL))
+        assert (h_up - h_lo).mean() <= (a_up - a_lo).mean()

@@ -245,7 +245,12 @@ class TestQueryBatch:
             for i, lo in enumerate(rng.uniform(0.0, 60.0, size=30))
         ]
         engine = UncertainEngine(objects)
-        specs = cpnn_specs(query_points(rng, n=6), threshold=0.05, tolerance=0.0)
+        # P at the top candidate's exact p with Δ = 0: no bound settles
+        # that candidate, so every query refines it.
+        specs = [
+            CPNNQuery(q, max(engine.pnn(q).values()), 0.0)
+            for q in query_points(rng, n=6)
+        ]
         batch = engine.execute_batch(specs)
         assert batch.total_refined >= 2, "the workload must reach refinement"
         for phase in ("initialization", "verification", "refinement"):

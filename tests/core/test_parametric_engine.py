@@ -233,7 +233,12 @@ class TestFallbackAccounting:
     ):
         # The smallest admissible ceiling: one coarse table, no escalation.
         analytic_grids(monkeypatch, 8, 8)
-        spec = query_specs(threshold=0.3, tolerance=0.0, n=1)[0]
+        # P at the top candidate's exact histogram p with Δ = 0: neither
+        # the coarse analytic bracket nor the histogram one settles it,
+        # so the fallback refines.
+        q = query_specs(n=1)[0].q
+        exact = UncertainEngine(gaussian_objects()).pnn(q)
+        spec = CPNNQuery(q, threshold=max(exact.values()), tolerance=0.0)
 
         def run(**overrides):
             engine = UncertainEngine(gaussian_objects(), EngineConfig(**overrides))

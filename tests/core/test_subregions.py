@@ -57,10 +57,14 @@ class TestTextbookCase:
         assert np.allclose(table.Z[1], [1.0, 0.5, 0.0])  # excluding B
 
     def test_q_bounds(self, table):
-        assert np.allclose(table.q_lower[0], [1.0, 0.5])
+        # q_l = max(Z(e_j)/c_j, Z(m_j)).  For A in S_2: Lemma 2 gives
+        # 0.5/2, the midpoint B's survival at 0.75, 1 − 0.25.  That
+        # survival is linear, so the midpoint is exact and meets q_u.
+        assert np.allclose(table.q_lower[0], [1.0, 0.75])
         assert np.allclose(table.q_upper[0], [1.0, 0.75])
         # B has no mass in S_1, so its conditional bounds there are
-        # zeroed (the paper leaves them undefined); S_2 is the real one.
+        # zeroed (the paper leaves them undefined); S_2 is the real one:
+        # Lemma 2 gives 0.5/2, the midpoint A's survival there, 0.25.
         assert np.allclose(table.q_lower[1], [0.0, 0.25])
         assert np.allclose(table.q_upper[1], [0.0, 0.25])
 

@@ -46,8 +46,9 @@ class TestLSRVerifier:
     def test_textbook_lower_bounds(self, textbook_table):
         update = LowerSubregionVerifier().compute(textbook_table)
         assert update.upper is None
-        # p_A.l = 0.5*1 + 0.5*0.5 ; p_B.l = 0.5*0.25
-        assert np.allclose(update.lower, [0.75, 0.125])
+        # p_A.l = 0.5*1 + 0.5*max(0.5/2, 0.75) ; p_B.l = 0.5*max(0.5/2, 0.25):
+        # both exact, since each Z is one linear survival.
+        assert np.allclose(update.lower, [0.875, 0.125])
 
     def test_single_candidate_gets_probability_one(self):
         from repro.uncertainty.objects import UncertainObject

@@ -136,14 +136,14 @@ def test_batch_linear_and_rtree_engines_agree(case):
 
 
 def refine_shaped_objects():
-    """Overlapping many-bar Gaussians, the shape of ``pnn_refine``: at
-    P = 0.05, Δ = 0 the verifiers leave several candidates unknown."""
+    """Overlapping many-bar Gaussians, the shape of ``pnn_refine``, each
+    with a coincident twin: with P at a candidate's exact p and Δ = 0
+    no bound settles it or its twin, so refinement runs on both."""
     rng = np.random.default_rng(7)
+    supports = list(zip(rng.uniform(0.0, 100.0, 80), rng.uniform(6.0, 18.0, 80)))
     return [
         UncertainObject.gaussian(i, lo, lo + width, bars=60)
-        for i, (lo, width) in enumerate(
-            zip(rng.uniform(0.0, 100.0, 80), rng.uniform(6.0, 18.0, 80))
-        )
+        for i, (lo, width) in enumerate(supports + supports)
     ]
 
 
@@ -160,9 +160,10 @@ def test_batch_is_execute_bit_for_bit():
     engine = UncertainEngine(refine_shaped_objects())
     points = [float(q) for q in np.random.default_rng(11).uniform(5.0, 110.0, 8)]
     constraints = [(0.05, 0.0), (0.3, 0.01), (0.5, 0.0), (0.05, 0.02)]
-    # Refinement-heavy specs first, then the same points again (duplicate
-    # points, some duplicate specs) under several (P, Δ) pairs.
-    specs = cpnn_specs(points, threshold=0.05, tolerance=0.0) + [
+    # Refinement-heavy specs first (P at the top candidate's exact p),
+    # then the same points again (duplicate points, some duplicate
+    # specs) under several (P, Δ) pairs.
+    specs = [CPNNQuery(q, max(engine.pnn(q).values()), 0.0) for q in points] + [
         CPNNQuery(q, *constraints[i % len(constraints)])
         for i, q in enumerate(points + points[:4])
     ]

@@ -92,20 +92,3 @@ def test_subregion_masses_partition(case):
     assert np.all(table.s_inner >= -1e-12)
     assert np.all(table.Z >= -1e-12) and np.all(table.Z <= 1 + 1e-12)
 
-
-@settings(max_examples=40, deadline=None)
-@given(candidate_sets())
-def test_per_subregion_bounds_contain_exact_slices(case):
-    """The per-subregion machinery itself is sound: for every (i, j),
-    s_ij * q_ij.l <= p_ij <= s_ij * q_ij.u."""
-    objects, q = case
-    table = SubregionTable([o.distance_distribution(q) for o in objects])
-    refiner = Refiner(table)
-    for i in range(table.size):
-        for j in range(table.n_inner):
-            if table.s_inner[i, j] <= 0:
-                continue
-            p_ij = refiner.exact_subregion_probability(i, j)
-            lo = table.s_inner[i, j] * table.q_lower[i, j]
-            up = table.s_inner[i, j] * table.q_upper[i, j]
-            assert lo - TOL <= p_ij <= up + TOL

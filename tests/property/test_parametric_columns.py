@@ -146,7 +146,7 @@ class RowTable:
         return self.Z[rows]
 
     @staticmethod
-    def q_lower_of(z, s):
+    def q_lower_of(z, s, rows=None):
         q = np.array(z[:, 1:])
         q[s <= 0.0] = 0.0
         return q

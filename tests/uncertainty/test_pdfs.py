@@ -1,10 +1,16 @@
 """Unit tests for the pdf families."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from repro.uncertainty.histogram import HistogramError
+import repro
+from repro.uncertainty.histogram import Histogram, HistogramError
 from repro.uncertainty.pdfs import (
     HistogramPdf,
     MixturePdf,
@@ -50,6 +56,30 @@ class TestTruncatedGaussianPdf:
         z = stats.norm.cdf
         expected = (z(0.0) - z(-3.0)) / (z(3.0) - z(-3.0))
         assert h.cdf(3.0) == pytest.approx(expected, abs=1e-12)
+
+    def test_masses_are_the_scipy_stats_masses_bit_for_bit(self):
+        """``to_histogram`` reads Phi through ``scipy.special.ndtr`` so
+        that importing the package never loads ``scipy.stats``; its bars
+        are the ones ``stats.norm.cdf`` gives, bit for bit."""
+        rng = np.random.default_rng(183)
+        for _ in range(50):
+            lo = float(rng.uniform(-100.0, 100.0))
+            hi = lo + float(rng.uniform(0.01, 50.0))
+            mean = float(rng.uniform(lo - 5.0, hi + 5.0))
+            sigma = float(rng.uniform(0.05, 20.0))
+            bars = int(rng.integers(1, 400))
+            pdf = TruncatedGaussianPdf(lo, hi, mean=mean, sigma=sigma, bars=bars)
+            edges = np.linspace(lo, hi, bars + 1)
+            cdf = stats.norm.cdf((edges - mean) / sigma)
+            want = Histogram.from_masses(edges, np.diff(cdf) / (cdf[-1] - cdf[0]))
+            got = pdf.to_histogram()
+            assert np.array_equal(got.edges, want.edges)
+            assert np.array_equal(got.densities, want.densities)
+
+    def test_importing_the_package_leaves_scipy_stats_unloaded(self):
+        code = "import sys, repro; sys.exit('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_symmetry(self):
         h = TruncatedGaussianPdf(-2.0, 2.0, bars=40).to_histogram()
