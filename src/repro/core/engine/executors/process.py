@@ -12,13 +12,18 @@ Worker lifecycle
 On (re)spawn, a worker receives one ``attach`` message: the pickled
 :class:`~repro.core.engine.config.EngineConfig`, the object list, and a
 :class:`~repro.storage.StoreDescriptor` for the parent-exported
-coordinate store, one shared-memory segment (DESIGN.md §16).  It
-rebuilds a full :class:`~repro.index.filtering.BatchMbrFilter` over
-that store (no coordinate is re-pickled) and a resident
+coordinate store, one shared-memory segment (DESIGN.md §16).  The
+message is pickled once and sent after every new worker has started,
+so their interpreter imports overlap.  Each object pickles as its key
+and pdf; unpickling rebuilds its histogram through the pdf's
+``normalized_histogram()``, the method construction runs, so the
+worker's arrays equal the parent's bit for bit.  The worker rebuilds a full :class:`~repro.index.filtering.BatchMbrFilter`
+over that store (no coordinate is re-pickled) and a resident
 :class:`~repro.core.engine.lanes.Lane`; thereafter each work message
-piggybacks the mutation-log suffix the worker hasn't seen, which it
-replays against its replica with the registry's exact ordering
-semantics before executing.  The parent unlinks the store's name as
+piggybacks the mutation-log suffix the worker hasn't seen (inserted
+and replacing objects travel as key and pdf too), which it replays
+against its replica with the registry's exact ordering semantics
+before executing.  The parent unlinks the store's name as
 soon as every worker has attached — shm mappings outlive the name, so
 nothing can leak in ``/dev/shm`` past the handshake.
 
@@ -55,6 +60,7 @@ import multiprocessing as mp
 import os
 import time
 import weakref
+from multiprocessing.reduction import ForkingPickler
 
 from repro import hooks
 from repro.core.batch import point_key
@@ -362,16 +368,16 @@ class ProcessExecutor(ExecutorBase):
                 child_conn.close()
                 worker = _Worker(proc, parent_conn, top)
                 self._workers[lane_id] = worker
-                worker.conn.send(
-                    (
-                        "attach",
-                        host._config,
-                        host._objects,
-                        len(host._lanes),
-                        columns_desc,
-                    )
-                )
                 spawned.append(worker)
+            # Sent only once every worker is starting: a message larger
+            # than the pipe buffer blocks until its worker has imported
+            # and begun reading, so the imports overlap.  One pickle,
+            # the bytes ``conn.send`` would write, for every worker.
+            attach = ForkingPickler.dumps(
+                ("attach", host._config, host._objects, len(host._lanes), columns_desc)
+            )
+            for worker in spawned:
+                worker.conn.send_bytes(attach)
             for worker in spawned:
                 status, payload = self._recv(worker)
                 if status != "ok":  # pragma: no cover - attach never raises

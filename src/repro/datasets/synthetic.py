@@ -68,10 +68,12 @@ def interval_objects(
         raise ValueError("pdf must be 'uniform' or 'gaussian'")
     if representation not in REPRESENTATIONS:
         raise ValueError("representation must be 'parametric' or 'histogram'")
+    centers = np.asarray(centers)
+    lengths = np.asarray(lengths)
+    los = (centers - lengths / 2.0).tolist()
+    his = (centers + lengths / 2.0).tolist()
     objects = []
-    for i, (center, length) in enumerate(zip(centers, lengths)):
-        lo = float(center - length / 2.0)
-        hi = float(center + length / 2.0)
+    for i, (lo, hi) in enumerate(zip(los, his)):
         if pdf == "uniform":
             objects.append(UncertainObject.uniform(i, lo, hi))
         elif representation == "parametric":

@@ -105,19 +105,27 @@ class Histogram:
         self._cdf_knots = np.concatenate(([0.0], np.cumsum(masses)))
 
     @classmethod
-    def _raw(cls, edges: np.ndarray, densities: np.ndarray) -> "Histogram":
+    def _raw(
+        cls,
+        edges: np.ndarray,
+        densities: np.ndarray,
+        cdf_knots: np.ndarray | None = None,
+    ) -> "Histogram":
         """Internal fast constructor: skips validation.
 
         Used on the query hot path (distance folding, trimming,
         normalising) where the inputs are produced by this module and
         already satisfy the invariants; the public constructor keeps
-        validating everything user-supplied.
+        validating everything user-supplied.  ``cdf_knots``, when
+        given, must be what the cumulative sum below would produce.
         """
         instance = cls.__new__(cls)
         instance._edges = edges
         instance._densities = densities
-        masses = densities * np.diff(edges)
-        instance._cdf_knots = np.concatenate(([0.0], np.cumsum(masses)))
+        if cdf_knots is None:
+            masses = densities * np.diff(edges)
+            cdf_knots = np.concatenate(([0.0], np.cumsum(masses)))
+        instance._cdf_knots = cdf_knots
         return instance
 
     def _pdf_values(self, arr: np.ndarray) -> np.ndarray:

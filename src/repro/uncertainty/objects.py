@@ -54,6 +54,24 @@ class SpatialUncertain(Protocol):
         """The exact distribution of ``|X - q|``."""
 
 
+def _slots_state(obj, reset=()):
+    """Slot dict across the MRO, with ``reset`` names nulled out."""
+    state = {
+        slot: getattr(obj, slot)
+        for cls in type(obj).__mro__
+        for slot in getattr(cls, "__slots__", ())
+    }
+    for name in reset:
+        state[name] = None
+    return state
+
+
+def _restore_slots(obj, state) -> None:
+    """Inverse of :func:`_slots_state`."""
+    for slot, value in state.items():
+        setattr(obj, slot, value)
+
+
 class UncertainObject:
     """A 1-D uncertain object: an identifier plus an interval pdf."""
 
@@ -62,8 +80,17 @@ class UncertainObject:
     def __init__(self, key: Hashable, pdf: UncertaintyPdf) -> None:
         self._key = key
         self._pdf = pdf
-        self._histogram = pdf.to_histogram().normalized()
+        self._histogram = pdf.normalized_histogram()
         self._mbr: Rect | None = None
+
+    def __getstate__(self):
+        # Key and pdf travel; the histogram and MBR are derived state.
+        return _slots_state(self, reset=("_histogram", "_mbr"))
+
+    def __setstate__(self, state):
+        _restore_slots(self, state)
+        # The method construction runs, so a round trip is bit-identical.
+        self._histogram = self._pdf.normalized_histogram()
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -14,7 +14,7 @@ folds; mixtures model multi-modal sensor error (a reading that is
 usually near the truth but occasionally glitches to a biased mode).
 
 Materialisation reproduces the histogram pipeline *exactly*:
-``TruncatedGaussianPdf(...).to_histogram().normalized()`` folded about
+``TruncatedGaussianPdf(...).normalized_histogram()`` folded about
 ``q`` is byte-identical to what
 :meth:`UncertainObject.distance_distribution` builds, so fallbacks are
 bit-for-bit comparable with the histogram engine.
@@ -78,10 +78,11 @@ class TruncatedGaussianDistance(ParametricDistance):
         self._q = float(q)
         self._lo = float(lo)
         self._hi = float(hi)
-        # Same default expressions as TruncatedGaussianPdf, so passing
-        # the resolved values back to it materialises identically.
-        self._mean = 0.5 * (lo + hi) if mean is None else float(mean)
-        self._sigma = (hi - lo) / 6.0 if sigma is None else float(sigma)
+        # Same default expressions as TruncatedGaussianPdf, on the float
+        # bounds, so passing the resolved values back to it materialises
+        # identically.
+        self._mean = 0.5 * (self._lo + self._hi) if mean is None else float(mean)
+        self._sigma = (self._hi - self._lo) / 6.0 if sigma is None else float(sigma)
         if self._sigma <= 0:
             raise ValueError("sigma must be positive")
         self._bars = int(bars)
@@ -150,7 +151,7 @@ class TruncatedGaussianDistance(ParametricDistance):
             self._lo, self._hi, mean=self._mean, sigma=self._sigma, bars=self._bars
         )
         return DistanceDistribution.from_value_histogram(
-            pdf.to_histogram().normalized(), self._q, key=self._key
+            pdf.normalized_histogram(), self._q, key=self._key
         )
 
     def pack_params(self) -> np.ndarray:
@@ -339,7 +340,7 @@ class GaussianMixtureDistance(ParametricDistance):
         ]
         mixture = MixturePdf(pdfs, self._weights)
         return DistanceDistribution.from_value_histogram(
-            mixture.to_histogram().normalized(), self.q, key=self._key
+            mixture.normalized_histogram(), self.q, key=self._key
         )
 
     def pack_params(self) -> np.ndarray:

@@ -7,10 +7,11 @@ construction until something genuinely histogram-shaped is requested:
 
 * :class:`GaussianObject` / :class:`GaussianMixtureObject` subclass
   :class:`UncertainObject` but skip its eager
-  ``pdf.to_histogram().normalized()`` — the ``histogram`` property
+  ``pdf.normalized_histogram()`` — the ``histogram`` property
   materialises on first access, byte-identically to the eager path
-  (same pdf object, same call chain), so the standard pipeline and
-  exact refinement see exactly what they would have seen.
+  (same pdf object, same method), so the standard pipeline and
+  exact refinement see exactly what they would have seen.  Unpickling
+  leaves it lazy too.
 * :class:`ParametricDisk` extends :class:`UncertainDisk`, which never
   builds histograms eagerly anyway.
 * :class:`GpsEllipseObject` is a new 2-D model with no histogram
@@ -31,7 +32,11 @@ import numpy as np
 from repro.index.geometry import Rect
 from repro.uncertainty.distance import DistanceDistribution
 from repro.uncertainty.histogram import Histogram
-from repro.uncertainty.objects import UncertainObject, _scalar_query
+from repro.uncertainty.objects import (
+    UncertainObject,
+    _restore_slots,
+    _scalar_query,
+)
 from repro.uncertainty.parametric.ellipse import (
     GpsEllipseDistance,
     ellipse_half_extents,
@@ -58,18 +63,6 @@ __all__ = [
     "GpsEllipseObject",
     "ParametricDisk",
 ]
-
-
-def _slots_state(obj, reset=()):
-    """Slot dict across the MRO, with ``reset`` names nulled out."""
-    state = {
-        slot: getattr(obj, slot)
-        for cls in type(obj).__mro__
-        for slot in getattr(cls, "__slots__", ())
-    }
-    for name in reset:
-        state[name] = None
-    return state
 
 
 class GaussianObject(UncertainObject):
@@ -100,7 +93,7 @@ class GaussianObject(UncertainObject):
     @property
     def histogram(self) -> Histogram:
         if self._histogram is None:
-            self._histogram = self._pdf.to_histogram().normalized()
+            self._histogram = self._pdf.normalized_histogram()
         return self._histogram
 
     @property
@@ -134,12 +127,8 @@ class GaussianObject(UncertainObject):
         """``n`` iid draws of ``|X - q|`` from the exact model."""
         return self.parametric_distance(q).sample(rng, n)
 
-    def __getstate__(self):
-        return _slots_state(self, reset=("_histogram", "_mbr"))
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
+    # UncertainObject's __getstate__ (key and pdf); no eager rebuild.
+    __setstate__ = _restore_slots
 
 
 class GaussianMixtureObject(UncertainObject):
@@ -168,7 +157,7 @@ class GaussianMixtureObject(UncertainObject):
     @property
     def histogram(self) -> Histogram:
         if self._histogram is None:
-            self._histogram = self._pdf.to_histogram().normalized()
+            self._histogram = self._pdf.normalized_histogram()
         return self._histogram
 
     @property
@@ -200,12 +189,8 @@ class GaussianMixtureObject(UncertainObject):
     def sample_distances(self, q, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.parametric_distance(q).sample(rng, n)
 
-    def __getstate__(self):
-        return _slots_state(self, reset=("_histogram", "_mbr"))
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
+    # UncertainObject's __getstate__ (key and pdf); no eager rebuild.
+    __setstate__ = _restore_slots
 
 
 class ParametricDisk(UncertainDisk):

@@ -16,7 +16,9 @@ provides the pdf families used in the paper and its experiments:
 Every pdf can be converted to a :class:`~repro.uncertainty.histogram.Histogram`
 via :meth:`UncertaintyPdf.to_histogram`; the query engine operates on
 that histogram form exclusively, exactly as the paper's implementation
-does.
+does.  Objects take it, normalised, from
+:meth:`UncertaintyPdf.normalized_histogram`, which the uniform and
+truncated-Gaussian families compute in a single pass.
 """
 
 from __future__ import annotations
@@ -66,6 +68,15 @@ class UncertaintyPdf(abc.ABC):
         true cdf exactly at every bin edge.
         """
 
+    def normalized_histogram(self) -> Histogram:
+        """``self.to_histogram().normalized()``: the form objects hold.
+
+        Families with a shorter route to the same arrays override this;
+        an override returns them bit for bit and raises what the chain
+        raises, checked in the chain's order.
+        """
+        return self.to_histogram().normalized()
+
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -113,6 +124,20 @@ class UniformPdf(UncertaintyPdf):
         edges = np.linspace(self._lo, self._hi, bins + 1)
         return Histogram(edges, np.full(bins, 1.0 / (self._hi - self._lo)))
 
+    def normalized_histogram(self) -> Histogram:
+        # Histogram.uniform(lo, hi).normalized() in closed form: the
+        # chain's float operations on one bar.  Of its checks, the
+        # validated interval can fail only one: 1 / width overflowing.
+        lo, hi = self._lo, self._hi
+        width = hi - lo
+        density = 1.0 / width
+        if not math.isfinite(density):
+            raise HistogramError("densities must be finite")
+        density = density / (density * width)
+        return Histogram._raw(
+            np.array([lo, hi]), np.array([density]), np.array([0.0, density * width])
+        )
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"UniformPdf({self._lo:.6g}, {self._hi:.6g})"
 
@@ -146,8 +171,10 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         self._lo = float(lo)
         self._hi = float(hi)
         self._validate_interval()
-        self._mean = float(mean) if mean is not None else 0.5 * (lo + hi)
-        self._sigma = float(sigma) if sigma is not None else (hi - lo) / 6.0
+        # Defaults from the float bounds (not the raw arguments), the
+        # same expressions TruncatedGaussianDistance uses.
+        self._mean = float(mean) if mean is not None else 0.5 * (self._lo + self._hi)
+        self._sigma = float(sigma) if sigma is not None else (self._hi - self._lo) / 6.0
         if self._sigma <= 0:
             raise HistogramError("sigma must be positive")
         if bars < 1:
@@ -186,6 +213,35 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         if total <= 0:
             raise HistogramError("truncation removed all Gaussian mass")
         return Histogram.from_masses(edges, masses / total)
+
+    def normalized_histogram(self) -> Histogram:
+        # to_histogram().normalized() in one pass: the same float
+        # operations on the same arrays, each of the chain's checks
+        # once and in its order, and each np.diff computed once.
+        edges = np.linspace(self._lo, self._hi, self._bars + 1)
+        cdf = ndtr((edges - self._mean) / self._sigma)
+        total = cdf[-1] - cdf[0]
+        if total <= 0:
+            raise HistogramError("truncation removed all Gaussian mass")
+        if not np.all(np.isfinite(edges)):
+            raise HistogramError("edges must be finite")
+        widths = np.diff(edges)
+        if not np.all(widths > 0):
+            raise HistogramError("edges must be strictly increasing")
+        masses = np.diff(cdf) / total
+        if np.any(masses < 0) or not np.all(np.isfinite(masses)):
+            raise HistogramError("masses must be finite and non-negative")
+        densities = masses / widths
+        if not np.all(np.isfinite(densities)):
+            raise HistogramError("densities must be finite")
+        if np.any(densities < 0):
+            raise HistogramError("densities must be non-negative")
+        mass = float(np.cumsum(densities * widths)[-1])
+        if mass <= 0:
+            raise HistogramError("cannot normalise a zero-mass histogram")
+        densities = densities / mass
+        knots = np.concatenate(([0.0], np.cumsum(densities * widths)))
+        return Histogram._raw(edges, densities, knots)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -59,6 +59,28 @@ def constructed(monkeypatch) -> list:
     return built
 
 
+@pytest.fixture
+def histogram_counter(monkeypatch) -> dict:
+    """Counts every ``Histogram`` built from now on, by its two
+    constructors: ``__init__`` (validating) and ``_raw`` (the one
+    objects and folds build through)."""
+    counts = {"n": 0}
+    init = Histogram.__init__
+    raw = Histogram._raw
+
+    def counting_init(self, *args, **kwargs):
+        counts["n"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_raw(cls, *args, **kwargs):
+        counts["n"] += 1
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(Histogram, "__init__", counting_init)
+    monkeypatch.setattr(Histogram, "_raw", classmethod(counting_raw))
+    return counts
+
+
 def cpnn_specs(
     points, threshold: float = 0.3, tolerance: float = 0.01
 ) -> list[CPNNQuery]:

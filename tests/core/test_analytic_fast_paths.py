@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.types import CKNNQuery, CRangeQuery
-from repro.uncertainty.histogram import Histogram
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import GaussianObject
 
@@ -50,18 +49,6 @@ def range_specs():
         for i, q in enumerate(rng.uniform(*DOMAIN, 8))
     ]
 
-
-@pytest.fixture
-def histogram_counter(monkeypatch):
-    counts = {"n": 0}
-    original_init = Histogram.__init__
-
-    def counting_init(self, *args, **kwargs):
-        counts["n"] += 1
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Histogram, "__init__", counting_init)
-    return counts
 
 
 def assert_same_results(got, want):

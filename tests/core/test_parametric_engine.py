@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.engine import EngineConfig, UncertainEngine
 from repro.core.types import CKNNQuery, CPNNQuery, CRangeQuery
-from repro.uncertainty.histogram import Histogram
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import (
     AnalyticTable,
@@ -47,19 +46,6 @@ def query_specs(threshold=0.3, tolerance=0.01, n=9):
         for q in rng.uniform(*DOMAIN, n)
     ]
 
-
-@pytest.fixture
-def histogram_counter(monkeypatch):
-    """Counts every histogram construction, through any entry point."""
-    counts = {"n": 0}
-    original_init = Histogram.__init__
-
-    def counting_init(self, *args, **kwargs):
-        counts["n"] += 1
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Histogram, "__init__", counting_init)
-    return counts
 
 
 class TestFastPath:

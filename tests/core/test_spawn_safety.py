@@ -1,11 +1,12 @@
 """Spawn-safety: everything that crosses the worker pipe must pickle.
 
 The process executor serializes query specs, work items, store
-descriptors, and result containers across a spawn boundary.  These
-round-trips are load-bearing: a type that silently stops pickling
-(say, by growing a lambda-valued field) would take the process backend
-down with an opaque error, so each one is pinned here, cheaply, without
-spawning anything.
+descriptors, uncertain objects, and result containers across a spawn
+boundary.  These round-trips are load-bearing: a type that silently
+stops pickling (say, by growing a lambda-valued field) would take the
+process backend down with an opaque error, so each one is pinned here,
+cheaply, without spawning anything — except the last class, which
+ships a ``replace`` through a live pool's mutation log.
 """
 
 import pickle
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchResult
-from repro.core.engine import EngineConfig, UncertainEngine
+from repro.core.engine import EngineConfig, ShardedEngine, UncertainEngine
 from repro.core.engine.executors.base import PnnItem
 from repro.core.types import (
     CKNNQuery,
@@ -22,15 +23,21 @@ from repro.core.types import (
     CRangeQuery,
     QueryResult,
 )
+from repro.datasets.longbeach import long_beach_surrogate
 from repro.storage import ColumnField, StoreDescriptor
+from repro.uncertainty.histogram import Histogram
+from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.parametric import (
     GaussianMixtureDistance,
+    GaussianMixtureObject,
+    GaussianObject,
     GpsEllipseDistance,
     TruncatedGaussianDistance,
     UniformDiskDistance,
 )
 from repro.uncertainty.pdfs import TruncatedGaussianPdf
 from tests.conftest import make_random_objects
+from tests.core.test_sharded import assert_batches_identical
 
 
 def round_trip(value):
@@ -138,3 +145,114 @@ class TestResultPickling:
                     y.upper,
                     y.exact,
                 )
+
+
+def histogram_bytes(obj):
+    histogram = obj.histogram
+    return [
+        a.tobytes()
+        for a in (histogram._edges, histogram._densities, histogram._cdf_knots)
+    ]
+
+
+#: Every 1-D family: (object factory, whether its histogram is lazy).
+ONE_D_FAMILIES = {
+    "uniform": (lambda: UncertainObject.uniform("u", 1.0, 4.5), False),
+    "gaussian": (
+        lambda: UncertainObject.gaussian("g", -2.0, 3.0, mean=0.7, sigma=0.4),
+        False,
+    ),
+    "histogram": (
+        lambda: UncertainObject.from_histogram(
+            "h", Histogram.from_masses([0.0, 1.0, 3.0, 4.0], [0.2, 0.5, 0.3])
+        ),
+        False,
+    ),
+    "gaussian_object": (lambda: GaussianObject("p", 0.0, 6.0, bars=64), True),
+    "mixture_object": (
+        lambda: GaussianMixtureObject(
+            "m",
+            [
+                TruncatedGaussianPdf(0.0, 3.0, bars=16),
+                TruncatedGaussianPdf(5.0, 9.0, bars=16),
+            ],
+            [0.4, 0.6],
+        ),
+        True,
+    ),
+}
+
+
+class TestObjectPickling:
+    """Objects travel as key and pdf; the histogram is rebuilt from the
+    pdf by the method construction runs, and the MBR on demand."""
+
+    @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
+    def test_round_trip_is_bit_identical(self, family):
+        make, lazy = ONE_D_FAMILIES[family]
+        obj = make()
+        want = histogram_bytes(obj)
+        mbr = obj.mbr
+        twin = round_trip(obj)
+        assert type(twin) is type(obj)
+        assert twin.key == obj.key
+        assert twin._mbr is None
+        assert (twin._histogram is None) is lazy
+        assert histogram_bytes(twin) == want
+        assert twin.mbr == mbr
+
+    @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
+    def test_derived_state_does_not_travel(self, family):
+        obj = ONE_D_FAMILIES[family][0]()
+        obj.histogram, obj.mbr  # fill both derived slots
+        state = obj.__getstate__()
+        assert state["_histogram"] is None and state["_mbr"] is None
+        assert state["_pdf"] is obj.pdf
+
+    @pytest.mark.parametrize("family", ["uniform", "gaussian", "gaussian_object"])
+    def test_parametric_pdfs_pickle_without_arrays(self, family):
+        obj = ONE_D_FAMILIES[family][0]()
+        obj.histogram, obj.mbr  # fill both derived slots
+        assert b"numpy" not in pickle.dumps(obj)
+
+    def test_corpus_pickle_size_guard(self):
+        # bench/'s pnn_verify corpus after engine build: the process
+        # executor's attach message carries exactly this list.
+        objects = long_beach_surrogate(n=20_000, mean_length=42.0, seed=7)
+        UncertainEngine(objects)
+        assert len(pickle.dumps(objects)) < 1_500_000
+
+
+class TestMutationLogShipsObjects:
+    def test_replace_on_a_process_lane_matches_single_engine(self, rng):
+        objects = make_random_objects(rng, 30)
+        config = EngineConfig(executor="process", process_min_batch=0)
+        sharded = ShardedEngine(objects, config, n_shards=2)
+        single = UncertainEngine(objects, config)
+        specs = [
+            CPNNQuery(float(q), threshold=0.3, tolerance=0.01)
+            for q in np.linspace(3.0, 57.0, 10)
+        ]
+        try:
+            # Attach first, so the replacements travel in the log.
+            assert_batches_identical(
+                sharded.execute_batch(specs), single.execute_batch(specs)
+            )
+            assert sharded.stats()["executor"]["backend"] == "process"
+            replacements = [
+                UncertainObject.uniform(objects[3].key, 20.0, 31.0),
+                UncertainObject.gaussian(objects[7].key, 25.0, 34.0, mean=27.0),
+                GaussianObject(objects[11].key, 18.0, 26.0, bars=48),
+                UncertainObject.from_histogram(
+                    objects[14].key,
+                    Histogram.from_masses([30.0, 32.0, 35.0], [0.7, 0.3]),
+                ),
+            ]
+            for engine in (sharded, single):
+                for obj in replacements:
+                    engine.replace(obj.key, obj)
+            assert_batches_identical(
+                sharded.execute_batch(specs), single.execute_batch(specs)
+            )
+        finally:
+            sharded.close()
