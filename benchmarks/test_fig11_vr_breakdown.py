@@ -8,7 +8,7 @@ positions and fold columns, and the one verifier pass."""
 import pytest
 
 from repro.core.state import CandidateStates
-from repro.core.types import CPNNQuery, PhaseTimings
+from repro.core.types import CPNNQuery
 from repro.core.verifiers import verify
 
 
@@ -22,10 +22,10 @@ def prepared(uniform_engine, bench_queries):
 
 def build_tables(engine, prepared) -> list:
     """The engine's initialisation step: positions → subregion table."""
-    return [
-        engine._build_table(spec, filtered, PhaseTimings())
-        for spec, filtered in prepared
-    ]
+    tables, _ = engine._build_tables(
+        [(spec.q, filtered) for spec, filtered in prepared]
+    )
+    return tables
 
 
 def test_filtering_phase(benchmark, uniform_engine, bench_queries):

@@ -84,9 +84,21 @@ class CachedTable:
 
 
 #: Capacity of an engine's subregion-table cache, in query points (a
-#: sharded engine's lanes split it).  The bound counts entries, not
-#: bytes: each table pins its distributions plus O(|C|·M) matrices.
+#: sharded engine's lanes split it).
 TABLE_CACHE_SIZE = 256
+
+#: Capacity of the same cache in cdf cells (``|C| · M`` per table, each
+#: table owning its ``(|C|, M)`` matrix): 8 MiB of cells.  ``execute``
+#: is a batch of one, so every cold query leaves a table behind; this
+#: bound keeps a stream of wide tables (300-bar histograms hold ≈ 10⁵
+#: cells) from pinning hundreds of MB, and never binds on uniform
+#: candidate sets (≈ 2.5·10³ cells).
+TABLE_CACHE_CELLS = 1 << 20
+
+
+def _cells_of(table) -> int:
+    """A table's cdf cells (0 for anything that is not a table)."""
+    return getattr(table, "size", 0) * getattr(table, "n_subregions", 0)
 
 
 class TableCache:
@@ -107,12 +119,18 @@ class TableCache:
     consecutive sweeps reuse the same arrays.
     """
 
-    def __init__(self, maxsize: int = TABLE_CACHE_SIZE) -> None:
+    def __init__(
+        self, maxsize: int = TABLE_CACHE_SIZE, max_cells: int = TABLE_CACHE_CELLS
+    ) -> None:
         if maxsize < 1:
             raise ValueError("cache maxsize must be positive")
         self._maxsize = int(maxsize)
+        self._max_cells = int(max_cells)
         #: Entries in recency order, least recently used first.
         self._entries: OrderedDict[Hashable, CachedTable] = OrderedDict()
+        #: Each entry's cdf cells, and their sum.
+        self._cells: dict[Hashable, int] = {}
+        self._total_cells = 0
         self.hits = 0
         self.misses = 0
         self._points: np.ndarray | None = None
@@ -129,6 +147,8 @@ class TableCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._cells.clear()
+        self._total_cells = 0
         self._dirty = True
 
     def get(self, key: Hashable) -> CachedTable | None:
@@ -148,13 +168,22 @@ class TableCache:
         return self._entries.get(key)
 
     def put(self, key: Hashable, entry: CachedTable) -> None:
-        """Insert an entry, evicting the least recently used one past
-        ``maxsize``."""
+        """Insert an entry, evicting the least recently used ones past
+        ``maxsize`` entries or ``max_cells`` cells (the newest entry
+        always stays)."""
+        self._drop(key)
         self._entries[key] = entry
-        self._entries.move_to_end(key)
-        if len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
+        self._cells[key] = cells = _cells_of(entry.table)
+        self._total_cells += cells
+        while len(self._entries) > 1 and (
+            len(self._entries) > self._maxsize or self._total_cells > self._max_cells
+        ):
+            self._drop(next(iter(self._entries)))
         self._dirty = True
+
+    def _drop(self, key: Hashable) -> None:
+        if self._entries.pop(key, None) is not None:
+            self._total_cells -= self._cells.pop(key)
 
     def _geometry(self) -> tuple[np.ndarray, np.ndarray, list[Hashable]]:
         if self._dirty:
@@ -209,7 +238,7 @@ class TableCache:
         if not doomed.size:
             return 0
         for i in doomed.tolist():
-            del self._entries[keys[i]]
+            self._drop(keys[i])
         self._dirty = True
         return int(doomed.size)
 

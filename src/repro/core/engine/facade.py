@@ -44,8 +44,9 @@ class QueryFacadeMixin(SpecDispatchMixin):
     """The unified ``execute`` / ``execute_batch`` surface.
 
     Pure routing: dispatch on the spec type, delegate to the host's
-    family executors (``_execute_pnn`` / ``_pnn_batch`` /
-    ``_knn_group`` / ``_range_group``), merge timings and counters.
+    family executors (``_pnn_batch`` / ``_knn_group`` /
+    ``_range_group``), merge timings and counters; ``execute`` is a
+    batch of one.
     :class:`~repro.core.engine.sharded.ShardedEngine` inherits it
     through :class:`UncertainEngine` and overrides only where C-PNN
     work runs, which is how the two stay behaviourally
@@ -180,30 +181,21 @@ class QueryFacadeMixin(SpecDispatchMixin):
         return sure_in, len(self._objects) - inside.size, inside.size - sure_in
 
     def execute(self, spec) -> QueryResult:
-        """Answer one query spec; dispatches on the spec type.
+        """Answer one query spec: :meth:`execute_batch` of ``[spec]``.
 
         ``spec`` may be a :class:`CPNNQuery`, :class:`CKNNQuery`,
         :class:`CRangeQuery`, or a bare query point (normalised to a
         :class:`CPNNQuery` with the Section V defaults).  C-PNN specs
         run the VR pipeline (filter → verifier chain → refinement of
-        what stays UNKNOWN).
+        what stays UNKNOWN).  The batch's filtering time is the
+        result's.
 
         Always returns a :class:`~repro.core.types.QueryResult`; an
         empty engine yields an empty result for every spec type.
         """
-        spec = self._as_spec(spec)
-        if not self._objects:
-            return QueryResult(answers=(), spec=spec)
-        if isinstance(spec, CKNNQuery):
-            results, filter_seconds = self._knn_group([spec])
-            results[0].timings.filtering = filter_seconds
-            return results[0]
-        if isinstance(spec, CRangeQuery):
-            results, filter_seconds = self._range_group([spec])
-            results[0].timings.filtering = filter_seconds
-            return results[0]
-        result = self._execute_pnn(spec)
-        result.spec = spec
+        batch = self.execute_batch([spec])
+        result = batch.results[0]
+        result.timings.filtering = batch.timings.filtering
         return result
 
     def execute_batch(self, specs: Sequence) -> BatchResult:
@@ -214,10 +206,13 @@ class QueryFacadeMixin(SpecDispatchMixin):
         around the batch: each family's filtering runs as one batched
         descent of the packed filter, every family folds its packs from
         the filter's positions and columns, and repeated C-PNN probes
-        reuse cached tables and results; C-PNN verification/refinement are the
-        single-spec path's own (see :mod:`repro.core.batch`).  Specs of
-        different types may be mixed freely; ``results`` aligns with
-        ``specs``.
+        reuse cached tables and results.  The C-PNN queries no cached
+        table serves build their tables in one stacked pass, every
+        C-PNN table the batch verifies goes through one stacked
+        verifier pass, and refinement, record assembly and the analytic
+        fast path run query by query (see :mod:`repro.core.batch`).
+        Specs of different types may be mixed freely; ``results``
+        aligns with ``specs``.
 
         An empty ``specs`` sequence yields an empty
         :class:`~repro.core.batch.BatchResult`; an empty engine yields

@@ -15,7 +15,7 @@ import struct
 import zlib
 from typing import Sequence
 
-from repro.core.batch import TABLE_CACHE_SIZE, TableCache, point_key
+from repro.core.batch import TABLE_CACHE_CELLS, TABLE_CACHE_SIZE, TableCache, point_key
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.dispatch import SpecDispatchMixin
 from repro.core.engine.pnn import PnnExecutorMixin
@@ -72,7 +72,9 @@ class Lane(SpecDispatchMixin, InvalidationQueueMixin, PnnExecutorMixin):
         # Each lane gets its share of the engine's table cache: the
         # lane population partitions the query points, so the per-point
         # working set splits the same way.
-        self._table_cache = TableCache(max(1, TABLE_CACHE_SIZE // n_lanes))
+        self._table_cache = TableCache(
+            max(1, TABLE_CACHE_SIZE // n_lanes), max(1, TABLE_CACHE_CELLS // n_lanes)
+        )
         #: Per-dispatch filter lookup staged by the parent: point key →
         #: the parent's FilterResult.
         self._staged: dict | None = None

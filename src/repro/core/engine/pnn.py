@@ -1,16 +1,26 @@
 """The C-PNN executor: filtering → initialisation → verify → refine.
 
-Runs the paper's VR pipeline (Section IV) for C-PNN specs, single and
-batched, against a small host protocol — ``_config``,
-``_filter_batch``, ``_filter``, ``_table_cache`` and
-``_flush_table_invalidations`` — so the same
+Runs the paper's VR pipeline (Section IV) for C-PNN specs against a
+small host protocol — ``_config``, ``_filter_batch``, ``_filter``,
+``_table_cache`` and ``_flush_table_invalidations`` — so the same
 executor serves the single :class:`~repro.core.engine.UncertainEngine`
-*and* the execution lanes of a :class:`~repro.core.engine.sharded.ShardedEngine` (which
-feed it the parent's staged filter results).  Per-candidate
-arithmetic is identical everywhere, which is what makes batch ≡
-sequential ≡ sharded an exact, bit-level property (DESIGN.md §3, §12).
-The paper's Basic and Refine baselines are references beside the
-engine, in :mod:`repro.experiments.strategies`.
+*and* the execution lanes of a
+:class:`~repro.core.engine.sharded.ShardedEngine` (which feed it the
+parent's staged filter results).
+
+A batch is one stacked pass, and ``execute`` is a batch of one.  The
+batch's cold queries (no cached table) fold every candidate row in one
+call, sort and pool their end-points set by set in one pass, and fill
+their cdf cells with one kernel (:meth:`SubregionTable.stacked
+<repro.core.subregions.SubregionTable.stacked>`); then one verifier
+pass (:func:`~repro.core.verifiers.fused.verify_stacked`) bounds the
+rows of every table the batch verifies, cold or cached.  Three things
+stay per query: refinement, record assembly, and the analytic fast
+path.  Per-row arithmetic never depends on the batch — a set's column
+products and row sums run over its own arrays — which is what makes
+batch ≡ sequential ≡ sharded an exact, bit-level property (DESIGN.md
+§3, §12).  The paper's Basic and Refine baselines are references
+beside the engine, in :mod:`repro.experiments.strategies`.
 """
 
 from __future__ import annotations
@@ -25,9 +35,9 @@ from repro.core.refinement import Refiner
 from repro.core.state import CandidateStates
 from repro.core.subregions import SubregionTable
 from repro.core.types import CPNNQuery, PhaseTimings, QueryResult
-from repro.core.verifiers.fused import verify
+from repro.core.verifiers.fused import verify, verify_stacked
 from repro.index.filtering import FilterResult, FoldColumns
-from repro.uncertainty.columnar import DistributionPack
+from repro.uncertainty.columnar import _MAX_CELLS, DistributionPack, folded_edges_bound
 from repro.uncertainty.parametric.pack import MixedDistributionPack, closed_form
 from repro.uncertainty.parametric.table import AnalyticTable
 
@@ -78,20 +88,30 @@ def _distance_rows(candidates: tuple, q) -> list:
     return [obj.distance_distribution(q) for obj in candidates]
 
 
+def _groups(items: list):
+    """``items`` (``(q, filter_result)``) in runs of whole candidate
+    sets, with their fold columns, whose cells stay under
+    ``_MAX_CELLS``: a set of ``C`` rows folding at most ``E`` edges has
+    at most ``E + C + 2`` end-points (a set above the cap alone is one
+    run)."""
+    group, cells = [], 0
+    for q, filter_result in items:
+        columns = filter_result.columns
+        if columns is None:
+            columns = FoldColumns.of(filter_result.candidates)
+        n = len(filter_result.candidates)
+        bound = n * (folded_edges_bound(filter_result.candidates, columns[1:]) + n + 2)
+        if group and cells + bound > _MAX_CELLS:
+            yield group
+            group, cells = [], 0
+        group.append((q, filter_result, columns))
+        cells += bound
+    if group:
+        yield group
+
+
 class PnnExecutorMixin:
     """C-PNN evaluation (single + batch) against the host protocol."""
-
-    def _execute_pnn(self, query: CPNNQuery) -> QueryResult:
-        timings = PhaseTimings()
-        tick = time.perf_counter()
-        filter_result = self._filter(query.q)
-        timings.filtering = time.perf_counter() - tick
-        if self._config.parametric_fast_path:
-            result = self._run_parametric(filter_result, query, timings)
-            if result is not None:
-                return result
-        table = self._build_table(query, filter_result, timings)
-        return self._run_vr(query, filter_result.fmin, table, timings)
 
     def _run_parametric(
         self, filter_result: FilterResult, query: CPNNQuery, timings: PhaseTimings
@@ -147,14 +167,14 @@ class PnnExecutorMixin:
         )
 
     def _pnn_batch(self, queries: list[CPNNQuery]) -> BatchResult:
-        """Many C-PNN queries: the cache tiers around the one pipeline.
+        """Many C-PNN queries: the cache tiers around one stacked pass.
 
-        Filtering is one batched descent of the packed filter, and each
-        table folds from the filter's positions and columns as in
-        :meth:`_execute_pnn` (see :mod:`repro.core.batch`); every query
-        that is not replayed then runs the very phases
-        :meth:`_execute_pnn` runs, on its own states and refiner, so
-        batch ≡ sequential by construction.
+        Filtering is one batched descent of the packed filter.  The
+        queries that no cached table serves build their tables in one
+        stacked pass (:meth:`_build_tables`), then every query that is
+        not replayed — cold, or on a cached table — is verified in one
+        stacked pass, and the candidates it leaves UNKNOWN are refined
+        query by query on that query's own states.
 
         Repeated probes short-circuit in two tiers (DESIGN.md §11):
         a memoised *result* snapshot replays the whole pipeline's
@@ -192,11 +212,15 @@ class PnnExecutorMixin:
         timings.filtering = time.perf_counter() - tick
 
         fast_path = self._config.parametric_fast_path
-        built_this_batch: dict[Hashable, CachedTable] = {}
+        spent: dict[int, PhaseTimings] = {}
+        # Tables this batch builds, by point: a duplicate point later in
+        # the batch verifies on the first one's table, as a table hit.
+        built: dict[Hashable, CachedTable | None] = {}
+        cold: list[tuple[int, Hashable, FilterResult]] = []
+        runs: list[tuple[int, Hashable, CachedTable | None, FilterResult]] = []
         for (b, key, entry), filter_result in zip(live, filter_results):
             check_cancel(self)
-            query = queries[b]
-            spent = PhaseTimings()
+            spent[b] = PhaseTimings()
             if entry is None and fast_path:
                 # Candidates that all evaluate in closed form are
                 # answered analytically, skipping table build, caching
@@ -204,29 +228,31 @@ class PnnExecutorMixin:
                 # cheaper than pinning a materialised table).  A point
                 # whose table was warm before this batch keeps the
                 # standard flow.
-                result = self._run_parametric(filter_result, query, spent)
+                result = self._run_parametric(filter_result, queries[b], spent[b])
                 if result is not None:
                     slots[b] = result
                     continue
-            if entry is None:
-                # A duplicate point earlier in this batch may have just
-                # built this table; a plain dict probe avoids counting
-                # a second miss against the cache for the same point.
-                entry = built_this_batch.get(key)
-            if entry is not None:
-                batch.table_hits += 1
-            else:
-                table = self._build_table(query, filter_result, spent)
+            if entry is None and key not in built:
+                built[key] = None
+                cold.append((b, key, filter_result))
                 batch.table_misses += 1
-                entry = CachedTable(table=table, fmin=filter_result.fmin)
-                table_cache.put(key, entry)
-                built_this_batch[key] = entry
-            result = slots[b] = self._run_vr(
-                query, filter_result.fmin, entry.table, spent
+            else:
+                batch.table_hits += 1
+            runs.append((b, key, entry, filter_result))
+
+        if cold:
+            tables, seconds = self._build_tables(
+                [(queries[b].q, filter_result) for b, _, filter_result in cold]
             )
-            # Memoise the outcome as a pristine snapshot so a repeated
-            # probe of an undisturbed point replays it.
-            entry.results[_result_sig(query)] = _replay_result(result)
+            for (b, key, filter_result), table, elapsed in zip(cold, tables, seconds):
+                spent[b].initialization += elapsed
+                built[key] = CachedTable(table=table, fmin=filter_result.fmin)
+                table_cache.put(key, built[key])
+        if runs:
+            entries = [
+                built[key] if entry is None else entry for _, key, entry, _ in runs
+            ]
+            self._verify_and_refine(queries, runs, entries, spent, slots)
 
         batch.results = slots
         for result, query in zip(slots, queries):
@@ -245,8 +271,7 @@ class PnnExecutorMixin:
         """
         if not self._objects:
             raise ValueError("cannot query an empty engine (insert objects first)")
-        query = CPNNQuery(q, threshold=1.0, tolerance=0.0)
-        table = self._build_table(query, self._filter(q), PhaseTimings())
+        [table], _ = self._build_tables([(q, self._filter(q))])
         probabilities = Refiner(table).exact_all()
         return {key: float(p) for key, p in zip(table.keys, probabilities)}
 
@@ -255,61 +280,92 @@ class PnnExecutorMixin:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _build_table(
-        query: CPNNQuery, filter_result: FilterResult, timings: PhaseTimings
-    ) -> SubregionTable:
-        """The query's subregion table, folded from the filter's columns
-        (DistributionPack.from_objects) with no per-candidate
-        distribution; only the rows no kernel folds build theirs."""
-        tick = time.perf_counter()
-        candidates = filter_result.candidates
-        columns = filter_result.columns
-        if columns is None:
-            columns = FoldColumns.of(candidates)
-        pack = DistributionPack.from_objects(candidates, query.q, columns[1:])
-        table = SubregionTable.from_pack(
-            pack, columns.keys, partial(_distance_rows, candidates, query.q)
-        )
-        timings.initialization += time.perf_counter() - tick
-        return table
+    def _build_tables(items: list) -> tuple[list[SubregionTable], list[float]]:
+        """The subregion tables of ``(q, filter_result)`` items, and each
+        one's share of the initialisation time.
 
-    def _run_vr(
+        Items go in groups whose cells are bounded by ``_MAX_CELLS``
+        (:func:`~repro.uncertainty.columnar.folded_edges_bound` bounds a
+        set's end-points); a group folds every candidate row from the
+        filter's columns in one pack (only the rows no kernel folds
+        build a distance distribution) and tabulates in one stacked
+        pass.  A group's time is shared out by candidate rows.
+        """
+        tables: list[SubregionTable] = []
+        seconds: list[float] = []
+        for group in _groups(items):
+            tick = time.perf_counter()
+            segments, counts, keys, readers = [], [], [], []
+            for q, filter_result, columns in group:
+                candidates = filter_result.candidates
+                segments.append((candidates, q, columns[1:]))
+                counts.append(len(candidates))
+                keys.append(columns.keys)
+                readers.append(partial(_distance_rows, candidates, q))
+            pack = DistributionPack.from_segments(segments)
+            tables += SubregionTable.stacked(pack, counts, keys, readers)
+            elapsed = time.perf_counter() - tick
+            rows = sum(counts)
+            seconds += [elapsed * n / rows for n in counts]
+        return tables, seconds
+
+    def _verify_and_refine(
         self,
-        query: CPNNQuery,
-        fmin: float,
-        table: SubregionTable,
-        timings: PhaseTimings,
-    ) -> QueryResult:
-        """Fresh states over ``table``: the verifier pass, then
-        refinement of the candidates it left UNKNOWN, seeded with their
-        per-subregion bracket rows from the pass."""
+        queries: list[CPNNQuery],
+        runs: list,
+        entries: list[CachedTable],
+        spent: dict[int, PhaseTimings],
+        slots: list,
+    ) -> None:
+        """One stacked verifier pass over the runs' tables, then, query
+        by query, refinement of the candidates it left UNKNOWN (seeded
+        with their bracket rows from the pass), the result, and its
+        snapshot in the table's entry.  The pass's time is shared out
+        by candidate rows."""
+        tables = [entry.table for entry in entries]
+        specs = [queries[b] for b, _, _, _ in runs]
         tick = time.perf_counter()
-        states = CandidateStates(table.keys)
-        refiner = Refiner(table)
-        timings.initialization += time.perf_counter() - tick
-
-        tick = time.perf_counter()
-        verified = verify(table, states, query.threshold, query.tolerance)
-        timings.verification += time.perf_counter() - tick
-
-        unknown = verified.rows
-        tick = time.perf_counter()
-        if unknown.size:
-            for i, q_lower, q_upper in zip(
-                unknown.tolist(), verified.q_lower, verified.q_upper
-            ):
-                refiner.refine_object(
-                    i, states, query, q_lower=q_lower, q_upper=q_upper
-                )
-        timings.refinement = time.perf_counter() - tick
-        return self._build_result(
+        sizes = [table.size for table in tables]
+        states = CandidateStates.stacked(sum(sizes))
+        verified = verify_stacked(
+            tables,
             states,
-            fmin,
-            timings,
-            unknown_after=verified.unknown_after,
-            finished_after_verification=not unknown.size,
-            refined=unknown.size,
+            [spec.threshold for spec in specs],
+            [spec.tolerance for spec in specs],
         )
+        elapsed = time.perf_counter() - tick
+        rows = sum(sizes)
+        start = 0
+        for (b, _, _, filter_result), entry, query, size, checked in zip(
+            runs, entries, specs, sizes, verified
+        ):
+            check_cancel(self)
+            timings = spent[b]
+            timings.verification += elapsed * size / rows
+            mine = states.part(start, start + size, entry.table.keys)
+            start += size
+            unknown = checked.rows
+            tick = time.perf_counter()
+            if unknown.size:
+                refiner = Refiner(entry.table)
+                for i, q_lower, q_upper in zip(
+                    unknown.tolist(), checked.q_lower, checked.q_upper
+                ):
+                    refiner.refine_object(
+                        i, mine, query, q_lower=q_lower, q_upper=q_upper
+                    )
+            timings.refinement = time.perf_counter() - tick
+            result = slots[b] = self._build_result(
+                mine,
+                filter_result.fmin,
+                timings,
+                unknown_after=checked.unknown_after,
+                finished_after_verification=not unknown.size,
+                refined=unknown.size,
+            )
+            # Memoise the outcome as a pristine snapshot so a repeated
+            # probe of an undisturbed point replays it.
+            entry.results[_result_sig(query)] = _replay_result(result)
 
     # ------------------------------------------------------------------
 

@@ -211,15 +211,6 @@ class ShardedEngine(UncertainEngine):
     def _lane_for(self, q) -> int:
         return lane_for(q, len(self._lanes))
 
-    def _execute_pnn(self, query: CPNNQuery) -> QueryResult:
-        # Single C-PNN specs route through the batch path, so the lane
-        # caches stay warm and one code path decides where work runs;
-        # the batch's filtering (staged on the parent) is this query's.
-        batch = self._pnn_batch([query])
-        result = batch.results[0]
-        result.timings.filtering = batch.timings.filtering
-        return result
-
     def _pnn_batch(self, queries: list[CPNNQuery]) -> BatchResult:
         """Plan the batch as per-lane work items, then let the executor
         run them.

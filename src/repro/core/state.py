@@ -34,6 +34,29 @@ class CandidateStates:
         self.labels = np.zeros(n, dtype=np.int8)
         self._pad = float(pad)
 
+    @classmethod
+    def stacked(cls, n: int, pad: float = DEFAULT_BOUND_PAD) -> "CandidateStates":
+        """Fresh states of ``n`` rows without keys: the working arrays of
+        a pass over many candidate sets, cut up by :meth:`part`."""
+        states = cls.__new__(cls)
+        states._keys = ()
+        states.lower = np.zeros(n)
+        states.upper = np.ones(n)
+        states.labels = np.zeros(n, dtype=np.int8)
+        states._pad = float(pad)
+        return states
+
+    def part(self, start: int, stop: int, keys: Sequence[Hashable]) -> "CandidateStates":
+        """Rows ``[start, stop)`` as states of their own (copies), keyed
+        by ``keys``."""
+        states = type(self).__new__(type(self))
+        states._keys = tuple(keys)
+        states.lower = self.lower[start:stop].copy()
+        states.upper = self.upper[start:stop].copy()
+        states.labels = self.labels[start:stop].copy()
+        states._pad = self._pad
+        return states
+
     # ------------------------------------------------------------------
 
     @property

@@ -58,7 +58,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.numerics.poisson_binomial import exclusion_products
-from repro.uncertainty.columnar import DistributionPack
+from repro.uncertainty.columnar import _MAX_CELLS, DistributionPack
 from repro.uncertainty.distance import DistanceDistribution
 
 __all__ = ["SubregionTable"]
@@ -90,12 +90,19 @@ class SubregionTable:
     #: Candidate keys in row order, or ``None`` to read them off
     #: :attr:`distributions`.
     _keys = None
+    #: The reader of the unsorted distributions, and the sort applied to
+    #: them (``None``: already in order).
+    _rows = None
+    _perm = None
+    #: The sorted candidates' pack, or ``None`` until :attr:`pack`
+    #: packs :attr:`distributions`.
+    _pack = None
 
     def __init__(self, distributions: Sequence[DistanceDistribution]) -> None:
         if not distributions:
             raise ValueError("candidate set must not be empty")
         rows = tuple(distributions)
-        self._setup(DistributionPack(rows), None, None)
+        _build([self], DistributionPack(rows), [len(rows)], [None], [None])
         if self._perm is not None:
             rows = tuple(map(rows.__getitem__, self._perm.tolist()))
         self._distributions = rows
@@ -112,75 +119,28 @@ class SubregionTable:
         (nothing on the query path does).  Bit-identical to
         ``SubregionTable(rows())``.
         """
-        table = cls.__new__(cls)
-        table._setup(pack, tuple(keys), rows)
+        [table] = cls.stacked(pack, [pack.size], [tuple(keys)], [rows])
         return table
 
-    def _setup(self, pack: DistributionPack, keys, rows) -> None:
-        # Sort by (near, far) as the paper prescribes: one lexsort over
-        # the pack's columns; np.lexsort is stable, so the order matches
-        # sorted(key=lambda d: (d.near, d.far)) exactly.
-        perm = np.lexsort((pack.far, pack.near))
-        if np.array_equal(perm, np.arange(perm.size)):
-            self._pack, self._perm = pack, None
-        else:
-            self._pack, self._perm = pack.take(perm), perm
-            if keys is not None:
-                keys = tuple(map(keys.__getitem__, perm.tolist()))
-        self._keys = keys
-        self._rows = rows
-        fars = self._pack.far
-        self._fmin = float(fars.min())
-        self._fmax = float(fars.max())
-        self._edges = self._build_edges()
-        self._cdf_matrix = self._build_cdf_matrix()
-        # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
-        np.clip(self._cdf_matrix, 0.0, 1.0, out=self._cdf_matrix)
+    @classmethod
+    def stacked(
+        cls, pack: DistributionPack, counts: Sequence[int], keys: Sequence, rows: Sequence
+    ) -> list["SubregionTable"]:
+        """The tables of many candidate sets in one pass.
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    def _build_edges(self) -> np.ndarray:
-        """End-points ``e_1 .. e_M`` (from the smallest near point to f_min).
-
-        The rightmost subregion ``[f_min, f_max]`` is represented
-        implicitly through :attr:`s_right`, which avoids degenerate
-        zero-width edges when all far points coincide.
+        The rows of ``pack`` are the sets' distance histograms, set
+        after set, ``counts[s]`` rows each; ``keys[s]`` and ``rows[s]``
+        are what :meth:`from_pack` takes for set ``s``.  One sort orders
+        every set by ``(near, far)``, the end-points of all sets are
+        pooled and deduplicated in one pass (each set at its own scale),
+        and one cdf kernel fills every set's cells, in blocks of at most
+        ``_MAX_CELLS`` cells.  Table ``s`` equals :meth:`from_pack` of
+        its own rows bit for bit and owns its arrays: none holds a view
+        of the stacked block.
         """
-        n_min = float(self._pack.near.min())
-        if not self._fmin > n_min:
-            raise ValueError(
-                "f_min must exceed the smallest near point; the candidate "
-                "set is degenerate (a zero-width distance support?)"
-            )
-        # The end-point multiset, pooled from the pack's flat columns.
-        nears = self._pack.near
-        breakpoints = self._pack.edges_flat
-        inside = breakpoints[(breakpoints > n_min) & (breakpoints < self._fmin)]
-        nears_inside = nears[(nears > n_min) & (nears < self._fmin)]
-        merged = np.sort(
-            np.concatenate((np.asarray([n_min, self._fmin]), inside, nears_inside))
-        )
-        scale = max(abs(float(merged[0])), abs(float(merged[-1])), 1.0)
-        threshold = _EDGE_RTOL * scale
-        keep = np.empty(merged.size, dtype=bool)
-        keep[0] = True
-        np.greater(np.diff(merged), threshold, out=keep[1:])
-        edges = merged[keep]
-        # Guarantee the last edge is exactly f_min.
-        edges[-1] = self._fmin
-        return edges
-
-    def _build_cdf_matrix(self) -> np.ndarray:
-        """``D_i(e_j)`` for all candidates and end-points, (|C|, M).
-
-        One columnar pack call replaces the per-candidate ``d.cdf``
-        loop; the result is bit-identical (see
-        :mod:`repro.uncertainty.columnar`).  Overridable so benchmarks
-        can pit the scalar loop against the columnar kernel.
-        """
-        return self._pack.cdf_many(self._edges)
+        tables = [cls.__new__(cls) for _ in counts]
+        _build(tables, pack, counts, keys, rows)
+        return tables
 
     # ------------------------------------------------------------------
     # Shape and identity
@@ -199,7 +159,11 @@ class SubregionTable:
 
     @property
     def pack(self) -> DistributionPack:
-        """Columnar view of the candidates' histograms (row-aligned)."""
+        """Columnar view of the candidates' histograms (row-aligned),
+        packed from :attr:`distributions` on first read (the same
+        columns the table was built from, bit for bit)."""
+        if self._pack is None:
+            self._pack = DistributionPack(self.distributions)
         return self._pack
 
     @cached_property
@@ -269,6 +233,13 @@ class SubregionTable:
         s.flags.writeable = False
         return s
 
+    def inner_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of :attr:`s_inner`, bit for bit, without
+        computing (or keeping) the others."""
+        s = np.diff(self._cdf_matrix[rows], axis=1)
+        np.clip(s, 0.0, 1.0, out=s)
+        return s
+
     @cached_property
     def s_right(self) -> np.ndarray:
         """``s_iM`` — probability mass in the rightmost subregion, (|C|,)."""
@@ -280,7 +251,8 @@ class SubregionTable:
     @cached_property
     def counts(self) -> np.ndarray:
         """``c_j`` — objects with non-zero subregion probability, (M−1,)."""
-        counts = (self.s_inner > 0.0).sum(axis=0)
+        # s_inner's clip keeps the sign, so its own array is not needed.
+        counts = (np.diff(self._cdf_matrix, axis=1) > 0.0).sum(axis=0)
         counts.flags.writeable = False
         return counts
 
@@ -402,3 +374,137 @@ class SubregionTable:
             return self.keys.index(key)
         except ValueError:
             raise KeyError(key) from None
+
+
+def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
+    """Fill ``tables`` (one per set of ``counts`` rows of ``pack``)."""
+    counts = np.asarray(counts, dtype=np.intp)
+    k = counts.size
+    seg = np.repeat(np.arange(k), counts) if k > 1 else None
+    row_at = np.cumsum(counts) - counts
+    # Sort each set by (near, far) as the paper prescribes: np.lexsort
+    # is stable, so a set's order matches sorted(key=lambda d: (d.near,
+    # d.far)) exactly, and the set key keeps the sets apart.
+    sort_keys = (pack.far, pack.near) if seg is None else (pack.far, pack.near, seg)
+    perm = np.lexsort(sort_keys)
+    moved = perm != np.arange(perm.size)
+    if not moved.any():
+        moved = [False] * k
+    else:
+        pack = pack.take(perm)
+        moved = np.logical_or.reduceat(moved, row_at).tolist() if k > 1 else [True]
+    near, far = pack.near, pack.far
+    fmins = np.minimum.reduceat(far, row_at)
+    n_mins = np.minimum.reduceat(near, row_at)
+    if not (fmins > n_mins).all():
+        raise ValueError(
+            "f_min must exceed the smallest near point; the candidate "
+            "set is degenerate (a zero-width distance support?)"
+        )
+    edges, widths = _end_points(pack, seg, n_mins, fmins)
+    fmaxs = np.maximum.reduceat(far, row_at).tolist()
+    edge_at = (np.cumsum(widths) - widths).tolist()
+    row_list, count_list = row_at.tolist(), counts.tolist()
+    width_list, fmin_list = widths.tolist(), fmins.tolist()
+    for first, last in _cell_blocks(counts * widths):
+        r0 = row_list[first]
+        r1 = row_list[last - 1] + count_list[last - 1]
+        e0 = edge_at[first]
+        e1 = edge_at[last - 1] + width_list[last - 1]
+        block = pack if (r0, r1) == (0, pack.size) else pack.rows_between(r0, r1)
+        cells = block.cdf_segments(counts[first:last], edges[e0:e1], widths[first:last])
+        # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
+        np.clip(cells, 0.0, 1.0, out=cells)
+        at = 0
+        for s in range(first, last):
+            table = tables[s]
+            n, m = count_list[s], width_list[s]
+            table._cdf_matrix = cells[at : at + n * m].reshape(n, m)
+            table._edges = edges[edge_at[s] : edge_at[s] + m]
+            if k > 1:  # each table owns its arrays, not views of the block
+                table._cdf_matrix = table._cdf_matrix.copy()
+                table._edges = table._edges.copy()
+            at += n * m
+            table._fmin = fmin_list[s]
+            table._fmax = fmaxs[s]
+            table._rows = rows[s]
+            table._keys = keys[s]
+            if moved[s]:
+                local = perm[row_list[s] : row_list[s] + n] - row_list[s]
+                table._perm = local
+                if keys[s] is not None:
+                    table._keys = tuple(map(keys[s].__getitem__, local.tolist()))
+
+
+def _end_points(pack: DistributionPack, seg, n_mins, fmins) -> tuple:
+    """Every set's end-points ``e_1 .. e_M`` (from its smallest near
+    point to its f_min), flat, and ``M`` per set (``seg``: each row's
+    set, ``None`` for one set).
+
+    The end-point multiset of a set is its smallest near point, its
+    f_min, and every breakpoint and near point strictly between them;
+    sorted, deduplicated at ``_EDGE_RTOL`` of the set's own scale, and
+    its last edge set to exactly f_min.  The rightmost subregion
+    ``[f_min, f_max]`` is represented implicitly through
+    :attr:`SubregionTable.s_right`, which avoids degenerate zero-width
+    edges when all far points coincide.
+    """
+    breakpoints, nears = pack.edges_flat, pack.near
+    if seg is None:
+        n_min, fmin = float(n_mins[0]), float(fmins[0])
+        merged = np.sort(
+            np.concatenate(
+                (
+                    n_mins,
+                    fmins,
+                    breakpoints[(breakpoints > n_min) & (breakpoints < fmin)],
+                    nears[(nears > n_min) & (nears < fmin)],
+                )
+            )
+        )
+        scale = max(abs(float(merged[0])), abs(float(merged[-1])), 1.0)
+        keep = np.empty(merged.size, dtype=bool)
+        keep[0] = True
+        np.greater(np.diff(merged), _EDGE_RTOL * scale, out=keep[1:])
+        edges = merged[keep]
+        edges[-1] = fmin
+        return edges, np.array([edges.size])
+    k = fmins.size
+    edge_seg = np.repeat(seg, pack.nbins + 1)
+    inside = (breakpoints > n_mins[edge_seg]) & (breakpoints < fmins[edge_seg])
+    nears_inside = (nears > n_mins[seg]) & (nears < fmins[seg])
+    # Complex numbers order by (real, imag): (set, value) pairs sort
+    # every set's multiset within its own run.
+    pooled = np.empty(2 * k + int(inside.sum()) + int(nears_inside.sum()), dtype=complex)
+    pooled.real = np.concatenate(
+        (np.arange(k), np.arange(k), edge_seg[inside], seg[nears_inside])
+    )
+    pooled.imag = np.concatenate(
+        (n_mins, fmins, breakpoints[inside], nears[nears_inside])
+    )
+    pooled.sort()
+    merged = pooled.imag.copy()
+    merged_seg = pooled.real.astype(np.intp)
+    first = np.searchsorted(merged_seg, np.arange(k))
+    last = np.append(first[1:], merged.size) - 1
+    scale = np.maximum(np.maximum(np.abs(merged[first]), np.abs(merged[last])), 1.0)
+    keep = np.empty(merged.size, dtype=bool)
+    np.greater(np.diff(merged), (_EDGE_RTOL * scale)[merged_seg[1:]], out=keep[1:])
+    keep[first] = True
+    edges = merged[keep]
+    widths = np.bincount(merged_seg[keep], minlength=k)
+    edges[np.cumsum(widths) - 1] = fmins
+    return edges, widths
+
+
+def _cell_blocks(cells: np.ndarray):
+    """``(first, last)`` runs of sets whose cells sum to at most
+    ``_MAX_CELLS`` (a set above it alone is one run)."""
+    total = 0
+    first = 0
+    for s, n in enumerate(cells.tolist()):
+        if total and total + n > _MAX_CELLS:
+            yield first, s
+            first, total = s, 0
+        total += n
+    yield first, cells.size

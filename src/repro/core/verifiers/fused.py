@@ -23,6 +23,7 @@ reference this pass is checked against.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from repro.core.classifier import classify_arrays
 from repro.core.state import CandidateStates
 
-__all__ = ["VERIFIERS", "Verified", "verify"]
+__all__ = ["VERIFIERS", "Verified", "verify", "verify_stacked"]
 
 #: The verifiers of the pass, in the order they run (Table III's cost
 #: order): Lemma 1, Lemma 2 or the midpoint bound / Equation 4,
@@ -63,14 +64,15 @@ class Verified(NamedTuple):
 def _settle(
     states: CandidateStates,
     rows: np.ndarray,
-    threshold: float,
-    tolerance: float,
+    threshold,
+    tolerance,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
 ) -> np.ndarray:
     """Intersect ``rows``' bounds with fresh ones, padded as
-    :meth:`CandidateStates.tighten` pads them, and relabel those rows;
-    returns the mask of the ones still UNKNOWN."""
+    :meth:`CandidateStates.tighten` pads them, and relabel those rows
+    (``threshold`` / ``tolerance``: one per row); returns the mask of
+    the ones still UNKNOWN."""
     pad = states.pad
     lo = states.lower[rows]
     up = states.upper[rows]
@@ -93,41 +95,147 @@ def _settle(
 def verify(table, states: CandidateStates, threshold: float, tolerance: float) -> Verified:
     """Classify the UNKNOWN rows of ``states``, then bound and relabel
     them verifier by verifier until none is left or U-SR has run."""
-    size = states.size
-    unknown_after: dict[str, float] = {}
+    return verify_stacked([table], states, [threshold], [tolerance])[0]
+
+
+def verify_stacked(
+    tables: list, states: CandidateStates, thresholds, tolerances
+) -> list[Verified]:
+    """:func:`verify` of many tables in one pass.
+
+    ``states`` holds every table's rows, table after table, and table
+    ``t`` is verified against ``thresholds[t]`` / ``tolerances[t]``.
+    The classifier, RS and each verifier's relabelling run once over
+    the stacked rows; L-SR's and U-SR's brackets are computed table by
+    table, over that table's own arrays (a column product runs over
+    its own rows, a row sum over its own width), so every table's
+    bounds, labels and ``Verified`` equal :func:`verify` of that table
+    alone, bit for bit.
+    """
+    k = len(tables)
+    sizes = [table.size for table in tables]
+    starts = list(accumulate(sizes, initial=0))
+    if len(set(thresholds)) == 1 and len(set(tolerances)) == 1:
+        constraints = (thresholds[0], tolerances[0])
+
+        def constraints_of(rows):
+            return constraints
+
+    else:
+        threshold = np.repeat(np.asarray(thresholds, dtype=float), sizes)
+        tolerance = np.repeat(np.asarray(tolerances, dtype=float), sizes)
+
+        def constraints_of(rows):
+            return threshold[rows], tolerance[rows]
+
+    def cuts(rows: np.ndarray) -> list[int]:
+        """Where each table's rows begin in ``rows`` (ascending), and
+        where they end."""
+        if k == 1:
+            return [0, rows.size]
+        return np.searchsorted(rows, starts).tolist()
+
+    after: list[dict[str, float]] = [{} for _ in tables]
+
+    def record(name: str, ran: list[int], rows: np.ndarray) -> tuple[list, list]:
+        """Book the unknown share after ``name`` of the tables it ran
+        on; returns the cuts of ``rows`` and the tables still holding
+        UNKNOWN rows."""
+        cut = cuts(rows)
+        for t in ran:
+            after[t][name] = (cut[t + 1] - cut[t]) / sizes[t]
+        return cut, [t for t in ran if cut[t + 1] > cut[t]]
+
+    def stack(values: list) -> np.ndarray:
+        return values[0] if len(values) == 1 else np.concatenate(values)
+
     rows = np.flatnonzero(states.labels == _UNKNOWN)
-    codes = classify_arrays(states.lower[rows], states.upper[rows], threshold, tolerance)
+    codes = classify_arrays(states.lower[rows], states.upper[rows], *constraints_of(rows))
     states.labels[rows] = codes
     rows = rows[codes == _UNKNOWN]
+    live: list[int] = []
     if rows.size:
-        rs = 1.0 - table.s_right[rows]
-        rows = rows[_settle(states, rows, threshold, tolerance, upper=rs)]
-        unknown_after["RS"] = rows.size / size
-    if not rows.size:
-        return Verified(unknown_after, rows, None, None)
+        cut = cuts(rows)
+        ran = [t for t in range(k) if cut[t + 1] > cut[t]]
+        s_right = stack([tables[t].s_right for t in range(k)])
+        keep = _settle(states, rows, *constraints_of(rows), upper=1.0 - s_right[rows])
+        rows = rows[keep]
+        cut, live = record("RS", ran, rows)
 
-    # L-SR: Z, s and q_lower for the rows it bounds ("span"), or for
-    # every row of a table too wide to sum a slice; ``at`` picks the
-    # still-UNKNOWN rows out of the span's arrays.
+    brackets: list = [None] * k
+    if live:
+        # L-SR table by table, then one relabelling.
+        ran = live
+        for t in ran:
+            brackets[t] = _lower(tables[t], rows[cut[t] : cut[t + 1]] - starts[t])
+        keep = _settle(
+            states,
+            rows,
+            *constraints_of(rows),
+            lower=stack([brackets[t][0] for t in ran]),
+        )
+        at = list(accumulate((brackets[t][0].size for t in ran), initial=0))
+        rows = rows[keep]
+        cut, live = record("L-SR", ran, rows)
+        for i, t in enumerate(ran):
+            kept = keep[at[i] : at[i + 1]]
+            if kept.any():
+                brackets[t] = _upper(tables[t], brackets[t][1], kept)
+
+    usr_ran = set(live)
+    if live:
+        ran = live
+        keep = _settle(
+            states,
+            rows,
+            *constraints_of(rows),
+            upper=stack([brackets[t][0] for t in ran]),
+        )
+        at = list(accumulate((brackets[t][0].size for t in ran), initial=0))
+        rows = rows[keep]
+        cut, _ = record("U-SR", ran, rows)
+        for i, t in enumerate(ran):
+            q_lower, q_upper, span_at = brackets[t][1]
+            span_at = span_at[keep[at[i] : at[i + 1]]]
+            brackets[t] = (q_lower[span_at], q_upper[span_at])
+    else:  # no row is left UNKNOWN
+        cut = [0] * (k + 1)
+
+    return [
+        Verified(
+            after[t],
+            rows[cut[t] : cut[t + 1]] - starts[t],
+            *(brackets[t] if t in usr_ran else (None, None)),
+        )
+        for t in range(k)
+    ]
+
+
+def _lower(table, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """L-SR's bounds of ``rows`` of ``table`` and what U-SR reuses.
+
+    ``Z``, ``s`` and ``q_lower`` are built for the rows L-SR bounds
+    (the "span"), or for every row of a table too wide to sum a slice;
+    ``at`` picks the bounded rows out of the span's arrays.
+    """
     wide = table.n_inner > _EINSUM_BUFFER
-    span = np.arange(size) if wide else rows
+    span = np.arange(table.size) if wide else rows
     at = rows if wide else np.arange(rows.size)
-    s = table.s_inner[span]
+    s = table.inner_rows(span)
     z = table.exclusion_rows(span)
     q_lower = table.q_lower_of(z, s, span)
     lsr = np.clip(np.einsum("ij,ij->i", s, q_lower), 0.0, 1.0)
-    keep = _settle(states, rows, threshold, tolerance, lower=lsr[at])
-    rows, at = rows[keep], at[keep]
-    unknown_after["L-SR"] = rows.size / size
-    if not rows.size:
-        return Verified(unknown_after, rows, None, None)
+    return lsr[at], (wide, s, z, q_lower, at)
 
+
+def _upper(table, bracket: tuple, keep: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """U-SR's bounds of the rows L-SR left UNKNOWN (``keep``), and
+    their ``q_lower`` / ``q_upper`` span with the rows' places in it."""
+    wide, s, z, q_lower, at = bracket
+    at = at[keep]
     if not wide:
         s, z, q_lower = s[at], z[at], q_lower[at]
-        at = np.arange(rows.size)
+        at = np.arange(at.size)
     q_upper = table.q_upper_of(z, s)
     usr = np.clip(np.einsum("ij,ij->i", s, q_upper), 0.0, 1.0)
-    keep = _settle(states, rows, threshold, tolerance, upper=usr[at])
-    rows, at = rows[keep], at[keep]
-    unknown_after["U-SR"] = rows.size / size
-    return Verified(unknown_after, rows, q_lower[at], q_upper[at])
+    return usr[at], (q_lower, q_upper, at)

@@ -41,24 +41,33 @@ def exclusion_products(
     (an object certainly closer) cannot go through the division, so
     columns holding one get the exact answer instead: with one such
     factor its row gets the product of the others and every other row
-    0; with two or more, every row gets 0.  Returns a new array of
+    0; with two or more, every row gets 0.  Only those columns are
+    redone; the others keep the division.  Returns a new array of
     ``survival``'s shape, or of its ``rows`` only when given: the
     column products still run over every row, and each chosen row's
     values are those of the full result, bit for bit.
     """
     survival = np.asarray(survival, dtype=float)
     zero = survival <= 0.0
-    if not zero.any():
-        product = np.prod(survival, axis=0)
-        return product / (survival if rows is None else survival[rows])
-    safe = np.where(zero, 1.0, survival)
-    product = np.prod(safe, axis=0)  # of the factors above zero
-    zeros = zero.sum(axis=0)
+    chosen = survival if rows is None else survival[rows]
+    product = np.prod(survival, axis=0)
+    held = zero.any(axis=0)
+    if not held.any():
+        return product / chosen
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = product / chosen  # the columns holding a zero are redone
+    # Columns as the trailing axis (a 1-D input is one column).
+    held = held.reshape(-1)
+    zero = zero.reshape(zero.shape[0], -1)[:, held]
+    # The product of the factors above zero, in row order.
+    factors = survival.reshape(zero.shape[0], -1)[:, held]
+    others = np.prod(np.where(zero, 1.0, factors), axis=0)
+    single = zero.sum(axis=0) == 1
     if rows is not None:
-        safe, zero = safe[rows], zero[rows]
-    return np.where(
-        zeros == 0, product / safe, np.where(zero & (zeros == 1), product, 0.0)
-    )
+        zero = zero[rows]
+    redone = out.reshape(zero.shape[0], held.size)
+    redone[:, held] = np.where(zero & single, others, 0.0)
+    return out
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:

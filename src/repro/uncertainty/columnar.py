@@ -61,7 +61,7 @@ import numpy as np
 from repro.uncertainty.histogram import _EDGE_ATOL, _EDGE_RTOL
 from repro.uncertainty.objects import UncertainObject, _scalar_query
 
-__all__ = ["DistributionPack", "PagedDistributionPack"]
+__all__ = ["DistributionPack", "PagedDistributionPack", "folded_edges_bound"]
 
 #: Cap on ``|C| * n`` cells processed per internal block.  Bounds the
 #: transient integer scratch of the bincount/cumsum index recovery to a
@@ -216,6 +216,20 @@ def _fold_histograms(rows: list[int], histograms: list, q) -> tuple[list, tuple]
     return list(compress(rows, ok.tolist())), columns
 
 
+def folded_edges_bound(objects: Sequence, bars: tuple) -> int:
+    """An upper bound on the edges :meth:`DistributionPack.from_objects`
+    folds from the objects' kernel rows (a folded row has at most one
+    edge more than its value histogram); rows it leaves to
+    ``distance_distribution`` are not counted."""
+    density = bars[2]
+    total = 3 * int(np.count_nonzero(density > 0))
+    for i in np.flatnonzero(density <= 0).tolist():
+        obj = objects[i]
+        if isinstance(obj, UncertainObject):
+            total += obj.histogram._edges.size + 1
+    return total
+
+
 def _histogram_columns(histograms: list) -> tuple:
     """``(edges, knots, densities, sizes)`` of folded distance histograms."""
     try:
@@ -357,14 +371,55 @@ class DistributionPack:
         Bit-identical to ``DistributionPack([obj.distance_distribution(q)
         for obj in objects])``.
         """
+        return cls.from_segments([(objects, q, bars)])
+
+    @classmethod
+    def from_segments(cls, segments: Sequence) -> "DistributionPack":
+        """One pack of many candidate sets, each folded about its own
+        query point.
+
+        ``segments`` are ``(objects, q, bars)`` triples as
+        :meth:`from_objects` takes them; their rows follow one another
+        in order.  The fold kernels take ``q`` as a column, one entry
+        per row, so every row's columns are the ones
+        :meth:`from_objects` folds for its own set, bit for bit.
+        """
+        if len(segments) == 1:
+            [(objects, q, (lo, hi, density))] = segments
+
+            def scalar_column(rows):
+                return _scalar_query(q)
+
+            def point_of(i):
+                return q
+
+        else:
+            objects = [obj for objs, _, _ in segments for obj in objs]
+            points = [q for _, q, _ in segments]
+            seg = np.repeat(
+                np.arange(len(segments)), [len(objs) for objs, _, _ in segments]
+            )
+            lo, hi, density = map(
+                np.concatenate, zip(*(bars for _, _, bars in segments))
+            )
+            scalars = np.zeros(len(segments))
+
+            def scalar_column(rows):
+                """Each row's scalar query point (read once per segment)."""
+                for s in np.unique(seg[rows]).tolist():
+                    scalars[s] = _scalar_query(points[s])
+                return scalars[seg[rows]]
+
+            def point_of(i):
+                return points[seg[i]]
+
         if not len(objects):
             raise ValueError("DistributionPack requires at least one distribution")
-        lo, hi, density = bars
         one = np.flatnonzero(density > 0)
         parts = []
         done = np.zeros(len(objects), dtype=bool)
         if one.size:
-            ok, columns = _fold_bars(lo[one], hi[one], density[one], _scalar_query(q))
+            ok, columns = _fold_bars(lo[one], hi[one], density[one], scalar_column(one))
             parts.append((one[ok], columns))
             done[one[ok]] = True
         many, histograms = [], []
@@ -376,13 +431,13 @@ class DistributionPack:
                     many.append(i)
                     histograms.append(h)
         if many:
-            parts.append(_fold_histograms(many, histograms, _scalar_query(q)))
+            parts.append(_fold_histograms(many, histograms, scalar_column(many)))
         pack = object.__new__(cls)
         pack._finish(
             *_assemble(
                 len(objects),
                 parts,
-                lambda i: objects[i].distance_distribution(q).histogram,
+                lambda i: objects[i].distance_distribution(point_of(i)).histogram,
             )
         )
         return pack
@@ -479,6 +534,18 @@ class DistributionPack:
         pack = object.__new__(DistributionPack)
         columns = self._edges, self._knots, self._densities, self._nbins + 1
         pack._finish(*_gather_rows(*columns, perm))
+        return pack
+
+    def rows_between(self, r0: int, r1: int) -> "DistributionPack":
+        """A pack of rows ``[r0, r1)``: views of this pack's columns."""
+        o0, o1 = int(self._offsets[r0]), int(self._offsets[r1])
+        pack = object.__new__(DistributionPack)
+        pack._finish(
+            self._edges[o0:o1],
+            self._knots[o0:o1],
+            self._densities[o0 - r0 : o1 - r1],
+            np.diff(self._offsets[r0 : r1 + 1]),
+        )
         return pack
 
     # ------------------------------------------------------------------
@@ -654,6 +721,90 @@ class DistributionPack:
         if np.any(b_arr < a_arr):
             raise ValueError("mass_between_many requires a <= b")
         return self.cdf_many(b_arr) - self.cdf_many(a_arr)
+
+    def cdf_segments(
+        self, counts: np.ndarray, points: np.ndarray, widths: np.ndarray
+    ) -> np.ndarray:
+        """Each row's cdf at its own segment's ascending points.
+
+        The rows come in segments of ``counts[s]`` rows, and segment
+        ``s`` is evaluated at the next ``widths[s]`` entries of
+        ``points``.  Returns the ragged cells flat, segment after
+        segment, each segment a row-major ``(counts[s], widths[s])``
+        block, and every block equal to :meth:`cdf_many` of its rows at
+        its points, bit for bit: a segment :meth:`cdf_many` would
+        evaluate row by row goes through ``np.interp`` row by row, and
+        the others share one pass of the run kernel.
+        """
+        counts = np.asarray(counts, dtype=np.intp)
+        widths = np.asarray(widths, dtype=np.intp)
+        if counts.size == 1:
+            return self.cdf_many(points).reshape(-1)
+        point_at = np.cumsum(widths) - widths
+        finite = np.logical_and.reduceat(np.isfinite(points), point_at)
+        by_row = (counts <= _SMALL_PACK) | (widths > _WIDE_EVAL) | ~finite
+        seg = np.repeat(np.arange(counts.size), counts)
+        row_cells = widths[seg]
+        if not by_row.any():
+            return self._cdf_ragged(seg, points, point_at, widths, row_cells)
+        cell_at = np.cumsum(row_cells) - row_cells
+        out = np.empty(int(row_cells.sum()))
+        edges, knots = self._edges, self._knots
+        starts, stops = self._offsets[:-1].tolist(), self._offsets[1:].tolist()
+        point_list, cell_list = point_at.tolist(), cell_at.tolist()
+        seg_list, width_list = seg.tolist(), widths.tolist()
+        for r in np.flatnonzero(by_row[seg]).tolist():
+            lo, hi, s = starts[r], stops[r], seg_list[r]
+            n = width_list[s]
+            row = knots[lo:hi]
+            out[cell_list[r] : cell_list[r] + n] = np.interp(
+                points[point_list[s] : point_list[s] + n],
+                edges[lo:hi],
+                row,
+                left=0.0,
+                right=row[-1],
+            )
+        if by_row.all():
+            return out
+        rows = np.flatnonzero(~by_row[seg])
+        cells = self.take(rows)._cdf_ragged(
+            seg[rows], points, point_at, widths, row_cells[rows]
+        )
+        # Scatter the kernel's rows back between the row-by-row ones.
+        sizes = row_cells[rows]
+        shift = np.repeat(cell_at[rows] - (np.cumsum(sizes) - sizes), sizes)
+        out[shift + np.arange(cells.size)] = cells
+        return out
+
+    def _cdf_ragged(self, seg, points, point_at, widths, row_cells) -> np.ndarray:
+        """:meth:`_cdf_sorted_block` with each row at its own segment's
+        points (rows in segment order): the searchsorted duality per
+        segment, then one pass of the run kernel over every row."""
+        self._ensure_run_tables()
+        # Complex numbers order lexicographically, so (segment, value)
+        # pairs put every row edge among its own segment's points.
+        keyed = np.empty(points.size, dtype=complex)
+        keyed.real = np.repeat(np.arange(widths.size), widths)
+        keyed.imag = points
+        probe = np.empty(self._edges.size, dtype=complex)
+        edge_seg = np.repeat(seg, self._nbins + 1)
+        probe.real = edge_seg
+        probe.imag = self._edges
+        positions = np.searchsorted(keyed, probe, side="left") - point_at[edge_seg]
+        reps = np.empty(self._run_slope.size, dtype=np.intp)
+        reps[self._run_lead] = positions[self._offsets[:-1]]
+        reps[self._run_trail] = row_cells - positions[self._offsets[1:] - 1]
+        reps[self._run_is_bin] = (
+            positions[self._bin_edge_idx + 1] - positions[self._bin_edge_idx]
+        )
+        slope = np.repeat(self._run_slope, reps)
+        e0 = np.repeat(self._run_e0, reps)
+        k0 = np.repeat(self._run_k0, reps)
+        # Each cell's point: its row's segment's points, row after row.
+        cell_at = np.cumsum(row_cells) - row_cells
+        at = np.repeat(point_at[seg] - cell_at, row_cells)
+        at += np.arange(at.size)
+        return slope * (points[at] - e0) + k0
 
     # ------------------------------------------------------------------
     # Core kernel

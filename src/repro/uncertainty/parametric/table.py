@@ -205,6 +205,10 @@ class AnalyticTable:
         s.flags.writeable = False
         return s
 
+    def inner_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of :attr:`s_inner`."""
+        return self.s_inner[rows]
+
     @cached_property
     def s_right(self) -> np.ndarray:
         s = 1.0 - self._cdf_matrix[:, -1]

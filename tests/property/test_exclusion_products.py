@@ -84,3 +84,63 @@ def test_input_is_not_modified():
     before = s.copy()
     exclusion_products(s)
     np.testing.assert_array_equal(s, before)
+
+
+# ----------------------------------------------------------------------
+# The kernel redoes only the columns that hold a zero; the formula that
+# took the exact branch over the whole matrix is the bit-for-bit oracle.
+# ----------------------------------------------------------------------
+
+
+def whole_matrix_branch(survival, rows=None) -> np.ndarray:
+    """The exact branch applied to every column at once."""
+    survival = np.asarray(survival, dtype=float)
+    zero = survival <= 0.0
+    if not zero.any():
+        product = np.prod(survival, axis=0)
+        return product / (survival if rows is None else survival[rows])
+    safe = np.where(zero, 1.0, survival)
+    product = np.prod(safe, axis=0)
+    zeros = zero.sum(axis=0)
+    if rows is not None:
+        safe, zero = safe[rows], zero[rows]
+    return np.where(
+        zeros == 0, product / safe, np.where(zero & (zeros == 1), product, 0.0)
+    )
+
+
+@st.composite
+def zero_columns(draw):
+    """A small matrix whose columns hold 0, 1 or several zero factors
+    (or factors just below zero), with a row subset to pick."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 6))
+    survival = draw(
+        hnp.arrays(float, (rows, cols), elements=st.floats(1e-3, 1.0))
+    )
+    for j in range(cols):
+        zeros = draw(st.integers(0, rows))
+        at = draw(st.permutations(range(rows)))[:zeros]
+        survival[at, j] = draw(st.sampled_from([0.0, -1e-17]))
+    subset = draw(
+        st.none()
+        | st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows).map(np.array)
+        | hnp.arrays(bool, rows)
+    )
+    return survival, subset
+
+
+@given(zero_columns())
+def test_redone_columns_match_the_whole_matrix_branch(case):
+    survival, subset = case
+    expected = whole_matrix_branch(survival, subset)
+    with np.errstate(all="raise"):
+        got = exclusion_products(survival, subset)
+    np.testing.assert_array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
+
+
+@given(survivals(st.floats(1e-3, 1.0) | st.just(0.0)))
+def test_redone_columns_match_on_any_shape(survival):
+    expected = whole_matrix_branch(survival)
+    assert exclusion_products(survival).tobytes() == expected.tobytes()

@@ -142,6 +142,9 @@ class RowTable:
         return RowTable(self.laws, grid=grid)
 
     # The row-wise surface the verifier pass reads.
+    def inner_rows(self, rows):
+        return self.s_inner[rows]
+
     def exclusion_rows(self, rows):
         return self.Z[rows]
 
