@@ -65,7 +65,7 @@ class CandidateStates:
 
     @property
     def size(self) -> int:
-        return len(self._keys)
+        return self.labels.size
 
     @property
     def pad(self) -> float:

@@ -378,29 +378,27 @@ class SubregionTable:
 
 def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
     """Fill ``tables`` (one per set of ``counts`` rows of ``pack``)."""
+    if len(tables) == 1:
+        _build_one(tables[0], pack, keys[0], rows[0])
+        return
     counts = np.asarray(counts, dtype=np.intp)
     k = counts.size
-    seg = np.repeat(np.arange(k), counts) if k > 1 else None
+    seg = np.repeat(np.arange(k), counts)
     row_at = np.cumsum(counts) - counts
-    # Sort each set by (near, far) as the paper prescribes: np.lexsort
-    # is stable, so a set's order matches sorted(key=lambda d: (d.near,
-    # d.far)) exactly, and the set key keeps the sets apart.
-    sort_keys = (pack.far, pack.near) if seg is None else (pack.far, pack.near, seg)
-    perm = np.lexsort(sort_keys)
+    # Sort each set by (near, far) as _build_one does; the set key
+    # keeps the sets apart.
+    perm = np.lexsort((pack.far, pack.near, seg))
     moved = perm != np.arange(perm.size)
-    if not moved.any():
-        moved = [False] * k
-    else:
+    if moved.any():
         pack = pack.take(perm)
-        moved = np.logical_or.reduceat(moved, row_at).tolist() if k > 1 else [True]
+        moved = np.logical_or.reduceat(moved, row_at).tolist()
+    else:
+        moved = [False] * k
     near, far = pack.near, pack.far
     fmins = np.minimum.reduceat(far, row_at)
     n_mins = np.minimum.reduceat(near, row_at)
     if not (fmins > n_mins).all():
-        raise ValueError(
-            "f_min must exceed the smallest near point; the candidate "
-            "set is degenerate (a zero-width distance support?)"
-        )
+        raise ValueError(_DEGENERATE)
     edges, widths = _end_points(pack, seg, n_mins, fmins)
     fmaxs = np.maximum.reduceat(far, row_at).tolist()
     edge_at = (np.cumsum(widths) - widths).tolist()
@@ -413,17 +411,14 @@ def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
         e1 = edge_at[last - 1] + width_list[last - 1]
         block = pack if (r0, r1) == (0, pack.size) else pack.rows_between(r0, r1)
         cells = block.cdf_segments(counts[first:last], edges[e0:e1], widths[first:last])
-        # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
         np.clip(cells, 0.0, 1.0, out=cells)
         at = 0
         for s in range(first, last):
             table = tables[s]
             n, m = count_list[s], width_list[s]
-            table._cdf_matrix = cells[at : at + n * m].reshape(n, m)
-            table._edges = edges[edge_at[s] : edge_at[s] + m]
-            if k > 1:  # each table owns its arrays, not views of the block
-                table._cdf_matrix = table._cdf_matrix.copy()
-                table._edges = table._edges.copy()
+            # Each table owns its arrays, never a view of the block.
+            table._cdf_matrix = cells[at : at + n * m].reshape(n, m).copy()
+            table._edges = edges[edge_at[s] : edge_at[s] + m].copy()
             at += n * m
             table._fmin = fmin_list[s]
             table._fmax = fmaxs[s]
@@ -436,39 +431,66 @@ def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
                     table._keys = tuple(map(keys[s].__getitem__, local.tolist()))
 
 
-def _end_points(pack: DistributionPack, seg, n_mins, fmins) -> tuple:
-    """Every set's end-points ``e_1 .. e_M`` (from its smallest near
-    point to its f_min), flat, and ``M`` per set (``seg``: each row's
-    set, ``None`` for one set).
+_DEGENERATE = (
+    "f_min must exceed the smallest near point; the candidate "
+    "set is degenerate (a zero-width distance support?)"
+)
 
-    The end-point multiset of a set is its smallest near point, its
-    f_min, and every breakpoint and near point strictly between them;
-    sorted, deduplicated at ``_EDGE_RTOL`` of the set's own scale, and
-    its last edge set to exactly f_min.  The rightmost subregion
-    ``[f_min, f_max]`` is represented implicitly through
-    :attr:`SubregionTable.s_right`, which avoids degenerate zero-width
-    edges when all far points coincide.
-    """
+
+def _build_one(table: "SubregionTable", pack: DistributionPack, keys, rows) -> None:
+    """Fill one table: the stacked pass of :func:`_build` for one set,
+    with one set's arrays (fewer numpy calls, same bits)."""
+    # Sort by (near, far) as the paper prescribes: one lexsort over the
+    # pack's columns; np.lexsort is stable, so the order matches
+    # sorted(key=lambda d: (d.near, d.far)) exactly.
+    perm = np.lexsort((pack.far, pack.near))
+    if not np.array_equal(perm, np.arange(perm.size)):
+        pack = pack.take(perm)
+        table._perm = perm
+        if keys is not None:
+            keys = tuple(map(keys.__getitem__, perm.tolist()))
+    table._keys = keys
+    table._rows = rows
+    fars = pack.far
+    table._fmin = fmin = float(fars.min())
+    table._fmax = float(fars.max())
+    n_min = float(pack.near.min())
+    if not fmin > n_min:
+        raise ValueError(_DEGENERATE)
     breakpoints, nears = pack.edges_flat, pack.near
-    if seg is None:
-        n_min, fmin = float(n_mins[0]), float(fmins[0])
-        merged = np.sort(
-            np.concatenate(
-                (
-                    n_mins,
-                    fmins,
-                    breakpoints[(breakpoints > n_min) & (breakpoints < fmin)],
-                    nears[(nears > n_min) & (nears < fmin)],
-                )
+    merged = np.sort(
+        np.concatenate(
+            (
+                np.asarray([n_min, fmin]),
+                breakpoints[(breakpoints > n_min) & (breakpoints < fmin)],
+                nears[(nears > n_min) & (nears < fmin)],
             )
         )
-        scale = max(abs(float(merged[0])), abs(float(merged[-1])), 1.0)
-        keep = np.empty(merged.size, dtype=bool)
-        keep[0] = True
-        np.greater(np.diff(merged), _EDGE_RTOL * scale, out=keep[1:])
-        edges = merged[keep]
-        edges[-1] = fmin
-        return edges, np.array([edges.size])
+    )
+    scale = max(abs(float(merged[0])), abs(float(merged[-1])), 1.0)
+    keep = np.empty(merged.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(merged), _EDGE_RTOL * scale, out=keep[1:])
+    edges = merged[keep]
+    edges[-1] = fmin
+    table._edges = edges
+    # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
+    table._cdf_matrix = np.clip(pack.cdf_many(edges), 0.0, 1.0)
+
+
+def _end_points(pack: DistributionPack, seg, n_mins, fmins) -> tuple:
+    """Every set's end-points ``e_1 .. e_M``, flat, and ``M`` per set
+    (``seg``: each row's set).
+
+    A set's end-point multiset is its smallest near point, its f_min,
+    and every breakpoint and near point strictly between them; sorted,
+    deduplicated at ``_EDGE_RTOL`` of the set's own scale, with the
+    last edge set to exactly f_min (as :func:`_build_one` does).  The
+    rightmost subregion ``[f_min, f_max]`` is represented implicitly
+    through :attr:`SubregionTable.s_right`, which avoids degenerate
+    zero-width edges when all far points coincide.
+    """
+    breakpoints, nears = pack.edges_flat, pack.near
     k = fmins.size
     edge_seg = np.repeat(seg, pack.nbins + 1)
     inside = (breakpoints > n_mins[edge_seg]) & (breakpoints < fmins[edge_seg])
@@ -508,3 +530,174 @@ def _cell_blocks(cells: np.ndarray):
             first, total = s, 0
         total += n
     yield first, cells.size
+
+
+def _ragged_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] .. starts[i] + lengths[i] - 1`` for every ``i``,
+    concatenated."""
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(index.size)
+    return index
+
+
+class StackedBrackets:
+    """L-SR's and U-SR's bounds of chosen rows of many tables, as one
+    pass over their cells.
+
+    Every table's cells are laid out flat, row after row, table after
+    table, and gathered once into column order.  Each column product
+    runs over its own table's rows in row order
+    (``np.multiply.reduceat`` over the column's run, the very order of
+    ``np.prod(axis=0)``), a column holding a zero factor takes the
+    exact branch of
+    :func:`~repro.numerics.poisson_binomial.exclusion_products`, and
+    each row sum is ``einsum``'s over its own table's contiguous
+    ``(rows, M − 1)`` block.  So the bounds, and the bracket rows left
+    for refinement, are those :meth:`SubregionTable.exclusion_rows`,
+    :meth:`SubregionTable.q_lower_of` and
+    :meth:`SubregionTable.q_upper_of` give table by table, bit for bit.
+    Tables wider than numpy's ``einsum`` buffer take whole-matrix row
+    sums, so they are bounded table by table instead (see
+    :mod:`repro.core.verifiers.fused`).
+
+    ``rows[t]`` are the ascending rows of ``tables[t]`` to bound;
+    :attr:`lower` holds their L-SR bounds, table after table.
+    """
+
+    def __init__(self, tables: Sequence["SubregionTable"], rows: Sequence[np.ndarray]) -> None:
+        k = len(tables)
+        n = np.array([table.size for table in tables])
+        m = np.array([table._cdf_matrix.shape[1] for table in tables])
+        # One padding cell keeps the last cell's right neighbour in bounds.
+        cdf = np.concatenate([table._cdf_matrix.reshape(-1) for table in tables] + [[0.0]])
+        cell_at = np.cumsum(n * m) - n * m
+        col_at = np.cumsum(m) - m
+        # Column order: each column's cells in row order, column after
+        # column, table after table; ``runs`` are the columns' starts.
+        run = np.repeat(n, m)
+        self._runs = np.cumsum(run) - run
+        self._run_length = run
+        stride = np.repeat(m, m)
+        first = np.arange(m.sum()) + np.repeat(cell_at - col_at, m)
+        order = _ragged_index(np.zeros_like(run), run) * np.repeat(stride, run)
+        order += np.repeat(first, run)
+        column = cdf[order]  # D_k(e_j), column order
+        right = cdf[order + 1]  # D_k(e_{j+1}); a table's last column is unused
+
+        picked = [r.size for r in rows]
+        table_of = np.repeat(np.arange(k), picked)
+        width = m[table_of]
+        cells = _ragged_index(cell_at[table_of] + np.concatenate(rows) * width, width)
+        cols = _ragged_index(col_at[table_of], width)
+        # Z over the rows' full width; s and the brackets over the inner
+        # subregions (each row's cells but its last).  Every factor is
+        # in [0, 1]: the cdf matrices are clipped.
+        z = self._exclude(1.0 - column, 1.0 - cdf[cells], cols)
+        np.clip(z, 0.0, 1.0, out=z)
+        inner = np.ones(cells.size, dtype=bool)
+        inner[np.cumsum(width) - 1] = False
+        at, inner_cols = cells[inner], cols[inner]
+        s = cdf[at + 1] - cdf[at]
+        np.clip(s, 0.0, 1.0, out=s)
+        # c_j over every row of the table.
+        counts = np.add.reduceat(right - column > 0.0, self._runs, dtype=np.intp)
+        divisor = np.where(counts > 0, counts, 1).astype(float)
+        q = z[inner] / divisor[inner_cols]
+        # Z_i(m_j): survival at the midpoints, 1 − ½ (D_k(e_j) + D_k(e_{j+1})).
+        midpoint = column + right
+        midpoint *= -0.5
+        midpoint += 1.0
+        mine = cdf[at] + cdf[at + 1]
+        mine *= -0.5
+        mine += 1.0
+        np.maximum(q, self._exclude(midpoint, mine, inner_cols), out=q)
+        q[s <= 0.0] = 0.0
+        np.clip(q, 0.0, 1.0, out=q)
+
+        self._z, self._s, self._q_lower = z, s, q
+        self._inner, self._width, self._table_of = inner, width, table_of
+        self._inner_widths = (m - 1).tolist()
+        #: L-SR's bound of every row, table after table.
+        self.lower = self._row_sums(s, q, self._table_blocks())
+
+    def _exclude(self, factors: np.ndarray, mine: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``Π_{k≠i}`` over each column of its own table, for the cells
+        whose factors are ``mine`` and whose columns are ``cols``;
+        ``factors`` are every cell's, in column order."""
+        product = np.multiply.reduceat(factors, self._runs)
+        # A zero factor zeroes its column's product (no factor is
+        # negative), so only those columns are looked at again.
+        suspect = np.flatnonzero(product == 0.0)
+        if not suspect.size:
+            return product[cols] / mine
+        at = _ragged_index(self._runs[suspect], self._run_length[suspect])
+        starts = np.cumsum(self._run_length[suspect]) - self._run_length[suspect]
+        zero = factors[at] <= 0.0
+        zeros = np.add.reduceat(zero, starts, dtype=np.intp)
+        others = np.multiply.reduceat(np.where(zero, 1.0, factors[at]), starts)
+        slot = np.full(product.size, -1)
+        slot[suspect] = np.arange(suspect.size)
+        slot = slot[cols]
+        held = np.flatnonzero((slot >= 0) & (zeros[slot] > 0))
+        slot = slot[held]
+        single = (mine[held] <= 0.0) & (zeros[slot] == 1)
+        safe = mine.copy()
+        safe[held] = 1.0  # those cells are redone below
+        out = product[cols] / safe
+        out[held] = np.where(single, others[slot], 0.0)
+        return out
+
+    @staticmethod
+    def _row_sums(s: np.ndarray, q: np.ndarray, blocks: list) -> np.ndarray:
+        """``Σ_j s_ij q_ij`` of every row, ``einsum``'s over each
+        table's own ``(rows, M − 1)`` block, clipped to [0, 1]."""
+        sums = []
+        at = 0
+        for rows, width in blocks:
+            size = rows * width
+            sums.append(
+                np.einsum(
+                    "ij,ij->i",
+                    s[at : at + size].reshape(rows, width),
+                    q[at : at + size].reshape(rows, width),
+                )
+            )
+            at += size
+        return np.clip(np.concatenate(sums), 0.0, 1.0)
+
+    def _table_blocks(self) -> list[tuple[int, int]]:
+        """``(rows, M − 1)`` of every table's rows at hand."""
+        counts = np.bincount(self._table_of, minlength=len(self._inner_widths))
+        return list(zip(counts.tolist(), self._inner_widths))
+
+    def upper(self, keep: np.ndarray) -> np.ndarray:
+        """U-SR's bounds of the rows ``keep`` marks (those L-SR left
+        UNKNOWN), table after table; those rows are kept."""
+        at = np.flatnonzero(self._inner & np.repeat(keep, self._width))
+        kept = np.repeat(keep, self._width - 1)
+        s, self._q_lower = self._s[kept], self._q_lower[kept]
+        q = 0.5 * (self._z[at + 1] + self._z[at])
+        q[s <= 0.0] = 0.0
+        np.clip(q, 0.0, 1.0, out=q)
+        self._q_upper = q
+        self._width, self._table_of = self._width[keep], self._table_of[keep]
+        return self._row_sums(s, q, self._table_blocks())
+
+    def brackets(self, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each table's ``q_lower`` / ``q_upper`` rows of the rows
+        ``keep`` marks among those :meth:`upper` kept."""
+        kept = np.repeat(keep, self._width - 1)
+        q_lower, q_upper = self._q_lower[kept], self._q_upper[kept]
+        self._table_of = self._table_of[keep]
+        out = []
+        at = 0
+        for rows, width in self._table_blocks():
+            size = rows * width
+            out.append(
+                (
+                    q_lower[at : at + size].reshape(rows, width),
+                    q_upper[at : at + size].reshape(rows, width),
+                )
+            )
+            at += size
+        return out

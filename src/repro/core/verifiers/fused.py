@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.classifier import classify_arrays
 from repro.core.state import CandidateStates
+from repro.core.subregions import StackedBrackets, SubregionTable
 
 __all__ = ["VERIFIERS", "Verified", "verify", "verify_stacked"]
 
@@ -95,7 +96,29 @@ def _settle(
 def verify(table, states: CandidateStates, threshold: float, tolerance: float) -> Verified:
     """Classify the UNKNOWN rows of ``states``, then bound and relabel
     them verifier by verifier until none is left or U-SR has run."""
-    return verify_stacked([table], states, [threshold], [tolerance])[0]
+    size = states.size
+    unknown_after: dict[str, float] = {}
+    rows = np.flatnonzero(states.labels == _UNKNOWN)
+    codes = classify_arrays(states.lower[rows], states.upper[rows], threshold, tolerance)
+    states.labels[rows] = codes
+    rows = rows[codes == _UNKNOWN]
+    if rows.size:
+        rs = 1.0 - table.s_right[rows]
+        rows = rows[_settle(states, rows, threshold, tolerance, upper=rs)]
+        unknown_after["RS"] = rows.size / size
+    if not rows.size:
+        return Verified(unknown_after, rows, None, None)
+    lsr, bracket = _lower(table, rows)
+    keep = _settle(states, rows, threshold, tolerance, lower=lsr)
+    rows = rows[keep]
+    unknown_after["L-SR"] = rows.size / size
+    if not rows.size:
+        return Verified(unknown_after, rows, None, None)
+    usr, (q_lower, q_upper, at) = _upper(table, bracket, keep)
+    keep = _settle(states, rows, threshold, tolerance, upper=usr)
+    rows, at = rows[keep], at[keep]
+    unknown_after["U-SR"] = rows.size / size
+    return Verified(unknown_after, rows, q_lower[at], q_upper[at])
 
 
 def verify_stacked(
@@ -113,6 +136,8 @@ def verify_stacked(
     alone, bit for bit.
     """
     k = len(tables)
+    if k == 1:
+        return [verify(tables[0], states, thresholds[0], tolerances[0])]
     sizes = [table.size for table in tables]
     starts = list(accumulate(sizes, initial=0))
     if len(set(thresholds)) == 1 and len(set(tolerances)) == 1:
@@ -163,52 +188,63 @@ def verify_stacked(
         cut, live = record("RS", ran, rows)
 
     brackets: list = [None] * k
-    if live:
-        # L-SR table by table, then one relabelling.
-        ran = live
-        for t in ran:
-            brackets[t] = _lower(tables[t], rows[cut[t] : cut[t + 1]] - starts[t])
-        keep = _settle(
-            states,
-            rows,
-            *constraints_of(rows),
-            lower=stack([brackets[t][0] for t in ran]),
-        )
-        at = list(accumulate((brackets[t][0].size for t in ran), initial=0))
-        rows = rows[keep]
-        cut, live = record("L-SR", ran, rows)
-        for i, t in enumerate(ran):
-            kept = keep[at[i] : at[i + 1]]
-            if kept.any():
-                brackets[t] = _upper(tables[t], brackets[t][1], kept)
-
-    usr_ran = set(live)
+    usr_ran: list[int] = []
     if live:
         ran = live
-        keep = _settle(
-            states,
-            rows,
-            *constraints_of(rows),
-            upper=stack([brackets[t][0] for t in ran]),
-        )
-        at = list(accumulate((brackets[t][0].size for t in ran), initial=0))
+        mine = [rows[cut[t] : cut[t + 1]] - starts[t] for t in ran]
+        if all(_stackable(tables[t]) for t in ran):
+            stacked = StackedBrackets([tables[t] for t in ran], mine)
+            lsr = stacked.lower
+        else:
+            stacked = None
+            for t, chosen in zip(ran, mine):
+                brackets[t] = _lower(tables[t], chosen)
+            lsr = stack([brackets[t][0] for t in ran])
+        keep = _settle(states, rows, *constraints_of(rows), lower=lsr)
         rows = rows[keep]
-        cut, _ = record("U-SR", ran, rows)
-        for i, t in enumerate(ran):
-            q_lower, q_upper, span_at = brackets[t][1]
-            span_at = span_at[keep[at[i] : at[i + 1]]]
-            brackets[t] = (q_lower[span_at], q_upper[span_at])
-    else:  # no row is left UNKNOWN
+        cut, usr_ran = record("L-SR", ran, rows)
+        if usr_ran:
+            if stacked is not None:
+                usr = stacked.upper(keep)
+            else:
+                at = list(accumulate((chosen.size for chosen in mine), initial=0))
+                for i, t in enumerate(ran):
+                    kept = keep[at[i] : at[i + 1]]
+                    if kept.any():
+                        brackets[t] = _upper(tables[t], brackets[t][1], kept)
+                usr = stack([brackets[t][0] for t in usr_ran])
+            keep = _settle(states, rows, *constraints_of(rows), upper=usr)
+            rows = rows[keep]
+            cut, _ = record("U-SR", usr_ran, rows)
+            if stacked is not None:
+                ends = dict(zip(ran, stacked.brackets(keep)))
+            else:
+                ends = {}
+                at = list(accumulate((brackets[t][0].size for t in usr_ran), initial=0))
+                for i, t in enumerate(usr_ran):
+                    q_lower, q_upper, span_at = brackets[t][1]
+                    span_at = span_at[keep[at[i] : at[i + 1]]]
+                    ends[t] = (q_lower[span_at], q_upper[span_at])
+            for t in usr_ran:
+                brackets[t] = ends[t]
+    if not rows.size:
         cut = [0] * (k + 1)
 
+    usr_set = set(usr_ran)
     return [
         Verified(
             after[t],
             rows[cut[t] : cut[t + 1]] - starts[t],
-            *(brackets[t] if t in usr_ran else (None, None)),
+            *(brackets[t] if t in usr_set else (None, None)),
         )
         for t in range(k)
     ]
+
+
+def _stackable(table) -> bool:
+    """Whether :class:`StackedBrackets` may bound ``table``'s rows: a
+    histogram table narrow enough for slice-wise row sums."""
+    return isinstance(table, SubregionTable) and table.n_inner <= _EINSUM_BUFFER
 
 
 def _lower(table, rows: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -49,25 +49,26 @@ def exclusion_products(
     """
     survival = np.asarray(survival, dtype=float)
     zero = survival <= 0.0
-    chosen = survival if rows is None else survival[rows]
-    product = np.prod(survival, axis=0)
-    held = zero.any(axis=0)
+    product = np.multiply.reduce(survival, axis=0)
+    held = np.logical_or.reduce(zero, axis=0)
     if not held.any():
-        return product / chosen
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = product / chosen  # the columns holding a zero are redone
+        return product / (survival if rows is None else survival[rows])
     # Columns as the trailing axis (a 1-D input is one column).
+    n = survival.shape[0]
     held = held.reshape(-1)
-    zero = zero.reshape(zero.shape[0], -1)[:, held]
+    matrix = survival.reshape(n, -1)
+    zero = zero.reshape(n, -1)[:, held]
     # The product of the factors above zero, in row order.
-    factors = survival.reshape(zero.shape[0], -1)[:, held]
-    others = np.prod(np.where(zero, 1.0, factors), axis=0)
-    single = zero.sum(axis=0) == 1
-    if rows is not None:
-        zero = zero[rows]
-    redone = out.reshape(zero.shape[0], held.size)
-    redone[:, held] = np.where(zero & single, others, 0.0)
-    return out
+    others = np.multiply.reduce(np.where(zero, 1.0, matrix[:, held]), axis=0)
+    single = np.add.reduce(zero, axis=0) == 1
+    if rows is None:
+        chosen = matrix.copy()
+    else:
+        chosen, zero = matrix[rows], zero[rows]
+    chosen[:, held] = 1.0  # those columns are redone below
+    out = product.reshape(-1) / chosen
+    out[:, held] = np.where(zero & single, others, 0.0)
+    return out.reshape(chosen.shape[:1] + survival.shape[1:])
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:

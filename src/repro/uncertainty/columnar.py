@@ -738,8 +738,6 @@ class DistributionPack:
         """
         counts = np.asarray(counts, dtype=np.intp)
         widths = np.asarray(widths, dtype=np.intp)
-        if counts.size == 1:
-            return self.cdf_many(points).reshape(-1)
         point_at = np.cumsum(widths) - widths
         finite = np.logical_and.reduceat(np.isfinite(points), point_at)
         by_row = (counts <= _SMALL_PACK) | (widths > _WIDE_EVAL) | ~finite
