@@ -54,7 +54,7 @@ def point_key(q) -> Hashable:
     return float(q)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CachedTable:
     """One table-cache entry: the built table plus the geometry needed
     to decide, under a later object-set mutation, whether the entry is
@@ -63,7 +63,10 @@ class CachedTable:
     Attributes
     ----------
     table:
-        The fully built :class:`~repro.core.subregions.SubregionTable`.
+        The fully built :class:`~repro.core.subregions.SubregionTable`,
+        or ``None`` once the cache let go of it to stay within its cell
+        budget (the result snapshots stay; a new constraint at this
+        point builds the table again).
     fmin:
         The filtering radius of the point's candidate set *at build
         time*.  Mutations that keep the entry alive provably leave
@@ -87,12 +90,14 @@ class CachedTable:
 #: sharded engine's lanes split it).
 TABLE_CACHE_SIZE = 256
 
-#: Capacity of the same cache in cdf cells (``|C| · M`` per table, each
-#: table owning its ``(|C|, M)`` matrix): 8 MiB of cells.  ``execute``
-#: is a batch of one, so every cold query leaves a table behind; this
-#: bound keeps a stream of wide tables (300-bar histograms hold ≈ 10⁵
-#: cells) from pinning hundreds of MB, and never binds on uniform
-#: candidate sets (≈ 2.5·10³ cells).
+#: The cdf cells (``|C| · M`` per table, each table owning its
+#: ``(|C|, M)`` matrix) the cache's tables may hold: 8 MiB of cells.
+#: Past it the least recently used entries let go of their tables and
+#: keep their result snapshots.  ``execute`` is a batch of one, so
+#: every cold query leaves a table behind; this bound keeps a stream of
+#: wide tables (300-bar histograms hold ≈ 10⁵ cells) from pinning
+#: hundreds of MB, and never binds on uniform candidate sets (≈ 2.5·10³
+#: cells).
 TABLE_CACHE_CELLS = 1 << 20
 
 
@@ -128,8 +133,9 @@ class TableCache:
         self._max_cells = int(max_cells)
         #: Entries in recency order, least recently used first.
         self._entries: OrderedDict[Hashable, CachedTable] = OrderedDict()
-        #: Each entry's cdf cells, and their sum.
-        self._cells: dict[Hashable, int] = {}
+        #: The keys of the entries still holding a table, in recency
+        #: order, with the table's cells; and the sum of those cells.
+        self._tabled: OrderedDict[Hashable, int] = OrderedDict()
         self._total_cells = 0
         self.hits = 0
         self.misses = 0
@@ -147,7 +153,7 @@ class TableCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._cells.clear()
+        self._tabled.clear()
         self._total_cells = 0
         self._dirty = True
 
@@ -159,6 +165,8 @@ class TableCache:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
+        if key in self._tabled:
+            self._tabled.move_to_end(key)
         self.hits += 1
         return entry
 
@@ -168,22 +176,24 @@ class TableCache:
         return self._entries.get(key)
 
     def put(self, key: Hashable, entry: CachedTable) -> None:
-        """Insert an entry, evicting the least recently used ones past
-        ``maxsize`` entries or ``max_cells`` cells (the newest entry
-        always stays)."""
+        """Insert an entry, evicting the least recently used one past
+        ``maxsize``; past ``max_cells`` the least recently used entries
+        let go of their tables (never the newest)."""
         self._drop(key)
         self._entries[key] = entry
-        self._cells[key] = cells = _cells_of(entry.table)
+        self._tabled[key] = cells = _cells_of(entry.table)
         self._total_cells += cells
-        while len(self._entries) > 1 and (
-            len(self._entries) > self._maxsize or self._total_cells > self._max_cells
-        ):
+        if len(self._entries) > self._maxsize:
             self._drop(next(iter(self._entries)))
+        while self._total_cells > self._max_cells and len(self._tabled) > 1:
+            oldest, cells = self._tabled.popitem(last=False)
+            self._total_cells -= cells
+            self._entries[oldest].table = None
         self._dirty = True
 
     def _drop(self, key: Hashable) -> None:
         if self._entries.pop(key, None) is not None:
-            self._total_cells -= self._cells.pop(key)
+            self._total_cells -= self._tabled.pop(key, 0)
 
     def _geometry(self) -> tuple[np.ndarray, np.ndarray, list[Hashable]]:
         if self._dirty:

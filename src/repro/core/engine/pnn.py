@@ -205,6 +205,8 @@ class PnnExecutorMixin:
                     batch.result_hits += 1
                     batch.replayed.append(b)
                     continue
+                if entry.table is None:
+                    entry = None  # snapshots only: the table is built again
             live.append((b, key, entry))
         filter_results = (
             self._filter_batch([queries[b].q for b, _, _ in live]) if live else []
@@ -216,18 +218,22 @@ class PnnExecutorMixin:
         # Tables this batch builds, by point: a duplicate point later in
         # the batch verifies on the first one's table, as a table hit.
         built: dict[Hashable, CachedTable | None] = {}
+        made: dict[Hashable, SubregionTable] = {}
         cold: list[tuple[int, Hashable, FilterResult]] = []
-        runs: list[tuple[int, Hashable, CachedTable | None, FilterResult]] = []
+        # (input position, point, entry, its table, filter result); the
+        # table is read now, as a later put may release it from the entry.
+        runs: list[tuple] = []
         for (b, key, entry), filter_result in zip(live, filter_results):
             check_cancel(self)
             spent[b] = PhaseTimings()
-            if entry is None and fast_path:
+            if fast_path:
                 # Candidates that all evaluate in closed form are
                 # answered analytically, skipping table build, caching
                 # and snapshot memoisation (re-running the fast path is
-                # cheaper than pinning a materialised table).  A point
-                # whose table was warm before this batch keeps the
-                # standard flow.
+                # cheaper than pinning a materialised table).  A cached
+                # table (built when the fast path fell back for another
+                # constraint) does not skip it: a record never depends
+                # on what the cache holds.
                 result = self._run_parametric(filter_result, queries[b], spent[b])
                 if result is not None:
                     slots[b] = result
@@ -238,7 +244,8 @@ class PnnExecutorMixin:
                 batch.table_misses += 1
             else:
                 batch.table_hits += 1
-            runs.append((b, key, entry, filter_result))
+            table = None if entry is None else entry.table
+            runs.append((b, key, entry, table, filter_result))
 
         if cold:
             tables, seconds = self._build_tables(
@@ -248,11 +255,15 @@ class PnnExecutorMixin:
                 spent[b].initialization += elapsed
                 built[key] = CachedTable(table=table, fmin=filter_result.fmin)
                 table_cache.put(key, built[key])
+                made[key] = table
         if runs:
-            entries = [
-                built[key] if entry is None else entry for _, key, entry, _ in runs
+            jobs = [
+                (b, entry, table, filter_result)
+                if entry is not None
+                else (b, built[key], made[key], filter_result)
+                for b, key, entry, table, filter_result in runs
             ]
-            self._verify_and_refine(queries, runs, entries, spent, slots)
+            self._verify_and_refine(queries, jobs, spent, slots)
 
         batch.results = slots
         for result, query in zip(slots, queries):
@@ -312,18 +323,18 @@ class PnnExecutorMixin:
     def _verify_and_refine(
         self,
         queries: list[CPNNQuery],
-        runs: list,
-        entries: list[CachedTable],
+        jobs: list,
         spent: dict[int, PhaseTimings],
         slots: list,
     ) -> None:
-        """One stacked verifier pass over the runs' tables, then, query
-        by query, refinement of the candidates it left UNKNOWN (seeded
+        """One stacked verifier pass over the jobs' tables (``(input
+        position, entry, table, filter result)``), then, query by
+        query, refinement of the candidates it left UNKNOWN (seeded
         with their bracket rows from the pass), the result, and its
-        snapshot in the table's entry.  The pass's time is shared out
-        by candidate rows."""
-        tables = [entry.table for entry in entries]
-        specs = [queries[b] for b, _, _, _ in runs]
+        snapshot in the entry.  The pass's time is shared out by
+        candidate rows."""
+        tables = [table for _, _, table, _ in jobs]
+        specs = [queries[b] for b, _, _, _ in jobs]
         tick = time.perf_counter()
         sizes = [table.size for table in tables]
         states = CandidateStates.stacked(sum(sizes))
@@ -336,18 +347,18 @@ class PnnExecutorMixin:
         elapsed = time.perf_counter() - tick
         rows = sum(sizes)
         start = 0
-        for (b, _, _, filter_result), entry, query, size, checked in zip(
-            runs, entries, specs, sizes, verified
+        for (b, entry, table, filter_result), query, size, checked in zip(
+            jobs, specs, sizes, verified
         ):
             check_cancel(self)
             timings = spent[b]
             timings.verification += elapsed * size / rows
-            mine = states.part(start, start + size, entry.table.keys)
+            mine = states.part(start, start + size, table.keys)
             start += size
             unknown = checked.rows
             tick = time.perf_counter()
             if unknown.size:
-                refiner = Refiner(entry.table)
+                refiner = Refiner(table)
                 for i, q_lower, q_upper in zip(
                     unknown.tolist(), checked.q_lower, checked.q_upper
                 ):
