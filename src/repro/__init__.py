@@ -50,7 +50,7 @@ from repro.uncertainty import (
     UncertainSegment,
 )
 
-__version__ = "14.1.0"
+__version__ = "14.2.0"
 
 __all__ = [
     "BatchResult",

@@ -5,29 +5,30 @@ re-probing as they travel, periodic sensor sweeps, privacy-preserving
 location services — issue *many* query points against *one* slowly
 changing object set.
 :meth:`repro.core.engine.UncertainEngine.execute_batch` serves that
-shape directly instead of looping over
-:meth:`~repro.core.engine.UncertainEngine.execute`.  For C-PNN specs:
+shape directly (``execute`` is a batch of one).  For C-PNN specs:
 
 * **filtering** runs as one batched descent of the packed filter for
   the whole batch (:class:`repro.index.filtering.BatchMbrFilter`), the
   same levels the k-NN and range paths descend;
-* **initialisation** folds each table's pack from the filter's
-  positions and columns (``DistributionPack.from_objects``); only the
-  rows no fold kernel takes (2-D regions, rows the scalar fold trims or
-  renormalises) build a distance distribution;
-* **verification and refinement** are not restructured: every query
-  that is not replayed from the table cache runs the single-query
-  phases (``PnnExecutorMixin._run_vr``) on its own states and
+* **initialisation** of the queries no cached table serves is one
+  stacked pass: one fold of every candidate row from the filter's
+  positions and columns (``DistributionPack.from_segments``; only the
+  rows no fold kernel takes — 2-D regions, rows the scalar fold trims
+  or renormalises — build a distance distribution), one sort, and one
+  cdf kernel (``SubregionTable.stacked``);
+* **verification** of every query that is not replayed from the table
+  cache is one stacked pass (``verify_stacked``); **refinement** and
+  record assembly run query by query, on each query's own states and
   refiner.
 
 k-NN and range specs share the same packed filter and fold their packs
 from its columns the same way (see
 :meth:`~repro.core.engine.UncertainEngine.execute_batch`).
 
-Behind the table cache the batch runs the sequential path's own code,
-so batch and sequential results agree exactly by construction; the
-speed-up comes from the shared descent and from work the table cache
-skips.
+No per-row arithmetic depends on the batch's shape, so a batch's
+records equal its queries' batches of one bit for bit; the speed-up
+comes from the shared descent, from the stacked passes, and from work
+the table cache skips.
 """
 
 from __future__ import annotations

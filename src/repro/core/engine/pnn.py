@@ -215,10 +215,10 @@ class PnnExecutorMixin:
 
         fast_path = self._config.parametric_fast_path
         spent: dict[int, PhaseTimings] = {}
-        # Tables this batch builds, by point: a duplicate point later in
-        # the batch verifies on the first one's table, as a table hit.
-        built: dict[Hashable, CachedTable | None] = {}
-        made: dict[Hashable, SubregionTable] = {}
+        # The entry and table this batch builds for each cold point: a
+        # duplicate point later in the batch verifies on the first one's
+        # table, as a table hit.
+        built: dict[Hashable, tuple | None] = {}
         cold: list[tuple[int, Hashable, FilterResult]] = []
         # (input position, point, entry, its table, filter result); the
         # table is read now, as a later put may release it from the entry.
@@ -253,14 +253,12 @@ class PnnExecutorMixin:
             )
             for (b, key, filter_result), table, elapsed in zip(cold, tables, seconds):
                 spent[b].initialization += elapsed
-                built[key] = CachedTable(table=table, fmin=filter_result.fmin)
-                table_cache.put(key, built[key])
-                made[key] = table
+                entry = CachedTable(table=table, fmin=filter_result.fmin)
+                table_cache.put(key, entry)
+                built[key] = entry, table
         if runs:
             jobs = [
-                (b, entry, table, filter_result)
-                if entry is not None
-                else (b, built[key], made[key], filter_result)
+                (b, *(built[key] if entry is None else (entry, table)), filter_result)
                 for b, key, entry, table, filter_result in runs
             ]
             self._verify_and_refine(queries, jobs, spent, slots)

@@ -33,10 +33,10 @@ Implementation notes
   kernel call over the packed candidate histograms instead of one
   ``cdf`` call per candidate.  The pack's kernels are bit-identical to
   the scalar path, so every matrix below is unchanged by this.
-* The engine builds its tables with :meth:`SubregionTable.from_pack`
-  from a pack the fold kernels filled straight from the filter's
-  columns: keys come with the pack, and ``distributions`` are built
-  only if something reads them.
+* The engine builds its tables with :meth:`SubregionTable.stacked`,
+  many candidate sets at once, from a pack the fold kernels filled
+  straight from the filter's columns: keys come with the pack, and
+  ``distributions`` are built only if something reads them.
 * Products ``Z`` divide one column product by each factor, as the
   paper's Equation 3 divides ``Y_j`` by ``1 − D_i(e_j)``, except where
   a factor is zero (an object's support ends at or before ``e_j``):
@@ -75,7 +75,7 @@ class SubregionTable:
     distributions:
         Distance distributions of the candidate set (any order; they
         are sorted by near point internally, as the paper prescribes).
-        :meth:`from_pack` builds the same table from a pack and keys
+        :meth:`stacked` builds the same table from a pack and keys
         without them.
 
     Raises
@@ -108,35 +108,25 @@ class SubregionTable:
         self._distributions = rows
 
     @classmethod
-    def from_pack(
-        cls, pack: DistributionPack, keys: Sequence[Hashable], rows
-    ) -> "SubregionTable":
-        """The table of the candidates whose distance histograms are the
-        rows of ``pack`` (any order) and whose identifiers are ``keys``.
-
-        ``rows`` is a callable returning the row-aligned distance
-        distributions; :attr:`distributions` calls it on first read
-        (nothing on the query path does).  Bit-identical to
-        ``SubregionTable(rows())``.
-        """
-        [table] = cls.stacked(pack, [pack.size], [tuple(keys)], [rows])
-        return table
-
-    @classmethod
     def stacked(
         cls, pack: DistributionPack, counts: Sequence[int], keys: Sequence, rows: Sequence
     ) -> list["SubregionTable"]:
         """The tables of many candidate sets in one pass.
 
-        The rows of ``pack`` are the sets' distance histograms, set
-        after set, ``counts[s]`` rows each; ``keys[s]`` and ``rows[s]``
-        are what :meth:`from_pack` takes for set ``s``.  One sort orders
+        The rows of ``pack`` are the sets' distance histograms (any
+        order within a set), set after set, ``counts[s]`` rows each;
+        ``keys[s]`` are set ``s``'s identifiers in row order (or
+        ``None`` to read them off :attr:`distributions`), and
+        ``rows[s]`` a callable returning its row-aligned distance
+        distributions, called on the first read of
+        :attr:`distributions` (nothing on the query path reads them).
+        One sort orders
         every set by ``(near, far)``, the end-points of all sets are
         pooled and deduplicated in one pass (each set at its own scale),
         and one cdf kernel fills every set's cells, in blocks of at most
-        ``_MAX_CELLS`` cells.  Table ``s`` equals :meth:`from_pack` of
-        its own rows bit for bit and owns its arrays: none holds a view
-        of the stacked block.
+        ``_MAX_CELLS`` cells.  Table ``s`` equals
+        ``SubregionTable(rows[s]())`` bit for bit and owns its arrays:
+        none holds a view of the stacked block.
         """
         tables = [cls.__new__(cls) for _ in counts]
         _build(tables, pack, counts, keys, rows)
@@ -149,7 +139,7 @@ class SubregionTable:
     @property
     def distributions(self) -> tuple[DistanceDistribution, ...]:
         """Candidates sorted by near point (the paper's X_1 .. X_|C|),
-        built on first read for a :meth:`from_pack` table."""
+        built on first read for a :meth:`stacked` table."""
         if self._distributions is None:
             rows = self._rows()
             if self._perm is not None:

@@ -16,9 +16,11 @@ the table's full matrices.
 
 Works on :class:`~repro.core.subregions.SubregionTable` and on
 :class:`~repro.uncertainty.parametric.table.AnalyticTable` alike; the
-analytic path calls it again on a refined table with the same states to
-escalate.  The chain and its three verifier classes stay as the staged
-reference this pass is checked against.
+analytic path calls :func:`verify` again on a refined table with the
+same states to escalate.  A batch verifies all its tables in one pass,
+:func:`verify_stacked`, each table's records equal to its own pass's.
+The chain and its three verifier classes stay as the staged reference
+this pass is checked against.
 """
 
 from __future__ import annotations
@@ -129,11 +131,14 @@ def verify_stacked(
     ``states`` holds every table's rows, table after table, and table
     ``t`` is verified against ``thresholds[t]`` / ``tolerances[t]``.
     The classifier, RS and each verifier's relabelling run once over
-    the stacked rows; L-SR's and U-SR's brackets are computed table by
-    table, over that table's own arrays (a column product runs over
-    its own rows, a row sum over its own width), so every table's
-    bounds, labels and ``Verified`` equal :func:`verify` of that table
-    alone, bit for bit.
+    the stacked rows.  L-SR's and U-SR's brackets of histogram tables
+    are one pass over their cells
+    (:class:`~repro.core.subregions.StackedBrackets`); a pass holding
+    another table (an analytic one, or one wider than the ``einsum``
+    buffer) brackets table by table.  Either way a column product runs
+    over its own table's rows and a row sum over its own table's
+    width, so every table's bounds, labels and ``Verified`` equal
+    :func:`verify` of that table alone, bit for bit.
     """
     k = len(tables)
     if k == 1:
@@ -156,8 +161,6 @@ def verify_stacked(
     def cuts(rows: np.ndarray) -> list[int]:
         """Where each table's rows begin in ``rows`` (ascending), and
         where they end."""
-        if k == 1:
-            return [0, rows.size]
         return np.searchsorted(rows, starts).tolist()
 
     after: list[dict[str, float]] = [{} for _ in tables]

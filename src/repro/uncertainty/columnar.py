@@ -775,9 +775,8 @@ class DistributionPack:
         return out
 
     def _cdf_ragged(self, seg, points, point_at, widths, row_cells) -> np.ndarray:
-        """:meth:`_cdf_sorted_block` with each row at its own segment's
-        points (rows in segment order): the searchsorted duality per
-        segment, then one pass of the run kernel over every row."""
+        """:meth:`_cdf_sorted_block` with each row (``seg``: its
+        segment) at its own segment's points."""
         self._ensure_run_tables()
         # Complex numbers order lexicographically, so (segment, value)
         # pairs put every row edge among its own segment's points.
@@ -789,20 +788,10 @@ class DistributionPack:
         probe.real = edge_seg
         probe.imag = self._edges
         positions = np.searchsorted(keyed, probe, side="left") - point_at[edge_seg]
-        reps = np.empty(self._run_slope.size, dtype=np.intp)
-        reps[self._run_lead] = positions[self._offsets[:-1]]
-        reps[self._run_trail] = row_cells - positions[self._offsets[1:] - 1]
-        reps[self._run_is_bin] = (
-            positions[self._bin_edge_idx + 1] - positions[self._bin_edge_idx]
-        )
-        slope = np.repeat(self._run_slope, reps)
-        e0 = np.repeat(self._run_e0, reps)
-        k0 = np.repeat(self._run_k0, reps)
         # Each cell's point: its row's segment's points, row after row.
-        cell_at = np.cumsum(row_cells) - row_cells
-        at = np.repeat(point_at[seg] - cell_at, row_cells)
+        at = np.repeat(point_at[seg] - (np.cumsum(row_cells) - row_cells), row_cells)
         at += np.arange(at.size)
-        return slope * (points[at] - e0) + k0
+        return self._run_cells(positions, row_cells, points[at])
 
     # ------------------------------------------------------------------
     # Core kernel
@@ -837,15 +826,24 @@ class DistributionPack:
     def _cdf_sorted_block(self, xs: np.ndarray) -> np.ndarray:
         n = xs.size
         # Duality: for ascending xs, edge e <= xs[t] ⟺
-        # searchsorted(xs, e, 'left') <= t.  Each row therefore splits
-        # the evaluation points into contiguous *runs* — left of the
-        # support, one run per bin, right of the support — whose
-        # (slope, e0, k0) triples were precomputed in _finish; only the
-        # run lengths depend on xs.  Three np.repeat gathers and
-        # np.interp's interior expression finish the job with no
-        # per-object dispatch.
+        # searchsorted(xs, e, 'left') <= t.
         self._ensure_run_tables()
         positions = np.searchsorted(xs, self._edges, side="left")
+        out = self._run_cells(positions, n, np.tile(xs, self._size))
+        return out.reshape(self._size, n)
+
+    def _run_cells(self, positions, n, xs) -> np.ndarray:
+        """Every row's cells, row after row, from the position of each
+        row edge among its row's ``n`` ascending points (``n`` a scalar
+        or one per row) and each cell's point ``xs``.
+
+        Each row splits its points into contiguous *runs* — left of the
+        support, one run per bin, right of the support — whose (slope,
+        e0, k0) triples were precomputed by :meth:`_ensure_run_tables`;
+        only the run lengths depend on the points.  Three np.repeat
+        gathers and np.interp's interior expression finish the job with
+        no per-object dispatch.
+        """
         reps = np.empty(self._run_slope.size, dtype=np.intp)
         reps[self._run_lead] = positions[self._offsets[:-1]]
         reps[self._run_trail] = n - positions[self._offsets[1:] - 1]
@@ -858,8 +856,7 @@ class DistributionPack:
         # np.interp's interior expression, same operand order; the
         # boundary runs use (slope=0, e0=0) so they evaluate to exactly
         # k0 — 0.0 left of the support, the total mass right of it.
-        out = slope * (np.tile(xs, self._size) - e0) + k0
-        return out.reshape(self._size, n)
+        return slope * (xs - e0) + k0
 
 
 class PagedDistributionPack(DistributionPack):

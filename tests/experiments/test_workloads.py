@@ -103,7 +103,7 @@ class TestPublicApi:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "14.1.0"
+        assert repro.__version__ == "14.2.0"
 
     def test_legacy_surface_is_gone(self):
         import repro

@@ -259,10 +259,11 @@ KINDS = _kinds()
 
 
 @st.composite
-def shaped_batches(draw):
-    """A corpus, a batch of specs over a few points (duplicates, mixed
-    P and Δ), and how to cut it: a permutation and split points."""
-    kind = draw(st.sampled_from(sorted(KINDS)))
+def shaped_batches(draw, kinds=tuple(sorted(KINDS))):
+    """A corpus (one of ``kinds``), a batch of specs over a few points
+    (duplicates, mixed P and Δ), and how to cut it: a permutation and
+    split points."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "planar":
         point = st.tuples(st.floats(0, 30), st.floats(0, 30))
     else:
@@ -302,7 +303,7 @@ def run_shapes(objects, specs, order, cuts, config=None):
             assert_same_bits(result, want[i])
 
 
-@settings(max_examples=30, deadline=None)
+@settings(deadline=None)
 @given(shaped_batches())
 def test_batch_shape_does_not_change_records(case):
     kind, specs, order, cuts = case
@@ -310,7 +311,7 @@ def test_batch_shape_does_not_change_records(case):
 
 
 @settings(max_examples=10, deadline=None)
-@given(shaped_batches().filter(lambda case: case[0] == "parametric"))
+@given(shaped_batches(kinds=("parametric",)))
 def test_batch_shape_with_analytic_fallback(case):
     """Parametric candidates that run out of analytic grid fall back to
     the histogram pass mid-batch."""
@@ -320,7 +321,7 @@ def test_batch_shape_with_analytic_fallback(case):
 
 
 @settings(max_examples=15, deadline=None)
-@given(shaped_batches().filter(lambda case: case[0] != "planar"))
+@given(shaped_batches(kinds=("1d", "parametric")))
 def test_batch_shape_across_the_cell_cap(case):
     """A cap of a few hundred cells cuts every batch into several
     stacked blocks (and some sets above the cap into blocks of one)."""
@@ -332,7 +333,7 @@ def test_batch_shape_across_the_cell_cap(case):
 
 
 @settings(max_examples=15, deadline=None)
-@given(shaped_batches().filter(lambda case: case[0] == "1d"), st.integers(0, 59))
+@given(shaped_batches(kinds=("1d",)), st.integers(0, 59))
 def test_batch_shape_across_a_replace(case, victim):
     """A replace between batches drops the cached tables it touches;
     the next batch mixes rebuilt tables with undisturbed hits."""
