@@ -225,14 +225,16 @@ class QueryFacadeMixin(SpecDispatchMixin):
         if not self._objects:
             batch.results = [QueryResult(answers=(), spec=s) for s in specs]
             return batch
-        slots: list[QueryResult | None] = [None] * len(specs)
-        knn_idx = [i for i, s in enumerate(specs) if isinstance(s, CKNNQuery)]
-        range_idx = [i for i, s in enumerate(specs) if isinstance(s, CRangeQuery)]
         pnn_idx = [
             i
             for i, s in enumerate(specs)
             if not isinstance(s, (CKNNQuery, CRangeQuery))
         ]
+        if len(pnn_idx) == len(specs):
+            return self._pnn_batch(specs)
+        slots: list[QueryResult | None] = [None] * len(specs)
+        knn_idx = [i for i, s in enumerate(specs) if isinstance(s, CKNNQuery)]
+        range_idx = [i for i, s in enumerate(specs) if isinstance(s, CRangeQuery)]
         if pnn_idx:
             sub = self._pnn_batch([specs[i] for i in pnn_idx])
             for i, result in zip(pnn_idx, sub.results):

@@ -375,16 +375,15 @@ def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
     k = counts.size
     seg = np.repeat(np.arange(k), counts)
     row_at = np.cumsum(counts) - counts
-    # Sort each set by (near, far) as _build_one does; the set key
-    # keeps the sets apart.
-    perm = np.lexsort((pack.far, pack.near, seg))
+    # Sort each set by (near, far) as _build_one does (the set key
+    # keeps the sets apart), and permute each table's cdf rows.
+    near, far = pack.near, pack.far
+    perm = np.lexsort((far, near, seg))
     moved = perm != np.arange(perm.size)
     if moved.any():
-        pack = pack.take(perm)
         moved = np.logical_or.reduceat(moved, row_at).tolist()
     else:
         moved = [False] * k
-    near, far = pack.near, pack.far
     fmins = np.minimum.reduceat(far, row_at)
     n_mins = np.minimum.reduceat(near, row_at)
     if not (fmins > n_mins).all():
@@ -407,7 +406,7 @@ def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
             table = tables[s]
             n, m = count_list[s], width_list[s]
             # Each table owns its arrays, never a view of the block.
-            table._cdf_matrix = cells[at : at + n * m].reshape(n, m).copy()
+            cdf = cells[at : at + n * m].reshape(n, m)
             table._edges = edges[edge_at[s] : edge_at[s] + m].copy()
             at += n * m
             table._fmin = fmin_list[s]
@@ -416,9 +415,12 @@ def _build(tables: list, pack: DistributionPack, counts, keys, rows) -> None:
             table._keys = keys[s]
             if moved[s]:
                 local = perm[row_list[s] : row_list[s] + n] - row_list[s]
+                table._cdf_matrix = cdf[local]
                 table._perm = local
                 if keys[s] is not None:
                     table._keys = tuple(map(keys[s].__getitem__, local.tolist()))
+            else:
+                table._cdf_matrix = cdf.copy()
 
 
 _DEGENERATE = (
@@ -432,10 +434,12 @@ def _build_one(table: "SubregionTable", pack: DistributionPack, keys, rows) -> N
     with one set's arrays (fewer numpy calls, same bits)."""
     # Sort by (near, far) as the paper prescribes: one lexsort over the
     # pack's columns; np.lexsort is stable, so the order matches
-    # sorted(key=lambda d: (d.near, d.far)) exactly.
+    # sorted(key=lambda d: (d.near, d.far)) exactly.  Rows are
+    # independent, so the cdf rows are permuted, not the pack.
     perm = np.lexsort((pack.far, pack.near))
-    if not np.array_equal(perm, np.arange(perm.size)):
-        pack = pack.take(perm)
+    if np.array_equal(perm, np.arange(perm.size)):
+        perm = None
+    else:
         table._perm = perm
         if keys is not None:
             keys = tuple(map(keys.__getitem__, perm.tolist()))
@@ -464,8 +468,11 @@ def _build_one(table: "SubregionTable", pack: DistributionPack, keys, rows) -> N
     edges = merged[keep]
     edges[-1] = fmin
     table._edges = edges
+    cdf = pack.cdf_many(edges)
+    if perm is not None:
+        cdf = cdf[perm]
     # Clamp tiny interpolation drift so downstream algebra stays in [0, 1].
-    table._cdf_matrix = np.clip(pack.cdf_many(edges), 0.0, 1.0)
+    table._cdf_matrix = np.clip(cdf, 0.0, 1.0, out=cdf)
 
 
 def _end_points(pack: DistributionPack, seg, n_mins, fmins) -> tuple:

@@ -290,7 +290,10 @@ class AnswerRecords(Sequence):
 
     def copy(self) -> "AnswerRecords":
         """A fresh view of the same (read-only) columns."""
-        return AnswerRecords(*self._cols())
+        view = AnswerRecords.__new__(AnswerRecords)
+        view._columns = self._cols()
+        view._records = None
+        return view
 
     def __len__(self) -> int:
         if self._columns is not None:

@@ -50,25 +50,26 @@ def exclusion_products(
     survival = np.asarray(survival, dtype=float)
     zero = survival <= 0.0
     product = np.multiply.reduce(survival, axis=0)
-    held = np.logical_or.reduce(zero, axis=0)
-    if not held.any():
+    if not zero.any():
         return product / (survival if rows is None else survival[rows])
-    # Columns as the trailing axis (a 1-D input is one column).
-    n = survival.shape[0]
-    held = held.reshape(-1)
-    matrix = survival.reshape(n, -1)
-    zero = zero.reshape(n, -1)[:, held]
+    shape = survival.shape
+    if survival.ndim != 2:  # columns as the trailing axis
+        survival = survival.reshape(shape[0], -1)
+        zero = zero.reshape(shape[0], -1)
+        product = product.reshape(-1)
+    held = np.flatnonzero(np.logical_or.reduce(zero, axis=0))
+    zero = zero[:, held]
     # The product of the factors above zero, in row order.
-    others = np.multiply.reduce(np.where(zero, 1.0, matrix[:, held]), axis=0)
+    others = np.multiply.reduce(np.where(zero, 1.0, survival[:, held]), axis=0)
     single = np.add.reduce(zero, axis=0) == 1
     if rows is None:
-        chosen = matrix.copy()
+        chosen = survival.copy()
     else:
-        chosen, zero = matrix[rows], zero[rows]
+        chosen, zero = survival[rows], zero[rows]
     chosen[:, held] = 1.0  # those columns are redone below
-    out = product.reshape(-1) / chosen
+    out = product / chosen
     out[:, held] = np.where(zero & single, others, 0.0)
-    return out.reshape(chosen.shape[:1] + survival.shape[1:])
+    return out.reshape(chosen.shape[:1] + shape[1:])
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
