@@ -306,6 +306,31 @@ class TestTableCacheRecency:
         with pytest.raises(ValueError):
             TableCache(0)
 
+    def test_cell_budget_keeps_snapshots_and_drops_tables(self, rng):
+        """Past its cell budget the cache lets go of the oldest tables
+        but keeps their entries' snapshots: a repeated spec replays, a
+        new constraint at that point builds its table again."""
+        from repro.core.batch import TableCache
+
+        engine = UncertainEngine(make_random_objects(rng, 60))
+        points = query_points(rng, n=6)
+        cold = engine.execute_batch(cpnn_specs(points))
+        cells = [entry.table.size * entry.table.n_subregions
+                 for entry in engine._table_cache._entries.values()]
+        engine = UncertainEngine(engine.objects)
+        engine._table_cache = TableCache(maxsize=16, max_cells=sum(cells[-2:]))
+        assert engine.execute_batch(cpnn_specs(points)).table_misses == len(points)
+        entries = list(engine._table_cache._entries.values())
+        assert len(entries) == len(points)
+        assert [entry.table is None for entry in entries] == [True] * 4 + [False] * 2
+        replay = engine.execute_batch(cpnn_specs(points))
+        assert replay.result_hits == len(points)
+        assert replay.answers == cold.answers
+        other = engine.execute_batch(cpnn_specs(points[:1], threshold=0.6))
+        assert (other.table_misses, other.table_hits) == (1, 0)
+        fresh = UncertainEngine(engine.objects).execute(CPNNQuery(points[0], 0.6, 0.01))
+        assert other[0].records == fresh.records
+
 
 class TestTableCacheInvalidation:
     @staticmethod
