@@ -92,14 +92,15 @@ class CachedTable:
 TABLE_CACHE_SIZE = 256
 
 #: The cdf cells (``|C| · M`` per table, each table owning its
-#: ``(|C|, M)`` matrix) the cache's tables may hold: 8 MiB of cells.
+#: ``(|C|, M)`` matrix) the cache's tables may hold: 512 KiB of cells.
 #: Past it the least recently used entries let go of their tables and
 #: keep their result snapshots.  ``execute`` is a batch of one, so
-#: every cold query leaves a table behind; this bound keeps a stream of
-#: wide tables (300-bar histograms hold ≈ 10⁵ cells) from pinning
-#: hundreds of MB, and never binds on uniform candidate sets (≈ 2.5·10³
-#: cells).
-TABLE_CACHE_CELLS = 1 << 20
+#: every cold query leaves a table behind, while a table is read only
+#: when its point comes back under a new constraint; a repeat under
+#: the same one replays the snapshot.  So the bound keeps ≈ 26 uniform
+#: tables (≈ 2.5·10³ cells) or one 300-bar table (≈ 10⁵ cells), and
+#: all 256 entries' snapshots.
+TABLE_CACHE_CELLS = 1 << 16
 
 
 def _cells_of(table) -> int:
