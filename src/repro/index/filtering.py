@@ -437,9 +437,10 @@ class BatchMbrFilter:
             return
         row = self._physical_row(index)
         mbr = obj.mbr
+        new_lows, new_highs = mbr.lows, mbr.highs
         self._ensure_writable()
-        self._lows[row] = mbr.lows
-        self._highs[row] = mbr.highs
+        self._lows[row] = new_lows
+        self._highs[row] = new_highs
         self._density[row] = _bar_density(obj)
         if self._levels is None:
             return
@@ -450,12 +451,12 @@ class BatchMbrFilter:
             return
         row = self._rank[index]
         leaf = self._levels[-1]
-        leaf[0][row], leaf[1][row] = mbr.lows, mbr.highs
+        leaf[0][row], leaf[1][row] = new_lows, new_highs
         for depth in range(len(self._levels) - 1, 0, -1):
             row = self._parents[depth][row]
             lows, highs = self._levels[depth - 1][:2]
-            np.minimum(lows[row], mbr.lows, out=lows[row])
-            np.maximum(highs[row], mbr.highs, out=highs[row])
+            np.minimum(lows[row], new_lows, out=lows[row])
+            np.maximum(highs[row], new_highs, out=highs[row])
 
     def _flush(self) -> None:
         """Fold masked rows and queued appends into contiguous arrays."""
