@@ -93,7 +93,9 @@ def _groups(items: list):
     sets, with their fold columns, whose cells stay under
     ``_MAX_CELLS``: a set of ``C`` rows folding at most ``E`` edges has
     at most ``E + C + 2`` end-points (a set above the cap alone is one
-    run)."""
+    run).  Rows the kernels do not fold are not counted in ``E``;
+    :meth:`SubregionTable.stacked` cuts its cdf pass at the cap anyway,
+    so this bound only keeps the fold's own arrays in check."""
     group, cells = [], 0
     for q, filter_result in items:
         columns = filter_result.columns
