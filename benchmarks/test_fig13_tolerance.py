@@ -2,11 +2,15 @@
 
 A larger Δ lets verification finish more queries outright (paper:
 Δ = 0.16 completes ~10% more queries than Δ = 0), so the end-to-end
-time should (weakly) decrease with Δ."""
+time should (weakly) decrease with Δ.  Every query runs cold
+(:func:`~repro.experiments.strategies.vr`): a benchmark round repeats
+its specs, which ``execute`` would otherwise replay from the engine's
+table cache."""
 
 import pytest
 
 from repro.core.types import CPNNQuery
+from repro.experiments.strategies import vr
 
 TOLERANCES = [0.0, 0.08, 0.16]
 
@@ -16,9 +20,7 @@ def test_vr_time_vs_tolerance(benchmark, uniform_engine, bench_queries, toleranc
     benchmark.group = "fig13 tolerance"
     benchmark(
         lambda: [
-            uniform_engine.execute(
-                CPNNQuery(float(q), threshold=0.3, tolerance=tolerance),
-            )
+            vr(uniform_engine, CPNNQuery(float(q), threshold=0.3, tolerance=tolerance))
             for q in bench_queries
         ]
     )
@@ -32,9 +34,7 @@ def test_refinement_work_shrinks_with_tolerance(
 
     def run():
         return sum(
-            uniform_engine.execute(
-                CPNNQuery(float(q), threshold=0.3, tolerance=tolerance),
-            ).refined_objects
+            vr(uniform_engine, CPNNQuery(float(q), threshold=0.3, tolerance=tolerance)).refined_objects
             for q in bench_queries
         )
 

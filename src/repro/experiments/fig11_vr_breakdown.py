@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.types import CPNNQuery
 from repro.experiments.report import ExperimentResult, Series
+from repro.experiments.strategies import vr
 from repro.experiments.workloads import DEFAULT_QUERY_SEED, cached_engine, query_points
 
 __all__ = ["Fig11Params", "run"]
@@ -50,7 +51,8 @@ def run(params: Fig11Params | None = None) -> ExperimentResult:
     for threshold in params.thresholds:
         f, v, r, n_ref = [], [], [], []
         for q in points:
-            res = engine.execute(
+            res = vr(
+                engine,
                 CPNNQuery(float(q), threshold=threshold, tolerance=params.tolerance),
             )
             f.append(res.timings.filtering)

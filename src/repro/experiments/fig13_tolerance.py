@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.types import CPNNQuery
 from repro.experiments.report import ExperimentResult, Series
+from repro.experiments.strategies import vr
 from repro.experiments.workloads import DEFAULT_QUERY_SEED, cached_engine, query_points
 
 __all__ = ["Fig13Params", "run"]
@@ -50,7 +51,8 @@ def run(params: Fig13Params | None = None) -> ExperimentResult:
     for tolerance in params.tolerances:
         flags, r_times = [], []
         for q in points:
-            res = engine.execute(
+            res = vr(
+                engine,
                 CPNNQuery(float(q), threshold=params.threshold, tolerance=tolerance),
             )
             flags.append(1.0 if res.finished_after_verification else 0.0)

@@ -11,6 +11,7 @@ from repro.experiments import fig11_vr_breakdown as fig11
 from repro.experiments import fig12_verifier_comparison as fig12
 from repro.experiments import fig13_tolerance as fig13
 from repro.experiments import fig14_gaussian as fig14
+from repro.experiments import strategies
 from repro.experiments import table3_verifier_costs as table3
 
 TINY = dict(n_queries=2, dataset_size=3000)
@@ -34,6 +35,32 @@ class TestDrivers:
         # Refinement work shrinks (weakly) as P grows.
         refined = result.series_by_name("avg_refined_objects").ys
         assert refined[1] <= refined[0] + 1e-9
+
+    @pytest.mark.parametrize("figure", ["fig10", "fig11"])
+    def test_vr_builds_its_table_at_every_threshold(self, monkeypatch, figure):
+        """Every VR query times the whole pipeline: none reads a table
+        or a result an earlier query left in the engine's cache, even
+        when the same points come back under the same threshold."""
+        seen = []
+
+        def recording(engine, spec):
+            result = strategies.vr(engine, spec)
+            seen.append((spec.threshold, result.timings.initialization))
+            return result
+
+        if figure == "fig10":
+            monkeypatch.setitem(strategies.STRATEGIES, "vr", recording)
+            params = fig10.Fig10Params(thresholds=(0.3, 0.7), **TINY)
+            runs = fig10.run
+        else:
+            monkeypatch.setattr(fig11, "vr", recording)
+            params = fig11.Fig11Params(thresholds=(0.3, 0.7), **TINY)
+            runs = fig11.run
+        runs(params)
+        runs(params)
+        assert len(seen) == 2 * 2 * TINY["n_queries"]
+        assert {threshold for threshold, _ in seen} == {0.3, 0.7}
+        assert all(seconds > 0.0 for _, seconds in seen)
 
     def test_fig12(self):
         result = fig12.run(fig12.Fig12Params(thresholds=(0.1, 0.3), **TINY))
