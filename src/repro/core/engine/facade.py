@@ -230,8 +230,6 @@ class QueryFacadeMixin(SpecDispatchMixin):
             for i, s in enumerate(specs)
             if not isinstance(s, (CKNNQuery, CRangeQuery))
         ]
-        if len(pnn_idx) == len(specs):
-            return self._pnn_batch(specs)
         slots: list[QueryResult | None] = [None] * len(specs)
         knn_idx = [i for i, s in enumerate(specs) if isinstance(s, CKNNQuery)]
         range_idx = [i for i, s in enumerate(specs) if isinstance(s, CRangeQuery)]

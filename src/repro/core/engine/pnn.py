@@ -101,9 +101,6 @@ def _groups(items: list):
         columns = filter_result.columns
         if columns is None:
             columns = FoldColumns.of(filter_result.candidates)
-        if len(items) == 1:
-            yield [(q, filter_result, columns)]
-            return
         n = len(filter_result.candidates)
         bound = n * (folded_edges_bound(filter_result.candidates, columns[1:]) + n + 2)
         if group and cells + bound > _MAX_CELLS:
@@ -340,10 +337,7 @@ class PnnExecutorMixin:
         specs = [queries[b] for b, _, _, _ in jobs]
         tick = time.perf_counter()
         sizes = [table.size for table in tables]
-        if len(tables) == 1:
-            states = CandidateStates(tables[0].keys)
-        else:
-            states = CandidateStates.stacked(sum(sizes))
+        states = CandidateStates.stacked(sum(sizes))
         verified = verify_stacked(
             tables,
             states,
@@ -359,7 +353,7 @@ class PnnExecutorMixin:
             check_cancel(self)
             timings = spent[b]
             timings.verification += elapsed * size / rows
-            mine = states if len(jobs) == 1 else states.part(start, start + size, table.keys)
+            mine = states.part(start, start + size, table.keys)
             start += size
             unknown = checked.rows
             tick = time.perf_counter()

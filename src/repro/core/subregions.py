@@ -57,7 +57,10 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.numerics.poisson_binomial import exclusion_products
+from repro.numerics.poisson_binomial import (
+    exclusion_products,
+    segmented_exclusion_products,
+)
 from repro.uncertainty.columnar import _MAX_CELLS, DistributionPack
 from repro.uncertainty.distance import DistanceDistribution
 
@@ -431,7 +434,9 @@ _DEGENERATE = (
 
 def _build_one(table: "SubregionTable", pack: DistributionPack, keys, rows) -> None:
     """Fill one table: the stacked pass of :func:`_build` for one set,
-    with one set's arrays (fewer numpy calls, same bits)."""
+    with one set's arrays (fewer numpy calls, same bits).  A batch of
+    one (every ``execute``) comes here and skips the set keys' complex
+    sort and the ragged cdf gathers."""
     # Sort by (near, far) as the paper prescribes: one lexsort over the
     # pack's columns; np.lexsort is stable, so the order matches
     # sorted(key=lambda d: (d.near, d.far)) exactly.  Rows are
@@ -544,10 +549,10 @@ class StackedBrackets:
     Every table's cells are laid out flat, row after row, table after
     table, and gathered once into column order.  Each column product
     runs over its own table's rows in row order
-    (``np.multiply.reduceat`` over the column's run, the very order of
-    ``np.prod(axis=0)``), a column holding a zero factor takes the
-    exact branch of
-    :func:`~repro.numerics.poisson_binomial.exclusion_products`, and
+    (:func:`~repro.numerics.poisson_binomial.segmented_exclusion_products`,
+    the very order of ``np.prod(axis=0)``, with the exact branch of
+    :func:`~repro.numerics.poisson_binomial.exclusion_products` for a
+    column holding a zero factor), and
     each row sum is ``einsum``'s over its own table's contiguous
     ``(rows, M − 1)`` block.  So the bounds, and the bracket rows left
     for refinement, are those :meth:`SubregionTable.exclusion_rows`,
@@ -572,8 +577,7 @@ class StackedBrackets:
         # Column order: each column's cells in row order, column after
         # column, table after table; ``runs`` are the columns' starts.
         run = np.repeat(n, m)
-        self._runs = np.cumsum(run) - run
-        self._run_length = run
+        runs = np.cumsum(run) - run
         stride = np.repeat(m, m)
         first = np.arange(m.sum()) + np.repeat(cell_at - col_at, m)
         order = _ragged_index(np.zeros_like(run), run) * np.repeat(stride, run)
@@ -589,7 +593,9 @@ class StackedBrackets:
         # Z over the rows' full width; s and the brackets over the inner
         # subregions (each row's cells but its last).  Every factor is
         # in [0, 1]: the cdf matrices are clipped.
-        z = self._exclude(1.0 - column, 1.0 - cdf[cells], cols)
+        z = segmented_exclusion_products(
+            1.0 - column, runs, run, 1.0 - cdf[cells], cols
+        )
         np.clip(z, 0.0, 1.0, out=z)
         inner = np.ones(cells.size, dtype=bool)
         inner[np.cumsum(width) - 1] = False
@@ -597,7 +603,7 @@ class StackedBrackets:
         s = cdf[at + 1] - cdf[at]
         np.clip(s, 0.0, 1.0, out=s)
         # c_j over every row of the table.
-        counts = np.add.reduceat(right - column > 0.0, self._runs, dtype=np.intp)
+        counts = np.add.reduceat(right - column > 0.0, runs, dtype=np.intp)
         divisor = np.where(counts > 0, counts, 1).astype(float)
         q = z[inner] / divisor[inner_cols]
         # Z_i(m_j): survival at the midpoints, 1 − ½ (D_k(e_j) + D_k(e_{j+1})).
@@ -607,7 +613,8 @@ class StackedBrackets:
         mine = cdf[at] + cdf[at + 1]
         mine *= -0.5
         mine += 1.0
-        np.maximum(q, self._exclude(midpoint, mine, inner_cols), out=q)
+        midpoint_z = segmented_exclusion_products(midpoint, runs, run, mine, inner_cols)
+        np.maximum(q, midpoint_z, out=q)
         q[s <= 0.0] = 0.0
         np.clip(q, 0.0, 1.0, out=q)
 
@@ -616,33 +623,6 @@ class StackedBrackets:
         self._inner_widths = (m - 1).tolist()
         #: L-SR's bound of every row, table after table.
         self.lower = self._row_sums(s, q, self._table_blocks())
-
-    def _exclude(self, factors: np.ndarray, mine: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``Π_{k≠i}`` over each column of its own table, for the cells
-        whose factors are ``mine`` and whose columns are ``cols``;
-        ``factors`` are every cell's, in column order."""
-        product = np.multiply.reduceat(factors, self._runs)
-        # A zero factor zeroes its column's product (no factor is
-        # negative), so only those columns are looked at again.
-        suspect = np.flatnonzero(product == 0.0)
-        if not suspect.size:
-            return product[cols] / mine
-        at = _ragged_index(self._runs[suspect], self._run_length[suspect])
-        starts = np.cumsum(self._run_length[suspect]) - self._run_length[suspect]
-        zero = factors[at] <= 0.0
-        zeros = np.add.reduceat(zero, starts, dtype=np.intp)
-        others = np.multiply.reduceat(np.where(zero, 1.0, factors[at]), starts)
-        slot = np.full(product.size, -1)
-        slot[suspect] = np.arange(suspect.size)
-        slot = slot[cols]
-        held = np.flatnonzero((slot >= 0) & (zeros[slot] > 0))
-        slot = slot[held]
-        single = (mine[held] <= 0.0) & (zeros[slot] == 1)
-        safe = mine.copy()
-        safe[held] = 1.0  # those cells are redone below
-        out = product[cols] / safe
-        out[held] = np.where(single, others[slot], 0.0)
-        return out
 
     @staticmethod
     def _row_sums(s: np.ndarray, q: np.ndarray, blocks: list) -> np.ndarray:

@@ -8,19 +8,22 @@ with :func:`~repro.core.verifiers.chain.default_chain`.  The difference
 is what gets computed: a labelled candidate's bound is never touched
 again (Section III-B), so each verifier bounds only the rows the
 classifier left UNKNOWN.  ``Z`` and the per-subregion brackets
-``q_lower`` / ``q_upper`` are built for those rows alone
-(:meth:`exclusion_rows` divides the column product over every
-candidate by each chosen row).  The rows still UNKNOWN after U-SR leave
-with their bracket rows, which incremental refinement reads instead of
-the table's full matrices.
+``q_lower`` / ``q_upper`` are built for those rows alone (the column
+products run over every candidate and are divided by each chosen row).
+The rows still UNKNOWN after U-SR leave with their bracket rows, which
+incremental refinement reads instead of the table's full matrices.
 
-Works on :class:`~repro.core.subregions.SubregionTable` and on
-:class:`~repro.uncertainty.parametric.table.AnalyticTable` alike; the
+A batch verifies all its tables in one pass, :func:`verify_stacked`;
+a batch of one, and the analytic path, take :func:`verify`, the same
+pass over one table without the stacked bookkeeping.  Two or more
+histogram tables are bracketed together, cell by cell
+(:class:`~repro.core.subregions.StackedBrackets`); a lone table,
+:class:`~repro.uncertainty.parametric.table.AnalyticTable` and tables
+wider than the ``einsum`` buffer are bracketed table by table through
+their own ``exclusion_rows`` / ``q_lower_of`` / ``q_upper_of``.  The
 analytic path calls :func:`verify` again on a refined table with the
-same states to escalate.  A batch verifies all its tables in one pass,
-:func:`verify_stacked`, each table's records equal to its own pass's.
-The chain and its three verifier classes stay as the staged reference
-this pass is checked against.
+same states to escalate.  The chain and its three verifier classes stay
+as the staged reference this pass is checked against.
 """
 
 from __future__ import annotations
@@ -131,11 +134,13 @@ def verify_stacked(
     ``states`` holds every table's rows, table after table, and table
     ``t`` is verified against ``thresholds[t]`` / ``tolerances[t]``.
     The classifier, RS and each verifier's relabelling run once over
-    the stacked rows.  L-SR's and U-SR's brackets of histogram tables
-    are one pass over their cells
-    (:class:`~repro.core.subregions.StackedBrackets`); a pass holding
+    the stacked rows.  L-SR's and U-SR's brackets of two or more
+    histogram tables are one pass over their cells
+    (:class:`~repro.core.subregions.StackedBrackets`).  A pass holding
     another table (an analytic one, or one wider than the ``einsum``
-    buffer) brackets table by table.  Either way a column product runs
+    buffer) brackets table by table, and so does a pass left with one
+    table to bracket, which the dense matrices serve in fewer numpy
+    calls than the cell gathers.  Either way a column product runs
     over its own table's rows and a row sum over its own table's
     width, so every table's bounds, labels and ``Verified`` equal
     :func:`verify` of that table alone, bit for bit.
@@ -195,7 +200,7 @@ def verify_stacked(
     if live:
         ran = live
         mine = [rows[cut[t] : cut[t + 1]] - starts[t] for t in ran]
-        if all(_stackable(tables[t]) for t in ran):
+        if len(ran) > 1 and all(_stackable(tables[t]) for t in ran):
             stacked = StackedBrackets([tables[t] for t in ran], mine)
             lsr = stacked.lower
         else:

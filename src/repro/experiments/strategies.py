@@ -48,9 +48,12 @@ def vr(engine, spec) -> QueryResult:
     table cache: a point probed again would skip its table build, or
     replay its memoised result.  The cache is emptied first, so every
     call filters, tabulates, verifies and refines, as :func:`basic` and
-    :func:`refine` do.
+    :func:`refine` do.  (A sharded engine keeps its caches in its
+    lanes, on the process backend in the workers: they are left as
+    they are.)
     """
-    engine._table_cache.clear()
+    if engine._table_cache is not None:
+        engine._table_cache.clear()
     return engine.execute(spec)
 
 

@@ -1,4 +1,5 @@
-"""Property tests for :func:`repro.numerics.poisson_binomial.exclusion_products`.
+"""Property tests for :func:`repro.numerics.poisson_binomial.exclusion_products`
+and its ragged sibling :func:`segmented_exclusion_products`.
 
 The kernel divides one column product by each row and takes an exact
 branch for columns holding a zero factor.  Every case is checked
@@ -10,7 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.numerics.poisson_binomial import exclusion_products
+from repro.numerics.poisson_binomial import (
+    exclusion_products,
+    segmented_exclusion_products,
+)
 
 #: Kernel vs definition where nothing underflows: each side rounds at
 #: most one multiplication per factor and one division.
@@ -144,3 +148,47 @@ def test_redone_columns_match_the_whole_matrix_branch(case):
 def test_redone_columns_match_on_any_shape(survival):
     expected = whole_matrix_branch(survival)
     assert exclusion_products(survival).tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The ragged kernel the stacked verifier pass uses: each column of its
+# own length, and the same whole-matrix formula as the oracle.
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def ragged_columns(draw):
+    """Columns of 1–8 non-negative factors (0, 1 or several zeros each)
+    and, per column, the rows whose cells are asked for."""
+    columns, picks = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.integers(1, 8))
+        column = draw(hnp.arrays(float, rows, elements=st.floats(1e-3, 1.0)))
+        zeros = draw(st.integers(0, rows))
+        column[draw(st.permutations(range(rows)))[:zeros]] = 0.0
+        columns.append(column)
+        picks.append(
+            draw(st.lists(st.integers(0, rows - 1), max_size=rows, unique=True))
+        )
+    return columns, picks
+
+
+@given(ragged_columns())
+def test_segmented_cells_match_the_whole_matrix_branch(case):
+    columns, picks = case
+    lengths = np.array([column.size for column in columns])
+    starts = np.cumsum(lengths) - lengths
+    factors = np.concatenate(columns)
+    cols = np.concatenate([np.full(len(p), c) for c, p in enumerate(picks)])
+    mine = np.concatenate([column[p] for column, p in zip(columns, picks)])
+    with np.errstate(all="raise"):
+        got = segmented_exclusion_products(
+            factors, starts, lengths, mine, cols.astype(np.intp)
+        )
+    expected = np.concatenate(
+        [
+            whole_matrix_branch(column[:, None], np.array(p, dtype=np.intp))[:, 0]
+            for column, p in zip(columns, picks)
+        ]
+    )
+    assert got.tobytes() == expected.tobytes()
